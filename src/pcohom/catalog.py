@@ -10,12 +10,11 @@ generic instances.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .core import (FiniteGroup, Subgroup, builtin_group, normal_closure,
-                   quotient_group, subgroup_generated)
+                   quotient_group)
 from .homsearch import DEFAULT_BUDGET, t_bundle
 from .magnus import free_nilpotent_standin
 from .pairings import transfer_check
@@ -108,7 +107,7 @@ def _subgroup_choices(G: FiniteGroup, tbar: Subgroup, rng):
     return list(choices.values())
 
 
-def transfer_sweep(instances=None, budget=DEFAULT_BUDGET, jobs=1,
+def transfer_sweep(instances=None, *, budget=DEFAULT_BUDGET,
                    cap_order=128) -> dict:
     """Run the transfer cross-check over the catalog x families x subgroup
     choices grid and summarize agreement."""
@@ -117,25 +116,15 @@ def transfer_sweep(instances=None, budget=DEFAULT_BUDGET, jobs=1,
         instances = catalog_instances(cap_order=cap_order)
     rng = np.random.default_rng(CATALOG_SEED + 1)
 
-    tasks = []
+    reports = []
     for name, G, p in instances:
         for fam in applicable_families(p):
             tbar = t_bundle(G, fam, budget=budget).Tbar
             for nlabel, N in _subgroup_choices(G, tbar, rng):
-                tasks.append((name, G, p, fam, nlabel, N))
-
-    def run(task):
-        name, G, p, fam, nlabel, N = task
-        rep = transfer_check(G, N, fam, budget=budget)
-        rep["instance"] = name
-        rep["N_label"] = nlabel
-        return rep
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(run, tasks))
-    else:
-        reports = [run(t) for t in tasks]
+                rep = transfer_check(G, N, fam, budget=budget)
+                rep["instance"] = name
+                rep["N_label"] = nlabel
+                reports.append(rep)
 
     failures = [r for r in reports if r["status"] != "PASS"]
     return {

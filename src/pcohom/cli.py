@@ -1,7 +1,10 @@
 """Command-line front end producing JSON-lines reports.
 
 Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found,
-2 a search budget was exceeded, 3 malformed manifest or arguments.
+2 a search budget was exceeded, 3 malformed manifest or arguments (a bad
+flag, group, subgroup or family spec, or a group over a size cap).  Exit 3
+writes one JSON error record {"schema_version", "command", "error"} after
+any reports already made.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from . import __version__
 from .catalog import transfer_sweep
 from .cohomology import h2_space, massey_pullback_set
 from .core import (FiniteGroup, Subgroup, builtin_group, center,
-                   normal_closure, signature)
-from .errors import BudgetExceeded
+                   normal_closure, signature, spec_ints)
+from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
+                     SpecError)
 from .filtrations import lower_p_central, zassenhaus
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, t_bundle
 from .magnus import (counterexample_harness, free_nilpotent_standin,
@@ -30,6 +34,9 @@ from .unitriangular import parse_family
 
 SCHEMA_VERSION = 1
 
+# malformed input: exit 3
+INPUT_ERRORS = (SpecError, GroupTooLarge, ClosureCapExceeded)
+
 CONVENTIONS = {
     "commutator": "[a, b] = a^-1 b^-1 a b",
     "filtration_indexing": "1-indexed; term 1 is the whole group",
@@ -40,8 +47,9 @@ CONVENTIONS = {
 
 def resolve_group(spec: str) -> FiniteGroup:
     if spec.startswith("standin:"):
-        _, kind, k, p, n = spec.split(":")
-        return free_nilpotent_standin(int(k), int(p), kind, int(n))
+        kind, *fields = spec.split(":")[1:]
+        k, p, n = spec_ints(spec, fields, 3)
+        return free_nilpotent_standin(k, p, kind, n)
     return builtin_group(spec)
 
 
@@ -54,16 +62,20 @@ def resolve_subgroup(G: FiniteGroup, spec: str, fam=None) -> Subgroup:
         return center(G)
     if spec == "tbar":
         if fam is None:
-            raise ValueError("subgroup 'tbar' needs --family")
+            raise SpecError("subgroup 'tbar' needs --family")
         return t_bundle(G, fam).Tbar
     if spec.startswith("lpc:"):
-        k = int(spec.split(":")[1])
-        p = int(spec.split(":")[2]) if spec.count(":") >= 2 else 2
+        fields = spec.split(":")[1:]
+        if len(fields) == 1:
+            fields.append("2")                 # p defaults to 2
+        k, p = spec_ints(spec, fields, 2)
         return lower_p_central(G, p, k).term(k)
     if spec.startswith("ids:"):
-        ids = [int(x) for x in spec[4:].split(",")]
-        return normal_closure(G, ids)
-    raise ValueError(f"unknown subgroup spec {spec!r}")
+        ids = spec[4:].split(",")
+        if not all(x.isdigit() and int(x) < G.order for x in ids):
+            raise SpecError(f"{spec!r}: ids must lie below {G.order}")
+        return normal_closure(G, [int(x) for x in ids])
+    raise SpecError(f"unknown subgroup spec {spec!r}")
 
 
 def _wrap(command: str, G, payload: dict, args) -> dict:
@@ -135,8 +147,11 @@ def cmd_massey(args):
     from .cohomology import h1
     chars = h1(G, fam.p)
     if args.chars:
-        idx = [int(x) for x in args.chars.split(",")]
-        phis = [chars[i] for i in idx]
+        idx = args.chars.split(",")
+        if not all(x.isdigit() and int(x) < len(chars) for x in idx):
+            raise SpecError(f"--chars {args.chars!r}: indices must be below "
+                            f"{len(chars)}")
+        phis = [chars[int(i)] for i in idx]
     else:
         phis = chars[:fam.n]
     classes = massey_pullback_set(G, fam.n, phis, fam,
@@ -197,7 +212,7 @@ def cmd_transfer_sweep(args):
             G = resolve_group(nm)
             instances.append((nm, G, _group_prime(G)))
     sweep = transfer_sweep(instances=instances, budget=args.budget_prefixes,
-                           jobs=args.jobs, cap_order=args.cap_order)
+                           cap_order=args.cap_order)
     payload = {k: sweep[k] for k in ("groups", "checks", "failures",
                                      "all_pass", "elapsed_seconds")}
     payload["reports"] = sweep["reports"]
@@ -209,7 +224,7 @@ def _group_prime(G: FiniteGroup) -> int:
     for p in (2, 3, 5, 7, 11, 13):
         if n % p == 0:
             return p
-    raise ValueError("not a p-group for a small prime")
+    raise SpecError(f"{G.name} is not a p-group for a small prime")
 
 
 def cmd_counterexample(args):
@@ -226,13 +241,20 @@ def cmd_lyndon(args):
 # Wiring
 # ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as SpecError instead of exiting 2,
+    which is reserved for an exceeded budget."""
+
+    def error(self, message):
+        raise SpecError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pcohom",
         description="finite verification of kernel-intersection subgroups, "
                     "mod-p cohomology pairings, and transfer checks")
     ap.add_argument("--manifest", help="JSON manifest of jobs to run")
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--budget-prefixes", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--cap-order", type=int, default=128)
     ap.add_argument("--out", help="write JSON-lines reports here")
@@ -300,48 +322,57 @@ def _run_one(args) -> tuple:
     return _wrap(args.command, G, payload, args), ok
 
 
+def _jobs(ap, args):
+    """The parsed jobs to run: the command line's, or each manifest job's
+    with the top-level budget and order cap."""
+    if not args.manifest:
+        if args.command is None:
+            ap.print_help(sys.stderr)
+            raise SpecError("no command given")
+        yield args
+        return
+    try:
+        with open(args.manifest) as fh:
+            jobs = json.load(fh)["jobs"]
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise SpecError(f"malformed manifest: {e!r}") from None
+    if not isinstance(jobs, list):
+        raise SpecError("malformed manifest: 'jobs' is not a list")
+    for job in jobs:
+        if not isinstance(job, dict) or "command" not in job:
+            raise SpecError(f"malformed manifest job: {job}")
+        argv = [job["command"]]
+        for key, val in job.items():
+            if key != "command":
+                argv += [f"--{key}", str(val)]
+        jargs = ap.parse_args(argv)
+        jargs.budget_prefixes = args.budget_prefixes
+        jargs.cap_order = args.cap_order
+        yield jargs
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
-    reports, all_ok = [], True
+    reports, all_ok, command, out = [], True, None, None
     try:
-        if args.manifest:
-            try:
-                with open(args.manifest) as fh:
-                    doc = json.load(fh)
-                jobs = doc["jobs"]
-                assert isinstance(jobs, list)
-            except (OSError, ValueError, KeyError, AssertionError) as e:
-                print(f"malformed manifest: {e}", file=sys.stderr)
-                return 3
-            for job in jobs:
-                argv_job = [job["command"]]
-                for key, val in job.items():
-                    if key != "command":
-                        argv_job += [f"--{key}", str(val)]
-                try:
-                    jargs = ap.parse_args(argv_job)
-                except SystemExit:
-                    print(f"malformed manifest job: {job}", file=sys.stderr)
-                    return 3
-                jargs.budget_prefixes = args.budget_prefixes
-                jargs.jobs = args.jobs
-                jargs.cap_order = args.cap_order
-                rep, ok = _run_one(jargs)
-                reports.append(rep)
-                all_ok = all_ok and ok
-        else:
-            if not getattr(args, "fn", None):
-                ap.print_help()
-                return 3
-            rep, ok = _run_one(args)
+        args = ap.parse_args(argv)
+        out = args.out
+        for jargs in _jobs(ap, args):
+            command = jargs.command
+            rep, ok = _run_one(jargs)
             reports.append(rep)
             all_ok = all_ok and ok
+            command = None
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
-        _emit(reports, args.out)
+        _emit(reports, out)
         return 2
-    _emit(reports, args.out)
+    except INPUT_ERRORS as e:
+        reports.append({"schema_version": SCHEMA_VERSION, "command": command,
+                        "error": f"{type(e).__name__}: {e}"})
+        _emit(reports, out)
+        return 3
+    _emit(reports, out)
     return 0 if all_ok else 1
 
 

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .core import (FiniteGroup, GroupHom, Subgroup, power_commutator_subgroup,
-                   quotient_group, subgroup_as_group)
+from .core import (FiniteGroup, GroupHom, Subgroup, memo,
+                   power_commutator_subgroup, quotient_group, subgroup_as_group,
+                   subgroup_generated)
 from .errors import GroupTooLarge, NotInvariant
 from .unitriangular import CentralExtension
 
@@ -95,11 +96,10 @@ def _assert_cocycle_identity(G: FiniteGroup, v: np.ndarray, p: int):
 # Coboundary linear algebra on generator columns
 # ---------------------------------------------------------------------
 
+@memo
 def _coboundary_matrix(G: FiniteGroup):
     """Matrix A with rows indexed by (g, generator index) and columns by
     y in {1..n-1}, where (d c)(g, s) = c[g] + c[s] - c[g s]."""
-    if "cobmat" in G._cache:
-        return G._cache["cobmat"]
     n = G.order
     ngens = len(G.generators)
     B = np.zeros((n, n, ngens), dtype=np.int64)
@@ -107,9 +107,7 @@ def _coboundary_matrix(G: FiniteGroup):
     for i, s in enumerate(G.generators):
         B[s, :, i] += 1
     B[G.mult_gen, np.arange(n)[:, None], np.arange(ngens)[None, :]] -= 1
-    A = B[1:].reshape(n - 1, n * ngens).T   # rows (g,i), cols y=1..n-1
-    G._cache["cobmat"] = A
-    return A
+    return B[1:].reshape(n - 1, n * ngens).T   # rows (g,i), cols y=1..n-1
 
 
 def _generator_columns(G: FiniteGroup, table: np.ndarray):
@@ -154,23 +152,28 @@ def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
     return np.nonzero(bad)[0]
 
 
+@memo
+def _column_forms(G: FiniteGroup) -> np.ndarray:
+    """T[g, x, :]: the derived column f(g, x) as a linear form in the
+    generator-column unknowns."""
+    n = G.order
+    ngens = len(G.generators)
+    T = np.zeros((n, n, n * ngens), dtype=np.int16)
+    for x in range(1, n):
+        pe, pg = G.pred[x]
+        T[:, x, :] = T[:, pe, :]
+        np.add.at(T, (np.arange(n), x, G.mult[:, pe] * ngens + pg), 1)
+        T[:, x, pe * ngens + pg] -= 1
+    return T
+
+
 def _constraint_rows(G: FiniteGroup, gs, p: int):
     """Constraint rows (over the generator-column unknowns) for the
     identities indexed by g in gs, all h, all generator s."""
     n = G.order
     ngens = len(G.generators)
     ngu = n * ngens
-    # T[g, x, :]: the derived column f(g, x) as a linear form in the unknowns
-    key = "cohT"
-    if key not in G._cache:
-        T = np.zeros((n, n, ngu), dtype=np.int16)
-        for x in range(1, n):
-            pe, pg = G.pred[x]
-            T[:, x, :] = T[:, pe, :]
-            np.add.at(T, (np.arange(n), x, G.mult[:, pe] * ngens + pg), 1)
-            T[:, x, pe * ngens + pg] -= 1
-        G._cache[key] = T
-    T = G._cache[key]
+    T = _column_forms(G)
     rows = []
     for g in gs:
         for s in range(ngens):
@@ -225,10 +228,8 @@ class H2Space:
         return Cocycle2(self.group, tab, self.p)
 
 
+@memo
 def h2_space(G: FiniteGroup, p: int) -> H2Space:
-    key = ("h2", p)
-    if key in G._cache:
-        return G._cache[key]
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
     n = G.order
@@ -236,12 +237,10 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     ngu = n * ngens
 
     if ngens == 0:
-        space = H2Space(G, p, 0, [],
-                        np.zeros((0, 0), dtype=np.int64),
-                        np.zeros((0, 0), dtype=np.int64),
-                        np.zeros((0, 0), dtype=np.int64))
-        G._cache[key] = space
-        return space
+        return H2Space(G, p, 0, [],
+                       np.zeros((0, 0), dtype=np.int64),
+                       np.zeros((0, 0), dtype=np.int64),
+                       np.zeros((0, 0), dtype=np.int64))
 
     # normalization rows f(1, s) = 0 and an initial batch of identity rows
     norm = np.zeros((ngens, ngu), dtype=np.int64)
@@ -291,7 +290,6 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     for i, b in enumerate(basis):
         e = space.coords(b)
         assert e[i] == 1 and not np.any(np.delete(e, i))
-    G._cache[key] = space
     return space
 
 
@@ -299,15 +297,12 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
 # H^1 and characters
 # ---------------------------------------------------------------------
 
+@memo
 def h1(G: FiniteGroup, p: int) -> list:
     """Basis of Hom(G, Z/p), via the elementary abelianization."""
-    key = ("h1", p)
-    if key in G._cache:
-        return G._cache[key]
     D = power_commutator_subgroup(G, G.whole(), p)
     Q, proj = quotient_group(G, D)
     # greedy independent generators of the elementary abelian Q
-    from .core import subgroup_generated
     basis_ids = []
     closure = {0}
     for x in range(1, Q.order):
@@ -335,9 +330,7 @@ def h1(G: FiniteGroup, p: int) -> list:
     assert len(set(ids)) == Q.order
     for e, v in zip(ids, vecs):
         coords[e] = v
-    chars = [Cochain1(G, coords[proj.image, j], p) for j in range(d)]
-    G._cache[key] = chars
-    return chars
+    return [Cochain1(G, coords[proj.image, j], p) for j in range(d)]
 
 
 def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
@@ -443,16 +436,14 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     conj = G.mult[G.mult[G.inv[:, None], members[None, :]], np.arange(G.order)[:, None]]
     if not np.array_equal(vals[conj], np.broadcast_to(vals[members], conj.shape)):
         raise NotInvariant("character is not conjugation-invariant")
-    xs, first = np.unique(pi.image, return_index=True)
-    t = np.zeros(Q.order, dtype=np.int64)
-    t[xs] = first
+    t = pi.section()
     prod = G.mult[np.ix_(t, t)]
     arg = G.mult[prod, G.inv[t[Q.mult]]]
     assert nmask[arg].all()
     return Cocycle2(Q, vals[arg] % p, p)
 
 
-def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam,
+def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
                         budget=None) -> list:
     """All pullback classes of the U_n(Z/p) bar-extension class along
     homomorphisms rhobar: Q -> Ubar_n with the prescribed superdiagonal

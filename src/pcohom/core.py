@@ -8,7 +8,9 @@ identity and ids follow BFS discovery order, so every derived structure
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from math import lcm
@@ -17,7 +19,7 @@ import numpy as np
 
 from .elements import MatMod, Perm, Residue, TupleElem, perm_from_cycles
 from .errors import (ClosureCapExceeded, EmptyList, MixedElementKinds,
-                     MixedParents, NonNormalArguments, NotNormal)
+                     MixedParents, NonNormalArguments, NotNormal, SpecError)
 
 DEFAULT_CAP = 8192
 
@@ -86,6 +88,48 @@ class FiniteGroup:
 
     def trivial_subgroup(self):
         return Subgroup(self, np.zeros(1, dtype=np.int32))
+
+
+_MISS = object()
+
+
+def _memo_key(a):
+    if isinstance(a, FiniteGroup):
+        return a.key
+    if isinstance(a, Subgroup):
+        return a.members.tobytes()
+    if isinstance(a, (int, np.integer)):
+        return int(a)
+    label = getattr(a, "label", None)     # an OmegaFamily
+    if isinstance(label, str):
+        return label
+    raise TypeError(f"memo cannot key a {type(a).__name__}")
+
+
+def memo(fn):
+    """Cache fn(G, *args) in G._cache.
+
+    The key is fn's name plus the positional arguments: groups by .key,
+    subgroups by member bytes, families by .label and ints as they are.
+    Keyword-only arguments (the search budget) bound the work done, never
+    the value returned, so they are passed on but not keyed; every other
+    argument must be passed positionally."""
+    name = fn.__name__
+    unkeyed = {q.name for q in inspect.signature(fn).parameters.values()
+               if q.kind is q.KEYWORD_ONLY}
+
+    @functools.wraps(fn)
+    def cached(G, *args, **kwargs):
+        if not kwargs.keys() <= unkeyed:
+            raise TypeError(f"{name}: pass {sorted(kwargs.keys() - unkeyed)} "
+                            "positionally")
+        key = (name, *map(_memo_key, args))
+        value = G._cache.get(key, _MISS)
+        if value is _MISS:
+            value = G._cache[key] = fn(G, *args, **kwargs)
+        return value
+
+    return cached
 
 
 def _verify_tables(G: FiniteGroup, rng_seed=0):
@@ -268,21 +312,23 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name or 'anon'})"
 
     def is_normal(self):
-        key = ("normal", self.members.tobytes())
-        if key not in self.parent._cache:
-            G = self.parent
-            p = G.mult[:, self.members]                    # g * m
-            conj = G.mult[p, G.inv[:, None]]               # g * m * g^-1
-            self.parent._cache[key] = set(np.unique(conj)) <= self._set
-        return self.parent._cache[key]
+        return _is_normal(self.parent, self)
 
 
-def _closure_ids(G: FiniteGroup, seed):
+@memo
+def _is_normal(G: FiniteGroup, H: Subgroup) -> bool:
+    p = G.mult[:, H.members]                    # g * m
+    conj = G.mult[p, G.inv[:, None]]            # g * m * g^-1
+    return set(np.unique(conj)) <= H._set
+
+
+def _closure_ids(table, seed):
+    """Sorted ids of the subgroup generated by seed in a group table."""
     seed = np.unique(np.asarray(list(seed) + [0], dtype=np.int32))
     members = {0}
     frontier = np.asarray([0], dtype=np.int32)
     while frontier.size:
-        prod = np.unique(G.mult[np.ix_(frontier, seed)])
+        prod = np.unique(table[np.ix_(frontier, seed)])
         new = np.asarray([x for x in prod if int(x) not in members], dtype=np.int32)
         members.update(int(x) for x in new)
         frontier = new
@@ -290,13 +336,13 @@ def _closure_ids(G: FiniteGroup, seed):
 
 
 def subgroup_generated(G: FiniteGroup, seed) -> Subgroup:
-    return Subgroup(G, _closure_ids(G, seed), check=False)
+    return Subgroup(G, _closure_ids(G.mult, seed), check=False)
 
 
 def normal_closure(G: FiniteGroup, seed) -> Subgroup:
     seed = set(int(x) for x in seed) | {0}
     while True:
-        members = _closure_ids(G, seed)
+        members = _closure_ids(G.mult, seed)
         p = G.mult[:, members]
         conj = G.mult[p, G.inv[:, None]]
         allc = set(int(x) for x in np.unique(conj))
@@ -320,19 +366,24 @@ def power_commutator_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
     if not A.is_normal():
         raise NonNormalArguments("power-commutator needs a normal argument")
     a = A.members
+    g = np.arange(G.order, dtype=np.int32)
+    x = G.mult[np.ix_(G.inv[g], G.inv[a])]
+    y = G.mult[np.ix_(g, a)]
+    comms = np.unique(G.mult[x, y])
+    return subgroup_generated(G, np.concatenate([_powers(G, a, m), comms]))
+
+
+def _powers(G: FiniteGroup, a, m: int) -> np.ndarray:
+    """a^m for every id in the array a, by square-and-multiply."""
     powers = np.zeros(len(a), dtype=np.int32)
-    base = a.copy()
+    base = np.asarray(a, dtype=np.int32)
     e = int(m)
     while e:
         if e & 1:
             powers = G.mult[powers, base]
         base = G.mult[base, base]
         e >>= 1
-    g = np.arange(G.order, dtype=np.int32)
-    x = G.mult[np.ix_(G.inv[g], G.inv[a])]
-    y = G.mult[np.ix_(g, a)]
-    comms = np.unique(G.mult[x, y])
-    return subgroup_generated(G, np.concatenate([powers, comms]))
+    return powers
 
 
 def intersect_subgroups(subs) -> Subgroup:
@@ -368,25 +419,13 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     for pos in range(1, len(m)):
         if pos not in closure:
             gens.append(pos)
-            closure = set(int(x) for x in _closure_ids_from_table(table, gens))
+            closure = set(int(x) for x in _closure_ids(table, gens))
             if len(closure) == len(m):
                 break
     K, relabel = group_from_table(table, gens, name=f"{G.name}|sub{len(m)}")
     embed = np.empty(len(m), dtype=np.int32)
     embed[relabel] = m
     return K, embed
-
-
-def _closure_ids_from_table(table, seed):
-    seed = sorted(set(int(x) for x in seed) | {0})
-    members = {0}
-    frontier = [0]
-    while frontier:
-        prod = np.unique(table[np.ix_(np.asarray(frontier), np.asarray(seed))])
-        new = [int(x) for x in prod if int(x) not in members]
-        members.update(new)
-        frontier = new
-    return np.asarray(sorted(members), dtype=np.int32)
 
 
 # ---------------------------------------------------------------------
@@ -446,6 +485,36 @@ class GroupHom:
         return Subgroup(self.codomain, np.unique(self.image[S.members]),
                         check=False)
 
+    def section(self) -> np.ndarray:
+        """The BFS-minimal set-section of a surjection: each codomain id
+        maps to the least domain id sent to it."""
+        xs, first = np.unique(self.image, return_index=True)
+        t = np.zeros(self.codomain.order, dtype=np.int64)
+        t[xs] = first
+        return t
+
+
+def word_images(pred, U: FiniteGroup, C: np.ndarray) -> np.ndarray:
+    """Evaluate BFS words under rows of generator images.
+
+    pred[t] = (position of the predecessor, generator index) for each
+    position t > 0 of a BFS, and C is an m x k matrix whose rows give
+    images in U of the generators.  Returns the m x len(pred) matrix of
+    images of the word reaching each position."""
+    C = np.asarray(C, dtype=np.int32)
+    img = np.zeros((C.shape[0], len(pred)), dtype=np.int32)
+    for t in range(1, len(pred)):
+        pe, pg = pred[t]
+        img[:, t] = U.mult[img[:, pe], C[:, pg]]
+    return img
+
+
+def hom_from_generator_images(G: FiniteGroup, U: FiniteGroup,
+                              images) -> GroupHom:
+    """The homomorphism G -> U with the given generator images, evaluated
+    along G's BFS words and fully verified."""
+    return GroupHom(G, U, word_images(G.pred, U, [images])[0])
+
 
 def quotient_group(G: FiniteGroup, N: Subgroup):
     """G/N with BFS-canonical ids.  Returns (Q, projection hom)."""
@@ -469,27 +538,27 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
 # Misc structure helpers
 # ---------------------------------------------------------------------
 
+@memo
+def _element_orders(G: FiniteGroup) -> np.ndarray:
+    orders = np.zeros(G.order, dtype=np.int64)
+    cur = np.arange(G.order, dtype=np.int32)
+    k = 1
+    remaining = G.order
+    while remaining:
+        done = (cur == 0) & (orders == 0)
+        orders[done] = k
+        remaining -= int(done.sum())
+        cur = G.mult[cur, np.arange(G.order)]
+        k += 1
+    return orders
+
+
 def element_order(G: FiniteGroup, g) -> int:
-    key = "orders"
-    if key not in G._cache:
-        orders = np.empty(G.order, dtype=np.int64)
-        cur = np.arange(G.order, dtype=np.int32)
-        orders[:] = 0
-        k = 1
-        remaining = G.order
-        while remaining:
-            done = (cur == 0) & (orders == 0)
-            orders[done] = k
-            remaining -= int(done.sum())
-            cur = G.mult[cur, np.arange(G.order)]
-            k += 1
-        G._cache[key] = orders
-    return int(G._cache[key][g])
+    return int(_element_orders(G)[g])
 
 
 def exponent(G: FiniteGroup) -> int:
-    element_order(G, 0)
-    return int(lcm(*[int(x) for x in G._cache["orders"]]))
+    return int(lcm(*[int(x) for x in _element_orders(G)]))
 
 
 def is_abelian(G: FiniteGroup) -> bool:
@@ -510,18 +579,16 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 def signature(G: FiniteGroup):
     """Isomorphism-invariant fingerprint: order, exponent, element-order
     multiset, center order and derived-subgroup order."""
-    element_order(G, 0)
-    orders = tuple(sorted(int(x) for x in G._cache["orders"]))
+    orders = tuple(sorted(int(x) for x in _element_orders(G)))
     return (G.order, exponent(G), orders, center(G).order, derived_subgroup(G).order)
 
 
+@memo
 def element_index(G: FiniteGroup) -> dict:
     """Lookup table from concrete element to its id."""
-    if "eindex" not in G._cache:
-        if G.elements is None:
-            raise ValueError("group has no concrete elements")
-        G._cache["eindex"] = {e: i for i, e in enumerate(G.elements)}
-    return G._cache["eindex"]
+    if G.elements is None:
+        raise ValueError("group has no concrete elements")
+    return {e: i for i, e in enumerate(G.elements)}
 
 
 # ---------------------------------------------------------------------
@@ -548,6 +615,15 @@ def group_from_json(doc) -> FiniteGroup:
     return generate_group(gens, name=doc.get("name", ""))
 
 
+def spec_ints(spec: str, fields, count: int) -> list:
+    """The fields cut from spec, as exactly `count` positive integers."""
+    if len(fields) != count or not all(f.isdigit() and int(f) > 0
+                                       for f in fields):
+        raise SpecError(f"malformed spec {spec!r}: expected {count} "
+                        "positive integer field(s)")
+    return [int(f) for f in fields]
+
+
 def builtin_group(name: str) -> FiniteGroup:
     """Resolve a builtin group name: D4, Q8, Z/n, E:p:k, Mp3:p, U:n:m,
     Heis:p, Meta:p, and 'x'-joined direct products of these."""
@@ -558,7 +634,7 @@ def builtin_group(name: str) -> FiniteGroup:
         gens = []
         for i, F in enumerate(factors):
             if F.elements is None:
-                raise ValueError(f"factor {F.name} has no concrete elements")
+                raise SpecError(f"factor {F.name} has no concrete elements")
             for g in F.generators:
                 parts = [Fj.elements[g if j == i else 0]
                          for j, Fj in enumerate(factors)]
@@ -572,29 +648,28 @@ def builtin_group(name: str) -> FiniteGroup:
         i = MatMod([[0, -1], [1, 0]], 3)
         j = MatMod([[1, 1], [1, -1]], 3)
         return generate_group([i, j], name="Q8")
+    fields = name.split(":")[1:]
     if name.startswith("Z/"):
-        n = int(name[2:])
+        (n,) = spec_ints(name, [name[2:]], 1)
         return generate_group([Residue(1, n)], name=name)
     if name.startswith("E:"):
-        _, p, k = name.split(":")
-        p, k = int(p), int(k)
+        p, k = spec_ints(name, fields, 2)
         gens = [TupleElem([Residue(1 if j == i else 0, p) for j in range(k)])
                 for i in range(k)]
         return generate_group(gens, name=name)
     if name.startswith("Mp3:"):
-        return ut.build_mp3(int(name.split(":")[1])).E
+        return ut.build_mp3(*spec_ints(name, fields, 1)).E
     if name.startswith("U:"):
-        _, n, m = name.split(":")
-        return ut.build_unitriangular(int(n), int(m))
+        return ut.build_unitriangular(*spec_ints(name, fields, 2))
     if name.startswith("Heis:"):
-        return ut.build_unitriangular(2, int(name.split(":")[1]))
+        return ut.build_unitriangular(2, *spec_ints(name, fields, 1))
     if name.startswith("Meta:"):
         # order p^4 semidirect product <t> x| <s>, both Z/p^2, s t s^-1 = t^(1+p)
-        p = int(name.split(":")[1])
+        (p,) = spec_ints(name, fields, 1)
         q = p * p
         pts = [(c, d) for d in range(q) for c in range(q)]
         pos = {pt: i for i, pt in enumerate(pts)}
         t = Perm([pos[((c + 1) % q, d)] for (c, d) in pts])
         s = Perm([pos[((c * (1 + p)) % q, (d + 1) % q)] for (c, d) in pts])
         return generate_group([t, s], name=name)
-    raise ValueError(f"unknown builtin group {name!r}")
+    raise SpecError(f"unknown builtin group {name!r}")

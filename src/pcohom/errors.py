@@ -49,3 +49,7 @@ class WordTooShort(Exception):
 
 class NonCommutingSquare(Exception):
     pass
+
+
+class SpecError(ValueError):
+    """A malformed group, subgroup or family spec, or malformed arguments."""

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .core import (FiniteGroup, Subgroup, commutator_subgroup, exponent,
-                   is_abelian, join_subgroups, power_commutator_subgroup,
-                   quotient_group, subgroup_as_group)
+from .core import (FiniteGroup, Subgroup, _powers, commutator_subgroup,
+                   exponent, is_abelian, join_subgroups, memo,
+                   power_commutator_subgroup, quotient_group, subgroup_as_group,
+                   subgroup_generated)
 
 
 @dataclass
@@ -55,11 +56,8 @@ def _check_chain(chain: FiltrationChain):
         assert is_elementary_abelian(Q, chain.p)
 
 
-def lower_p_central(G: FiniteGroup, p: int, upto: int,
-                    check=True) -> FiltrationChain:
-    key = ("lpc", p, upto, check)
-    if key in G._cache:
-        return G._cache[key]
+@memo
+def lower_p_central(G: FiniteGroup, p: int, upto: int) -> FiltrationChain:
     terms = [G.whole()]
     while len(terms) < upto:
         cur = terms[-1]
@@ -67,21 +65,18 @@ def lower_p_central(G: FiniteGroup, p: int, upto: int,
             break
         terms.append(power_commutator_subgroup(G, cur, p))
     chain = FiltrationChain("lower-central", p, G, terms)
-    if check:
-        _check_chain(chain)
-    G._cache[key] = chain
+    _check_chain(chain)
     return chain
 
 
-def zassenhaus(G: FiniteGroup, p: int, upto: int, check=True) -> FiltrationChain:
-    key = ("zas", p, upto, check)
-    if key in G._cache:
-        return G._cache[key]
+@memo
+def zassenhaus(G: FiniteGroup, p: int, upto: int) -> FiltrationChain:
     terms: dict[int, Subgroup] = {1: G.whole()}
 
     def term(n: int) -> Subgroup:
         if n not in terms:
-            pieces = [_power_subgroup(G, term(ceil(n / p)), p)]
+            powers = _powers(G, term(ceil(n / p)).members, p)
+            pieces = [subgroup_generated(G, powers)]
             for i in range(1, n):
                 j = n - i
                 pieces.append(commutator_subgroup(G, term(i), term(j)))
@@ -94,23 +89,5 @@ def zassenhaus(G: FiniteGroup, p: int, upto: int, check=True) -> FiltrationChain
             break
         chain_terms.append(term(n))
     chain = FiltrationChain("zassenhaus", p, G, chain_terms)
-    if check:
-        _check_chain(chain)
-    G._cache[key] = chain
+    _check_chain(chain)
     return chain
-
-
-def _power_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
-    """Subgroup generated by {a^m : a in A}."""
-    import numpy as np
-    a = A.members
-    powers = np.zeros(len(a), dtype=np.int32)
-    base = a.copy()
-    e = int(m)
-    while e:
-        if e & 1:
-            powers = G.mult[powers, base]
-        base = G.mult[base, base]
-        e >>= 1
-    from .core import subgroup_generated
-    return subgroup_generated(G, np.unique(powers))

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, Subgroup, element_order,
-                   intersect_subgroups, quotient_group)
+from .core import (FiniteGroup, GroupHom, Subgroup, _element_orders,
+                   intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded
 from .unitriangular import CentralExtension, OmegaFamily
 
@@ -38,48 +38,48 @@ class HomSet:
         return np.stack([h.image for h in self.homs])
 
 
+@memo
 def _partial_bfs(G: FiniteGroup, j: int):
     """BFS over G restricted to the first j generators.
 
-    Returns (elems, pred) where elems lists reached element ids in BFS order
-    and pred[t] = (position of predecessor in elems, generator index)."""
-    key = ("pbfs", j)
-    if key not in G._cache:
-        pos = {0: 0}
-        elems = [0]
-        pred = [(-1, -1)]
-        i = 0
-        while i < len(elems):
-            for gi in range(j):
-                y = int(G.mult_gen[elems[i], gi])
-                if y not in pos:
-                    pos[y] = len(elems)
-                    elems.append(y)
-                    pred.append((i, gi))
-            i += 1
-        G._cache[key] = (np.asarray(elems, dtype=np.int32),
-                         np.asarray(pred, dtype=np.int32), pos)
-    return G._cache[key]
+    Returns (elems, pred, tgt) where elems lists reached element ids in BFS
+    order, pred[t] = (position of predecessor in elems, generator index)
+    and tgt[t, s] = position of elems[t] * gen_s within elems, for s < j.
+    At j = ngens this is G's own BFS, so elems lists the ids in order."""
+    pos = {0: 0}
+    elems = [0]
+    pred = [(-1, -1)]
+    i = 0
+    while i < len(elems):
+        for gi in range(j):
+            y = int(G.mult_gen[elems[i], gi])
+            if y not in pos:
+                pos[y] = len(elems)
+                elems.append(y)
+                pred.append((i, gi))
+        i += 1
+    tgt = np.asarray([[pos[int(G.mult_gen[e, s])] for s in range(j)]
+                      for e in elems], dtype=np.int32)
+    return (np.asarray(elems, dtype=np.int32),
+            np.asarray(pred, dtype=np.int32), tgt)
+
+
+def _extend(P: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Every row of P followed by every entry of c, rows in order."""
+    return np.concatenate([np.repeat(P, len(c), axis=0),
+                           np.tile(c, P.shape[0]).reshape(-1, 1)], axis=1)
 
 
 def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     """Keep the prefixes (rows of P, shape m x j) that define a consistent
     partial homomorphism on the subgroup generated by the first j generators.
     Returns (surviving P, their image matrices over that subgroup)."""
-    elems, pred, pos = _partial_bfs(G, j)
-    L = len(elems)
-    # position of e*gen_s within elems, for each reached element and s < j
-    tgt = np.asarray([[pos[int(G.mult_gen[e, s])] for s in range(j)]
-                      for e in elems], dtype=np.int32)
+    _, pred, tgt = _partial_bfs(G, j)
     keep_P = []
     keep_img = []
     for lo in range(0, P.shape[0], _CHUNK):
         C = P[lo:lo + _CHUNK]
-        m = C.shape[0]
-        img = np.zeros((m, L), dtype=np.int32)
-        for t in range(1, L):
-            pe, pg = pred[t]
-            img[:, t] = U.mult[img[:, pe], C[:, pg]]
+        img = word_images(pred, U, C)
         # forced-product consistency: img[e]*C[s] == img[e*s] for all e, s<j
         lhs = U.mult[img[:, :, None], C[:, None, :]]
         ok = (lhs == img[:, tgt]).all(axis=(1, 2))
@@ -88,28 +88,20 @@ def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     return np.concatenate(keep_P), np.concatenate(keep_img)
 
 
-def enumerate_homs(G: FiniteGroup, U: FiniteGroup,
+@memo
+def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
                    budget=DEFAULT_BUDGET) -> HomSet:
     """All homomorphisms G -> U, in deterministic candidate order."""
-    key = ("homs", U.key)
-    if key in G._cache:
-        return G._cache[key]
-
     ngens = len(G.generators)
     if ngens == 0:
-        hs = HomSet(G, U, [GroupHom(G, U, np.zeros(G.order, dtype=np.int32),
-                                    verified=True)])
-        G._cache[key] = hs
-        return hs
+        return HomSet(G, U, [GroupHom(G, U, np.zeros(G.order, dtype=np.int32),
+                                      verified=True)])
 
     # candidate images per generator: the image order must divide the
     # generator's order
-    cands = []
-    for s in G.generators:
-        o = element_order(G, s)
-        c = np.asarray([u for u in range(U.order)
-                        if o % element_order(U, u) == 0], dtype=np.int32)
-        cands.append(c)
+    u_orders = _element_orders(U)
+    cands = [np.nonzero(o % u_orders == 0)[0].astype(np.int32)
+             for o in _element_orders(G)[G.generators]]
 
     explored = 0
     P = np.zeros((1, 0), dtype=np.int32)
@@ -120,34 +112,25 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup,
         if explored > budget:
             raise BudgetExceeded(f"hom search budget exceeded ({explored})",
                                  explored=explored)
-        P = np.concatenate([np.repeat(P, len(c), axis=0),
-                            np.tile(c, P.shape[0]).reshape(-1, 1)], axis=1)
-        P, img = _filter_prefixes(G, U, P, j)
+        P, img = _filter_prefixes(G, U, _extend(P, c), j)
 
     # img columns follow the full-BFS element order == element ids
-    elems, _, _ = _partial_bfs(G, ngens)
+    elems = _partial_bfs(G, ngens)[0]
     assert len(elems) == G.order
     images = np.zeros((P.shape[0], G.order), dtype=np.int32)
     images[:, elems] = img
     # final safety net: full |G|^2 multiplicativity check per candidate
-    homs = []
-    for row in images:
-        h = GroupHom(G, U, row, verified=False)
-        homs.append(h)
-    hs = HomSet(G, U, homs, explored_prefixes=explored)
-    G._cache[key] = hs
-    return hs
+    homs = [GroupHom(G, U, row, verified=False) for row in images]
+    return HomSet(G, U, homs, explored_prefixes=explored)
 
 
-def t_subgroup(G: FiniteGroup, U: FiniteGroup, budget=DEFAULT_BUDGET) -> Subgroup:
+@memo
+def t_subgroup(G: FiniteGroup, U: FiniteGroup, *,
+               budget=DEFAULT_BUDGET) -> Subgroup:
     """T^U(G): the intersection of the kernels of all homomorphisms G -> U."""
-    key = ("tsub", U.key)
-    if key not in G._cache:
-        hs = enumerate_homs(G, U, budget=budget)
-        mask = (hs.image_matrix() == 0).all(axis=0)
-        G._cache[key] = Subgroup(G, np.nonzero(mask)[0].astype(np.int32),
-                                 check=False)
-    return G._cache[key]
+    hs = enumerate_homs(G, U, budget=budget)
+    mask = (hs.image_matrix() == 0).all(axis=0)
+    return Subgroup(G, np.nonzero(mask)[0].astype(np.int32), check=False)
 
 
 @dataclass
@@ -159,41 +142,19 @@ class TBundle:
     kernels_Ubar: list = field(default_factory=list)  # T^{Ubar_w}(G) per extension
 
 
-def t_bundle(G: FiniteGroup, fam: OmegaFamily, budget=DEFAULT_BUDGET) -> TBundle:
-    key = ("tbundle", fam.label)
-    if key in G._cache:
-        return G._cache[key]
+@memo
+def t_bundle(G: FiniteGroup, fam: OmegaFamily, *,
+             budget=DEFAULT_BUDGET) -> TBundle:
     ku = [t_subgroup(G, ext.E, budget=budget) for ext in fam.extensions]
     kb = [t_subgroup(G, ext.Gbar, budget=budget) for ext in fam.extensions]
     T = intersect_subgroups(ku)
     Tbar = intersect_subgroups(kb)
     assert T <= Tbar, "T(G) <= Tbar(G) must hold (gamma-hom mechanism)"
     assert T.is_normal() and Tbar.is_normal()
-    bundle = TBundle(fam, T, Tbar, ku, kb)
-    G._cache[key] = bundle
-    return bundle
+    return TBundle(fam, T, Tbar, ku, kb)
 
 
-def _complete_candidates(G: FiniteGroup, U: FiniteGroup, C: np.ndarray):
-    """Evaluate candidate generator-image rows of C into full image arrays
-    and keep the multiplicative ones.  Returns (kept C, image matrix)."""
-    ngens = len(G.generators)
-    keep_C, keep_img = [], []
-    for lo in range(0, C.shape[0], _CHUNK):
-        B = C[lo:lo + _CHUNK]
-        m = B.shape[0]
-        img = np.zeros((m, G.order), dtype=np.int32)
-        for x in range(1, G.order):
-            pe, pg = G.pred[x]
-            img[:, x] = U.mult[img[:, pe], B[:, pg]]
-        lhs = U.mult[img[:, :, None], B[:, None, :]]
-        ok = (lhs == img[:, G.mult_gen]).all(axis=(1, 2))
-        keep_C.append(B[ok])
-        keep_img.append(img[ok])
-    return np.concatenate(keep_C), np.concatenate(keep_img)
-
-
-def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom,
+def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
              budget=DEFAULT_BUDGET):
     """A homomorphism rho: G -> E with lambda o rho = rhobar o pi, or None.
 
@@ -216,20 +177,21 @@ def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom,
         raise BudgetExceeded(f"lift search budget exceeded ({total})",
                              explored=0)
     # cartesian product, deterministic order
-    C = pre[0].reshape(-1, 1)
-    for c in pre[1:]:
-        C = np.concatenate([np.repeat(C, len(c), axis=0),
-                            np.tile(c, C.shape[0]).reshape(-1, 1)], axis=1)
-    kept, imgs = _complete_candidates(G, ext.E, C)
+    C = np.zeros((1, 0), dtype=np.int32)
+    for c in pre:
+        C = _extend(C, c)
+    kept, imgs = _filter_prefixes(G, ext.E, C, ngens)
     if kept.shape[0] == 0:
         return None
-    rho = GroupHom(G, ext.E, imgs[0], verified=False)
+    image = np.empty(G.order, dtype=np.int32)
+    image[_partial_bfs(G, ngens)[0]] = imgs[0]
+    rho = GroupHom(G, ext.E, image, verified=False)
     assert np.array_equal(ext.lam.image[rho.image], required)
     return rho
 
 
 def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
-                           rhobar: GroupHom, budget=DEFAULT_BUDGET) -> dict:
+                           rhobar: GroupHom, *, budget=DEFAULT_BUDGET) -> dict:
     """Decide liftability of rhobar three ways and assert agreement:
 
     (a) direct lift search;

@@ -16,8 +16,9 @@ import time
 import numpy as np
 
 from . import gf
-from .core import FiniteGroup, GroupHom, generate_group
-from .errors import WordTooShort
+from .core import (FiniteGroup, GroupHom, generate_group,
+                   hom_from_generator_images)
+from .errors import SpecError, WordTooShort
 from .unitriangular import build_unitriangular, omega_family
 
 
@@ -223,7 +224,7 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int,
             ids = np.concatenate([seg[i] for seg in segments])
             gens.append(IdVector(tables, ids))
         return generate_group(gens, cap=cap, name=name)
-    raise ValueError(f"unknown stand-in kind {kind!r}")
+    raise SpecError(f"unknown stand-in kind {kind!r}")
 
 
 def evaluation_epi(S: FiniteGroup, H: FiniteGroup) -> GroupHom:
@@ -231,11 +232,7 @@ def evaluation_epi(S: FiniteGroup, H: FiniteGroup) -> GroupHom:
     generator of H, computed by evaluating BFS words.  Valid only when H
     satisfies the relations of S; the returned hom is fully verified."""
     assert len(S.generators) <= len(H.generators)
-    img = np.zeros(S.order, dtype=np.int32)
-    for x in range(1, S.order):
-        pe, pg = S.pred[x]
-        img[x] = H.mult[img[pe], H.generators[pg]]
-    return GroupHom(S, H, img)
+    return hom_from_generator_images(S, H, H.generators[:len(S.generators)])
 
 
 # ---------------------------------------------------------------------

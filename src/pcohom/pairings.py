@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
-from .cohomology import (Cocycle2, H2Space, conj_invariant_h1, h2_space,
-                         pullback, transgression)
-from .core import (FiniteGroup, GroupHom, Subgroup, intersect_subgroups,
-                   join_subgroups, power_commutator_subgroup, quotient_group,
+from .cohomology import (H2Space, conj_invariant_h1, h2_space, pullback,
+                         transgression)
+from .core import (FiniteGroup, GroupHom, Subgroup, hom_from_generator_images,
+                   intersect_subgroups, join_subgroups, memo,
+                   power_commutator_subgroup, quotient_group,
                    subgroup_generated)
 from .errors import NonCommutingSquare, TransgressionSolveFailed
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
@@ -101,19 +102,14 @@ def induced_coker_ker(P1: PairingMatrix, P2: PairingMatrix,
 # Quotient bookkeeping
 # ---------------------------------------------------------------------
 
+@memo
 def cached_quotient(G: FiniteGroup, N: Subgroup):
-    key = ("quot", N.members.tobytes())
-    if key not in G._cache:
-        G._cache[key] = quotient_group(G, N)
-    return G._cache[key]
+    return quotient_group(G, N)
 
 
 def induced_epi(pi1: GroupHom, pi2: GroupHom) -> GroupHom:
     """The epimorphism q: G/N1 -> G/N2 with q o pi1 = pi2 (N1 <= N2)."""
-    xs, first = np.unique(pi1.image, return_index=True)
-    t1 = np.zeros(pi1.codomain.order, dtype=np.int64)
-    t1[xs] = first
-    q = GroupHom(pi1.codomain, pi2.codomain, pi2.image[t1])
+    q = GroupHom(pi1.codomain, pi2.codomain, pi2.image[pi1.section()])
     assert np.array_equal(q.image[pi1.image], pi2.image)
     return q
 
@@ -170,14 +166,11 @@ class LiftablePullbacks:
     stats: dict
 
 
-def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily,
-                            budget=DEFAULT_BUDGET,
-                            crosscheck_generators=True) -> LiftablePullbacks:
+@memo
+def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
+                            budget=DEFAULT_BUDGET) -> LiftablePullbacks:
     from .cohomology import classifying_cocycle, is_coboundary
 
-    key = ("liftspan", N.members.tobytes(), fam.label)
-    if key in G._cache:
-        return G._cache[key]
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = h2_space(Q, p)
@@ -205,29 +198,18 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily,
         classes.append((v, liftable, prov, c))
         if liftable and span.add(v):
             provenance.append(prov + (list(int(x) for x in v),))
-            if crosscheck_generators:
-                ext = next(e for e in fam.extensions if e.label == prov[0])
-                rho = _hom_from_gen_images(Q, ext.Gbar, prov[1])
-                lifted = lift_hom(ext, pi, rho, budget=budget)
-                assert (lifted is not None) == liftable, \
-                    "lift search disagrees with inflation vanishing"
-    result = LiftablePullbacks(
+            ext = next(e for e in fam.extensions if e.label == prov[0])
+            rho = hom_from_generator_images(Q, ext.Gbar, prov[1])
+            lifted = lift_hom(ext, pi, rho, budget=budget)
+            assert (lifted is not None) == liftable, \
+                "lift search disagrees with inflation vanishing"
+    return LiftablePullbacks(
         space, classes, SubspaceHandle(space, span.basis(), provenance),
         {"homs": n_homs, "distinct_classes": len(order),
          "liftable_classes": sum(1 for c in classes if c[1])})
-    G._cache[key] = result
-    return result
 
 
-def _hom_from_gen_images(Q: FiniteGroup, U: FiniteGroup, images):
-    img = np.zeros(Q.order, dtype=np.int32)
-    for x in range(1, Q.order):
-        pe, pg = Q.pred[x]
-        img[x] = U.mult[img[pe], images[pg]]
-    return GroupHom(Q, U, img)
-
-
-def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
+def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
             budget=DEFAULT_BUDGET) -> SubspaceHandle:
     """B_G(N1,N2): span of the pi2-liftable pullback classes that are
     individually killed by inflation to H^2(G/N1)."""
@@ -242,7 +224,7 @@ def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
     return SubspaceHandle(lp.space, span.basis(), provenance)
 
 
-def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
+def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
             budget=DEFAULT_BUDGET) -> SubspaceHandle:
     """C_G(N1,N2) = Ker(inf: H^2(G/N2)_{pi2} -> H^2(G/N1)_{pi1})."""
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
@@ -264,7 +246,7 @@ def _inner_inflation_matrix(G, N1, N2, p):
 
 
 def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
-                                fam: OmegaFamily, budget=DEFAULT_BUDGET):
+                                fam: OmegaFamily, *, budget=DEFAULT_BUDGET):
     """B_G(N1,N2) = C_G(N1,N2)?  Returns (bool, witness, data)."""
     B = b_space(G, N1, N2, fam, budget=budget)
     C = c_space(G, N1, N2, fam, budget=budget)
@@ -337,23 +319,26 @@ def _transgression_solver(G, N1, N2, p):
     return pi1, solve
 
 
+def _transgression_pairing(pi1, solve, sigmas, basis, p) -> PairingMatrix:
+    """<sigma, beta> = psi(sigma N1) where beta = trg(psi), for sigma in
+    sigmas and beta over the rows of basis."""
+    mat = np.zeros((len(sigmas), len(basis)), dtype=np.int64)
+    at = pi1.image[np.asarray(sigmas, dtype=np.int64)]
+    for j, v in enumerate(basis):
+        mat[:, j] = solve(v)[at]
+    return PairingMatrix(sigmas, [[int(x) for x in v] for v in basis], mat, p)
+
+
 def a_pairing(G, N1: Subgroup, N2: Subgroup, p: int) -> PairingMatrix:
     """<sigma, beta>^A = psi(sigma N1) where beta = trg(psi)."""
     A = a_space(G, N1, N2, p)
     pi1, solve = _transgression_solver(G, N1, N2, p)
     D = join_subgroups(G, [N1, power_commutator_subgroup(G, N2, p)])
-    sigmas = _coset_basis(G, N2, D, p)
-    mat = np.zeros((len(sigmas), A.dim), dtype=np.int64)
-    right_labels = []
-    for j, v in enumerate(A.basis):
-        vals = solve(v)
-        right_labels.append([int(x) for x in v])
-        for i, s in enumerate(sigmas):
-            mat[i, j] = vals[pi1.image[s]]
-    return PairingMatrix(sigmas, right_labels, mat, p)
+    return _transgression_pairing(pi1, solve, _coset_basis(G, N2, D, p),
+                                  A.basis, p)
 
 
-def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
+def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
               budget=DEFAULT_BUDGET) -> dict:
     """The B- and C-pairing matrices with rank flags."""
     p = fam.p
@@ -364,23 +349,13 @@ def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
 
     TQ1 = t_bundle(Q1, fam, budget=budget).T
     Lb = intersect_subgroups([N2, pi1.preimage(TQ1)])
-    sigmas_b = _coset_basis(G, N2, Lb, p)
-    mat_b = np.zeros((len(sigmas_b), B.dim), dtype=np.int64)
-    for j, v in enumerate(B.basis):
-        vals = solve(v)
-        for i, s in enumerate(sigmas_b):
-            mat_b[i, j] = vals[pi1.image[s]]
-    Pb = PairingMatrix(sigmas_b, [list(map(int, v)) for v in B.basis], mat_b, p)
+    Pb = _transgression_pairing(pi1, solve, _coset_basis(G, N2, Lb, p),
+                                B.basis, p)
 
     TG = t_bundle(G, fam, budget=budget).T
     Lc = intersect_subgroups([N2, join_subgroups(G, [N1, TG])])
-    sigmas_c = _coset_basis(G, N2, Lc, p)
-    mat_c = np.zeros((len(sigmas_c), C.dim), dtype=np.int64)
-    for j, v in enumerate(C.basis):
-        vals = solve(v)
-        for i, s in enumerate(sigmas_c):
-            mat_c[i, j] = vals[pi1.image[s]]
-    Pc = PairingMatrix(sigmas_c, [list(map(int, v)) for v in C.basis], mat_c, p)
+    Pc = _transgression_pairing(pi1, solve, _coset_basis(G, N2, Lc, p),
+                                C.basis, p)
 
     return {
         "B": Pb, "B_flags": pairing_kernels(Pb),
@@ -392,7 +367,7 @@ def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily,
 # Transfer theorem cross-check
 # ---------------------------------------------------------------------
 
-def transfer_check(G: FiniteGroup, N: Subgroup, fam: OmegaFamily,
+def transfer_check(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
                    budget=DEFAULT_BUDGET) -> dict:
     """Compute both sides of the transfer equivalence:
 

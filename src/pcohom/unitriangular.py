@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, Subgroup, element_index,
+from .core import (FiniteGroup, GroupHom, center, element_index,
                    generate_group, intersect_subgroups, quotient_group,
-                   subgroup_generated)
+                   spec_ints, subgroup_generated)
 from .elements import MatMod, Perm, Residue
+from .errors import SpecError
 
 _UT_CACHE: dict = {}
 
@@ -34,9 +35,9 @@ def _factor_prime_power(m: int):
                 q //= p
                 e += 1
             if q != 1:
-                raise ValueError(f"{m} is not a prime power")
+                raise SpecError(f"{m} is not a prime power")
             return p, e
-    raise ValueError("modulus must be >= 2")
+    raise SpecError("modulus must be >= 2")
 
 
 def build_unitriangular(n: int, m: int, cap=8192) -> FiniteGroup:
@@ -74,8 +75,8 @@ class CentralExtension:
     def __post_init__(self):
         assert self.iota.is_injective()
         z_img = set(int(x) for x in self.iota.image)
-        cen = _central_ids(self.E)
-        assert z_img <= cen, "kernel copy must be central"
+        cen = center(self.E)
+        assert all(z in cen for z in z_img), "kernel copy must be central"
         assert self.lam.is_surjective()
         ker = set(int(x) for x in np.nonzero(self.lam.image == 0)[0])
         assert ker == z_img, "kernel of projection must equal image of iota"
@@ -90,26 +91,6 @@ class CentralExtension:
         assert self.z_embed is not None and self.z_embed.is_injective()
         assert self.z_embed.domain.key == self.Z.key
         assert self.z_embed.codomain.key == self.Gbar.key
-
-    def section_hash(self):
-        import hashlib
-        return hashlib.sha1(self.section.astype(np.int32).tobytes()).hexdigest()
-
-    def report(self):
-        return {
-            "label": self.label,
-            "orders": {"Z": self.Z.order, "E": self.E.order,
-                       "Gbar": self.Gbar.order},
-            "p": self.p,
-            "section_hash": self.section_hash(),
-        }
-
-
-def _central_ids(G: FiniteGroup):
-    mask = np.ones(G.order, dtype=bool)
-    for s in G.generators:
-        mask &= G.mult[:, s] == G.mult[s, :]
-    return set(int(x) for x in np.nonzero(mask)[0])
 
 
 def _matrix_id(E: FiniteGroup, entries, m: int) -> int:
@@ -127,7 +108,7 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
         return _UT_CACHE[key]
     p, e = _factor_prime_power(m)
     if n == 1 and e == 1:
-        raise ValueError("the n=1 prime-modulus extension has a trivial quotient")
+        raise SpecError("the n=1 prime-modulus extension has a trivial quotient")
     E = build_unitriangular(n, m)
     size = n + 1
     corner_gen = np.eye(size, dtype=np.int64)
@@ -221,8 +202,8 @@ def build_mp3(p: int) -> CentralExtension:
     """M_{p^3}: the order-p^3, exponent-p^2 group with presentation
     r^(p^2) = s^p = 1, [r,s] = r^p, as the central extension
     0 -> Z/p -> M_{p^3} -> (Z/p)^2 -> 1 with r -> (1,0), s -> (0,1)."""
-    if p % 2 == 0 or p < 3:
-        raise ValueError("p must be an odd prime")
+    if p < 3 or _factor_prime_power(p) != (p, 1):
+        raise SpecError("p must be an odd prime")
     key = ("mp3", p)
     if key in _UT_CACHE:
         return _UT_CACHE[key]
@@ -307,17 +288,17 @@ def omega_family(label: str, n: int | None, p: int) -> OmegaFamily:
     - lower-central(n,p): the n extensions with E = U_s(Z/p^(n-s+1));
     - mixed(p): Z/p^2 over Z/p together with M_{p^3} over (Z/p)^2 (p odd).
     """
+    if label in ("zassenhaus", "lower-central") and (n is None or n < 2):
+        raise SpecError(f"family {label} needs n >= 2, got {n}")
     if label == "zassenhaus":
-        assert n is not None and n >= 2
         exts = [build_bar_extension(n, p)]
     elif label == "lower-central":
-        assert n is not None and n >= 2
         exts = [build_bar_extension(s, p ** (n - s + 1)) for s in range(1, n + 1)]
     elif label == "mixed":
         exts = [build_bar_extension(1, p * p), build_mp3(p)]
         n = None
     else:
-        raise ValueError(f"unknown family label {label!r}")
+        raise SpecError(f"unknown family label {label!r}")
     name = f"{label}({n},{p})" if n is not None else f"{label}({p})"
     fam = OmegaFamily(name, p, n, exts)
     return fam
@@ -325,7 +306,7 @@ def omega_family(label: str, n: int | None, p: int) -> OmegaFamily:
 
 def parse_family(spec: str) -> OmegaFamily:
     """Parse 'zassenhaus:n:p', 'lower-central:n:p' or 'mixed:p'."""
-    parts = spec.split(":")
-    if parts[0] == "mixed":
-        return omega_family("mixed", None, int(parts[1]))
-    return omega_family(parts[0], int(parts[1]), int(parts[2]))
+    label, *fields = spec.split(":")
+    if label == "mixed":
+        return omega_family("mixed", None, *spec_ints(spec, fields, 1))
+    return omega_family(label, *spec_ints(spec, fields, 2))

@@ -43,7 +43,7 @@ def test_subgroup_choices():
 def test_small_sweep():
     instances = [("Q8", pc.builtin_group("Q8"), 2),
                  ("Heis:3", pc.builtin_group("Heis:3"), 3)]
-    sweep = transfer_sweep(instances=instances, jobs=2)
+    sweep = transfer_sweep(instances=instances)
     assert sweep["groups"] == 2
     assert sweep["all_pass"] and sweep["failures"] == 0
     # 2 families at p=2 plus 3 at p=3, times the subgroup choices

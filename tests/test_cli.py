@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from pcohom.cli import main
+from pcohom.cli import build_parser, main
 
 
 def run(tmp_path, argv, expect_code=0):
@@ -139,3 +141,41 @@ def test_manifest_runs_multiple_jobs(tmp_path):
     reps = run(tmp_path, ["--manifest", str(man)])
     assert [r["command"] for r in reps] == ["group-info", "h2", "lyndon"]
     assert reps[1]["dim"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["transfer-check", "--group", "Q8"],
+    ["transfer-check", "--group", "Nope", "--family", "zassenhaus:2:2",
+     "--subgroup", "tbar"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2",
+     "--subgroup", "tbar"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:1:2",
+     "--subgroup", "tbar"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2:2",
+     "--subgroup", "weird"],
+    ["h2", "--group", "Z/256", "--p", "2"],
+    ["transfer-sweep", "--jobs", "4"],
+])
+def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    (rec,) = [json.loads(line) for line in out.splitlines() if line.strip()]
+    assert set(rec) == {"schema_version", "command", "error"}
+    assert rec["schema_version"] == 1
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "transfer-sweep" in capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pcohom ")]
+    assert len(lines) >= 4
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -5,7 +5,7 @@ import pytest
 
 import pcohom as pc
 from pcohom.core import (derived_subgroup, element_index, element_order,
-                         group_from_json, group_from_table)
+                         group_from_json, group_from_table, memo, word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, MixedElementKinds,
                            NonNormalArguments, NotNormal)
@@ -57,6 +57,41 @@ def test_bfs_words_evaluate_to_their_element():
         for gi in G.words[x]:
             acc = G.mul(acc, G.generators[gi])
         assert acc == x
+    # the vectorized evaluator sends every BFS word to its own element
+    for nm in ["Z/1", "Z/8", "D4", "Q8", "E:3:2", "Heis:3", "Mp3:3",
+               "Meta:3", "U:3:2", "D4xZ/2"]:
+        G = pc.builtin_group(nm)
+        (img,) = word_images(G.pred, G, [G.generators])
+        assert np.array_equal(img, np.arange(G.order)), nm
+
+
+def test_memo_keys():
+    calls = []
+
+    @memo
+    def probe(G, U, H, fam, p, *, budget=None):
+        calls.append(budget)
+        return object()
+
+    G, U = pc.builtin_group("D4"), pc.builtin_group("Z/4")
+    H = pc.center(G)
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    first = probe(G, U, H, fam, 2, budget=10)
+    # equal keys: a rebuilt group, an equal subgroup, a numpy int, and
+    # another budget all hit the same entry
+    same = probe(G, pc.builtin_group("Z/4"), pc.Subgroup(G, H.members),
+                 pc.omega_family("zassenhaus", 2, 2), np.int64(2), budget=99)
+    assert same is first and calls == [10]
+    assert ("probe", U.key, H.members.tobytes(), fam.label, 2) in G._cache
+    # a different p, codomain, subgroup or family is a new entry
+    lc = pc.omega_family("lower-central", 2, 2)
+    others = [probe(G, U, H, fam, 3), probe(G, G, H, fam, 2),
+              probe(G, U, G.whole(), fam, 2), probe(G, U, H, lc, 2)]
+    assert len({id(o) for o in others + [first]}) == 5
+    assert len(calls) == 5
+    # only keyword-only arguments may be passed by name
+    with pytest.raises(TypeError):
+        probe(G, U, H, fam, p=2)
 
 
 def test_closure_cap():
