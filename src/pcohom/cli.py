@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found,
 2 a search budget was exceeded, 3 malformed manifest or arguments (a bad
-flag, group, subgroup or family spec, or a group over a size cap).  Exit 3
+flag, group, subgroup or family spec, a p that is not prime, too few
+Massey characters, or a group over a size cap).  Exit 3
 writes one JSON error record {"schema_version", "command", "error"} after
 any reports already made.
 """
@@ -20,7 +21,7 @@ from . import __version__
 from .catalog import transfer_sweep
 from .cohomology import h2_space, massey_pullback_set
 from .core import (FiniteGroup, Subgroup, builtin_group, center,
-                   normal_closure, signature, spec_ints)
+                   normal_closure, signature, spec_ints, spec_prime)
 from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
                      SpecError)
 from .filtrations import lower_p_central, zassenhaus
@@ -69,7 +70,7 @@ def resolve_subgroup(G: FiniteGroup, spec: str, fam=None) -> Subgroup:
         if len(fields) == 1:
             fields.append("2")                 # p defaults to 2
         k, p = spec_ints(spec, fields, 2)
-        return lower_p_central(G, p, k).term(k)
+        return lower_p_central(G, spec_prime(p), k).term(k)
     if spec.startswith("ids:"):
         ids = spec[4:].split(",")
         if not all(x.isdigit() and int(x) < G.order for x in ids):
@@ -274,11 +275,11 @@ def build_parser():
     add("filtration", cmd_filtration, grp,
         (["--kind"], {"choices": ["zassenhaus", "lower-central"],
                       "required": True}),
-        (["--p"], {"type": int, "required": True}),
+        (["--p"], {"type": spec_prime, "required": True}),
         (["--upto"], {"type": int, "default": 6}))
     add("t-subgroups", cmd_t_subgroups, grp, fam)
     add("hom-count", cmd_hom_count, grp, (["--codomain"], {"required": True}))
-    add("h2", cmd_h2, grp, (["--p"], {"type": int, "required": True}))
+    add("h2", cmd_h2, grp, (["--p"], {"type": spec_prime, "required": True}))
     add("massey", cmd_massey, grp, fam,
         (["--chars"], {"help": "comma-separated character indices"}))
     add("pairings", cmd_pairings, grp, fam,
@@ -291,7 +292,7 @@ def build_parser():
         (["--groups"], {"help": "comma-separated group names; default catalog"}))
     add("counterexample", cmd_counterexample,
         (["--k"], {"type": int, "default": 9}),
-        (["--p"], {"type": int, "default": 2}))
+        (["--p"], {"type": spec_prime, "default": 2}))
     add("lyndon", cmd_lyndon,
         (["--k"], {"type": int, "default": 2}),
         (["--upto"], {"type": int, "default": 5}))

@@ -7,7 +7,8 @@ fact used throughout: a normalized 2-cocycle is determined by its
     f(g, h*s) = f(g, h) + f(g*h, s) - f(h, s),
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
-F_p, and coboundary tests are small linear solves.  The constraint system
+F_p, and coboundary tests are membership queries against the B^2 span,
+factored once per group and prime.  The constraint system
 is assembled lazily: candidate nullspace vectors are expanded to full
 tables and re-checked against the complete identity set, and violated
 constraints are fed back until the candidate space is exact.
@@ -23,7 +24,7 @@ from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup, memo,
                    power_commutator_subgroup, quotient_group, subgroup_as_group,
                    subgroup_generated)
-from .errors import GroupTooLarge, NotInvariant
+from .errors import GroupTooLarge, NotInvariant, SpecError
 from .unitriangular import CentralExtension
 
 H2_ORDER_CAP = 128
@@ -96,7 +97,6 @@ def _assert_cocycle_identity(G: FiniteGroup, v: np.ndarray, p: int):
 # Coboundary linear algebra on generator columns
 # ---------------------------------------------------------------------
 
-@memo
 def _coboundary_matrix(G: FiniteGroup):
     """Matrix A with rows indexed by (g, generator index) and columns by
     y in {1..n-1}, where (d c)(g, s) = c[g] + c[s] - c[g s]."""
@@ -110,6 +110,13 @@ def _coboundary_matrix(G: FiniteGroup):
     return B[1:].reshape(n - 1, n * ngens).T   # rows (g,i), cols y=1..n-1
 
 
+@memo
+def _coboundary_span(G: FiniteGroup, p: int) -> gf.Span:
+    """B^2 in generator-column coordinates: the span of the coboundaries
+    of the delta functions at y = 1..n-1, added in that order."""
+    return gf.Span(G.order * len(G.generators), p, _coboundary_matrix(G).T)
+
+
 def _generator_columns(G: FiniteGroup, table: np.ndarray):
     ngens = len(G.generators)
     if ngens == 0:
@@ -117,17 +124,10 @@ def _generator_columns(G: FiniteGroup, table: np.ndarray):
     return table[:, G.generators].reshape(G.order * ngens)
 
 
-def is_coboundary(G: FiniteGroup, table, p: int, witness=False):
+def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
     """Is the (already verified) normalized 2-cocycle table a coboundary?"""
-    table = np.asarray(table, dtype=np.int64) % p
-    if G.order == 1:
-        return (True, np.zeros(0)) if witness else True
-    A = _coboundary_matrix(G)
-    u = _generator_columns(G, table)
-    c = gf.solve(A, u, p)
-    if witness:
-        return c is not None, c
-    return c is not None
+    u = _generator_columns(G, np.asarray(table, dtype=np.int64))
+    return _coboundary_span(G, p).contains(u)
 
 
 def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
@@ -145,14 +145,12 @@ def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
 def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
     """g-ids at which some identity f(g,h)+f(gh,s)-f(h,s)-f(g,hs) != 0
     (s ranging over generators) fails."""
-    n = G.order
     lhs = f[:, :, None] + f[G.mult][:, :, G.generators]
     rhs = f[:, G.generators][None, :, :] + f[:, G.mult_gen]
     bad = ((lhs - rhs) % p != 0).any(axis=(1, 2))
     return np.nonzero(bad)[0]
 
 
-@memo
 def _column_forms(G: FiniteGroup) -> np.ndarray:
     """T[g, x, :]: the derived column f(g, x) as a linear form in the
     generator-column unknowns."""
@@ -167,13 +165,13 @@ def _column_forms(G: FiniteGroup) -> np.ndarray:
     return T
 
 
-def _constraint_rows(G: FiniteGroup, gs, p: int):
+def _constraint_rows(G: FiniteGroup, T: np.ndarray, gs, p: int):
     """Constraint rows (over the generator-column unknowns) for the
-    identities indexed by g in gs, all h, all generator s."""
+    identities indexed by g in gs, all h, all generator s; T is
+    _column_forms(G)."""
     n = G.order
     ngens = len(G.generators)
     ngu = n * ngens
-    T = _column_forms(G)
     rows = []
     for g in gs:
         for s in range(ngens):
@@ -197,21 +195,15 @@ class H2Space:
     p: int
     dim: int
     basis: list
-    _bmat: np.ndarray      # B^2 basis rows (generator-column coords)
-    _hmat: np.ndarray      # chosen H^2 representative rows
-    _solve_mat: np.ndarray
+    _span: gf.Span         # Z^2: the B^2 basis rows, then the Z^2 basis rows
+    _reps: np.ndarray      # positions of the basis representatives in _span
 
     def coords(self, c: Cocycle2):
         assert c.group.key == self.group.key
-        u = _generator_columns(self.group, c.values)
-        if self._solve_mat.shape[0] == 0:
-            if np.any(u % self.p):
-                raise ValueError("nonzero cocycle in a trivial cochain space")
-            return np.zeros(0, dtype=np.int64)
-        x = gf.solve(self._solve_mat.T, u, self.p)
+        x = self._span.solve(_generator_columns(self.group, c.values))
         if x is None:
             raise ValueError("table is not a cocycle in the normalized space")
-        return x[self._bmat.shape[0]:]
+        return x[self._reps]
 
     def is_coboundary_class(self, c: Cocycle2):
         return not self.coords(c).any()
@@ -236,18 +228,13 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     ngens = len(G.generators)
     ngu = n * ngens
 
-    if ngens == 0:
-        return H2Space(G, p, 0, [],
-                       np.zeros((0, 0), dtype=np.int64),
-                       np.zeros((0, 0), dtype=np.int64),
-                       np.zeros((0, 0), dtype=np.int64))
-
     # normalization rows f(1, s) = 0 and an initial batch of identity rows
     norm = np.zeros((ngens, ngu), dtype=np.int64)
     for i in range(ngens):
         norm[i, 0 * ngens + i] = 1
+    T = _column_forms(G)
     seed_gs = sorted(set(G.generators) | {0})
-    rows = [norm, _constraint_rows(G, seed_gs, p)]
+    rows = [norm, _constraint_rows(G, T, seed_gs, p)]
     added = set(seed_gs)
 
     while True:
@@ -261,31 +248,15 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
         if not bad_gs:
             break
         added.update(bad_gs)
-        rows.append(_constraint_rows(G, sorted(bad_gs), p))
+        rows.append(_constraint_rows(G, T, sorted(bad_gs), p))
 
-    zmat = cand  # basis rows of Z^2 in generator-column coordinates
-
-    # B^2 basis: coboundaries of delta functions at y = 1..n-1
-    A = _coboundary_matrix(G)          # (ngu) x (n-1)
-    bspan = gf.Span(ngu, p)
-    for y in range(n - 1):
-        bspan.add(A[:, y])
-    bmat = bspan.basis()
-
-    # complete B^2 to Z^2
-    hspan = gf.Span(ngu, p)
-    for r in bmat:
-        hspan.add(r)
-    hreps = []
-    for u in zmat:
-        if hspan.add(u):
-            hreps.append(u)
-    hmat = np.stack(hreps) if hreps else np.zeros((0, ngu), dtype=np.int64)
-    basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in hmat]
-    solve_mat = np.concatenate([bmat, hmat]) if bmat.size or hmat.size else \
-        np.zeros((0, ngu), dtype=np.int64)
-
-    space = H2Space(G, p, len(basis), basis, bmat, hmat, solve_mat)
+    # cand is a basis of Z^2; complete the B^2 basis with the rows that grow it
+    bmat = _coboundary_span(G, p).basis()
+    span = gf.Span(ngu, p, bmat)
+    grew = np.array([span.add(u) for u in cand], dtype=bool)
+    basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in cand[grew]]
+    space = H2Space(G, p, len(basis), basis, span,
+                    len(bmat) + np.flatnonzero(grew))
     # solver round-trip on the basis
     for i, b in enumerate(basis):
         e = space.coords(b)
@@ -451,12 +422,14 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     entry per distinct class (possibly empty)."""
     from .homsearch import enumerate_homs, DEFAULT_BUDGET
 
-    assert fam.label.startswith("zassenhaus")
+    if not fam.label.startswith("zassenhaus"):
+        raise SpecError(f"Massey pullbacks need a zassenhaus family, got "
+                        f"{fam.label}")
+    if len(phis) != n:
+        raise SpecError(f"{fam.label} needs {n} characters, got {len(phis)}")
     ext = fam.extensions[0]
     p = ext.p
-    assert len(phis) == n
     E, Gbar = ext.E, ext.Gbar
-    size = n + 1
     superdiag = np.stack(
         [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
                      for x in range(Gbar.order)], dtype=np.int64)

@@ -624,6 +624,15 @@ def spec_ints(spec: str, fields, count: int) -> list:
     return [int(f) for f in fields]
 
 
+def spec_prime(text) -> int:
+    """text as a prime p; gf inverts mod p by Fermat, so every --p and
+    every family prime must be prime."""
+    p = int(text) if str(text).isdigit() else 0
+    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        raise SpecError(f"p = {text!r} is not a prime")
+    return p
+
+
 def builtin_group(name: str) -> FiniteGroup:
     """Resolve a builtin group name: D4, Q8, Z/n, E:p:k, Mp3:p, U:n:m,
     Heis:p, Meta:p, and 'x'-joined direct products of these."""

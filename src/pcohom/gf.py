@@ -1,11 +1,16 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p (p prime: inverses are
+taken by Fermat's little theorem).
 
-Matrices are dense numpy int64 arrays with entries reduced mod p.  The
-systems that show up in this package stay small (a few hundred columns),
-so straightforward Gaussian elimination is plenty.
+Matrices are dense numpy int64 arrays with entries reduced mod p.  ``rref``,
+``rank`` and ``nullspace`` eliminate a matrix once.  A matrix that is
+queried many times (membership, coordinates, solutions) is factored once
+into a ``Span``, the one factored-solve object, and each query is then a
+single product against its kept rref rows and transform.
 """
 
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 
@@ -63,37 +68,25 @@ def nullspace(a, p):
     return basis
 
 
-def solve(a, b, p):
-    """One solution x of a @ x = b mod p, or None if inconsistent."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
-    b = np.asarray(b, dtype=np.int64) % p
-    aug = np.concatenate([a % p, b.reshape(-1, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, ncols]
-    return x
-
-
-def in_row_space(basis, v, p) -> bool:
-    """Is v in the row space of ``basis``?"""
-    basis = np.atleast_2d(np.asarray(basis, dtype=np.int64))
-    if basis.shape[0] == 0:
-        return not np.any(np.asarray(v) % p)
-    return solve(basis.T, v, p) is not None
-
-
 class Span:
-    """Incrementally maintained row space over F_p (rows kept in rref)."""
+    """The one factored-solve object over F_p.
 
-    def __init__(self, ncols: int, p: int):
+    It holds the row space of the vectors added so far (``added``, in
+    order) as rref ``rows`` with pivot columns ``pivots``, plus the
+    transform ``trans`` with rows == trans @ added (mod p).  Column k of
+    ``trans`` is zero when added[k] did not grow the span.  Every query is
+    then one product against the kept factors: a vector v reduces to
+    v - v[pivots] @ rows, because each rref row is zero at the other
+    pivots.
+    """
+
+    def __init__(self, ncols: int, p: int, vectors=()):
         self.p = p
-        self.ncols = ncols
         self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list[int] = []
+        self.trans = np.zeros((0, 0), dtype=np.int64)
+        for v in vectors:
+            self.add(v)
 
     @property
     def dim(self) -> int:
@@ -101,29 +94,34 @@ class Span:
 
     def reduce(self, v):
         v = np.asarray(v, dtype=np.int64) % self.p
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.rows[i]) % self.p
-        return v
+        return (v - v[self.pivots] @ self.rows) % self.p
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
     def add(self, v) -> bool:
         """Add v to the span; returns True if the dimension grew."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
+        p = self.p
+        v = np.asarray(v, dtype=np.int64) % p
+        coef = v[self.pivots]
+        r = (v - coef @ self.rows) % p
+        self.trans = np.pad(self.trans, ((0, 0), (0, 1)))
+        nz = np.nonzero(r)[0]
         if nz.size == 0:
             return False
         c = int(nz[0])
-        v = (v * _inv_mod(v[c], self.p)) % self.p
+        t = (-coef @ self.trans) % p        # r == t @ added once t[-1] = 1
+        t[-1] = 1
+        inv = _inv_mod(r[c], p)
+        r, t = (r * inv) % p, (t * inv) % p
         # back-substitute into existing rows to keep rref shape
-        if self.rows.shape[0]:
-            col = self.rows[:, c].copy()
-            self.rows = (self.rows - np.outer(col, v)) % self.p
+        col = self.rows[:, c].copy()
+        self.rows = (self.rows - np.outer(col, r)) % p
+        self.trans = (self.trans - np.outer(col, t)) % p
         # insert keeping pivot columns sorted
-        pos = int(np.searchsorted(np.array(self.pivots + [self.ncols]), c))
-        self.rows = np.insert(self.rows, pos, v, axis=0)
+        pos = bisect.bisect(self.pivots, c)
+        self.rows = np.insert(self.rows, pos, r, axis=0)
+        self.trans = np.insert(self.trans, pos, t, axis=0)
         self.pivots.insert(pos, c)
         return True
 
@@ -132,6 +130,15 @@ class Span:
 
     def coords(self, v):
         """Coefficients expressing v over the basis rows, or None."""
-        if self.rows.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64) if not np.any(np.asarray(v) % self.p) else None
-        return solve(self.rows.T, v, self.p)
+        v = np.asarray(v, dtype=np.int64) % self.p
+        return v[self.pivots] if self.contains(v) else None
+
+    def solve(self, v):
+        """x with x @ added == v (mod p), or None if v is outside the span.
+
+        x is zero on every added vector that did not grow the span, which
+        is the solution of added.T @ x == v with free variables zero."""
+        v = np.asarray(v, dtype=np.int64) % self.p
+        if not self.contains(v):
+            return None
+        return (v[self.pivots] @ self.trans) % self.p

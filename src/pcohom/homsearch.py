@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup, _element_orders,
                    intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded
@@ -214,17 +215,11 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
     N = pi.kernel()
     psis = coh.conj_invariant_h1(G, N, p)
     h2 = coh.h2_space(Q, p)
-    target = h2.coords(pulled)
-    if psis:
-        trg_mat = np.stack([h2.coords(coh.transgression(pi, ps)) for ps in psis])
-        from . import gf
-        sol = gf.solve(trg_mat.T, target, p) if h2.dim else np.zeros(len(psis),
-                                                                     dtype=np.int64)
-        d = sol is not None
-        psi_coeffs = None if sol is None else [int(x) for x in sol]
-    else:
-        d = not target.any() if h2.dim else True
-        psi_coeffs = [] if d else None
+    trg = gf.Span(h2.dim, p, [h2.coords(coh.transgression(pi, ps))
+                              for ps in psis])
+    sol = trg.solve(h2.coords(pulled))
+    d = sol is not None
+    psi_coeffs = None if sol is None else [int(x) for x in sol]
 
     status = "PASS" if (a == c == d) else "FAIL"
     return {

@@ -305,6 +305,8 @@ def counterexample_harness(k: int = 9, p: int = 2, seed: int = 20260823,
        quaternion group, the kernel sits inside Tbar(Q), and the transfer
        equality and the kernel generating condition both come out false.
     """
+    if k < 2:
+        raise SpecError(f"the counterexample needs k >= 2 generators, got {k}")
     t0 = time.time()
     rng = np.random.default_rng(seed)
     pairs = _pair_commutator_words(k)
@@ -320,7 +322,7 @@ def counterexample_harness(k: int = 9, p: int = 2, seed: int = 20260823,
     # (2) non-membership of tau_12's component in the perturbed span
     t12 = M[0]
     others = (M[0] + M[1:]) % p
-    not_in_span = not gf.in_row_space(others, t12, p)
+    not_in_span = not gf.Span(M.shape[1], p, others).contains(t12)
 
     # degree-2 components survive conjugation (the defect is degree >= 3)
     conj_ok = 0

@@ -2,8 +2,8 @@
 kernel generating condition and the transfer cross-check.
 
 Everything here lives in H^2-coordinate spaces: a class is a coordinate
-vector over the basis of an H2Space, subspaces are row spans, and subspace
-equality is double containment by linear solve.
+vector over the basis of an H2Space, subspaces are row spans (gf.Span),
+and subspace equality is double containment.
 
 The transfer check computes its two sides by disjoint code paths (pure
 group/hom enumeration vs. cohomological linear algebra) that share only the
@@ -13,6 +13,7 @@ group core, so agreement is a genuine cross-oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,8 +138,12 @@ class SubspaceHandle:
     def dim(self):
         return self.basis.shape[0]
 
+    @cached_property
+    def _span(self) -> gf.Span:
+        return gf.Span(self.space.dim, self.space.p, self.basis)
+
     def contains(self, v) -> bool:
-        return gf.in_row_space(self.basis, v, self.space.p)
+        return self._span.contains(v)
 
     def contains_all(self, other: "SubspaceHandle") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -256,14 +261,8 @@ def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
     holds = B.dim == C.dim
     witness = None
     if not holds:
-        span = gf.Span(B.space.dim, fam.p)
-        for v in B.basis:
-            span.add(v)
-        for v in C.basis:
-            if not span.contains(v):
-                witness = [int(x) for x in v]
-                break
-        assert witness is not None
+        witness = next([int(x) for x in v] for v in C.basis
+                       if not B.contains(v))
     data = {"dim_A": A.dim, "dim_B": B.dim, "dim_C": C.dim}
     return holds, witness, data
 
@@ -301,13 +300,11 @@ def _transgression_solver(G, N1, N2, p):
     N21 = pi1.push(N2)
     assert N21 == q.kernel()
     psis = conj_invariant_h1(Q1, N21, p)
-    if psis:
-        Tm = np.stack([space2.coords(transgression(q, ps)) for ps in psis])
-    else:
-        Tm = np.zeros((0, space2.dim), dtype=np.int64)
+    span = gf.Span(space2.dim, p,
+                   [space2.coords(transgression(q, ps)) for ps in psis])
 
     def solve(v):
-        x = gf.solve(Tm.T, np.asarray(v, dtype=np.int64), p)
+        x = span.solve(v)
         if x is None:
             raise TransgressionSolveFailed(
                 "no transgression preimage: five-term exactness violated")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (FiniteGroup, GroupHom, center, element_index,
                    generate_group, intersect_subgroups, quotient_group,
-                   spec_ints, subgroup_generated)
+                   spec_ints, spec_prime, subgroup_generated)
 from .elements import MatMod, Perm, Residue
 from .errors import SpecError
 
@@ -290,6 +290,7 @@ def omega_family(label: str, n: int | None, p: int) -> OmegaFamily:
     """
     if label in ("zassenhaus", "lower-central") and (n is None or n < 2):
         raise SpecError(f"family {label} needs n >= 2, got {n}")
+    spec_prime(p)
     if label == "zassenhaus":
         exts = [build_bar_extension(n, p)]
     elif label == "lower-central":

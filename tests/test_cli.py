@@ -155,6 +155,18 @@ def test_manifest_runs_multiple_jobs(tmp_path):
      "--subgroup", "weird"],
     ["h2", "--group", "Z/256", "--p", "2"],
     ["transfer-sweep", "--jobs", "4"],
+    ["massey", "--group", "Heis:3", "--family", "mixed:3"],
+    ["massey", "--group", "Heis:3", "--family", "lower-central:2:2"],
+    ["massey", "--group", "Z/4", "--family", "zassenhaus:2:2"],
+    ["massey", "--group", "E:2:2", "--family", "zassenhaus:2:2", "--chars", "0"],
+    ["h2", "--group", "Q8", "--p", "0"],
+    ["h2", "--group", "Q8", "--p", "4"],
+    ["filtration", "--group", "Q8", "--kind", "zassenhaus", "--p", "1"],
+    ["counterexample", "--k", "1"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2:4",
+     "--subgroup", "tbar"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2:2",
+     "--subgroup", "lpc:2:4"],
 ])
 def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
     assert main(argv) == 3

@@ -30,13 +30,18 @@ def test_rref_known_rank():
     assert gf.rank(a, 2) == 1
 
 
+def solve(a, b, p):
+    """One solution x of a @ x = b mod p via a Span over the columns of a."""
+    return gf.Span(a.shape[0], p, a.T).solve(b)
+
+
 def test_solve_known_system():
     a = np.array([[1, 1], [0, 1]])
-    x = gf.solve(a, np.array([0, 1]), 2)
+    x = solve(a, np.array([0, 1]), 2)
     assert np.array_equal((a @ x) % 2, [0, 1])
     # inconsistent system
     a = np.array([[1, 1], [1, 1]])
-    assert gf.solve(a, np.array([0, 1]), 2) is None
+    assert solve(a, np.array([0, 1]), 2) is None
 
 
 def test_nullspace_known():
@@ -60,9 +65,9 @@ def test_rref_preserves_row_space(seed, p, rows, cols):
     assert len(piv) == r.shape[0] == gf.rank(a, p)
     # every original row is in the span of the rref rows, and vice versa
     for v in a:
-        assert gf.in_row_space(r, v, p) if r.shape[0] else not v.any()
+        assert gf.Span(cols, p, r).contains(v) if r.shape[0] else not v.any()
     for v in r:
-        assert gf.in_row_space(a, v, p)
+        assert gf.Span(cols, p, a).contains(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -86,9 +91,42 @@ def test_solve_solves_solvable_systems(seed, p, rows, cols):
     a = rand_matrix(rng, rows, cols, p)
     x0 = rng.integers(0, p, size=cols)
     b = (a @ x0) % p
-    x = gf.solve(a, b, p)
+    x = solve(a, b, p)
     assert x is not None
     assert np.array_equal((a @ x) % p, b)
+
+
+def rref_solve(a, b, p):
+    """Reference: rref of [a | b], free variables zero; None if the
+    augmented column is a pivot."""
+    ncols = a.shape[1]
+    r, pivots = gf.rref(np.concatenate([a, b.reshape(-1, 1)], axis=1), p)
+    if ncols in pivots:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = r[i, ncols]
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+       st.integers(1, 7), st.integers(1, 7), st.booleans())
+def test_span_solve_matches_rref_reference(seed, p, rows, cols, consistent):
+    rng = np.random.default_rng(seed)
+    # a random product of rank at most k, so that free variables and
+    # inconsistent right-hand sides both occur
+    k = int(rng.integers(1, min(rows, cols) + 1))
+    a = (rand_matrix(rng, rows, k, p) @ rand_matrix(rng, k, cols, p)) % p
+    b = (a @ rng.integers(0, p, size=cols)) % p if consistent else \
+        rng.integers(0, p, size=rows)
+    expect = rref_solve(a, b, p)
+    x = gf.Span(rows, p, a.T).solve(b)
+    if expect is None:
+        assert x is None
+    else:
+        assert np.array_equal(x, expect)
+        assert np.array_equal((a @ x) % p, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,6 +144,12 @@ def test_span_matches_batch_rank(seed, p, cols):
         c = span.coords(v)
         assert c is not None
         assert np.array_equal((c @ span.basis()) % p, v % p)
+    # reduce is one product; the pivot loop is its reference
+    w = rng.integers(0, p, size=cols)
+    ref = w.copy()
+    for i, c in enumerate(span.pivots):
+        ref = (ref - ref[c] * span.rows[i]) % p
+    assert np.array_equal(span.reduce(w), ref)
 
 
 def test_span_rejects_dependent_vector():
@@ -115,3 +159,7 @@ def test_span_rejects_dependent_vector():
     assert not span.add([1, 0, 1])   # sum of the first two
     assert span.dim == 2
     assert not span.contains([1, 1, 1])
+    # the dependent vector gets coefficient zero; the others are unique
+    assert np.array_equal(span.solve([1, 0, 1]), [1, 1, 0])
+    assert np.array_equal(span.trans @ np.array([[1, 1, 0], [0, 1, 1],
+                                                 [1, 0, 1]]) % 2, span.rows)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pcohom as pc
+from pcohom.core import hom_from_generator_images
 from pcohom.errors import BudgetExceeded
 from pcohom.homsearch import (enumerate_homs, lift_hom, liftability_crosscheck,
                               t_bundle, t_subgroup)
@@ -136,3 +137,16 @@ def test_liftability_crosscheck_triple_agreement():
                 assert rep["status"] == "PASS"
                 total += 1
     assert total > 50
+
+
+def test_liftability_psi_coefficients_pinned():
+    # two invariant characters on the kernel; the class is the
+    # transgression of the second one
+    G = pc.builtin_group("Meta:3")
+    fam = pc.omega_family("mixed", None, 3)
+    Q, pi = cached_quotient(G, t_bundle(G, fam).Tbar)
+    ext = fam.extensions[0]
+    rho = hom_from_generator_images(Q, ext.Gbar, [0, 1])
+    rep = liftability_crosscheck(ext, pi, rho)
+    assert rep["status"] == "PASS" and rep["lift_exists"]
+    assert rep["psi_coefficients"] == [0, 1]

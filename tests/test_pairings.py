@@ -3,6 +3,7 @@ import pytest
 
 import pcohom as pc
 from pcohom.errors import NonCommutingSquare
+from pcohom.magnus import evaluation_epi
 from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
                              c_pairing, c_space, cached_quotient,
                              induced_coker_ker, induced_epi,
@@ -218,3 +219,28 @@ def test_transfer_check_all_instances():
         G, fam, bundle = _setup(nm, kind, n, p)
         rep = transfer_check(G, bundle.Tbar, fam)
         assert rep["status"] == "PASS", nm
+
+
+# ---------------------------------------------------------------------
+# pinned outputs of the class solves (witnesses and pairing matrices)
+# ---------------------------------------------------------------------
+
+def test_counterexample_witness_pinned():
+    # the order-32 Zassenhaus stand-in over the kernel of its map onto Q8
+    Q = pc.free_nilpotent_standin(2, 2, "zassenhaus", 2)
+    N = evaluation_epi(Q, pc.builtin_group("Q8")).kernel()
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    holds, witness, dims = kernel_generating_condition(
+        Q, N, pc.t_bundle(Q, fam).Tbar, fam)
+    assert not holds
+    assert witness == [0, 1, 1]
+    assert dims == {"dim_A": 1, "dim_B": 0, "dim_C": 1}
+
+
+def test_heis3_mixed_pairings_pinned():
+    G, fam, bundle = _setup("Heis:3", "mixed", None, 3)
+    pa = a_pairing(G, trivial(G), bundle.Tbar, 3)
+    cp = c_pairing(G, trivial(G), bundle.Tbar, fam)
+    assert pa.matrix.tolist() == [[1]]
+    assert pa.right_labels == [[0, 1, 0]]
+    assert cp["B"].matrix.shape == cp["C"].matrix.shape == (0, 0)
