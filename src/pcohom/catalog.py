@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from .cohomology import H2_ORDER_CAP
 from .core import (FiniteGroup, Subgroup, builtin_group, normal_closure,
                    quotient_group)
 from .homsearch import DEFAULT_BUDGET, t_bundle
@@ -33,7 +34,7 @@ def applicable_families(p: int):
     return fams
 
 
-def _random_standin_quotients(rng, cap_order=128):
+def _random_standin_quotients(rng):
     """Seeded-random quotients of free-group stand-ins by normal closures
     of elements of Tbar (for the degree-2 unitriangular family)."""
     sources = [
@@ -61,15 +62,16 @@ def _random_standin_quotients(rng, cap_order=128):
                 continue
             seen.add(key)
             Q, _ = quotient_group(S, N)
-            if 4 <= Q.order <= cap_order:
+            if 4 <= Q.order <= H2_ORDER_CAP:
                 Q.name = f"{sname}/nc({','.join(map(str, gs))})"
                 out.append((Q.name, Q, p))
                 picks += 1
     return out
 
 
-def catalog_instances(cap_order=128):
-    """(name, group, p) triples; at least 25 groups of order <= cap_order."""
+def catalog_instances():
+    """(name, group, p) triples; at least 25 groups, each of order at most
+    H2_ORDER_CAP, since the sweep needs H^2 of every one."""
     rng = np.random.default_rng(CATALOG_SEED)
     named2 = ["Z/2", "Z/4", "Z/8", "Z/16", "E:2:2", "E:2:3", "Z/4xZ/2",
               "Z/8xZ/2", "D4", "Q8", "D4xZ/2", "Q8xZ/2", "U:2:2", "U:3:2",
@@ -87,8 +89,8 @@ def catalog_instances(cap_order=128):
                 free_nilpotent_standin(2, 2, "lower-central", 2), 2))
     out.append(("standin:zassenhaus:2:3:2",
                 free_nilpotent_standin(2, 3, "zassenhaus", 2), 3))
-    out.extend(_random_standin_quotients(rng, cap_order=cap_order))
-    out = [(nm, G, p) for nm, G, p in out if G.order <= cap_order]
+    out.extend(_random_standin_quotients(rng))
+    out = [(nm, G, p) for nm, G, p in out if G.order <= H2_ORDER_CAP]
     assert len(out) >= 25
     return out
 
@@ -107,13 +109,12 @@ def _subgroup_choices(G: FiniteGroup, tbar: Subgroup, rng):
     return list(choices.values())
 
 
-def transfer_sweep(instances=None, *, budget=DEFAULT_BUDGET,
-                   cap_order=128) -> dict:
+def transfer_sweep(instances=None, *, budget=DEFAULT_BUDGET) -> dict:
     """Run the transfer cross-check over the catalog x families x subgroup
     choices grid and summarize agreement."""
     t0 = time.time()
     if instances is None:
-        instances = catalog_instances(cap_order=cap_order)
+        instances = catalog_instances()
     rng = np.random.default_rng(CATALOG_SEED + 1)
 
     reports = []

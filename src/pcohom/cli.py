@@ -3,7 +3,8 @@
 Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found,
 2 a search budget was exceeded, 3 malformed manifest or arguments (a bad
 flag, group, subgroup or family spec, a p that is not prime, too few
-Massey characters, or a group over a size cap).  Exit 3
+Massey characters, a subgroup outside Tbar, N1 not inside N2, or a group
+over a size cap).  Exit 3
 writes one JSON error record {"schema_version", "command", "error"} after
 any reports already made.
 """
@@ -212,8 +213,7 @@ def cmd_transfer_sweep(args):
         for nm in args.groups.split(","):
             G = resolve_group(nm)
             instances.append((nm, G, _group_prime(G)))
-    sweep = transfer_sweep(instances=instances, budget=args.budget_prefixes,
-                           cap_order=args.cap_order)
+    sweep = transfer_sweep(instances=instances, budget=args.budget_prefixes)
     payload = {k: sweep[k] for k in ("groups", "checks", "failures",
                                      "all_pass", "elapsed_seconds")}
     payload["reports"] = sweep["reports"]
@@ -257,7 +257,6 @@ def build_parser():
                     "mod-p cohomology pairings, and transfer checks")
     ap.add_argument("--manifest", help="JSON manifest of jobs to run")
     ap.add_argument("--budget-prefixes", type=int, default=DEFAULT_BUDGET)
-    ap.add_argument("--cap-order", type=int, default=128)
     ap.add_argument("--out", help="write JSON-lines reports here")
     sub = ap.add_subparsers(dest="command")
 
@@ -325,7 +324,7 @@ def _run_one(args) -> tuple:
 
 def _jobs(ap, args):
     """The parsed jobs to run: the command line's, or each manifest job's
-    with the top-level budget and order cap."""
+    with the top-level budget."""
     if not args.manifest:
         if args.command is None:
             ap.print_help(sys.stderr)
@@ -348,7 +347,6 @@ def _jobs(ap, args):
                 argv += [f"--{key}", str(val)]
         jargs = ap.parse_args(argv)
         jargs.budget_prefixes = args.budget_prefixes
-        jargs.cap_order = args.cap_order
         yield jargs
 
 

@@ -414,6 +414,18 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     return Cocycle2(Q, vals[arg] % p, p)
 
 
+@memo
+def transgression_span(G: FiniteGroup, pi: GroupHom, p: int):
+    """(psis, span) for a surjection pi: G -> Q: psis is the basis
+    conj_invariant_h1(G, ker pi, p) and span holds the H^2(Q) coordinates of
+    their transgressions, so span.solve(v) gives the coefficients over psis
+    of a preimage of the class v, or None if it has none."""
+    psis = conj_invariant_h1(G, pi.kernel(), p)
+    space = h2_space(pi.codomain, p)
+    return psis, gf.Span(space.dim, p, [space.coords(transgression(pi, ps))
+                                        for ps in psis])
+
+
 def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
                         budget=None) -> list:
     """All pullback classes of the U_n(Z/p) bar-extension class along

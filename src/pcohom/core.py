@@ -98,6 +98,8 @@ def _memo_key(a):
         return a.key
     if isinstance(a, Subgroup):
         return a.members.tobytes()
+    if isinstance(a, GroupHom):
+        return a.codomain.key, a.image.tobytes()
     if isinstance(a, (int, np.integer)):
         return int(a)
     label = getattr(a, "label", None)     # an OmegaFamily
@@ -110,7 +112,8 @@ def memo(fn):
     """Cache fn(G, *args) in G._cache.
 
     The key is fn's name plus the positional arguments: groups by .key,
-    subgroups by member bytes, families by .label and ints as they are.
+    subgroups by member bytes, homs by codomain key and image bytes (their
+    domain is G), families by .label and ints as they are.
     Keyword-only arguments (the search budget) bound the work done, never
     the value returned, so they are passed on but not keyed; every other
     argument must be passed positionally."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup, _element_orders,
                    intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded
@@ -115,13 +114,9 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
                                  explored=explored)
         P, img = _filter_prefixes(G, U, _extend(P, c), j)
 
-    # img columns follow the full-BFS element order == element ids
-    elems = _partial_bfs(G, ngens)[0]
-    assert len(elems) == G.order
-    images = np.zeros((P.shape[0], G.order), dtype=np.int32)
-    images[:, elems] = img
+    # img columns follow the full-BFS element order, which is the id order
     # final safety net: full |G|^2 multiplicativity check per candidate
-    homs = [GroupHom(G, U, row, verified=False) for row in images]
+    homs = [GroupHom(G, U, row, verified=False) for row in img]
     return HomSet(G, U, homs, explored_prefixes=explored)
 
 
@@ -184,9 +179,7 @@ def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
     kept, imgs = _filter_prefixes(G, ext.E, C, ngens)
     if kept.shape[0] == 0:
         return None
-    image = np.empty(G.order, dtype=np.int32)
-    image[_partial_bfs(G, ngens)[0]] = imgs[0]
-    rho = GroupHom(G, ext.E, image, verified=False)
+    rho = GroupHom(G, ext.E, imgs[0], verified=False)
     assert np.array_equal(ext.lam.image[rho.image], required)
     return rho
 
@@ -212,12 +205,8 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
     c = coh.is_coboundary(G, inflated, p)
 
     # (d): pulled class = trg(psi) for an invariant psi on N = ker(pi)
-    N = pi.kernel()
-    psis = coh.conj_invariant_h1(G, N, p)
-    h2 = coh.h2_space(Q, p)
-    trg = gf.Span(h2.dim, p, [h2.coords(coh.transgression(pi, ps))
-                              for ps in psis])
-    sol = trg.solve(h2.coords(pulled))
+    _, trg = coh.transgression_span(G, pi, p)
+    sol = trg.solve(coh.h2_space(Q, p).coords(pulled))
     d = sol is not None
     psi_coeffs = None if sol is None else [int(x) for x in sol]
 

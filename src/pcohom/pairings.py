@@ -5,6 +5,12 @@ Everything here lives in H^2-coordinate spaces: a class is a coordinate
 vector over the basis of an H2Space, subspaces are row spans (gf.Span),
 and subspace equality is double containment.
 
+Each pair N1 <= N2 of normal subgroups is built once by the memoized
+``_pair`` (the quotient maps, H^2(G/N2) and the inflation matrix to
+H^2(G/N1)), and each surjection's transgression is factored once by the
+memoized ``cohomology.transgression_span``; the A/B/C subspaces and
+pairings all read these two.
+
 The transfer check computes its two sides by disjoint code paths (pure
 group/hom enumeration vs. cohomological linear algebra) that share only the
 group core, so agreement is a genuine cross-oracle.
@@ -12,19 +18,18 @@ group core, so agreement is a genuine cross-oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gf
-from .cohomology import (H2Space, conj_invariant_h1, h2_space, pullback,
-                         transgression)
-from .core import (FiniteGroup, GroupHom, Subgroup, hom_from_generator_images,
-                   intersect_subgroups, join_subgroups, memo,
-                   power_commutator_subgroup, quotient_group,
-                   subgroup_generated)
-from .errors import NonCommutingSquare, TransgressionSolveFailed
+from .cohomology import H2Space, h2_space, pullback, transgression_span
+from .core import (FiniteGroup, GroupHom, Subgroup, intersect_subgroups,
+                   join_subgroups, memo, power_commutator_subgroup,
+                   quotient_group, subgroup_generated)
+from .errors import NonCommutingSquare, SpecError, TransgressionSolveFailed
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
 from .unitriangular import OmegaFamily
 
@@ -124,6 +129,27 @@ def inflation_matrix(space2: H2Space, space1: H2Space, q: GroupHom):
     return np.stack(rows)
 
 
+class _Pair(NamedTuple):
+    pi1: GroupHom            # G -> G/N1
+    q: GroupHom              # G/N1 -> G/N2
+    space: H2Space           # H^2(G/N2)
+    inflation: np.ndarray    # inf: H^2(G/N2) -> H^2(G/N1), as v -> v @ M
+
+
+@memo
+def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
+    """The quotient maps and the inflation matrix of normal N1 <= N2."""
+    if not (N1 <= N2 and N1.is_normal() and N2.is_normal()):
+        raise SpecError(f"N1 (order {N1.order}) must be a normal subgroup "
+                        f"inside the normal subgroup N2 (order {N2.order})")
+    Q2, pi2 = cached_quotient(G, N2)
+    Q1, pi1 = cached_quotient(G, N1)
+    q = induced_epi(pi1, pi2)
+    assert pi1.push(N2) == q.kernel()
+    space = h2_space(Q2, p)
+    return _Pair(pi1, q, space, inflation_matrix(space, h2_space(Q1, p), q))
+
+
 # ---------------------------------------------------------------------
 # The A/B/C subspaces
 # ---------------------------------------------------------------------
@@ -132,7 +158,6 @@ def inflation_matrix(space2: H2Space, space1: H2Space, q: GroupHom):
 class SubspaceHandle:
     space: H2Space
     basis: np.ndarray              # rows of coordinate vectors
-    provenance: list = field(default_factory=list)
 
     @property
     def dim(self):
@@ -151,14 +176,8 @@ class SubspaceHandle:
 
 def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> SubspaceHandle:
     """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1))."""
-    assert N1 <= N2 and N1.is_normal() and N2.is_normal()
-    Q2, pi2 = cached_quotient(G, N2)
-    Q1, pi1 = cached_quotient(G, N1)
-    q = induced_epi(pi1, pi2)
-    space2, space1 = h2_space(Q2, p), h2_space(Q1, p)
-    M = inflation_matrix(space2, space1, q)
-    basis = gf.nullspace(M.T, p) if space2.dim else np.zeros((0, 0), dtype=np.int64)
-    return SubspaceHandle(space2, basis)
+    pair = _pair(G, N1, N2, p)
+    return SubspaceHandle(pair.space, gf.nullspace(pair.inflation.T, p))
 
 
 @dataclass
@@ -166,7 +185,7 @@ class LiftablePullbacks:
     """All distinct pullback classes along homs G/N -> Ubar_w, each decided
     liftable or not, plus the span of the liftable ones (= H^2(G/N)_pi)."""
     space: H2Space
-    classes: list          # (coords, liftable, provenance, rep Cocycle2)
+    classes: list          # (coords, liftable, (ext, rho), rep Cocycle2)
     span: SubspaceHandle
     stats: dict
 
@@ -179,8 +198,7 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = h2_space(Q, p)
-    seen: dict[bytes, list] = {}
-    order = []
+    seen: dict[bytes, tuple] = {}
     n_homs = 0
     for ext in fam.extensions:
         alpha = classifying_cocycle(ext)
@@ -189,28 +207,20 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
         for rho in hs.homs:
             c = pullback(alpha, rho)
             v = space.coords(c)
-            kb = v.tobytes()
-            if kb not in seen:
-                seen[kb] = [v, c, (ext.label, [int(rho.image[s]) for s in Q.generators])]
-                order.append(kb)
+            seen.setdefault(v.tobytes(), (v, c, (ext, rho)))
     span = gf.Span(space.dim, p)
     classes = []
-    provenance = []
-    for kb in order:
-        v, c, prov = seen[kb]
+    for v, c, (ext, rho) in seen.values():
         inflated = c.values[np.ix_(pi.image, pi.image)]
         liftable = is_coboundary(G, inflated, p)
-        classes.append((v, liftable, prov, c))
+        classes.append((v, liftable, (ext, rho), c))
         if liftable and span.add(v):
-            provenance.append(prov + (list(int(x) for x in v),))
-            ext = next(e for e in fam.extensions if e.label == prov[0])
-            rho = hom_from_generator_images(Q, ext.Gbar, prov[1])
             lifted = lift_hom(ext, pi, rho, budget=budget)
             assert (lifted is not None) == liftable, \
                 "lift search disagrees with inflation vanishing"
     return LiftablePullbacks(
-        space, classes, SubspaceHandle(space, span.basis(), provenance),
-        {"homs": n_homs, "distinct_classes": len(order),
+        space, classes, SubspaceHandle(space, span.basis()),
+        {"homs": n_homs, "distinct_classes": len(seen),
          "liftable_classes": sum(1 for c in classes if c[1])})
 
 
@@ -218,36 +228,22 @@ def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
             budget=DEFAULT_BUDGET) -> SubspaceHandle:
     """B_G(N1,N2): span of the pi2-liftable pullback classes that are
     individually killed by inflation to H^2(G/N1)."""
+    M = _pair(G, N1, N2, fam.p).inflation
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
-    M = _inner_inflation_matrix(G, N1, N2, fam.p)
-    span = gf.Span(lp.space.dim, fam.p)
-    provenance = []
-    for v, liftable, prov, _ in lp.classes:
-        if liftable and not np.any((v @ M) % fam.p):
-            if span.add(v):
-                provenance.append(prov)
-    return SubspaceHandle(lp.space, span.basis(), provenance)
+    span = gf.Span(lp.space.dim, fam.p,
+                   [v for v, liftable, _, _ in lp.classes
+                    if liftable and not np.any((v @ M) % fam.p)])
+    return SubspaceHandle(lp.space, span.basis())
 
 
 def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
             budget=DEFAULT_BUDGET) -> SubspaceHandle:
     """C_G(N1,N2) = Ker(inf: H^2(G/N2)_{pi2} -> H^2(G/N1)_{pi1})."""
+    M = _pair(G, N1, N2, fam.p).inflation
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
-    M = _inner_inflation_matrix(G, N1, N2, fam.p)
     S = lp.span.basis
-    if S.shape[0] == 0:
-        return SubspaceHandle(lp.space, S)
     X = gf.nullspace(((S @ M) % fam.p).T, fam.p)
-    basis = (X @ S) % fam.p if X.shape[0] else np.zeros((0, lp.space.dim),
-                                                        dtype=np.int64)
-    return SubspaceHandle(lp.space, basis)
-
-
-def _inner_inflation_matrix(G, N1, N2, p):
-    Q2, pi2 = cached_quotient(G, N2)
-    Q1, pi1 = cached_quotient(G, N1)
-    q = induced_epi(pi1, pi2)
-    return inflation_matrix(h2_space(Q2, p), h2_space(Q1, p), q)
+    return SubspaceHandle(lp.space, (X @ S) % fam.p)
 
 
 def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
@@ -287,51 +283,29 @@ def _coset_basis(G: FiniteGroup, N: Subgroup, D: Subgroup, p: int):
     return reps
 
 
-def _transgression_solver(G, N1, N2, p):
-    """Machinery to express classes in A_G(N1,N2) as transgressions.
-
-    Returns (pi1, solve) where solve(coords over H^2(G/N2)) yields the
-    invariant character psi on N2/N1 (values over G/N1 ids) with
-    trg(psi) = the class."""
-    Q2, pi2 = cached_quotient(G, N2)
-    Q1, pi1 = cached_quotient(G, N1)
-    q = induced_epi(pi1, pi2)
-    space2 = h2_space(Q2, p)
-    N21 = pi1.push(N2)
-    assert N21 == q.kernel()
-    psis = conj_invariant_h1(Q1, N21, p)
-    span = gf.Span(space2.dim, p,
-                   [space2.coords(transgression(q, ps)) for ps in psis])
-
-    def solve(v):
+def _transgression_pairing(G, N1, N2, sigmas, basis, p) -> PairingMatrix:
+    """<sigma, beta> = psi(sigma N1) where beta = trg(psi), for sigma in
+    sigmas and beta over the rows of basis (classes in H^2(G/N2)); psi is
+    the invariant character on N2/N1 with that transgression."""
+    pair = _pair(G, N1, N2, p)
+    psis, span = transgression_span(pair.q.domain, pair.q, p)
+    at = pair.pi1.image[np.asarray(sigmas, dtype=np.int64)]
+    mat = np.zeros((len(sigmas), len(basis)), dtype=np.int64)
+    for j, v in enumerate(basis):
         x = span.solve(v)
         if x is None:
             raise TransgressionSolveFailed(
                 "no transgression preimage: five-term exactness violated")
-        vals = np.zeros(Q1.order, dtype=np.int64)
         for xi, ps in zip(x, psis):
-            vals = (vals + int(xi) * ps.values) % p
-        return vals
-
-    return pi1, solve
-
-
-def _transgression_pairing(pi1, solve, sigmas, basis, p) -> PairingMatrix:
-    """<sigma, beta> = psi(sigma N1) where beta = trg(psi), for sigma in
-    sigmas and beta over the rows of basis."""
-    mat = np.zeros((len(sigmas), len(basis)), dtype=np.int64)
-    at = pi1.image[np.asarray(sigmas, dtype=np.int64)]
-    for j, v in enumerate(basis):
-        mat[:, j] = solve(v)[at]
+            mat[:, j] = (mat[:, j] + int(xi) * ps.values[at]) % p
     return PairingMatrix(sigmas, [[int(x) for x in v] for v in basis], mat, p)
 
 
 def a_pairing(G, N1: Subgroup, N2: Subgroup, p: int) -> PairingMatrix:
     """<sigma, beta>^A = psi(sigma N1) where beta = trg(psi)."""
     A = a_space(G, N1, N2, p)
-    pi1, solve = _transgression_solver(G, N1, N2, p)
     D = join_subgroups(G, [N1, power_commutator_subgroup(G, N2, p)])
-    return _transgression_pairing(pi1, solve, _coset_basis(G, N2, D, p),
+    return _transgression_pairing(G, N1, N2, _coset_basis(G, N2, D, p),
                                   A.basis, p)
 
 
@@ -341,17 +315,16 @@ def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
     p = fam.p
     B = b_space(G, N1, N2, fam, budget=budget)
     C = c_space(G, N1, N2, fam, budget=budget)
-    pi1, solve = _transgression_solver(G, N1, N2, p)
-    Q1 = pi1.codomain
+    pi1 = _pair(G, N1, N2, p).pi1
 
-    TQ1 = t_bundle(Q1, fam, budget=budget).T
+    TQ1 = t_bundle(pi1.codomain, fam, budget=budget).T
     Lb = intersect_subgroups([N2, pi1.preimage(TQ1)])
-    Pb = _transgression_pairing(pi1, solve, _coset_basis(G, N2, Lb, p),
+    Pb = _transgression_pairing(G, N1, N2, _coset_basis(G, N2, Lb, p),
                                 B.basis, p)
 
     TG = t_bundle(G, fam, budget=budget).T
     Lc = intersect_subgroups([N2, join_subgroups(G, [N1, TG])])
-    Pc = _transgression_pairing(pi1, solve, _coset_basis(G, N2, Lc, p),
+    Pc = _transgression_pairing(G, N1, N2, _coset_basis(G, N2, Lc, p),
                                 C.basis, p)
 
     return {
@@ -373,7 +346,9 @@ def transfer_check(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
 
     The theorem asserts (a) <=> (b); disagreement is a FAIL."""
     bundle = t_bundle(G, fam, budget=budget)
-    assert N <= bundle.Tbar, "N must sit inside Tbar(G)"
+    if not N <= bundle.Tbar:
+        raise SpecError(f"N (order {N.order}) must lie inside Tbar(G) "
+                        f"(order {bundle.Tbar.order})")
     Q, pi = cached_quotient(G, N)
     bundle_q = t_bundle(Q, fam, budget=budget)
     side_a = pi.push(bundle.T) == bundle_q.T

@@ -17,7 +17,7 @@ from pcohom.pairings import (a_pairing, c_pairing, cached_quotient,
                              pairing_kernels)
 from conftest import ACCEPTANCE_LINES
 
-CATALOG = catalog_instances(cap_order=128)
+CATALOG = catalog_instances()
 
 
 def record(num, ok, detail):

@@ -167,6 +167,15 @@ def test_manifest_runs_multiple_jobs(tmp_path):
      "--subgroup", "tbar"],
     ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2:2",
      "--subgroup", "lpc:2:4"],
+    ["transfer-check", "--group", "Q8", "--family", "zassenhaus:2:2",
+     "--subgroup", "whole"],
+    ["pairings", "--group", "Q8", "--family", "zassenhaus:2:2",
+     "--n1", "tbar", "--n2", "trivial"],
+    ["kernel-condition", "--group", "Q8", "--family", "zassenhaus:2:2",
+     "--n1", "whole", "--n2", "trivial"],
+    ["kernel-condition", "--group", "Heis:3", "--family", "mixed:3",
+     "--n1", "tbar", "--n2", "trivial"],
+    ["--cap-order", "16", "transfer-sweep"],
 ])
 def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
     assert main(argv) == 3

@@ -9,6 +9,7 @@ from pcohom.core import (derived_subgroup, element_index, element_order,
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, MixedElementKinds,
                            NonNormalArguments, NotNormal)
+from pcohom.homsearch import _partial_bfs
 
 
 # ---------------------------------------------------------------------
@@ -63,6 +64,11 @@ def test_bfs_words_evaluate_to_their_element():
         G = pc.builtin_group(nm)
         (img,) = word_images(G.pred, G, [G.generators])
         assert np.array_equal(img, np.arange(G.order)), nm
+        # the hom search's BFS over all generators is G's own BFS
+        elems, pred, tgt = _partial_bfs(G, len(G.generators))
+        assert np.array_equal(elems, np.arange(G.order)), nm
+        assert np.array_equal(pred, G.pred), nm
+        assert np.array_equal(tgt, G.mult_gen), nm
 
 
 def test_memo_keys():

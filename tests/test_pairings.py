@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import pcohom as pc
+from pcohom import cohomology, pairings
 from pcohom.errors import NonCommutingSquare
+from pcohom.homsearch import liftability_crosscheck
 from pcohom.magnus import evaluation_epi
 from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
                              c_pairing, c_space, cached_quotient,
@@ -244,3 +246,62 @@ def test_heis3_mixed_pairings_pinned():
     assert pa.matrix.tolist() == [[1]]
     assert pa.right_labels == [[0, 1, 0]]
     assert cp["B"].matrix.shape == cp["C"].matrix.shape == (0, 0)
+
+
+# recorded before _pair and transgression_span replaced the per-space
+# inflation matrices and the per-pairing transgression solvers
+@pytest.mark.parametrize("nm, kind, n, p, sigmas, a, a_labels, bc, bc_labels", [
+    ("Meta:3", "mixed", None, 3, [7, 14],
+     [[2, 0], [2, 2]], [[2, 1, 0], [0, 0, 1]],
+     [[1, 0], [1, 2]], [[1, 2, 0], [0, 0, 1]]),
+    ("U:2:4", "zassenhaus", 2, 2, [3, 6, 19],
+     [[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+     [[1, 0, 1], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+], ids=["Meta:3-mixed", "U:2:4-zassenhaus"])
+def test_pairing_matrices_pinned(nm, kind, n, p, sigmas, a, a_labels, bc,
+                                 bc_labels):
+    G, fam, bundle = _setup(nm, kind, n, p)
+    pa = a_pairing(G, trivial(G), bundle.Tbar, p)
+    cp = c_pairing(G, trivial(G), bundle.Tbar, fam)
+    assert (pa.left_labels, pa.right_labels, pa.matrix.tolist()) == \
+        (sigmas, a_labels, a)
+    for P in (cp["B"], cp["C"]):
+        assert (P.left_labels, P.right_labels, P.matrix.tolist()) == \
+            (sigmas, bc_labels, bc)
+
+
+# ---------------------------------------------------------------------
+# each pair and each surjection is built once
+# ---------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_inflation_matrix_built_once_per_pair(monkeypatch):
+    calls = _count_calls(monkeypatch, pairings, "inflation_matrix")
+    G, fam, bundle = _setup("D4", "zassenhaus", 2, 2)
+    transfer_check(G, trivial(G), fam)
+    a_pairing(G, trivial(G), bundle.Tbar, 2)
+    c_pairing(G, trivial(G), bundle.Tbar, fam)
+    assert len(calls) == 1
+
+
+def test_transgression_span_built_once_per_surjection(monkeypatch):
+    calls = _count_calls(monkeypatch, cohomology, "conj_invariant_h1")
+    G, fam, bundle = _setup("Meta:3", "mixed", None, 3)
+    Q, pi = cached_quotient(G, bundle.Tbar)
+    n_homs = 0
+    for ext in fam.extensions:
+        for rho in pc.enumerate_homs(Q, ext.Gbar).homs:
+            assert liftability_crosscheck(ext, pi, rho)["status"] == "PASS"
+            n_homs += 1
+    assert n_homs > 1 and len(calls) == 1
