@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found,
 2 a search budget was exceeded, 3 malformed manifest or arguments (a bad
-flag, group, subgroup or family spec, a p that is not prime, too few
-Massey characters, a subgroup outside Tbar, N1 not inside N2, or a group
-over a size cap).  Exit 3
+flag, group, subgroup or family spec, a p that is not prime, a count flag
+that is not a positive integer, a sweep group that is not a p-group, too
+few Massey characters, a subgroup outside Tbar, N1 not inside N2, or a
+group over a size cap).  Exit 3
 writes one JSON error record {"schema_version", "command", "error"} after
 any reports already made.
 """
@@ -22,7 +23,8 @@ from . import __version__
 from .catalog import transfer_sweep
 from .cohomology import h2_space, massey_pullback_set
 from .core import (FiniteGroup, Subgroup, builtin_group, center,
-                   normal_closure, signature, spec_ints, spec_prime)
+                   normal_closure, signature, spec_ints, spec_positive,
+                   spec_prime)
 from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
                      SpecError)
 from .filtrations import lower_p_central, zassenhaus
@@ -173,17 +175,12 @@ def cmd_pairings(args):
     pa = a_pairing(G, N1, N2, fam.p)
     fa = pairing_kernels(pa)
     cp = c_pairing(G, N1, N2, fam, budget=args.budget_prefixes)
-    payload = {
-        "family": fam.label,
-        "A": {"shape": list(pa.matrix.shape), "rank": fa["rank"],
-              "perfect": fa["perfect"], "matrix": pa.matrix.tolist()},
-        "B": {"shape": list(cp["B"].matrix.shape),
-              "rank": cp["B_flags"]["rank"], "perfect": cp["B_flags"]["perfect"],
-              "matrix": cp["B"].matrix.tolist()},
-        "C": {"shape": list(cp["C"].matrix.shape),
-              "rank": cp["C_flags"]["rank"], "perfect": cp["C_flags"]["perfect"],
-              "matrix": cp["C"].matrix.tolist()},
-    }
+    payload = {"family": fam.label}
+    for name, m, flags in (("A", pa.matrix, fa),
+                           ("B", cp["B"].matrix, cp["B_flags"]),
+                           ("C", cp["C"].matrix, cp["C_flags"])):
+        payload[name] = {"shape": list(m.shape), "rank": flags["rank"],
+                         "perfect": flags["perfect"], "matrix": m.tolist()}
     return G, payload, True
 
 
@@ -221,9 +218,9 @@ def cmd_transfer_sweep(args):
 
 
 def _group_prime(G: FiniteGroup) -> int:
-    n = G.order
     for p in (2, 3, 5, 7, 11, 13):
-        if n % p == 0:
+        # |G| > 1 divides p^k for k >= log2 |G| iff |G| is a power of p
+        if G.order > 1 and p ** G.order.bit_length() % G.order == 0:
             return p
     raise SpecError(f"{G.name} is not a p-group for a small prime")
 
@@ -256,7 +253,8 @@ def build_parser():
         description="finite verification of kernel-intersection subgroups, "
                     "mod-p cohomology pairings, and transfer checks")
     ap.add_argument("--manifest", help="JSON manifest of jobs to run")
-    ap.add_argument("--budget-prefixes", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--budget-prefixes", type=spec_positive,
+                    default=DEFAULT_BUDGET)
     ap.add_argument("--out", help="write JSON-lines reports here")
     sub = ap.add_subparsers(dest="command")
 
@@ -275,7 +273,7 @@ def build_parser():
         (["--kind"], {"choices": ["zassenhaus", "lower-central"],
                       "required": True}),
         (["--p"], {"type": spec_prime, "required": True}),
-        (["--upto"], {"type": int, "default": 6}))
+        (["--upto"], {"type": spec_positive, "default": 6}))
     add("t-subgroups", cmd_t_subgroups, grp, fam)
     add("hom-count", cmd_hom_count, grp, (["--codomain"], {"required": True}))
     add("h2", cmd_h2, grp, (["--p"], {"type": spec_prime, "required": True}))
@@ -290,11 +288,11 @@ def build_parser():
     add("transfer-sweep", cmd_transfer_sweep,
         (["--groups"], {"help": "comma-separated group names; default catalog"}))
     add("counterexample", cmd_counterexample,
-        (["--k"], {"type": int, "default": 9}),
+        (["--k"], {"type": spec_positive, "default": 9}),
         (["--p"], {"type": spec_prime, "default": 2}))
     add("lyndon", cmd_lyndon,
-        (["--k"], {"type": int, "default": 2}),
-        (["--upto"], {"type": int, "default": 5}))
+        (["--k"], {"type": spec_positive, "default": 2}),
+        (["--upto"], {"type": spec_positive, "default": 5}))
     return ap
 
 

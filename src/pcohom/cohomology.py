@@ -11,7 +11,9 @@ F_p, and coboundary tests are membership queries against the B^2 span,
 factored once per group and prime.  The constraint system
 is assembled lazily: candidate nullspace vectors are expanded to full
 tables and re-checked against the complete identity set, and violated
-constraints are fed back until the candidate space is exact.
+constraints are fed back until the candidate space is exact.  The same
+identities are the complete cocycle check every Cocycle2 runs (lemma at
+`_constraint_violations`).
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .core import (FiniteGroup, GroupHom, Subgroup, memo,
-                   power_commutator_subgroup, quotient_group, subgroup_as_group,
-                   subgroup_generated)
+from .core import (FiniteGroup, GroupHom, Subgroup,
+                   _respects_generator_edges, memo,
+                   power_commutator_subgroup, quotient_group,
+                   subgroup_as_group, subgroup_generated)
 from .errors import GroupTooLarge, NotInvariant, SpecError
 from .unitriangular import CentralExtension
 
@@ -36,6 +39,8 @@ H2_ORDER_CAP = 128
 
 @dataclass
 class Cochain1:
+    """A 1-cochain G -> Z/p; is_hom=True asserts it is a character,
+    checked on generator edges (`core._respects_generator_edges`)."""
     group: FiniteGroup
     values: np.ndarray
     p: int
@@ -44,17 +49,13 @@ class Cochain1:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.int64) % self.p
         if self.is_hom:
-            assert self.values[0] == 0
-            expect = (self.values[:, None] + self.values[None, :]) % self.p
-            assert np.array_equal(self.values[self.group.mult], expect)
+            assert _respects_generator_edges(
+                self.group, self.values, lambda x, y: (x + y) % self.p), \
+                "character is not additive"
 
     def __add__(self, other):
         return Cochain1(self.group, (self.values + other.values) % self.p,
                         self.p, is_hom=self.is_hom and other.is_hom)
-
-    def __neg__(self):
-        return Cochain1(self.group, (-self.values) % self.p, self.p,
-                        is_hom=self.is_hom)
 
 
 @dataclass
@@ -69,7 +70,8 @@ class Cocycle2:
         n = self.group.order
         assert v.shape == (n, n)
         assert not v[0].any() and not v[:, 0].any(), "cocycle must be normalized"
-        _assert_cocycle_identity(self.group, v, self.p)
+        assert not len(_constraint_violations(self.group, v, self.p)), \
+            "cocycle identity violated"
 
     def __add__(self, other):
         return Cocycle2(self.group, (self.values + other.values) % self.p, self.p)
@@ -79,18 +81,6 @@ class Cocycle2:
 
     def scale(self, c):
         return Cocycle2(self.group, (c * self.values) % self.p, self.p)
-
-
-def _assert_cocycle_identity(G: FiniteGroup, v: np.ndarray, p: int):
-    n = G.order
-    mult = G.mult
-    step = max(1, (2 ** 22) // (n * n))
-    for lo in range(0, n, step):
-        g = slice(lo, min(lo + step, n))
-        lhs = v[g, :, None] + v[mult[g], :]
-        rhs = v[None, :, :] + v[np.arange(n)[g][:, None, None], mult[None, :, :]]
-        if not ((lhs - rhs) % p == 0).all():
-            raise AssertionError("cocycle identity violated")
 
 
 # ---------------------------------------------------------------------
@@ -144,9 +134,15 @@ def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
 
 def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
     """g-ids at which some identity f(g,h)+f(gh,s)-f(h,s)-f(g,hs) != 0
-    (s ranging over generators) fails."""
-    lhs = f[:, :, None] + f[G.mult][:, :, G.generators]
-    rhs = f[:, G.generators][None, :, :] + f[:, G.mult_gen]
+    (s ranging over generators) fails, i.e. df(g,h,s) != 0.
+
+    Lemma: a normalized f with no violation is a cocycle.  From dd = 0,
+    df(g,h,ks) = df(g,h,k) + df(h,k,s) - df(gh,k,s) + df(g,hk,s), so
+    df(g,h,ks) = df(g,h,k) whenever s is a generator; by induction along
+    the BFS word of c, df(g,h,c) = df(g,h,1) = 0 by normalization."""
+    fs = f[:, G.generators]
+    lhs = f[:, :, None] + fs[G.mult]
+    rhs = fs[None, :, :] + f[:, G.mult_gen]
     bad = ((lhs - rhs) % p != 0).any(axis=(1, 2))
     return np.nonzero(bad)[0]
 

@@ -4,6 +4,11 @@ A group is built by breadth-first closure from concrete generators
 (permutations, matrices mod m, residues, ...).  Element id 0 is always the
 identity and ids follow BFS discovery order, so every derived structure
 (words, cosets, reports) is deterministic.
+
+Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
+law shown on every edge e -> e*s holds on all of G by induction on the BFS
+word: the one check behind every table (`_verify_tables`), hom and
+character (`_respects_generator_edges`) and cocycle, run by each constructor.
 """
 
 from __future__ import annotations
@@ -22,9 +27,6 @@ from .errors import (ClosureCapExceeded, EmptyList, MixedElementKinds,
                      MixedParents, NonNormalArguments, NotNormal, SpecError)
 
 DEFAULT_CAP = 8192
-
-# exhaustive associativity check up to this order; random sampling above
-ASSOC_FULL_CHECK_MAX = 512
 
 
 @dataclass
@@ -135,26 +137,31 @@ def memo(fn):
     return cached
 
 
-def _verify_tables(G: FiniteGroup, rng_seed=0):
+def _verify_tables(G: FiniteGroup):
+    """Check that G's tables define a group: 0 is a two-sided identity, inv
+    gives right inverses, mult_gen is mult at the generator columns, each
+    c > 0 is mult_gen[d, i] for (d, i) = pred[c] with 0 <= d < c, and
+    (a*b)*s = a*(b*s) for all a, b and every generator s.
+
+    Lemma: then mult is associative.  Induct on c along pred; c = 0 holds
+    by the identity.  For c = d*s with (a*b)*d = a*(b*d):
+    (a*b)*c = ((a*b)*d)*s = (a*(b*d))*s = a*((b*d)*s) = a*(b*c), by the
+    edge identity three times.  Chunks of rows a keep the temporaries near
+    2^20 entries."""
     n = G.order
     mult, inv = G.mult, G.inv
     ar = np.arange(n)
     assert np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)
     assert np.array_equal(mult[ar, inv], np.zeros(n, dtype=mult.dtype))
-    if n <= ASSOC_FULL_CHECK_MAX:
-        for a in range(n):
-            left = mult[mult[a], :]          # (b,c) -> (a*b)*c
-            right = mult[a][mult]            # (b,c) -> a*(b*c)
-            if not np.array_equal(left, right):
-                raise AssertionError("associativity check failed")
-    else:
-        rng = np.random.default_rng(rng_seed)
-        k = min(10 * n * n, 1_000_000)
-        a = rng.integers(0, n, size=k)
-        b = rng.integers(0, n, size=k)
-        c = rng.integers(0, n, size=k)
-        if not np.array_equal(mult[mult[a, b], c], mult[a, mult[b, c]]):
-            raise AssertionError("associativity check failed (sampled)")
+    assert np.array_equal(G.mult_gen, mult[:, G.generators])
+    d, i = G.pred[1:, 0], G.pred[1:, 1]
+    assert ((0 <= d) & (d < ar[1:])).all() and \
+        np.array_equal(G.mult_gen[d, i], ar[1:]), "broken BFS predecessors"
+    step = max(1, (1 << 20) // (n * max(len(G.generators), 1)))
+    for lo in range(0, n, step):
+        rows = mult[lo:lo + step]
+        if not np.array_equal(G.mult_gen[rows], rows[:, G.mult_gen]):
+            raise AssertionError("associativity check failed")
 
 
 def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
@@ -170,16 +177,6 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
                 if g != ident and g not in gens[:i]]
     else:
         ident = None
-
-    if not gens:
-        mult = np.zeros((1, 1), dtype=np.int32)
-        G = FiniteGroup(1, mult, np.zeros(1, dtype=np.int32), [], [()],
-                        np.zeros((1, 0), dtype=np.int32),
-                        np.full((1, 2), -1, dtype=np.int32),
-                        elements=[ident] if ident is not None else None,
-                        name=name)
-        _verify_tables(G)
-        return G
 
     ngens = len(gens)
     elems = [ident]
@@ -207,22 +204,27 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     n = len(elems)
     mult_gen = np.stack(mult_gen_rows)
     pred = np.asarray(pred, dtype=np.int32)
-    words = [()] * n
-    for x in range(1, n):
-        words[x] = words[pred[x, 0]] + (int(pred[x, 1]),)
-
     mult = np.empty((n, n), dtype=np.int32)
     mult[:, 0] = np.arange(n)
     for x in range(1, n):
         mult[:, x] = mult_gen[mult[:, pred[x, 0]], pred[x, 1]]
+    return _table_group(mult, mult_gen, pred,
+                        elems if ident is not None else None, name)
 
+
+def _table_group(mult, mult_gen, pred, elements, name) -> FiniteGroup:
+    """The group of BFS-canonical tables, its words, inverses and
+    generator ids read off them; every FiniteGroup is built and verified
+    here."""
+    n = len(mult)
+    words = [()] * n
+    for x in range(1, n):
+        words[x] = words[pred[x, 0]] + (int(pred[x, 1]),)
     inv = np.empty(n, dtype=np.int32)
     rows, cols = np.nonzero(mult == 0)
     inv[rows] = cols
-
-    gen_ids = [int(mult_gen[0, gi]) for gi in range(ngens)]
-    G = FiniteGroup(n, mult, inv, gen_ids, words, mult_gen, pred,
-                    elements=elems, name=name)
+    G = FiniteGroup(n, mult, inv, [int(s) for s in mult_gen[0]], words,
+                    mult_gen, pred, elements=elements, name=name)
     _verify_tables(G)
     return G
 
@@ -236,7 +238,6 @@ def group_from_table(table, gen_positions, name="") -> tuple:
     gen_positions = [int(g) for g in gen_positions if g != 0]
     seen = [g for i, g in enumerate(gen_positions) if g not in gen_positions[:i]]
     gen_positions = seen
-    ngens = len(gen_positions)
 
     relabel = np.full(n, -1, dtype=np.int32)
     relabel[0] = 0
@@ -257,19 +258,8 @@ def group_from_table(table, gen_positions, name="") -> tuple:
 
     old_of = np.asarray(old_of, dtype=np.int32)
     mult = relabel[table[np.ix_(old_of, old_of)]]
-    mult_gen = relabel[table[np.ix_(old_of, np.asarray(gen_positions, dtype=np.int32))]] \
-        if ngens else np.zeros((n, 0), dtype=np.int32)
-    pred = np.asarray(pred, dtype=np.int32)
-    words = [()] * n
-    for x in range(1, n):
-        words[x] = words[pred[x, 0]] + (int(pred[x, 1]),)
-    inv = np.empty(n, dtype=np.int32)
-    rows, cols = np.nonzero(mult == 0)
-    inv[rows] = cols
-    gen_ids = [int(mult_gen[0, gi]) for gi in range(ngens)]
-    G = FiniteGroup(n, mult.astype(np.int32), inv, gen_ids, words,
-                    mult_gen.astype(np.int32), pred, elements=None, name=name)
-    _verify_tables(G)
+    G = _table_group(mult, mult[:, relabel[gen_positions]],
+                     np.asarray(pred, dtype=np.int32), None, name)
     return G, relabel
 
 
@@ -435,26 +425,37 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
 # Homomorphisms
 # ---------------------------------------------------------------------
 
+def _respects_generator_edges(G: FiniteGroup, f: np.ndarray, mul) -> bool:
+    """Is f (indexed by G's ids) a hom into the group with vectorized
+    product mul and identity 0?  Checks f(1) = 0 and
+    f(e*s) = mul(f(e), f(s)) for every e and generator s: O(|G| * ngens).
+
+    Lemma: then f(a*c) = f(a) f(c) for all a, c.  Induct on c along G's
+    BFS words; c = 1 holds by f(1) = 0.  For c = d*s:
+    f(a*c) = f((a*d)*s) = f(a*d) f(s) = f(a) f(d) f(s) = f(a) f(c), by the
+    edge identity twice and associativity in the target."""
+    return bool(f[0] == 0) and np.array_equal(
+        f[G.mult_gen], mul(f[:, None], f[G.generators][None, :]))
+
+
 @dataclass
 class GroupHom:
+    """A homomorphism by its image array; every construction validates."""
     domain: FiniteGroup
     codomain: FiniteGroup
     image: np.ndarray
-    verified: bool = False
 
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.int32)
-        if not self.verified:
-            self.validate()
-            self.verified = True
+        self.validate()
 
     def validate(self):
         f = self.image
-        if f[0] != 0:
-            raise ValueError("hom must send identity to identity")
-        lhs = f[self.domain.mult]
-        rhs = self.codomain.mult[np.ix_(f, f)]
-        if not np.array_equal(lhs, rhs):
+        if f.shape != (self.domain.order,) or not (
+                (0 <= f) & (f < self.codomain.order)).all():
+            raise ValueError("image must list one codomain id per element")
+        if not _respects_generator_edges(
+                self.domain, f, lambda x, y: self.codomain.mult[x, y]):
             raise ValueError("map is not multiplicative")
 
     def __call__(self, g):
@@ -473,11 +474,6 @@ class GroupHom:
 
     def is_injective(self):
         return len(np.unique(self.image)) == self.domain.order
-
-    def then(self, other: "GroupHom") -> "GroupHom":
-        """self followed by other."""
-        return GroupHom(self.domain, other.codomain, other.image[self.image],
-                        verified=True)
 
     def preimage(self, S: Subgroup) -> Subgroup:
         mask = np.isin(self.image, S.members)
@@ -532,7 +528,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     gen_pos = [int(pos[rep[g]]) for g in G.generators]
     Q, relabel = group_from_table(table, gen_pos,
                                   name=f"{G.name}/N{N.order}" if G.name else "")
-    proj = GroupHom(G, Q, relabel[pos[rep]], verified=True)
+    proj = GroupHom(G, Q, relabel[pos[rep]])
     assert proj.kernel() == N
     return Q, proj
 
@@ -634,6 +630,11 @@ def spec_prime(text) -> int:
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise SpecError(f"p = {text!r} is not a prime")
     return p
+
+
+def spec_positive(text) -> int:
+    """text as a positive integer: the argparse type of every count flag."""
+    return spec_ints(text, [text], 1)[0]
 
 
 def builtin_group(name: str) -> FiniteGroup:

@@ -11,7 +11,7 @@ prefixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,8 +94,8 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
     """All homomorphisms G -> U, in deterministic candidate order."""
     ngens = len(G.generators)
     if ngens == 0:
-        return HomSet(G, U, [GroupHom(G, U, np.zeros(G.order, dtype=np.int32),
-                                      verified=True)])
+        return HomSet(G, U, [GroupHom(G, U, np.zeros(G.order,
+                                                     dtype=np.int32))])
 
     # candidate images per generator: the image order must divide the
     # generator's order
@@ -114,9 +114,10 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
                                  explored=explored)
         P, img = _filter_prefixes(G, U, _extend(P, c), j)
 
-    # img columns follow the full-BFS element order, which is the id order
-    # final safety net: full |G|^2 multiplicativity check per candidate
-    homs = [GroupHom(G, U, row, verified=False) for row in img]
+    # img columns follow the full-BFS element order, which is the id order.
+    # The last level showed f(e*s) = f(e)f(s) for every e and generator s,
+    # so each row is a hom by the lemma of core._respects_generator_edges.
+    homs = [GroupHom(G, U, row) for row in img]
     return HomSet(G, U, homs, explored_prefixes=explored)
 
 
@@ -134,8 +135,6 @@ class TBundle:
     family: OmegaFamily
     T: Subgroup
     Tbar: Subgroup
-    kernels_U: list = field(default_factory=list)     # T^{U_w}(G) per extension
-    kernels_Ubar: list = field(default_factory=list)  # T^{Ubar_w}(G) per extension
 
 
 @memo
@@ -147,7 +146,7 @@ def t_bundle(G: FiniteGroup, fam: OmegaFamily, *,
     Tbar = intersect_subgroups(kb)
     assert T <= Tbar, "T(G) <= Tbar(G) must hold (gamma-hom mechanism)"
     assert T.is_normal() and Tbar.is_normal()
-    return TBundle(fam, T, Tbar, ku, kb)
+    return TBundle(fam, T, Tbar)
 
 
 def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
@@ -160,8 +159,7 @@ def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
     required = rhobar.image[pi.image]
     ngens = len(G.generators)
     if ngens == 0:
-        return GroupHom(G, ext.E, np.zeros(G.order, dtype=np.int32),
-                        verified=True)
+        return GroupHom(G, ext.E, np.zeros(G.order, dtype=np.int32))
     pre = []
     for s in G.generators:
         b = int(required[s])
@@ -179,7 +177,7 @@ def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
     kept, imgs = _filter_prefixes(G, ext.E, C, ngens)
     if kept.shape[0] == 0:
         return None
-    rho = GroupHom(G, ext.E, imgs[0], verified=False)
+    rho = GroupHom(G, ext.E, imgs[0])
     assert np.array_equal(ext.lam.image[rho.image], required)
     return rho
 

@@ -70,9 +70,6 @@ class TruncatedSeries:
     def signature(self):
         return ("series", self.p, self.deg, self.k)
 
-    def component(self, degree: int) -> dict:
-        return {w: c for w, c in self.coeffs.items() if len(w) == degree}
-
     def component_vector(self, degree: int) -> np.ndarray:
         """Coefficients of the degree-d monomials as a vector of length
         k^d, monomials in lexicographic order."""

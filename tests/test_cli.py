@@ -176,6 +176,12 @@ def test_manifest_runs_multiple_jobs(tmp_path):
     ["kernel-condition", "--group", "Heis:3", "--family", "mixed:3",
      "--n1", "tbar", "--n2", "trivial"],
     ["--cap-order", "16", "transfer-sweep"],
+    ["transfer-sweep", "--groups", "Z/6"],
+    ["--budget-prefixes", "-5", "hom-count", "--group", "Z/4",
+     "--codomain", "Z/2"],
+    ["lyndon", "--k", "-1"],
+    ["filtration", "--group", "Q8", "--kind", "zassenhaus", "--p", "2",
+     "--upto", "-3"],
 ])
 def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
     assert main(argv) == 3

@@ -1,0 +1,233 @@
+"""The generator-edge checks against the full checks they stand for.
+
+Tables, homomorphisms, characters and 2-cocycles are each verified on
+generator edges only (see the lemmas in `core._verify_tables`,
+`core._respects_generator_edges` and `cohomology._constraint_violations`).
+The references below check the definitions directly: O(n^3)
+associativity, O(|G|^2) multiplicativity and the O(n^3) cocycle identity.
+On valid objects and on objects with one corrupted entry, the edge check
+must accept exactly when its reference does.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import pcohom as pc
+from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
+                               classifying_cocycle, cup, h1, h2_space,
+                               pullback)
+from pcohom.core import _verify_tables
+from pcohom.homsearch import enumerate_homs
+from pcohom.pairings import liftable_pullback_space
+
+GROUPS = ["Z/1", "Z/2", "Z/9", "D4", "Q8", "E:2:3", "Heis:3", "Z/4xZ/2",
+          "Meta:3"]
+
+
+# ---------------------------------------------------------------------
+# reference checks
+# ---------------------------------------------------------------------
+
+def full_group_table(mult, inv):
+    n = len(mult)
+    ar = np.arange(n)
+    if not (np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)
+            and not mult[ar, inv].any()):
+        return False
+    return all(np.array_equal(mult[mult[a], :], mult[a][mult])
+               for a in range(n))
+
+
+def full_hom(G, U, f):
+    return f[0] == 0 and np.array_equal(f[G.mult], U.mult[np.ix_(f, f)])
+
+
+def full_character(G, v, p):
+    return v[0] == 0 and np.array_equal(v[G.mult],
+                                        (v[:, None] + v[None, :]) % p)
+
+
+def full_cocycle(G, v, p):
+    """Normalized, and f(g,h) + f(gh,k) = f(h,k) + f(g,hk) for all g, h, k."""
+    if v[0].any() or v[:, 0].any():
+        return False
+    for g in range(G.order):
+        lhs = v[g][:, None] + v[G.mult[g]]         # (h, k)
+        rhs = v + v[g][G.mult]
+        if ((lhs - rhs) % p).any():
+            return False
+    return True
+
+
+def accepts(make, *args):
+    try:
+        make(*args)
+    except (AssertionError, ValueError):
+        return False
+    return True
+
+
+def corruptions(rng, shape, high, count, low_index=0):
+    """`count` (index, new value) pairs, each changing one entry of an
+    array of the given shape, with values below `high`; every index
+    coordinate is at least low_index."""
+    for _ in range(count):
+        idx = tuple(int(rng.integers(low_index, s)) for s in shape)
+        yield idx, int(rng.integers(1, high))
+
+
+# ---------------------------------------------------------------------
+# tables
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_table_check_agrees_with_full_associativity(name):
+    G = pc.builtin_group(name)
+    _verify_tables(G)
+    assert full_group_table(G.mult, G.inv)
+    if G.order == 1:
+        return
+    rng = np.random.default_rng(20260824)
+    for (a, b), shift in corruptions(rng, G.mult.shape, G.order, 30):
+        bad = G.mult.copy()
+        bad[a, b] = (bad[a, b] + shift) % G.order
+        H = dataclasses.replace(G, mult=bad, _cache={})
+        assert accepts(_verify_tables, H) == full_group_table(bad, G.inv), \
+            (name, a, b)
+
+
+def test_table_check_is_exhaustive_above_512_elements():
+    G = pc.builtin_group("U:3:3")
+    assert G.order == 729
+    _verify_tables(G)
+    rng = np.random.default_rng(7)
+    for (a, b), shift in corruptions(rng, G.mult.shape, G.order, 5, 1):
+        bad = G.mult.copy()
+        bad[a, b] = (bad[a, b] + shift) % G.order
+        assert not accepts(_verify_tables,
+                           dataclasses.replace(G, mult=bad, _cache={}))
+
+
+def test_table_check_rejects_inconsistent_bfs_data():
+    G = pc.builtin_group("D4")
+    mult_gen = G.mult_gen.copy()
+    mult_gen[3, 0] = mult_gen[3, 1]
+    assert not accepts(_verify_tables,
+                       dataclasses.replace(G, mult_gen=mult_gen, _cache={}))
+    pred = G.pred.copy()
+    pred[5, 0] = 5                       # a predecessor that is not earlier
+    assert not accepts(_verify_tables,
+                       dataclasses.replace(G, pred=pred, _cache={}))
+    pred = G.pred.copy()
+    pred[5, 1] = 1 - pred[5, 1]          # the other generator
+    assert not accepts(_verify_tables,
+                       dataclasses.replace(G, pred=pred, _cache={}))
+
+
+# ---------------------------------------------------------------------
+# homomorphisms and characters
+# ---------------------------------------------------------------------
+
+HOM_PAIRS = [("Z/2", "E:2:2"), ("Z/8", "Z/4"), ("E:2:2", "D4"),
+             ("Q8", "D4"), ("D4", "Q8"), ("Heis:3", "E:3:2"),
+             ("Meta:3", "Heis:3")]
+
+
+@pytest.mark.parametrize("gname,uname", HOM_PAIRS)
+def test_hom_check_agrees_with_full_multiplicativity(gname, uname):
+    G, U = pc.builtin_group(gname), pc.builtin_group(uname)
+    homs = enumerate_homs(G, U).homs
+    assert homs
+    rng = np.random.default_rng(11)
+    for rho in homs:
+        assert full_hom(G, U, rho.image)
+        ((e,), shift), = corruptions(rng, (G.order,), U.order, 1)
+        bad = rho.image.copy()
+        bad[e] = (bad[e] + shift) % U.order
+        assert accepts(pc.GroupHom, G, U, bad) == full_hom(G, U, bad), \
+            (gname, uname, e)
+    for _ in range(10):
+        f = rng.integers(0, U.order, size=G.order)
+        f[0] = 0
+        assert accepts(pc.GroupHom, G, U, f) == full_hom(G, U, f)
+
+
+def test_single_entry_change_can_stay_a_hom():
+    # Z/2 -> (Z/2)^2: every image of the generator gives a hom, so the
+    # corruptions are accepted by both checks
+    G, U = pc.builtin_group("Z/2"), pc.builtin_group("E:2:2")
+    for x in range(U.order):
+        f = np.array([0, x])
+        assert accepts(pc.GroupHom, G, U, f) and full_hom(G, U, f)
+
+
+def test_hom_check_rejects_malformed_images():
+    G, U = pc.builtin_group("Z/4"), pc.builtin_group("Z/2")
+    for f in ([0, 1, 0], [0, 1, 0, 1, 0], [0, -1, 0, 1], [0, 1, 2, 1]):
+        assert not accepts(pc.GroupHom, G, U, np.array(f))
+
+
+@pytest.mark.parametrize("name,p", [("Z/9", 3), ("D4", 2), ("E:2:3", 2),
+                                    ("Heis:3", 3), ("Meta:3", 3)])
+def test_character_check_agrees_with_full_additivity(name, p):
+    G = pc.builtin_group(name)
+    rng = np.random.default_rng(3)
+    for ch in h1(G, p):
+        assert full_character(G, ch.values, p)
+        for (e,), shift in corruptions(rng, (G.order,), p, 5):
+            bad = ch.values.copy()
+            bad[e] = (bad[e] + shift) % p
+            assert accepts(Cochain1, G, bad, p) == full_character(G, bad, p)
+
+
+# ---------------------------------------------------------------------
+# 2-cocycles
+# ---------------------------------------------------------------------
+
+def _cocycles(G, p):
+    """Valid cocycles on G: the H^2 basis, cups and Bocksteins."""
+    chars = h1(G, p)
+    return (h2_space(G, p).basis + [cup(a, b) for a in chars for b in chars]
+            + [bockstein(a) for a in chars])
+
+
+@pytest.mark.parametrize("name,p", [("Z/2", 2), ("Z/4", 2), ("D4", 2),
+                                    ("Q8", 2), ("E:3:2", 3), ("Heis:3", 3)])
+def test_cocycle_check_agrees_with_full_identity(name, p):
+    G = pc.builtin_group(name)
+    rng = np.random.default_rng(5)
+    for c in _cocycles(G, p):
+        assert full_cocycle(G, c.values, p)
+        # one entry off the normalization rows, then one on them
+        for low in (1, 0):
+            ((g, h), shift), = corruptions(rng, c.values.shape, p, 1, low)
+            bad = c.values.copy()
+            bad[g, h] = (bad[g, h] + shift) % p
+            assert accepts(Cocycle2, G, bad, p) == full_cocycle(G, bad, p), \
+                (name, g, h)
+
+
+def test_trusted_outputs_pass_the_full_checks():
+    """Every hom of a few searches, and every pullback of the classifying
+    classes along them, satisfies the full definitions."""
+    for gname, uname in HOM_PAIRS:
+        G, U = pc.builtin_group(gname), pc.builtin_group(uname)
+        for rho in enumerate_homs(G, U).homs:
+            assert full_hom(G, U, rho.image), (gname, uname)
+    for name, kind, n, p in [("Q8", "zassenhaus", 2, 2),
+                             ("Heis:3", "mixed", None, 3)]:
+        G = pc.builtin_group(name)
+        fam = pc.omega_family(kind, n, p)
+        N = pc.t_bundle(G, fam).Tbar
+        lp = liftable_pullback_space(G, N, fam)
+        Q = lp.space.group
+        for _, _, _, c in lp.classes:
+            assert full_cocycle(Q, c.values, p)
+        for ext in fam.extensions:
+            alpha = classifying_cocycle(ext)
+            assert full_cocycle(ext.Gbar, alpha.values, p)
+            for rho in enumerate_homs(Q, ext.Gbar).homs:
+                assert full_hom(Q, ext.Gbar, rho.image)
+                assert full_cocycle(Q, pullback(alpha, rho).values, p)
