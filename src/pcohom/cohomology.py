@@ -27,7 +27,7 @@ from .core import (FiniteGroup, GroupHom, Subgroup,
                    _respects_generator_edges, memo,
                    power_commutator_subgroup, quotient_group,
                    subgroup_as_group, subgroup_generated)
-from .errors import GroupTooLarge, NotInvariant, SpecError
+from .errors import EdgeCheckFailed, GroupTooLarge, NotInvariant, SpecError
 from .unitriangular import CentralExtension
 
 H2_ORDER_CAP = 128
@@ -48,10 +48,10 @@ class Cochain1:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.int64) % self.p
-        if self.is_hom:
-            assert _respects_generator_edges(
-                self.group, self.values, lambda x, y: (x + y) % self.p), \
-                "character is not additive"
+        if self.is_hom and not _respects_generator_edges(
+                self.group.mult_gen, self.values[None, :],
+                lambda x, y: (x + y) % self.p)[0]:
+            raise EdgeCheckFailed("character is not additive")
 
     def __add__(self, other):
         return Cochain1(self.group, (self.values + other.values) % self.p,
@@ -68,10 +68,13 @@ class Cocycle2:
         v = np.asarray(self.values, dtype=np.int64) % self.p
         self.values = v
         n = self.group.order
-        assert v.shape == (n, n)
-        assert not v[0].any() and not v[:, 0].any(), "cocycle must be normalized"
-        assert not len(_constraint_violations(self.group, v, self.p)), \
-            "cocycle identity violated"
+        if v.shape != (n, n):
+            raise EdgeCheckFailed(f"cocycle table has shape {v.shape}, "
+                                  f"not {(n, n)}")
+        if v[0].any() or v[:, 0].any():
+            raise EdgeCheckFailed("cocycle must be normalized")
+        if len(_constraint_violations(self.group, v, self.p)):
+            raise EdgeCheckFailed("cocycle identity violated")
 
     def __add__(self, other):
         return Cocycle2(self.group, (self.values + other.values) % self.p, self.p)
@@ -196,10 +199,15 @@ class H2Space:
 
     def coords(self, c: Cocycle2):
         assert c.group.key == self.group.key
-        x = self._span.solve(_generator_columns(self.group, c.values))
+        return self.column_coords(_generator_columns(self.group, c.values))
+
+    def column_coords(self, u):
+        """Coordinates of the class of each cocycle given by its generator
+        columns: u is one such vector, or a matrix with one per row."""
+        x = self._span.solve(u)
         if x is None:
             raise ValueError("table is not a cocycle in the normalized space")
-        return x[self._reps]
+        return x[..., self._reps]
 
     def is_coboundary_class(self, c: Cocycle2):
         return not self.coords(c).any()
@@ -373,6 +381,21 @@ def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:
     return Cocycle2(rho.domain, vals, alpha.p)
 
 
+def pullback_coords(alpha: Cocycle2, R: np.ndarray,
+                    space: H2Space) -> np.ndarray:
+    """H^2 coordinates of the pullbacks f*alpha, one row per row of R: the
+    image matrix (over the ids of space.group) of homs f into alpha.group.
+
+    Lemma: d(f*alpha) = f*(d alpha) = 0, and f*alpha is normalized since
+    f(1) = 1, so pulling a verified cocycle back along a verified hom needs
+    no per-hom Cocycle2 re-check.  The generator columns
+    alpha(f(g), f(s)) of every pullback come from one gather, and their
+    coordinates from one product (which still rejects a row outside Z^2)."""
+    gens = space.group.generators
+    cols = alpha.values[R[:, :, None], R[:, None, gens]]
+    return space.column_coords(cols.reshape(len(R), R.shape[1] * len(gens)))
+
+
 def cup(phi: Cochain1, psi: Cochain1) -> Cocycle2:
     assert phi.group.key == psi.group.key and phi.is_hom and psi.is_hom
     vals = (phi.values[:, None] * psi.values[None, :]) % phi.p
@@ -443,17 +466,12 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
                      for x in range(Gbar.order)], dtype=np.int64)
          for i in range(n)], axis=1)           # (|Gbar|, n)
     alpha = classifying_cocycle(ext)
-    hs = enumerate_homs(Q, Gbar, budget=budget or DEFAULT_BUDGET)
-    space = h2_space(Q, p)
+    R = enumerate_homs(Q, Gbar, budget=budget or DEFAULT_BUDGET).images
+    want = np.stack([phi.values % p for phi in phis], axis=1)
+    R = R[(superdiag[R] == want).all(axis=(1, 2))]
+    V = pullback_coords(alpha, R, h2_space(Q, p))
     out = []
-    seen = set()
-    for rho in hs.homs:
-        sd = superdiag[rho.image]              # (|Q|, n)
-        if all(np.array_equal(sd[:, i], phis[i].values % p) for i in range(n)):
-            c = pullback(alpha, rho)
-            coords = space.coords(c)
-            key = coords.tobytes()
-            if key not in seen:
-                seen.add(key)
-                out.append((c, coords, rho))
+    for i in np.sort(np.unique(V, axis=0, return_index=True)[1]):
+        rho = GroupHom(Q, Gbar, R[i])
+        out.append((pullback(alpha, rho), V[i], rho))
     return out

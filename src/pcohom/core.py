@@ -9,6 +9,9 @@ Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
 word: the one check behind every table (`_verify_tables`), hom and
 character (`_respects_generator_edges`) and cocycle, run by each constructor.
+The hom check is batched: it takes a matrix of image rows and returns the
+rows that pass, so one function serves a single `GroupHom`, a character and
+every block of candidates in the hom search.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from math import lcm
 import numpy as np
 
 from .elements import MatMod, Perm, Residue, TupleElem, perm_from_cycles
-from .errors import (ClosureCapExceeded, EmptyList, MixedElementKinds,
-                     MixedParents, NonNormalArguments, NotNormal, SpecError)
+from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
+                     MixedElementKinds, MixedParents, NonNormalArguments,
+                     NotNormal, SpecError)
 
 DEFAULT_CAP = 8192
 
@@ -151,17 +155,21 @@ def _verify_tables(G: FiniteGroup):
     n = G.order
     mult, inv = G.mult, G.inv
     ar = np.arange(n)
-    assert np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)
-    assert np.array_equal(mult[ar, inv], np.zeros(n, dtype=mult.dtype))
-    assert np.array_equal(G.mult_gen, mult[:, G.generators])
+    if not (np.array_equal(mult[0], ar) and np.array_equal(mult[:, 0], ar)):
+        raise EdgeCheckFailed("0 is not a two-sided identity")
+    if not np.array_equal(mult[ar, inv], np.zeros(n, dtype=mult.dtype)):
+        raise EdgeCheckFailed("inv does not give right inverses")
+    if not np.array_equal(G.mult_gen, mult[:, G.generators]):
+        raise EdgeCheckFailed("mult_gen is not mult at the generators")
     d, i = G.pred[1:, 0], G.pred[1:, 1]
-    assert ((0 <= d) & (d < ar[1:])).all() and \
-        np.array_equal(G.mult_gen[d, i], ar[1:]), "broken BFS predecessors"
+    if not (((0 <= d) & (d < ar[1:])).all()
+            and np.array_equal(G.mult_gen[d, i], ar[1:])):
+        raise EdgeCheckFailed("broken BFS predecessors")
     step = max(1, (1 << 20) // (n * max(len(G.generators), 1)))
     for lo in range(0, n, step):
         rows = mult[lo:lo + step]
         if not np.array_equal(G.mult_gen[rows], rows[:, G.mult_gen]):
-            raise AssertionError("associativity check failed")
+            raise EdgeCheckFailed("associativity check failed")
 
 
 def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
@@ -425,17 +433,60 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
 # Homomorphisms
 # ---------------------------------------------------------------------
 
-def _respects_generator_edges(G: FiniteGroup, f: np.ndarray, mul) -> bool:
-    """Is f (indexed by G's ids) a hom into the group with vectorized
-    product mul and identity 0?  Checks f(1) = 0 and
-    f(e*s) = mul(f(e), f(s)) for every e and generator s: O(|G| * ngens).
+def _table_product(U: FiniteGroup):
+    """U's product as a vectorized function of two id arrays, read from
+    the flat table: mul(x, y) = mult.ravel()[x * |U| + y].
 
-    Lemma: then f(a*c) = f(a) f(c) for all a, c.  Induct on c along G's
-    BFS words; c = 1 holds by f(1) = 0.  For c = d*s:
+    The flat index fits in int32: every group has |U| <= DEFAULT_CAP = 8192
+    elements (closure stops there, quotients and subgroups are smaller),
+    and 8192^2 = 2^26 < 2^31."""
+    flat, n = U.mult.ravel(), U.order
+    return lambda x, y: flat[x * n + y]
+
+
+# edges checked on every row before the rest are checked on the survivors
+_FIRST_EDGES = 8
+
+
+def _respects_generator_edges(tgt: np.ndarray, F: np.ndarray,
+                              mul) -> np.ndarray:
+    """Which rows of F are homs: the boolean mask over rows.
+
+    tgt[e, s] is the position of e*s in a BFS of a group H (position 0 is
+    the identity, s runs over H's generators, so tgt[0, s] is the position
+    of generator s); for G's own BFS, tgt is G.mult_gen.  Each row f of F
+    gives an image per position in a target with vectorized product mul and
+    identity 0.  A row passes when f[0] = 0 and
+    f[tgt[e, s]] = mul(f[e], f[tgt[0, s]]) on every edge (e, s):
+    O(|H| * ngens) per row.
+
+    Lemma: then f(a*c) = f(a) f(c) for all a, c in H.  Induct on c along
+    H's BFS words; c = 1 holds by f(1) = 0.  For c = d*s:
     f(a*c) = f((a*d)*s) = f(a*d) f(s) = f(a) f(d) f(s) = f(a) f(c), by the
-    edge identity twice and associativity in the target."""
-    return bool(f[0] == 0) and np.array_equal(
-        f[G.mult_gen], mul(f[:, None], f[G.generators][None, :]))
+    edge identity twice and associativity in the target.
+
+    The BFS tree edges (the first edge into each position) hold by
+    construction for rows evaluated along BFS words (`word_images`), so
+    the other edges go first.  The first _FIRST_EDGES edges are checked on
+    every row and the rest only on the rows that pass them; a row is
+    accepted only after every edge has been checked."""
+    t = tgt.ravel()
+    e, s = np.divmod(np.arange(t.size), tgt.shape[1])
+    first = np.unique(t, return_index=True)[1]
+    tree = np.zeros(t.size, dtype=bool)
+    tree[first[t[first] != 0]] = True
+    edges = np.concatenate([np.flatnonzero(~tree), np.flatnonzero(tree)])
+    gens = tgt[0]
+    ok = F[:, 0] == 0
+    for stage in (edges[:_FIRST_EDGES], edges[_FIRST_EDGES:]):
+        rows = np.flatnonzero(ok)
+        if not rows.size or not stage.size:
+            continue
+        sub = F[rows]
+        good = (sub[:, t[stage]] == mul(sub[:, e[stage]],
+                                        sub[:, gens[s[stage]]])).all(axis=1)
+        ok[rows[~good]] = False
+    return ok
 
 
 @dataclass
@@ -454,9 +505,9 @@ class GroupHom:
         if f.shape != (self.domain.order,) or not (
                 (0 <= f) & (f < self.codomain.order)).all():
             raise ValueError("image must list one codomain id per element")
-        if not _respects_generator_edges(
-                self.domain, f, lambda x, y: self.codomain.mult[x, y]):
-            raise ValueError("map is not multiplicative")
+        if not _respects_generator_edges(self.domain.mult_gen, f[None, :],
+                                         _table_product(self.codomain))[0]:
+            raise EdgeCheckFailed("map is not multiplicative")
 
     def __call__(self, g):
         return int(self.image[g])
@@ -499,13 +550,15 @@ def word_images(pred, U: FiniteGroup, C: np.ndarray) -> np.ndarray:
     pred[t] = (position of the predecessor, generator index) for each
     position t > 0 of a BFS, and C is an m x k matrix whose rows give
     images in U of the generators.  Returns the m x len(pred) matrix of
-    images of the word reaching each position."""
+    images of the word reaching each position, stored column by column
+    (each position's images are contiguous)."""
     C = np.asarray(C, dtype=np.int32)
-    img = np.zeros((C.shape[0], len(pred)), dtype=np.int32)
+    mul = _table_product(U)
+    img = np.zeros((len(pred), C.shape[0]), dtype=np.int32)
     for t in range(1, len(pred)):
         pe, pg = pred[t]
-        img[:, t] = U.mult[img[:, pe], C[:, pg]]
-    return img
+        img[t] = mul(img[pe], C[:, pg])
+    return img.T
 
 
 def hom_from_generator_images(G: FiniteGroup, U: FiniteGroup,

@@ -51,5 +51,15 @@ class NonCommutingSquare(Exception):
     pass
 
 
+class EdgeCheckFailed(ValueError):
+    """A table, hom, character or 2-cocycle failed its generator-edge check.
+
+    Lemma (core module docstring): each c > 0 is d*s for its BFS
+    predecessor d < c and a generator s, so a law shown on every edge
+    e -> e*s holds on all of G by induction on the BFS word.  The edge
+    check is therefore complete, and a failed edge is a real violation of
+    the group, hom, character or cocycle law."""
+
+
 class SpecError(ValueError):
     """A malformed group, subgroup or family spec, or malformed arguments."""

@@ -93,8 +93,10 @@ class Span:
         return self.rows.shape[0]
 
     def reduce(self, v):
+        """v minus its projection on the span; v is one vector or a
+        matrix of row vectors, reduced row by row."""
         v = np.asarray(v, dtype=np.int64) % self.p
-        return (v - v[self.pivots] @ self.rows) % self.p
+        return (v - v[..., self.pivots] @ self.rows) % self.p
 
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
@@ -137,8 +139,10 @@ class Span:
         """x with x @ added == v (mod p), or None if v is outside the span.
 
         x is zero on every added vector that did not grow the span, which
-        is the solution of added.T @ x == v with free variables zero."""
+        is the solution of added.T @ x == v with free variables zero.  For
+        a matrix of row vectors v, x has one row per row of v, and None
+        means some row is outside the span."""
         v = np.asarray(v, dtype=np.int64) % self.p
         if not self.contains(v):
             return None
-        return (v[self.pivots] @ self.trans) % self.p
+        return (v[..., self.pivots] @ self.trans) % self.p

@@ -4,18 +4,24 @@ through central extensions.
 The search runs over generator images in BFS-word order, level by level:
 a partial assignment of images to the first j generators forces the image
 of every element whose BFS word uses only those generators, and the
-assignment is pruned as soon as any forced product contradicts the
-multiplication table.  All checks are vectorized over blocks of candidate
-prefixes.
+assignment is kept only if those images pass the one generator-edge check
+(`core._respects_generator_edges`), run on whole blocks of candidate
+prefixes at once.
+
+A hom set is an image matrix: `HomSet.images` has one row per hom and one
+column per element id.  `t_subgroup` and the pullback-class searches read
+the matrix directly; a `GroupHom` is built only when a caller asks for one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (FiniteGroup, GroupHom, Subgroup, _element_orders,
+                   _respects_generator_edges, _table_product,
                    intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded
 from .unitriangular import CentralExtension, OmegaFamily
@@ -24,18 +30,28 @@ DEFAULT_BUDGET = 2 ** 31
 _CHUNK = 8192
 
 
-@dataclass
-class HomSet:
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    homs: list
-    explored_prefixes: int = 0
+class HomSet(Sequence):
+    """Hom(domain, codomain) as the m x |domain| int32 matrix `images`,
+    one hom per row, in search order.  Indexing builds (and validates) the
+    GroupHom of one row; len and the matrix itself build none."""
+
+    def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
+                 images: np.ndarray, explored_prefixes: int = 0):
+        self.domain = domain
+        self.codomain = codomain
+        self.images = images
+        self.explored_prefixes = explored_prefixes
 
     def __len__(self):
-        return len(self.homs)
+        return self.images.shape[0]
 
-    def image_matrix(self):
-        return np.stack([h.image for h in self.homs])
+    def __getitem__(self, i):
+        return GroupHom(self.domain, self.codomain, self.images[i])
+
+    @property
+    def homs(self) -> "HomSet":
+        """The homs as a sequence of GroupHom, built on access."""
+        return self
 
 
 @memo
@@ -75,14 +91,13 @@ def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     partial homomorphism on the subgroup generated by the first j generators.
     Returns (surviving P, their image matrices over that subgroup)."""
     _, pred, tgt = _partial_bfs(G, j)
+    mul = _table_product(U)
     keep_P = []
     keep_img = []
     for lo in range(0, P.shape[0], _CHUNK):
         C = P[lo:lo + _CHUNK]
         img = word_images(pred, U, C)
-        # forced-product consistency: img[e]*C[s] == img[e*s] for all e, s<j
-        lhs = U.mult[img[:, :, None], C[:, None, :]]
-        ok = (lhs == img[:, tgt]).all(axis=(1, 2))
+        ok = _respects_generator_edges(tgt, img, mul)
         keep_P.append(C[ok])
         keep_img.append(img[ok])
     return np.concatenate(keep_P), np.concatenate(keep_img)
@@ -94,8 +109,7 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
     """All homomorphisms G -> U, in deterministic candidate order."""
     ngens = len(G.generators)
     if ngens == 0:
-        return HomSet(G, U, [GroupHom(G, U, np.zeros(G.order,
-                                                     dtype=np.int32))])
+        return HomSet(G, U, np.zeros((1, G.order), dtype=np.int32))
 
     # candidate images per generator: the image order must divide the
     # generator's order
@@ -115,10 +129,9 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
         P, img = _filter_prefixes(G, U, _extend(P, c), j)
 
     # img columns follow the full-BFS element order, which is the id order.
-    # The last level showed f(e*s) = f(e)f(s) for every e and generator s,
-    # so each row is a hom by the lemma of core._respects_generator_edges.
-    homs = [GroupHom(G, U, row) for row in img]
-    return HomSet(G, U, homs, explored_prefixes=explored)
+    # The last level passed the generator-edge check on all of G, so each
+    # row is a hom by the lemma of core._respects_generator_edges.
+    return HomSet(G, U, img, explored_prefixes=explored)
 
 
 @memo
@@ -126,7 +139,7 @@ def t_subgroup(G: FiniteGroup, U: FiniteGroup, *,
                budget=DEFAULT_BUDGET) -> Subgroup:
     """T^U(G): the intersection of the kernels of all homomorphisms G -> U."""
     hs = enumerate_homs(G, U, budget=budget)
-    mask = (hs.image_matrix() == 0).all(axis=0)
+    mask = (hs.images == 0).all(axis=0)
     return Subgroup(G, np.nonzero(mask)[0].astype(np.int32), check=False)
 
 

@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .cohomology import H2Space, h2_space, pullback, transgression_span
+from .cohomology import (H2Space, h2_space, pullback, pullback_coords,
+                         transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, intersect_subgroups,
                    join_subgroups, memo, power_commutator_subgroup,
                    quotient_group, subgroup_generated)
@@ -198,29 +199,31 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = h2_space(Q, p)
-    seen: dict[bytes, tuple] = {}
-    n_homs = 0
+    sources = []                # (ext, alpha, hom set) per extension
     for ext in fam.extensions:
         alpha = classifying_cocycle(ext)
-        hs = enumerate_homs(Q, ext.Gbar, budget=budget)
-        n_homs += len(hs.homs)
-        for rho in hs.homs:
-            c = pullback(alpha, rho)
-            v = space.coords(c)
-            seen.setdefault(v.tobytes(), (v, c, (ext, rho)))
+        sources.append((ext, alpha, enumerate_homs(Q, ext.Gbar,
+                                                   budget=budget)))
+    V = np.concatenate([pullback_coords(alpha, hs.images, space)
+                        for _, alpha, hs in sources])
+    start = np.cumsum([0] + [len(hs) for *_, hs in sources])
     span = gf.Span(space.dim, p)
     classes = []
-    for v, c, (ext, rho) in seen.values():
+    for i in np.sort(np.unique(V, axis=0, return_index=True)[1]):
+        k = np.searchsorted(start, i, side="right") - 1
+        ext, alpha, hs = sources[k]
+        rho = hs[i - start[k]]
+        c = pullback(alpha, rho)
         inflated = c.values[np.ix_(pi.image, pi.image)]
         liftable = is_coboundary(G, inflated, p)
-        classes.append((v, liftable, (ext, rho), c))
-        if liftable and span.add(v):
+        classes.append((V[i], liftable, (ext, rho), c))
+        if liftable and span.add(V[i]):
             lifted = lift_hom(ext, pi, rho, budget=budget)
             assert (lifted is not None) == liftable, \
                 "lift search disagrees with inflation vanishing"
     return LiftablePullbacks(
         space, classes, SubspaceHandle(space, span.basis()),
-        {"homs": n_homs, "distinct_classes": len(seen),
+        {"homs": len(V), "distinct_classes": len(classes),
          "liftable_classes": sum(1 for c in classes if c[1])})
 
 

@@ -6,7 +6,7 @@ from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
                                classifying_cocycle, conj_invariant_h1, cup,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback, transgression)
-from pcohom.errors import NotInvariant
+from pcohom.errors import EdgeCheckFailed, NotInvariant
 
 
 def coboundary_table(G, f, p):
@@ -86,7 +86,7 @@ def test_cocycle_identity_is_enforced():
     bad = np.zeros((4, 4), dtype=np.int64)
     bad[1, 1] = 1
     bad[2, 3] = 1     # arbitrary junk: not a cocycle
-    with pytest.raises(AssertionError):
+    with pytest.raises(EdgeCheckFailed):
         Cocycle2(G, bad, 2)
 
 

@@ -6,21 +6,31 @@ generator edges only (see the lemmas in `core._verify_tables`,
 The references below check the definitions directly: O(n^3)
 associativity, O(|G|^2) multiplicativity and the O(n^3) cocycle identity.
 On valid objects and on objects with one corrupted entry, the edge check
-must accept exactly when its reference does.
+must accept exactly when its reference does.  The hom search, which runs
+the batch edge check on blocks of prefixes, is compared with a search step
+that checks every forced product of every prefix.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pcohom as pc
+from pcohom import homsearch
 from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
                                classifying_cocycle, cup, h1, h2_space,
                                pullback)
-from pcohom.core import _verify_tables
-from pcohom.homsearch import enumerate_homs
-from pcohom.pairings import liftable_pullback_space
+from pcohom.core import (_respects_generator_edges, _table_product,
+                         _verify_tables)
+from pcohom.homsearch import _partial_bfs, enumerate_homs, lift_hom
+from pcohom.pairings import cached_quotient, liftable_pullback_space
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GROUPS = ["Z/1", "Z/2", "Z/9", "D4", "Q8", "E:2:3", "Heis:3", "Z/4xZ/2",
           "Meta:3"]
@@ -59,6 +69,26 @@ def full_cocycle(G, v, p):
         if ((lhs - rhs) % p).any():
             return False
     return True
+
+
+def full_filter_prefixes(G, U, P, j):
+    """The search step with a full check: evaluate the BFS words of the
+    first j generators on each prefix row with U's table, then keep the
+    rows where img[e] * C[s] == img[e * s] for every position e and every
+    s < j."""
+    _, pred, tgt = _partial_bfs(G, j)
+    keep_P, keep_img = [], []
+    for lo in range(0, P.shape[0], 8192):
+        C = P[lo:lo + 8192]
+        img = np.zeros((C.shape[0], len(pred)), dtype=np.int32)
+        for t in range(1, len(pred)):
+            pe, pg = pred[t]
+            img[:, t] = U.mult[img[:, pe], C[:, pg]]
+        lhs = U.mult[img[:, :, None], C[:, None, :]]
+        ok = (lhs == img[:, tgt]).all(axis=(1, 2))
+        keep_P.append(C[ok])
+        keep_img.append(img[ok])
+    return np.concatenate(keep_P), np.concatenate(keep_img)
 
 
 def accepts(make, *args):
@@ -152,6 +182,14 @@ def test_hom_check_agrees_with_full_multiplicativity(gname, uname):
         f = rng.integers(0, U.order, size=G.order)
         f[0] = 0
         assert accepts(pc.GroupHom, G, U, f) == full_hom(G, U, f)
+    # the batch check on a matrix of the valid rows and seeded single-entry
+    # corruptions of them
+    F = np.concatenate([homs.images] * 3)
+    for row, ((e,), shift) in zip(F[len(homs):], corruptions(
+            rng, (G.order,), U.order, 2 * len(homs))):
+        row[e] = (row[e] + shift) % U.order
+    mask = _respects_generator_edges(G.mult_gen, F, _table_product(U))
+    assert mask.tolist() == [bool(full_hom(G, U, f)) for f in F]
 
 
 def test_single_entry_change_can_stay_a_hom():
@@ -167,6 +205,10 @@ def test_hom_check_rejects_malformed_images():
     G, U = pc.builtin_group("Z/4"), pc.builtin_group("Z/2")
     for f in ([0, 1, 0], [0, 1, 0, 1, 0], [0, -1, 0, 1], [0, 1, 2, 1]):
         assert not accepts(pc.GroupHom, G, U, np.array(f))
+    # on the trivial group there are no edges; only f(1) = 1 is checked
+    T = pc.builtin_group("Z/1")
+    assert accepts(pc.GroupHom, T, U, np.array([0]))
+    assert not accepts(pc.GroupHom, T, U, np.array([1]))
 
 
 @pytest.mark.parametrize("name,p", [("Z/9", 3), ("D4", 2), ("E:2:3", 2),
@@ -231,3 +273,56 @@ def test_trusted_outputs_pass_the_full_checks():
             for rho in enumerate_homs(Q, ext.Gbar).homs:
                 assert full_hom(Q, ext.Gbar, rho.image)
                 assert full_cocycle(Q, pullback(alpha, rho).values, p)
+
+
+# ---------------------------------------------------------------------
+# the hom search against the search step with the full check
+# ---------------------------------------------------------------------
+
+def _u729():
+    return next(ext.E for ext in pc.omega_family("zassenhaus", 3, 3).extensions
+                if ext.E.order == 729)
+
+
+@pytest.mark.parametrize("gname,uname", HOM_PAIRS + [("E:2:3", "U:3:2"),
+                                                     ("E:3:2", "U729")])
+def test_hom_search_matches_full_check_search(gname, uname, monkeypatch):
+    G = pc.builtin_group(gname)
+    U = _u729() if uname == "U729" else pc.builtin_group(uname)
+    search = enumerate_homs.__wrapped__
+    new = search(G, U)
+    monkeypatch.setattr(homsearch, "_filter_prefixes", full_filter_prefixes)
+    ref = search(G, U)
+    assert new.images.dtype == ref.images.dtype == np.int32
+    assert np.array_equal(new.images, ref.images)
+    assert new.explored_prefixes == ref.explored_prefixes
+    assert len(new) > 0
+
+
+def test_lift_search_matches_full_check_search(monkeypatch):
+    ext = pc.build_bar_extension(2, 2)
+    Q8 = pc.builtin_group("Q8")
+    Q, pi = cached_quotient(Q8, pc.center(Q8))
+    rhos = enumerate_homs(Q, ext.Gbar).homs
+    new = [lift_hom(ext, pi, rho) for rho in rhos]
+    monkeypatch.setattr(homsearch, "_filter_prefixes", full_filter_prefixes)
+    ref = [lift_hom(ext, pi, rho) for rho in rhos]
+    assert [x is None for x in new] == [x is None for x in ref]
+    assert any(x is not None for x in new) and any(x is None for x in new)
+    for a, b in zip(new, ref):
+        if a is not None:
+            assert np.array_equal(a.image, b.image)
+
+
+def test_edge_checks_hold_under_python_O():
+    """Every edge check raises rather than asserts, so this file passes
+    under python -O too (asserts in the test file itself are rewritten by
+    pytest and survive -O)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    r = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(Path(__file__).resolve()), "-k", "not under_python_O"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import hom_from_generator_images
+from pcohom.core import GroupHom, hom_from_generator_images
 from pcohom.errors import BudgetExceeded
 from pcohom.homsearch import (enumerate_homs, lift_hom, liftability_crosscheck,
                               t_bundle, t_subgroup)
@@ -54,6 +54,27 @@ def test_all_returned_maps_are_homs():
     G, U = pc.builtin_group("D4"), pc.builtin_group("U:2:2")
     for h in enumerate_homs(G, U).homs:
         h.validate()     # would raise on a non-hom
+
+
+def test_hom_search_builds_no_grouphom(monkeypatch):
+    """t_subgroup and len(HomSet) read the image matrix; a GroupHom (and
+    its validation) is made only when an item is asked for."""
+    G = pc.builtin_group("Meta:3")
+    U = pc.omega_family("zassenhaus", 3, 3).extensions[0].Gbar
+    calls = []
+    validate = GroupHom.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(GroupHom, "validate", counted)
+    T = t_subgroup(G, U)
+    hs = enumerate_homs(G, U)
+    assert len(hs.homs) > 1000 and T.order < G.order
+    assert calls == []
+    rho = hs.homs[1]
+    assert len(calls) == 1 and np.array_equal(rho.image, hs.images[1])
 
 
 def test_budget_exceeded():

@@ -305,3 +305,128 @@ def test_transgression_span_built_once_per_surjection(monkeypatch):
             assert liftability_crosscheck(ext, pi, rho)["status"] == "PASS"
             n_homs += 1
     assert n_homs > 1 and len(calls) == 1
+
+
+# ---------------------------------------------------------------------
+# batched pullback classes against the per-hom loop
+# ---------------------------------------------------------------------
+
+def loop_liftable_pullbacks(G, N, fam):
+    """(classes, stats) of liftable_pullback_space by one pullback Cocycle2
+    and one coordinate solve per hom, classes in first-occurrence order."""
+    Q, pi = cached_quotient(G, N)
+    p = fam.p
+    space = cohomology.h2_space(Q, p)
+    seen = {}
+    n_homs = 0
+    for ext in fam.extensions:
+        alpha = cohomology.classifying_cocycle(ext)
+        for rho in pc.enumerate_homs(Q, ext.Gbar).homs:
+            n_homs += 1
+            c = cohomology.pullback(alpha, rho)
+            v = space.coords(c)
+            seen.setdefault(v.tobytes(), (v, c, (ext, rho)))
+    classes = []
+    for v, c, (ext, rho) in seen.values():
+        inflated = c.values[np.ix_(pi.image, pi.image)]
+        classes.append((v, cohomology.is_coboundary(G, inflated, p),
+                        (ext, rho), c))
+    return classes, {"homs": n_homs, "distinct_classes": len(seen),
+                     "liftable_classes": sum(1 for c in classes if c[1])}
+
+
+def loop_massey_pullback_set(Q, n, phis, fam):
+    """massey_pullback_set by one pullback Cocycle2 and one coordinate
+    solve per matching hom."""
+    ext = fam.extensions[0]
+    p = ext.p
+    E, Gbar = ext.E, ext.Gbar
+    superdiag = np.stack(
+        [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
+                     for x in range(Gbar.order)], dtype=np.int64)
+         for i in range(n)], axis=1)
+    alpha = cohomology.classifying_cocycle(ext)
+    space = cohomology.h2_space(Q, p)
+    out, seen = [], set()
+    for rho in pc.enumerate_homs(Q, Gbar).homs:
+        sd = superdiag[rho.image]
+        if all(np.array_equal(sd[:, i], phis[i].values % p)
+               for i in range(n)):
+            c = cohomology.pullback(alpha, rho)
+            coords = space.coords(c)
+            if coords.tobytes() not in seen:
+                seen.add(coords.tobytes())
+                out.append((c, coords, rho))
+    return out
+
+
+@pytest.mark.parametrize("nm,kind,n,p", [("Q8", "zassenhaus", 2, 2),
+                                         ("Heis:3", "mixed", None, 3),
+                                         ("Meta:3", "mixed", None, 3)])
+def test_batched_pullback_classes_match_per_hom_loop(nm, kind, n, p):
+    G, fam, bundle = _setup(nm, kind, n, p)
+    for N in (bundle.Tbar, trivial(G)):
+        lp = liftable_pullback_space(G, N, fam)
+        classes, stats = loop_liftable_pullbacks(G, N, fam)
+        assert lp.stats == stats
+        assert len(lp.classes) == len(classes) > 1
+        for (v, lift, (ext, rho), c), (v0, lift0, (ext0, rho0), c0) in zip(
+                lp.classes, classes):
+            assert np.array_equal(v, v0) and lift == lift0 and ext is ext0
+            assert np.array_equal(rho.image, rho0.image)
+            assert np.array_equal(c.values, c0.values)
+
+
+def _massey_cases():
+    for nm, p in [("E:2:2", 2), ("E:3:2", 3)]:
+        V = pc.builtin_group(nm)
+        chars = cohomology.h1(V, p)
+        fam = pc.omega_family("zassenhaus", 2, p)
+        for a in chars:
+            for b in chars:
+                yield V, 2, [a, b], fam
+    V = pc.builtin_group("E:2:2")
+    x, y = cohomology.h1(V, 2)
+    zero = cohomology.Cochain1(V, np.zeros(V.order, dtype=np.int64), 2)
+    fam = pc.omega_family("zassenhaus", 3, 2)
+    for phis in ([x, y, x], [x, x, x], [zero, zero, zero]):
+        yield V, 3, phis, fam
+    # triples with two and three distinct values
+    for nm, p in [("Z/4xZ/2", 2), ("E:3:2", 3)]:
+        V = pc.builtin_group(nm)
+        x = cohomology.h1(V, p)[0]
+        yield V, 3, [x, x, x], pc.omega_family("zassenhaus", 3, p)
+
+
+def test_batched_massey_set_matches_per_hom_loop():
+    sizes = []
+    for V, n, phis, fam in _massey_cases():
+        got = cohomology.massey_pullback_set(V, n, phis, fam)
+        want = loop_massey_pullback_set(V, n, phis, fam)
+        assert len(got) == len(want)
+        sizes.append(len(got))
+        for (c, v, rho), (c0, v0, rho0) in zip(got, want):
+            assert np.array_equal(c.values, c0.values)
+            assert np.array_equal(v, v0)
+            assert np.array_equal(rho.image, rho0.image)
+    assert 0 in sizes and 1 in sizes and max(sizes) == 3
+
+
+def test_batch_coords_reject_rows_outside_z2():
+    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
+    Q, _ = cached_quotient(G, bundle.Tbar)
+    space = cohomology.h2_space(Q, 2)
+    ext = fam.extensions[0]
+    alpha = cohomology.classifying_cocycle(ext)
+    hs = pc.enumerate_homs(Q, ext.Gbar)
+    V = cohomology.pullback_coords(alpha, hs.images, space)
+    assert np.array_equal(V, [space.coords(cohomology.pullback(alpha, rho))
+                              for rho in hs.homs])
+    gens = Q.generators
+    cols = alpha.values[hs.images[:, :, None], hs.images[:, None, gens]]
+    cols = cols.reshape(len(hs), -1)
+    cols[len(hs) // 2, 0] = 1       # f(1, s_0) != 0: not normalized
+    with pytest.raises(ValueError):
+        space.column_coords(cols)
+    with pytest.raises(ValueError):
+        space.column_coords(cols[len(hs) // 2])
