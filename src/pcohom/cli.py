@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import transfer_sweep
-from .cohomology import h2_space, massey_pullback_set
+from .cohomology import h1, h2_space, massey_pullback_set
 from .core import (FiniteGroup, Subgroup, builtin_group, center,
                    normal_closure, signature, spec_ints, spec_positive,
                    spec_prime)
@@ -148,7 +148,6 @@ def cmd_h2(args):
 def cmd_massey(args):
     G = resolve_group(args.group)
     fam = parse_family(args.family)
-    from .cohomology import h1
     chars = h1(G, fam.p)
     if args.chars:
         idx = args.chars.split(",")

@@ -8,12 +8,10 @@ fact used throughout: a normalized 2-cocycle is determined by its
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
 F_p, and coboundary tests are membership queries against the B^2 span,
-factored once per group and prime.  The constraint system
-is assembled lazily: candidate nullspace vectors are expanded to full
-tables and re-checked against the complete identity set, and violated
-constraints are fed back until the candidate space is exact.  The same
-identities are the complete cocycle check every Cocycle2 runs (lemma at
-`_constraint_violations`).
+factored once per group and prime.  The system needs the cocycle
+identities only at g a generator (lemma at `_cocycle_constraints`), and
+those identities are the complete cocycle check every Cocycle2 runs
+(lemma at `_constraint_violations`).
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from .core import (FiniteGroup, GroupHom, Subgroup,
                    power_commutator_subgroup, quotient_group,
                    subgroup_as_group, subgroup_generated)
 from .errors import EdgeCheckFailed, GroupTooLarge, NotInvariant, SpecError
+from .homsearch import DEFAULT_BUDGET, enumerate_homs
 from .unitriangular import CentralExtension
 
 H2_ORDER_CAP = 128
@@ -111,10 +110,7 @@ def _coboundary_span(G: FiniteGroup, p: int) -> gf.Span:
 
 
 def _generator_columns(G: FiniteGroup, table: np.ndarray):
-    ngens = len(G.generators)
-    if ngens == 0:
-        return np.zeros(0, dtype=np.int64)
-    return table[:, G.generators].reshape(G.order * ngens)
+    return table[:, G.generators].reshape(G.order * len(G.generators))
 
 
 def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
@@ -150,37 +146,46 @@ def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
     return np.nonzero(bad)[0]
 
 
-def _column_forms(G: FiniteGroup) -> np.ndarray:
-    """T[g, x, :]: the derived column f(g, x) as a linear form in the
-    generator-column unknowns."""
+def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
+    """Rows over the generator-column unknowns u(g, s) = f(g, s) whose
+    nullspace is Z^2: the normalization rows u(1, s) = 0, then for each
+    generator g the rows f(g,h) + f(gh,s) - f(h,s) - f(g,hs) = 0 over all
+    h and all generators s, f(g, .) expanded along BFS predecessors.
+
+    Lemma: the rows at generators g imply the rows at every g.  Let each
+    generator s act on G x Z/p by (g, a) -> (gs, a + u(g,s)), and let
+    Phi_g(w) be the shift that the word w picks up starting at g.  The BFS
+    expansion is f(g,x) = Phi_g(w_x) - Phi_1(w_x), so the row at (g,h,s)
+    reads Delta_g(r_{h,s}) = 0, where Delta_g(r) = Phi_g(r) - Phi_1(r) and
+    r_{h,s} = w_h s w_{hs}^-1.  The r_{h,s} are the Schreier generators of
+    N = ker(F -> G) and each Delta_g is additive on N, so the rows at g hold
+    iff Delta_g = 0 on N.  Since Phi_1(s r s^-1) = Phi_s(r) for r in N,
+    Delta_s = 0 on N for every generator s gives Phi_x(r) = Phi_1(r) for
+    all x, by induction along the positive BFS word of x.  Hence every
+    identity holds, and f is a cocycle by the lemma at
+    `_constraint_violations`.  The rows at g = 1 vanish identically and
+    are left out."""
     n = G.order
-    ngens = len(G.generators)
-    T = np.zeros((n, n, n * ngens), dtype=np.int16)
+    gens = np.asarray(G.generators, dtype=np.int64)
+    ngens = len(gens)
+    ngu = n * ngens
+    k = np.arange(ngens)
+    # T[j, x]: f(gens[j], x) as a linear form in the unknowns
+    T = np.zeros((ngens, n, ngu), dtype=np.int64)
     for x in range(1, n):
         pe, pg = G.pred[x]
-        T[:, x, :] = T[:, pe, :]
-        np.add.at(T, (np.arange(n), x, G.mult[:, pe] * ngens + pg), 1)
+        T[:, x] = T[:, pe]
+        T[k, x, G.mult[gens, pe] * ngens + pg] += 1
         T[:, x, pe * ngens + pg] -= 1
-    return T
-
-
-def _constraint_rows(G: FiniteGroup, T: np.ndarray, gs, p: int):
-    """Constraint rows (over the generator-column unknowns) for the
-    identities indexed by g in gs, all h, all generator s; T is
-    _column_forms(G)."""
-    n = G.order
-    ngens = len(G.generators)
-    ngu = n * ngens
-    rows = []
-    for g in gs:
-        for s in range(ngens):
-            # f(g,h) + f(gh,s) - f(h,s) - f(g, h*gen_s) = 0 for all h
-            r = T[g].astype(np.int64).copy()            # f(g, h)
-            np.add.at(r, (np.arange(n), G.mult[g] * ngens + s), 1)
-            r[np.arange(n), np.arange(n) * ngens + s] -= 1
-            r -= T[g][G.mult_gen[:, s]]
-            rows.append(r % p)
-    return np.concatenate(rows) if rows else np.zeros((0, ngu), dtype=np.int64)
+    h = np.arange(n)
+    rows = [np.eye(ngens, ngu, dtype=np.int64)]     # u(1, s) = 0
+    for s in range(ngens):
+        # f(g,h) + f(gh,s) - f(h,s) - f(g,hs) for every generator g, all h
+        r = T - T[:, G.mult_gen[:, s]]
+        r[k[:, None], h, G.mult[gens] * ngens + s] += 1
+        r[:, h, h * ngens + s] -= 1
+        rows.append(r.reshape(ngens * n, ngu) % p)
+    return np.concatenate(rows)
 
 
 @dataclass
@@ -226,37 +231,17 @@ class H2Space:
 
 @memo
 def h2_space(G: FiniteGroup, p: int) -> H2Space:
+    """H^2(G, Z/p) with its canonical basis.  cand, the basis of Z^2 in
+    generator columns, is the nullspace basis of `_cocycle_constraints`
+    that is the identity on the free columns (`gf.nullspace`); the
+    representatives are the cand rows that grow the B^2 span, taken in
+    order."""
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
-    n = G.order
-    ngens = len(G.generators)
-    ngu = n * ngens
-
-    # normalization rows f(1, s) = 0 and an initial batch of identity rows
-    norm = np.zeros((ngens, ngu), dtype=np.int64)
-    for i in range(ngens):
-        norm[i, 0 * ngens + i] = 1
-    T = _column_forms(G)
-    seed_gs = sorted(set(G.generators) | {0})
-    rows = [norm, _constraint_rows(G, T, seed_gs, p)]
-    added = set(seed_gs)
-
-    while True:
-        cand = gf.nullspace(np.concatenate(rows), p)
-        bad_gs: set[int] = set()
-        for u in cand:
-            f = _expand_from_columns(G, u, p)
-            viol = _constraint_violations(G, f, p)
-            bad_gs.update(int(g) for g in viol[:8])
-        bad_gs -= added
-        if not bad_gs:
-            break
-        added.update(bad_gs)
-        rows.append(_constraint_rows(G, T, sorted(bad_gs), p))
-
+    cand = gf.nullspace(_cocycle_constraints(G, p), p)
     # cand is a basis of Z^2; complete the B^2 basis with the rows that grow it
     bmat = _coboundary_span(G, p).basis()
-    span = gf.Span(ngu, p, bmat)
+    span = gf.Span(cand.shape[1], p, bmat)
     grew = np.array([span.add(u) for u in cand], dtype=bool)
     basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in cand[grew]]
     space = H2Space(G, p, len(basis), basis, span,
@@ -446,13 +431,11 @@ def transgression_span(G: FiniteGroup, pi: GroupHom, p: int):
 
 
 def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
-                        budget=None) -> list:
+                        budget=DEFAULT_BUDGET) -> list:
     """All pullback classes of the U_n(Z/p) bar-extension class along
     homomorphisms rhobar: Q -> Ubar_n with the prescribed superdiagonal
     characters.  Returns a list of (Cocycle2, coords, rhobar) with one
     entry per distinct class (possibly empty)."""
-    from .homsearch import enumerate_homs, DEFAULT_BUDGET
-
     if not fam.label.startswith("zassenhaus"):
         raise SpecError(f"Massey pullbacks need a zassenhaus family, got "
                         f"{fam.label}")
@@ -466,7 +449,7 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
                      for x in range(Gbar.order)], dtype=np.int64)
          for i in range(n)], axis=1)           # (|Gbar|, n)
     alpha = classifying_cocycle(ext)
-    R = enumerate_homs(Q, Gbar, budget=budget or DEFAULT_BUDGET).images
+    R = enumerate_homs(Q, Gbar, budget=budget).images
     want = np.stack([phi.values % p for phi in phis], axis=1)
     R = R[(superdiag[R] == want).all(axis=(1, 2))]
     V = pullback_coords(alpha, R, h2_space(Q, p))

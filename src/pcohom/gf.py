@@ -55,16 +55,16 @@ def rank(a, p) -> int:
 
 
 def nullspace(a, p):
-    """Basis (rows) of {x : a @ x = 0 mod p}."""
+    """Basis (rows) of {x : a @ x = 0 mod p}: row k is the identity on
+    the free (non-pivot) columns, free[k] = 1, taken in increasing order
+    of the free column."""
     a = np.atleast_2d(np.asarray(a, dtype=np.int64))
     ncols = a.shape[1]
     r, pivots = rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = np.setdiff1d(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, c]) % p
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[:, free]).T % p
     return basis
 
 

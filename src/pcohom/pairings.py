@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .cohomology import (H2Space, h2_space, pullback, pullback_coords,
+from .cohomology import (H2Space, classifying_cocycle, h2_space,
+                         is_coboundary, pullback, pullback_coords,
                          transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, intersect_subgroups,
                    join_subgroups, memo, power_commutator_subgroup,
@@ -194,8 +195,6 @@ class LiftablePullbacks:
 @memo
 def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
                             budget=DEFAULT_BUDGET) -> LiftablePullbacks:
-    from .cohomology import classifying_cocycle, is_coboundary
-
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = h2_space(Q, p)

@@ -1,11 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
-                               classifying_cocycle, conj_invariant_h1, cup,
-                               h1, h2_space, is_coboundary,
-                               massey_pullback_set, pullback, transgression)
+from pcohom import gf
+from pcohom.catalog import catalog_instances
+from pcohom.cohomology import (Cochain1, Cocycle2, _cocycle_constraints,
+                               _constraint_violations, _expand_from_columns,
+                               bockstein, classifying_cocycle,
+                               conj_invariant_h1, cup, h1, h2_space,
+                               is_coboundary, massey_pullback_set, pullback,
+                               transgression)
+from pcohom.elements import Residue, perm_from_cycles
 from pcohom.errors import EdgeCheckFailed, NotInvariant
 
 
@@ -37,6 +44,104 @@ def test_h2_of_trivial_group():
     G = pc.builtin_group("Z/2")
     T, _ = pc.quotient_group(G, G.whole())
     assert h2_space(T, 2).dim == 0
+    assert is_coboundary(T, np.zeros((1, 1), dtype=np.int64), 2)
+
+
+# ---------------------------------------------------------------------
+# Z^2 from the generator rows (lemma at _cocycle_constraints)
+# ---------------------------------------------------------------------
+
+def all_g_constraints(G, p):
+    """Reference: normalization rows plus the cocycle rows at every g, from
+    the (n, n, n*ngens) tensor of derived-column forms."""
+    n = G.order
+    ngens = len(G.generators)
+    ngu = n * ngens
+    T = np.zeros((n, n, ngu), dtype=np.int64)
+    for x in range(1, n):
+        pe, pg = G.pred[x]
+        T[:, x, :] = T[:, pe, :]
+        np.add.at(T, (np.arange(n), x, G.mult[:, pe] * ngens + pg), 1)
+        T[:, x, pe * ngens + pg] -= 1
+    rows = [np.eye(ngens, ngu, dtype=np.int64)]
+    for g in range(n):
+        for s in range(ngens):
+            r = T[g].copy()
+            np.add.at(r, (np.arange(n), G.mult[g] * ngens + s), 1)
+            r[np.arange(n), np.arange(n) * ngens + s] -= 1
+            r -= T[g][G.mult_gen[:, s]]
+            rows.append(r % p)
+    return np.concatenate(rows)
+
+
+def perm_group(d, *gens):
+    return pc.generate_group([perm_from_cycles(d, c) for c in gens])
+
+
+S3 = perm_group(3, [(0, 1, 2)], [(0, 1)])
+A4 = perm_group(4, [(0, 1, 2)], [(0, 1), (2, 3)])
+Z8_ON_1_2_4 = pc.generate_group([Residue(1, 8), Residue(2, 8), Residue(4, 8)])
+EXTRA_GROUPS = [("S3", S3, 2), ("S3", S3, 3), ("A4", A4, 2), ("A4", A4, 3),
+                ("Z/8 on 1, 2, 4", Z8_ON_1_2_4, 2)]
+
+
+def test_generator_rows_give_cocycles_on_catalog():
+    # every Z^2 basis row, expanded to a table, satisfies every identity
+    for nm, G, p in catalog_instances():
+        cand = gf.nullspace(_cocycle_constraints(G, p), p)
+        for u in cand:
+            f = _expand_from_columns(G, u, p)
+            assert not len(_constraint_violations(G, f, p)), nm
+
+
+def test_generator_rows_span_all_g_rows():
+    cases = [c for c in catalog_instances() if c[1].order <= 32]
+    for nm, G, p in cases + EXTRA_GROUPS:
+        cand = gf.nullspace(_cocycle_constraints(G, p), p)
+        assert np.array_equal(
+            gf.nullspace(all_g_constraints(G, p), p), cand), (nm, p)
+
+
+def basis_digest(space):
+    h = hashlib.sha256(np.asarray(space._reps, dtype=np.int64).tobytes())
+    for b in space.basis:
+        h.update(b.values.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of _reps and every basis table: same basis, same coordinates
+H2_BASIS_PINS = {
+    "Q8": "36c39e81c09c69742cb429a1806cbf5efbfcd33c0f30222b0330e59aa5f7c969",
+    "D4xZ/2":
+        "dd509f1262aff7aac23c23ad9f2d4bd9767ef6200153590f48957689d8d460d2",
+    "Heis:3":
+        "5747ece4b164129f78dd947b3da512fbb7953dd818d2bd72e752abdd363d2702",
+    "Mp3:3":
+        "0b59d18f0bb4f97c6bad33bd67a379e9686eed031846d876820c3a90da13e731",
+    "Meta:3":
+        "7bc6d63d3fa174a8c2b2978def5aabe44a1fc31ed9a665ffc74bdbc133d2b2f4",
+    "U:2:4":
+        "2651db020ee72f9850db0199ce14b30101435374df1463b74fa7ddd1ecec2a2d",
+    "U:3:2":
+        "8824b003ca04d712d9d5ba4d5ad1d2be4be1075d60e23dccea42d15579ee21bc",
+    "standin:zassenhaus:2:2:2/nc(3)":
+        "cd1b997c0f4ab25b2183a063982fcd98139b467cb74e30694fa8235eabdf8451",
+    "D4 on three generators":
+        "9e3369f5c87a3accda4bd3bb6cd93d85e45228de0f064f185da73f053297c054",
+}
+
+
+def test_h2_basis_pinned():
+    cases = [(nm, pc.builtin_group(nm), p) for nm, p in
+             [("Q8", 2), ("D4xZ/2", 2), ("Heis:3", 3), ("Mp3:3", 3),
+              ("Meta:3", 3), ("U:2:4", 2), ("U:3:2", 2)]]
+    cases += [c for c in catalog_instances()
+              if c[0] == "standin:zassenhaus:2:2:2/nc(3)"]
+    cases.append(("D4 on three generators",
+                  perm_group(4, [(0, 1, 2, 3)], [(1, 3)], [(0, 2)]), 2))
+    assert [nm for nm, _, _ in cases] == list(H2_BASIS_PINS)
+    for nm, G, p in cases:
+        assert basis_digest(h2_space(G, p)) == H2_BASIS_PINS[nm], nm
 
 
 def test_h1_counts_and_values():
@@ -180,7 +285,6 @@ def test_bockstein_independence_on_klein():
     V = pc.builtin_group("E:2:2")
     s = h2_space(V, 2)
     x, y = h1(V, 2)
-    from pcohom import gf
     M = np.stack([s.coords(bockstein(x)), s.coords(bockstein(y)),
                   s.coords(cup(x, y))])
     assert gf.rank(M, 2) == 3

@@ -79,6 +79,9 @@ def test_nullspace_and_rank_nullity(seed, p, rows, cols):
     ns = gf.nullspace(a, p)
     assert not np.any((a @ ns.T) % p)
     assert gf.rank(a, p) + ns.shape[0] == cols
+    # canonical form: the identity on the free columns, in increasing order
+    free = np.setdiff1d(np.arange(cols), gf.rref(a, p)[1])
+    assert np.array_equal(ns[:, free], np.eye(len(free), dtype=np.int64))
     if ns.shape[0]:
         assert gf.rank(ns, p) == ns.shape[0]
 
