@@ -22,9 +22,8 @@ import numpy as np
 
 from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
-                   _respects_generator_edges, memo,
-                   power_commutator_subgroup, quotient_group,
-                   subgroup_as_group, subgroup_generated)
+                   _respects_generator_edges, builtin_group, memo,
+                   power_commutator_subgroup, subgroup_as_group, word_images)
 from .errors import EdgeCheckFailed, GroupTooLarge, NotInvariant, SpecError
 from .homsearch import DEFAULT_BUDGET, enumerate_homs
 from .unitriangular import CentralExtension
@@ -259,38 +258,35 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
 
 @memo
 def h1(G: FiniteGroup, p: int) -> list:
-    """Basis of Hom(G, Z/p), via the elementary abelianization."""
+    """Basis of Hom(G, Z/p): the rref of the character space.
+
+    A character v is fixed by its generator values c: v = W c, where
+    W[x, i] counts the letter i in x's BFS word mod p (the word evaluated
+    in Z/p with generator i -> 1 and the others -> 0, by
+    `core.word_images`).  By the generator-edge lemma
+    (`core._respects_generator_edges`) W c is a character iff
+    v(g s) = v(g) + v(s) on every edge (g, s), v(1) = 0 holding as
+    W[0] = 0; so one nullspace over c spans the characters, and the rref
+    of their values is the canonical basis.  Working over c keeps the
+    system at |G| * ngens rows of ngens unknowns.
+
+    Lemma: this is the basis dual to the greedy basis of the elementary
+    abelianization Q = G/G^p[G,G] in id order (each pick the least id of
+    Q outside the span of the earlier picks).  G's BFS meets each coset
+    first at its least id, so Q's ids follow the cosets' least ids.  Every
+    id of Q below pick j lies in the span of the earlier picks, where the
+    j-th dual vanishes; so the j-th dual is 0 left of the least id of pick
+    j, 1 there and 0 at the other picks' least ids: it is the rref, which
+    is unique.  The dimension is checked against |G : G^p[G,G]| from the
+    subgroup calculus."""
+    n, ngens = G.order, len(G.generators)
+    W = word_images(G.pred, builtin_group(f"Z/{p}"), np.eye(ngens)).T
+    edges = W[G.mult_gen] - W[:, None, :] - W[G.generators]
+    C = gf.nullspace(edges.reshape(n * ngens, ngens), p)
+    basis = gf.rref(C @ W.T, p)[0]
     D = power_commutator_subgroup(G, G.whole(), p)
-    Q, proj = quotient_group(G, D)
-    # greedy independent generators of the elementary abelian Q
-    basis_ids = []
-    closure = {0}
-    for x in range(1, Q.order):
-        if x not in closure:
-            basis_ids.append(x)
-            closure = set(int(t) for t in
-                          subgroup_generated(Q, basis_ids).members)
-    d = len(basis_ids)
-    assert p ** d == Q.order
-    coords = np.zeros((Q.order, d), dtype=np.int64)
-    # enumerate all combinations to invert the coordinate map
-    ids = [0]
-    vecs = [np.zeros(d, dtype=np.int64)]
-    for j, b in enumerate(basis_ids):
-        new_ids, new_vecs = [], []
-        for e, v in zip(ids, vecs):
-            cur = e
-            for c in range(p):
-                w = v.copy()
-                w[j] = c
-                new_ids.append(cur)
-                new_vecs.append(w)
-                cur = Q.mul(cur, b)
-        ids, vecs = new_ids, new_vecs
-    assert len(set(ids)) == Q.order
-    for e, v in zip(ids, vecs):
-        coords[e] = v
-    return [Cochain1(G, coords[proj.image, j], p) for j in range(d)]
+    assert p ** len(basis) * D.order == n, "dim H^1 != log_p |G : G^p[G,G]|"
+    return [Cochain1(G, v, p) for v in basis]
 
 
 def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:

@@ -3,7 +3,18 @@
 A group is built by breadth-first closure from concrete generators
 (permutations, matrices mod m, residues, ...).  Element id 0 is always the
 identity and ids follow BFS discovery order, so every derived structure
-(words, cosets, reports) is deterministic.
+(BFS words, cosets, reports) is deterministic.
+
+Once a table exists, `_bfs` is the one table BFS: it relabels quotient and
+subgroup tables (`group_from_table`), gives the hom search its partial
+BFS (`homsearch._partial_bfs`) and closes every subgroup
+(`subgroup_generated`, `subgroup_as_group`, `normal_closure`).  It runs a
+level at a time.  Lemma (level order is queue order): a queue BFS handles
+all of level L before any id of level L+1, and within L it finds new ids
+in (parent position, column) order, the first occurrence winning; so
+keeping each unseen id of a level's parent-major successor block at its
+first occurrence numbers the ids as the queue does.  `generate_group`
+numbers elements in the same order, by hashing, before any table exists.
 
 Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
@@ -39,7 +50,6 @@ class FiniteGroup:
     mult: np.ndarray          # order x order element ids
     inv: np.ndarray           # order element ids
     generators: list          # element ids (distinct, non-identity)
-    words: list               # per-element tuple of generator indices
     mult_gen: np.ndarray      # order x ngens: g * generators[i]
     pred: np.ndarray          # order x 2: (predecessor id, generator index)
     elements: list | None = None   # concrete elements, if built from them
@@ -80,14 +90,7 @@ class FiniteGroup:
         return int(self.mult[self.mult[self.inv[a], self.inv[b]], self.mult[a, b]])
 
     def power(self, a, m):
-        m = int(m) % element_order(self, a)
-        r, base = 0, int(a)
-        while m:
-            if m & 1:
-                r = int(self.mult[r, base])
-            base = int(self.mult[base, base])
-            m >>= 1
-        return r
+        return int(_powers(self, [a], int(m) % element_order(self, a))[0])
 
     def whole(self):
         return Subgroup(self, np.arange(self.order, dtype=np.int32))
@@ -221,53 +224,60 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
 
 
 def _table_group(mult, mult_gen, pred, elements, name) -> FiniteGroup:
-    """The group of BFS-canonical tables, its words, inverses and
-    generator ids read off them; every FiniteGroup is built and verified
-    here."""
+    """The group of BFS-canonical tables, its inverses and generator ids
+    read off them; every FiniteGroup is built and verified here."""
     n = len(mult)
-    words = [()] * n
-    for x in range(1, n):
-        words[x] = words[pred[x, 0]] + (int(pred[x, 1]),)
     inv = np.empty(n, dtype=np.int32)
     rows, cols = np.nonzero(mult == 0)
     inv[rows] = cols
-    G = FiniteGroup(n, mult, inv, [int(s) for s in mult_gen[0]], words,
+    G = FiniteGroup(n, mult, inv, [int(s) for s in mult_gen[0]],
                     mult_gen, pred, elements=elements, name=name)
     _verify_tables(G)
     return G
 
 
+def _bfs(table, cols):
+    """Breadth-first search of a successor table from id 0: from x it
+    steps to table[x, c] for each c in cols, in order.
+
+    Returns (order, pred): the reached ids in discovery order, and
+    pred[t] = (position in order of the parent, index into cols) of
+    order[t], with pred[0] = (-1, -1).  Each level gathers
+    table[level, cols] parent-major and keeps every unseen id at its first
+    occurrence, which is the queue order (lemma in the module docstring)."""
+    cols = np.asarray(cols, dtype=np.intp)
+    seen = np.zeros(len(table), dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.int32)
+    order, pred = [level], [np.full((1, 2), -1, dtype=np.int32)]
+    start = 0                       # position of level[0] in order
+    while level.size and cols.size:
+        succ = table[np.ix_(level, cols)].ravel()
+        fresh = np.flatnonzero(~seen[succ])
+        fresh = fresh[np.sort(np.unique(succ[fresh], return_index=True)[1])]
+        parent, col = np.divmod(fresh, cols.size)
+        pred.append(np.stack([start + parent, col], axis=1).astype(np.int32))
+        start += level.size
+        level = succ[fresh].astype(np.int32)
+        seen[level] = True
+        order.append(level)
+    return np.concatenate(order), np.concatenate(pred)
+
+
 def group_from_table(table, gen_positions, name="") -> tuple:
     """Relabel a raw group table (identity at index 0) into BFS-canonical
     form from the given generator positions.  Returns (group, relabel) where
-    relabel maps old indices to new ids."""
+    relabel maps old indices to new ids: the inverse of the BFS order."""
     table = np.asarray(table, dtype=np.int32)
     n = table.shape[0]
-    gen_positions = [int(g) for g in gen_positions if g != 0]
-    seen = [g for i, g in enumerate(gen_positions) if g not in gen_positions[:i]]
-    gen_positions = seen
-
-    relabel = np.full(n, -1, dtype=np.int32)
-    relabel[0] = 0
-    old_of = [0]
-    pred = [(-1, -1)]
-    i = 0
-    while i < len(old_of):
-        x = old_of[i]
-        for gi, s in enumerate(gen_positions):
-            y = int(table[x, s])
-            if relabel[y] < 0:
-                relabel[y] = len(old_of)
-                old_of.append(y)
-                pred.append((i, gi))
-        i += 1
+    gen_positions = list(dict.fromkeys(int(g) for g in gen_positions if g))
+    old_of, pred = _bfs(table, gen_positions)
     if len(old_of) != n:
         raise ValueError("given positions do not generate the table group")
-
-    old_of = np.asarray(old_of, dtype=np.int32)
+    relabel = np.empty(n, dtype=np.int32)
+    relabel[old_of] = np.arange(n)
     mult = relabel[table[np.ix_(old_of, old_of)]]
-    G = _table_group(mult, mult[:, relabel[gen_positions]],
-                     np.asarray(pred, dtype=np.int32), None, name)
+    G = _table_group(mult, mult[:, relabel[gen_positions]], pred, None, name)
     return G, relabel
 
 
@@ -323,33 +333,29 @@ def _is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     return set(np.unique(conj)) <= H._set
 
 
-def _closure_ids(table, seed):
-    """Sorted ids of the subgroup generated by seed in a group table."""
-    seed = np.unique(np.asarray(list(seed) + [0], dtype=np.int32))
-    members = {0}
-    frontier = np.asarray([0], dtype=np.int32)
-    while frontier.size:
-        prod = np.unique(table[np.ix_(frontier, seed)])
-        new = np.asarray([x for x in prod if int(x) not in members], dtype=np.int32)
-        members.update(int(x) for x in new)
-        frontier = new
-    return np.asarray(sorted(members), dtype=np.int32)
-
-
 def subgroup_generated(G: FiniteGroup, seed) -> Subgroup:
-    return Subgroup(G, _closure_ids(G.mult, seed), check=False)
+    """The ids reached by `_bfs` from 1 under x -> x*s for s in seed: a
+    finite set with 1 closed under right multiplication by the seed."""
+    seed = np.unique(np.asarray(seed, dtype=np.int32))
+    return Subgroup(G, _bfs(G.mult, seed)[0], check=False)
 
 
 def normal_closure(G: FiniteGroup, seed) -> Subgroup:
-    seed = set(int(x) for x in seed) | {0}
-    while True:
-        members = _closure_ids(G.mult, seed)
-        p = G.mult[:, members]
-        conj = G.mult[p, G.inv[:, None]]
-        allc = set(int(x) for x in np.unique(conj))
-        if allc <= set(int(x) for x in members):
-            return Subgroup(G, members, check=False)
-        seed = allc
+    """The smallest normal subgroup containing seed: one `_bfs` whose
+    columns are x -> x*s for each s in seed, then x -> g^-1 x g for each
+    generator g.
+
+    Lemma: the set X reached from 1 is the normal closure N.  Every step
+    maps N into N, so X <= N.  X is closed under conjugation by each
+    generator, hence by every element h, and by h^-1 too, since h^-1 is a
+    power of h.  So for x in X, x * (h^-1 s h) = h^-1 ((h x h^-1) * s) h
+    is in X: X holds 1 and is closed under right multiplication by every
+    conjugate of the seed, so it contains the subgroup they generate, N."""
+    gens = np.asarray(G.generators, dtype=np.intp)
+    conj = G.mult[G.mult[G.inv[gens]], gens[:, None]].T
+    seed = np.unique(np.asarray(seed, dtype=np.int32))
+    table = np.concatenate([G.mult[:, seed], conj], axis=1)
+    return Subgroup(G, _bfs(table, range(table.shape[1]))[0], check=False)
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -414,15 +420,14 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     idx = np.full(G.order, -1, dtype=np.int32)
     idx[m] = np.arange(len(m))
     table = idx[G.mult[np.ix_(m, m)]]
-    # greedy minimal generating positions
+    # greedy minimal generating positions: each pick is the least
+    # position outside the closure of the earlier picks
     gens = []
-    closure = {0}
-    for pos in range(1, len(m)):
-        if pos not in closure:
-            gens.append(pos)
-            closure = set(int(x) for x in _closure_ids(table, gens))
-            if len(closure) == len(m):
-                break
+    reached = np.zeros(len(m), dtype=bool)
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[_bfs(table, gens)[0]] = True
     K, relabel = group_from_table(table, gens, name=f"{G.name}|sub{len(m)}")
     embed = np.empty(len(m), dtype=np.int32)
     embed[relabel] = m

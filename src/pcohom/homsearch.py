@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, Subgroup, _element_orders,
+from .core import (FiniteGroup, GroupHom, Subgroup, _bfs, _element_orders,
                    _respects_generator_edges, _table_product,
                    intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded
@@ -56,28 +56,16 @@ class HomSet(Sequence):
 
 @memo
 def _partial_bfs(G: FiniteGroup, j: int):
-    """BFS over G restricted to the first j generators.
+    """BFS over G restricted to the first j generators (`core._bfs`).
 
     Returns (elems, pred, tgt) where elems lists reached element ids in BFS
     order, pred[t] = (position of predecessor in elems, generator index)
     and tgt[t, s] = position of elems[t] * gen_s within elems, for s < j.
     At j = ngens this is G's own BFS, so elems lists the ids in order."""
-    pos = {0: 0}
-    elems = [0]
-    pred = [(-1, -1)]
-    i = 0
-    while i < len(elems):
-        for gi in range(j):
-            y = int(G.mult_gen[elems[i], gi])
-            if y not in pos:
-                pos[y] = len(elems)
-                elems.append(y)
-                pred.append((i, gi))
-        i += 1
-    tgt = np.asarray([[pos[int(G.mult_gen[e, s])] for s in range(j)]
-                      for e in elems], dtype=np.int32)
-    return (np.asarray(elems, dtype=np.int32),
-            np.asarray(pred, dtype=np.int32), tgt)
+    elems, pred = _bfs(G.mult_gen, range(j))
+    pos = np.empty(G.order, dtype=np.int32)
+    pos[elems] = np.arange(len(elems))
+    return elems, pred, pos[G.mult_gen[elems, :j]]
 
 
 def _extend(P: np.ndarray, c: np.ndarray) -> np.ndarray:

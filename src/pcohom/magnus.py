@@ -16,9 +16,11 @@ import time
 import numpy as np
 
 from . import gf
-from .core import (FiniteGroup, GroupHom, generate_group,
+from .core import (FiniteGroup, GroupHom, builtin_group, generate_group,
                    hom_from_generator_images)
+from .elements import IdVector
 from .errors import SpecError, WordTooShort
+from .pairings import transfer_check
 from .unitriangular import build_unitriangular, omega_family
 
 
@@ -187,8 +189,7 @@ def zassenhaus_membership(word, k: int, p: int, n: int) -> dict:
 # Finite nilpotent stand-ins for free groups
 # ---------------------------------------------------------------------
 
-def free_nilpotent_standin(k: int, p: int, kind: str, n: int,
-                           cap=8192) -> FiniteGroup:
+def free_nilpotent_standin(k: int, p: int, kind: str, n: int) -> FiniteGroup:
     """The quotient of the free group on k generators by the (n+1)-st term
     of the chosen filtration, built from faithful concrete images.
 
@@ -202,9 +203,8 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int,
     name = f"standin:{kind}:{k}:{p}:{n}"
     if kind == "zassenhaus":
         gens = [_generator_series(i + 1, 1, p, n, k) for i in range(k)]
-        return generate_group(gens, cap=cap, name=name)
+        return generate_group(gens, name=name)
     if kind == "lower-central":
-        from .elements import IdVector
         fam = omega_family("lower-central", n, p)
         tables = []
         segments = []
@@ -220,7 +220,7 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int,
         for i in range(k):
             ids = np.concatenate([seg[i] for seg in segments])
             gens.append(IdVector(tables, ids))
-        return generate_group(gens, cap=cap, name=name)
+        return generate_group(gens, name=name)
     raise SpecError(f"unknown stand-in kind {kind!r}")
 
 
@@ -343,8 +343,6 @@ def counterexample_harness(k: int = 9, p: int = 2, seed: int = 20260823,
     fam = omega_family("zassenhaus", 2, p)
     induced = None
     if p == 2:
-        from .core import builtin_group
-        from .pairings import transfer_check
         Q = free_nilpotent_standin(2, 2, "zassenhaus", 2)
         Q8 = builtin_group("Q8")
         pi = evaluation_epi(Q, Q8)

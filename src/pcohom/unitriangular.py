@@ -13,17 +13,17 @@ witnesses for the two standing assumptions on a family:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (FiniteGroup, GroupHom, center, element_index,
-                   generate_group, intersect_subgroups, quotient_group,
-                   spec_ints, spec_prime, subgroup_generated)
+                   element_order, exponent, generate_group,
+                   intersect_subgroups, quotient_group, spec_ints, spec_prime,
+                   subgroup_generated)
 from .elements import MatMod, Perm, Residue
 from .errors import SpecError
-
-_UT_CACHE: dict = {}
 
 
 def _factor_prime_power(m: int):
@@ -40,20 +40,17 @@ def _factor_prime_power(m: int):
     raise SpecError("modulus must be >= 2")
 
 
-def build_unitriangular(n: int, m: int, cap=8192) -> FiniteGroup:
+@functools.cache
+def build_unitriangular(n: int, m: int) -> FiniteGroup:
     """U_n(Z/m): unipotent upper-triangular (n+1)x(n+1) matrices over Z/m,
     generated by the superdiagonal elementary matrices."""
-    key = (n, m)
-    if key in _UT_CACHE:
-        return _UT_CACHE[key]
     gens = []
     for i in range(n):
         e = np.eye(n + 1, dtype=np.int64)
         e[i, i + 1] = 1
         gens.append(MatMod(e, m))
-    G = generate_group(gens, cap=cap, name=f"U{n}(Z/{m})")
+    G = generate_group(gens, name=f"U{n}(Z/{m})")
     assert G.order == m ** (n * (n + 1) // 2)
-    _UT_CACHE[key] = G
     return G
 
 
@@ -97,15 +94,13 @@ def _matrix_id(E: FiniteGroup, entries, m: int) -> int:
     return element_index(E)[MatMod(entries, m)]
 
 
+@functools.cache
 def build_bar_extension(n: int, m: int) -> CentralExtension:
     """Central extension of U_n(Z/m) by the order-p subgroup of the corner.
 
     For m = p this is 0 -> R+ -> U_n(Z/p) -> Ubar_n(Z/p) -> 1 with the full
     corner as kernel; for m = p^e (e > 1) the kernel is p^(e-1) times the
     corner, which is the building block of the lower-central family."""
-    key = ("bar", n, m)
-    if key in _UT_CACHE:
-        return _UT_CACHE[key]
     p, e = _factor_prime_power(m)
     if n == 1 and e == 1:
         raise SpecError("the n=1 prime-modulus extension has a trivial quotient")
@@ -114,11 +109,7 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     corner_gen = np.eye(size, dtype=np.int64)
     corner_gen[0, n] = p ** (e - 1)
     corner_id = _matrix_id(E, corner_gen, m)
-    z_ids = [0]
-    cur = 0
-    for _ in range(p - 1):
-        cur = E.mul(cur, corner_id)
-        z_ids.append(cur)
+    z_ids = [E.power(corner_id, k) for k in range(p)]
     Zsub = subgroup_generated(E, [corner_id])
     assert Zsub.order == p
 
@@ -163,16 +154,10 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
         sup = np.eye(size, dtype=np.int64)
         sup[0, 1] = p ** (e - 1)
         w = _matrix_id(E, sup, m)
-    wq = lam.image[w]
-    emb = [0]
-    cur = 0
-    for _ in range(p - 1):
-        cur = Gbar.mul(cur, wq)
-        emb.append(cur)
+    emb = [Gbar.power(lam.image[w], k) for k in range(p)]
     ext.z_embed = GroupHom(Z, Gbar, np.asarray(emb, dtype=np.int32))
 
     ext.verify_family_witnesses()
-    _UT_CACHE[key] = ext
     return ext
 
 
@@ -198,15 +183,13 @@ def _row_col_gamma(ext: CentralExtension, kill: str) -> GroupHom:
     return GroupHom(Gbar, E, img)
 
 
+@functools.cache
 def build_mp3(p: int) -> CentralExtension:
     """M_{p^3}: the order-p^3, exponent-p^2 group with presentation
     r^(p^2) = s^p = 1, [r,s] = r^p, as the central extension
     0 -> Z/p -> M_{p^3} -> (Z/p)^2 -> 1 with r -> (1,0), s -> (0,1)."""
     if p < 3 or _factor_prime_power(p) != (p, 1):
         raise SpecError("p must be an odd prime")
-    key = ("mp3", p)
-    if key in _UT_CACHE:
-        return _UT_CACHE[key]
     q = p * p
     # affine permutations of Z/p^2: r = translation by 1, s = scaling by 1-p
     r = Perm([(x + 1) % q for x in range(q)])
@@ -216,7 +199,6 @@ def build_mp3(p: int) -> CentralExtension:
     r_id, s_id = E.generators
 
     # presentation relations
-    from .core import element_order, exponent
     assert element_order(E, r_id) == q and element_order(E, s_id) == p
     assert exponent(E) == q
     rp = E.power(r_id, p)
@@ -241,7 +223,6 @@ def build_mp3(p: int) -> CentralExtension:
             coords[x] = (a, b)
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
                            label=f"mp3({p})")
-    ext._coords = coords
 
     # assumption (I): (Z/p)^2 embeds back into M_{p^3} via
     # (1,0) -> r^p, (0,1) -> s r^p
@@ -254,15 +235,9 @@ def build_mp3(p: int) -> CentralExtension:
     ext.gammas = [gamma]
 
     # assumption (II): Z/p -> (Z/p)^2 along the first coordinate
-    rq = int(lam.image[r_id])
-    emb = [0]
-    cur = 0
-    for _ in range(p - 1):
-        cur = Gbar.mul(cur, rq)
-        emb.append(cur)
+    emb = [Gbar.power(lam.image[r_id], k) for k in range(p)]
     ext.z_embed = GroupHom(Z, Gbar, np.asarray(emb, dtype=np.int32))
     ext.verify_family_witnesses()
-    _UT_CACHE[key] = ext
     return ext
 
 

@@ -191,10 +191,16 @@ def test_criterion_5_cohomology_identities():
     bock_classes = {s.coords(bockstein(Cochain1(
         V, (c1 * h1(V, 3)[0].values + c2 * h1(V, 3)[1].values) % 3,
         3))).tobytes() for c1 in range(3) for c2 in range(3)}
+    # coordinates on (Z/3)^2: the class of r^a t^b is (a, b)
+    r, t = mp3.E.generators
+    mp3_coords = np.zeros((mp3.Gbar.order, 2), dtype=np.int64)
+    for a, b in itertools.product(range(3), repeat=2):
+        mp3_coords[mp3.lam(mp3.E.mul(mp3.E.power(r, a),
+                                     mp3.E.power(t, b)))] = (a, b)
     n_b = n_c = 0
     for rho in enumerate_homs(V, mp3.Gbar).homs:
-        r1 = Cochain1(V, mp3._coords[rho.image, 0], 3)
-        r2 = Cochain1(V, mp3._coords[rho.image, 1], 3)
+        r1 = Cochain1(V, mp3_coords[rho.image, 0], 3)
+        r2 = Cochain1(V, mp3_coords[rho.image, 1], 3)
         c = pullback(alpha_mp3, rho)
         if rho.is_surjective():
             n_b += 1

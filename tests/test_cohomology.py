@@ -157,6 +157,74 @@ def test_h1_counts_and_values():
                                   (ch.values[:, None] + ch.values[None, :]) % p)
 
 
+def greedy_h1(G, p):
+    """Reference: cohomology.h1 before its one nullspace.  The characters
+    dual to the greedy basis of the elementary abelianization, in id
+    order, by enumerating every combination of the picks."""
+    D = pc.power_commutator_subgroup(G, G.whole(), p)
+    Q, proj = pc.quotient_group(G, D)
+    basis_ids = []
+    closure = {0}
+    for x in range(1, Q.order):
+        if x not in closure:
+            basis_ids.append(x)
+            closure = set(int(t) for t in
+                          pc.subgroup_generated(Q, basis_ids).members)
+    d = len(basis_ids)
+    assert p ** d == Q.order
+    coords = np.zeros((Q.order, d), dtype=np.int64)
+    ids = [0]
+    vecs = [np.zeros(d, dtype=np.int64)]
+    for j, b in enumerate(basis_ids):
+        new_ids, new_vecs = [], []
+        for e, v in zip(ids, vecs):
+            cur = e
+            for c in range(p):
+                w = v.copy()
+                w[j] = c
+                new_ids.append(cur)
+                new_vecs.append(w)
+                cur = Q.mul(cur, b)
+        ids, vecs = new_ids, new_vecs
+    assert len(set(ids)) == Q.order
+    for e, v in zip(ids, vecs):
+        coords[e] = v
+    return [coords[proj.image, j] for j in range(d)]
+
+
+def test_h1_matches_greedy_dual_basis():
+    """Every catalog group, and its lower p-central and Zassenhaus terms 2
+    and 3 as subgroups and as quotients, at p and at one other prime; each
+    distinct (group, prime) pair once.  Then groups on redundant
+    generators, where the nullspace over the generator values is not
+    already in rref (D4 whose first generator (0 2) is r^2 s)."""
+    cases = []
+    for name, G, p in catalog_instances():
+        groups = [G]
+        for chain in (pc.lower_p_central(G, p, 3), pc.zassenhaus(G, p, 3)):
+            for N in chain.terms[1:3]:
+                groups.append(pc.subgroup_as_group(G, N)[0])
+                groups.append(pc.quotient_group(G, N)[0])
+        other = 3 if p == 2 else 2
+        cases += [(name, H, q) for H in groups for q in (p, other)]
+    cases += EXTRA_GROUPS + [
+        ("D4 on three generators",
+         perm_group(4, [(0, 1, 2, 3)], [(1, 3)], [(0, 2)]), 2),
+        ("D4 on (0 2), r, s",
+         perm_group(4, [(0, 2)], [(0, 1, 2, 3)], [(1, 3)]), 2)]
+    seen = set()
+    for name, H, q in cases:
+        if (H.key, q) in seen:
+            continue
+        seen.add((H.key, q))
+        got = [c.values for c in h1(H, q)]
+        want = greedy_h1(H, q)
+        assert len(got) == len(want), (name, H.order, q)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (name, H.order, q)
+    assert len(seen) == 86
+
+
 # ---------------------------------------------------------------------
 # cocycles and coboundaries
 # ---------------------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import (derived_subgroup, element_index, element_order,
-                         group_from_json, group_from_table, memo, word_images)
+from pcohom.catalog import catalog_instances
+from pcohom.core import (_bfs, derived_subgroup, element_index, element_order,
+                         group_from_json, group_from_table, memo,
+                         subgroup_as_group, word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, MixedElementKinds,
                            NonNormalArguments, NotNormal)
@@ -52,12 +54,6 @@ def test_group_axioms_hold_on_samples():
 
 
 def test_bfs_words_evaluate_to_their_element():
-    G = pc.builtin_group("D4")
-    for x in range(G.order):
-        acc = 0
-        for gi in G.words[x]:
-            acc = G.mul(acc, G.generators[gi])
-        assert acc == x
     # the vectorized evaluator sends every BFS word to its own element
     for nm in ["Z/1", "Z/8", "D4", "Q8", "E:3:2", "Heis:3", "Mp3:3",
                "Meta:3", "U:3:2", "D4xZ/2"]:
@@ -288,3 +284,162 @@ def test_element_index():
     idx = element_index(G)
     for i, e in enumerate(G.elements):
         assert idx[e] == i
+
+
+# ---------------------------------------------------------------------
+# the one table BFS against the loops it replaced
+# ---------------------------------------------------------------------
+
+def queue_bfs(table, gen_positions):
+    """Reference: the queue loop group_from_table ran before core._bfs.
+    Returns (old_of, pred, relabel)."""
+    table = np.asarray(table, dtype=np.int32)
+    n = table.shape[0]
+    gen_positions = [int(g) for g in gen_positions if g != 0]
+    gen_positions = [g for i, g in enumerate(gen_positions)
+                     if g not in gen_positions[:i]]
+    relabel = np.full(n, -1, dtype=np.int32)
+    relabel[0] = 0
+    old_of = [0]
+    pred = [(-1, -1)]
+    i = 0
+    while i < len(old_of):
+        x = old_of[i]
+        for gi, s in enumerate(gen_positions):
+            y = int(table[x, s])
+            if relabel[y] < 0:
+                relabel[y] = len(old_of)
+                old_of.append(y)
+                pred.append((i, gi))
+        i += 1
+    return (np.asarray(old_of, dtype=np.int32),
+            np.asarray(pred, dtype=np.int32), relabel)
+
+
+def queue_partial_bfs(G, j):
+    """Reference: the per-element homsearch._partial_bfs before core._bfs."""
+    pos = {0: 0}
+    elems = [0]
+    pred = [(-1, -1)]
+    i = 0
+    while i < len(elems):
+        for gi in range(j):
+            y = int(G.mult_gen[elems[i], gi])
+            if y not in pos:
+                pos[y] = len(elems)
+                elems.append(y)
+                pred.append((i, gi))
+        i += 1
+    tgt = np.asarray([[pos[int(G.mult_gen[e, s])] for s in range(j)]
+                      for e in elems], dtype=np.int32)
+    return (np.asarray(elems, dtype=np.int32),
+            np.asarray(pred, dtype=np.int32), tgt)
+
+
+def frontier_closure_ids(table, seed):
+    """Reference: the frontier loop of core._closure_ids."""
+    seed = np.unique(np.asarray(list(seed) + [0], dtype=np.int32))
+    members = {0}
+    frontier = np.asarray([0], dtype=np.int32)
+    while frontier.size:
+        prod = np.unique(table[np.ix_(frontier, seed)])
+        new = np.asarray([x for x in prod if int(x) not in members],
+                         dtype=np.int32)
+        members.update(int(x) for x in new)
+        frontier = new
+    return np.asarray(sorted(members), dtype=np.int32)
+
+
+def fixpoint_normal_closure(G, seed):
+    """Reference: the fixpoint loop of core.normal_closure."""
+    seed = set(int(x) for x in seed) | {0}
+    while True:
+        members = frontier_closure_ids(G.mult, seed)
+        conj = G.mult[G.mult[:, members], G.inv[:, None]]
+        allc = set(int(x) for x in np.unique(conj))
+        if allc <= set(int(x) for x in members):
+            return members
+        seed = allc
+
+
+def greedy_generators(table):
+    """Reference: the greedy loop of core.subgroup_as_group."""
+    gens = []
+    closure = {0}
+    for pos in range(1, len(table)):
+        if pos not in closure:
+            gens.append(pos)
+            closure = set(int(x) for x in frontier_closure_ids(table, gens))
+            if len(closure) == len(table):
+                break
+    return gens
+
+
+def relabelled(G, rng):
+    """G's table under a seeded permutation of the ids fixing 0, with its
+    generators' new positions."""
+    perm = np.concatenate([[0], 1 + rng.permutation(G.order - 1)])
+    inv_perm = np.argsort(perm)
+    return (inv_perm[G.mult[np.ix_(perm, perm)]],
+            [int(inv_perm[g]) for g in G.generators])
+
+
+def bfs_cases():
+    """Every catalog group, and one seeded relabelling of each table
+    (rebuilt as a group) searched from shuffled generator positions with 0
+    and a duplicate thrown in."""
+    rng = np.random.default_rng(20260824)
+    for name, G, _ in catalog_instances():
+        table, gens = relabelled(G, rng)
+        yield name, G.mult, list(G.generators)
+        shuffled = [gens[i] for i in rng.permutation(len(gens))]
+        yield f"{name}~", table, [0] + shuffled + shuffled[:1]
+
+
+def test_bfs_matches_queue_loops_on_catalog_tables():
+    n_cases = 0
+    for name, table, gens in bfs_cases():
+        old_of, pred, relabel = queue_bfs(table, gens)
+        H, new_relabel = group_from_table(table, gens)
+        order, new_pred = _bfs(table, list(dict.fromkeys(
+            g for g in gens if g != 0)))
+        assert np.array_equal(order, old_of), name
+        assert np.array_equal(new_pred, pred) and new_pred.dtype == np.int32
+        assert np.array_equal(new_relabel, relabel), name
+        assert np.array_equal(H.pred, pred), name
+        for j in range(len(H.generators) + 1):
+            want = queue_partial_bfs(H, j)
+            got = _partial_bfs(H, j)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b) and a.dtype == b.dtype, (name, j)
+        n_cases += 1
+    assert n_cases == 82
+
+
+def test_closures_match_frontier_and_fixpoint_loops():
+    rng = np.random.default_rng(4242)
+    for name, table, gens in bfs_cases():
+        G, _ = group_from_table(table, gens)
+        n = G.order
+        seeds = [[], [0], [0, 0]]
+        for size in (1, 2, 3):
+            s = [int(x) for x in rng.integers(n, size=size)]
+            seeds += [s, s + s[:1] + [0]]
+        for seed in seeds:
+            H = pc.subgroup_generated(G, seed)
+            assert np.array_equal(H.members,
+                                  frontier_closure_ids(G.mult, seed)), name
+            N = pc.normal_closure(G, seed)
+            assert np.array_equal(N.members,
+                                  fixpoint_normal_closure(G, seed)), name
+            # the materialized subgroup uses the parent's greedy generators
+            for S in (H, N):
+                m = S.members
+                idx = np.full(n, -1, dtype=np.int32)
+                idx[m] = np.arange(len(m))
+                table = idx[G.mult[np.ix_(m, m)]]
+                K, embed = subgroup_as_group(G, S)
+                ref, relabel = group_from_table(table,
+                                                greedy_generators(table))
+                assert K.key == ref.key and np.array_equal(K.pred, ref.pred)
+                assert np.array_equal(embed[relabel], m), name
