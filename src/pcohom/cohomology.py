@@ -24,7 +24,8 @@ from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
                    _respects_generator_edges, builtin_group, memo,
                    power_commutator_subgroup, subgroup_as_group, word_images)
-from .errors import EdgeCheckFailed, GroupTooLarge, NotInvariant, SpecError
+from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
+                     NotInvariant, SolveRoundTripFailed, SpecError)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs
 from .unitriangular import CentralExtension
 
@@ -202,7 +203,8 @@ class H2Space:
     _reps: np.ndarray      # positions of the basis representatives in _span
 
     def coords(self, c: Cocycle2):
-        assert c.group.key == self.group.key
+        if c.group.key != self.group.key:
+            raise MixedParents("cocycle is not on this H^2 space's group")
         return self.column_coords(_generator_columns(self.group, c.values))
 
     def column_coords(self, u):
@@ -234,21 +236,27 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     generator columns, is the nullspace basis of `_cocycle_constraints`
     that is the identity on the free columns (`gf.nullspace`); the
     representatives are the cand rows that grow the B^2 span, taken in
-    order."""
+    order.
+
+    One Span is factored over the B^2 basis rows followed by cand, and
+    grew[k] (cand[k] grew the span) is read off its transform as
+    trans[:, len(bmat) + k] != 0.  Lemma: trans restricted to the columns
+    of the vectors that grew is invertible (it maps a basis, those
+    vectors, onto another, the rref rows), so such a column is nonzero,
+    and the other columns are zero by construction."""
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
     cand = gf.nullspace(_cocycle_constraints(G, p), p)
-    # cand is a basis of Z^2; complete the B^2 basis with the rows that grow it
     bmat = _coboundary_span(G, p).basis()
-    span = gf.Span(cand.shape[1], p, bmat)
-    grew = np.array([span.add(u) for u in cand], dtype=bool)
+    span = gf.Span(cand.shape[1], p, np.concatenate([bmat, cand]))
+    grew = span.trans[:, len(bmat):].any(axis=0)
     basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in cand[grew]]
     space = H2Space(G, p, len(basis), basis, span,
                     len(bmat) + np.flatnonzero(grew))
     # solver round-trip on the basis
-    for i, b in enumerate(basis):
-        e = space.coords(b)
-        assert e[i] == 1 and not np.any(np.delete(e, i))
+    if not np.array_equal(space.column_coords(cand[grew]),
+                          np.eye(len(basis), dtype=np.int64)):
+        raise SolveRoundTripFailed("H^2 basis does not solve to the identity")
     return space
 
 
@@ -357,7 +365,8 @@ def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
 
 
 def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:
-    assert rho.codomain.key == alpha.group.key
+    if rho.codomain.key != alpha.group.key:
+        raise MixedParents("hom codomain is not the cocycle's group")
     vals = alpha.values[np.ix_(rho.image, rho.image)]
     return Cocycle2(rho.domain, vals, alpha.p)
 

@@ -93,7 +93,9 @@ class FiniteGroup:
         return int(_powers(self, [a], int(m) % element_order(self, a))[0])
 
     def whole(self):
-        return Subgroup(self, np.arange(self.order, dtype=np.int32))
+        # every id of a verified group is in it: nothing to check
+        return Subgroup(self, np.arange(self.order, dtype=np.int32),
+                        check=False)
 
     def trivial_subgroup(self):
         return Subgroup(self, np.zeros(1, dtype=np.int32))
@@ -328,8 +330,13 @@ class Subgroup:
 
 @memo
 def _is_normal(G: FiniteGroup, H: Subgroup) -> bool:
-    p = G.mult[:, H.members]                    # g * m
-    conj = G.mult[p, G.inv[:, None]]            # g * m * g^-1
+    """Is s^-1 H s inside H for every generator s?
+
+    Lemma: that suffices.  H is finite, so s^-1 H s <= H means
+    s^-1 H s = H, and every g is a positive word in the generators (an
+    inverse is a power), so g^-1 H g = H by induction on the word."""
+    gens = np.asarray(G.generators, dtype=np.intp)
+    conj = G.mult[G.mult[G.inv[gens, None], H.members], gens[:, None]]
     return set(np.unique(conj)) <= H._set
 
 
@@ -369,13 +376,19 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def power_commutator_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
-    """Subgroup generated by {a^m : a in A} and [g,a] for g in G, a in A."""
+    """Subgroup generated by {a^m : a in A} and [g,a] for g in G, a in A.
+
+    Lemma: the commutators [s, a] with s a generator suffice.  Let D be
+    generated by the a^m and the [s, a]; D <= A, as A is normal.  From
+    [gt, a] = [g, a]^t [t, a] and w^t = w [t, w]^-1, with w = [g, a] in D
+    and t a generator, [gt, a] is in D whenever [g, a] is, so every
+    [g, a] is in D by induction on the positive word of g."""
     if not A.is_normal():
         raise NonNormalArguments("power-commutator needs a normal argument")
     a = A.members
-    g = np.arange(G.order, dtype=np.int32)
-    x = G.mult[np.ix_(G.inv[g], G.inv[a])]
-    y = G.mult[np.ix_(g, a)]
+    s = np.asarray(G.generators, dtype=np.intp)
+    x = G.mult[np.ix_(G.inv[s], G.inv[a])]
+    y = G.mult[np.ix_(s, a)]
     comms = np.unique(G.mult[x, y])
     return subgroup_generated(G, np.concatenate([_powers(G, a, m), comms]))
 

@@ -43,6 +43,11 @@ class TransgressionSolveFailed(Exception):
     pass
 
 
+class SolveRoundTripFailed(Exception):
+    """A factored solver did not return the coordinates of the basis it
+    was built from."""
+
+
 class WordTooShort(Exception):
     pass
 

@@ -6,11 +6,15 @@ Matrices are dense numpy int64 arrays with entries reduced mod p.  ``rref``,
 queried many times (membership, coordinates, solutions) is factored once
 into a ``Span``, the one factored-solve object, and each query is then a
 single product against its kept rref rows and transform.
+
+Each elimination touches only what it changes: ``rref`` drops the zero
+rows and, at each pivot, updates only the rows that are nonzero in the
+pivot column, from that column on.  ``Span`` factors its initial vectors
+in one elimination, and ``Span.add`` extends it by one vector or by a
+matrix of them the same way.
 """
 
 from __future__ import annotations
-
-import bisect
 
 import numpy as np
 
@@ -24,26 +28,34 @@ def rref(a, p):
 
     Returns (R, pivots) where R contains only the nonzero rows and
     pivots[i] is the pivot column of row i.
-    """
+
+    The all-zero rows are dropped first, and each pivot step touches only
+    the entries it changes: the pivot row is scaled from the pivot column
+    on, and only the rows that are nonzero in the pivot column are
+    updated, from the pivot column on (left of it the pivot row is zero).
+    The rref of a matrix is unique, so R and pivots are those of a full
+    elimination."""
     a = np.array(a, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("rref expects a 2-d array")
+    a = a[a.any(axis=1)]
     nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv_mod(a[r, c], p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        a[r, c:] = (a[r, c:] * _inv_mod(a[r, c], p)) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -74,7 +86,9 @@ class Span:
     It holds the row space of the vectors added so far (``added``, in
     order) as rref ``rows`` with pivot columns ``pivots``, plus the
     transform ``trans`` with rows == trans @ added (mod p).  Column k of
-    ``trans`` is zero when added[k] did not grow the span.  Every query is
+    ``trans`` is nonzero exactly when added[k] grew the span: on those
+    columns ``trans`` is invertible, as it maps one basis of the span onto
+    another, and the other columns are zero.  Every query is
     then one product against the kept factors: a vector v reduces to
     v - v[pivots] @ rows, because each rref row is zero at the other
     pivots.
@@ -85,8 +99,9 @@ class Span:
         self.rows = np.zeros((0, ncols), dtype=np.int64)
         self.pivots: list[int] = []
         self.trans = np.zeros((0, 0), dtype=np.int64)
-        for v in vectors:
-            self.add(v)
+        vectors = np.asarray(vectors, dtype=np.int64)
+        if len(vectors):
+            self.add(vectors)
 
     @property
     def dim(self) -> int:
@@ -101,31 +116,43 @@ class Span:
     def contains(self, v) -> bool:
         return not np.any(self.reduce(v))
 
-    def add(self, v) -> bool:
-        """Add v to the span; returns True if the dimension grew."""
+    def add(self, v):
+        """Add v to the span; returns True if the dimension grew.
+
+        v may also be a matrix of row vectors, added in order in one
+        elimination; then the result is a bool array, True at each row
+        that grew the span of the vectors before it.  The rows that grow
+        are the pivot columns of rref(w.T), w the rows reduced against the
+        span (w[j] is independent of w[:j] iff v[j] is independent of the
+        span and v[:j]).  One rref of [w[grow] | x], x their coefficients
+        over the added vectors, then gives their rref rows and transform,
+        which are back-substituted into the kept rows and merged by pivot.
+        rows and the transform on the vectors that grew are unique, so the
+        state is the one adding the rows one at a time would leave."""
         p = self.p
         v = np.asarray(v, dtype=np.int64) % p
-        coef = v[self.pivots]
-        r = (v - coef @ self.rows) % p
-        self.trans = np.pad(self.trans, ((0, 0), (0, 1)))
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        t = (-coef @ self.trans) % p        # r == t @ added once t[-1] = 1
-        t[-1] = 1
-        inv = _inv_mod(r[c], p)
-        r, t = (r * inv) % p, (t * inv) % p
-        # back-substitute into existing rows to keep rref shape
-        col = self.rows[:, c].copy()
-        self.rows = (self.rows - np.outer(col, r)) % p
-        self.trans = (self.trans - np.outer(col, t)) % p
-        # insert keeping pivot columns sorted
-        pos = bisect.bisect(self.pivots, c)
-        self.rows = np.insert(self.rows, pos, r, axis=0)
-        self.trans = np.insert(self.trans, pos, t, axis=0)
-        self.pivots.insert(pos, c)
-        return True
+        w = np.atleast_2d(v)
+        m, k = self.trans.shape[1], len(w)
+        coef = w[:, self.pivots]
+        w = (w - coef @ self.rows) % p
+        grow = rref(w.T, p)[1]
+        x = np.zeros((len(grow), m + k), dtype=np.int64)
+        x[:, :m] = (-coef[grow] @ self.trans) % p
+        x[np.arange(len(grow)), m + np.asarray(grow, dtype=np.intp)] = 1
+        r, new = rref(np.concatenate([w[grow], x], axis=1), p)
+        ncols = self.rows.shape[1]
+        col = self.rows[:, new]
+        rows = np.concatenate([(self.rows - col @ r[:, :ncols]) % p,
+                               r[:, :ncols]])
+        trans = np.concatenate([
+            (np.pad(self.trans, ((0, 0), (0, k))) - col @ r[:, ncols:]) % p,
+            r[:, ncols:]])
+        order = np.argsort(self.pivots + new)
+        self.rows, self.trans = rows[order], trans[order]
+        self.pivots = sorted(self.pivots + new)
+        grew = np.zeros(k, dtype=bool)
+        grew[grow] = True
+        return bool(grew[0]) if v.ndim == 1 else grew
 
     def basis(self):
         return self.rows.copy()

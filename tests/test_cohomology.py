@@ -6,14 +6,15 @@ import pytest
 import pcohom as pc
 from pcohom import gf
 from pcohom.catalog import catalog_instances
-from pcohom.cohomology import (Cochain1, Cocycle2, _cocycle_constraints,
-                               _constraint_violations, _expand_from_columns,
-                               bockstein, classifying_cocycle,
-                               conj_invariant_h1, cup, h1, h2_space,
-                               is_coboundary, massey_pullback_set, pullback,
-                               transgression)
+from pcohom.cohomology import (Cochain1, Cocycle2, H2Space,
+                               _cocycle_constraints, _constraint_violations,
+                               _expand_from_columns, bockstein,
+                               classifying_cocycle, conj_invariant_h1, cup,
+                               h1, h2_space, is_coboundary,
+                               massey_pullback_set, pullback, transgression)
 from pcohom.elements import Residue, perm_from_cycles
-from pcohom.errors import EdgeCheckFailed, NotInvariant
+from pcohom.errors import (EdgeCheckFailed, MixedParents, NotInvariant,
+                           SolveRoundTripFailed)
 
 
 def coboundary_table(G, f, p):
@@ -261,6 +262,23 @@ def test_cocycle_identity_is_enforced():
     bad[2, 3] = 1     # arbitrary junk: not a cocycle
     with pytest.raises(EdgeCheckFailed):
         Cocycle2(G, bad, 2)
+
+
+def test_mixed_groups_are_rejected():
+    Z4, Z2 = pc.builtin_group("Z/4"), pc.builtin_group("Z/2")
+    c = Cocycle2(Z2, np.zeros((2, 2), dtype=np.int64), 2)
+    with pytest.raises(MixedParents):
+        h2_space(Z4, 2).coords(c)
+    with pytest.raises(MixedParents):
+        pullback(c, pc.GroupHom(Z4, Z4, np.arange(4)))
+
+
+def test_h2_round_trip_mismatch_raises(monkeypatch):
+    G = pc.builtin_group("E:2:2")
+    monkeypatch.setattr(H2Space, "column_coords",
+                        lambda self, u: np.zeros((len(u), self.dim)))
+    with pytest.raises(SolveRoundTripFailed):
+        h2_space.__wrapped__(G, 2)
 
 
 # ---------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 
 import pcohom as pc
 from pcohom.catalog import catalog_instances
-from pcohom.core import (_bfs, derived_subgroup, element_index, element_order,
-                         group_from_json, group_from_table, memo,
-                         subgroup_as_group, word_images)
+from pcohom.core import (_bfs, _is_normal, _powers, derived_subgroup,
+                         element_index, element_order, group_from_json,
+                         group_from_table, memo, subgroup_as_group,
+                         word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, MixedElementKinds,
                            NonNormalArguments, NotNormal)
@@ -443,3 +444,55 @@ def test_closures_match_frontier_and_fixpoint_loops():
                                                 greedy_generators(table))
                 assert K.key == ref.key and np.array_equal(K.pred, ref.pred)
                 assert np.array_equal(embed[relabel], m), name
+
+
+# ---------------------------------------------------------------------
+# normality and G^m[G, A] from the generators, against all-pairs loops
+# ---------------------------------------------------------------------
+
+def all_pairs_is_normal(G, H):
+    """Reference: core._is_normal before it conjugated by the generators
+    only; g m g^-1 for every g in G and m in H."""
+    conj = G.mult[G.mult[:, H.members], G.inv[:, None]]
+    return set(int(x) for x in np.unique(conj)) <= \
+        set(int(x) for x in H.members)
+
+
+def all_pairs_power_commutator(G, A, m):
+    """Reference: core.power_commutator_subgroup before it took the
+    commutators [s, a] at the generators s only; every [g, a]."""
+    a = A.members
+    g = np.arange(G.order, dtype=np.int32)
+    x = G.mult[np.ix_(G.inv[g], G.inv[a])]
+    y = G.mult[np.ix_(g, a)]
+    comms = np.unique(G.mult[x, y])
+    return pc.subgroup_generated(G, np.concatenate([_powers(G, a, m), comms]))
+
+
+def test_whole_group_is_a_checked_subgroup():
+    for name, G, _ in catalog_instances():
+        assert G.whole() == pc.Subgroup(G, np.arange(G.order)), name
+
+
+def test_generator_routines_match_all_pairs_loops():
+    """Every catalog group with its whole and trivial subgroups and its
+    lower p-central and Zassenhaus terms 2-3, through both routines; then
+    every cyclic subgroup through _is_normal, most of them not normal."""
+    n_cases = n_not_normal = 0
+    for name, G, p in catalog_instances():
+        subs = [G.whole(), G.trivial_subgroup()]
+        for chain in (pc.lower_p_central(G, p, 3), pc.zassenhaus(G, p, 3)):
+            subs += chain.terms[1:3]
+        for A in subs:
+            assert _is_normal(G, A) and all_pairs_is_normal(G, A), name
+            for m in (p, 1, 0):
+                got = pc.power_commutator_subgroup(G, A, m)
+                assert got == all_pairs_power_commutator(G, A, m), (name, m)
+            n_cases += 2
+        for x in range(G.order):
+            H = pc.subgroup_generated(G, [x])
+            want = all_pairs_is_normal(G, H)
+            assert _is_normal(G, H) == want, (name, x)
+            n_cases += 1
+            n_not_normal += not want
+    assert n_cases == 1795 and n_not_normal == 816

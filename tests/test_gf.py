@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcohom import gf
+from pcohom.catalog import catalog_instances
+from pcohom.cohomology import (_coboundary_matrix, _cocycle_constraints,
+                               h2_space)
 
 PRIMES = [2, 3, 5, 7]
 
@@ -166,3 +169,166 @@ def test_span_rejects_dependent_vector():
     assert np.array_equal(span.solve([1, 0, 1]), [1, 1, 0])
     assert np.array_equal(span.trans @ np.array([[1, 1, 0], [0, 1, 1],
                                                  [1, 0, 1]]) % 2, span.rows)
+
+
+# ---------------------------------------------------------------------
+# touched-entry elimination against the parent's full updates
+# ---------------------------------------------------------------------
+
+def full_rref(a, p):
+    """Reference: gf.rref before it touched only the entries it changes;
+    the whole matrix is updated at every pivot."""
+    a = np.array(a, dtype=np.int64) % p
+    nrows, ncols = a.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+class LoopSpan:
+    """Reference: gf.Span before it factored its initial vectors in one
+    elimination; each vector is added by itself, padding the transform,
+    back-substituting and inserting one row."""
+
+    def __init__(self, ncols, p, vectors=()):
+        self.p = p
+        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.pivots = []
+        self.trans = np.zeros((0, 0), dtype=np.int64)
+        self.grew = [self.add(v) for v in vectors]
+
+    def add(self, v):
+        p = self.p
+        v = np.asarray(v, dtype=np.int64) % p
+        coef = v[self.pivots]
+        r = (v - coef @ self.rows) % p
+        self.trans = np.pad(self.trans, ((0, 0), (0, 1)))
+        nz = np.nonzero(r)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        t = (-coef @ self.trans) % p
+        t[-1] = 1
+        inv = pow(int(r[c]), p - 2, p)
+        r, t = (r * inv) % p, (t * inv) % p
+        col = self.rows[:, c].copy()
+        self.rows = (self.rows - np.outer(col, r)) % p
+        self.trans = (self.trans - np.outer(col, t)) % p
+        pos = int(np.searchsorted(self.pivots, c))
+        self.rows = np.insert(self.rows, pos, r, axis=0)
+        self.trans = np.insert(self.trans, pos, t, axis=0)
+        self.pivots.insert(pos, c)
+        return True
+
+
+def assert_same_span(got, want):
+    assert got.pivots == want.pivots
+    for a, b in ((got.rows, want.rows), (got.trans, want.trans)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def shaped_matrix(rng, rows, cols, p):
+    """A random matrix mod p, half the time of low rank, with zero rows
+    and repeats of earlier rows spliced in."""
+    if rng.random() < 0.5:
+        k = int(rng.integers(0, min(rows, cols) + 1))
+        a = (rand_matrix(rng, rows, k, p) @ rand_matrix(rng, k, cols, p)) % p
+    else:
+        a = rand_matrix(rng, rows, cols, p)
+    for i in range(rows):
+        u = rng.random()
+        if u < 0.15:
+            a[i] = 0
+        elif u < 0.3 and i:
+            a[i] = a[rng.integers(i)]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+       st.integers(0, 9), st.integers(0, 9))
+def test_rref_matches_full_update_reference(seed, p, rows, cols):
+    a = shaped_matrix(np.random.default_rng(seed), rows, cols, p)
+    r, piv = gf.rref(a, p)
+    want_r, want_piv = full_rref(a, p)
+    assert piv == want_piv
+    assert r.dtype == want_r.dtype and r.shape == want_r.shape
+    assert np.array_equal(r, want_r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+       st.integers(0, 8), st.integers(0, 6), st.integers(0, 4))
+def test_span_matches_add_loop_reference(seed, p, rows, cols, more):
+    """The one-elimination constructor and a batch add leave the state of
+    the add loop; so does each single add after them."""
+    rng = np.random.default_rng(seed)
+    v = shaped_matrix(rng, rows, cols, p)
+    want = LoopSpan(cols, p, v)
+    for vectors in (v, list(v)):
+        assert_same_span(gf.Span(cols, p, vectors), want)
+    span = gf.Span(cols, p, v)
+    w = np.concatenate([shaped_matrix(rng, more, cols, p), v[:1]])
+    grew = span.add(w)
+    assert grew.dtype == bool
+    assert list(grew) == [want.add(u) for u in w]
+    assert_same_span(span, want)
+    for u in shaped_matrix(rng, 3, cols, p):
+        assert span.add(u) is want.add(u)
+        assert_same_span(span, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+       st.integers(0, 8), st.integers(0, 6))
+def test_trans_columns_mark_the_vectors_that_grew(seed, p, rows, cols):
+    """trans restricted to the vectors that grew the span is invertible,
+    so its column k is nonzero exactly when added[k] grew the span."""
+    v = shaped_matrix(np.random.default_rng(seed), rows, cols, p)
+    grew = LoopSpan(cols, p, v).grew
+    span = gf.Span(cols, p, v)
+    assert list(span.trans.any(axis=0)) == grew
+    assert list(gf.Span(cols, p).add(v)) == grew
+    t = span.trans[:, grew]
+    assert gf.rank(t, p) == t.shape[0] == t.shape[1]
+
+
+def test_references_agree_on_cohomology_systems():
+    """The Z^2 constraint rref, the B^2 span and the span H^2 reads grew
+    off, for every catalog group of order at most 32."""
+    n_groups = 0
+    for name, G, p in catalog_instances():
+        if G.order > 32:
+            continue
+        cons = _cocycle_constraints(G, p)
+        r, piv = gf.rref(cons, p)
+        want_r, want_piv = full_rref(cons, p)
+        assert piv == want_piv and np.array_equal(r, want_r), name
+        ncols = cons.shape[1]
+        bspan = gf.Span(ncols, p, _coboundary_matrix(G).T)
+        assert_same_span(bspan, LoopSpan(ncols, p, _coboundary_matrix(G).T))
+        space = h2_space(G, p)
+        bmat = bspan.basis()
+        cand = gf.nullspace(cons, p)
+        want = LoopSpan(ncols, p, np.concatenate([bmat, cand]))
+        assert_same_span(space._span, want)
+        assert list(space._reps) == list(
+            np.flatnonzero(want.grew[len(bmat):]) + len(bmat)), name
+        n_groups += 1
+    assert n_groups == 33
