@@ -7,11 +7,14 @@ fact used throughout: a normalized 2-cocycle is determined by its
     f(g, h*s) = f(g, h) + f(g*h, s) - f(h, s),
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
-F_p, and coboundary tests are membership queries against the B^2 span,
-factored once per group and prime.  The system needs the cocycle
-identities only at g a generator (lemma at `_cocycle_constraints`), and
-those identities are the complete cocycle check every Cocycle2 runs
-(lemma at `_constraint_violations`).
+F_p.  The system needs the cocycle identities only at g a generator
+(lemma at `_cocycle_constraints`), and those identities are the complete
+cocycle check every Cocycle2 runs (lemma at `_constraint_violations`).
+
+Coboundary questions are asked in the BFS-tree gauge: every cocycle is
+cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
+coboundaries left in that gauge are the row space of an ngens-row matrix
+D (`_tree_coboundaries`), whose left nullspace also gives H^1.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .core import (FiniteGroup, GroupHom, Subgroup,
                    _respects_generator_edges, builtin_group, memo,
                    power_commutator_subgroup, subgroup_as_group, word_images)
 from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
-                     NotInvariant, SolveRoundTripFailed, SpecError)
+                     NotInvariant, SectionDefectOutsideKernel,
+                     SolveRoundTripFailed, SpecError)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs
 from .unitriangular import CentralExtension
 
@@ -86,37 +90,64 @@ class Cocycle2:
 
 
 # ---------------------------------------------------------------------
-# Coboundary linear algebra on generator columns
+# Coboundary linear algebra on generator columns, in the BFS-tree gauge
 # ---------------------------------------------------------------------
-
-def _coboundary_matrix(G: FiniteGroup):
-    """Matrix A with rows indexed by (g, generator index) and columns by
-    y in {1..n-1}, where (d c)(g, s) = c[g] + c[s] - c[g s]."""
-    n = G.order
-    ngens = len(G.generators)
-    B = np.zeros((n, n, ngens), dtype=np.int64)
-    B[np.arange(n), np.arange(n), :] += 1
-    for i, s in enumerate(G.generators):
-        B[s, :, i] += 1
-    B[G.mult_gen, np.arange(n)[:, None], np.arange(ngens)[None, :]] -= 1
-    return B[1:].reshape(n - 1, n * ngens).T   # rows (g,i), cols y=1..n-1
-
-
-@memo
-def _coboundary_span(G: FiniteGroup, p: int) -> gf.Span:
-    """B^2 in generator-column coordinates: the span of the coboundaries
-    of the delta functions at y = 1..n-1, added in that order."""
-    return gf.Span(G.order * len(G.generators), p, _coboundary_matrix(G).T)
-
 
 def _generator_columns(G: FiniteGroup, table: np.ndarray):
     return table[:, G.generators].reshape(G.order * len(G.generators))
 
 
+def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
+    """u - dc for generator columns u (one vector, or a matrix with one
+    per row), where c(1) = 0 and c(x) = c(d) - u(d, s) along the BFS edge
+    G.pred[x] = (d, s).  c is computed a BFS level at a time: ids are in
+    BFS order and pred[:, 0] is nondecreasing (`core._verify_tables`), so
+    each level is the id range whose parents lie in the levels before.
+
+    Lemma: for normalized u, u - dc is 0 on every tree edge (d, s).  Each
+    generator s has c(s) = -u(1, s) = 0, so dc(d, s) = c(d) + c(s) - c(ds)
+    = u(d, s).  dc is in B^2 for any u, so the gauge keeps the class of u
+    and whether u is in Z^2."""
+    n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
+    u = np.asarray(u, dtype=np.int64)
+    lead = u.shape[:-1]
+    U = u.reshape(lead + (n, len(gens)))
+    c = np.zeros(lead + (n,), dtype=np.int64)
+    lo, hi = 1, 1
+    while hi < n:              # one BFS level, the ids whose parents are < hi
+        lo, hi = hi, int(np.searchsorted(G.pred[:, 0], hi))
+        d, s = G.pred[lo:hi].T
+        c[..., lo:hi] = (c[..., d] - U[..., d, s]) % p
+    dc = c[..., :, None] + c[..., None, gens] - c[..., G.mult_gen]
+    return ((U - dc) % p).reshape(u.shape)
+
+
+@memo
+def _tree_coboundaries(G: FiniteGroup, p: int):
+    """(W, D, span): W[x, i] counts the letter i in x's BFS word mod p
+    (`core.word_images`), row i of D is the generator columns of
+    d(W[:, i]), and span is the gf.Span over the rows of D.
+
+    Lemma: the coboundaries that are 0 on the BFS tree are the row space
+    of D.  If dc is 0 on the tree edges, c(x) = c(d) + c(s) along them, so
+    c = W a with a = c(generators) and dc = a D; and W a is a character
+    iff a D = 0, as d(W a) then vanishes on every generator edge
+    (`core._respects_generator_edges`)."""
+    gens = np.asarray(G.generators, dtype=np.intp)
+    ngens = len(gens)
+    W = word_images(G.pred, builtin_group(f"Z/{p}"), np.eye(ngens)).T
+    D = W[:, None, :] + W[gens] - W[G.mult_gen]            # (g, j, i)
+    D = (D.transpose(2, 0, 1) % p).reshape(ngens, G.order * ngens)
+    return W, D, gf.Span(D.shape[1], p, D)
+
+
 def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
-    """Is the (already verified) normalized 2-cocycle table a coboundary?"""
+    """Is the (already verified) normalized 2-cocycle table a coboundary?
+    Its gauge (`_gauge`) is 0 on the BFS tree, so it is a coboundary iff
+    the gauge lies in the row space of D, rank ngens - dim H^1
+    (`_tree_coboundaries`)."""
     u = _generator_columns(G, np.asarray(table, dtype=np.int64))
-    return _coboundary_span(G, p).contains(u)
+    return _tree_coboundaries(G, p)[2].contains(_gauge(G, u, p))
 
 
 def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
@@ -199,7 +230,7 @@ class H2Space:
     p: int
     dim: int
     basis: list
-    _span: gf.Span         # Z^2: the B^2 basis rows, then the Z^2 basis rows
+    _span: gf.Span         # gauged Z^2: the rows of D, then gauged cand
     _reps: np.ndarray      # positions of the basis representatives in _span
 
     def coords(self, c: Cocycle2):
@@ -209,8 +240,9 @@ class H2Space:
 
     def column_coords(self, u):
         """Coordinates of the class of each cocycle given by its generator
-        columns: u is one such vector, or a matrix with one per row."""
-        x = self._span.solve(u)
+        columns: u is one such vector, or a matrix with one per row.  The
+        gauge of u (`_gauge`) has the class of u and is in Z^2 iff u is."""
+        x = self._span.solve(_gauge(self.group, u, self.p))
         if x is None:
             raise ValueError("table is not a cocycle in the normalized space")
         return x[..., self._reps]
@@ -238,21 +270,25 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     representatives are the cand rows that grow the B^2 span, taken in
     order.
 
-    One Span is factored over the B^2 basis rows followed by cand, and
-    grew[k] (cand[k] grew the span) is read off its transform as
-    trans[:, len(bmat) + k] != 0.  Lemma: trans restricted to the columns
-    of the vectors that grew is invertible (it maps a basis, those
-    vectors, onto another, the rref rows), so such a column is nonzero,
-    and the other columns are zero by construction."""
+    The span is taken in the BFS-tree gauge: one Span is factored over the
+    rows of D (`_tree_coboundaries`, spanning the coboundaries that are 0
+    on the tree) followed by the gauged cand rows.  gauge(u) - u is in
+    B^2 and gauge(B^2) is the row space of D (lemmas at `_gauge` and
+    `_tree_coboundaries`), so a gauged cand row grows this span iff the
+    cand row grows B^2 plus the earlier cand rows.  grew[k] is read off
+    the transform as trans[:, ngens + k] != 0.  Lemma: trans restricted
+    to the columns of the vectors that grew is invertible (it maps a
+    basis, those vectors, onto another, the rref rows), so such a column
+    is nonzero, and the other columns are zero by construction."""
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
     cand = gf.nullspace(_cocycle_constraints(G, p), p)
-    bmat = _coboundary_span(G, p).basis()
-    span = gf.Span(cand.shape[1], p, np.concatenate([bmat, cand]))
-    grew = span.trans[:, len(bmat):].any(axis=0)
+    D = _tree_coboundaries(G, p)[1]
+    span = gf.Span(cand.shape[1], p, np.concatenate([D, _gauge(G, cand, p)]))
+    grew = span.trans[:, len(D):].any(axis=0)
     basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in cand[grew]]
     space = H2Space(G, p, len(basis), basis, span,
-                    len(bmat) + np.flatnonzero(grew))
+                    len(D) + np.flatnonzero(grew))
     # solver round-trip on the basis
     if not np.array_equal(space.column_coords(cand[grew]),
                           np.eye(len(basis), dtype=np.int64)):
@@ -268,15 +304,11 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
 def h1(G: FiniteGroup, p: int) -> list:
     """Basis of Hom(G, Z/p): the rref of the character space.
 
-    A character v is fixed by its generator values c: v = W c, where
-    W[x, i] counts the letter i in x's BFS word mod p (the word evaluated
-    in Z/p with generator i -> 1 and the others -> 0, by
-    `core.word_images`).  By the generator-edge lemma
-    (`core._respects_generator_edges`) W c is a character iff
-    v(g s) = v(g) + v(s) on every edge (g, s), v(1) = 0 holding as
-    W[0] = 0; so one nullspace over c spans the characters, and the rref
-    of their values is the canonical basis.  Working over c keeps the
-    system at |G| * ngens rows of ngens unknowns.
+    A character v is fixed by its generator values a: v = W a, and W a
+    is a character iff a D = 0 (lemma at `_tree_coboundaries`, W[x, i]
+    the count of the letter i in x's BFS word); so one nullspace over a,
+    of D.T with |G| * ngens rows and ngens unknowns, spans the
+    characters, and the rref of their values is the canonical basis.
 
     Lemma: this is the basis dual to the greedy basis of the elementary
     abelianization Q = G/G^p[G,G] in id order (each pick the least id of
@@ -287,13 +319,11 @@ def h1(G: FiniteGroup, p: int) -> list:
     j, 1 there and 0 at the other picks' least ids: it is the rref, which
     is unique.  The dimension is checked against |G : G^p[G,G]| from the
     subgroup calculus."""
-    n, ngens = G.order, len(G.generators)
-    W = word_images(G.pred, builtin_group(f"Z/{p}"), np.eye(ngens)).T
-    edges = W[G.mult_gen] - W[:, None, :] - W[G.generators]
-    C = gf.nullspace(edges.reshape(n * ngens, ngens), p)
-    basis = gf.rref(C @ W.T, p)[0]
-    D = power_commutator_subgroup(G, G.whole(), p)
-    assert p ** len(basis) * D.order == n, "dim H^1 != log_p |G : G^p[G,G]|"
+    W, D, _ = _tree_coboundaries(G, p)
+    basis = gf.rref(gf.nullspace(D.T, p) @ W.T, p)[0]
+    F = power_commutator_subgroup(G, G.whole(), p)
+    assert p ** len(basis) * F.order == G.order, \
+        "dim H^1 != log_p |G : G^p[G,G]|"
     return [Cochain1(G, v, p) for v in basis]
 
 
@@ -339,29 +369,23 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
 # ---------------------------------------------------------------------
 
 def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
-    """f(x,y) = iota^-1( s(x) s(y) s(xy)^-1 ) for the chosen section s."""
+    """f(x,y) = iota^-1( s(x) s(y) s(xy)^-1 ) for the chosen section s.
+
+    Lemma: the class of f does not depend on the section.  Any other
+    section is s'(x) = s(x) iota(e(x)) for some e: Gbar -> Z with
+    e(1) = 0, as s'(x) and s(x) have the same image under lam, and iota(Z)
+    is central; so the defect of s' is f + de, de(x,y) = e(x) + e(y) -
+    e(xy), a coboundary."""
     E, Gbar, p = ext.E, ext.Gbar, ext.p
     z_of = np.full(E.order, -1, dtype=np.int64)
     z_of[ext.iota.image] = np.arange(ext.Z.order)
     sec = ext.section
     prod = E.mult[np.ix_(sec, sec)]
-    arg = E.mult[prod, E.inv[sec[Gbar.mult]]]
-    vals = z_of[arg]
-    assert vals.min() >= 0, "section defect must land in the kernel copy"
-    c = Cocycle2(Gbar, vals, p)
-    # class independence of the section: shift every nonidentity value
-    if Gbar.order > 1 and ext.Z.order > 1:
-        sec2 = sec.copy()
-        z1 = int(ext.iota.image[1])
-        sec2[1:] = E.mult[sec[1:], z1]
-        prod2 = E.mult[np.ix_(sec2, sec2)]
-        arg2 = E.mult[prod2, E.inv[sec2[Gbar.mult]]]
-        vals2 = z_of[arg2]
-        assert vals2.min() >= 0
-        diff = (vals - vals2) % p
-        assert is_coboundary(Gbar, diff, p), \
-            "classifying class must not depend on the section"
-    return c
+    vals = z_of[E.mult[prod, E.inv[sec[Gbar.mult]]]]
+    if vals.min() < 0:
+        raise SectionDefectOutsideKernel(
+            "section defect must land in the kernel copy")
+    return Cocycle2(Gbar, vals, p)
 
 
 def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:

@@ -149,7 +149,8 @@ def memo(fn):
 def _verify_tables(G: FiniteGroup):
     """Check that G's tables define a group: 0 is a two-sided identity, inv
     gives right inverses, mult_gen is mult at the generator columns, each
-    c > 0 is mult_gen[d, i] for (d, i) = pred[c] with 0 <= d < c, and
+    c > 0 is mult_gen[d, i] for (d, i) = pred[c] with 0 <= d < c and d
+    nondecreasing in c (ids in BFS queue order), and
     (a*b)*s = a*(b*s) for all a, b and every generator s.
 
     Lemma: then mult is associative.  Induct on c along pred; c = 0 holds
@@ -167,7 +168,7 @@ def _verify_tables(G: FiniteGroup):
     if not np.array_equal(G.mult_gen, mult[:, G.generators]):
         raise EdgeCheckFailed("mult_gen is not mult at the generators")
     d, i = G.pred[1:, 0], G.pred[1:, 1]
-    if not (((0 <= d) & (d < ar[1:])).all()
+    if not (((0 <= d) & (d < ar[1:])).all() and (np.diff(d) >= 0).all()
             and np.array_equal(G.mult_gen[d, i], ar[1:])):
         raise EdgeCheckFailed("broken BFS predecessors")
     step = max(1, (1 << 20) // (n * max(len(G.generators), 1)))
@@ -366,13 +367,19 @@ def normal_closure(G: FiniteGroup, seed) -> Subgroup:
 
 
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    if not (A.is_normal() or B.is_normal()):
-        raise NonNormalArguments("commutator needs at least one normal argument")
-    a, b = A.members, B.members
-    x = G.mult[np.ix_(G.inv[a], G.inv[b])]
-    y = G.mult[np.ix_(a, b)]
-    comms = np.unique(G.mult[x, y])
-    return subgroup_generated(G, comms)
+    """[A, B] for normal A and B: the normal closure of the commutators
+    [x, b] with x in X, the greedy generators of A (`_least_id_generators`),
+    and b in B.
+
+    Lemma: [A, B] is the normal closure of [X, B] in <A, B> (Robinson,
+    5.1.7), which lies in its normal closure in G; and that lies in
+    [A, B], which is normal in G when A and B are."""
+    if not (A.is_normal() and B.is_normal()):
+        raise NonNormalArguments("commutator needs normal arguments")
+    x = np.asarray(_least_id_generators(G, A.members), dtype=np.intp)
+    b = B.members
+    comms = G.mult[G.mult[np.ix_(G.inv[x], G.inv[b])], G.mult[np.ix_(x, b)]]
+    return normal_closure(G, comms.ravel())
 
 
 def power_commutator_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
@@ -425,6 +432,21 @@ def join_subgroups(G: FiniteGroup, subs) -> Subgroup:
     return subgroup_generated(G, seed)
 
 
+def _least_id_generators(G: FiniteGroup, members) -> list:
+    """Greedy generators of the subgroup with these sorted members: each
+    pick is the least member outside the subgroup generated by the
+    earlier picks."""
+    gens = []
+    reached = np.zeros(G.order, dtype=bool)
+    reached[0] = True
+    left = members[~reached[members]]
+    while left.size:
+        gens.append(int(left[0]))
+        reached[_bfs(G.mult, gens)[0]] = True
+        left = left[~reached[left]]
+    return gens
+
+
 def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     """Materialize a subgroup as its own FiniteGroup.
 
@@ -433,14 +455,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     idx = np.full(G.order, -1, dtype=np.int32)
     idx[m] = np.arange(len(m))
     table = idx[G.mult[np.ix_(m, m)]]
-    # greedy minimal generating positions: each pick is the least
-    # position outside the closure of the earlier picks
-    gens = []
-    reached = np.zeros(len(m), dtype=bool)
-    reached[0] = True
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached[_bfs(table, gens)[0]] = True
+    gens = idx[_least_id_generators(G, m)]
     K, relabel = group_from_table(table, gens, name=f"{G.name}|sub{len(m)}")
     embed = np.empty(len(m), dtype=np.int32)
     embed[relabel] = m

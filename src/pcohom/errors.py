@@ -48,6 +48,15 @@ class SolveRoundTripFailed(Exception):
     was built from."""
 
 
+class SectionDefectOutsideKernel(ValueError):
+    """A section defect s(x) s(y) s(xy)^-1 of a central extension lies
+    outside the kernel copy iota(Z).
+
+    Lemma: lam maps the defect to x y (xy)^-1 = 1, so it lies in
+    ker lam, which `CentralExtension` checks is iota(Z); a defect outside
+    it means the extension's tables and section disagree."""
+
+
 class WordTooShort(Exception):
     pass
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 
 import numpy as np
@@ -6,15 +7,17 @@ import pytest
 import pcohom as pc
 from pcohom import gf
 from pcohom.catalog import catalog_instances
-from pcohom.cohomology import (Cochain1, Cocycle2, H2Space,
+from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                _cocycle_constraints, _constraint_violations,
-                               _expand_from_columns, bockstein,
+                               _expand_from_columns, _generator_columns,
+                               bockstein,
                                classifying_cocycle, conj_invariant_h1, cup,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback, transgression)
 from pcohom.elements import Residue, perm_from_cycles
 from pcohom.errors import (EdgeCheckFailed, MixedParents, NotInvariant,
-                           SolveRoundTripFailed)
+                           SectionDefectOutsideKernel, SolveRoundTripFailed)
+from test_gf import coboundary_matrix
 
 
 def coboundary_table(G, f, p):
@@ -44,8 +47,13 @@ def test_h2_dimensions():
 def test_h2_of_trivial_group():
     G = pc.builtin_group("Z/2")
     T, _ = pc.quotient_group(G, G.whole())
-    assert h2_space(T, 2).dim == 0
+    space = h2_space(T, 2)
+    assert space.dim == 0
     assert is_coboundary(T, np.zeros((1, 1), dtype=np.int64), 2)
+    # no generators: the gauge and the solver take empty columns
+    assert space.column_coords(np.zeros(0, dtype=np.int64)).shape == (0,)
+    assert space.column_coords(np.zeros((3, 0), dtype=np.int64)).shape \
+        == (3, 0)
 
 
 # ---------------------------------------------------------------------
@@ -104,7 +112,14 @@ def test_generator_rows_span_all_g_rows():
 
 
 def basis_digest(space):
-    h = hashlib.sha256(np.asarray(space._reps, dtype=np.int64).tobytes())
+    """sha256 of the representatives' positions and every basis table.
+    The positions are counted as in a span whose first rows are a basis
+    of B^2 (dim |G| - 1 - dim H^1), the numbering the pins were recorded
+    in, not from the ngens rows of D that H2Space._span starts with."""
+    G, p = space.group, space.p
+    reps = (np.asarray(space._reps, dtype=np.int64) - len(G.generators)
+            + G.order - 1 - len(h1(G, p)))
+    h = hashlib.sha256(reps.tobytes())
     for b in space.basis:
         h.update(b.values.astype(np.int64).tobytes())
     return h.hexdigest()
@@ -282,6 +297,116 @@ def test_h2_round_trip_mismatch_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------
+# the BFS-tree gauge against the full B^2 span
+# ---------------------------------------------------------------------
+
+class SpanReference:
+    """Reference: cohomology before the tree gauge.  B^2 is the Span over
+    the coboundaries of the delta functions (`coboundary_matrix`), and
+    with cand given, H^2 coordinates come from one Span over the B^2
+    basis rows followed by cand, read at the cand rows that grew it."""
+
+    def __init__(self, G, p, cand=None):
+        self.p = p
+        ncols = G.order * len(G.generators)
+        self.bspan = gf.Span(ncols, p, coboundary_matrix(G).T)
+        if cand is not None:
+            bmat = self.bspan.basis()
+            self.span = gf.Span(ncols, p, np.concatenate([bmat, cand]))
+            grew = self.span.trans[:, len(bmat):].any(axis=0)
+            self.reps = len(bmat) + np.flatnonzero(grew)
+
+    def is_coboundary(self, u):
+        return self.bspan.contains(u)
+
+    def column_coords(self, u):
+        """Coordinates, or None for a row outside Z^2."""
+        x = self.span.solve(u)
+        return None if x is None else x[..., self.reps]
+
+
+def random_coboundaries(G, p, rng, k):
+    """Generator columns of d(c) for k random 1-cochains c with c(1) = 0."""
+    c = rng.integers(0, p, size=(k, G.order))
+    c[:, 0] = 0
+    return np.stack([_generator_columns(G, coboundary_table(G, f, p))
+                     for f in c])
+
+
+def same_answer(space, ref, u):
+    """Both sides give the same coordinates for u, one row or a batch, or
+    both reject it; returns whether they accepted."""
+    want = ref.column_coords(u)
+    if want is None:
+        with pytest.raises(ValueError):
+            space.column_coords(u)
+        return False
+    assert np.array_equal(space.column_coords(u), want)
+    return True
+
+
+def test_gauge_matches_b2_span_on_catalog():
+    """Every catalog group: the same is_coboundary verdicts and H^2
+    coordinates as the B^2 span, on random coboundaries and random basis
+    combinations plus coboundaries; and the same answer on rows that are
+    not normalized (both reject) or random normalized rows (mostly not
+    cocycles), one at a time and in a batch with a valid row."""
+    rng = np.random.default_rng(20260824)
+    n_groups = n_rejected = 0
+    for name, G, p in catalog_instances():
+        space = h2_space(G, p)
+        ref = SpanReference(G, p, gf.nullspace(_cocycle_constraints(G, p), p))
+        ngens, k = len(G.generators), 4
+        dc = random_coboundaries(G, p, rng, k)
+        a = rng.integers(0, p, size=(k, space.dim))
+        a[0] = 0
+        reps = np.stack([_generator_columns(G, space.rep(x).values)
+                         for x in a])
+        U = np.concatenate([dc, (reps + dc) % p])
+        want = np.concatenate([np.zeros_like(a), a])
+        for u, x in zip(U, want):
+            assert is_coboundary(G, _expand_from_columns(G, u, p), p) == \
+                ref.is_coboundary(u) == (not x.any()), name
+            assert np.array_equal(space.column_coords(u), x), name
+        assert np.array_equal(space.column_coords(U), want), name
+        assert np.array_equal(ref.column_coords(U), want), name
+        bad = dc.copy()
+        bad[:, rng.integers(ngens)] += 1                 # u(1, s) != 0
+        noise = rng.integers(0, p, size=(k, G.order * ngens))
+        noise[:, :ngens] = 0                            # normalized
+        for u in (bad % p).tolist() + noise.tolist():
+            ok = same_answer(space, ref, u)
+            assert same_answer(space, ref, [U[0], u]) == ok, name
+            n_rejected += not ok
+        for u in bad % p:
+            assert ref.column_coords(u) is None, name
+        n_groups += 1
+    assert n_groups == 41 and n_rejected == 291
+
+
+def test_gauge_above_h2_cap():
+    """Groups above H2_ORDER_CAP, where h2_space is not built: the order
+    243 Gbar of zassenhaus:3:3 against the B^2 span, and the order 512
+    Gbar of zassenhaus:4:2 against known answers."""
+    rng = np.random.default_rng(4242)
+    for spec, check_ref in (("zassenhaus:3:3", True),
+                            ("zassenhaus:4:2", False)):
+        ext = pc.parse_family(spec).extensions[0]
+        G, p = ext.Gbar, ext.p
+        assert G.order > H2_ORDER_CAP
+        alpha = _generator_columns(G, classifying_cocycle(ext).values)
+        dc = random_coboundaries(G, p, rng, 3)
+        rows = [(u, True) for u in dc] + [((alpha + u) % p, False)
+                                          for u in dc]
+        ref = SpanReference(G, p) if check_ref else None
+        for u, want in rows:
+            assert is_coboundary(G, _expand_from_columns(G, u, p), p) \
+                == want, spec
+            if ref is not None:
+                assert ref.is_coboundary(u) == want, spec
+
+
+# ---------------------------------------------------------------------
 # classifying classes of extensions
 # ---------------------------------------------------------------------
 
@@ -298,6 +423,42 @@ def test_classifying_class_nonzero_for_nonsplit_extensions():
     # M_27 over (Z/3)^2 is nonsplit
     ext = pc.build_mp3(3)
     assert not is_coboundary(ext.Gbar, classifying_cocycle(ext).values, 3)
+
+
+SHIFT_FAMILIES = ["zassenhaus:2:2", "lower-central:2:2", "zassenhaus:2:3",
+                  "lower-central:2:3", "mixed:3", "zassenhaus:2:5",
+                  "lower-central:2:5", "mixed:5", "zassenhaus:3:3"]
+
+
+def test_classifying_class_does_not_depend_on_the_section():
+    """Class independence of the section (lemma at classifying_cocycle):
+    moving every nonidentity value of the section by iota(1) changes the
+    defect by exactly de, e(x) = [x != 1], a coboundary; on every
+    extension of the three families at p = 2, 3, 5 and of
+    zassenhaus:3:3."""
+    n_exts = 0
+    for spec in SHIFT_FAMILIES:
+        for ext in pc.parse_family(spec).extensions:
+            E, G, p = ext.E, ext.Gbar, ext.p
+            shifted = copy.copy(ext)
+            shifted.section = ext.section.copy()
+            shifted.section[1:] = E.mult[ext.section[1:], ext.iota.image[1]]
+            diff = (classifying_cocycle(shifted).values
+                    - classifying_cocycle(ext).values) % p
+            e = (np.arange(G.order) != 0).astype(np.int64)
+            assert np.array_equal(diff, coboundary_table(G, e, p)), spec
+            assert is_coboundary(G, diff, p), spec
+            n_exts += 1
+    assert n_exts == 14
+
+
+def test_section_defect_outside_the_kernel_raises():
+    ext = pc.build_bar_extension(2, 2)
+    bad = copy.copy(ext)
+    bad.section = ext.section.copy()
+    bad.section[1] = ext.section[0]           # not a section mod iota(Z)
+    with pytest.raises(SectionDefectOutsideKernel):
+        classifying_cocycle(bad)
 
 
 def test_pullback_functoriality():

@@ -181,8 +181,9 @@ def test_commutator_subgroup_requires_normal():
     refl = next(g for g in range(G.order)
                 if element_order(G, g) == 2 and g not in pc.center(G))
     H = pc.subgroup_generated(G, [refl])
-    with pytest.raises(NonNormalArguments):
-        pc.commutator_subgroup(G, H, H)
+    for A, B in ((H, H), (H, G.whole()), (G.whole(), H)):
+        with pytest.raises(NonNormalArguments):
+            pc.commutator_subgroup(G, A, B)
 
 
 def test_power_commutator_is_frattini_like():
@@ -467,6 +468,31 @@ def all_pairs_power_commutator(G, A, m):
     y = G.mult[np.ix_(g, a)]
     comms = np.unique(G.mult[x, y])
     return pc.subgroup_generated(G, np.concatenate([_powers(G, a, m), comms]))
+
+
+def all_pairs_commutator(G, A, B):
+    """Reference: core.commutator_subgroup before it took the commutators
+    [x, b] at the greedy generators x of A only; every [a, b]."""
+    a, b = A.members, B.members
+    x = G.mult[np.ix_(G.inv[a], G.inv[b])]
+    y = G.mult[np.ix_(a, b)]
+    return pc.subgroup_generated(G, np.unique(G.mult[x, y]))
+
+
+def test_commutator_subgroup_matches_all_pairs():
+    """[A, B] for every ordered pair of distinct lower p-central and
+    Zassenhaus terms of every catalog group, both series run down to 1."""
+    n_pairs = 0
+    for name, G, p in catalog_instances():
+        terms = {}
+        for chain in (pc.lower_p_central(G, p, 16), pc.zassenhaus(G, p, 16)):
+            assert chain.terms[-1].order == 1, name
+            terms.update((t.members.tobytes(), t) for t in chain.terms)
+        for A, B in itertools.product(terms.values(), repeat=2):
+            assert pc.commutator_subgroup(G, A, B) == \
+                all_pairs_commutator(G, A, B), name
+            n_pairs += 1
+    assert n_pairs == 385
 
 
 def test_whole_group_is_a_checked_subgroup():

@@ -154,6 +154,11 @@ def test_table_check_rejects_inconsistent_bfs_data():
     pred[5, 1] = 1 - pred[5, 1]          # the other generator
     assert not accepts(_verify_tables,
                        dataclasses.replace(G, pred=pred, _cache={}))
+    pred = G.pred.copy()
+    assert G.mult_gen[5, 1] == 6
+    pred[6] = (5, 1)                     # a true edge, out of BFS order
+    assert not accepts(_verify_tables,
+                       dataclasses.replace(G, pred=pred, _cache={}))
 
 
 # ---------------------------------------------------------------------
@@ -314,15 +319,30 @@ def test_lift_search_matches_full_check_search(monkeypatch):
             assert np.array_equal(a.image, b.image)
 
 
+# tests elsewhere whose checks must not ride on assert either: the tree
+# gauge against the B^2 span, and the section defect of classifying cocycles
+UNDER_O_ELSEWHERE = [
+    "test_cohomology.py::" + name for name in (
+        "test_gauge_matches_b2_span_on_catalog", "test_h2_of_trivial_group",
+        "test_gauge_above_h2_cap",
+        "test_classifying_class_does_not_depend_on_the_section",
+        "test_section_defect_outside_the_kernel_raises")]
+
+
 def test_edge_checks_hold_under_python_O():
-    """Every edge check raises rather than asserts, so this file passes
-    under python -O too (asserts in the test file itself are rewritten by
-    pytest and survive -O)."""
+    """Every edge check raises rather than asserts, so this file and the
+    tests in UNDER_O_ELSEWHERE pass under python -O too (asserts in the
+    test files themselves are rewritten by pytest and survive -O)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    here = Path(__file__).resolve()
     r = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(Path(__file__).resolve()), "-k", "not under_python_O"],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-rp", "-p",
+         "no:cacheprovider",
+         str(here), *(str(here.parent / t) for t in UNDER_O_ELSEWHERE),
+         "-k", "not under_python_O"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
+    for test in UNDER_O_ELSEWHERE:
+        assert f"PASSED tests/{test}" in r.stdout, test

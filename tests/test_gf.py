@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from pcohom import gf
 from pcohom.catalog import catalog_instances
-from pcohom.cohomology import (_coboundary_matrix, _cocycle_constraints,
-                               h2_space)
+from pcohom.cohomology import (_cocycle_constraints, _gauge,
+                               _tree_coboundaries, h2_space)
 
 PRIMES = [2, 3, 5, 7]
 
@@ -309,9 +309,25 @@ def test_trans_columns_mark_the_vectors_that_grew(seed, p, rows, cols):
     assert gf.rank(t, p) == t.shape[0] == t.shape[1]
 
 
+def coboundary_matrix(G):
+    """B^2 before the tree gauge: the matrix with rows indexed by
+    (g, generator index) and columns by y in {1..n-1}, where
+    (d c)(g, s) = c[g] + c[s] - c[g s]; column y is the coboundary of the
+    delta function at y."""
+    n = G.order
+    ngens = len(G.generators)
+    B = np.zeros((n, n, ngens), dtype=np.int64)
+    B[np.arange(n), np.arange(n), :] += 1
+    for i, s in enumerate(G.generators):
+        B[s, :, i] += 1
+    B[G.mult_gen, np.arange(n)[:, None], np.arange(ngens)[None, :]] -= 1
+    return B[1:].reshape(n - 1, n * ngens).T   # rows (g,i), cols y=1..n-1
+
+
 def test_references_agree_on_cohomology_systems():
-    """The Z^2 constraint rref, the B^2 span and the span H^2 reads grew
-    off, for every catalog group of order at most 32."""
+    """The Z^2 constraint rref, the B^2 span, the span of the tree-gauged
+    coboundaries D and the span H^2 reads grew off, for every catalog
+    group of order at most 32."""
     n_groups = 0
     for name, G, p in catalog_instances():
         if G.order > 32:
@@ -321,14 +337,15 @@ def test_references_agree_on_cohomology_systems():
         want_r, want_piv = full_rref(cons, p)
         assert piv == want_piv and np.array_equal(r, want_r), name
         ncols = cons.shape[1]
-        bspan = gf.Span(ncols, p, _coboundary_matrix(G).T)
-        assert_same_span(bspan, LoopSpan(ncols, p, _coboundary_matrix(G).T))
+        bmat = coboundary_matrix(G).T
+        assert_same_span(gf.Span(ncols, p, bmat), LoopSpan(ncols, p, bmat))
+        _, D, dspan = _tree_coboundaries(G, p)
+        assert_same_span(dspan, LoopSpan(ncols, p, D))
         space = h2_space(G, p)
-        bmat = bspan.basis()
         cand = gf.nullspace(cons, p)
-        want = LoopSpan(ncols, p, np.concatenate([bmat, cand]))
+        want = LoopSpan(ncols, p, np.concatenate([D, _gauge(G, cand, p)]))
         assert_same_span(space._span, want)
         assert list(space._reps) == list(
-            np.flatnonzero(want.grew[len(bmat):]) + len(bmat)), name
+            np.flatnonzero(want.grew[len(D):]) + len(D)), name
         n_groups += 1
     assert n_groups == 33
