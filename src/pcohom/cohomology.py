@@ -15,6 +15,18 @@ Coboundary questions are asked in the BFS-tree gauge: every cocycle is
 cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
 coboundaries left in that gauge are the row space of an ngens-row matrix
 D (`_tree_coboundaries`), whose left nullspace also gives H^1.
+
+Z^2 is solved in the same gauge, over the n(ngens - 1) + 1 columns off
+the tree (`_gauged_z2`), and the canonical basis is rebuilt from it
+(`_z2_basis`).  Two lemmas carry this:
+
+- Gauged dimension: the gauged cocycles, 0 on every tree column, have
+  dimension dim H^2 + ngens - dim H^1.  Z^2 is the gauged cocycles plus
+  B^2, and the two meet in the row space of D.
+- Duality: the canonical basis of Z^2, the constraint nullspace basis
+  that is the identity on the free columns F, is R[::-1, ::-1] for R
+  the rref of any spanning set of Z^2 with its columns reversed.  F is
+  the pivot set of that reversed rref, and an rref is unique.
 """
 
 from __future__ import annotations
@@ -84,9 +96,6 @@ class Cocycle2:
 
     def __sub__(self, other):
         return Cocycle2(self.group, (self.values - other.values) % self.p, self.p)
-
-    def scale(self, c):
-        return Cocycle2(self.group, (c * self.values) % self.p, self.p)
 
 
 # ---------------------------------------------------------------------
@@ -219,6 +228,58 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
+    """Generator columns of d(delta_x), one row per x = 1, ..., n - 1:
+    d(delta_x)(g, s) = [g = x] + [s = x] - [gs = x].  The rows span B^2,
+    as every c with c(1) = 0 is a combination of the delta_x."""
+    n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
+    cols = np.arange(n * len(gens))
+    B = np.zeros((n, n * len(gens)), dtype=np.int64)
+    B[np.repeat(np.arange(n), len(gens)), cols] += 1
+    B[np.tile(gens, n), cols] += 1
+    B[G.mult_gen.ravel(), cols] -= 1
+    return B[1:] % p
+
+
+def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
+    """Basis (rows, over all n * ngens generator columns) of the gauged
+    cocycles: Z^2 restricted to the vectors that are 0 on every tree
+    column (d, s), G.pred[x] = (d, s).  It is the nullspace of
+    `_cocycle_constraints` over the other n(ngens - 1) + 1 columns, lifted
+    with zeros on the tree columns.
+
+    Lemma: its dimension is dim H^2 + ngens - dim H^1.  Every cocycle
+    minus a coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the
+    gauged coboundaries are the row space of D, of rank ngens - dim H^1
+    (`_tree_coboundaries`); and dim B^2 = n - 1 - dim H^1, as the
+    1-cochains c with c(1) = 0 and dc = 0 are the characters."""
+    n, ngens = G.order, len(G.generators)
+    off_tree = np.ones(n * ngens, dtype=bool)
+    off_tree[G.pred[1:, 0].astype(np.intp) * ngens + G.pred[1:, 1]] = False
+    basis = gf.nullspace(_cocycle_constraints(G, p)[:, off_tree], p)
+    Z = np.zeros((len(basis), n * ngens), dtype=np.int64)
+    Z[:, off_tree] = basis
+    return Z
+
+
+def _z2_basis(G: FiniteGroup, p: int) -> np.ndarray:
+    """cand: the basis of Z^2 that `gf.nullspace` gives for
+    `_cocycle_constraints`, the identity on the free columns F, in
+    increasing order of the free column; rebuilt from the gauged cocycles
+    (`_gauged_z2`) and the coboundaries d(delta_x)
+    (`_delta_coboundaries`), which together span Z^2.
+
+    Lemma (duality): cand = R[::-1, ::-1], R the rref of any spanning set
+    of Z^2 with its columns reversed.  Row k of cand is 1 at F[k], 0 at
+    the other free columns, and elsewhere nonzero only at pivot columns
+    left of F[k], since a pivot row of the constraint rref is nonzero only
+    right of its pivot.  With the columns reversed, F[k] leads row k and
+    the other rows are 0 there: cand with rows and columns reversed is in
+    rref, and the rref of a row space is unique."""
+    Z = np.concatenate([_gauged_z2(G, p), _delta_coboundaries(G, p)])
+    return gf.rref(Z[:, ::-1], p)[0][::-1, ::-1]
+
+
 @dataclass
 class H2Space:
     """H^2(G, Z/p) with a coordinate solver.
@@ -247,12 +308,6 @@ class H2Space:
             raise ValueError("table is not a cocycle in the normalized space")
         return x[..., self._reps]
 
-    def is_coboundary_class(self, c: Cocycle2):
-        return not self.coords(c).any()
-
-    def same_class(self, c1: Cocycle2, c2: Cocycle2):
-        return np.array_equal(self.coords(c1), self.coords(c2))
-
     def rep(self, coords) -> Cocycle2:
         """A representative cocycle with the given coordinates."""
         n = self.group.order
@@ -270,6 +325,13 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     representatives are the cand rows that grow the B^2 span, taken in
     order.
 
+    cand is not solved for over all n * ngens columns.  The gauged
+    cocycles, 0 on the BFS tree, are the nullspace over the n(ngens - 1)
+    + 1 columns off the tree, of dimension dim H^2 + ngens - dim H^1
+    (lemma at `_gauged_z2`); with the coboundaries d(delta_x) they span
+    Z^2, and one rref with the columns reversed gives cand exactly (the
+    duality lemma at `_z2_basis`).
+
     The span is taken in the BFS-tree gauge: one Span is factored over the
     rows of D (`_tree_coboundaries`, spanning the coboundaries that are 0
     on the tree) followed by the gauged cand rows.  gauge(u) - u is in
@@ -282,7 +344,7 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     is nonzero, and the other columns are zero by construction."""
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
-    cand = gf.nullspace(_cocycle_constraints(G, p), p)
+    cand = _z2_basis(G, p)
     D = _tree_coboundaries(G, p)[1]
     span = gf.Span(cand.shape[1], p, np.concatenate([D, _gauge(G, cand, p)]))
     grew = span.trans[:, len(D):].any(axis=0)

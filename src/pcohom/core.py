@@ -432,19 +432,35 @@ def join_subgroups(G: FiniteGroup, subs) -> Subgroup:
     return subgroup_generated(G, seed)
 
 
-def _least_id_generators(G: FiniteGroup, members) -> list:
+def _least_id_generators(G: FiniteGroup, members, seed=()) -> list:
     """Greedy generators of the subgroup with these sorted members: each
-    pick is the least member outside the subgroup generated by the
-    earlier picks."""
-    gens = []
+    pick is the least member outside the subgroup generated by the seed
+    and the earlier picks.  Only the picks are returned; with a seed
+    inside the subgroup they generate it modulo the seed."""
+    gens = [int(s) for s in seed]
     reached = np.zeros(G.order, dtype=bool)
-    reached[0] = True
+    reached[_bfs(G.mult, gens)[0]] = True
     left = members[~reached[members]]
     while left.size:
         gens.append(int(left[0]))
         reached[_bfs(G.mult, gens)[0]] = True
         left = left[~reached[left]]
-    return gens
+    return gens[len(seed):]
+
+
+def _elementary_abelian_mod(G: FiniteGroup, x, b: Subgroup, p: int) -> bool:
+    """Do x^p and [x, y] lie in b for all x, y in the id list x?
+
+    Lemma: for normal b <= a and x generating a modulo b, this holds iff
+    a/b is elementary abelian.  The images of x generate a/b; generators
+    that commute make it abelian, and an abelian group generated by
+    elements of order dividing p has exponent p.  Conversely, in an
+    elementary abelian a/b every x^p and every [x, y] is trivial."""
+    x = np.asarray(x, dtype=np.intp)
+    inb = np.zeros(G.order, dtype=bool)
+    inb[b.members] = True
+    comms = G.mult[G.mult[np.ix_(G.inv[x], G.inv[x])], G.mult[np.ix_(x, x)]]
+    return bool(inb[_powers(G, x, p)].all() and inb[comms].all())
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup):

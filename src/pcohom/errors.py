@@ -77,3 +77,21 @@ class EdgeCheckFailed(ValueError):
 
 class SpecError(ValueError):
     """A malformed group, subgroup or family spec, or malformed arguments."""
+
+
+class SubgroupChainBroken(ValueError):
+    """A term of a subgroup chain is not normal in the group, or is not
+    inside the term before it.
+
+    Lemma (`core._is_normal`): H is normal iff s^-1 H s <= H for every
+    generator s, so normality is decided on the generators alone."""
+
+
+class NotElementaryAbelian(ValueError):
+    """A section a/b that must be an elementary abelian p-group is not.
+
+    Lemma (`core._elementary_abelian_mod`): for normal b <= a and X
+    generating a modulo b, a/b is elementary abelian iff x^p and [x, y]
+    lie in b for all x, y in X; the images of X generate a/b, commuting
+    generators make it abelian, and an abelian group generated by
+    elements of order p has exponent p."""

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .core import (FiniteGroup, Subgroup, _powers, commutator_subgroup,
+from .core import (FiniteGroup, Subgroup, _elementary_abelian_mod,
+                   _least_id_generators, _powers, commutator_subgroup,
                    exponent, is_abelian, join_subgroups, memo,
-                   power_commutator_subgroup, quotient_group, subgroup_as_group,
-                   subgroup_generated)
+                   power_commutator_subgroup, subgroup_generated)
+from .errors import NotElementaryAbelian, SubgroupChainBroken
 
 
 @dataclass
@@ -42,18 +43,30 @@ def is_elementary_abelian(Q: FiniteGroup, p: int) -> bool:
 
 
 def _check_chain(chain: FiltrationChain):
+    """Every term is normal and inside the term before, and each
+    successive quotient a/b is an elementary abelian p-group.
+
+    Lemma: for normal b <= a, a/b is elementary abelian iff x^p and
+    [x, y] lie in b for all x, y in X = `core._least_id_generators(G,
+    a.members)`.  The images of X generate a/b; commuting generators make
+    it abelian, and an abelian group generated by elements of order p has
+    exponent p (`core._elementary_abelian_mod`).  So the check reads
+    G's table at |X| powers and |X|^2 commutators, and builds no subgroup
+    or quotient table."""
     G = chain.group
     for i, t in enumerate(chain.terms):
-        assert t.is_normal()
-        if i:
-            assert t <= chain.terms[i - 1]
-    # successive quotients are elementary abelian p-groups
-    for a, b in zip(chain.terms, chain.terms[1:]):
-        K, embed = subgroup_as_group(G, a)
-        inner = Subgroup(K, [i for i in range(K.order) if int(embed[i]) in b],
-                         check=False)
-        Q, _ = quotient_group(K, inner)
-        assert is_elementary_abelian(Q, chain.p)
+        if not t.is_normal():
+            raise SubgroupChainBroken(f"{chain.kind} term {i + 1} is not "
+                                      "normal")
+        if i and not t <= chain.terms[i - 1]:
+            raise SubgroupChainBroken(f"{chain.kind} term {i + 1} is not "
+                                      f"inside term {i}")
+    for i, (a, b) in enumerate(zip(chain.terms, chain.terms[1:])):
+        if not _elementary_abelian_mod(G, _least_id_generators(G, a.members),
+                                       b, chain.p):
+            raise NotElementaryAbelian(
+                f"{chain.kind} quotient of terms {i + 1} and {i + 2} is not "
+                f"elementary abelian at p = {chain.p}")
 
 
 @memo

@@ -28,10 +28,11 @@ from . import gf
 from .cohomology import (H2Space, classifying_cocycle, h2_space,
                          is_coboundary, pullback, pullback_coords,
                          transgression_span)
-from .core import (FiniteGroup, GroupHom, Subgroup, intersect_subgroups,
-                   join_subgroups, memo, power_commutator_subgroup,
-                   quotient_group, subgroup_generated)
-from .errors import NonCommutingSquare, SpecError, TransgressionSolveFailed
+from .core import (FiniteGroup, GroupHom, Subgroup, _elementary_abelian_mod,
+                   _least_id_generators, intersect_subgroups, join_subgroups,
+                   memo, power_commutator_subgroup, quotient_group)
+from .errors import (NonCommutingSquare, NotElementaryAbelian, SpecError,
+                     SubgroupChainBroken, TransgressionSolveFailed)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
 from .unitriangular import OmegaFamily
 
@@ -270,18 +271,21 @@ def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
 # ---------------------------------------------------------------------
 
 def _coset_basis(G: FiniteGroup, N: Subgroup, D: Subgroup, p: int):
-    """Greedy BFS-ordered representatives of a basis of N/D (which must be
-    elementary abelian of exponent p)."""
-    assert D <= N
-    reps = []
-    current = D
-    for s in N.members:
-        if int(s) not in current:
-            assert G.power(int(s), p) in current, "quotient not exponent p"
-            reps.append(int(s))
-            current = join_subgroups(G, [current,
-                                         subgroup_generated(G, [int(s)])])
-    assert current.order == N.order
+    """Greedy BFS-ordered representatives of a basis of N/D, which must be
+    elementary abelian of exponent p (D normal): the greedy generators of
+    N seeded with those of D (`core._least_id_generators`), each the least
+    member of N outside the subgroup generated by D and the earlier picks.
+    The generator test (`core._elementary_abelian_mod`) checks N/D, and
+    |N| = |D| p^k checks that the k picks are a basis of it."""
+    if not D <= N:
+        raise SubgroupChainBroken("D is not inside N")
+    reps = _least_id_generators(G, N.members,
+                                seed=_least_id_generators(G, D.members))
+    if not _elementary_abelian_mod(G, reps, D, p):
+        raise NotElementaryAbelian(f"N/D is not elementary abelian at p = {p}")
+    if D.order * p ** len(reps) != N.order:
+        raise NotElementaryAbelian(f"{len(reps)} picks are not a basis of "
+                                   f"N/D, of order {N.order // D.order}")
     return reps
 
 

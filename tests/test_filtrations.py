@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.filtrations import is_elementary_abelian, lower_p_central, zassenhaus
+from pcohom.catalog import catalog_instances
+from pcohom.core import _elementary_abelian_mod, _least_id_generators
+from pcohom.errors import NotElementaryAbelian, SubgroupChainBroken
+from pcohom.filtrations import (FiltrationChain, _check_chain,
+                                is_elementary_abelian, lower_p_central,
+                                zassenhaus)
 
 
 def brute_lower_p_central(G, p, upto):
@@ -129,3 +134,83 @@ def test_commutator_rule_both_chains():
         a = int(rng.choice(lc.term(i).members))
         g = int(rng.integers(G.order))
         assert G.commutator(g, a) in lc.term(i + 1)
+
+
+# ---------------------------------------------------------------------
+# the chain check by generators against the quotient-table check
+# ---------------------------------------------------------------------
+
+def table_elementary_abelian(G, a, b, p):
+    """Reference: _check_chain before the generator test.  Materialize a
+    as a group (unless it is G), b inside it, and test the quotient
+    table."""
+    K, embed = ((G, np.arange(G.order)) if a.order == G.order
+                else pc.subgroup_as_group(G, a))
+    inner = pc.Subgroup(K, [i for i in range(K.order) if int(embed[i]) in b],
+                        check=False)
+    Q, _ = pc.quotient_group(K, inner)
+    return is_elementary_abelian(Q, p)
+
+
+def generator_elementary_abelian(G, a, b, p):
+    return _elementary_abelian_mod(G, _least_id_generators(G, a.members), b,
+                                   p)
+
+
+def test_generator_check_matches_table_check_on_catalog():
+    """Every catalog group: on each pair b <= a of terms 1-4 of its lower
+    p-central and Zassenhaus chains, at p and at one other prime, the
+    generator test (lemma at _check_chain) agrees with the quotient
+    table.  Successive terms pass at p; pairs further apart and the other
+    prime give quotients that are not abelian or not of exponent p."""
+    seen = set()
+    verdicts = {True: 0, False: 0}
+    for name, G, p in catalog_instances():
+        other = 3 if p == 2 else 2
+        for chain in (lower_p_central(G, p, 4), zassenhaus(G, p, 4)):
+            terms = chain.terms + [G.trivial_subgroup()]
+            for i, a in enumerate(terms):
+                for b in terms[i + 1:]:
+                    for q in (p, other):
+                        key = (G.key, a.members.tobytes(),
+                               b.members.tobytes(), q)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        want = table_elementary_abelian(G, a, b, q)
+                        assert generator_elementary_abelian(G, a, b, q) \
+                            == want, (name, a.order, b.order, q)
+                        verdicts[want] += 1
+    assert verdicts == {True: 158, False: 154}
+
+
+def test_generator_check_on_u34():
+    """U:3:4 (order 4096): the lower 2-central chain passes both checks,
+    and the whole group over its third term is not elementary abelian."""
+    G = pc.builtin_group("U:3:4")
+    chain = lower_p_central(G, 2, 4)
+    for a, b in zip(chain.terms, chain.terms[1:]):
+        assert table_elementary_abelian(G, a, b, 2)
+        assert generator_elementary_abelian(G, a, b, 2)
+    assert not generator_elementary_abelian(G, chain.terms[0],
+                                            chain.terms[2], 2)
+
+
+def test_check_chain_raises_typed_errors():
+    D4 = pc.builtin_group("D4")
+    s = pc.subgroup_generated(D4, [D4.generators[1]])
+    assert not s.is_normal()
+    with pytest.raises(SubgroupChainBroken, match="not normal"):
+        _check_chain(FiltrationChain("lower-central", 2, D4,
+                                     [D4.whole(), s]))
+    with pytest.raises(SubgroupChainBroken, match="not inside"):
+        _check_chain(FiltrationChain("lower-central", 2, D4,
+                                     [D4.trivial_subgroup(), D4.whole()]))
+    Z4 = pc.builtin_group("Z/4")
+    with pytest.raises(NotElementaryAbelian, match="terms 1 and 2"):
+        _check_chain(FiltrationChain("zassenhaus", 2, Z4,
+                                     [Z4.whole(), Z4.trivial_subgroup()]))
+    H = pc.builtin_group("Heis:3")
+    with pytest.raises(NotElementaryAbelian):
+        _check_chain(FiltrationChain("zassenhaus", 3, H,
+                                     [H.whole(), H.trivial_subgroup()]))

@@ -3,7 +3,10 @@ import pytest
 
 import pcohom as pc
 from pcohom import cohomology, pairings
-from pcohom.errors import NonCommutingSquare
+from pcohom.catalog import catalog_instances
+from pcohom.elements import perm_from_cycles
+from pcohom.errors import (NonCommutingSquare, NotElementaryAbelian,
+                           SubgroupChainBroken)
 from pcohom.homsearch import liftability_crosscheck
 from pcohom.magnus import evaluation_epi
 from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
@@ -174,6 +177,76 @@ def test_pairings_perfect_with_intermediate_n1():
     assert pairing_kernels(P)["perfect"]
     out = c_pairing(G, N1, bundle.Tbar, fam)
     assert out["B_flags"]["perfect"] and out["C_flags"]["perfect"]
+
+
+# ---------------------------------------------------------------------
+# coset bases: the seeded greedy generators against the join loop
+# ---------------------------------------------------------------------
+
+def join_loop_coset_basis(G, N, D, p):
+    """Reference: _coset_basis before the seeded greedy loop.  Walk N's
+    members in id order and join the cyclic subgroup of each member not
+    yet reached."""
+    reps, current = [], D
+    for s in N.members:
+        if int(s) not in current:
+            assert G.power(int(s), p) in current
+            reps.append(int(s))
+            current = pc.join_subgroups(
+                G, [current, pc.subgroup_generated(G, [int(s)])])
+    assert current == N
+    return reps
+
+
+def test_coset_basis_matches_join_loop(monkeypatch):
+    """The same picks as the join loop: on every call the A/B/C pairings
+    make for INSTANCES (N1 trivial and N1 = T), and on every catalog group
+    for N a term of its lower p-central or Zassenhaus chain over
+    D = N^p[G, N] joined with each later term."""
+    calls = []
+
+    def spy(G, N, D, p):
+        reps = pairings_coset_basis(G, N, D, p)
+        calls.append((G, N, D, p, reps))
+        return reps
+
+    pairings_coset_basis = pairings._coset_basis
+    monkeypatch.setattr(pairings, "_coset_basis", spy)
+    for nm, kind, n, p in INSTANCES:
+        G, fam, bundle = _setup(nm, kind, n, p)
+        for N1 in (trivial(G), bundle.T):
+            if N1 <= bundle.Tbar:
+                a_pairing(G, N1, bundle.Tbar, p)
+                c_pairing(G, N1, bundle.Tbar, fam)
+    monkeypatch.undo()
+    assert len(calls) == 36
+    for name, G, p in catalog_instances():
+        for chain in (pc.lower_p_central(G, p, 4), pc.zassenhaus(G, p, 4)):
+            for i, N in enumerate(chain.terms):
+                F = pc.power_commutator_subgroup(G, N, p)
+                for L in chain.terms[i + 1:] + [F]:
+                    D = pc.join_subgroups(G, [L, F])
+                    calls.append((G, N, D, p,
+                                  pairings._coset_basis(G, N, D, p)))
+    for G, N, D, p, reps in calls:
+        assert reps == join_loop_coset_basis(G, N, D, p), (G, N.order, p)
+
+
+def test_coset_basis_raises_typed_errors():
+    Z4 = pc.builtin_group("Z/4")
+    with pytest.raises(SubgroupChainBroken):
+        pairings._coset_basis(Z4, trivial(Z4), Z4.whole(), 2)
+    with pytest.raises(NotElementaryAbelian, match="not elementary"):
+        pairings._coset_basis(Z4, Z4.whole(), trivial(Z4), 2)
+    # a non-normal D in S3 = <(0 1), (1 2)>: the one pick (0 1) beyond
+    # D = <(1 2)> passes the generator test, but <D, (0 1)> is all of S3,
+    # of order 6, not 2 * 2
+    S3 = pc.generate_group([perm_from_cycles(3, [(0, 1)]),
+                            perm_from_cycles(3, [(1, 2)])])
+    D = pc.subgroup_generated(S3, [S3.generators[1]])
+    assert not D.is_normal()
+    with pytest.raises(NotElementaryAbelian, match="not a basis"):
+        pairings._coset_basis(S3, S3.whole(), D, 2)
 
 
 # ---------------------------------------------------------------------
