@@ -28,7 +28,7 @@ from .core import (FiniteGroup, Subgroup, builtin_group, center,
 from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
                      SpecError)
 from .filtrations import lower_p_central, zassenhaus
-from .homsearch import DEFAULT_BUDGET, enumerate_homs, t_bundle
+from .homsearch import DEFAULT_BUDGET, hom_count, t_bundle
 from .magnus import (counterexample_harness, free_nilpotent_standin,
                      lyndon_words)
 from .pairings import (STANDIN_CAVEAT, a_pairing, c_pairing,
@@ -134,9 +134,9 @@ def cmd_t_subgroups(args):
 def cmd_hom_count(args):
     G = resolve_group(args.group)
     U = resolve_group(args.codomain)
-    hs = enumerate_homs(G, U, budget=args.budget_prefixes)
-    return G, {"codomain": U.name, "hom_count": len(hs),
-               "explored_prefixes": hs.explored_prefixes}, True
+    count, explored = hom_count(G, U, budget=args.budget_prefixes)
+    return G, {"codomain": U.name, "hom_count": count,
+               "explored_prefixes": explored}, True
 
 
 def cmd_h2(args):

@@ -95,3 +95,24 @@ class NotElementaryAbelian(ValueError):
     lie in b for all x, y in X; the images of X generate a/b, commuting
     generators make it abelian, and an abelian group generated by
     elements of order p has exponent p."""
+
+
+class TNotInsideTbar(ValueError):
+    """T(G) is not inside Tbar(G) for an Omega family.
+
+    Lemma (the gamma homs, assumption (I) of `unitriangular`): the gammas
+    of each Gbar have trivially intersecting kernels, so for f: G -> Gbar,
+    ker f is the intersection of the ker(gamma o f).  When T lies in the
+    kernel of every hom from G to each gamma's codomain, as it does for
+    the gammas that land in E, T lies in every ker f, so T <= Tbar.  A
+    failure means a family's witnesses do not give this, or a hom search
+    missed a hom."""
+
+
+class NotSurjective(ValueError):
+    """A map that must be the quotient map pi: G -> G/N is not onto.
+
+    Lemma: liftability of rhobar along pi is decided three ways (lift
+    search, inflation, transgression), and the transgression leg reads
+    the five-term exact sequence of 1 -> ker pi -> G -> Q -> 1, which holds
+    only for pi onto Q."""

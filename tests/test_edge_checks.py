@@ -295,10 +295,9 @@ def _u729():
 def test_hom_search_matches_full_check_search(gname, uname, monkeypatch):
     G = pc.builtin_group(gname)
     U = _u729() if uname == "U729" else pc.builtin_group(uname)
-    search = enumerate_homs.__wrapped__
-    new = search(G, U)
+    new = enumerate_homs(dataclasses.replace(G, _cache={}), U)
     monkeypatch.setattr(homsearch, "_filter_prefixes", full_filter_prefixes)
-    ref = search(G, U)
+    ref = enumerate_homs(dataclasses.replace(G, _cache={}), U)
     assert new.images.dtype == ref.images.dtype == np.int32
     assert np.array_equal(new.images, ref.images)
     assert new.explored_prefixes == ref.explored_prefixes
@@ -339,7 +338,7 @@ UNDER_O_ELSEWHERE = [
 # modules with no assert statement at all; the list grows until it
 # covers every module of src/pcohom
 NO_ASSERT_MODULES = ["__init__", "cli", "elements", "errors", "filtrations",
-                     "gf"]
+                     "gf", "homsearch"]
 
 
 def test_no_assert_in_ratcheted_modules():

@@ -1,14 +1,146 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import GroupHom, hom_from_generator_images
-from pcohom.errors import BudgetExceeded
-from pcohom.homsearch import (enumerate_homs, lift_hom, liftability_crosscheck,
+from pcohom import homsearch
+from pcohom.catalog import catalog_instances
+from pcohom.core import GroupHom, _element_orders, hom_from_generator_images
+from pcohom.errors import BudgetExceeded, NotSurjective, TNotInsideTbar
+from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
+                              hom_count, lift_hom, liftability_crosscheck,
                               t_bundle, t_subgroup)
 from pcohom.pairings import cached_quotient
+from test_edge_checks import HOM_PAIRS, _u729
+
+
+def full_enumerate_homs(G, U, *, budget=DEFAULT_BUDGET):
+    """Reference: the search over every hom, with no cut to conjugacy
+    class representatives and no cache."""
+    ngens = len(G.generators)
+    if ngens == 0:
+        return HomSet(G, U, np.zeros((1, G.order), dtype=np.int32))
+    u_orders = _element_orders(U)
+    cands = [np.nonzero(o % u_orders == 0)[0].astype(np.int32)
+             for o in _element_orders(G)[G.generators]]
+    explored = 0
+    P = np.zeros((1, 0), dtype=np.int32)
+    img = None
+    for j in range(1, ngens + 1):
+        c = cands[j - 1]
+        explored += P.shape[0] * len(c)
+        if explored > budget:
+            raise BudgetExceeded(f"hom search budget exceeded ({explored})",
+                                 explored=explored)
+        P, img = homsearch._filter_prefixes(G, U, homsearch._extend(P, c), j)
+    return HomSet(G, U, img, explored_prefixes=explored)
+
+
+def cold(G):
+    """G with an empty cache, so memoized searches run again."""
+    return dataclasses.replace(G, _cache={})
+
+
+def hom_enum_codomains(p):
+    """The E and Gbar of every extension of zassenhaus:3:p and
+    lower-central:3:p, one per table."""
+    cods = {}
+    for label in ("zassenhaus", "lower-central"):
+        for ext in pc.omega_family(label, 3, p).extensions:
+            for U in (ext.E, ext.Gbar):
+                cods.setdefault(U.key, U)
+    return list(cods.values())
+
+
+@pytest.fixture(scope="module")
+def reference_pairs():
+    """(G, U, full_enumerate_homs(G, U)) for every catalog group of order
+    <= 32 against the codomains of its prime, (E:3:2, U729), HOM_PAIRS
+    and the trivial group."""
+    groups = {}
+    for _, G, p in catalog_instances():
+        if G.order <= 32 and p in (2, 3):
+            groups.setdefault(G.key, (G, p))
+    pairs = [(G, U) for G, p in groups.values() for U in hom_enum_codomains(p)]
+    pairs.append((pc.builtin_group("E:3:2"), _u729()))
+    pairs += [(pc.builtin_group(a), pc.builtin_group(b))
+              for a, b in HOM_PAIRS + [("Z/1", "D4")]]
+    return [(G, U, full_enumerate_homs(G, U)) for G, U in pairs]
+
+
+def test_reference_pairs_cover_nonabelian_codomains(reference_pairs):
+    shrunk = [(G, U) for G, U, ref in reference_pairs
+              if len(homsearch._reduced_homs(G, U)[0]) < len(ref)]
+    assert len(reference_pairs) > 150 and len(shrunk) > 50
+
+
+def test_hom_set_matches_full_search(reference_pairs):
+    """Expanding the reduced set gives the full search's matrix: the same
+    rows in the same order, the same dtype and the same explored count."""
+    for G, U, ref in reference_pairs:
+        hs = enumerate_homs(G, U)
+        assert hs.images.dtype == ref.images.dtype == np.int32
+        assert np.array_equal(hs.images, ref.images), (G.name, U.name)
+        assert hs.explored_prefixes == ref.explored_prefixes, (G.name, U.name)
+
+
+def test_t_subgroup_matches_full_kernel_intersection(reference_pairs):
+    for G, U, ref in reference_pairs:
+        want = np.flatnonzero((ref.images == 0).all(axis=0))
+        assert np.array_equal(t_subgroup(G, U).members, want), (G.name, U.name)
+
+
+def test_weighted_count_is_hom_count(reference_pairs):
+    """Lemma 4: |Hom(G, U)| = sum over class representatives x of
+    |cl(x)| * #{reduced f : f(s_1) = x}."""
+    for G, U, ref in reference_pairs:
+        R, _ = homsearch._reduced_homs(G, U)
+        classes = homsearch._conjugacy_classes(U)
+        if classes is None or not G.generators:
+            assert np.array_equal(R, ref.images)
+        else:
+            x = R[:, G.generators[0]]
+            assert (classes.rep[x] == x).all()
+            reps, per_rep = np.unique(x, return_counts=True)
+            assert int((classes.size[reps] * per_rep).sum()) == len(ref)
+        assert hom_count(G, U) == (len(ref), ref.explored_prefixes)
+
+
+def test_conjugacy_classes_against_definition():
+    for U in [pc.builtin_group("D4"), pc.builtin_group("Heis:3"),
+              pc.builtin_group("U:3:2")]:
+        classes = homsearch._conjugacy_classes(U)
+        for x in range(U.order):
+            cl = np.unique(U.mult[U.mult[:, x], U.inv])
+            assert classes.rep[x] == cl[0] and classes.size[x] == len(cl)
+            if x == cl[0]:
+                t = classes.transversal[x]
+                assert np.array_equal(U.mult[U.mult[t, x], U.inv[t]], cl)
+    assert homsearch._conjugacy_classes(pc.builtin_group("E:2:3")) is None
+
+
+@pytest.mark.parametrize("gname,uname", [("Meta:3", "Heis:3"),
+                                         ("E:2:3", "U:3:2")])
+def test_budget_parity_with_full_search(gname, uname):
+    """The reduced search counts the full search's prefixes, so a budget
+    is exceeded exactly when it is for the full search, with the same
+    count; level 1 is the first generator's full candidate list."""
+    G, U = pc.builtin_group(gname), pc.builtin_group(uname)
+    assert homsearch._conjugacy_classes(U) is not None
+    total = full_enumerate_homs(G, U).explored_prefixes
+    level1 = int((_element_orders(G)[G.generators[0]]
+                  % _element_orders(U) == 0).sum())
+    for budget in (level1 - 1, level1, total - 1):
+        with pytest.raises(BudgetExceeded) as want:
+            full_enumerate_homs(G, U, budget=budget)
+        with pytest.raises(BudgetExceeded) as got:
+            enumerate_homs(cold(G), U, budget=budget)
+        assert got.value.explored == want.value.explored > budget
+        with pytest.raises(BudgetExceeded):
+            t_subgroup(cold(G), U, budget=budget)
+    assert enumerate_homs(cold(G), U, budget=total).explored_prefixes == total
 
 
 def brute_hom_count(G, U):
@@ -171,3 +303,24 @@ def test_liftability_psi_coefficients_pinned():
     rep = liftability_crosscheck(ext, pi, rho)
     assert rep["status"] == "PASS" and rep["lift_exists"]
     assert rep["psi_coefficients"] == [0, 1]
+
+
+def test_t_bundle_raises_when_t_is_not_inside_tbar(monkeypatch):
+    G = pc.builtin_group("Q8")
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    Es = {ext.E.key for ext in fam.extensions}
+    monkeypatch.setattr(homsearch, "t_subgroup",
+                        lambda G, U, budget: G.whole() if U.key in Es
+                        else pc.center(G))
+    with pytest.raises(TNotInsideTbar):
+        t_bundle.__wrapped__(G, fam)
+
+
+def test_lift_hom_needs_a_quotient_map():
+    ext = pc.build_bar_extension(2, 2)
+    Q8 = pc.builtin_group("Q8")
+    Q, pi = cached_quotient(Q8, pc.center(Q8))
+    trivial = GroupHom(Q8, Q, np.zeros(Q8.order, dtype=np.int32))
+    rho = enumerate_homs(Q, ext.Gbar).homs[0]
+    with pytest.raises(NotSurjective):
+        lift_hom(ext, trivial, rho)
