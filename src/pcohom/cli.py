@@ -1,12 +1,13 @@
 """Command-line front end producing JSON-lines reports.
 
-Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found,
-2 a search budget was exceeded, 3 malformed manifest or arguments (a bad
+Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found
+or two internal oracles disagreed (`errors.OracleDisagreement`), 2 a
+search budget was exceeded, 3 malformed manifest or arguments (a bad
 flag, group, subgroup or family spec, a p that is not prime, a count flag
 that is not a positive integer, a sweep group that is not a p-group, too
 few Massey characters, a subgroup outside Tbar, N1 not inside N2, or a
-group over a size cap).  Exit 3
-writes one JSON error record {"schema_version", "command", "error"} after
+group over a size cap).  An oracle disagreement (exit 1) and exit 3 each
+write one JSON error record {"schema_version", "command", "error"} after
 any reports already made.
 """
 
@@ -26,7 +27,7 @@ from .core import (FiniteGroup, Subgroup, builtin_group, center,
                    normal_closure, signature, spec_ints, spec_positive,
                    spec_prime)
 from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
-                     SpecError)
+                     OracleDisagreement, SpecError)
 from .filtrations import lower_p_central, zassenhaus
 from .homsearch import DEFAULT_BUDGET, hom_count, t_bundle
 from .magnus import (counterexample_harness, free_nilpotent_standin,
@@ -363,11 +364,11 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         _emit(reports, out)
         return 2
-    except INPUT_ERRORS as e:
+    except (OracleDisagreement, *INPUT_ERRORS) as e:
         reports.append({"schema_version": SCHEMA_VERSION, "command": command,
                         "error": f"{type(e).__name__}: {e}"})
         _emit(reports, out)
-        return 3
+        return 1 if isinstance(e, OracleDisagreement) else 3
     _emit(reports, out)
     return 0 if all_ok else 1
 

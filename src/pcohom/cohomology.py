@@ -150,13 +150,23 @@ def _tree_coboundaries(G: FiniteGroup, p: int):
     return W, D, gf.Span(D.shape[1], p, D)
 
 
+def coboundary_mask(G: FiniteGroup, u, p: int):
+    """Which of the (already verified) normalized 2-cocycles given by their
+    generator columns u are coboundaries: u is one vector, giving one bool,
+    or a matrix with one cocycle per row, giving a bool per row.  Every row
+    is gauged in one `_gauge` call and reduced in one product against the
+    span of D.  The gauge of u is 0 on the BFS tree, so u is a coboundary
+    iff the gauge lies in the row space of D, rank ngens - dim H^1
+    (`_tree_coboundaries`).  A row that is not a cocycle is never in that
+    row space, as every row of D is a coboundary, so it reads False."""
+    return ~_tree_coboundaries(G, p)[2].reduce(_gauge(G, u, p)).any(axis=-1)
+
+
 def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
     """Is the (already verified) normalized 2-cocycle table a coboundary?
-    Its gauge (`_gauge`) is 0 on the BFS tree, so it is a coboundary iff
-    the gauge lies in the row space of D, rank ngens - dim H^1
-    (`_tree_coboundaries`)."""
+    `coboundary_mask` on its generator columns."""
     u = _generator_columns(G, np.asarray(table, dtype=np.int64))
-    return _tree_coboundaries(G, p)[2].contains(_gauge(G, u, p))
+    return bool(coboundary_mask(G, u, p))
 
 
 def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
@@ -457,6 +467,18 @@ def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:
     return Cocycle2(rho.domain, vals, alpha.p)
 
 
+def pullback_columns(alpha: Cocycle2, R: np.ndarray,
+                     G: FiniteGroup) -> np.ndarray:
+    """Generator columns of the pullbacks f*alpha, one row per row of R:
+    the image matrix (over the ids of G) of homs f: G -> alpha.group.  Row
+    k is alpha(f(g), f(s)) over g in G and the generators s of G, and all
+    rows come from one gather.  By the lemma at `pullback_coords` each row
+    is a cocycle when alpha is one and the rows of R are homs."""
+    gens = np.asarray(G.generators, dtype=np.intp)
+    cols = alpha.values[R[:, :, None], R[:, None, gens]]
+    return cols.reshape(len(R), R.shape[1] * len(gens))
+
+
 def pullback_coords(alpha: Cocycle2, R: np.ndarray,
                     space: H2Space) -> np.ndarray:
     """H^2 coordinates of the pullbacks f*alpha, one row per row of R: the
@@ -465,11 +487,10 @@ def pullback_coords(alpha: Cocycle2, R: np.ndarray,
     Lemma: d(f*alpha) = f*(d alpha) = 0, and f*alpha is normalized since
     f(1) = 1, so pulling a verified cocycle back along a verified hom needs
     no per-hom Cocycle2 re-check.  The generator columns
-    alpha(f(g), f(s)) of every pullback come from one gather, and their
-    coordinates from one product (which still rejects a row outside Z^2)."""
-    gens = space.group.generators
-    cols = alpha.values[R[:, :, None], R[:, None, gens]]
-    return space.column_coords(cols.reshape(len(R), R.shape[1] * len(gens)))
+    alpha(f(g), f(s)) of every pullback come from one gather
+    (`pullback_columns`), and their coordinates from one product (which
+    still rejects a row outside Z^2)."""
+    return space.column_coords(pullback_columns(alpha, R, space.group))
 
 
 def cup(phi: Cochain1, psi: Cochain1) -> Cocycle2:

@@ -62,7 +62,13 @@ class WordTooShort(Exception):
 
 
 class NonCommutingSquare(Exception):
-    pass
+    """A square of maps that must commute does not: a pairing square
+    P1(a, beta b) = P2(alpha a, b), or q o pi1 = pi2 for the induced epi
+    q: G/N1 -> G/N2.
+
+    Lemma (`pairings.induced_epi`): q = pi2 o t for t a section of pi1, so
+    q(pi1(g)) = pi2(g n) for some n in N1, which is pi2(g) iff n lies in
+    N2; the square commutes for every g iff N1 <= N2."""
 
 
 class EdgeCheckFailed(ValueError):
@@ -116,3 +122,25 @@ class NotSurjective(ValueError):
     search, inflation, transgression), and the transgression leg reads
     the five-term exact sequence of 1 -> ker pi -> G -> Q -> 1, which holds
     only for pi onto Q."""
+
+
+class PairingShapeMismatch(ValueError):
+    """A pairing matrix whose shape is not (left labels, right labels).
+
+    Lemma: a bilinear pairing L x R -> Z/p is fixed by its values on a
+    basis of each side, one row per left label and one column per right
+    label; a matrix of any other shape pairs some other spaces."""
+
+
+class KernelMismatch(ValueError):
+    """The induced epi q: G/N1 -> G/N2 has a kernel other than pi1(N2).
+
+    Lemma: q o pi1 = pi2 with pi1 onto, so q(pi1(g)) = 1 iff g lies in
+    ker pi2 = N2; hence ker q = pi1(N2)."""
+
+
+class OracleDisagreement(RuntimeError):
+    """Two independent oracles disagree on a fact they both decide: the lift
+    search against the vanishing inflation, B <= C <= A between the
+    pairing subspaces, or the well-definedness of an induced coker pairing.
+    The CLI reports it as one JSON error record and exit 1."""

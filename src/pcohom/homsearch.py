@@ -43,7 +43,8 @@ import numpy as np
 from .core import (FiniteGroup, GroupHom, Subgroup, _bfs, _element_orders,
                    _respects_generator_edges, _table_product,
                    intersect_subgroups, memo, word_images)
-from .errors import BudgetExceeded, NotSurjective, TNotInsideTbar
+from .errors import (BudgetExceeded, MixedParents, NotSurjective,
+                     TNotInsideTbar)
 from .unitriangular import CentralExtension, OmegaFamily
 
 DEFAULT_BUDGET = 2 ** 31
@@ -317,24 +318,29 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
     (c) the inflation of the pulled-back classifying class vanishes;
     (d) the pulled-back class has a transgression preimage in H^1(N)^G.
 
+    (c) reads the generator columns of the inflation by one gather along
+    rhobar o pi (`cohomology.pullback_columns`), with no |G| x |G| table,
+    and (d) the coordinates of the pullback by `cohomology.pullback_coords`.
     Returns each verdict, the coefficients of psi for (d), and status
     "PASS" when the three agree, "FAIL" otherwise; it raises nothing on a
     disagreement."""
     from . import cohomology as coh
 
     G, Q = pi.domain, pi.codomain
+    if rhobar.domain.key != Q.key or rhobar.codomain.key != ext.Gbar.key:
+        raise MixedParents("rhobar must map pi's codomain to ext.Gbar")
     p = ext.p
     lift = lift_hom(ext, pi, rhobar, budget=budget)
     a = lift is not None
 
     alpha = coh.classifying_cocycle(ext)
-    pulled = coh.pullback(alpha, rhobar)
-    inflated = pulled.values[np.ix_(pi.image, pi.image)]
-    c = coh.is_coboundary(G, inflated, p)
+    R = rhobar.image[None, :]
+    c = bool(coh.coboundary_mask(
+        G, coh.pullback_columns(alpha, R[:, pi.image], G), p)[0])
 
     # (d): pulled class = trg(psi) for an invariant psi on N = ker(pi)
     _, trg = coh.transgression_span(G, pi, p)
-    sol = trg.solve(coh.h2_space(Q, p).coords(pulled))
+    sol = trg.solve(coh.pullback_coords(alpha, R, coh.h2_space(Q, p))[0])
     d = sol is not None
     psi_coeffs = None if sol is None else [int(x) for x in sol]
 

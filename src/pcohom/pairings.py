@@ -11,9 +11,23 @@ H^2(G/N1)), and each surjection's transgression is factored once by the
 memoized ``cohomology.transgression_span``; the A/B/C subspaces and
 pairings all read these two.
 
+Liftability and inflation are gathers over generator columns; no
+|G| x |G| table is built.  Lemma: for a hom f: G/N -> Gbar and the quotient
+map pi: G -> G/N, the inflation of f*alpha along pi has generator columns
+alpha(f(pi g), f(pi s)), s over G's generators.  It is the pullback of the
+verified cocycle alpha along the verified hom f o pi, hence a verified
+cocycle (the lemma at `cohomology.pullback_coords`).  So its gauge lies in
+the row space of D (`cohomology.coboundary_mask`) iff the inflated table
+alpha(f(pi x), f(pi y)) is a coboundary, and every class is decided
+liftable exactly as the table test decides it.  `inflation_matrix` reads
+the inflated basis of H^2(G/N2) the same way.
+
 The transfer check computes its two sides by disjoint code paths (pure
 group/hom enumeration vs. cohomological linear algebra) that share only the
-group core, so agreement is a genuine cross-oracle.
+group core, so agreement is a genuine cross-oracle.  Inside the tower,
+the lift search cross-checks the inflation test, and B <= C <= A is
+checked on every kernel generating condition; a disagreement raises
+`errors.OracleDisagreement`.
 """
 
 from __future__ import annotations
@@ -25,14 +39,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .cohomology import (H2Space, classifying_cocycle, h2_space,
-                         is_coboundary, pullback, pullback_coords,
+from .cohomology import (Cocycle2, H2Space, classifying_cocycle,
+                         coboundary_mask, h2_space, pullback,
+                         pullback_columns, pullback_coords,
                          transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, _elementary_abelian_mod,
                    _least_id_generators, intersect_subgroups, join_subgroups,
                    memo, power_commutator_subgroup, quotient_group)
-from .errors import (NonCommutingSquare, NotElementaryAbelian, SpecError,
-                     SubgroupChainBroken, TransgressionSolveFailed)
+from .errors import (KernelMismatch, MixedParents, NonCommutingSquare,
+                     NotElementaryAbelian, OracleDisagreement,
+                     PairingShapeMismatch, SpecError, SubgroupChainBroken,
+                     TransgressionSolveFailed)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
 from .unitriangular import OmegaFamily
 
@@ -53,7 +70,10 @@ class PairingMatrix:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.int64) % self.p
-        assert self.matrix.shape == (len(self.left_labels), len(self.right_labels))
+        shape = (len(self.left_labels), len(self.right_labels))
+        if self.matrix.shape != shape:
+            raise PairingShapeMismatch(f"matrix of shape {self.matrix.shape} "
+                                       f"for {shape} labels")
 
 
 def pairing_kernels(P: PairingMatrix) -> dict:
@@ -102,7 +122,9 @@ def induced_coker_ker(P1: PairingMatrix, P2: PairingMatrix,
             # well-definedness: shifting the representative by an image
             # vector must not change the value
             shifted = (r + alpha @ np.ones(alpha.shape[1], dtype=np.int64)) % p
-            assert int(shifted @ P2.matrix @ b % p) == mat[i, j]
+            if int(shifted @ P2.matrix @ b % p) != mat[i, j]:
+                raise OracleDisagreement(
+                    "induced coker pairing depends on the representative")
     return PairingMatrix([f"coker{i}" for i in range(len(reps))],
                          [f"ker{j}" for j in range(kb.shape[0])], mat, p)
 
@@ -117,19 +139,30 @@ def cached_quotient(G: FiniteGroup, N: Subgroup):
 
 
 def induced_epi(pi1: GroupHom, pi2: GroupHom) -> GroupHom:
-    """The epimorphism q: G/N1 -> G/N2 with q o pi1 = pi2 (N1 <= N2)."""
+    """The epimorphism q: G/N1 -> G/N2 with q o pi1 = pi2 (N1 <= N2).  The
+    square commutes iff N1 <= N2 (lemma at `errors.NonCommutingSquare`)."""
     q = GroupHom(pi1.codomain, pi2.codomain, pi2.image[pi1.section()])
-    assert np.array_equal(q.image[pi1.image], pi2.image)
+    if not np.array_equal(q.image[pi1.image], pi2.image):
+        raise NonCommutingSquare("q o pi1 != pi2: N1 is not inside N2")
     return q
 
 
 def inflation_matrix(space2: H2Space, space1: H2Space, q: GroupHom):
     """Matrix M of inf: H^2(Q2) -> H^2(Q1) along q: Q1 -> Q2, acting on
-    coordinate row vectors as v -> v @ M."""
-    rows = [space1.coords(pullback(b, q)) for b in space2.basis]
-    if not rows:
+    coordinate row vectors as v -> v @ M.  One gather takes the generator
+    columns b(q(x), q(s)) of every basis table b, and one `column_coords`
+    solves them all; each q*b is a verified cocycle (the lemma at
+    `cohomology.pullback_coords`), so none is re-checked."""
+    Q1 = space1.group
+    if q.domain.key != Q1.key or q.codomain.key != space2.group.key:
+        raise MixedParents("q does not map the group of space1 to that of "
+                           "space2")
+    if not space2.basis:
         return np.zeros((0, space1.dim), dtype=np.int64)
-    return np.stack(rows)
+    B = np.stack([b.values for b in space2.basis])
+    x, gens = q.image, np.asarray(Q1.generators, dtype=np.intp)
+    cols = B[:, x[:, None], x[None, gens]]
+    return space1.column_coords(cols.reshape(len(B), Q1.order * len(gens)))
 
 
 class _Pair(NamedTuple):
@@ -148,7 +181,8 @@ def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
     Q2, pi2 = cached_quotient(G, N2)
     Q1, pi1 = cached_quotient(G, N1)
     q = induced_epi(pi1, pi2)
-    assert pi1.push(N2) == q.kernel()
+    if pi1.push(N2) != q.kernel():
+        raise KernelMismatch("ker q != pi1(N2)")
     space = h2_space(Q2, p)
     return _Pair(pi1, q, space, inflation_matrix(space, h2_space(Q1, p), q))
 
@@ -174,7 +208,7 @@ class SubspaceHandle:
         return self._span.contains(v)
 
     def contains_all(self, other: "SubspaceHandle") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return not self._span.reduce(other.basis).any()
 
 
 def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> SubspaceHandle:
@@ -186,45 +220,70 @@ def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> SubspaceHandl
 @dataclass
 class LiftablePullbacks:
     """All distinct pullback classes along homs G/N -> Ubar_w, each decided
-    liftable or not, plus the span of the liftable ones (= H^2(G/N)_pi)."""
+    liftable or not, plus the span of the liftable ones (= H^2(G/N)_pi).
+
+    Class i, in first-occurrence order over the extensions' hom sets, is
+    stacked: coords[i] are its H^2(G/N) coordinates, liftable[i] its
+    verdict, exts[i] its extension and images[i] the image row of the first
+    hom G/N -> exts[i].Gbar that pulls it back.  `rho(i)` and `cocycle(i)`
+    build that hom and the pullback cocycle on request."""
     space: H2Space
-    classes: list          # (coords, liftable, (ext, rho), rep Cocycle2)
+    coords: np.ndarray          # (classes, dim H^2(G/N))
+    liftable: np.ndarray        # bool, one per class
+    exts: list                  # CentralExtension, one per class
+    images: np.ndarray          # (classes, |G/N|) int32
     span: SubspaceHandle
     stats: dict
+
+    def rho(self, i) -> GroupHom:
+        return GroupHom(self.space.group, self.exts[i].Gbar, self.images[i])
+
+    def cocycle(self, i) -> Cocycle2:
+        return pullback(classifying_cocycle(self.exts[i]), self.rho(i))
 
 
 @memo
 def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
                             budget=DEFAULT_BUDGET) -> LiftablePullbacks:
+    """The distinct pullback classes, from one `pullback_coords` and one
+    `np.unique` over every hom set, each decided liftable along pi: G ->
+    G/N by its inflation (lemma in the module docstring): the rows R of the
+    classes' homs, composed with pi, give the inflations' generator columns
+    by one gather per extension, and one `coboundary_mask` decides them
+    all.  The liftable rows are added to the span in one batch; each row
+    that grows it is cross-checked by the lift search."""
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = h2_space(Q, p)
-    sources = []                # (ext, alpha, hom set) per extension
+    sources = []                # (ext, alpha, image matrix) per extension
     for ext in fam.extensions:
-        alpha = classifying_cocycle(ext)
-        sources.append((ext, alpha, enumerate_homs(Q, ext.Gbar,
-                                                   budget=budget)))
-    V = np.concatenate([pullback_coords(alpha, hs.images, space)
-                        for _, alpha, hs in sources])
-    start = np.cumsum([0] + [len(hs) for *_, hs in sources])
+        sources.append((ext, classifying_cocycle(ext),
+                        enumerate_homs(Q, ext.Gbar, budget=budget).images))
+    V = np.concatenate([pullback_coords(alpha, R, space)
+                        for _, alpha, R in sources])
+    first = np.sort(np.unique(V, axis=0, return_index=True)[1])
+    start = np.cumsum([0] + [len(R) for *_, R in sources])
+    src = np.searchsorted(start, first, side="right") - 1
+    exts, images, cols = [], [], []
+    for k, (ext, alpha, R) in enumerate(sources):
+        rows = R[first[src == k] - start[k]]
+        exts += [ext] * len(rows)
+        images.append(rows)
+        cols.append(pullback_columns(alpha, rows[:, pi.image], G))
+    liftable = coboundary_mask(G, np.concatenate(cols), p)
+    coords = V[first]
     span = gf.Span(space.dim, p)
-    classes = []
-    for i in np.sort(np.unique(V, axis=0, return_index=True)[1]):
-        k = np.searchsorted(start, i, side="right") - 1
-        ext, alpha, hs = sources[k]
-        rho = hs[i - start[k]]
-        c = pullback(alpha, rho)
-        inflated = c.values[np.ix_(pi.image, pi.image)]
-        liftable = is_coboundary(G, inflated, p)
-        classes.append((V[i], liftable, (ext, rho), c))
-        if liftable and span.add(V[i]):
-            lifted = lift_hom(ext, pi, rho, budget=budget)
-            assert (lifted is not None) == liftable, \
-                "lift search disagrees with inflation vanishing"
-    return LiftablePullbacks(
-        space, classes, SubspaceHandle(space, span.basis()),
-        {"homs": len(V), "distinct_classes": len(classes),
-         "liftable_classes": sum(1 for c in classes if c[1])})
+    grew = np.flatnonzero(liftable)[span.add(coords[liftable])]
+    lp = LiftablePullbacks(
+        space, coords, liftable, exts, np.concatenate(images),
+        SubspaceHandle(space, span.basis()),
+        {"homs": len(V), "distinct_classes": len(first),
+         "liftable_classes": int(liftable.sum())})
+    for i in grew:
+        if lift_hom(lp.exts[i], pi, lp.rho(i), budget=budget) is None:
+            raise OracleDisagreement(
+                "lift search disagrees with inflation vanishing")
+    return lp
 
 
 def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
@@ -233,9 +292,8 @@ def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
     individually killed by inflation to H^2(G/N1)."""
     M = _pair(G, N1, N2, fam.p).inflation
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
-    span = gf.Span(lp.space.dim, fam.p,
-                   [v for v, liftable, _, _ in lp.classes
-                    if liftable and not np.any((v @ M) % fam.p)])
+    killed = lp.liftable & ~((lp.coords @ M) % fam.p).any(axis=1)
+    span = gf.Span(lp.space.dim, fam.p, lp.coords[killed])
     return SubspaceHandle(lp.space, span.basis())
 
 
@@ -255,8 +313,10 @@ def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
     B = b_space(G, N1, N2, fam, budget=budget)
     C = c_space(G, N1, N2, fam, budget=budget)
     A = a_space(G, N1, N2, fam.p)
-    assert C.contains_all(B), "B <= C must hold"
-    assert A.contains_all(C), "C <= A must hold"
+    if not C.contains_all(B):
+        raise OracleDisagreement("B <= C fails")
+    if not A.contains_all(C):
+        raise OracleDisagreement("C <= A fails")
     holds = B.dim == C.dim
     witness = None
     if not holds:

@@ -115,6 +115,24 @@ def test_budget_exceeded_exits_2(tmp_path):
         expect_code=2)
 
 
+def test_oracle_disagreement_exits_1_with_one_error_record(tmp_path,
+                                                           monkeypatch):
+    """A failing internal cross-oracle (here B <= C) is one JSON error
+    record after the reports already made, and exit 1, not a traceback."""
+    from pcohom import pairings
+    monkeypatch.setattr(pairings.SubspaceHandle, "contains_all",
+                        lambda self, other: False)
+    manifest = tmp_path / "jobs.json"
+    manifest.write_text(json.dumps({"jobs": [
+        {"command": "group-info", "group": "Q8"},
+        {"command": "kernel-condition", "group": "Q8",
+         "family": "zassenhaus:2:2", "n1": "trivial", "n2": "tbar"}]}))
+    ok, err = run(tmp_path, ["--manifest", str(manifest)], expect_code=1)
+    assert ok["command"] == "group-info"
+    assert err == {"schema_version": 1, "command": "kernel-condition",
+                   "error": "OracleDisagreement: B <= C fails"}
+
+
 def test_missing_subcommand_exits_3(tmp_path):
     assert main([]) == 3
 

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom import homsearch
+from pcohom import cohomology, homsearch
 from pcohom.catalog import catalog_instances
 from pcohom.core import GroupHom, _element_orders, hom_from_generator_images
-from pcohom.errors import BudgetExceeded, NotSurjective, TNotInsideTbar
+from pcohom.errors import (BudgetExceeded, MixedParents, NotSurjective,
+                           TNotInsideTbar)
 from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
                               hom_count, lift_hom, liftability_crosscheck,
                               t_bundle, t_subgroup)
 from pcohom.pairings import cached_quotient
+from test_acceptance import liftability_triples
 from test_edge_checks import HOM_PAIRS, _u729
 
 
@@ -290,6 +292,43 @@ def test_liftability_crosscheck_triple_agreement():
                 assert rep["status"] == "PASS"
                 total += 1
     assert total > 50
+
+
+def table_path_legs(ext, pi, rho):
+    """Legs (c) and (d) of liftability_crosscheck by the table path: the
+    pullback Cocycle2, its inflation as a |G| x |G| table and the coboundary
+    test of that table, and the H^2 coordinates of the pullback."""
+    G, Q, p = pi.domain, pi.codomain, ext.p
+    pulled = cohomology.pullback(cohomology.classifying_cocycle(ext), rho)
+    c = cohomology.is_coboundary(G, pulled.values[np.ix_(pi.image, pi.image)],
+                                 p)
+    _, trg = cohomology.transgression_span(G, pi, p)
+    sol = trg.solve(cohomology.h2_space(Q, p).coords(pulled))
+    return c, None if sol is None else [int(x) for x in sol]
+
+
+def test_liftability_crosscheck_matches_table_path():
+    """On the triples of acceptance criterion 3, the legs read off gathered
+    generator columns give the table path's verdicts and coefficients."""
+    verdicts = set()
+    for ext, pi, rho in liftability_triples():
+        rep = liftability_crosscheck(ext, pi, rho)
+        c, psi = table_path_legs(ext, pi, rho)
+        assert rep["inflation_vanishes"] == c
+        assert rep["psi_coefficients"] == psi
+        assert rep["transgression_preimage_exists"] == (psi is not None)
+        verdicts.add(c)
+    assert verdicts == {False, True}
+
+
+def test_liftability_crosscheck_rejects_mixed_parents():
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    G = pc.builtin_group("Q8")
+    Q, pi = cached_quotient(G, t_bundle(G, fam).Tbar)
+    ext = fam.extensions[0]
+    rho = enumerate_homs(G, ext.Gbar).homs[0]      # from G, not from Q
+    with pytest.raises(MixedParents):
+        liftability_crosscheck(ext, pi, rho)
 
 
 def test_liftability_psi_coefficients_pinned():

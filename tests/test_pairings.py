@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pcohom as pc
 from pcohom import cohomology, pairings
-from pcohom.catalog import catalog_instances
+from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
+                            applicable_families, catalog_instances)
 from pcohom.elements import perm_from_cycles
-from pcohom.errors import (NonCommutingSquare, NotElementaryAbelian,
-                           SubgroupChainBroken)
+from pcohom.errors import (KernelMismatch, NonCommutingSquare,
+                           NotElementaryAbelian, OracleDisagreement,
+                           PairingShapeMismatch, SubgroupChainBroken)
 from pcohom.homsearch import liftability_crosscheck
 from pcohom.magnus import evaluation_epi
 from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
@@ -132,15 +136,16 @@ def test_liftable_pullback_space_structure():
                            ("Heis:3", "mixed", None, 3)]:
         G, fam, bundle = _setup(nm, kind, n, p)
         lp = liftable_pullback_space(G, bundle.Tbar, fam)
-        assert lp.stats["distinct_classes"] == len(lp.classes)
+        assert lp.stats["distinct_classes"] == len(lp.coords) == \
+            len(lp.liftable) == len(lp.exts) == len(lp.images)
         assert lp.stats["liftable_classes"] >= 1    # the zero class lifts
-        for v, liftable, prov, c in lp.classes:
-            assert np.array_equal(lp.space.coords(c), v)
+        for i, (v, liftable) in enumerate(zip(lp.coords, lp.liftable)):
+            assert np.array_equal(lp.space.coords(lp.cocycle(i)), v)
             if liftable:
                 assert lp.span.contains(v)
         # the zero class is present and liftable
-        zero = [cl for cl in lp.classes if not cl[0].any()]
-        assert zero and zero[0][1]
+        zero = [i for i, v in enumerate(lp.coords) if not v.any()]
+        assert zero and lp.liftable[zero[0]]
 
 
 # ---------------------------------------------------------------------
@@ -433,21 +438,170 @@ def loop_massey_pullback_set(Q, n, phis, fam):
     return out
 
 
+def check_against_loop(G, N, fam):
+    """liftable_pullback_space(G, N, fam) against the per-hom loop: equal
+    coordinates, verdicts, extensions, image rows, lazily built cocycles
+    and stats, class by class."""
+    lp = liftable_pullback_space(G, N, fam)
+    classes, stats = loop_liftable_pullbacks(G, N, fam)
+    assert lp.stats == stats
+    assert len(lp.coords) == len(classes)
+    for i, (v0, lift0, (ext0, rho0), c0) in enumerate(classes):
+        assert np.array_equal(lp.coords[i], v0)
+        assert lp.liftable[i] == lift0 and lp.exts[i] is ext0
+        assert np.array_equal(lp.images[i], rho0.image)
+        assert np.array_equal(lp.cocycle(i).values, c0.values)
+    return lp
+
+
 @pytest.mark.parametrize("nm,kind,n,p", [("Q8", "zassenhaus", 2, 2),
                                          ("Heis:3", "mixed", None, 3),
                                          ("Meta:3", "mixed", None, 3)])
 def test_batched_pullback_classes_match_per_hom_loop(nm, kind, n, p):
     G, fam, bundle = _setup(nm, kind, n, p)
     for N in (bundle.Tbar, trivial(G)):
-        lp = liftable_pullback_space(G, N, fam)
-        classes, stats = loop_liftable_pullbacks(G, N, fam)
-        assert lp.stats == stats
-        assert len(lp.classes) == len(classes) > 1
-        for (v, lift, (ext, rho), c), (v0, lift0, (ext0, rho0), c0) in zip(
-                lp.classes, classes):
-            assert np.array_equal(v, v0) and lift == lift0 and ext is ext0
-            assert np.array_equal(rho.image, rho0.image)
-            assert np.array_equal(c.values, c0.values)
+        assert len(check_against_loop(G, N, fam).coords) > 1
+
+
+@pytest.fixture(scope="module")
+def small_sweep_grid():
+    """(G, fam, N, Tbar) for each catalog group of order <= 32, each of its
+    applicable families and each subgroup choice of the transfer sweep,
+    with the sweep's seeded picks (the rng runs over every group)."""
+    rng = np.random.default_rng(CATALOG_SEED + 1)
+    grid = []
+    for _, G, p in catalog_instances():
+        for fam in applicable_families(p):
+            tbar = pc.t_bundle(G, fam).Tbar
+            for _, N in _subgroup_choices(G, tbar, rng):
+                if G.order <= 32:
+                    grid.append((G, fam, N, tbar))
+    return grid
+
+
+def test_batched_pullback_classes_match_per_hom_loop_on_catalog(
+        small_sweep_grid):
+    """Every catalog group of order <= 32 x its applicable families x
+    {trivial, Tbar}; groups with equal tables (equal keys) run once."""
+    cases = {(G.key, fam.label): (G, fam, tbar)
+             for G, fam, _, tbar in small_sweep_grid}
+    nonliftable = 0
+    for G, fam, tbar in cases.values():
+        for N in (tbar, trivial(G)):
+            lp = check_against_loop(G, N, fam)
+            nonliftable += int((~lp.liftable).sum())
+    assert len(cases) > 60 and nonliftable > 0
+
+
+def loop_inflation_matrix(space2, space1, q):
+    """inflation_matrix by one pullback Cocycle2 and one coordinate solve
+    per basis class."""
+    rows = [space1.coords(cohomology.pullback(b, q)) for b in space2.basis]
+    if not rows:
+        return np.zeros((0, space1.dim), dtype=np.int64)
+    return np.stack(rows)
+
+
+def test_inflation_matrix_matches_per_class_loop(small_sweep_grid):
+    """Every pair N <= Tbar the sweep builds for the groups of order <= 32."""
+    dims = set()
+    for G, fam, N, tbar in small_sweep_grid:
+        pair = pairings._pair(G, N, tbar, fam.p)
+        space1 = cohomology.h2_space(pair.q.domain, fam.p)
+        M = pairings.inflation_matrix(pair.space, space1, pair.q)
+        want = loop_inflation_matrix(pair.space, space1, pair.q)
+        assert M.dtype == want.dtype and np.array_equal(M, want)
+        dims.add(M.shape)
+    assert len(dims) > 5 and any(d[0] != d[1] for d in dims)
+
+
+def test_inflation_matrix_rejects_mixed_parents():
+    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
+    pair = pairings._pair(G, trivial(G), bundle.Tbar, 2)
+    with pytest.raises(pc.errors.MixedParents):
+        pairings.inflation_matrix(pair.space, pair.space, pair.q)
+
+
+def test_liftable_pullback_space_edge_cases(monkeypatch):
+    """A trivial G (ngens = 0); the zero class, first and liftable, which
+    never grows the span, so the lift search runs once per span row; and
+    a space with no liftable class, whose batch Span.add is empty."""
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    Z1 = pc.builtin_group("Z/1")
+    lp = check_against_loop(Z1, trivial(Z1), fam)
+    assert lp.coords.shape == (1, 0) and lp.liftable.tolist() == [True]
+    assert lp.span.dim == 0
+
+    calls = []
+    lift = pairings.lift_hom
+    monkeypatch.setattr(pairings, "lift_hom",
+                        lambda *a, **k: calls.append(a) or lift(*a, **k))
+    G = dataclasses.replace(pc.builtin_group("D4"), _cache={})
+    lp = liftable_pullback_space(G, pc.t_bundle(G, fam).Tbar, fam)
+    assert not lp.coords[0].any() and lp.liftable[0]
+    assert 0 < len(calls) == lp.span.dim < lp.stats["liftable_classes"]
+
+    calls.clear()
+    monkeypatch.setattr(pairings, "coboundary_mask",
+                        lambda G, u, p: np.zeros(len(u), dtype=bool))
+    G = dataclasses.replace(G, _cache={})
+    lp = liftable_pullback_space(G, trivial(G), fam)
+    assert lp.stats["liftable_classes"] == 0 < lp.stats["distinct_classes"]
+    assert lp.span.dim == 0 and not calls
+
+    span = pc.gf.Span(3, 2, np.eye(2, 3, dtype=np.int64))
+    grew = span.add(np.zeros((0, 3), dtype=np.int64))
+    assert grew.shape == (0,) and span.dim == 2
+
+
+def test_contains_all_matches_per_vector_loop():
+    for nm, kind, n, p in INSTANCES:
+        G, fam, bundle = _setup(nm, kind, n, p)
+        N1, N2 = trivial(G), bundle.Tbar
+        spaces = [a_space(G, N1, N2, p), b_space(G, N1, N2, fam),
+                  c_space(G, N1, N2, fam)]
+        for X in spaces:
+            for Y in spaces:
+                assert X.contains_all(Y) == \
+                    all(X.contains(v) for v in Y.basis), nm
+    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
+    A = a_space(G, trivial(G), bundle.Tbar, 2)
+    B = b_space(G, trivial(G), bundle.Tbar, fam)
+    assert A.contains_all(B) and not B.contains_all(A)
+
+
+def test_oracle_disagreements_raise(monkeypatch):
+    monkeypatch.setattr(pairings, "lift_hom", lambda *a, **k: None)
+    G = dataclasses.replace(pc.builtin_group("D4"), _cache={})
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    with pytest.raises(OracleDisagreement, match="lift search"):
+        liftable_pullback_space(G, pc.t_bundle(G, fam).Tbar, fam)
+    monkeypatch.undo()
+    monkeypatch.setattr(pairings.SubspaceHandle, "contains_all",
+                        lambda self, other: False)
+    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
+    with pytest.raises(OracleDisagreement, match="B <= C"):
+        kernel_generating_condition(G, trivial(G), bundle.Tbar, fam)
+
+
+def test_pairing_invariants_raise_typed_errors(monkeypatch):
+    with pytest.raises(PairingShapeMismatch):
+        PairingMatrix(["a"], ["x", "y"], np.eye(2, dtype=np.int64), 2)
+    # N1 = <a> is not inside N2 = <b> in E:2:2; q o pi1 = pi2 fails at a,
+    # though q (onto Z/2 from Z/2) is a hom
+    V = pc.builtin_group("E:2:2")
+    a, b = V.generators
+    _, pi1 = cached_quotient(V, pc.subgroup_generated(V, [a]))
+    _, pi2 = cached_quotient(V, pc.subgroup_generated(V, [b]))
+    with pytest.raises(NonCommutingSquare):
+        induced_epi(pi1, pi2)
+    # a q with the wrong kernel: the trivial map G -> G/Z(G)
+    G = pc.builtin_group("D4")
+    monkeypatch.setattr(pairings, "induced_epi", lambda pi1, pi2: pc.GroupHom(
+        pi1.codomain, pi2.codomain, np.zeros(pi1.codomain.order,
+                                             dtype=np.int32)))
+    with pytest.raises(KernelMismatch):
+        pairings._pair.__wrapped__(G, trivial(G), pc.center(G), 2)
 
 
 def _massey_cases():
