@@ -23,6 +23,16 @@ character (`_respects_generator_edges`) and cocycle, run by each constructor.
 The hom check is batched: it takes a matrix of image rows and returns the
 rows that pass, so one function serves a single `GroupHom`, a character and
 every block of candidates in the hom search.
+
+`memo` is the one cache, and it is kept per table, not per object.
+`_table_group` registers each verified group weakly under its key (a
+sha1 of mult and generators) and its pred; a group built with the key
+and pred of the live group registered last shares that group's _cache,
+so a quotient equal to a group already built (G/1, the elementary
+abelian G/Tbar of many groups) recomputes no T-bundle, hom search or
+H^2.  The objects stay distinct, so renaming one renames no other, and
+`element_index`, which reads the concrete elements, stays per object.
+The lemma, and what the sharing means for search budgets, are at `memo`.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import functools
 import hashlib
 import inspect
 import json
+import weakref
 from dataclasses import dataclass, field
 from math import lcm
 
@@ -38,8 +49,8 @@ import numpy as np
 
 from .elements import MatMod, Perm, Residue, TupleElem, perm_from_cycles
 from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
-                     MixedElementKinds, MixedParents, NonNormalArguments,
-                     NotNormal, SpecError)
+                     KernelMismatch, MixedElementKinds, MixedParents,
+                     NonNormalArguments, NotNormal, SpecError)
 
 DEFAULT_CAP = 8192
 
@@ -57,6 +68,8 @@ class FiniteGroup:
     key: str = ""
     identity: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _index: dict | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if not self.key:
@@ -127,7 +140,31 @@ def memo(fn):
     domain is G), families by .label and ints as they are.
     Keyword-only arguments (the search budget) bound the work done, never
     the value returned, so they are passed on but not keyed; every other
-    argument must be passed positionally."""
+    argument must be passed positionally.
+
+    Twins share one cache: `_table_group` hands a new group the _cache of
+    the live group registered last under the same key (mult and
+    generators) and the same pred, so G/1, or one elementary abelian
+    G/Tbar reached from many groups, is worked on once.
+
+    Lemma: sharing returns what a cold cache would.  Every memoized value
+    is a function of (mult, generators, pred) and of its keyed arguments
+    only, compared as the program compares them: groups by key, subgroups
+    by parent key and members (`Subgroup.__eq__`, `MixedParents`).  pred
+    is not in the key, and `_tree_coboundaries` caches W and D built along
+    it, so the registry is keyed on it too.
+    - A value may hold the twin that built it (a quotient map's domain, a
+      subgroup's parent); reports read names from the caller's group only.
+    - `element_index` reads G.elements, which the key does not cover, so
+      it is kept on G itself, not in the shared cache.
+    - The budget is not keyed, so a value found by one twin within its
+      budget is returned to another under a smaller one, as it already
+      was to a second call on one group.  A CLI process builds its groups
+      afresh and passes one budget, so no exit code changes; in-process, a
+      twin of a live searched group gets the value under any budget.
+    `dataclasses.replace(G, _cache={})` bypasses `_table_group` and stays
+    cold.  The registry holds the last group built for each key and pred,
+    weakly: it keeps no group alive, and an entry goes with its group."""
     name = fn.__name__
     unkeyed = {q.name for q in inspect.signature(fn).parameters.values()
                if q.kind is q.KEYWORD_ONLY}
@@ -226,9 +263,15 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
                         elems if ident is not None else None, name)
 
 
+# the last group built for each (key, pred bytes), while it lives
+_TWINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _table_group(mult, mult_gen, pred, elements, name) -> FiniteGroup:
     """The group of BFS-canonical tables, its inverses and generator ids
-    read off them; every FiniteGroup is built and verified here."""
+    read off them; every FiniteGroup is built and verified here.  A group
+    with the key and pred of the last one built, while that one lives,
+    shares its memo cache (`memo`)."""
     n = len(mult)
     inv = np.empty(n, dtype=np.int32)
     rows, cols = np.nonzero(mult == 0)
@@ -236,6 +279,11 @@ def _table_group(mult, mult_gen, pred, elements, name) -> FiniteGroup:
     G = FiniteGroup(n, mult, inv, [int(s) for s in mult_gen[0]],
                     mult_gen, pred, elements=elements, name=name)
     _verify_tables(G)
+    twin_key = G.key, np.asarray(pred, dtype=np.int32).tobytes()
+    twin = _TWINS.get(twin_key)
+    if twin is not None:
+        G._cache = twin._cache
+    _TWINS[twin_key] = G
     return G
 
 
@@ -618,7 +666,13 @@ def hom_from_generator_images(G: FiniteGroup, U: FiniteGroup,
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup):
-    """G/N with BFS-canonical ids.  Returns (Q, projection hom)."""
+    """G/N with BFS-canonical ids.  Returns (Q, projection hom).
+
+    Lemma: proj(g) = 1 iff the least id of gN is 0, iff g^-1 lies in N;
+    so ker proj = N^-1, which is N iff N is closed under inverses.  Only
+    N's normality is checked here, so a members set that is not a
+    subgroup fails the edge check of proj or raises
+    `errors.KernelMismatch`."""
     if not N.is_normal():
         raise NotNormal("quotient by a non-normal subgroup")
     cos = G.mult[:, N.members]
@@ -631,7 +685,9 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     Q, relabel = group_from_table(table, gen_pos,
                                   name=f"{G.name}/N{N.order}" if G.name else "")
     proj = GroupHom(G, Q, relabel[pos[rep]])
-    assert proj.kernel() == N
+    if proj.kernel() != N:
+        raise KernelMismatch(f"ker proj has order {proj.kernel().order}, "
+                             f"N has order {N.order}")
     return Q, proj
 
 
@@ -684,12 +740,14 @@ def signature(G: FiniteGroup):
     return (G.order, exponent(G), orders, center(G).order, derived_subgroup(G).order)
 
 
-@memo
 def element_index(G: FiniteGroup) -> dict:
-    """Lookup table from concrete element to its id."""
+    """Lookup table from concrete element to its id, kept on G itself: a
+    twin shares G's memo cache but not its elements (`memo`)."""
     if G.elements is None:
         raise ValueError("group has no concrete elements")
-    return {e: i for i, e in enumerate(G.elements)}
+    if G._index is None:
+        G._index = {e: i for i, e in enumerate(G.elements)}
+    return G._index
 
 
 # ---------------------------------------------------------------------

@@ -133,7 +133,9 @@ class PairingShapeMismatch(ValueError):
 
 
 class KernelMismatch(ValueError):
-    """The induced epi q: G/N1 -> G/N2 has a kernel other than pi1(N2).
+    """A quotient map has a kernel other than the subgroup it was built
+    from: the induced epi q: G/N1 -> G/N2 (its kernel must be pi1(N2)), or
+    the projection G -> G/N of `core.quotient_group` (lemma there).
 
     Lemma: q o pi1 = pi2 with pi1 onto, so q(pi1(g)) = 1 iff g lies in
     ker pi2 = N2; hence ker q = pi1(N2)."""

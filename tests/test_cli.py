@@ -1,10 +1,16 @@
 import json
 import shlex
+import weakref
 from pathlib import Path
 
 import pytest
 
+from pcohom import core, homsearch
 from pcohom.cli import build_parser, main
+from pcohom.core import builtin_group
+from pcohom.homsearch import t_bundle
+from pcohom.pairings import transfer_check
+from pcohom.unitriangular import parse_family
 
 
 def run(tmp_path, argv, expect_code=0):
@@ -135,6 +141,32 @@ def test_oracle_disagreement_exits_1_with_one_error_record(tmp_path,
 
 def test_missing_subcommand_exits_3(tmp_path):
     assert main([]) == 3
+
+
+def test_a_twin_reports_under_its_own_name(tmp_path, monkeypatch):
+    """Z/3xZ/3 has the tables of E:3:2, so it shares the memo cache of a
+    live E:3:2 (`core._table_group`); its reports still name it and equal
+    a cold run's, elapsed time apart."""
+    monkeypatch.setattr(core, "_TWINS", weakref.WeakValueDictionary())
+    argv = ["transfer-check", "--group", "Z/3xZ/3",
+            "--family", "zassenhaus:2:3", "--subgroup", "tbar"]
+    (cold,) = run(tmp_path, argv)
+    fam = parse_family("zassenhaus:2:3")
+    G = builtin_group("E:3:2")
+    rep = transfer_check(G, t_bundle(G, fam).Tbar, fam)
+    twin = builtin_group("Z/3xZ/3")
+    assert twin._cache is G._cache
+    twin_rep = transfer_check(twin, t_bundle(twin, fam).Tbar, fam)
+    assert rep["group"] == "E:3:2" and twin_rep["group"] == "Z/3xZ/3"
+    assert {**twin_rep, "group": "E:3:2"} == rep
+    searched = []
+    orig = homsearch.t_subgroup
+    monkeypatch.setattr(homsearch, "t_subgroup",
+                        lambda *a, **k: searched.append(a) or orig(*a, **k))
+    (warm,) = run(tmp_path, argv)
+    assert not searched                  # every T-bundle was E:3:2's
+    del cold["elapsed_seconds"], warm["elapsed_seconds"]
+    assert warm == cold and warm["group"] == "Z/3xZ/3"
 
 
 def test_malformed_manifest_exits_3(tmp_path):

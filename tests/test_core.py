@@ -1,18 +1,24 @@
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import pcohom as pc
+from pcohom import core, homsearch
 from pcohom.catalog import catalog_instances
 from pcohom.core import (_bfs, _is_normal, _powers, derived_subgroup,
                          element_index, element_order, group_from_json,
                          group_from_table, memo, subgroup_as_group,
                          word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
-from pcohom.errors import (ClosureCapExceeded, MixedElementKinds,
+from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed,
+                           KernelMismatch, MixedElementKinds,
                            NonNormalArguments, NotNormal)
-from pcohom.homsearch import _partial_bfs
+from pcohom.homsearch import _partial_bfs, t_bundle
+from pcohom.pairings import cached_quotient
 
 
 # ---------------------------------------------------------------------
@@ -95,6 +101,66 @@ def test_memo_keys():
     # only keyword-only arguments may be passed by name
     with pytest.raises(TypeError):
         probe(G, U, H, fam, p=2)
+
+
+# ---------------------------------------------------------------------
+# one memo cache per table: twins
+# ---------------------------------------------------------------------
+
+@pytest.fixture
+def twins(monkeypatch):
+    """An empty twin registry, so no live group of another test joins in."""
+    registry = weakref.WeakValueDictionary()
+    monkeypatch.setattr(core, "_TWINS", registry)
+    return registry
+
+
+def test_quotient_by_trivial_shares_the_cache(twins, monkeypatch):
+    calls = []
+    orig = homsearch.t_subgroup
+    monkeypatch.setattr(homsearch, "t_subgroup",
+                        lambda *a, **k: calls.append(a) or orig(*a, **k))
+    G = pc.builtin_group("D4")
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    Q, _ = cached_quotient(G, G.trivial_subgroup())
+    assert Q is not G and Q == G and Q._cache is G._cache
+    bundle = t_bundle(G, fam)
+    assert calls and t_bundle(Q, fam) is bundle
+    n = len(calls)
+    # a replace bypasses _table_group: cold, and it recomputes
+    cold = dataclasses.replace(G, _cache={})
+    assert cold._cache is not G._cache
+    assert t_bundle(cold, fam).T == bundle.T and len(calls) == 2 * n
+
+
+def test_element_index_stays_per_object(twins):
+    G = pc.builtin_group("Q8")
+    idx = element_index(G)
+    T, relabel = group_from_table(G.mult, G.generators)
+    assert np.array_equal(relabel, np.arange(G.order))
+    assert T._cache is G._cache and T.elements is None
+    with pytest.raises(ValueError):
+        element_index(T)
+    assert element_index(G) is idx
+
+
+def test_another_pred_keeps_its_own_cache(twins):
+    G = pc.builtin_group("E:2:2")            # ids 1, a, b, ab
+    assert G.pred.tolist() == [[-1, -1], [0, 0], [0, 1], [1, 1]]
+    twin = core._table_group(G.mult, G.mult_gen, G.pred.copy(), None, "t")
+    assert twin._cache is G._cache
+    pred = np.array([[-1, -1], [0, 0], [0, 1], [2, 0]], dtype=np.int32)
+    alt = core._table_group(G.mult, G.mult_gen, pred, None, "alt")
+    assert alt == G and alt._cache is not G._cache
+
+
+def test_twin_registry_drops_dead_groups():
+    G = pc.builtin_group("D4")
+    Q = cached_quotient(G, G.trivial_subgroup())[0]
+    (entry,) = [k for k, H in core._TWINS.items() if H is Q]
+    del G, Q
+    gc.collect()
+    assert entry not in core._TWINS
 
 
 def test_closure_cap():
@@ -231,6 +297,18 @@ def test_quotient_requires_normal():
                 if element_order(G, g) == 2 and g not in pc.center(G))
     with pytest.raises(NotNormal):
         pc.quotient_group(G, pc.subgroup_generated(G, [refl]))
+
+
+def test_quotient_by_a_non_subgroup_raises(monkeypatch):
+    G = pc.builtin_group("Z/3")
+    N = pc.Subgroup(G, [0, 1], check=False)     # normal, not a subgroup
+    with pytest.raises(EdgeCheckFailed):
+        pc.quotient_group(G, N)
+    # past a hom check that lets the projection through, the kernel
+    # check still catches it: ker proj = N^-1 = {0, 2}
+    monkeypatch.setattr(core.GroupHom, "validate", lambda self: None)
+    with pytest.raises(KernelMismatch):
+        pc.quotient_group(G, N)
 
 
 def test_hom_validation_rejects_non_hom():

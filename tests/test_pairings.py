@@ -375,8 +375,10 @@ def test_inflation_matrix_built_once_per_pair(monkeypatch):
 
 def test_transgression_span_built_once_per_surjection(monkeypatch):
     calls = _count_calls(monkeypatch, cohomology, "conj_invariant_h1")
-    G, fam, bundle = _setup("Meta:3", "mixed", None, 3)
-    Q, pi = cached_quotient(G, bundle.Tbar)
+    # a cold cache: a live Meta:3 of an earlier test shares its warm one
+    G = dataclasses.replace(pc.builtin_group("Meta:3"), _cache={})
+    fam = pc.omega_family("mixed", None, 3)
+    Q, pi = cached_quotient(G, pc.t_bundle(G, fam).Tbar)
     n_homs = 0
     for ext in fam.extensions:
         for rho in pc.enumerate_homs(Q, ext.Gbar).homs:
