@@ -37,10 +37,11 @@ import numpy as np
 
 from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
-                   _respects_generator_edges, builtin_group, memo,
+                   _respects_generator_edges, bfs_levels, builtin_group, memo,
                    power_commutator_subgroup, subgroup_as_group, word_images)
 from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
-                     NotInvariant, SectionDefectOutsideKernel,
+                     NotACharacter, NotInvariant, NotNormal, NotSurjective,
+                     OracleDisagreement, SectionDefectOutsideKernel,
                      SolveRoundTripFailed, SpecError)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs
 from .unitriangular import CentralExtension
@@ -109,9 +110,7 @@ def _generator_columns(G: FiniteGroup, table: np.ndarray):
 def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
     """u - dc for generator columns u (one vector, or a matrix with one
     per row), where c(1) = 0 and c(x) = c(d) - u(d, s) along the BFS edge
-    G.pred[x] = (d, s).  c is computed a BFS level at a time: ids are in
-    BFS order and pred[:, 0] is nondecreasing (`core._verify_tables`), so
-    each level is the id range whose parents lie in the levels before.
+    G.pred[x] = (d, s), computed a BFS level at a time (`bfs_levels`).
 
     Lemma: for normalized u, u - dc is 0 on every tree edge (d, s).  Each
     generator s has c(s) = -u(1, s) = 0, so dc(d, s) = c(d) + c(s) - c(ds)
@@ -122,10 +121,7 @@ def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
     lead = u.shape[:-1]
     U = u.reshape(lead + (n, len(gens)))
     c = np.zeros(lead + (n,), dtype=np.int64)
-    lo, hi = 1, 1
-    while hi < n:              # one BFS level, the ids whose parents are < hi
-        lo, hi = hi, int(np.searchsorted(G.pred[:, 0], hi))
-        d, s = G.pred[lo:hi].T
+    for lo, hi, d, s in bfs_levels(G.pred):
         c[..., lo:hi] = (c[..., d] - U[..., d, s]) % p
     dc = c[..., :, None] + c[..., None, gens] - c[..., G.mult_gen]
     return ((U - dc) % p).reshape(u.shape)
@@ -170,14 +166,15 @@ def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
 
 
 def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
-    """Full normalized table from generator columns u[(g, i)]."""
+    """Full normalized table from generator columns u[(g, i)], by
+    f(g, d*s) = f(g, d) + u(g*d, s) - u(d, s) along BFS predecessors, a
+    BFS level at a time (`bfs_levels`)."""
     n = G.order
     ngens = len(G.generators)
     U = u.reshape(n, ngens)
     f = np.zeros((n, n), dtype=np.int64)
-    for x in range(1, n):
-        pe, pg = G.pred[x]
-        f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
+    for lo, hi, d, s in bfs_levels(G.pred):
+        f[:, lo:hi] = (f[:, d] + U[G.mult[:, d], s] - U[d, s]) % p
     return f
 
 
@@ -214,7 +211,11 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     all x, by induction along the positive BFS word of x.  Hence every
     identity holds, and f is a cocycle by the lemma at
     `_constraint_violations`.  The rows at g = 1 vanish identically and
-    are left out."""
+    are left out.
+
+    T is walked a BFS level at a time (`bfs_levels`).  The x of a level
+    are distinct, so each (j, x) gets one increment and one decrement, and
+    the fancy-indexed += and -= never hit one index twice."""
     n = G.order
     gens = np.asarray(G.generators, dtype=np.int64)
     ngens = len(gens)
@@ -222,11 +223,11 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     k = np.arange(ngens)
     # T[j, x]: f(gens[j], x) as a linear form in the unknowns
     T = np.zeros((ngens, n, ngu), dtype=np.int64)
-    for x in range(1, n):
-        pe, pg = G.pred[x]
-        T[:, x] = T[:, pe]
-        T[k, x, G.mult[gens, pe] * ngens + pg] += 1
-        T[:, x, pe * ngens + pg] -= 1
+    for lo, hi, d, s in bfs_levels(G.pred):
+        x = np.arange(lo, hi)
+        T[:, lo:hi] = T[:, d]
+        T[k[:, None], x, G.mult[gens[:, None], d] * ngens + s] += 1
+        T[:, x, d * ngens + s] -= 1
     h = np.arange(n)
     rows = [np.eye(ngens, ngu, dtype=np.int64)]     # u(1, s) = 0
     for s in range(ngens):
@@ -390,20 +391,29 @@ def h1(G: FiniteGroup, p: int) -> list:
     j-th dual vanishes; so the j-th dual is 0 left of the least id of pick
     j, 1 there and 0 at the other picks' least ids: it is the rref, which
     is unique.  The dimension is checked against |G : G^p[G,G]| from the
-    subgroup calculus."""
+    subgroup calculus (`errors.OracleDisagreement`)."""
     W, D, _ = _tree_coboundaries(G, p)
     basis = gf.rref(gf.nullspace(D.T, p) @ W.T, p)[0]
     F = power_commutator_subgroup(G, G.whole(), p)
-    assert p ** len(basis) * F.order == G.order, \
-        "dim H^1 != log_p |G : G^p[G,G]|"
+    if p ** len(basis) * F.order != G.order:
+        raise OracleDisagreement(
+            f"dim H^1 = {len(basis)} != log_p |G : G^p[G,G]| = "
+            f"log_p {G.order // F.order}")
     return [Cochain1(G, v, p) for v in basis]
 
 
 def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
     """Basis of H^1(N)^G = {psi in Hom(N, Z/p) : psi(g n g^-1) = psi(n)}.
 
-    Returned Cochain1 values are indexed by parent ids (zero off N)."""
-    assert N.is_normal()
+    Returned Cochain1 values are indexed by parent ids (zero off N).  N
+    must be normal (`errors.NotNormal`), so g^-1 n g lies in N for every
+    generator g and every n in N: each conjugate has a K-id.  psi is
+    invariant under every g once it is under each generator (lemma at
+    `transgression`).  The dimension is checked against
+    log_p |N : N^p[G,N]| from the subgroup calculus
+    (`errors.OracleDisagreement`)."""
+    if not N.is_normal():
+        raise NotNormal("H^1(N)^G needs N normal in G")
     K, embed = subgroup_as_group(G, N)
     kchars = h1(K, p)
     if not kchars:
@@ -414,9 +424,7 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
     rows = []
     for g in G.generators:
         conj = G.mult[G.mult[G.inv[g], embed], g]  # g^-1 n g over K-ids
-        cperm = inv_embed[conj]
-        assert cperm.min() >= 0
-        rows.append(V[:, cperm] - V)
+        rows.append(V[:, inv_embed[conj]] - V)
     A = np.concatenate(rows, axis=1)               # (d, ngens*|N|)
     X = gf.nullspace(A.T, p)                       # coefficient vectors
     out = []
@@ -432,7 +440,9 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
     while idx > 1:
         idx //= p
         expect += 1
-    assert len(out) == expect
+    if len(out) != expect:
+        raise OracleDisagreement(f"dim H^1(N)^G = {len(out)} != log_p "
+                                 f"|N : N^p[G,N]| = {expect}")
     return out
 
 
@@ -494,39 +504,58 @@ def pullback_coords(alpha: Cocycle2, R: np.ndarray,
 
 
 def cup(phi: Cochain1, psi: Cochain1) -> Cocycle2:
-    assert phi.group.key == psi.group.key and phi.is_hom and psi.is_hom
+    """(phi cup psi)(x, y) = phi(x) psi(y) for two characters on one group
+    (`errors.MixedParents`, `errors.NotACharacter`)."""
+    if phi.group.key != psi.group.key:
+        raise MixedParents("cup of cochains on different groups")
+    if not (phi.is_hom and psi.is_hom):
+        raise NotACharacter("cup needs two characters")
     vals = (phi.values[:, None] * psi.values[None, :]) % phi.p
     return Cocycle2(phi.group, vals, phi.p)
 
 
 def bockstein(phi: Cochain1) -> Cocycle2:
-    """Connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0 on a character."""
-    assert phi.is_hom
+    """Connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0 on a character
+    (`errors.NotACharacter`): (x, y) -> carry / p, where
+    carry = v(x) + v(y) - v(xy) for the values v in [0, p).
+
+    Lemma: carry is in {0, p}.  It lies in (-p, 2p), and it is 0 mod p
+    because phi is a character."""
+    if not phi.is_hom:
+        raise NotACharacter("the Bockstein needs a character")
     p = phi.p
     G = phi.group
     v = phi.values % p
     carry = (v[:, None] + v[None, :] - v[G.mult])
-    assert set(np.unique(carry)) <= {0, p}
     return Cocycle2(G, (carry // p) % p, p)
 
 
 def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     """trg(psi)(x,y) = psi( t(x) t(y) t(xy)^-1 ) for the BFS-minimal
-    section t of the surjection pi; psi must be G-invariant on ker(pi)."""
+    section t of the surjection pi (`errors.NotSurjective`); psi must be
+    G-invariant on N = ker(pi) (`errors.NotInvariant`), which is checked
+    under the generators of G only.
+
+    Lemma: that suffices.  Let psi(s^-1 n s) = psi(n) for each generator
+    s and every n in N.  Induct on a positive word w: if psi(w^-1 n w) =
+    psi(n) for every n in N, then, as w^-1 n w lies in N (N is normal),
+    psi((ws)^-1 n (ws)) = psi(s^-1 (w^-1 n w) s) = psi(w^-1 n w) = psi(n).
+    In a finite group every element is a positive word in the generators.
+    The defect t(x) t(y) t(xy)^-1 lies in N, as pi is a verified hom and
+    pi(t(x)) = x, so psi reads it."""
     G, Q = pi.domain, pi.codomain
     p = psi.p
-    assert pi.is_surjective()
-    nmask = pi.image == 0
-    members = np.nonzero(nmask)[0]
-    # invariance check
+    if not pi.is_surjective():
+        raise NotSurjective(f"pi: {G.name} -> {Q.name} is not onto")
+    members = np.flatnonzero(pi.image == 0)
     vals = psi.values
-    conj = G.mult[G.mult[G.inv[:, None], members[None, :]], np.arange(G.order)[:, None]]
+    gens = np.asarray(G.generators, dtype=np.intp)
+    conj = G.mult[G.mult[G.inv[gens, None], members], gens[:, None]]
     if not np.array_equal(vals[conj], np.broadcast_to(vals[members], conj.shape)):
         raise NotInvariant("character is not conjugation-invariant")
     t = pi.section()
     prod = G.mult[np.ix_(t, t)]
     arg = G.mult[prod, G.inv[t[Q.mult]]]
-    assert nmask[arg].all()
     return Cocycle2(Q, vals[arg] % p, p)
 
 

@@ -15,6 +15,9 @@ in (parent position, column) order, the first occurrence winning; so
 keeping each unseen id of a level's parent-major successor block at its
 first occurrence numbers the ids as the queue does.  `generate_group`
 numbers elements in the same order, by hashing, before any table exists.
+`bfs_levels` is the one walk along BFS predecessors, a level at a time:
+it fills the table of `generate_group`, evaluates BFS words
+(`word_images`) and expands cochains in `cohomology`.
 
 Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
@@ -187,8 +190,8 @@ def _verify_tables(G: FiniteGroup):
     """Check that G's tables define a group: 0 is a two-sided identity, inv
     gives right inverses, mult_gen is mult at the generator columns, each
     c > 0 is mult_gen[d, i] for (d, i) = pred[c] with 0 <= d < c and d
-    nondecreasing in c (ids in BFS queue order), and
-    (a*b)*s = a*(b*s) for all a, b and every generator s.
+    nondecreasing in c (ids in BFS queue order, the property `bfs_levels`
+    walks by), and (a*b)*s = a*(b*s) for all a, b and every generator s.
 
     Lemma: then mult is associative.  Induct on c along pred; c = 0 holds
     by the identity.  For c = d*s with (a*b)*d = a*(b*d):
@@ -257,8 +260,8 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
     pred = np.asarray(pred, dtype=np.int32)
     mult = np.empty((n, n), dtype=np.int32)
     mult[:, 0] = np.arange(n)
-    for x in range(1, n):
-        mult[:, x] = mult_gen[mult[:, pred[x, 0]], pred[x, 1]]
+    for lo, hi, d, s in bfs_levels(pred):
+        mult[:, lo:hi] = mult_gen[mult[:, d], s]
     return _table_group(mult, mult_gen, pred,
                         elems if ident is not None else None, name)
 
@@ -295,7 +298,9 @@ def _bfs(table, cols):
     pred[t] = (position in order of the parent, index into cols) of
     order[t], with pred[0] = (-1, -1).  Each level gathers
     table[level, cols] parent-major and keeps every unseen id at its first
-    occurrence, which is the queue order (lemma in the module docstring)."""
+    occurrence, which is the queue order (lemma in the module docstring);
+    so each parent precedes its child and pred[:, 0] is nondecreasing,
+    the property `bfs_levels` walks by."""
     cols = np.asarray(cols, dtype=np.intp)
     seen = np.zeros(len(table), dtype=bool)
     seen[0] = True
@@ -313,6 +318,32 @@ def _bfs(table, cols):
         seen[level] = True
         order.append(level)
     return np.concatenate(order), np.concatenate(pred)
+
+
+def bfs_levels(pred):
+    """The one walk along BFS predecessors: yields (lo, hi, d, s) for each
+    BFS level, the positions lo..hi-1 in order, where position c is reached
+    from its parent d[c - lo] by the generator s[c - lo], and every d < lo.
+    A caller fills positions lo..hi-1 from d in one batched step.
+
+    It needs pred[0] = (-1, -1) and, for c > 0, pred[c] = (d, s) with
+    0 <= d < c and pred[:, 0] nondecreasing: `_verify_tables` checks this
+    for every group, and `_bfs` and `generate_group` give it by numbering
+    positions in BFS queue order.
+
+    Lemma: the batches partition 1..len(pred)-1 in order and every d < lo.
+    With pred[:, 0] nondecreasing, the positions whose parents are < lo
+    form a prefix 0..hi-1, found by one searchsorted; pred[lo, 0] < lo, so
+    hi > lo.  Each batch is one level: the positions whose parents lie in
+    the level before."""
+    d, s = np.asarray(pred, dtype=np.intp).T.copy()
+    lo = 1
+    while lo < len(d):
+        hi = int(np.searchsorted(d, lo))
+        if hi <= lo:
+            raise EdgeCheckFailed("broken BFS predecessors")
+        yield lo, hi, d[lo:hi], s[lo:hi]
+        lo = hi
 
 
 def group_from_table(table, gen_positions, name="") -> tuple:
@@ -648,13 +679,13 @@ def word_images(pred, U: FiniteGroup, C: np.ndarray) -> np.ndarray:
     position t > 0 of a BFS, and C is an m x k matrix whose rows give
     images in U of the generators.  Returns the m x len(pred) matrix of
     images of the word reaching each position, stored column by column
-    (each position's images are contiguous)."""
+    (each position's images are contiguous), filled a BFS level at a time
+    (`bfs_levels`)."""
     C = np.asarray(C, dtype=np.int32)
     mul = _table_product(U)
     img = np.zeros((len(pred), C.shape[0]), dtype=np.int32)
-    for t in range(1, len(pred)):
-        pe, pg = pred[t]
-        img[t] = mul(img[pe], C[:, pg])
+    for lo, hi, d, s in bfs_levels(pred):
+        img[lo:hi] = mul(img[d], C[:, s].T)
     return img.T
 
 

@@ -124,6 +124,16 @@ class NotSurjective(ValueError):
     only for pi onto Q."""
 
 
+class NotACharacter(ValueError):
+    """A cochain that must be a character G -> Z/p is not a verified one
+    (a `cohomology.Cochain1` with is_hom=False).
+
+    Lemma: for characters phi and psi, d(phi cup psi) = dphi cup psi -
+    phi cup dpsi = 0, and the Bockstein carry v(x) + v(y) - v(xy) of a
+    character's values v in [0, p) is 0 mod p; off the characters neither
+    holds in general, so cup and the Bockstein take characters only."""
+
+
 class PairingShapeMismatch(ValueError):
     """A pairing matrix whose shape is not (left labels, right labels).
 

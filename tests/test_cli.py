@@ -139,6 +139,20 @@ def test_oracle_disagreement_exits_1_with_one_error_record(tmp_path,
                    "error": "OracleDisagreement: B <= C fails"}
 
 
+def test_h1_dimension_disagreement_exits_1(tmp_path, monkeypatch):
+    """h1's dimension check against |G : G^p[G,G]| is a cross-oracle: when
+    it fails, massey writes one error record and exits 1."""
+    from pcohom import cohomology
+    monkeypatch.setattr(core, "_TWINS", weakref.WeakValueDictionary())
+    monkeypatch.setattr(cohomology, "power_commutator_subgroup",
+                        lambda G, A, m: A)
+    (err,) = run(tmp_path, ["massey", "--group", "E:2:2", "--family",
+                            "zassenhaus:2:2"], expect_code=1)
+    assert err == {"schema_version": 1, "command": "massey",
+                   "error": "OracleDisagreement: dim H^1 = 2 != log_p "
+                            "|G : G^p[G,G]| = log_p 1"}
+
+
 def test_missing_subcommand_exits_3(tmp_path):
     assert main([]) == 3
 

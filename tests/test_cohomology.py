@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom import gf
+from pcohom import cohomology, gf
 from pcohom.catalog import catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                _cocycle_constraints, _constraint_violations,
@@ -14,10 +15,12 @@ from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                classifying_cocycle, conj_invariant_h1, cup,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback, transgression)
-from pcohom.core import _element_orders
+from pcohom.core import _element_orders, element_order
 from pcohom.elements import Residue, perm_from_cycles
-from pcohom.errors import (EdgeCheckFailed, MixedParents, NotInvariant,
-                           SectionDefectOutsideKernel, SolveRoundTripFailed)
+from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
+                           NotInvariant, NotNormal, NotSurjective,
+                           OracleDisagreement, SectionDefectOutsideKernel,
+                           SolveRoundTripFailed)
 from test_gf import coboundary_matrix
 
 
@@ -110,6 +113,65 @@ def test_generator_rows_span_all_g_rows():
         cand = gf.nullspace(_cocycle_constraints(G, p), p)
         assert np.array_equal(
             gf.nullspace(all_g_constraints(G, p), p), cand), (nm, p)
+
+
+def loop_expand_from_columns(G, u, p):
+    """Reference: _expand_from_columns one position at a time."""
+    n, ngens = G.order, len(G.generators)
+    U = u.reshape(n, ngens)
+    f = np.zeros((n, n), dtype=np.int64)
+    for x in range(1, n):
+        pe, pg = G.pred[x]
+        f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
+    return f
+
+
+def loop_cocycle_constraints(G, p):
+    """Reference: _cocycle_constraints with T walked one position at a
+    time."""
+    n = G.order
+    gens = np.asarray(G.generators, dtype=np.int64)
+    ngens = len(gens)
+    ngu = n * ngens
+    k = np.arange(ngens)
+    T = np.zeros((ngens, n, ngu), dtype=np.int64)
+    for x in range(1, n):
+        pe, pg = G.pred[x]
+        T[:, x] = T[:, pe]
+        T[k, x, G.mult[gens, pe] * ngens + pg] += 1
+        T[:, x, pe * ngens + pg] -= 1
+    h = np.arange(n)
+    rows = [np.eye(ngens, ngu, dtype=np.int64)]
+    for s in range(ngens):
+        r = T - T[:, G.mult_gen[:, s]]
+        r[k[:, None], h, G.mult[gens] * ngens + s] += 1
+        r[:, h, h * ngens + s] -= 1
+        rows.append(r.reshape(ngens * n, ngu) % p)
+    return np.concatenate(rows)
+
+
+def test_level_walks_match_per_position_loops():
+    """_expand_from_columns and _cocycle_constraints, walked a BFS level at
+    a time (core.bfs_levels), against the per-position loops on every
+    distinct catalog (table, prime), on Z/1 and on Z/256: the expansion of
+    every Z^2 basis row (the first four on Z/256, whose 255 one-position
+    levels make each expansion slow) and of random columns."""
+    rng = np.random.default_rng(20260824)
+    seen = set()
+    cases = catalog_instances() + [("Z/1", pc.builtin_group("Z/1"), 2),
+                                   ("Z/256", pc.builtin_group("Z/256"), 2)]
+    for nm, G, p in cases:
+        if (G.key, p) in seen:
+            continue
+        seen.add((G.key, p))
+        A = _cocycle_constraints(G, p)
+        assert np.array_equal(A, loop_cocycle_constraints(G, p)), nm
+        cand = gf.nullspace(A, p)[:4 if G.order > H2_ORDER_CAP else None]
+        noise = rng.integers(0, p, size=(2, A.shape[1]))
+        for u in np.concatenate([cand, noise]):
+            assert np.array_equal(_expand_from_columns(G, u, p),
+                                  loop_expand_from_columns(G, u, p)), nm
+    assert len(seen) == 36
 
 
 def h2_build_groups():
@@ -337,6 +399,18 @@ def test_mixed_groups_are_rejected():
         h2_space(Z4, 2).coords(c)
     with pytest.raises(MixedParents):
         pullback(c, pc.GroupHom(Z4, Z4, np.arange(4)))
+    with pytest.raises(MixedParents):
+        cup(h1(Z4, 2)[0], h1(Z2, 2)[0])
+
+
+def test_h1_dimension_disagreement_raises(monkeypatch):
+    """h1's dimension against |G : G^p[G,G]| is a cross-oracle: a wrong
+    subgroup calculus raises OracleDisagreement, not an assert."""
+    G = dataclasses.replace(pc.builtin_group("D4"), _cache={})
+    monkeypatch.setattr(cohomology, "power_commutator_subgroup",
+                        lambda G, A, m: G.trivial_subgroup())
+    with pytest.raises(OracleDisagreement, match=r"dim H\^1 = 2"):
+        h1(G, 2)
 
 
 def test_h2_round_trip_mismatch_raises(monkeypatch):
@@ -637,6 +711,39 @@ def test_transgression_rejects_non_invariant_character():
     psi = Cochain1(G, vals, 3, is_hom=False)
     with pytest.raises(NotInvariant):
         transgression(pi, psi)
+
+
+def test_transgression_needs_a_surjection():
+    Z2, Z4 = pc.builtin_group("Z/2"), pc.builtin_group("Z/4")
+    pi = pc.GroupHom(Z2, Z4, [0, 2])
+    with pytest.raises(NotSurjective):
+        transgression(pi, Cochain1(Z2, [0, 1], 2))
+
+
+def test_cup_and_bockstein_need_characters():
+    G = pc.builtin_group("Z/4")
+    chi = h1(G, 2)[0]
+    other = Cochain1(G, [0, 1, 0, 0], 2, is_hom=False)
+    for make in (lambda: cup(chi, other), lambda: cup(other, chi),
+                 lambda: bockstein(other)):
+        with pytest.raises(NotACharacter):
+            make()
+
+
+def test_conj_invariant_h1_raises_typed_errors(monkeypatch):
+    G = pc.builtin_group("D4")
+    reflection = next(g for g in range(1, G.order)
+                      if element_order(G, g) == 2
+                      and g not in pc.center(G))
+    with pytest.raises(NotNormal):
+        conj_invariant_h1(G, pc.subgroup_generated(G, [reflection]), 2)
+    # the dimension identity is a cross-oracle: a wrong N^p[G,N] raises
+    orig = cohomology.power_commutator_subgroup
+    monkeypatch.setattr(cohomology, "power_commutator_subgroup",
+                        lambda G, A, m: A if A.order < G.order
+                        else orig(G, A, m))
+    with pytest.raises(OracleDisagreement, match=r"dim H\^1\(N\)\^G"):
+        conj_invariant_h1(G, pc.center(G), 2)
 
 
 def test_conj_invariant_h1_dimensions():

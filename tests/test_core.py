@@ -9,10 +9,10 @@ import pytest
 import pcohom as pc
 from pcohom import core, homsearch
 from pcohom.catalog import catalog_instances
-from pcohom.core import (_bfs, _is_normal, _powers, derived_subgroup,
-                         element_index, element_order, group_from_json,
-                         group_from_table, memo, subgroup_as_group,
-                         word_images)
+from pcohom.core import (_bfs, _is_normal, _powers, bfs_levels,
+                         derived_subgroup, element_index, element_order,
+                         group_from_json, group_from_table, memo,
+                         subgroup_as_group, word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed,
                            KernelMismatch, MixedElementKinds,
@@ -61,17 +61,100 @@ def test_group_axioms_hold_on_samples():
 
 
 def test_bfs_words_evaluate_to_their_element():
-    # the vectorized evaluator sends every BFS word to its own element
-    for nm in ["Z/1", "Z/8", "D4", "Q8", "E:3:2", "Heis:3", "Mp3:3",
-               "Meta:3", "U:3:2", "D4xZ/2"]:
+    # the vectorized evaluator sends every BFS word to its own element,
+    # on G's BFS and on each partial BFS over the first j generators
+    for nm in ["Z/1", "Z/8", "Z/256", "D4", "Q8", "E:3:2", "Heis:3",
+               "Mp3:3", "Meta:3", "U:3:2", "D4xZ/2"]:
         G = pc.builtin_group(nm)
         (img,) = word_images(G.pred, G, [G.generators])
         assert np.array_equal(img, np.arange(G.order)), nm
+        for j in range(len(G.generators) + 1):
+            elems, pred, _ = _partial_bfs(G, j)
+            (img,) = word_images(pred, G, [G.generators])
+            assert np.array_equal(img, elems), (nm, j)
         # the hom search's BFS over all generators is G's own BFS
         elems, pred, tgt = _partial_bfs(G, len(G.generators))
         assert np.array_equal(elems, np.arange(G.order)), nm
         assert np.array_equal(pred, G.pred), nm
         assert np.array_equal(tgt, G.mult_gen), nm
+
+
+# ---------------------------------------------------------------------
+# the one walk along BFS predecessors (bfs_levels)
+# ---------------------------------------------------------------------
+
+def walk_groups():
+    """Every distinct catalog table, then Z/1 (no generators) and Z/256
+    (a chain of 255 one-position levels)."""
+    seen = {}
+    for _, G, _ in catalog_instances():
+        seen.setdefault(G.key, G)
+    return list(seen.values()) + [pc.builtin_group("Z/1"),
+                                  pc.builtin_group("Z/256")]
+
+
+def walk_preds(G):
+    """G's pred and the pred of every partial BFS _partial_bfs(G, j)."""
+    return [G.pred] + [_partial_bfs(G, j)[1]
+                       for j in range(len(G.generators) + 1)]
+
+
+def loop_mult_fill(mult_gen, pred):
+    """Reference: the per-position fill of generate_group's table."""
+    n = len(pred)
+    mult = np.empty((n, n), dtype=np.int32)
+    mult[:, 0] = np.arange(n)
+    for x in range(1, n):
+        mult[:, x] = mult_gen[mult[:, pred[x, 0]], pred[x, 1]]
+    return mult
+
+
+def loop_word_images(pred, U, C):
+    """Reference: word_images one position at a time."""
+    C = np.asarray(C, dtype=np.int32)
+    img = np.zeros((len(pred), C.shape[0]), dtype=np.int32)
+    for t in range(1, len(pred)):
+        pe, pg = pred[t]
+        img[t] = U.mult[img[pe], C[:, pg]]
+    return img.T
+
+
+def test_bfs_levels_partition_the_positions():
+    for G in walk_groups():
+        for pred in walk_preds(G):
+            levels = list(bfs_levels(pred))
+            got = [np.arange(lo, hi) for lo, hi, _, _ in levels]
+            assert np.array_equal(np.concatenate([[0]] + got),
+                                  np.arange(len(pred))), G
+            for lo, hi, d, s in levels:
+                assert lo < hi and (d < lo).all(), G
+                assert np.array_equal(d, pred[lo:hi, 0]), G
+                assert np.array_equal(s, pred[lo:hi, 1]), G
+    assert list(bfs_levels(pc.builtin_group("Z/1").pred)) == []
+    assert len(list(bfs_levels(pc.builtin_group("Z/256").pred))) == 255
+
+
+def test_bfs_levels_rejects_a_parent_after_its_child():
+    pred = np.array([[-1, -1], [0, 0], [3, 0], [1, 0]])
+    with pytest.raises(EdgeCheckFailed):
+        list(bfs_levels(pred))
+
+
+def test_level_walks_match_per_position_loops():
+    """generate_group's table fill and word_images, batched by level,
+    against the per-position loops: the table of every walk group rebuilt
+    from its left regular permutations (ids follow the same BFS), and
+    word images of random generator rows on every partial BFS."""
+    rng = np.random.default_rng(20260824)
+    for G in walk_groups():
+        ref = loop_mult_fill(G.mult_gen, G.pred)
+        assert np.array_equal(ref, G.mult), G
+        R = pc.generate_group([Perm(G.mult[g]) for g in G.generators])
+        assert np.array_equal(R.mult, ref) and np.array_equal(R.pred, G.pred)
+        C = rng.integers(0, G.order, size=(3, len(G.generators)))
+        for pred in walk_preds(G):
+            assert np.array_equal(word_images(pred, G, C),
+                                  loop_word_images(pred, G, C)), G
 
 
 def test_memo_keys():

@@ -337,8 +337,9 @@ UNDER_O_ELSEWHERE = [
 
 # modules with no assert statement at all; the list grows until it
 # covers every module of src/pcohom
-NO_ASSERT_MODULES = ["__init__", "catalog", "cli", "core", "elements",
-                     "errors", "filtrations", "gf", "homsearch", "pairings"]
+NO_ASSERT_MODULES = ["__init__", "catalog", "cli", "cohomology", "core",
+                     "elements", "errors", "filtrations", "gf", "homsearch",
+                     "pairings"]
 
 
 def test_no_assert_in_ratcheted_modules():
@@ -348,6 +349,42 @@ def test_no_assert_in_ratcheted_modules():
         lines = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert not lines, f"{name}.py has assert statements at {lines}"
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def subscripts_pred(node):
+    """Is node pred[...] or x.pred[...]?"""
+    if not isinstance(node, ast.Subscript):
+        return False
+    v = node.value
+    return (isinstance(v, ast.Name) and v.id == "pred"
+            or isinstance(v, ast.Attribute) and v.attr == "pred")
+
+
+def pred_walks(tree):
+    """Line numbers of loops that subscript a pred array, outside a
+    function named bfs_levels."""
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "bfs_levels"
+            for node in ast.walk(fn)}
+    return sorted({loop.lineno for loop in ast.walk(tree)
+                   if isinstance(loop, LOOPS) and id(loop) not in skip
+                   and any(map(subscripts_pred, ast.walk(loop)))})
+
+
+def test_only_bfs_levels_walks_pred():
+    """Every walk along BFS predecessors goes through core.bfs_levels: no
+    other loop in src/pcohom subscripts a pred array."""
+    src = ROOT / "src" / "pcohom"
+    for path in sorted(src.glob("*.py")):
+        lines = pred_walks(ast.parse(path.read_text()))
+        assert not lines, f"{path.name} walks pred by hand at {lines}"
+    assert pred_walks(ast.parse(
+        "def bfs_levels(pred):\n    for x in pred: pred[x]\n")) == []
+    assert pred_walks(ast.parse("for x in r:\n    G.pred[x]\n")) == [1]
 
 
 def test_edge_checks_hold_under_python_O():
