@@ -1,14 +1,15 @@
 """Command-line front end producing JSON-lines reports.
 
 Exit codes: 0 all checks agree, 1 a theorem-level disagreement was found
-or two internal oracles disagreed (`errors.OracleDisagreement`), 2 a
-search budget was exceeded, 3 malformed manifest or arguments (a bad
-flag, group, subgroup or family spec, a p that is not prime, a count flag
-that is not a positive integer, a sweep group that is not a p-group, too
-few Massey characters, a subgroup outside Tbar, N1 not inside N2, or a
-group over a size cap).  An oracle disagreement (exit 1) and exit 3 each
-write one JSON error record {"schema_version", "command", "error"} after
-any reports already made.
+(a transfer check that FAILs, an inconclusive counterexample).  Every
+failure is an `errors.PcohomError`, and a `PcohomError` exits with its
+`exit_code` and writes one JSON error record {"schema_version", "command",
+"error"} after any reports already made: 1 for two internal oracles that
+disagree or a broken internal invariant, 2 for an exceeded search budget,
+3 for a malformed manifest or arguments (a bad flag, group, subgroup or
+family spec, a p that is not prime, a count flag that is not a positive
+integer, a sweep group that is not a p-group, too few Massey characters, a
+subgroup outside Tbar, N1 not inside N2, or a group over a size cap).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .cohomology import h1, h2_space, massey_pullback_set
 from .core import (FiniteGroup, Subgroup, builtin_group, center,
                    normal_closure, signature, spec_ints, spec_positive,
                    spec_prime)
-from .errors import (BudgetExceeded, ClosureCapExceeded, GroupTooLarge,
-                     OracleDisagreement, SpecError)
+from .errors import PcohomError, SpecError
 from .filtrations import lower_p_central, zassenhaus
 from .homsearch import DEFAULT_BUDGET, hom_count, t_bundle
 from .magnus import (counterexample_harness, free_nilpotent_standin,
@@ -38,9 +38,6 @@ from .pairings import (STANDIN_CAVEAT, a_pairing, c_pairing,
 from .unitriangular import parse_family
 
 SCHEMA_VERSION = 1
-
-# malformed input: exit 3
-INPUT_ERRORS = (SpecError, GroupTooLarge, ClosureCapExceeded)
 
 CONVENTIONS = {
     "commutator": "[a, b] = a^-1 b^-1 a b",
@@ -360,15 +357,11 @@ def main(argv=None) -> int:
             reports.append(rep)
             all_ok = all_ok and ok
             command = None
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        _emit(reports, out)
-        return 2
-    except (OracleDisagreement, *INPUT_ERRORS) as e:
+    except PcohomError as e:
         reports.append({"schema_version": SCHEMA_VERSION, "command": command,
                         "error": f"{type(e).__name__}: {e}"})
         _emit(reports, out)
-        return 1 if isinstance(e, OracleDisagreement) else 3
+        return e.exit_code
     _emit(reports, out)
     return 0 if all_ok else 1
 

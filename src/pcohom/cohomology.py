@@ -316,7 +316,8 @@ class H2Space:
         gauge of u (`_gauge`) has the class of u and is in Z^2 iff u is."""
         x = self._span.solve(_gauge(self.group, u, self.p))
         if x is None:
-            raise ValueError("table is not a cocycle in the normalized space")
+            raise EdgeCheckFailed("table is not a cocycle in the normalized "
+                                  "space")
         return x[..., self._reps]
 
     def rep(self, coords) -> Cocycle2:

@@ -53,7 +53,8 @@ import numpy as np
 from .elements import MatMod, Perm, Residue, TupleElem, perm_from_cycles
 from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
                      KernelMismatch, MixedElementKinds, MixedParents,
-                     NonNormalArguments, NotNormal, SpecError)
+                     NonNormalArguments, NotASubgroup, NotNormal, SpecError,
+                     UnkeyedArgument)
 
 DEFAULT_CAP = 8192
 
@@ -132,7 +133,7 @@ def _memo_key(a):
     label = getattr(a, "label", None)     # an OmegaFamily
     if isinstance(label, str):
         return label
-    raise TypeError(f"memo cannot key a {type(a).__name__}")
+    raise UnkeyedArgument(f"memo cannot key a {type(a).__name__}")
 
 
 def memo(fn):
@@ -175,8 +176,8 @@ def memo(fn):
     @functools.wraps(fn)
     def cached(G, *args, **kwargs):
         if not kwargs.keys() <= unkeyed:
-            raise TypeError(f"{name}: pass {sorted(kwargs.keys() - unkeyed)} "
-                            "positionally")
+            raise UnkeyedArgument(
+                f"{name}: pass {sorted(kwargs.keys() - unkeyed)} positionally")
         key = (name, *map(_memo_key, args))
         value = G._cache.get(key, _MISS)
         if value is _MISS:
@@ -355,7 +356,7 @@ def group_from_table(table, gen_positions, name="") -> tuple:
     gen_positions = list(dict.fromkeys(int(g) for g in gen_positions if g))
     old_of, pred = _bfs(table, gen_positions)
     if len(old_of) != n:
-        raise ValueError("given positions do not generate the table group")
+        raise SpecError("given positions do not generate the table group")
     relabel = np.empty(n, dtype=np.int32)
     relabel[old_of] = np.arange(n)
     mult = relabel[table[np.ix_(old_of, old_of)]]
@@ -377,12 +378,12 @@ class Subgroup:
         self._set = frozenset(int(x) for x in m)
         if check:
             if 0 not in self._set:
-                raise ValueError("subgroup must contain the identity")
+                raise NotASubgroup("subgroup must contain the identity")
             if parent.order % len(m) != 0:
-                raise ValueError("Lagrange violation: not a subgroup")
+                raise NotASubgroup("Lagrange violation: not a subgroup")
             sub = parent.mult[np.ix_(m, m)]
             if not set(np.unique(sub)) <= self._set:
-                raise ValueError("set not closed under multiplication")
+                raise NotASubgroup("set not closed under multiplication")
 
     @property
     def order(self):
@@ -632,7 +633,8 @@ class GroupHom:
         f = self.image
         if f.shape != (self.domain.order,) or not (
                 (0 <= f) & (f < self.codomain.order)).all():
-            raise ValueError("image must list one codomain id per element")
+            raise EdgeCheckFailed("image must list one codomain id per "
+                                  "element")
         if not _respects_generator_edges(self.domain.mult_gen, f[None, :],
                                          _table_product(self.codomain))[0]:
             raise EdgeCheckFailed("map is not multiplicative")
@@ -775,7 +777,7 @@ def element_index(G: FiniteGroup) -> dict:
     """Lookup table from concrete element to its id, kept on G itself: a
     twin shares G's memo cache but not its elements (`memo`)."""
     if G.elements is None:
-        raise ValueError("group has no concrete elements")
+        raise SpecError("group has no concrete elements")
     if G._index is None:
         G._index = {e: i for i, e in enumerate(G.elements)}
     return G._index
@@ -793,7 +795,7 @@ def group_from_json(doc) -> FiniteGroup:
         d = int(doc["degree"])
         gens = [Perm(g) for g in doc["generators"]]
         if any(len(g.map) != d for g in gens):
-            raise ValueError("degree mismatch")
+            raise SpecError("degree mismatch")
     elif kind == "matrix":
         m = int(doc["modulus"])
         gens = [MatMod(g, m) for g in doc["generators"]]
@@ -801,7 +803,7 @@ def group_from_json(doc) -> FiniteGroup:
         m = int(doc["modulus"])
         gens = [Residue(g, m) for g in doc["generators"]]
     else:
-        raise ValueError(f"unknown element kind {kind!r}")
+        raise SpecError(f"unknown element kind {kind!r}")
     return generate_group(gens, name=doc.get("name", ""))
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SpecError
+
 
 class Perm:
     """Permutation of {0..d-1}; (a*b)(i) = a(b(i))."""
@@ -18,7 +20,7 @@ class Perm:
         self.map = tuple(int(x) for x in mapping)
         d = len(self.map)
         if sorted(self.map) != list(range(d)):
-            raise ValueError("not a permutation of 0..d-1")
+            raise SpecError("not a permutation of 0..d-1")
         self._hash = hash(("perm", self.map))
 
     def __mul__(self, other):
@@ -59,7 +61,7 @@ class MatMod:
     def __init__(self, entries, modulus):
         a = np.asarray(entries, dtype=np.int64) % modulus
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
+            raise SpecError("matrix must be square")
         self.entries = a
         self.entries.setflags(write=False)
         self.modulus = int(modulus)

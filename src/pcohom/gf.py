@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import EdgeCheckFailed
+
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
@@ -37,7 +39,7 @@ def rref(a, p):
     elimination."""
     a = np.array(a, dtype=np.int64) % p
     if a.ndim != 2:
-        raise ValueError("rref expects a 2-d array")
+        raise EdgeCheckFailed("rref expects a 2-d array")
     a = a[a.any(axis=1)]
     nrows, ncols = a.shape
     pivots = []

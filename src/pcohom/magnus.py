@@ -19,7 +19,7 @@ from . import gf
 from .core import (FiniteGroup, GroupHom, builtin_group, generate_group,
                    hom_from_generator_images)
 from .elements import IdVector
-from .errors import SpecError, WordTooShort
+from .errors import OracleDisagreement, SpecError, WordTooShort
 from .pairings import transfer_check
 from .unitriangular import build_unitriangular, omega_family
 
@@ -31,6 +31,11 @@ from .unitriangular import build_unitriangular, omega_family
 class TruncatedSeries:
     """Unit of F_p<<x_1..x_k>> / (degree > deg), constant term 1.
 
+    A series is a unit iff its constant term is nonzero, and the Magnus
+    map sends every free word into the subgroup 1 + (x_1..x_k) of the
+    series with constant term 1, which products preserve; a constant term
+    other than 1 is rejected as malformed input (`SpecError`).
+
     Supports the element protocol of ``generate_group`` so the closure of
     {1 + x_i} can be tabulated directly.
     """
@@ -41,7 +46,8 @@ class TruncatedSeries:
         self.p, self.deg, self.k = int(p), int(deg), int(k)
         clean = {w: c % p for w, c in coeffs.items()
                  if len(w) <= deg and c % p}
-        assert clean.get((), 0) == 1, "series must have constant term 1"
+        if clean.get((), 0) != 1:
+            raise SpecError("series must have constant term 1")
         self.coeffs = clean
         self._hash = hash(("series", p, deg, k,
                            tuple(sorted(clean.items()))))
@@ -106,7 +112,7 @@ def magnus_image(word, k: int, p: int, deg: int) -> TruncatedSeries:
     out = TruncatedSeries({(): 1}, p, deg, k)
     for a in word:
         if a == 0 or abs(a) > k:
-            raise ValueError(f"letter {a} outside 1..{k}")
+            raise SpecError(f"letter {a} outside 1..{k}")
         out = out * _generator_series(abs(a), 1 if a > 0 else -1, p, deg, k)
     return out
 
@@ -171,16 +177,19 @@ def zassenhaus_membership(word, k: int, p: int, n: int) -> dict:
     * tables: the word evaluates to the identity at every k-tuple of
       elements of the unitriangular group of degree n-1 over F_p.
 
-    Disagreement between the two is a hard failure.
+    Disagreement between the two raises `OracleDisagreement`.
     """
-    assert n >= 2, "every word lies in the first term"
+    if n < 2:
+        raise SpecError(f"n = {n}: every word lies in the first term")
     s = magnus_image(word, k, p, n - 1)
     series_member = all(len(w) == 0 for w in s.coeffs)
     U = build_unitriangular(n - 1, p)
     vals = _evaluate_word_all_tuples(word, k, U)
     table_member = not np.any(vals)
-    assert series_member == table_member, \
-        "series and table membership criteria disagree"
+    if series_member != table_member:
+        raise OracleDisagreement(
+            f"Zassenhaus membership of {word} in term {n}: series criterion "
+            f"{series_member}, table criterion {table_member}")
     return {"member": series_member, "series": series_member,
             "tables": table_member, "tuples_checked": int(U.order ** k)}
 
@@ -227,8 +236,11 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int) -> FiniteGroup:
 def evaluation_epi(S: FiniteGroup, H: FiniteGroup) -> GroupHom:
     """The homomorphism S -> H sending the i-th generator of S to the i-th
     generator of H, computed by evaluating BFS words.  Valid only when H
-    satisfies the relations of S; the returned hom is fully verified."""
-    assert len(S.generators) <= len(H.generators)
+    satisfies the relations of S; the returned hom is fully verified.
+    When S and H have equal generator counts, the image contains every
+    generator of H, so the hom is onto."""
+    if len(S.generators) > len(H.generators):
+        raise SpecError(f"{S.name} has more generators than {H.name}")
     return hom_from_generator_images(S, H, H.generators[:len(S.generators)])
 
 
@@ -344,19 +356,20 @@ def counterexample_harness(k: int = 9, p: int = 2, seed: int = 20260823,
     induced = None
     if p == 2:
         Q = free_nilpotent_standin(2, 2, "zassenhaus", 2)
-        Q8 = builtin_group("Q8")
-        pi = evaluation_epi(Q, Q8)
-        assert pi.is_surjective()
-        N = pi.kernel()
+        # onto Q8: both groups have two generators (`evaluation_epi`)
+        N = evaluation_epi(Q, builtin_group("Q8")).kernel()
         report = transfer_check(Q, N, fam)
         induced = {
             "standin_order": Q.order,
             "kernel_order": N.order,
             "transfer_report": report,
         }
-        assert report["side_a_transfer"] is False
-        assert report["side_b_kernel_condition"] is False
-        assert report["status"] == "PASS"
+        got = (report["side_a_transfer"], report["side_b_kernel_condition"],
+               report["status"])
+        if got != (False, False, "PASS"):
+            raise OracleDisagreement(
+                f"the induced instance gives (side a, side b, status) = "
+                f"{got}, not (False, False, 'PASS')")
 
     verdict = (rank_full and not_in_span and conjugation_invariant
                and completions == 0 and control_completions > 0)

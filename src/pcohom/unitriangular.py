@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (FiniteGroup, GroupHom, center, element_index,
-                   element_order, exponent, generate_group,
-                   intersect_subgroups, quotient_group, spec_ints, spec_prime,
-                   subgroup_generated)
+                   generate_group, intersect_subgroups, quotient_group,
+                   spec_ints, spec_prime, subgroup_generated)
 from .elements import MatMod, Perm, Residue
-from .errors import SpecError
+from .errors import FamilyWitnessFailed, NotACentralExtension, SpecError
 
 
 def _factor_prime_power(m: int):
@@ -43,21 +42,24 @@ def _factor_prime_power(m: int):
 @functools.cache
 def build_unitriangular(n: int, m: int) -> FiniteGroup:
     """U_n(Z/m): unipotent upper-triangular (n+1)x(n+1) matrices over Z/m,
-    generated by the superdiagonal elementary matrices."""
+    generated by the superdiagonal elementary matrices.
+
+    They generate all m^(n(n+1)/2) of them: for i < j < k the commutator
+    of 1 + E_ij and 1 + E_jk is 1 +- E_ik, so every elementary matrix
+    1 + E_ik lies in the closure, and these generate U_n(Z/m)."""
     gens = []
     for i in range(n):
         e = np.eye(n + 1, dtype=np.int64)
         e[i, i + 1] = 1
         gens.append(MatMod(e, m))
-    G = generate_group(gens, name=f"U{n}(Z/{m})")
-    assert G.order == m ** (n * (n + 1) // 2)
-    return G
+    return generate_group(gens, name=f"U{n}(Z/{m})")
 
 
 @dataclass
 class CentralExtension:
     """0 -> Z -> E -> Gbar -> 1 with Z central of order p and a chosen
-    normalized set-section Gbar -> E."""
+    normalized set-section Gbar -> E, checked when built
+    (`errors.NotACentralExtension`)."""
     Z: FiniteGroup
     E: FiniteGroup
     Gbar: FiniteGroup
@@ -70,24 +72,35 @@ class CentralExtension:
     z_embed: GroupHom | None = None                # assumption (II) witness
 
     def __post_init__(self):
-        assert self.iota.is_injective()
         z_img = set(int(x) for x in self.iota.image)
-        cen = center(self.E)
-        assert all(z in cen for z in z_img), "kernel copy must be central"
-        assert self.lam.is_surjective()
         ker = set(int(x) for x in np.nonzero(self.lam.image == 0)[0])
-        assert ker == z_img, "kernel of projection must equal image of iota"
-        assert self.section[0] == 0
-        assert np.array_equal(self.lam.image[self.section],
-                              np.arange(self.Gbar.order))
+        if not (self.iota.is_injective() and self.lam.is_surjective()
+                and ker == z_img):
+            raise NotACentralExtension(f"{self.label}: Z -> E -> Gbar is not "
+                                       "exact")
+        if not z_img <= set(center(self.E).members.tolist()):
+            raise NotACentralExtension(f"{self.label}: iota(Z) is not central")
+        s = self.section
+        if not (s.shape == (self.Gbar.order,) and s[0] == 0
+                and ((0 <= s) & (s < self.E.order)).all()
+                and np.array_equal(self.lam.image[s],
+                                   np.arange(self.Gbar.order))):
+            raise NotACentralExtension(f"{self.label}: section is not a "
+                                       "normalized section of lam")
 
     def verify_family_witnesses(self):
-        assert self.gammas, "no assumption (I) witnesses stored"
-        kers = [g.kernel() for g in self.gammas]
-        assert intersect_subgroups(kers).order == 1
-        assert self.z_embed is not None and self.z_embed.is_injective()
-        assert self.z_embed.domain.key == self.Z.key
-        assert self.z_embed.codomain.key == self.Gbar.key
+        """Check the stored witnesses of assumptions (I) and (II)
+        (`errors.FamilyWitnessFailed`); the builders call this once, on the
+        witnesses they make."""
+        if not self.gammas or intersect_subgroups(
+                [g.kernel() for g in self.gammas]).order != 1:
+            raise FamilyWitnessFailed(f"{self.label}: the gammas' kernels "
+                                      "do not meet in 1")
+        z = self.z_embed
+        if (z is None or z.domain.key != self.Z.key
+                or z.codomain.key != self.Gbar.key or not z.is_injective()):
+            raise FamilyWitnessFailed(f"{self.label}: z_embed does not embed "
+                                      "Z into Gbar")
 
 
 def _matrix_id(E: FiniteGroup, entries, m: int) -> int:
@@ -110,20 +123,22 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     corner_gen[0, n] = p ** (e - 1)
     corner_id = _matrix_id(E, corner_gen, m)
     z_ids = [E.power(corner_id, k) for k in range(p)]
+    # |Zsub| = p: quotient_group checks ker lam = Zsub, and
+    # CentralExtension that ker lam = iota(Z) with iota injective
     Zsub = subgroup_generated(E, [corner_id])
-    assert Zsub.order == p
 
     Z = generate_group([Residue(1, p)], name=f"Z/{p}")
     iota = GroupHom(Z, E, np.asarray(z_ids, dtype=np.int32))
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"Ubar{n}(Z/{m})"
 
-    # section: the coset representative whose corner entry is < p^(e-1)
+    # section: the coset representative whose corner entry is < p^(e-1);
+    # a coset shifts the corner by the p multiples of p^(e-1), so exactly
+    # one member qualifies (and CentralExtension rejects a -1 left over)
     corners = np.asarray([el.entries[0, n] for el in E.elements], dtype=np.int64)
     section = np.full(Gbar.order, -1, dtype=np.int32)
     small = np.nonzero(corners < p ** (e - 1))[0]
     section[lam.image[small]] = small
-    assert section.min() >= 0
 
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
                            label=f"bar({n},{m})")
@@ -187,7 +202,13 @@ def _row_col_gamma(ext: CentralExtension, kill: str) -> GroupHom:
 def build_mp3(p: int) -> CentralExtension:
     """M_{p^3}: the order-p^3, exponent-p^2 group with presentation
     r^(p^2) = s^p = 1, [r,s] = r^p, as the central extension
-    0 -> Z/p -> M_{p^3} -> (Z/p)^2 -> 1 with r -> (1,0), s -> (0,1)."""
+    0 -> Z/p -> M_{p^3} -> (Z/p)^2 -> 1 with r -> (1,0), s -> (0,1).
+
+    Lemma (the presentation): r is x -> x + 1 and s is x -> u x on Z/p^2,
+    u = 1 - p.  Since u^j = 1 - jp, s has order p, and r^b s^j is
+    x -> u^j x + b, so E is these p^3 maps; [r, s] is x -> x + p, which
+    is r^p; and for odd p, (x -> u^j x + b)^p is x -> x + pb, so the
+    exponent is p^2, the order of r."""
     if p < 3 or _factor_prime_power(p) != (p, 1):
         raise SpecError("p must be an odd prime")
     q = p * p
@@ -195,14 +216,8 @@ def build_mp3(p: int) -> CentralExtension:
     r = Perm([(x + 1) % q for x in range(q)])
     s = Perm([((1 - p) * x) % q for x in range(q)])
     E = generate_group([r, s], name=f"M{p}^3")
-    assert E.order == p ** 3
     r_id, s_id = E.generators
-
-    # presentation relations
-    assert element_order(E, r_id) == q and element_order(E, s_id) == p
-    assert exponent(E) == q
     rp = E.power(r_id, p)
-    assert E.commutator(r_id, s_id) == rp
 
     Zsub = subgroup_generated(E, [rp])
     Z = generate_group([Residue(1, p)], name=f"Z/{p}")
@@ -211,14 +226,14 @@ def build_mp3(p: int) -> CentralExtension:
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"(Z/{p})^2"
 
-    # coordinates on Gbar: class of r^a s^b -> (a, b)
+    # coordinates on Gbar: class of r^a s^b -> (a, b); the p^2 pairs fill
+    # the p^2 classes, or a class is left at -1 for CentralExtension to reject
     coords = np.full((Gbar.order, 2), -1, dtype=np.int32)
     section = np.full(Gbar.order, -1, dtype=np.int32)
     for a in range(p):
         for b in range(p):
             eid = E.mul(E.power(r_id, a), E.power(s_id, b))
             x = int(lam.image[eid])
-            assert section[x] == -1
             section[x] = eid
             coords[x] = (a, b)
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
@@ -230,9 +245,8 @@ def build_mp3(p: int) -> CentralExtension:
     img = np.asarray([E.mul(E.power(rp, int(coords[x, 0])),
                             E.power(srp, int(coords[x, 1])))
                       for x in range(Gbar.order)], dtype=np.int32)
-    gamma = GroupHom(Gbar, E, img)
-    assert gamma.is_injective()
-    ext.gammas = [gamma]
+    # one gamma: verify_family_witnesses checks that it is injective
+    ext.gammas = [GroupHom(Gbar, E, img)]
 
     # assumption (II): Z/p -> (Z/p)^2 along the first coordinate
     emb = [Gbar.power(lam.image[r_id], k) for k in range(p)]
@@ -246,11 +260,7 @@ class OmegaFamily:
     label: str
     p: int
     n: int | None
-    extensions: list
-
-    def __post_init__(self):
-        for ext in self.extensions:
-            ext.verify_family_witnesses()
+    extensions: list      # builder-made, witnesses verified once there
 
     def __repr__(self):
         return f"OmegaFamily({self.label}, {len(self.extensions)} extensions)"
@@ -276,8 +286,7 @@ def omega_family(label: str, n: int | None, p: int) -> OmegaFamily:
     else:
         raise SpecError(f"unknown family label {label!r}")
     name = f"{label}({n},{p})" if n is not None else f"{label}({p})"
-    fam = OmegaFamily(name, p, n, exts)
-    return fam
+    return OmegaFamily(name, p, n, exts)
 
 
 def parse_family(spec: str) -> OmegaFamily:

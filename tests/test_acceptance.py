@@ -296,7 +296,7 @@ def test_criterion_8_words_and_membership():
              zip(rng.integers(1, 3, size=length),
                  rng.choice([-1, 1], size=length))]
         n = int(rng.integers(2, 5))
-        rep = zassenhaus_membership(w, 2, 2, n)   # asserts the two criteria
+        rep = zassenhaus_membership(w, 2, 2, n)   # checks the two criteria
         words += 1
         if rep["series"] == rep["tables"]:
             agree += 1

@@ -2,6 +2,7 @@ import json
 import shlex
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -115,10 +116,50 @@ def test_counterexample_inconclusive_exits_1(tmp_path):
     assert reps[0]["common_commutator_completions"] > 0
 
 
+BUDGET_ERROR = "BudgetExceeded: hom search budget exceeded ("
+
+
 def test_budget_exceeded_exits_2(tmp_path):
-    run(tmp_path, ["--budget-prefixes", "10",
-                   "hom-count", "--group", "E:2:3", "--codomain", "U:3:2"],
-        expect_code=2)
+    """An exceeded budget is one JSON error record and exit 2."""
+    (err,) = run(tmp_path, ["--budget-prefixes", "10", "hom-count",
+                            "--group", "E:2:3", "--codomain", "U:3:2"],
+                 expect_code=2)
+    assert set(err) == {"schema_version", "command", "error"}
+    assert err["schema_version"] == 1 and err["command"] == "hom-count"
+    assert err["error"].startswith(BUDGET_ERROR)
+
+
+def test_budget_record_follows_the_reports_made(tmp_path):
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({"jobs": [
+        {"command": "group-info", "group": "D4"},
+        {"command": "hom-count", "group": "E:2:3", "codomain": "U:3:2"},
+        {"command": "lyndon", "k": 2, "upto": 3}]}))
+    ok, err = run(tmp_path, ["--budget-prefixes", "10", "--manifest",
+                             str(man)], expect_code=2)
+    assert ok["command"] == "group-info" and ok["group_order"] == 8
+    assert err["command"] == "hom-count"
+    assert err["error"].startswith(BUDGET_ERROR)
+
+
+def test_transgression_solve_failure_exits_1_with_one_error_record(
+        tmp_path, monkeypatch):
+    """A TransgressionSolveFailed (five-term exactness violated) is an
+    OracleDisagreement: one JSON error record and exit 1, not a
+    traceback."""
+    from pcohom import pairings
+    span_of = pairings.transgression_span
+
+    def no_preimages(*args):
+        psis, span = span_of(*args)
+        return psis, SimpleNamespace(solve=lambda v: None)
+
+    monkeypatch.setattr(pairings, "transgression_span", no_preimages)
+    (err,) = run(tmp_path, ["pairings", "--group", "Q8", "--family",
+                            "zassenhaus:2:2", "--n1", "trivial",
+                            "--n2", "tbar"], expect_code=1)
+    assert err["command"] == "pairings"
+    assert err["error"].startswith("TransgressionSolveFailed: ")
 
 
 def test_oracle_disagreement_exits_1_with_one_error_record(tmp_path,

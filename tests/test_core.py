@@ -14,7 +14,7 @@ from pcohom.core import (_bfs, _is_normal, _powers, bfs_levels,
                          group_from_json, group_from_table, memo,
                          subgroup_as_group, word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
-from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed,
+from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
                            KernelMismatch, MixedElementKinds,
                            NonNormalArguments, NotNormal)
 from pcohom.homsearch import _partial_bfs, t_bundle
@@ -349,6 +349,8 @@ def test_intersect_and_join():
     b = pc.subgroup_generated(G, [G.generators[1], G.generators[2]])
     assert pc.intersect_subgroups([a, b]).order == 2
     assert pc.join_subgroups(G, [a, b]).order == 8
+    with pytest.raises(EmptyList):
+        pc.intersect_subgroups([])
 
 
 def test_subgroup_as_group_roundtrip():

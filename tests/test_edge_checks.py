@@ -13,9 +13,6 @@ that checks every forced product of every prefix.
 
 import ast
 import dataclasses
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +25,7 @@ from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
                                pullback)
 from pcohom.core import (_respects_generator_edges, _table_product,
                          _verify_tables)
+from pcohom.errors import PcohomError
 from pcohom.homsearch import _partial_bfs, enumerate_homs, lift_hom
 from pcohom.pairings import cached_quotient, liftable_pullback_space
 
@@ -95,7 +93,7 @@ def full_filter_prefixes(G, U, P, j):
 def accepts(make, *args):
     try:
         make(*args)
-    except (AssertionError, ValueError):
+    except PcohomError:
         return False
     return True
 
@@ -319,36 +317,29 @@ def test_lift_search_matches_full_check_search(monkeypatch):
             assert np.array_equal(a.image, b.image)
 
 
-# tests elsewhere whose checks must not ride on assert either: the tree
-# gauge against the B^2 span, Z^2 over the non-tree columns, the section
-# defect of classifying cocycles, and the generator test of filtration
-# chains and coset bases
-UNDER_O_ELSEWHERE = [
-    "test_cohomology.py::" + name for name in (
-        "test_gauge_matches_b2_span_on_catalog", "test_h2_of_trivial_group",
-        "test_gauge_above_h2_cap", "test_z2_basis_matches_full_nullspace",
-        "test_classifying_class_does_not_depend_on_the_section",
-        "test_section_defect_outside_the_kernel_raises")] + [
-    "test_filtrations.py::" + name for name in (
-        "test_generator_check_matches_table_check_on_catalog",
-        "test_generator_check_on_u34",
-        "test_check_chain_raises_typed_errors")] + [
-    "test_pairings.py::test_coset_basis_raises_typed_errors"]
-
-# modules with no assert statement at all; the list grows until it
-# covers every module of src/pcohom
-NO_ASSERT_MODULES = ["__init__", "catalog", "cli", "cohomology", "core",
-                     "elements", "errors", "filtrations", "gf", "homsearch",
-                     "pairings"]
+def debug_constructs(tree):
+    """Line numbers of assert statements and of reads of __debug__ or
+    __doc__."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Name) and node.id == "__debug__"
+                  or isinstance(node, ast.Attribute) and node.attr == "__doc__")
 
 
 def test_no_assert_in_ratcheted_modules():
+    """No module of src/pcohom has an assert statement or reads __debug__
+    or __doc__, so every check in it raises a typed error.
+
+    Lemma: python -O only strips assert statements and `if __debug__`
+    blocks (-OO strips docstrings too, and src/ reads no __doc__), so
+    with neither construct present src/ runs the same under -O as without
+    it, and no subprocess under -O is needed to show that."""
     src = ROOT / "src" / "pcohom"
-    for name in NO_ASSERT_MODULES:
-        tree = ast.parse((src / f"{name}.py").read_text())
-        lines = [node.lineno for node in ast.walk(tree)
-                 if isinstance(node, ast.Assert)]
-        assert not lines, f"{name}.py has assert statements at {lines}"
+    for path in sorted(src.glob("*.py")):
+        lines = debug_constructs(ast.parse(path.read_text()))
+        assert not lines, f"{path.name}: assert or __debug__ at {lines}"
+    probe = "assert x\nif __debug__: y\nz = f.__doc__\n"
+    assert debug_constructs(ast.parse(probe)) == [1, 2, 3]
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -385,22 +376,3 @@ def test_only_bfs_levels_walks_pred():
     assert pred_walks(ast.parse(
         "def bfs_levels(pred):\n    for x in pred: pred[x]\n")) == []
     assert pred_walks(ast.parse("for x in r:\n    G.pred[x]\n")) == [1]
-
-
-def test_edge_checks_hold_under_python_O():
-    """Every edge check raises rather than asserts, so this file and the
-    tests in UNDER_O_ELSEWHERE pass under python -O too (asserts in the
-    test files themselves are rewritten by pytest and survive -O)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    here = Path(__file__).resolve()
-    r = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-rp", "-p",
-         "no:cacheprovider",
-         str(here), *(str(here.parent / t) for t in UNDER_O_ELSEWHERE),
-         "-k", "not under_python_O"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
-    assert r.returncode == 0, r.stdout[-3000:] + r.stderr[-3000:]
-    for test in UNDER_O_ELSEWHERE:
-        assert f"PASSED tests/{test}" in r.stdout, test

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.errors import WordTooShort
+from pcohom import magnus
+from pcohom.errors import OracleDisagreement, SpecError, WordTooShort
 from pcohom.magnus import (TruncatedSeries, _inv_word, counterexample_harness,
                            evaluation_epi, free_nilpotent_standin,
                            lyndon_words, magnus_image, tau,
@@ -59,7 +60,7 @@ def test_series_rejects_bad_letters():
         magnus_image([3], 2, 2, 2)
     with pytest.raises(ValueError):
         magnus_image([0], 2, 2, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(SpecError):
         TruncatedSeries({(): 2}, 3, 2, 2)
 
 
@@ -124,9 +125,21 @@ def test_membership_known_cases():
     assert not zassenhaus_membership([1], 2, 2, 2)["member"]
 
 
+def test_membership_raises_typed_errors(monkeypatch):
+    with pytest.raises(SpecError):
+        zassenhaus_membership([1], 2, 2, 1)
+    # the table criterion finds a non-identity value for x^2, which the
+    # series criterion puts in term 2
+    monkeypatch.setattr(magnus, "_evaluate_word_all_tuples",
+                        lambda word, k, U: np.ones(1, dtype=np.int32))
+    with pytest.raises(OracleDisagreement, match="series criterion True"):
+        zassenhaus_membership([1, 1], 2, 2, 2)
+
+
 def test_membership_criteria_agree_on_random_words():
-    # the function asserts internally that the series criterion and the
-    # exhaustive table evaluation agree; hammer it with seeded random words
+    # the function raises OracleDisagreement unless the series criterion
+    # and the exhaustive table evaluation agree; hammer it with seeded
+    # random words
     rng = np.random.default_rng(7)
     for _ in range(200):
         length = int(rng.integers(1, 9))
@@ -173,6 +186,8 @@ def test_evaluation_epi():
     # identity evaluation: S -> S
     ident = evaluation_epi(S, S)
     assert np.array_equal(ident.image, np.arange(S.order))
+    with pytest.raises(SpecError):
+        evaluation_epi(S, pc.builtin_group("Z/2"))
 
 
 # ---------------------------------------------------------------------
@@ -197,3 +212,13 @@ def test_counterexample_harness():
     assert tr["status"] == "PASS"
     assert rep["verdict"] == "transfer equality fails"
     assert rep["elapsed_seconds"] < 300
+
+
+def test_counterexample_induced_instance_must_fail_both_sides(monkeypatch):
+    """The induced Q8 instance must give transfer False, kernel condition
+    False and PASS; any other report is an OracleDisagreement."""
+    monkeypatch.setattr(magnus, "transfer_check", lambda Q, N, fam: {
+        "side_a_transfer": True, "side_b_kernel_condition": True,
+        "status": "PASS"})
+    with pytest.raises(OracleDisagreement, match="induced instance"):
+        counterexample_harness(k=2)

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import element_order, exponent, center
-from pcohom.unitriangular import (build_bar_extension, build_mp3,
-                                  build_unitriangular, omega_family,
-                                  parse_family)
+from pcohom.core import (GroupHom, element_order, exponent, center,
+                         generate_group, quotient_group, subgroup_generated)
+from pcohom.elements import Perm, Residue
+from pcohom.errors import FamilyWitnessFailed, NotACentralExtension
+from pcohom.unitriangular import (CentralExtension, build_bar_extension,
+                                  build_mp3, build_unitriangular,
+                                  omega_family, parse_family)
 
 
 def test_unitriangular_orders_and_structure():
@@ -39,6 +44,41 @@ def test_bar_extension_shapes():
                               np.arange(ext.Gbar.order))
         # kernel copy is central and matches iota
         assert ext.lam.kernel() == ext.iota.image_subgroup()
+
+
+def trivial_hom(G, U):
+    return GroupHom(G, U, np.zeros(G.order, dtype=np.int32))
+
+
+def test_central_extension_checks_its_maps():
+    ext = build_bar_extension(2, 2)
+    with pytest.raises(NotACentralExtension, match="not exact"):
+        dataclasses.replace(ext, iota=trivial_hom(ext.Z, ext.E))
+    for x, wrong in ((0, 1), (1, 0), (1, -1), (1, ext.E.order)):
+        section = ext.section.copy()
+        section[x] = wrong
+        with pytest.raises(NotACentralExtension, match="section"):
+            dataclasses.replace(ext, section=section)
+    # S3 over A3 = Z/3 is exact, but A3 is not central
+    E = generate_group([Perm([1, 2, 0]), Perm([1, 0, 2])], name="S3")
+    c = E.generators[0]
+    Gbar, lam = quotient_group(E, subgroup_generated(E, [c]))
+    Z = generate_group([Residue(1, 3)], name="Z/3")
+    iota = GroupHom(Z, E, np.array([E.power(c, k) for k in range(3)]))
+    with pytest.raises(NotACentralExtension, match="not central"):
+        CentralExtension(Z, E, Gbar, iota, lam, lam.section(), 3)
+
+
+def test_family_witnesses_are_checked():
+    ext = build_bar_extension(2, 2)
+    for gammas in ([], [trivial_hom(ext.Gbar, ext.E)]):
+        with pytest.raises(FamilyWitnessFailed, match="gammas"):
+            dataclasses.replace(ext, gammas=gammas).verify_family_witnesses()
+    for z_embed in (None, trivial_hom(ext.Z, ext.Gbar),
+                    trivial_hom(ext.Z, ext.E)):
+        with pytest.raises(FamilyWitnessFailed, match="z_embed"):
+            dataclasses.replace(
+                ext, z_embed=z_embed).verify_family_witnesses()
 
 
 def test_bar_extension_rejects_trivial_case():
