@@ -20,16 +20,17 @@ from .filtrations import (FiltrationChain, is_elementary_abelian,  # noqa: F401
 from .unitriangular import (CentralExtension, OmegaFamily,  # noqa: F401
                             build_bar_extension, build_mp3,
                             build_unitriangular, omega_family, parse_family)
-from .homsearch import (enumerate_homs, lift_hom,  # noqa: F401
-                        liftability_crosscheck, t_bundle, t_subgroup)
+from .homsearch import (enumerate_homs, lift_hom, t_bundle,  # noqa: F401
+                        t_subgroup)
 from .cohomology import (bockstein, classifying_cocycle,  # noqa: F401
                          conj_invariant_h1, cup, h1, h2_space,
                          is_coboundary, massey_pullback_set, pullback,
                          transgression)
 from .pairings import (PairingMatrix, a_pairing, a_space, b_space,  # noqa: F401
                        c_pairing, c_space, induced_coker_ker,
-                       kernel_generating_condition, liftable_pullback_space,
-                       pairing_kernels, transfer_check)
+                       kernel_generating_condition, liftability_crosscheck,
+                       liftable_pullback_space, pairing_kernels,
+                       transfer_check)
 from .magnus import (TruncatedSeries, counterexample_harness,  # noqa: F401
                      free_nilpotent_standin, lyndon_words, magnus_image,
                      tau, zassenhaus_membership)

@@ -293,13 +293,22 @@ def build_parser():
     return ap
 
 
-def _emit(reports, out):
+def _open_out(path):
+    """The --out file, opened before any job runs so that an unwritable
+    path is malformed input, not a traceback after the work is done."""
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise SpecError(f"--out {path!r}: {e.strerror}") from None
+
+
+def _emit(reports, fh):
     text = "\n".join(json.dumps(r, default=_json_default) for r in reports)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    if fh is None:
         print(text)
+        return
+    with fh:
+        fh.write(text + "\n")
 
 
 def _json_default(o):
@@ -350,7 +359,7 @@ def main(argv=None) -> int:
     reports, all_ok, command, out = [], True, None, None
     try:
         args = ap.parse_args(argv)
-        out = args.out
+        out = _open_out(args.out) if args.out else None
         for jargs in _jobs(ap, args):
             command = jargs.command
             rep, ok = _run_one(jargs)

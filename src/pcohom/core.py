@@ -70,7 +70,6 @@ class FiniteGroup:
     elements: list | None = None   # concrete elements, if built from them
     name: str = ""
     key: str = ""
-    identity: int = 0
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _index: dict | None = field(default=None, init=False, repr=False,
                                 compare=False)
@@ -94,9 +93,6 @@ class FiniteGroup:
     # -- element arithmetic on ids ------------------------------------
     def mul(self, a, b):
         return int(self.mult[a, b])
-
-    def inverse(self, a):
-        return int(self.inv[a])
 
     def conj(self, g, a):
         """g^-1 * a * g"""

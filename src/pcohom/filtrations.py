@@ -90,9 +90,9 @@ def zassenhaus(G: FiniteGroup, p: int, upto: int) -> FiltrationChain:
         if n not in terms:
             powers = _powers(G, term(ceil(n / p)).members, p)
             pieces = [subgroup_generated(G, powers)]
-            for i in range(1, n):
-                j = n - i
-                pieces.append(commutator_subgroup(G, term(i), term(j)))
+            # [A, B] = [B, A], so each unordered pair i + j = n once
+            for i in range(1, n // 2 + 1):
+                pieces.append(commutator_subgroup(G, term(i), term(n - i)))
             terms[n] = join_subgroups(G, pieces)
         return terms[n]
 

@@ -3,9 +3,12 @@ taken by Fermat's little theorem).
 
 Matrices are dense numpy int64 arrays with entries reduced mod p.  ``rref``,
 ``rank`` and ``nullspace`` eliminate a matrix once.  A matrix that is
-queried many times (membership, coordinates, solutions) is factored once
-into a ``Span``, the one factored-solve object, and each query is then a
-single product against its kept rref rows and transform.
+queried many times (membership, solutions) is factored once into a
+``Span``, the one factored-solve object, and each query is then a single
+product against its kept rref rows and transform.  Every query takes one
+vector or a matrix of row vectors, so a subspace inclusion or a batch of
+solves is one product too.  A subspace is passed around as its basis rows
+(a plain array); ``Span.rows`` is the rref basis of a span.
 
 Each elimination touches only what it changes: ``rref`` drops the zero
 rows and, at each pivot, updates only the rows that are nonzero in the
@@ -116,6 +119,7 @@ class Span:
         return (v - v[..., self.pivots] @ self.rows) % self.p
 
     def contains(self, v) -> bool:
+        """v lies in the span; for a matrix v, every row of it does."""
         return not np.any(self.reduce(v))
 
     def add(self, v):
@@ -155,14 +159,6 @@ class Span:
         grew = np.zeros(k, dtype=bool)
         grew[grow] = True
         return bool(grew[0]) if v.ndim == 1 else grew
-
-    def basis(self):
-        return self.rows.copy()
-
-    def coords(self, v):
-        """Coefficients expressing v over the basis rows, or None."""
-        v = np.asarray(v, dtype=np.int64) % self.p
-        return v[self.pivots] if self.contains(v) else None
 
     def solve(self, v):
         """x with x @ added == v (mod p), or None if v is outside the span.

@@ -43,8 +43,7 @@ import numpy as np
 from .core import (FiniteGroup, GroupHom, Subgroup, _bfs, _element_orders,
                    _respects_generator_edges, _table_product,
                    intersect_subgroups, memo, word_images)
-from .errors import (BudgetExceeded, MixedParents, NotSurjective,
-                     TNotInsideTbar)
+from .errors import BudgetExceeded, NotSurjective, TNotInsideTbar
 from .unitriangular import CentralExtension, OmegaFamily
 
 DEFAULT_BUDGET = 2 ** 31
@@ -307,48 +306,3 @@ def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
     if kept.shape[0] == 0:
         return None
     return GroupHom(G, ext.E, imgs[0])
-
-
-def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
-                           rhobar: GroupHom, *, budget=DEFAULT_BUDGET) -> dict:
-    """Decide liftability of rhobar three ways and report whether they
-    agree:
-
-    (a) direct lift search;
-    (c) the inflation of the pulled-back classifying class vanishes;
-    (d) the pulled-back class has a transgression preimage in H^1(N)^G.
-
-    (c) reads the generator columns of the inflation by one gather along
-    rhobar o pi (`cohomology.pullback_columns`), with no |G| x |G| table,
-    and (d) the coordinates of the pullback by `cohomology.pullback_coords`.
-    Returns each verdict, the coefficients of psi for (d), and status
-    "PASS" when the three agree, "FAIL" otherwise; it raises nothing on a
-    disagreement."""
-    from . import cohomology as coh
-
-    G, Q = pi.domain, pi.codomain
-    if rhobar.domain.key != Q.key or rhobar.codomain.key != ext.Gbar.key:
-        raise MixedParents("rhobar must map pi's codomain to ext.Gbar")
-    p = ext.p
-    lift = lift_hom(ext, pi, rhobar, budget=budget)
-    a = lift is not None
-
-    alpha = coh.classifying_cocycle(ext)
-    R = rhobar.image[None, :]
-    c = bool(coh.coboundary_mask(
-        G, coh.pullback_columns(alpha, R[:, pi.image], G), p)[0])
-
-    # (d): pulled class = trg(psi) for an invariant psi on N = ker(pi)
-    _, trg = coh.transgression_span(G, pi, p)
-    sol = trg.solve(coh.pullback_coords(alpha, R, coh.h2_space(Q, p))[0])
-    d = sol is not None
-    psi_coeffs = None if sol is None else [int(x) for x in sol]
-
-    status = "PASS" if (a == c == d) else "FAIL"
-    return {
-        "lift_exists": a,
-        "inflation_vanishes": c,
-        "transgression_preimage_exists": d,
-        "psi_coefficients": psi_coeffs,
-        "status": status,
-    }

@@ -2,8 +2,12 @@
 kernel generating condition and the transfer cross-check.
 
 Everything here lives in H^2-coordinate spaces: a class is a coordinate
-vector over the basis of an H2Space, subspaces are row spans (gf.Span),
-and subspace equality is double containment.
+vector over the basis of an H2Space, and a subspace is a plain array of
+basis rows over F_p (`a_space`, `b_space`, `c_space`).  An inclusion X <=
+Y is one `gf.Span(Y).contains(X)` on the whole matrix X, and subspace
+equality is inclusion plus equal dimension.  Each pairing matrix is one
+batched transgression solve and one product (`_transgression_pairing`),
+and the induced coker x ker pairing one rref and one product.
 
 Each pair N1 <= N2 of normal subgroups is built once by the memoized
 ``_pair`` (the quotient maps, H^2(G/N2) and the inflation matrix to
@@ -27,13 +31,14 @@ group/hom enumeration vs. cohomological linear algebra) that share only the
 group core, so agreement is a genuine cross-oracle.  Inside the tower,
 the lift search cross-checks the inflation test, and B <= C <= A is
 checked on every kernel generating condition; a disagreement raises
-`errors.OracleDisagreement`.
+`errors.OracleDisagreement`.  `liftability_crosscheck` decides one hom's
+liftability by the lift search, the inflation and the transgression,
+and reports their agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +56,7 @@ from .errors import (KernelMismatch, MixedParents, NonCommutingSquare,
                      PairingShapeMismatch, SpecError, SubgroupChainBroken,
                      TransgressionSolveFailed)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
-from .unitriangular import OmegaFamily
+from .unitriangular import CentralExtension, OmegaFamily
 
 STANDIN_CAVEAT = ("theorems quantified over free profinite groups are "
                   "tested on finite nilpotent quotient stand-ins")
@@ -77,11 +82,13 @@ class PairingMatrix:
 
 
 def pairing_kernels(P: PairingMatrix) -> dict:
+    """Rank, kernels and flags of P: two eliminations, as the rank is read
+    off the right kernel (rank = columns - its dimension)."""
     m = P.matrix
-    r = gf.rank(m, P.p)
     left_kernel = gf.nullspace(m.T, P.p)
     right_kernel = gf.nullspace(m, P.p)
     nl, nr = m.shape
+    r = nr - right_kernel.shape[0]
     return {
         "rank": r,
         "left_kernel": left_kernel,
@@ -98,33 +105,26 @@ def induced_coker_ker(P1: PairingMatrix, P2: PairingMatrix,
     """Lemma-2.1 style induced pairing on Coker(alpha) x Ker(beta).
 
     alpha: matrix A1 -> A2, beta: matrix B2 -> B1 with
-    P1(a, beta b) = P2(alpha a, b) for all a, b."""
+    P1(a, beta b) = P2(alpha a, b) for all a, b, which is checked.  The
+    cokernel representatives are the unit vectors e_i of A2 outside the
+    span of alpha's columns and the earlier e_j: the pivots >= k of one
+    rref([alpha | I]), alpha with k columns.  The matrix is P2 at those
+    rows against a basis of Ker(beta).
+
+    Lemma: the value does not depend on the representative.  For b in
+    Ker(beta) and every a, P2(alpha a, b) = P1(a, beta b) = P1(a, 0) = 0 by
+    the checked square, so P2(r + alpha a, b) = P2(r, b)."""
     p = P1.p
     alpha = np.asarray(alpha, dtype=np.int64) % p
     beta = np.asarray(beta, dtype=np.int64) % p
     if not np.array_equal((P1.matrix @ beta) % p, (alpha.T @ P2.matrix) % p):
         raise NonCommutingSquare("P1(a, beta b) != P2(alpha a, b)")
-    a2 = P2.matrix.shape[0]
-    span = gf.Span(a2, p)
-    for col in alpha.T:
-        span.add(col)
-    reps = []
-    for i in range(a2):
-        e = np.zeros(a2, dtype=np.int64)
-        e[i] = 1
-        if span.add(e):
-            reps.append(e)
+    a2, k = alpha.shape
+    pivots = gf.rref(np.concatenate([alpha, np.eye(a2, dtype=np.int64)],
+                                    axis=1), p)[1]
+    reps = [c - k for c in pivots if c >= k]
     kb = gf.nullspace(beta, p)
-    mat = np.zeros((len(reps), kb.shape[0]), dtype=np.int64)
-    for i, r in enumerate(reps):
-        for j, b in enumerate(kb):
-            mat[i, j] = int(r @ P2.matrix @ b % p)
-            # well-definedness: shifting the representative by an image
-            # vector must not change the value
-            shifted = (r + alpha @ np.ones(alpha.shape[1], dtype=np.int64)) % p
-            if int(shifted @ P2.matrix @ b % p) != mat[i, j]:
-                raise OracleDisagreement(
-                    "induced coker pairing depends on the representative")
+    mat = (P2.matrix[reps] @ kb.T) % p
     return PairingMatrix([f"coker{i}" for i in range(len(reps))],
                          [f"ker{j}" for j in range(kb.shape[0])], mat, p)
 
@@ -191,30 +191,9 @@ def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
 # The A/B/C subspaces
 # ---------------------------------------------------------------------
 
-@dataclass
-class SubspaceHandle:
-    space: H2Space
-    basis: np.ndarray              # rows of coordinate vectors
-
-    @property
-    def dim(self):
-        return self.basis.shape[0]
-
-    @cached_property
-    def _span(self) -> gf.Span:
-        return gf.Span(self.space.dim, self.space.p, self.basis)
-
-    def contains(self, v) -> bool:
-        return self._span.contains(v)
-
-    def contains_all(self, other: "SubspaceHandle") -> bool:
-        return not self._span.reduce(other.basis).any()
-
-
-def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> SubspaceHandle:
-    """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1))."""
-    pair = _pair(G, N1, N2, p)
-    return SubspaceHandle(pair.space, gf.nullspace(pair.inflation.T, p))
+def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int):
+    """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1)), as basis rows."""
+    return gf.nullspace(_pair(G, N1, N2, p).inflation.T, p)
 
 
 @dataclass
@@ -232,7 +211,7 @@ class LiftablePullbacks:
     liftable: np.ndarray        # bool, one per class
     exts: list                  # CentralExtension, one per class
     images: np.ndarray          # (classes, |G/N|) int32
-    span: SubspaceHandle
+    span: gf.Span               # the liftable classes
     stats: dict
 
     def rho(self, i) -> GroupHom:
@@ -275,8 +254,7 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
     span = gf.Span(space.dim, p)
     grew = np.flatnonzero(liftable)[span.add(coords[liftable])]
     lp = LiftablePullbacks(
-        space, coords, liftable, exts, np.concatenate(images),
-        SubspaceHandle(space, span.basis()),
+        space, coords, liftable, exts, np.concatenate(images), span,
         {"homs": len(V), "distinct_classes": len(first),
          "liftable_classes": int(liftable.sum())})
     for i in grew:
@@ -286,43 +264,89 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
     return lp
 
 
+def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
+                           rhobar: GroupHom, *, budget=DEFAULT_BUDGET) -> dict:
+    """Decide liftability of rhobar three ways and report whether they
+    agree:
+
+    (a) direct lift search;
+    (c) the inflation of the pulled-back classifying class vanishes;
+    (d) the pulled-back class has a transgression preimage in H^1(N)^G.
+
+    (c) reads the generator columns of the inflation by one gather along
+    rhobar o pi (`cohomology.pullback_columns`), with no |G| x |G| table,
+    and (d) the coordinates of the pullback by `cohomology.pullback_coords`.
+    Returns each verdict, the coefficients of psi for (d), and status
+    "PASS" when the three agree, "FAIL" otherwise; it raises nothing on a
+    disagreement."""
+    G, Q = pi.domain, pi.codomain
+    if rhobar.domain.key != Q.key or rhobar.codomain.key != ext.Gbar.key:
+        raise MixedParents("rhobar must map pi's codomain to ext.Gbar")
+    p = ext.p
+    lift = lift_hom(ext, pi, rhobar, budget=budget)
+    a = lift is not None
+
+    alpha = classifying_cocycle(ext)
+    R = rhobar.image[None, :]
+    c = bool(coboundary_mask(
+        G, pullback_columns(alpha, R[:, pi.image], G), p)[0])
+
+    # (d): pulled class = trg(psi) for an invariant psi on N = ker(pi)
+    _, trg = transgression_span(G, pi, p)
+    sol = trg.solve(pullback_coords(alpha, R, h2_space(Q, p))[0])
+    d = sol is not None
+    psi_coeffs = None if sol is None else [int(x) for x in sol]
+
+    status = "PASS" if (a == c == d) else "FAIL"
+    return {
+        "lift_exists": a,
+        "inflation_vanishes": c,
+        "transgression_preimage_exists": d,
+        "psi_coefficients": psi_coeffs,
+        "status": status,
+    }
+
+
 def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
-            budget=DEFAULT_BUDGET) -> SubspaceHandle:
+            budget=DEFAULT_BUDGET):
     """B_G(N1,N2): span of the pi2-liftable pullback classes that are
-    individually killed by inflation to H^2(G/N1)."""
+    individually killed by inflation to H^2(G/N1), as rref rows."""
     M = _pair(G, N1, N2, fam.p).inflation
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
     killed = lp.liftable & ~((lp.coords @ M) % fam.p).any(axis=1)
-    span = gf.Span(lp.space.dim, fam.p, lp.coords[killed])
-    return SubspaceHandle(lp.space, span.basis())
+    return gf.Span(lp.space.dim, fam.p, lp.coords[killed]).rows
 
 
 def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
-            budget=DEFAULT_BUDGET) -> SubspaceHandle:
-    """C_G(N1,N2) = Ker(inf: H^2(G/N2)_{pi2} -> H^2(G/N1)_{pi1})."""
+            budget=DEFAULT_BUDGET):
+    """C_G(N1,N2) = Ker(inf: H^2(G/N2)_{pi2} -> H^2(G/N1)_{pi1}), as
+    basis rows."""
     M = _pair(G, N1, N2, fam.p).inflation
-    lp = liftable_pullback_space(G, N2, fam, budget=budget)
-    S = lp.span.basis
+    S = liftable_pullback_space(G, N2, fam, budget=budget).span.rows
     X = gf.nullspace(((S @ M) % fam.p).T, fam.p)
-    return SubspaceHandle(lp.space, (X @ S) % fam.p)
+    return (X @ S) % fam.p
 
 
 def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
                                 fam: OmegaFamily, *, budget=DEFAULT_BUDGET):
-    """B_G(N1,N2) = C_G(N1,N2)?  Returns (bool, witness, data)."""
+    """B_G(N1,N2) = C_G(N1,N2)?  Returns (bool, witness, data); the witness
+    is the first basis row of C outside B."""
     B = b_space(G, N1, N2, fam, budget=budget)
     C = c_space(G, N1, N2, fam, budget=budget)
     A = a_space(G, N1, N2, fam.p)
-    if not C.contains_all(B):
+
+    def span(X):
+        return gf.Span(A.shape[1], fam.p, X)
+
+    if not span(C).contains(B):
         raise OracleDisagreement("B <= C fails")
-    if not A.contains_all(C):
+    if not span(A).contains(C):
         raise OracleDisagreement("C <= A fails")
-    holds = B.dim == C.dim
+    holds = len(B) == len(C)
     witness = None
     if not holds:
-        witness = next([int(x) for x in v] for v in C.basis
-                       if not B.contains(v))
-    data = {"dim_A": A.dim, "dim_B": B.dim, "dim_C": C.dim}
+        witness = [int(x) for x in C[span(B).reduce(C).any(axis=1)][0]]
+    data = {"dim_A": len(A), "dim_B": len(B), "dim_C": len(C)}
     return holds, witness, data
 
 
@@ -355,16 +379,15 @@ def _transgression_pairing(G, N1, N2, sigmas, basis, p) -> PairingMatrix:
     the invariant character on N2/N1 with that transgression."""
     pair = _pair(G, N1, N2, p)
     psis, span = transgression_span(pair.q.domain, pair.q, p)
+    X = span.solve(basis)
+    if X is None:
+        raise TransgressionSolveFailed(
+            "no transgression preimage: five-term exactness violated")
     at = pair.pi1.image[np.asarray(sigmas, dtype=np.int64)]
-    mat = np.zeros((len(sigmas), len(basis)), dtype=np.int64)
-    for j, v in enumerate(basis):
-        x = span.solve(v)
-        if x is None:
-            raise TransgressionSolveFailed(
-                "no transgression preimage: five-term exactness violated")
-        for xi, ps in zip(x, psis):
-            mat[:, j] = (mat[:, j] + int(xi) * ps.values[at]) % p
-    return PairingMatrix(sigmas, [[int(x) for x in v] for v in basis], mat, p)
+    psi = np.array([ps.values[at] for ps in psis],
+                   dtype=np.int64).reshape(len(psis), len(at))
+    return PairingMatrix(sigmas, [[int(x) for x in v] for v in basis],
+                         (X @ psi).T % p, p)
 
 
 def a_pairing(G, N1: Subgroup, N2: Subgroup, p: int) -> PairingMatrix:
@@ -372,7 +395,7 @@ def a_pairing(G, N1: Subgroup, N2: Subgroup, p: int) -> PairingMatrix:
     A = a_space(G, N1, N2, p)
     D = join_subgroups(G, [N1, power_commutator_subgroup(G, N2, p)])
     return _transgression_pairing(G, N1, N2, _coset_basis(G, N2, D, p),
-                                  A.basis, p)
+                                  A, p)
 
 
 def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
@@ -386,12 +409,12 @@ def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
     TQ1 = t_bundle(pi1.codomain, fam, budget=budget).T
     Lb = intersect_subgroups([N2, pi1.preimage(TQ1)])
     Pb = _transgression_pairing(G, N1, N2, _coset_basis(G, N2, Lb, p),
-                                B.basis, p)
+                                B, p)
 
     TG = t_bundle(G, fam, budget=budget).T
     Lc = intersect_subgroups([N2, join_subgroups(G, [N1, TG])])
     Pc = _transgression_pairing(G, N1, N2, _coset_basis(G, N2, Lc, p),
-                                C.basis, p)
+                                C, p)
 
     return {
         "B": Pb, "B_flags": pairing_kernels(Pb),

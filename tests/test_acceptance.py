@@ -10,11 +10,11 @@ import pcohom as pc
 from pcohom.catalog import applicable_families, catalog_instances, transfer_sweep
 from pcohom.cohomology import (Cochain1, bockstein, classifying_cocycle, cup,
                                h1, h2_space, massey_pullback_set, pullback)
-from pcohom.homsearch import enumerate_homs, liftability_crosscheck, t_bundle, t_subgroup
+from pcohom.homsearch import enumerate_homs, t_bundle, t_subgroup
 from pcohom.magnus import (counterexample_harness, lyndon_words,
                            zassenhaus_membership)
 from pcohom.pairings import (a_pairing, c_pairing, cached_quotient,
-                             pairing_kernels)
+                             liftability_crosscheck, pairing_kernels)
 from conftest import ACCEPTANCE_LINES
 
 CATALOG = catalog_instances()

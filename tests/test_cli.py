@@ -167,12 +167,14 @@ def test_oracle_disagreement_exits_1_with_one_error_record(tmp_path,
     """A failing internal cross-oracle (here B <= C) is one JSON error
     record after the reports already made, and exit 1, not a traceback."""
     from pcohom import pairings
-    monkeypatch.setattr(pairings.SubspaceHandle, "contains_all",
-                        lambda self, other: False)
+    c_space = pairings.c_space
+    # on D4, dim B = dim C = 1: an empty C fails B <= C
+    monkeypatch.setattr(pairings, "c_space",
+                        lambda *a, **k: c_space(*a, **k)[:0])
     manifest = tmp_path / "jobs.json"
     manifest.write_text(json.dumps({"jobs": [
         {"command": "group-info", "group": "Q8"},
-        {"command": "kernel-condition", "group": "Q8",
+        {"command": "kernel-condition", "group": "D4",
          "family": "zassenhaus:2:2", "n1": "trivial", "n2": "tbar"}]}))
     ok, err = run(tmp_path, ["--manifest", str(manifest)], expect_code=1)
     assert ok["command"] == "group-info"
@@ -196,6 +198,22 @@ def test_h1_dimension_disagreement_exits_1(tmp_path, monkeypatch):
 
 def test_missing_subcommand_exits_3(tmp_path):
     assert main([]) == 3
+
+
+def test_unwritable_out_exits_3_before_any_job(tmp_path, capsys,
+                                               monkeypatch):
+    """--out is opened before any job runs: a path that cannot be written
+    is one error record on stdout and exit 3, and no job is run."""
+    from pcohom import cli
+    ran = []
+    monkeypatch.setattr(cli, "cmd_group_info", lambda args: ran.append(args))
+    out = tmp_path / "missing" / "x.jsonl"
+    code = main(["--out", str(out), "group-info", "--group", "Q8"])
+    (line,) = capsys.readouterr().out.splitlines()
+    rec = json.loads(line)
+    assert code == 3 and not ran and not out.parent.exists()
+    assert rec["schema_version"] == 1 and rec["command"] is None
+    assert rec["error"].startswith(f"SpecError: --out {str(out)!r}: ")
 
 
 def test_a_twin_reports_under_its_own_name(tmp_path, monkeypatch):

@@ -436,7 +436,7 @@ class SpanReference:
         ncols = G.order * len(G.generators)
         self.bspan = gf.Span(ncols, p, coboundary_matrix(G).T)
         if cand is not None:
-            bmat = self.bspan.basis()
+            bmat = self.bspan.rows
             self.span = gf.Span(ncols, p, np.concatenate([bmat, cand]))
             grew = self.span.trans[:, len(bmat):].any(axis=0)
             self.reps = len(bmat) + np.flatnonzero(grew)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,8 @@ from pcohom.core import GroupHom, _element_orders, hom_from_generator_images
 from pcohom.errors import (BudgetExceeded, MixedParents, NotSurjective,
                            TNotInsideTbar)
 from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
-                              hom_count, lift_hom, liftability_crosscheck,
-                              t_bundle, t_subgroup)
-from pcohom.pairings import cached_quotient
+                              hom_count, lift_hom, t_bundle, t_subgroup)
+from pcohom.pairings import cached_quotient, liftability_crosscheck
 from test_acceptance import liftability_triples
 from test_edge_checks import HOM_PAIRS, _u729
 
@@ -319,6 +320,20 @@ def test_liftability_crosscheck_matches_table_path():
         assert rep["transgression_preimage_exists"] == (psi is not None)
         verdicts.add(c)
     assert verdicts == {False, True}
+
+
+def test_homsearch_imports_no_cohomology():
+    """The hom and lift searches are pure group enumeration: homsearch
+    imports no cohomology, at module level or inside a function; the
+    liftability cross-check lives in pairings."""
+    tree = ast.parse(Path(homsearch.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.name for a in node.names)
+    assert names and not any("cohomology" in n for n in names)
 
 
 def test_liftability_crosscheck_rejects_mixed_parents():

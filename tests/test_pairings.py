@@ -11,18 +11,22 @@ from pcohom.elements import perm_from_cycles
 from pcohom.errors import (KernelMismatch, NonCommutingSquare,
                            NotElementaryAbelian, OracleDisagreement,
                            PairingShapeMismatch, SubgroupChainBroken)
-from pcohom.homsearch import liftability_crosscheck
 from pcohom.magnus import evaluation_epi
 from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
                              c_pairing, c_space, cached_quotient,
                              induced_coker_ker, induced_epi,
                              kernel_generating_condition,
-                             liftable_pullback_space, pairing_kernels,
-                             transfer_check)
+                             liftability_crosscheck, liftable_pullback_space,
+                             pairing_kernels, transfer_check)
 
 
 def trivial(G):
     return pc.subgroup_generated(G, [])
+
+
+def span_of(X, p):
+    """The span of the basis rows X of an A/B/C subspace."""
+    return pc.gf.Span(X.shape[1], p, X)
 
 
 # ---------------------------------------------------------------------
@@ -76,6 +80,80 @@ def test_induced_coker_ker_rejects_bad_square():
         induced_coker_ker(P1, P2, alpha, beta)
 
 
+def loop_induced_coker_ker(P1, P2, alpha, beta):
+    """Reference: induced_coker_ker before the one rref.  The cokernel
+    representatives are the unit vectors that grow a Span over alpha's
+    columns, added one at a time, and each entry is one product, checked
+    against a representative shifted by an image vector."""
+    p = P1.p
+    alpha = np.asarray(alpha, dtype=np.int64) % p
+    beta = np.asarray(beta, dtype=np.int64) % p
+    assert np.array_equal((P1.matrix @ beta) % p, (alpha.T @ P2.matrix) % p)
+    a2 = P2.matrix.shape[0]
+    span = pc.gf.Span(a2, p)
+    for col in alpha.T:
+        span.add(col)
+    reps = []
+    for i in range(a2):
+        e = np.zeros(a2, dtype=np.int64)
+        e[i] = 1
+        if span.add(e):
+            reps.append(e)
+    kb = pc.gf.nullspace(beta, p)
+    mat = np.zeros((len(reps), kb.shape[0]), dtype=np.int64)
+    for i, r in enumerate(reps):
+        for j, b in enumerate(kb):
+            mat[i, j] = int(r @ P2.matrix @ b % p)
+            shifted = (r + alpha @ np.ones(alpha.shape[1], dtype=np.int64)) % p
+            assert int(shifted @ P2.matrix @ b % p) == mat[i, j]
+    return PairingMatrix([f"coker{i}" for i in range(len(reps))],
+                         [f"ker{j}" for j in range(kb.shape[0])], mat, p)
+
+
+def random_square(rng, p, a1, a2, b1, b2, ra, rb):
+    """(P1, P2, alpha, beta) with P1 @ beta = alpha.T @ P2, alpha: A1 -> A2
+    of rank <= ra and beta: B2 -> B1 of rank <= rb.  P2 = Z beta + K R with
+    alpha.T K = 0, so P1 = alpha.T Z closes the square, and K R makes P2
+    nonzero on Ker(beta)."""
+    def rand(m, n):
+        return rng.integers(0, p, size=(m, n))
+
+    alpha = (rand(a2, ra) @ rand(ra, a1)) % p
+    beta = (rand(b1, rb) @ rand(rb, b2)) % p
+    Z = rand(a2, b1)
+    K = pc.gf.nullspace(alpha.T, p).T
+    P2 = (Z @ beta + K @ rand(K.shape[1], b2)) % p
+    P1 = (alpha.T @ Z) % p
+    return (PairingMatrix(list(range(a1)), list(range(b1)), P1, p),
+            PairingMatrix(list(range(a2)), list(range(b2)), P2, p),
+            alpha, beta)
+
+
+def test_induced_coker_ker_matches_loop_reference():
+    """Random squares where alpha has rank below a2, so the cokernel is
+    nonzero, and Ker(beta) has dimension at least 2; alpha's columns may
+    be dependent."""
+    rng = np.random.default_rng(20261018)
+    nonzero = 0
+    for _ in range(60):
+        p = int(rng.choice([2, 3, 5]))
+        a1, b1 = (int(x) for x in rng.integers(1, 4, size=2))
+        a2, b2 = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        ra = int(rng.integers(0, min(a1, a2 - 1) + 1))
+        rb = int(rng.integers(0, min(b1, b2 - 2) + 1))
+        P1, P2, alpha, beta = random_square(rng, p, a1, a2, b1, b2, ra, rb)
+        assert pc.gf.rank(alpha, p) < a2
+        assert pc.gf.nullspace(beta, p).shape[0] >= 2
+        got = induced_coker_ker(P1, P2, alpha, beta)
+        want = loop_induced_coker_ker(P1, P2, alpha, beta)
+        assert got.left_labels == want.left_labels
+        assert got.right_labels == want.right_labels
+        assert got.matrix.dtype == want.matrix.dtype
+        assert np.array_equal(got.matrix, want.matrix)
+        nonzero += int(got.matrix.any())
+    assert nonzero > 30
+
+
 def test_induced_epi_and_cached_quotient():
     G = pc.builtin_group("D4")
     N1 = pc.center(G)
@@ -120,15 +198,15 @@ def test_subspace_tower_b_in_c_in_a():
         A = a_space(G, N1, N2, p)
         B = b_space(G, N1, N2, fam)
         C = c_space(G, N1, N2, fam)
-        assert C.contains_all(B), nm
-        assert A.contains_all(C), nm
-        assert B.dim <= C.dim <= A.dim
+        assert span_of(C, p).contains(B), nm
+        assert span_of(A, p).contains(C), nm
+        assert len(B) <= len(C) <= len(A)
 
 
 def test_a_space_vanishes_for_equal_subgroups():
     G = pc.builtin_group("Q8")
     N = pc.center(G)
-    assert a_space(G, N, N, 2).dim == 0
+    assert len(a_space(G, N, N, 2)) == 0
 
 
 def test_liftable_pullback_space_structure():
@@ -269,7 +347,7 @@ def test_inflation_injectivity_criterion():
             C = c_space(G, N1, N2, fam)
             lhs = pc.join_subgroups(G, [N1, bundle.T])
             rhs = pc.join_subgroups(G, [N2, bundle.T])
-            assert (C.dim == 0) == (lhs == rhs), (nm, N1.order)
+            assert (len(C) == 0) == (lhs == rhs), (nm, N1.order)
 
 
 # ---------------------------------------------------------------------
@@ -556,7 +634,9 @@ def test_liftable_pullback_space_edge_cases(monkeypatch):
     assert grew.shape == (0,) and span.dim == 2
 
 
-def test_contains_all_matches_per_vector_loop():
+def test_span_contains_matrix_matches_per_row_loop():
+    """Span.contains on a matrix of rows, as kernel_generating_condition
+    uses it, against one contains per row, over the A/B/C bases."""
     for nm, kind, n, p in INSTANCES:
         G, fam, bundle = _setup(nm, kind, n, p)
         N1, N2 = trivial(G), bundle.Tbar
@@ -564,12 +644,12 @@ def test_contains_all_matches_per_vector_loop():
                   c_space(G, N1, N2, fam)]
         for X in spaces:
             for Y in spaces:
-                assert X.contains_all(Y) == \
-                    all(X.contains(v) for v in Y.basis), nm
+                span = span_of(X, p)
+                assert span.contains(Y) == all(span.contains(v) for v in Y), nm
     G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
     A = a_space(G, trivial(G), bundle.Tbar, 2)
     B = b_space(G, trivial(G), bundle.Tbar, fam)
-    assert A.contains_all(B) and not B.contains_all(A)
+    assert span_of(A, 2).contains(B) and not span_of(B, 2).contains(A)
 
 
 def test_oracle_disagreements_raise(monkeypatch):
@@ -579,11 +659,16 @@ def test_oracle_disagreements_raise(monkeypatch):
     with pytest.raises(OracleDisagreement, match="lift search"):
         liftable_pullback_space(G, pc.t_bundle(G, fam).Tbar, fam)
     monkeypatch.undo()
-    monkeypatch.setattr(pairings.SubspaceHandle, "contains_all",
-                        lambda self, other: False)
-    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
-    with pytest.raises(OracleDisagreement, match="B <= C"):
-        kernel_generating_condition(G, trivial(G), bundle.Tbar, fam)
+    # on D4, dim B = dim C = dim A = 1: an empty C or A breaks the tower
+    G, fam, bundle = _setup("D4", "zassenhaus", 2, 2)
+    assert len(b_space(G, trivial(G), bundle.Tbar, fam)) == 1
+    for name, match in (("c_space", "B <= C"), ("a_space", "C <= A")):
+        space = getattr(pairings, name)
+        monkeypatch.setattr(pairings, name,
+                            lambda *a, space=space, **k: space(*a, **k)[:0])
+        with pytest.raises(OracleDisagreement, match=match):
+            kernel_generating_condition(G, trivial(G), bundle.Tbar, fam)
+        monkeypatch.undo()
 
 
 def test_pairing_invariants_raise_typed_errors(monkeypatch):
