@@ -452,7 +452,7 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     [A, B], which is normal in G when A and B are."""
     if not (A.is_normal() and B.is_normal()):
         raise NonNormalArguments("commutator needs normal arguments")
-    x = np.asarray(_least_id_generators(G, A.members), dtype=np.intp)
+    x = _least_id_generators(G, A, G.trivial_subgroup())
     b = B.members
     comms = G.mult[G.mult[np.ix_(G.inv[x], G.inv[b])], G.mult[np.ix_(x, b)]]
     return normal_closure(G, comms.ravel())
@@ -508,20 +508,30 @@ def join_subgroups(G: FiniteGroup, subs) -> Subgroup:
     return subgroup_generated(G, seed)
 
 
-def _least_id_generators(G: FiniteGroup, members, seed=()) -> list:
-    """Greedy generators of the subgroup with these sorted members: each
-    pick is the least member outside the subgroup generated by the seed
-    and the earlier picks.  Only the picks are returned; with a seed
-    inside the subgroup they generate it modulo the seed."""
-    gens = [int(s) for s in seed]
+@memo
+def _least_id_generators(G: FiniteGroup, H: Subgroup, D: Subgroup):
+    """Greedy generators of H modulo D: each pick is the least member of H
+    outside the subgroup generated by D's own greedy generators (the seed)
+    and the earlier picks.  Only the picks are returned, as a read-only
+    intp array, since the memo hands one array to every caller.  With the
+    trivial D they generate H; with D normal inside H, they generate H
+    modulo D.
+
+    The seed generates D (they are D's greedy generators), so the members
+    reached before the first pick are D's own."""
+    seed = (_least_id_generators(G, D, G.trivial_subgroup()).tolist()
+            if D.order > 1 else [])
+    picks = []
     reached = np.zeros(G.order, dtype=bool)
-    reached[_bfs(G.mult, gens)[0]] = True
-    left = members[~reached[members]]
+    reached[D.members] = True
+    left = H.members[~reached[H.members]]
     while left.size:
-        gens.append(int(left[0]))
-        reached[_bfs(G.mult, gens)[0]] = True
+        picks.append(int(left[0]))
+        reached[_bfs(G.mult, seed + picks)[0]] = True
         left = left[~reached[left]]
-    return gens[len(seed):]
+    picks = np.array(picks, dtype=np.intp)
+    picks.flags.writeable = False
+    return picks
 
 
 def _elementary_abelian_mod(G: FiniteGroup, x, b: Subgroup, p: int) -> bool:
@@ -547,7 +557,7 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup):
     idx = np.full(G.order, -1, dtype=np.int32)
     idx[m] = np.arange(len(m))
     table = idx[G.mult[np.ix_(m, m)]]
-    gens = idx[_least_id_generators(G, m)]
+    gens = idx[_least_id_generators(G, H, G.trivial_subgroup())]
     K, relabel = group_from_table(table, gens, name=f"{G.name}|sub{len(m)}")
     embed = np.empty(len(m), dtype=np.int32)
     embed[relabel] = m

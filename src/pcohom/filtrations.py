@@ -47,12 +47,12 @@ def _check_chain(chain: FiltrationChain):
     successive quotient a/b is an elementary abelian p-group.
 
     Lemma: for normal b <= a, a/b is elementary abelian iff x^p and
-    [x, y] lie in b for all x, y in X = `core._least_id_generators(G,
-    a.members)`.  The images of X generate a/b; commuting generators make
-    it abelian, and an abelian group generated by elements of order p has
-    exponent p (`core._elementary_abelian_mod`).  So the check reads
-    G's table at |X| powers and |X|^2 commutators, and builds no subgroup
-    or quotient table."""
+    [x, y] lie in b for all x, y in X, the greedy generators of a
+    (`core._least_id_generators`).  The images of X generate a/b;
+    commuting generators make it abelian, and an abelian group generated
+    by elements of order p has exponent p (`core._elementary_abelian_mod`).
+    So the check reads G's table at |X| powers and |X|^2 commutators, and
+    builds no subgroup or quotient table."""
     G = chain.group
     for i, t in enumerate(chain.terms):
         if not t.is_normal():
@@ -62,8 +62,8 @@ def _check_chain(chain: FiltrationChain):
             raise SubgroupChainBroken(f"{chain.kind} term {i + 1} is not "
                                       f"inside term {i}")
     for i, (a, b) in enumerate(zip(chain.terms, chain.terms[1:])):
-        if not _elementary_abelian_mod(G, _least_id_generators(G, a.members),
-                                       b, chain.p):
+        x = _least_id_generators(G, a, G.trivial_subgroup())
+        if not _elementary_abelian_mod(G, x, b, chain.p):
             raise NotElementaryAbelian(
                 f"{chain.kind} quotient of terms {i + 1} and {i + 2} is not "
                 f"elementary abelian at p = {chain.p}")

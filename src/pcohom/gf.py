@@ -1,11 +1,16 @@
 """Exact linear algebra over the prime field F_p (p prime: inverses are
 taken by Fermat's little theorem).
 
-Matrices are dense numpy int64 arrays with entries reduced mod p.  ``rref``,
-``rank`` and ``nullspace`` eliminate a matrix once.  A matrix that is
-queried many times (membership, solutions) is factored once into a
-``Span``, the one factored-solve object, and each query is then a single
-product against its kept rref rows and transform.  Every query takes one
+Results are dense numpy int64 arrays with entries reduced mod p.
+``rref`` eliminates in the narrowest dtype that keeps every intermediate
+exact: bool rows updated by XOR for p = 2, int16 for 3 <= p <= 181, where
+every intermediate lies in [-(p-1)^2, (p-1)^2] and 180^2 < 2^15, and
+int64 above (the lemma is at ``rref``); it returns int64 all the same,
+for its callers' products.  ``rref``, ``rank`` and ``nullspace``
+eliminate a matrix once.  A matrix that is queried many times
+(membership, solutions) is factored once into a ``Span``, the one
+factored-solve object, and each query is then a single product against
+its kept rref rows and transform.  Every query takes one
 vector or a matrix of row vectors, so a subspace inclusion or a batch of
 solves is one product too.  A subspace is passed around as its basis rows
 (a plain array); ``Span.rows`` is the rref basis of a span.
@@ -28,42 +33,74 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(int(a) % p, p - 2, p)
 
 
+# (p - 1)^2 <= 32,400 < 2^15 for p <= 181; the next prime, 191, exceeds it
+_INT16_MAX_P = 181
+
+
+def _working_dtype(p: int):
+    """The narrowest dtype in which `rref` eliminates mod p exactly."""
+    if p == 2:
+        return np.bool_
+    return np.int16 if p <= _INT16_MAX_P else np.int64
+
+
 def rref(a, p):
     """Reduced row echelon form of ``a`` mod p.
 
-    Returns (R, pivots) where R contains only the nonzero rows and
-    pivots[i] is the pivot column of row i.
+    Returns (R, pivots) where R is int64, contains only the nonzero rows
+    and pivots[i] is the pivot column of row i.
 
-    The all-zero rows are dropped first, and each pivot step touches only
-    the entries it changes: the pivot row is scaled from the pivot column
-    on, and only the rows that are nonzero in the pivot column are
+    The input is read once: one int64 pass reduces it mod p into a new
+    array (the caller's is never written), which is cast to the working
+    dtype before its all-zero rows are dropped, so no second int64 copy
+    is made.  Each pivot step scans its column once and touches only the
+    entries it changes: the pivot row is the first nonzero one at or
+    below row r, swapped into place (row r was zero there, so the other
+    nonzero rows keep their places); it is scaled from the pivot column
+    on, and only the other rows that are nonzero in the pivot column are
     updated, from the pivot column on (left of it the pivot row is zero).
     The rref of a matrix is unique, so R and pivots are those of a full
-    elimination."""
-    a = np.array(a, dtype=np.int64) % p
+    elimination.
+
+    Lemma: the working dtype (`_working_dtype`) is exact.  Every entry
+    held between steps lies in [0, p).  For p = 2 the pivot entry is 1
+    and so is every hit row's entry in the pivot column, so there is no
+    scaling and the update subtracts the pivot row, which mod 2 is XOR of
+    bool rows.  Otherwise, with x, y, h, inv in [0, p), the scaling
+    x * inv lies in [0, (p-1)^2] and the update y - h * x in
+    [-(p-1)^2, p-1] before their % p; for 3 <= p <= 181,
+    (p-1)^2 <= 32,400 < 2^15, so both fit int16.  Larger p stay in
+    int64, where (p-1)^2 < 2^63 for every p below 2^31."""
+    a = np.asarray(a, dtype=np.int64) % p
     if a.ndim != 2:
         raise EdgeCheckFailed("rref expects a 2-d array")
-    a = a[a.any(axis=1)]
+    a = a.astype(_working_dtype(p), copy=False)[a.any(axis=1)]
     nrows, ncols = a.shape
     pivots = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        col = a[:, c].nonzero()[0]
+        j = col.searchsorted(r)
+        if j == col.size:
             continue
-        i = r + int(nz[0])
+        i = int(col[j])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r, c:] = (a[r, c:] * _inv_mod(a[r, c], p)) % p
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:]) % p
+        hit = col[col != i]
+        if p == 2:
+            if hit.size:
+                a[hit, c:] ^= a[r, c:]
+        else:
+            row = a[r, c:]
+            row *= _inv_mod(row[0], p)
+            row %= p
+            if hit.size:
+                a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    return a[:r].astype(np.int64), pivots
 
 
 def rank(a, p) -> int:

@@ -363,8 +363,7 @@ def _coset_basis(G: FiniteGroup, N: Subgroup, D: Subgroup, p: int):
     |N| = |D| p^k checks that the k picks are a basis of it."""
     if not D <= N:
         raise SubgroupChainBroken("D is not inside N")
-    reps = _least_id_generators(G, N.members,
-                                seed=_least_id_generators(G, D.members))
+    reps = _least_id_generators(G, N, D).tolist()
     if not _elementary_abelian_mod(G, reps, D, p):
         raise NotElementaryAbelian(f"N/D is not elementary abelian at p = {p}")
     if D.order * p ** len(reps) != N.order:

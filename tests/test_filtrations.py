@@ -153,8 +153,8 @@ def table_elementary_abelian(G, a, b, p):
 
 
 def generator_elementary_abelian(G, a, b, p):
-    return _elementary_abelian_mod(G, _least_id_generators(G, a.members), b,
-                                   p)
+    return _elementary_abelian_mod(
+        G, _least_id_generators(G, a, G.trivial_subgroup()), b, p)
 
 
 def test_generator_check_matches_table_check_on_catalog():
@@ -182,6 +182,52 @@ def test_generator_check_matches_table_check_on_catalog():
                             == want, (name, a.order, b.order, q)
                         verdicts[want] += 1
     assert verdicts == {True: 158, False: 154}
+
+
+# ---------------------------------------------------------------------
+# memoized greedy generators against the unmemoized loop
+# ---------------------------------------------------------------------
+
+def loop_least_id_generators(G, members, seed=()):
+    """Reference: _least_id_generators before the memo, seeded by a list
+    of ids and re-running the BFS from the seed."""
+    gens = [int(s) for s in seed]
+    reached = np.zeros(G.order, dtype=bool)
+    reached[pc.core._bfs(G.mult, gens)[0]] = True
+    left = members[~reached[members]]
+    while left.size:
+        gens.append(int(left[0]))
+        reached[pc.core._bfs(G.mult, gens)[0]] = True
+        left = left[~reached[left]]
+    return gens[len(seed):]
+
+
+def test_memoized_generators_match_loop_on_catalog():
+    """Every catalog group of order <= 64, every pair b <= a of
+    consecutive terms of its lower p-central and Zassenhaus chains (the
+    trivial group closing each): the memoized picks of a, unseeded and
+    seeded with b, are the loop's, and the memo hands out one read-only
+    intp array."""
+    pairs = 0
+    for name, G, p in catalog_instances():
+        if G.order > 64:
+            continue
+        one = G.trivial_subgroup()
+        for chain in (lower_p_central(G, p, 4), zassenhaus(G, p, 4)):
+            terms = chain.terms + [one]
+            for a, b in zip(terms, terms[1:]):
+                got = _least_id_generators(G, a, one)
+                assert got.tolist() == loop_least_id_generators(
+                    G, a.members), (name, a.order)
+                seeded = _least_id_generators(G, a, b)
+                assert seeded.tolist() == loop_least_id_generators(
+                    G, a.members, loop_least_id_generators(G, b.members)), \
+                    (name, a.order, b.order)
+                assert seeded.dtype == np.intp
+                assert not seeded.flags.writeable
+                assert _least_id_generators(G, a, b) is seeded
+                pairs += 1
+    assert pairs == 212
 
 
 def test_generator_check_on_u34():

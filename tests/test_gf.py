@@ -9,6 +9,9 @@ from pcohom.cohomology import (_cocycle_constraints, _gauge,
                                _tree_coboundaries, h2_space)
 
 PRIMES = [2, 3, 5, 7]
+# the two sides of rref's int16 gate: (p-1)^2 is 32,400 < 2^15 at 181 and
+# 36,100 > 2^15 at 191
+KERNEL_PRIMES = PRIMES + [181, 191]
 
 
 def rand_matrix(rng, rows, cols, p):
@@ -74,7 +77,7 @@ def test_rref_preserves_row_space(seed, p, rows, cols):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_PRIMES),
        st.integers(1, 7), st.integers(1, 7))
 def test_nullspace_and_rank_nullity(seed, p, rows, cols):
     rng = np.random.default_rng(seed)
@@ -261,7 +264,7 @@ def shaped_matrix(rng, rows, cols, p):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_PRIMES),
        st.integers(0, 9), st.integers(0, 9))
 def test_rref_matches_full_update_reference(seed, p, rows, cols):
     a = shaped_matrix(np.random.default_rng(seed), rows, cols, p)
@@ -272,8 +275,42 @@ def test_rref_matches_full_update_reference(seed, p, rows, cols):
     assert np.array_equal(r, want_r)
 
 
+@pytest.mark.parametrize("p", [181, 191])
+def test_rref_reaches_the_int16_bound(p):
+    """Entries p - 1 drive both intermediates of the lemma at gf.rref to
+    their bound.  Scaling row 0 by 1/(p-1) = p-1 gives (p-1)^2 and leaves
+    (1, 1, 0); row 1 becomes (0, 1, p-1), the second pivot row; the
+    update of row 2, which is p-1 in the pivot column and 0 where that row
+    is p-1, gives 0 - (p-1)(p-1) = -(p-1)^2.  That fits int16 at 181; at
+    191 it does not, so there rref must stay in int64."""
+    m = p - 1
+    a = np.array([[m, m, 0],
+                  [m, 0, m],
+                  [0, m, 0]], dtype=np.int64)
+    r, piv = gf.rref(a, p)
+    want_r, want_piv = full_rref(a, p)
+    assert piv == want_piv
+    assert r.dtype == np.int64 and np.array_equal(r, want_r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 191])
+def test_rref_leaves_its_input_unchanged(p):
+    """One prime per working dtype (bool, int16, int64): an int64 input,
+    which np.asarray does not copy, with entries beyond p, a zero row and
+    a row swap, is unchanged, and R shares no memory with it."""
+    a = np.array([[0, 0, 0, 0],
+                  [0, p + 1, 2 * p, 1],
+                  [p, 1, 1, 0],
+                  [1, 0, p - 1, 1]], dtype=np.int64)
+    before = a.copy()
+    r, piv = gf.rref(a, p)
+    assert np.array_equal(a, before)
+    assert not np.shares_memory(r, a)
+    assert np.array_equal(r, full_rref(before, p)[0])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_PRIMES),
        st.integers(0, 8), st.integers(0, 6), st.integers(0, 4))
 def test_span_matches_add_loop_reference(seed, p, rows, cols, more):
     """The one-elimination constructor and a batch add leave the state of
