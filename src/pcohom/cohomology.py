@@ -8,8 +8,12 @@ fact used throughout: a normalized 2-cocycle is determined by its
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
 F_p.  The system needs the cocycle identities only at g a generator
-(lemma at `_cocycle_constraints`), and those identities are the complete
-cocycle check every Cocycle2 runs (lemma at `_constraint_violations`).
+(lemma at `_cocycle_constraints`).  Checked on a table, the identities at
+every g with s a generator are the complete cocycle check every Cocycle2
+runs (lemma at `_constraint_violations`); checked on generator columns,
+the identities at g a generator are complete (`_column_violations`).
+The H^2 basis is kept as generator columns and verified that way, and a
+table is expanded from columns only on request (`_expand_from_columns`).
 
 Coboundary questions are asked in the BFS-tree gauge: every cocycle is
 cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
@@ -165,16 +169,21 @@ def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
     return bool(coboundary_mask(G, u, p))
 
 
-def _expand_from_columns(G: FiniteGroup, u: np.ndarray, p: int):
-    """Full normalized table from generator columns u[(g, i)], by
-    f(g, d*s) = f(g, d) + u(g*d, s) - u(d, s) along BFS predecessors, a
-    BFS level at a time (`bfs_levels`)."""
-    n = G.order
-    ngens = len(G.generators)
-    U = u.reshape(n, ngens)
-    f = np.zeros((n, n), dtype=np.int64)
+def _expand_from_columns(G: FiniteGroup, u, p: int, g=None):
+    """Rows f(g, .) of the normalized tables with generator columns u (one
+    vector, or a matrix with one per row), for the ids g, or every row (the
+    whole n x n table) when g is None, by f(g, d*s) = f(g, d) + u(g*d, s)
+    - u(d, s) along BFS predecessors, a BFS level at a time (`bfs_levels`).
+    The result has shape u.shape[:-1] + (len(g), n)."""
+    n, ngens = G.order, len(G.generators)
+    g = np.arange(n) if g is None else np.asarray(g, dtype=np.intp)
+    u = np.asarray(u, dtype=np.int64)
+    lead = u.shape[:-1]
+    U = u.reshape(lead + (n, ngens))
+    f = np.zeros(lead + (len(g), n), dtype=np.int64)
     for lo, hi, d, s in bfs_levels(G.pred):
-        f[:, lo:hi] = (f[:, d] + U[G.mult[:, d], s] - U[d, s]) % p
+        f[..., lo:hi] = (f[..., d] + U[..., G.mult[g[:, None], d], s]
+                         - U[..., d, s][..., None, :]) % p
     return f
 
 
@@ -193,11 +202,45 @@ def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
     return np.nonzero(bad)[0]
 
 
+def _column_violations(G: FiniteGroup, u, p: int) -> np.ndarray:
+    """Which rows of u, a matrix of generator columns, one candidate
+    cocycle per row, are not the columns of a normalized 2-cocycle: a bool
+    per row, True where u(1, s) != 0 for some generator s, or where some
+    identity f(g,h) + u(gh,s) - u(h,s) - f(g,hs) = 0 fails for a generator
+    g, any h and a generator s.  Only the rows f(g, .) at the generators
+    are expanded (`_expand_from_columns`), so the check costs
+    O(rows * n * ngens^2), not the O(n^2 * ngens) per row of
+    `_constraint_violations`.
+
+    Lemma: a row that passes is a cocycle's columns.  These identities are
+    the rows of `_cocycle_constraints` at the generators, read before the
+    gauge drops the tree columns; by the lemma there they imply the
+    identities at every g, so the BFS expansion f of u is a cocycle, and
+    the identity at h = 1 reads f(g, s) = u(g, s)."""
+    n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
+    U = u.reshape(len(u), n, len(gens))
+    F = _expand_from_columns(G, u, p, gens)            # f(g_j, h): (k, j, h)
+    lhs = F[..., None] + U[:, G.mult[gens]]            # (k, j, h, s)
+    rhs = U[:, None] + F[:, :, G.mult_gen]
+    return ((lhs - rhs) % p).any(axis=(1, 2, 3)) | U[:, 0].any(axis=1)
+
+
+def _off_tree(G: FiniteGroup) -> np.ndarray:
+    """Mask of the generator columns (g, s) that are not BFS tree edges
+    G.pred[x] = (g, s), n(ngens - 1) + 1 of the n * ngens."""
+    ngens = len(G.generators)
+    off = np.ones(G.order * ngens, dtype=bool)
+    off[G.pred[1:, 0].astype(np.intp) * ngens + G.pred[1:, 1]] = False
+    return off
+
+
 def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     """Rows over the generator-column unknowns u(g, s) = f(g, s) whose
     nullspace is Z^2: the normalization rows u(1, s) = 0, then for each
     generator g the rows f(g,h) + f(gh,s) - f(h,s) - f(g,hs) = 0 over all
-    h and all generators s, f(g, .) expanded along BFS predecessors.
+    h and all generators s, f(g, .) expanded along BFS predecessors; all
+    of them taken in the gauge, that is, over the off-tree columns only
+    (`_off_tree`, `_gauged_z2`), the tree columns being 0.
 
     Lemma: the rows at generators g imply the rows at every g.  Let each
     generator s act on G x Z/p by (g, a) -> (gs, a + u(g,s)), and let
@@ -213,30 +256,38 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     `_constraint_violations`.  The rows at g = 1 vanish identically and
     are left out.
 
-    T is walked a BFS level at a time (`bfs_levels`).  The x of a level
-    are distinct, so each (j, x) gets one increment and one decrement, and
-    the fancy-indexed += and -= never hit one index twice."""
+    Only the off-tree columns are built: every term on a tree column goes
+    to one extra column m, which is dropped, so the rows equal those over
+    all n * ngens columns restricted to the off-tree ones.  The tree
+    column (d, s) of the step to x is always such a term.  T is walked a
+    BFS level at a time (`bfs_levels`); the x of a level are distinct, so
+    each (j, x) gets one increment and the fancy-indexed += never hits
+    one index twice."""
     n = G.order
-    gens = np.asarray(G.generators, dtype=np.int64)
+    gens = np.asarray(G.generators, dtype=np.intp)
     ngens = len(gens)
-    ngu = n * ngens
+    off = _off_tree(G)
+    m = int(off.sum())
+    col = np.full(n * ngens, m, dtype=np.intp)      # tree columns -> m
+    col[off] = np.arange(m)
     k = np.arange(ngens)
-    # T[j, x]: f(gens[j], x) as a linear form in the unknowns
-    T = np.zeros((ngens, n, ngu), dtype=np.int64)
+    # T[j, x]: f(gens[j], x) as a linear form in the off-tree unknowns
+    T = np.zeros((ngens, n, m + 1), dtype=np.int64)
     for lo, hi, d, s in bfs_levels(G.pred):
-        x = np.arange(lo, hi)
         T[:, lo:hi] = T[:, d]
-        T[k[:, None], x, G.mult[gens[:, None], d] * ngens + s] += 1
-        T[:, x, d * ngens + s] -= 1
+        T[k[:, None], np.arange(lo, hi),
+          col[G.mult[gens[:, None], d] * ngens + s]] += 1
     h = np.arange(n)
-    rows = [np.eye(ngens, ngu, dtype=np.int64)]     # u(1, s) = 0
+    A = np.empty((ngens * (1 + ngens * n), m), dtype=np.int64)
+    A[:ngens] = np.eye(ngens, n * ngens, dtype=np.int64)[:, off]  # u(1, s)
     for s in range(ngens):
         # f(g,h) + f(gh,s) - f(h,s) - f(g,hs) for every generator g, all h
         r = T - T[:, G.mult_gen[:, s]]
-        r[k[:, None], h, G.mult[gens] * ngens + s] += 1
-        r[:, h, h * ngens + s] -= 1
-        rows.append(r.reshape(ngens * n, ngu) % p)
-    return np.concatenate(rows)
+        r[k[:, None], h, col[G.mult[gens] * ngens + s]] += 1
+        r[:, h, col[h * ngens + s]] -= 1
+        lo = ngens * (1 + s * n)
+        A[lo:lo + ngens * n] = (r[..., :m] % p).reshape(ngens * n, m)
+    return A
 
 
 def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
@@ -256,29 +307,28 @@ def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
     """Basis (rows, over all n * ngens generator columns) of the gauged
     cocycles: Z^2 restricted to the vectors that are 0 on every tree
     column (d, s), G.pred[x] = (d, s).  It is the nullspace of
-    `_cocycle_constraints` over the other n(ngens - 1) + 1 columns, lifted
-    with zeros on the tree columns.
+    `_cocycle_constraints`, built over the other n(ngens - 1) + 1 columns
+    only (`_off_tree`), lifted with zeros on the tree columns.
 
     Lemma: its dimension is dim H^2 + ngens - dim H^1.  Every cocycle
     minus a coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the
     gauged coboundaries are the row space of D, of rank ngens - dim H^1
     (`_tree_coboundaries`); and dim B^2 = n - 1 - dim H^1, as the
     1-cochains c with c(1) = 0 and dc = 0 are the characters."""
-    n, ngens = G.order, len(G.generators)
-    off_tree = np.ones(n * ngens, dtype=bool)
-    off_tree[G.pred[1:, 0].astype(np.intp) * ngens + G.pred[1:, 1]] = False
-    basis = gf.nullspace(_cocycle_constraints(G, p)[:, off_tree], p)
-    Z = np.zeros((len(basis), n * ngens), dtype=np.int64)
-    Z[:, off_tree] = basis
+    off = _off_tree(G)
+    basis = gf.nullspace(_cocycle_constraints(G, p), p)
+    Z = np.zeros((len(basis), len(off)), dtype=np.int64)
+    Z[:, off] = basis
     return Z
 
 
 def _z2_basis(G: FiniteGroup, p: int) -> np.ndarray:
-    """cand: the basis of Z^2 that `gf.nullspace` gives for
-    `_cocycle_constraints`, the identity on the free columns F, in
-    increasing order of the free column; rebuilt from the gauged cocycles
-    (`_gauged_z2`) and the coboundaries d(delta_x)
-    (`_delta_coboundaries`), which together span Z^2.
+    """cand: the basis of Z^2 that `gf.nullspace` gives for the rows of
+    `_cocycle_constraints` over all n * ngens columns (before the gauge),
+    the identity on the free columns F, in increasing order of the free
+    column; rebuilt from the gauged cocycles (`_gauged_z2`) and the
+    coboundaries d(delta_x) (`_delta_coboundaries`), which together span
+    Z^2.
 
     Lemma (duality): cand = R[::-1, ::-1], R the rref of any spanning set
     of Z^2 with its columns reversed.  Row k of cand is 1 at F[k], 0 at
@@ -295,13 +345,16 @@ def _z2_basis(G: FiniteGroup, p: int) -> np.ndarray:
 class H2Space:
     """H^2(G, Z/p) with a coordinate solver.
 
-    basis: Cocycle2 representatives of a basis of Z^2/B^2;
-    coords(c) expresses a cocycle's class over that basis.
+    basis: a dim x n * ngens matrix, one row per basis class of Z^2/B^2:
+    the generator columns of its representative cocycle, verified at the
+    generators (`_column_violations`).  No n x n table is kept; `rep`
+    expands one on request.  coords(c) expresses a cocycle's class over
+    that basis.
     """
     group: FiniteGroup
     p: int
     dim: int
-    basis: list
+    basis: np.ndarray      # (dim, n * ngens) generator columns
     _span: gf.Span         # gauged Z^2: the rows of D, then gauged cand
     _reps: np.ndarray      # positions of the basis representatives in _span
 
@@ -321,21 +374,23 @@ class H2Space:
         return x[..., self._reps]
 
     def rep(self, coords) -> Cocycle2:
-        """A representative cocycle with the given coordinates."""
-        n = self.group.order
-        tab = np.zeros((n, n), dtype=np.int64)
-        for c, b in zip(coords, self.basis):
-            tab = (tab + int(c) * b.values) % self.p
-        return Cocycle2(self.group, tab, self.p)
+        """A representative cocycle with the given coordinates: the table
+        expanded from the columns coords @ basis, checked as a Cocycle2."""
+        u = np.asarray(coords, dtype=np.int64) @ self.basis % self.p
+        return Cocycle2(self.group, _expand_from_columns(self.group, u, self.p),
+                        self.p)
 
 
 @memo
 def h2_space(G: FiniteGroup, p: int) -> H2Space:
     """H^2(G, Z/p) with its canonical basis.  cand, the basis of Z^2 in
-    generator columns, is the nullspace basis of `_cocycle_constraints`
-    that is the identity on the free columns (`gf.nullspace`); the
-    representatives are the cand rows that grow the B^2 span, taken in
-    order.
+    generator columns, is the nullspace basis of the cocycle constraints
+    over all generator columns that is the identity on the free columns
+    (`gf.nullspace`); the basis is the cand rows that grow the B^2 span,
+    taken in order, kept as generator columns.  They are verified in one
+    batch at the generators (`_column_violations`, `errors.EdgeCheckFailed`)
+    and solved back to the identity (`errors.SolveRoundTripFailed`); no
+    n x n table is built here, and `H2Space.rep` builds one on request.
 
     cand is not solved for over all n * ngens columns.  The gauged
     cocycles, 0 on the BFS tree, are the nullspace over the n(ngens - 1)
@@ -360,11 +415,13 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     D = _tree_coboundaries(G, p)[1]
     span = gf.Span(cand.shape[1], p, np.concatenate([D, _gauge(G, cand, p)]))
     grew = span.trans[:, len(D):].any(axis=0)
-    basis = [Cocycle2(G, _expand_from_columns(G, u, p), p) for u in cand[grew]]
+    basis = cand[grew]
+    if _column_violations(G, basis, p).any():
+        raise EdgeCheckFailed("H^2 basis row is not a cocycle")
     space = H2Space(G, p, len(basis), basis, span,
                     len(D) + np.flatnonzero(grew))
     # solver round-trip on the basis
-    if not np.array_equal(space.column_coords(cand[grew]),
+    if not np.array_equal(space.column_coords(basis),
                           np.eye(len(basis), dtype=np.int64)):
         raise SolveRoundTripFailed("H^2 basis does not solve to the identity")
     return space

@@ -16,12 +16,14 @@ memoized ``cohomology.transgression_span``; the A/B/C subspaces and
 pairings all read these two.
 
 Liftability and inflation are gathers over generator columns; no
-|G| x |G| table is built.  Lemma: for a hom f: G/N -> Gbar and the quotient
-map pi: G -> G/N, the inflation of f*alpha along pi has generator columns
-alpha(f(pi g), f(pi s)), s over G's generators.  It is the pullback of the
-verified cocycle alpha along the verified hom f o pi, hence a verified
-cocycle (the lemma at `cohomology.pullback_coords`).  So its gauge lies in
-the row space of D (`cohomology.coboundary_mask`) iff the inflated table
+|G| x |G| table is built, and the only tables expanded are the basis
+tables of H^2(G/N2), for the inflation matrix.  Lemma: for a hom
+f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
+f*alpha along pi has generator columns alpha(f(pi g), f(pi s)), s over
+G's generators.  It is the pullback of the verified cocycle alpha along
+the verified hom f o pi, hence a verified cocycle (the lemma at
+`cohomology.pullback_coords`).  So its gauge lies in the row space of D
+(`cohomology.coboundary_mask`) iff the inflated table
 alpha(f(pi x), f(pi y)) is a coboundary, and every class is decided
 liftable exactly as the table test decides it.  `inflation_matrix` reads
 the inflated basis of H^2(G/N2) the same way.
@@ -44,9 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .cohomology import (Cocycle2, H2Space, classifying_cocycle,
-                         coboundary_mask, h2_space, pullback,
-                         pullback_columns, pullback_coords,
+from .cohomology import (Cocycle2, H2Space, _expand_from_columns,
+                         classifying_cocycle, coboundary_mask, h2_space,
+                         pullback, pullback_columns, pullback_coords,
                          transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, _elementary_abelian_mod,
                    _least_id_generators, intersect_subgroups, join_subgroups,
@@ -149,17 +151,18 @@ def induced_epi(pi1: GroupHom, pi2: GroupHom) -> GroupHom:
 
 def inflation_matrix(space2: H2Space, space1: H2Space, q: GroupHom):
     """Matrix M of inf: H^2(Q2) -> H^2(Q1) along q: Q1 -> Q2, acting on
-    coordinate row vectors as v -> v @ M.  One gather takes the generator
-    columns b(q(x), q(s)) of every basis table b, and one `column_coords`
-    solves them all; each q*b is a verified cocycle (the lemma at
-    `cohomology.pullback_coords`), so none is re-checked."""
+    coordinate row vectors as v -> v @ M.  The basis tables b of H^2(Q2)
+    are expanded from their verified generator columns in one batched walk
+    (`cohomology._expand_from_columns`), one gather takes the generator
+    columns b(q(x), q(s)) of every q*b, and one `column_coords` solves them
+    all; each q*b is a verified cocycle (the lemma at
+    `cohomology.pullback_coords`), so none is re-checked, and
+    `column_coords` still rejects a row outside Z^2."""
     Q1 = space1.group
     if q.domain.key != Q1.key or q.codomain.key != space2.group.key:
         raise MixedParents("q does not map the group of space1 to that of "
                            "space2")
-    if not space2.basis:
-        return np.zeros((0, space1.dim), dtype=np.int64)
-    B = np.stack([b.values for b in space2.basis])
+    B = _expand_from_columns(space2.group, space2.basis, space2.p)
     x, gens = q.image, np.asarray(Q1.generators, dtype=np.intp)
     cols = B[:, x[:, None], x[None, gens]]
     return space1.column_coords(cols.reshape(len(B), Q1.order * len(gens)))

@@ -5,6 +5,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 import pcohom as pc
 from pcohom.catalog import applicable_families, catalog_instances, transfer_sweep
@@ -17,7 +18,13 @@ from pcohom.pairings import (a_pairing, c_pairing, cached_quotient,
                              liftability_crosscheck, pairing_kernels)
 from conftest import ACCEPTANCE_LINES
 
-CATALOG = catalog_instances()
+
+@pytest.fixture(scope="module")
+def catalog():
+    """The catalog instances, built once for this module and let go after
+    it, so that its 41 warm groups are not live twins (core.memo) of the
+    groups later tests build afresh."""
+    return catalog_instances()
 
 
 def record(num, ok, detail):
@@ -26,11 +33,11 @@ def record(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_transfer_sweep():
+def test_criterion_1_transfer_sweep(catalog):
     t0 = time.time()
-    sweep = transfer_sweep(instances=CATALOG)
+    sweep = transfer_sweep(instances=catalog)
     elapsed = time.time() - t0
-    names = [nm for nm, G, p in CATALOG]
+    names = [nm for nm, G, p in catalog]
     required = ["D4", "Q8", "Mp3:3", "Heis:3", "U:2:2", "U:2:3", "U:3:2",
                 "Z/8", "Z/27"]
     have_required = all(nm in names for nm in required)
@@ -38,7 +45,7 @@ def test_criterion_1_transfer_sweep():
     fams_seen = {r["family"] for r in sweep["reports"]}
     fams_expected = {f.label for p in (2, 3, 5) for f in applicable_families(p)}
     ok = (sweep["groups"] >= 25
-          and all(G.order <= 128 for _, G, _ in CATALOG)
+          and all(G.order <= 128 for _, G, _ in catalog)
           and have_required
           and n_quot >= 8
           and fams_expected <= fams_seen
@@ -50,10 +57,10 @@ def test_criterion_1_transfer_sweep():
            f"families {sorted(fams_seen)}, {elapsed:.1f}s")
 
 
-def test_criterion_2_pairings_perfect():
+def test_criterion_2_pairings_perfect(catalog):
     checked = 0
     bad = []
-    for nm, G, p in CATALOG:
+    for nm, G, p in catalog:
         for fam in applicable_families(p):
             bundle = t_bundle(G, fam)
             N1 = G.trivial_subgroup()
@@ -106,15 +113,15 @@ def test_criterion_3_liftability_triples():
                   f"vanishing, and transgression preimage")
 
 
-def test_criterion_4_kernel_subgroup_identities():
+def test_criterion_4_kernel_subgroup_identities(catalog):
     problems = []
     # T with respect to Z/p equals the second lower p-central term
-    for nm, G, p in CATALOG:
+    for nm, G, p in catalog:
         Zp = pc.builtin_group(f"Z/{p}")
         if t_subgroup(G, Zp) != pc.lower_p_central(G, p, 2).term(2):
             problems.append(("frattini", nm))
 
-    small = [(nm, G, p) for nm, G, p in CATALOG if G.order <= 32]
+    small = [(nm, G, p) for nm, G, p in catalog if G.order <= 32]
     # kernel intersections against the truncated quotient match those
     # against the next-lower full unitriangular group
     for n, p in [(2, 2), (3, 2), (2, 3)]:
@@ -137,13 +144,13 @@ def test_criterion_4_kernel_subgroup_identities():
                 problems.append(("lc-step-3", nm))
 
     # exponent bound: Tbar^p [G, Tbar] <= T for every applicable family
-    for nm, G, p in CATALOG:
+    for nm, G, p in catalog:
         for fam in applicable_families(p):
             b = t_bundle(G, fam)
             if not pc.power_commutator_subgroup(G, b.Tbar, p) <= b.T:
                 problems.append(("exponent", nm, fam.label))
     record(4, not problems,
-           f"kernel-intersection identities on {len(CATALOG)} groups "
+           f"kernel-intersection identities on {len(catalog)} groups "
            f"(Frattini description, truncated-vs-lower unitriangular, "
            f"family recursion, exponent bound)"
            + (f"; failures: {problems}" if problems else ""))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 import weakref
@@ -6,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pcohom import core, homsearch
+from pcohom import cli, core, homsearch
 from pcohom.cli import build_parser, main
 from pcohom.core import builtin_group
 from pcohom.homsearch import t_bundle
@@ -119,7 +120,17 @@ def test_counterexample_inconclusive_exits_1(tmp_path):
 BUDGET_ERROR = "BudgetExceeded: hom search budget exceeded ("
 
 
-def test_budget_exceeded_exits_2(tmp_path):
+@pytest.fixture
+def cold_groups(monkeypatch):
+    """Every group the CLI resolves gets a cold cache: a live twin from an
+    earlier test would share its warm one, and the budget is not keyed
+    (core.memo), so a cached search would not exceed it."""
+    resolve = cli.resolve_group
+    monkeypatch.setattr(cli, "resolve_group", lambda spec: dataclasses.replace(
+        resolve(spec), _cache={}))
+
+
+def test_budget_exceeded_exits_2(tmp_path, cold_groups):
     """An exceeded budget is one JSON error record and exit 2."""
     (err,) = run(tmp_path, ["--budget-prefixes", "10", "hom-count",
                             "--group", "E:2:3", "--codomain", "U:3:2"],
@@ -129,7 +140,7 @@ def test_budget_exceeded_exits_2(tmp_path):
     assert err["error"].startswith(BUDGET_ERROR)
 
 
-def test_budget_record_follows_the_reports_made(tmp_path):
+def test_budget_record_follows_the_reports_made(tmp_path, cold_groups):
     man = tmp_path / "man.json"
     man.write_text(json.dumps({"jobs": [
         {"command": "group-info", "group": "D4"},

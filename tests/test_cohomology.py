@@ -11,10 +11,11 @@ from pcohom.catalog import catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                _cocycle_constraints, _constraint_violations,
                                _expand_from_columns, _gauged_z2,
-                               _generator_columns, _z2_basis, bockstein,
-                               classifying_cocycle, conj_invariant_h1, cup,
-                               h1, h2_space, is_coboundary,
-                               massey_pullback_set, pullback, transgression)
+                               _generator_columns, _off_tree, _z2_basis,
+                               bockstein, classifying_cocycle,
+                               conj_invariant_h1, cup, h1, h2_space,
+                               is_coboundary, massey_pullback_set, pullback,
+                               transgression)
 from pcohom.core import _element_orders, element_order
 from pcohom.elements import Residue, perm_from_cycles
 from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
@@ -98,37 +99,10 @@ EXTRA_GROUPS = [("S3", S3, 2), ("S3", S3, 3), ("A4", A4, 2), ("A4", A4, 3),
                 ("Z/8 on 1, 2, 4", Z8_ON_1_2_4, 2)]
 
 
-def test_generator_rows_give_cocycles_on_catalog():
-    # every Z^2 basis row, expanded to a table, satisfies every identity
-    for nm, G, p in catalog_instances():
-        cand = gf.nullspace(_cocycle_constraints(G, p), p)
-        for u in cand:
-            f = _expand_from_columns(G, u, p)
-            assert not len(_constraint_violations(G, f, p)), nm
-
-
-def test_generator_rows_span_all_g_rows():
-    cases = [c for c in catalog_instances() if c[1].order <= 32]
-    for nm, G, p in cases + EXTRA_GROUPS:
-        cand = gf.nullspace(_cocycle_constraints(G, p), p)
-        assert np.array_equal(
-            gf.nullspace(all_g_constraints(G, p), p), cand), (nm, p)
-
-
-def loop_expand_from_columns(G, u, p):
-    """Reference: _expand_from_columns one position at a time."""
-    n, ngens = G.order, len(G.generators)
-    U = u.reshape(n, ngens)
-    f = np.zeros((n, n), dtype=np.int64)
-    for x in range(1, n):
-        pe, pg = G.pred[x]
-        f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
-    return f
-
-
-def loop_cocycle_constraints(G, p):
-    """Reference: _cocycle_constraints with T walked one position at a
-    time."""
+def full_cocycle_constraints(G, p):
+    """Reference: the rows of cohomology._cocycle_constraints over all
+    n * ngens generator columns, before the gauge drops the tree columns,
+    with T walked one position at a time."""
     n = G.order
     gens = np.asarray(G.generators, dtype=np.int64)
     ngens = len(gens)
@@ -150,12 +124,48 @@ def loop_cocycle_constraints(G, p):
     return np.concatenate(rows)
 
 
+def full_nullspace(G, p):
+    """Reference: the basis of Z^2 as the nullspace over all generator
+    columns."""
+    return gf.nullspace(full_cocycle_constraints(G, p), p)
+
+
+def test_generator_rows_give_cocycles_on_catalog():
+    # every Z^2 basis row, expanded to a table, satisfies every identity
+    for nm, G, p in catalog_instances():
+        cand = full_nullspace(G, p)
+        for u in cand:
+            f = _expand_from_columns(G, u, p)
+            assert not len(_constraint_violations(G, f, p)), nm
+
+
+def test_generator_rows_span_all_g_rows():
+    cases = [c for c in catalog_instances() if c[1].order <= 32]
+    for nm, G, p in cases + EXTRA_GROUPS:
+        assert np.array_equal(gf.nullspace(all_g_constraints(G, p), p),
+                              full_nullspace(G, p)), (nm, p)
+
+
+def loop_expand_from_columns(G, u, p):
+    """Reference: _expand_from_columns one position at a time."""
+    n, ngens = G.order, len(G.generators)
+    U = u.reshape(n, ngens)
+    f = np.zeros((n, n), dtype=np.int64)
+    for x in range(1, n):
+        pe, pg = G.pred[x]
+        f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
+    return f
+
+
 def test_level_walks_match_per_position_loops():
     """_expand_from_columns and _cocycle_constraints, walked a BFS level at
     a time (core.bfs_levels), against the per-position loops on every
-    distinct catalog (table, prime), on Z/1 and on Z/256: the expansion of
-    every Z^2 basis row (the first four on Z/256, whose 255 one-position
-    levels make each expansion slow) and of random columns."""
+    distinct catalog (table, prime), on Z/1 and on Z/256: the constraint
+    rows equal the full-width ones on the off-tree columns, and the
+    expansion of every Z^2 basis row (the first four on Z/256, whose 255
+    one-position levels make each expansion slow) and of random columns,
+    one row at a time and in one batch, whole tables and the rows at the
+    generators alone."""
     rng = np.random.default_rng(20260824)
     seen = set()
     cases = catalog_instances() + [("Z/1", pc.builtin_group("Z/1"), 2),
@@ -164,13 +174,18 @@ def test_level_walks_match_per_position_loops():
         if (G.key, p) in seen:
             continue
         seen.add((G.key, p))
-        A = _cocycle_constraints(G, p)
-        assert np.array_equal(A, loop_cocycle_constraints(G, p)), nm
-        cand = gf.nullspace(A, p)[:4 if G.order > H2_ORDER_CAP else None]
-        noise = rng.integers(0, p, size=(2, A.shape[1]))
-        for u in np.concatenate([cand, noise]):
-            assert np.array_equal(_expand_from_columns(G, u, p),
-                                  loop_expand_from_columns(G, u, p)), nm
+        full = full_cocycle_constraints(G, p)
+        assert np.array_equal(_cocycle_constraints(G, p),
+                              full[:, _off_tree(G)]), nm
+        cand = gf.nullspace(full, p)[:4 if G.order > H2_ORDER_CAP else None]
+        noise = rng.integers(0, p, size=(2, full.shape[1]))
+        U = np.concatenate([cand, noise])
+        want = np.stack([loop_expand_from_columns(G, u, p) for u in U])
+        for u, f in zip(U, want):
+            assert np.array_equal(_expand_from_columns(G, u, p), f), nm
+        assert np.array_equal(_expand_from_columns(G, U, p), want), nm
+        assert np.array_equal(_expand_from_columns(G, U, p, G.generators),
+                              want[:, G.generators]), nm
     assert len(seen) == 36
 
 
@@ -212,7 +227,7 @@ def test_z2_basis_matches_full_nullspace():
         if (G.key, p) in seen:
             continue
         seen.add((G.key, p))
-        ref = gf.nullspace(_cocycle_constraints(G, p), p)
+        ref = full_nullspace(G, p)
         assert np.array_equal(_z2_basis(G, p), ref), name
         n, ngens, d1 = G.order, len(G.generators), len(h1(G, p))
         dim_h2 = len(ref) - (n - 1 - d1)
@@ -224,6 +239,11 @@ def test_z2_basis_matches_full_nullspace():
     assert len(seen) == 48
 
 
+def basis_tables(space):
+    """The basis cocycles as tables, space.rep(e_i) for each unit vector."""
+    return [space.rep(e) for e in np.eye(space.dim, dtype=np.int64)]
+
+
 def basis_digest(space):
     """sha256 of the representatives' positions and every basis table.
     The positions are counted as in a span whose first rows are a basis
@@ -233,7 +253,7 @@ def basis_digest(space):
     reps = (np.asarray(space._reps, dtype=np.int64) - len(G.generators)
             + G.order - 1 - len(h1(G, p)))
     h = hashlib.sha256(reps.tobytes())
-    for b in space.basis:
+    for b in basis_tables(space):
         h.update(b.values.astype(np.int64).tobytes())
     return h.hexdigest()
 
@@ -271,6 +291,53 @@ def test_h2_basis_pinned():
     assert [nm for nm, _, _ in cases] == list(H2_BASIS_PINS)
     for nm, G, p in cases:
         assert basis_digest(h2_space(G, p)) == H2_BASIS_PINS[nm], nm
+
+
+class WholeTable(Exception):
+    pass
+
+
+def test_cold_h2_space_builds_no_table(monkeypatch):
+    """A cold h2_space keeps its basis as generator columns and expands no
+    n x n table: _expand_from_columns is patched to raise on a whole-table
+    request, and only the rows at the generators are expanded, for the
+    check at the generators.  rep still expands a table on request, and
+    the basis digest is the pinned one."""
+    expand = cohomology._expand_from_columns
+
+    def rows_only(G, u, p, g=None):
+        if g is None:
+            raise WholeTable
+        return expand(G, u, p, g)
+
+    monkeypatch.setattr(cohomology, "_expand_from_columns", rows_only)
+    for nm, p in [("Q8", 2), ("D4xZ/2", 2), ("Heis:3", 3), ("Mp3:3", 3),
+                  ("U:3:2", 2)]:
+        G = dataclasses.replace(pc.builtin_group(nm), _cache={})
+        space = h2_space(G, p)
+        assert space.basis.shape == (space.dim,
+                                     G.order * len(G.generators)), nm
+    with pytest.raises(WholeTable):
+        space.rep(np.ones(space.dim, dtype=np.int64))
+    monkeypatch.undo()
+    assert basis_digest(space) == H2_BASIS_PINS["U:3:2"]
+
+
+def test_h2_basis_row_outside_z2_raises(monkeypatch):
+    """The check at the generators guards the basis: a cand whose rows all
+    gain one off-tree entry, so none is a cocycle, raises EdgeCheckFailed
+    before the round trip."""
+    G = dataclasses.replace(pc.builtin_group("Q8"), _cache={})
+    orig = cohomology._z2_basis
+
+    def shifted(G, p):
+        cand = orig(G, p)
+        cand[:, -1] += 1
+        return cand % p
+
+    monkeypatch.setattr(cohomology, "_z2_basis", shifted)
+    with pytest.raises(EdgeCheckFailed, match=r"H\^2 basis row"):
+        h2_space(G, 2)
 
 
 def test_h1_counts_and_values():
@@ -374,7 +441,7 @@ def test_basis_elements_are_not_coboundaries():
     for nm, p in [("Z/4", 2), ("E:3:2", 3), ("Q8", 2)]:
         G = pc.builtin_group(nm)
         space = h2_space(G, p)
-        for b in space.basis:
+        for b in basis_tables(space):
             assert not is_coboundary(G, b.values, p)
         # coords round-trip on random combinations
         rng = np.random.default_rng(1)
@@ -480,7 +547,7 @@ def test_gauge_matches_b2_span_on_catalog():
     n_groups = n_rejected = 0
     for name, G, p in catalog_instances():
         space = h2_space(G, p)
-        ref = SpanReference(G, p, gf.nullspace(_cocycle_constraints(G, p), p))
+        ref = SpanReference(G, p, full_nullspace(G, p))
         ngens, k = len(G.generators), 4
         dc = random_coboundaries(G, p, rng, k)
         a = rng.integers(0, p, size=(k, space.dim))

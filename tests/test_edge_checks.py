@@ -2,7 +2,8 @@
 
 Tables, homomorphisms, characters and 2-cocycles are each verified on
 generator edges only (see the lemmas in `core._verify_tables`,
-`core._respects_generator_edges` and `cohomology._constraint_violations`).
+`core._respects_generator_edges` and `cohomology._constraint_violations`),
+and H^2 basis rows at the generators (`cohomology._column_violations`).
 The references below check the definitions directly: O(n^3)
 associativity, O(|G|^2) multiplicativity and the O(n^3) cocycle identity.
 On valid objects and on objects with one corrupted entry, the edge check
@@ -19,8 +20,10 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom import homsearch
-from pcohom.cohomology import (Cochain1, Cocycle2, bockstein,
+from pcohom import gf, homsearch
+from pcohom.cohomology import (Cochain1, Cocycle2, _column_violations,
+                               _constraint_violations, _expand_from_columns,
+                               _generator_columns, bockstein,
                                classifying_cocycle, cup, h1, h2_space,
                                pullback)
 from pcohom.core import (_respects_generator_edges, _table_product,
@@ -28,6 +31,7 @@ from pcohom.core import (_respects_generator_edges, _table_product,
 from pcohom.errors import PcohomError
 from pcohom.homsearch import _partial_bfs, enumerate_homs, lift_hom
 from pcohom.pairings import cached_quotient, liftable_pullback_space
+from test_cohomology import full_cocycle_constraints
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,9 +237,11 @@ def test_character_check_agrees_with_full_additivity(name, p):
 # ---------------------------------------------------------------------
 
 def _cocycles(G, p):
-    """Valid cocycles on G: the H^2 basis, cups and Bocksteins."""
+    """Valid cocycles on G: the H^2 basis tables, cups and Bocksteins."""
     chars = h1(G, p)
-    return (h2_space(G, p).basis + [cup(a, b) for a in chars for b in chars]
+    space = h2_space(G, p)
+    return ([space.rep(e) for e in np.eye(space.dim, dtype=np.int64)]
+            + [cup(a, b) for a in chars for b in chars]
             + [bockstein(a) for a in chars])
 
 
@@ -253,6 +259,46 @@ def test_cocycle_check_agrees_with_full_identity(name, p):
             bad[g, h] = (bad[g, h] + shift) % p
             assert accepts(Cocycle2, G, bad, p) == full_cocycle(G, bad, p), \
                 (name, g, h)
+
+
+@pytest.mark.parametrize("name,p", [("Z/2", 2), ("Z/4", 2), ("D4", 2),
+                                    ("Q8", 2), ("E:3:2", 3), ("Heis:3", 3)])
+def test_column_check_agrees_with_expanded_table_check(name, p):
+    """The batched check at the generators (`_column_violations`) flags
+    exactly the rows that the normalization or the table check flags,
+    `_constraint_violations` on the expanded table, over the generator
+    columns of valid cocycles, of copies with one entry changed, and of
+    the solutions of the constraint rows with those at one generator g, or
+    at one generator s, left out.  Each generator is its own BFS tree edge
+    from 1, so a normalized row's expanded table has that row as its
+    generator columns."""
+    G = pc.builtin_group(name)
+    n, ngens = G.order, len(G.generators)
+    rng = np.random.default_rng(5)
+    valid = np.stack([_generator_columns(G, c.values)
+                      for c in _cocycles(G, p)])
+    rows = [valid]
+    A = full_cocycle_constraints(G, p)
+    at = np.arange(ngens * ngens * n).reshape(ngens, ngens, n)   # (s, g, h)
+    for drop in [at[:, j] for j in range(ngens)] + list(at):
+        keep = np.setdiff1d(np.arange(len(A)), ngens + drop.ravel())
+        rows.append(gf.nullspace(A[keep], p))
+    for low in (ngens, 0):         # off the normalization entries, then on
+        bad = np.repeat(valid, 4, axis=0)
+        for row, ((i,), shift) in zip(bad, corruptions(
+                rng, (valid.shape[1],), p, len(bad), low)):
+            row[i] = (row[i] + shift) % p
+        rows.append(bad)
+    U = np.concatenate(rows)
+    want = []
+    for u in U:
+        f = _expand_from_columns(G, u, p)
+        normalized = not u[:ngens].any()
+        if normalized:
+            assert np.array_equal(_generator_columns(G, f), u)
+        want.append(not normalized or len(_constraint_violations(G, f, p)) > 0)
+    assert _column_violations(G, U, p).tolist() == want, name
+    assert not any(want[:len(valid)]) and any(want)
 
 
 def test_trusted_outputs_pass_the_full_checks():

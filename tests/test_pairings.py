@@ -444,7 +444,10 @@ def _count_calls(monkeypatch, module, name):
 
 def test_inflation_matrix_built_once_per_pair(monkeypatch):
     calls = _count_calls(monkeypatch, pairings, "inflation_matrix")
-    G, fam, bundle = _setup("D4", "zassenhaus", 2, 2)
+    # a cold cache: a live D4 of an earlier test shares its warm one
+    G = dataclasses.replace(pc.builtin_group("D4"), _cache={})
+    fam = pc.omega_family("zassenhaus", 2, 2)
+    bundle = pc.t_bundle(G, fam)
     transfer_check(G, trivial(G), fam)
     a_pairing(G, trivial(G), bundle.Tbar, 2)
     c_pairing(G, trivial(G), bundle.Tbar, fam)
@@ -575,8 +578,9 @@ def test_batched_pullback_classes_match_per_hom_loop_on_catalog(
 
 def loop_inflation_matrix(space2, space1, q):
     """inflation_matrix by one pullback Cocycle2 and one coordinate solve
-    per basis class."""
-    rows = [space1.coords(cohomology.pullback(b, q)) for b in space2.basis]
+    per basis class, each basis table expanded by space2.rep."""
+    rows = [space1.coords(cohomology.pullback(space2.rep(e), q))
+            for e in np.eye(space2.dim, dtype=np.int64)]
     if not rows:
         return np.zeros((0, space1.dim), dtype=np.int64)
     return np.stack(rows)
