@@ -8,12 +8,13 @@ fact used throughout: a normalized 2-cocycle is determined by its
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
 F_p.  The system needs the cocycle identities only at g a generator
-(lemma at `_cocycle_constraints`).  Checked on a table, the identities at
-every g with s a generator are the complete cocycle check every Cocycle2
-runs (lemma at `_constraint_violations`); checked on generator columns,
-the identities at g a generator are complete (`_column_violations`).
-The H^2 basis is kept as generator columns and verified that way, and a
-table is expanded from columns only on request (`_expand_from_columns`).
+(lemma at `_cocycle_constraints`).  Every 2-cocycle is held as its
+generator columns (`Cocycle2.columns`, the H^2 basis rows) and checked on
+them: the identities at g a generator are complete (`_column_violations`).
+A table f(x, y) is expanded from the columns (`_expand_from_columns`) only
+where a gather needs f at a second argument y that is not a generator:
+alpha's table in `pullback_columns` and the H^2 basis tables in
+`pairings.inflation_matrix`.
 
 Coboundary questions are asked in the BFS-tree gauge: every cocycle is
 cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
@@ -57,6 +58,13 @@ H2_ORDER_CAP = 128
 # Cochains and cocycles
 # ---------------------------------------------------------------------
 
+def _same_parent(a, b, what: str):
+    """Raise `errors.MixedParents` unless a and b (cochains, or a cochain
+    and an H2Space) are on one group (equal keys) and one prime p."""
+    if a.group.key != b.group.key or a.p != b.p:
+        raise MixedParents(f"{what} across different groups or primes")
+
+
 @dataclass
 class Cochain1:
     """A 1-cochain G -> Z/p; is_hom=True asserts it is a character,
@@ -74,42 +82,41 @@ class Cochain1:
             raise EdgeCheckFailed("character is not additive")
 
     def __add__(self, other):
+        _same_parent(self, other, "sum of cochains")
         return Cochain1(self.group, (self.values + other.values) % self.p,
                         self.p, is_hom=self.is_hom and other.is_hom)
 
 
 @dataclass
 class Cocycle2:
+    """A normalized 2-cocycle f: G x G -> Z/p, held as its generator
+    columns: columns[x * ngens + j] = f(x, s_j) for the generators s_j.
+    The vector is checked once, its length and then the identities at the
+    generators (`_column_violations`, which covers normalization)."""
     group: FiniteGroup
-    values: np.ndarray
+    columns: np.ndarray
     p: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64) % self.p
-        self.values = v
-        n = self.group.order
-        if v.shape != (n, n):
-            raise EdgeCheckFailed(f"cocycle table has shape {v.shape}, "
-                                  f"not {(n, n)}")
-        if v[0].any() or v[:, 0].any():
-            raise EdgeCheckFailed("cocycle must be normalized")
-        if len(_constraint_violations(self.group, v, self.p)):
-            raise EdgeCheckFailed("cocycle identity violated")
+        G, p = self.group, self.p
+        u = self.columns = np.asarray(self.columns, dtype=np.int64) % p
+        if (u.shape != (G.order * len(G.generators),)
+                or _column_violations(G, u[None], p)[0]):
+            raise EdgeCheckFailed(f"shape {u.shape}: not the generator "
+                                  "columns of a normalized 2-cocycle")
 
     def __add__(self, other):
-        return Cocycle2(self.group, (self.values + other.values) % self.p, self.p)
+        _same_parent(self, other, "sum of cocycles")
+        return Cocycle2(self.group, self.columns + other.columns, self.p)
 
     def __sub__(self, other):
-        return Cocycle2(self.group, (self.values - other.values) % self.p, self.p)
+        _same_parent(self, other, "difference of cocycles")
+        return Cocycle2(self.group, self.columns - other.columns, self.p)
 
 
 # ---------------------------------------------------------------------
 # Coboundary linear algebra on generator columns, in the BFS-tree gauge
 # ---------------------------------------------------------------------
-
-def _generator_columns(G: FiniteGroup, table: np.ndarray):
-    return table[:, G.generators].reshape(G.order * len(G.generators))
-
 
 def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
     """u - dc for generator columns u (one vector, or a matrix with one
@@ -162,11 +169,10 @@ def coboundary_mask(G: FiniteGroup, u, p: int):
     return ~_tree_coboundaries(G, p)[2].reduce(_gauge(G, u, p)).any(axis=-1)
 
 
-def is_coboundary(G: FiniteGroup, table, p: int) -> bool:
-    """Is the (already verified) normalized 2-cocycle table a coboundary?
-    `coboundary_mask` on its generator columns."""
-    u = _generator_columns(G, np.asarray(table, dtype=np.int64))
-    return bool(coboundary_mask(G, u, p))
+def is_coboundary(c: Cocycle2) -> bool:
+    """Is the (verified) cocycle c a coboundary?  `coboundary_mask` on its
+    generator columns."""
+    return bool(coboundary_mask(c.group, c.columns, c.p))
 
 
 def _expand_from_columns(G: FiniteGroup, u, p: int, g=None):
@@ -174,7 +180,11 @@ def _expand_from_columns(G: FiniteGroup, u, p: int, g=None):
     vector, or a matrix with one per row), for the ids g, or every row (the
     whole n x n table) when g is None, by f(g, d*s) = f(g, d) + u(g*d, s)
     - u(d, s) along BFS predecessors, a BFS level at a time (`bfs_levels`).
-    The result has shape u.shape[:-1] + (len(g), n)."""
+    The result has shape u.shape[:-1] + (len(g), n).  When u holds the
+    columns of a cocycle f, the result is f: the step is the cocycle
+    identity at (g, d, s).  A whole table is asked for only where a gather
+    needs f(x, y) at a y that is not a generator (see the module
+    docstring)."""
     n, ngens = G.order, len(G.generators)
     g = np.arange(n) if g is None else np.asarray(g, dtype=np.intp)
     u = np.asarray(u, dtype=np.int64)
@@ -187,21 +197,6 @@ def _expand_from_columns(G: FiniteGroup, u, p: int, g=None):
     return f
 
 
-def _constraint_violations(G: FiniteGroup, f: np.ndarray, p: int):
-    """g-ids at which some identity f(g,h)+f(gh,s)-f(h,s)-f(g,hs) != 0
-    (s ranging over generators) fails, i.e. df(g,h,s) != 0.
-
-    Lemma: a normalized f with no violation is a cocycle.  From dd = 0,
-    df(g,h,ks) = df(g,h,k) + df(h,k,s) - df(gh,k,s) + df(g,hk,s), so
-    df(g,h,ks) = df(g,h,k) whenever s is a generator; by induction along
-    the BFS word of c, df(g,h,c) = df(g,h,1) = 0 by normalization."""
-    fs = f[:, G.generators]
-    lhs = f[:, :, None] + fs[G.mult]
-    rhs = fs[None, :, :] + f[:, G.mult_gen]
-    bad = ((lhs - rhs) % p != 0).any(axis=(1, 2))
-    return np.nonzero(bad)[0]
-
-
 def _column_violations(G: FiniteGroup, u, p: int) -> np.ndarray:
     """Which rows of u, a matrix of generator columns, one candidate
     cocycle per row, are not the columns of a normalized 2-cocycle: a bool
@@ -209,8 +204,8 @@ def _column_violations(G: FiniteGroup, u, p: int) -> np.ndarray:
     identity f(g,h) + u(gh,s) - u(h,s) - f(g,hs) = 0 fails for a generator
     g, any h and a generator s.  Only the rows f(g, .) at the generators
     are expanded (`_expand_from_columns`), so the check costs
-    O(rows * n * ngens^2), not the O(n^2 * ngens) per row of
-    `_constraint_violations`.
+    O(rows * n * ngens^2), not the O(n^2 * ngens) per row of the
+    identities at every g.
 
     Lemma: a row that passes is a cocycle's columns.  These identities are
     the rows of `_cocycle_constraints` at the generators, read before the
@@ -251,10 +246,12 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     N = ker(F -> G) and each Delta_g is additive on N, so the rows at g hold
     iff Delta_g = 0 on N.  Since Phi_1(s r s^-1) = Phi_s(r) for r in N,
     Delta_s = 0 on N for every generator s gives Phi_x(r) = Phi_1(r) for
-    all x, by induction along the positive BFS word of x.  Hence every
-    identity holds, and f is a cocycle by the lemma at
-    `_constraint_violations`.  The rows at g = 1 vanish identically and
-    are left out.
+    all x, by induction along the positive BFS word of x.  Hence df(g,h,s)
+    = 0 for all g, h and every generator s, and f is a cocycle: from
+    dd = 0, df(g,h,ks) = df(g,h,k) + df(h,k,s) - df(gh,k,s) + df(g,hk,s),
+    so df(g,h,ks) = df(g,h,k), and by induction along the BFS word of c,
+    df(g,h,c) = df(g,h,1) = 0 by normalization.  The rows at g = 1 vanish
+    identically and are left out.
 
     Only the off-tree columns are built: every term on a tree column goes
     to one extra column m, which is dropped, so the rows equal those over
@@ -347,9 +344,9 @@ class H2Space:
 
     basis: a dim x n * ngens matrix, one row per basis class of Z^2/B^2:
     the generator columns of its representative cocycle, verified at the
-    generators (`_column_violations`).  No n x n table is kept; `rep`
-    expands one on request.  coords(c) expresses a cocycle's class over
-    that basis.
+    generators (`_column_violations`).  No n x n table is kept.  coords(c)
+    expresses a cocycle's class over that basis, and rep(x) is the
+    cocycle whose columns are x @ basis.
     """
     group: FiniteGroup
     p: int
@@ -359,9 +356,8 @@ class H2Space:
     _reps: np.ndarray      # positions of the basis representatives in _span
 
     def coords(self, c: Cocycle2):
-        if c.group.key != self.group.key:
-            raise MixedParents("cocycle is not on this H^2 space's group")
-        return self.column_coords(_generator_columns(self.group, c.values))
+        _same_parent(c, self, "H^2 coordinates")
+        return self.column_coords(c.columns)
 
     def column_coords(self, u):
         """Coordinates of the class of each cocycle given by its generator
@@ -369,16 +365,15 @@ class H2Space:
         gauge of u (`_gauge`) has the class of u and is in Z^2 iff u is."""
         x = self._span.solve(_gauge(self.group, u, self.p))
         if x is None:
-            raise EdgeCheckFailed("table is not a cocycle in the normalized "
-                                  "space")
+            raise EdgeCheckFailed("columns are not a cocycle in the "
+                                  "normalized space")
         return x[..., self._reps]
 
     def rep(self, coords) -> Cocycle2:
-        """A representative cocycle with the given coordinates: the table
-        expanded from the columns coords @ basis, checked as a Cocycle2."""
-        u = np.asarray(coords, dtype=np.int64) @ self.basis % self.p
-        return Cocycle2(self.group, _expand_from_columns(self.group, u, self.p),
-                        self.p)
+        """The representative cocycle with the given coordinates, whose
+        generator columns are coords @ basis."""
+        u = np.asarray(coords, dtype=np.int64) @ self.basis
+        return Cocycle2(self.group, u, self.p)
 
 
 @memo
@@ -390,7 +385,7 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     taken in order, kept as generator columns.  They are verified in one
     batch at the generators (`_column_violations`, `errors.EdgeCheckFailed`)
     and solved back to the identity (`errors.SolveRoundTripFailed`); no
-    n x n table is built here, and `H2Space.rep` builds one on request.
+    n x n table is built here or by `H2Space.rep`.
 
     cand is not solved for over all n * ngens columns.  The gauged
     cocycles, 0 on the BFS tree, are the nullspace over the n(ngens - 1)
@@ -509,7 +504,14 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
 # ---------------------------------------------------------------------
 
 def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
-    """f(x,y) = iota^-1( s(x) s(y) s(xy)^-1 ) for the chosen section s.
+    """f(x,y) = iota^-1( s(x) s(y) s(xy)^-1 ) for the chosen section s, at
+    the generator columns (x, y), y a generator of Gbar.
+
+    Lemma: every defect s(x) s(y) s(xy)^-1 lies in iota(Z), so z_of reads
+    it.  lam maps it to x y (xy)^-1 = 1, and `CentralExtension` checks
+    exactness, ker lam = iota(Z), and that s is a normalized section of
+    lam; a section changed after that check can break this
+    (`errors.SectionDefectOutsideKernel`).
 
     Lemma: the class of f does not depend on the section.  Any other
     section is s'(x) = s(x) iota(e(x)) for some e: Gbar -> Z with
@@ -520,19 +522,21 @@ def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
     z_of = np.full(E.order, -1, dtype=np.int64)
     z_of[ext.iota.image] = np.arange(ext.Z.order)
     sec = ext.section
-    prod = E.mult[np.ix_(sec, sec)]
-    vals = z_of[E.mult[prod, E.inv[sec[Gbar.mult]]]]
-    if vals.min() < 0:
+    prod = E.mult[sec[:, None], sec[Gbar.generators]]
+    cols = z_of[E.mult[prod, E.inv[sec[Gbar.mult_gen]]]]
+    if (cols < 0).any():
         raise SectionDefectOutsideKernel(
             "section defect must land in the kernel copy")
-    return Cocycle2(Gbar, vals, p)
+    return Cocycle2(Gbar, cols.ravel(), p)
 
 
 def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:
+    """f*alpha for the hom f = rho into alpha's group, its generator
+    columns read by `pullback_columns`."""
     if rho.codomain.key != alpha.group.key:
         raise MixedParents("hom codomain is not the cocycle's group")
-    vals = alpha.values[np.ix_(rho.image, rho.image)]
-    return Cocycle2(rho.domain, vals, alpha.p)
+    cols = pullback_columns(alpha, rho.image[None], rho.domain)[0]
+    return Cocycle2(rho.domain, cols, alpha.p)
 
 
 def pullback_columns(alpha: Cocycle2, R: np.ndarray,
@@ -540,10 +544,13 @@ def pullback_columns(alpha: Cocycle2, R: np.ndarray,
     """Generator columns of the pullbacks f*alpha, one row per row of R:
     the image matrix (over the ids of G) of homs f: G -> alpha.group.  Row
     k is alpha(f(g), f(s)) over g in G and the generators s of G, and all
-    rows come from one gather.  By the lemma at `pullback_coords` each row
-    is a cocycle when alpha is one and the rows of R are homs."""
+    rows come from one gather.  f(s) need not be a generator of
+    alpha.group, so the gather reads alpha's table, expanded once from its
+    columns (`_expand_from_columns`).  By the lemma at `pullback_coords`
+    each row is a cocycle when alpha is one and the rows of R are homs."""
     gens = np.asarray(G.generators, dtype=np.intp)
-    cols = alpha.values[R[:, :, None], R[:, None, gens]]
+    table = _expand_from_columns(alpha.group, alpha.columns, alpha.p)
+    cols = table[R[:, :, None], R[:, None, gens]]
     return cols.reshape(len(R), R.shape[1] * len(gens))
 
 
@@ -562,19 +569,19 @@ def pullback_coords(alpha: Cocycle2, R: np.ndarray,
 
 
 def cup(phi: Cochain1, psi: Cochain1) -> Cocycle2:
-    """(phi cup psi)(x, y) = phi(x) psi(y) for two characters on one group
-    (`errors.MixedParents`, `errors.NotACharacter`)."""
-    if phi.group.key != psi.group.key:
-        raise MixedParents("cup of cochains on different groups")
+    """(phi cup psi)(x, y) = phi(x) psi(y), y a generator, for two
+    characters on one group with one prime (`errors.MixedParents`,
+    `errors.NotACharacter`)."""
+    _same_parent(phi, psi, "cup")
     if not (phi.is_hom and psi.is_hom):
         raise NotACharacter("cup needs two characters")
-    vals = (phi.values[:, None] * psi.values[None, :]) % phi.p
-    return Cocycle2(phi.group, vals, phi.p)
+    cols = phi.values[:, None] * psi.values[phi.group.generators]
+    return Cocycle2(phi.group, cols.ravel(), phi.p)
 
 
 def bockstein(phi: Cochain1) -> Cocycle2:
     """Connecting map of 0 -> Z/p -> Z/p^2 -> Z/p -> 0 on a character
-    (`errors.NotACharacter`): (x, y) -> carry / p, where
+    (`errors.NotACharacter`): (x, y) -> carry / p, y a generator, where
     carry = v(x) + v(y) - v(xy) for the values v in [0, p).
 
     Lemma: carry is in {0, p}.  It lies in (-p, 2p), and it is 0 mod p
@@ -583,16 +590,17 @@ def bockstein(phi: Cochain1) -> Cocycle2:
         raise NotACharacter("the Bockstein needs a character")
     p = phi.p
     G = phi.group
-    v = phi.values % p
-    carry = (v[:, None] + v[None, :] - v[G.mult])
-    return Cocycle2(G, (carry // p) % p, p)
+    v = phi.values
+    carry = v[:, None] + v[G.generators] - v[G.mult_gen]
+    return Cocycle2(G, (carry // p).ravel(), p)
 
 
 def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
-    """trg(psi)(x,y) = psi( t(x) t(y) t(xy)^-1 ) for the BFS-minimal
-    section t of the surjection pi (`errors.NotSurjective`); psi must be
-    G-invariant on N = ker(pi) (`errors.NotInvariant`), which is checked
-    under the generators of G only.
+    """trg(psi)(x,y) = psi( t(x) t(y) t(xy)^-1 ), y a generator of Q, for
+    the BFS-minimal section t of the surjection pi: G -> Q
+    (`errors.NotSurjective`); psi must be G-invariant on N = ker(pi)
+    (`errors.NotInvariant`), which is checked under the generators of G
+    only.
 
     Lemma: that suffices.  Let psi(s^-1 n s) = psi(n) for each generator
     s and every n in N.  Induct on a positive word w: if psi(w^-1 n w) =
@@ -612,9 +620,9 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     if not np.array_equal(vals[conj], np.broadcast_to(vals[members], conj.shape)):
         raise NotInvariant("character is not conjugation-invariant")
     t = pi.section()
-    prod = G.mult[np.ix_(t, t)]
-    arg = G.mult[prod, G.inv[t[Q.mult]]]
-    return Cocycle2(Q, vals[arg] % p, p)
+    prod = G.mult[t[:, None], t[Q.generators]]
+    arg = G.mult[prod, G.inv[t[Q.mult_gen]]]
+    return Cocycle2(Q, vals[arg].ravel(), p)
 
 
 @memo

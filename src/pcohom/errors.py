@@ -37,7 +37,8 @@ class EmptyList(PcohomError):
 
 
 class MixedParents(PcohomError):
-    pass
+    """Objects that must share a group, and for cochains a prime p, do
+    not."""
 
 
 class BudgetExceeded(PcohomError):
@@ -62,12 +63,14 @@ class SolveRoundTripFailed(PcohomError):
 
 
 class SectionDefectOutsideKernel(PcohomError, ValueError):
-    """A section defect s(x) s(y) s(xy)^-1 of a central extension lies
-    outside the kernel copy iota(Z).
+    """A section defect s(x) s(y) s(xy)^-1 of a central extension, read at
+    a generator column (x, y), y a generator of Gbar, lies outside the
+    kernel copy iota(Z).
 
     Lemma: lam maps the defect to x y (xy)^-1 = 1, so it lies in
-    ker lam, which `CentralExtension` checks is iota(Z); a defect outside
-    it means the extension's tables and section disagree."""
+    ker lam, which `CentralExtension` checks is iota(Z), together with a
+    normalized section s; a defect outside it means the section was
+    changed after that check."""
 
 
 class WordTooShort(PcohomError):

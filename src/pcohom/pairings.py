@@ -16,7 +16,9 @@ memoized ``cohomology.transgression_span``; the A/B/C subspaces and
 pairings all read these two.
 
 Liftability and inflation are gathers over generator columns; no
-|G| x |G| table is built, and the only tables expanded are the basis
+|G| x |G| table is built.  The gathers read two kinds of table, each
+expanded from verified generator columns: the classifying cocycle
+alpha's table over Gbar, in `cohomology.pullback_columns`, and the basis
 tables of H^2(G/N2), for the inflation matrix.  Lemma: for a hom
 f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
 f*alpha along pi has generator columns alpha(f(pi g), f(pi s)), s over

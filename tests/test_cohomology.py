@@ -7,21 +7,24 @@ import pytest
 
 import pcohom as pc
 from pcohom import cohomology, gf
-from pcohom.catalog import catalog_instances
+from pcohom.catalog import applicable_families, catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
-                               _cocycle_constraints, _constraint_violations,
-                               _expand_from_columns, _gauged_z2,
-                               _generator_columns, _off_tree, _z2_basis,
-                               bockstein, classifying_cocycle,
-                               conj_invariant_h1, cup, h1, h2_space,
-                               is_coboundary, massey_pullback_set, pullback,
-                               transgression)
+                               _cocycle_constraints, _expand_from_columns,
+                               _gauged_z2, _off_tree, _z2_basis, bockstein,
+                               classifying_cocycle, conj_invariant_h1, cup,
+                               h1, h2_space, is_coboundary,
+                               massey_pullback_set, pullback,
+                               pullback_columns, transgression)
 from pcohom.core import _element_orders, element_order
 from pcohom.elements import Residue, perm_from_cycles
 from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
                            NotInvariant, NotNormal, NotSurjective,
                            OracleDisagreement, SectionDefectOutsideKernel,
                            SolveRoundTripFailed)
+from cocycle_tables import (bockstein_table, checked, classifying_table,
+                            constraint_violations, cup_table, expand,
+                            generator_columns, matches_table, pullback_table,
+                            table_accepts, transgression_table)
 from test_gf import coboundary_matrix
 
 
@@ -54,7 +57,7 @@ def test_h2_of_trivial_group():
     T, _ = pc.quotient_group(G, G.whole())
     space = h2_space(T, 2)
     assert space.dim == 0
-    assert is_coboundary(T, np.zeros((1, 1), dtype=np.int64), 2)
+    assert is_coboundary(Cocycle2(T, np.zeros(0, dtype=np.int64), 2))
     # no generators: the gauge and the solver take empty columns
     assert space.column_coords(np.zeros(0, dtype=np.int64)).shape == (0,)
     assert space.column_coords(np.zeros((3, 0), dtype=np.int64)).shape \
@@ -136,7 +139,7 @@ def test_generator_rows_give_cocycles_on_catalog():
         cand = full_nullspace(G, p)
         for u in cand:
             f = _expand_from_columns(G, u, p)
-            assert not len(_constraint_violations(G, f, p)), nm
+            assert not len(constraint_violations(G, f, p)), nm
 
 
 def test_generator_rows_span_all_g_rows():
@@ -146,26 +149,15 @@ def test_generator_rows_span_all_g_rows():
                               full_nullspace(G, p)), (nm, p)
 
 
-def loop_expand_from_columns(G, u, p):
-    """Reference: _expand_from_columns one position at a time."""
-    n, ngens = G.order, len(G.generators)
-    U = u.reshape(n, ngens)
-    f = np.zeros((n, n), dtype=np.int64)
-    for x in range(1, n):
-        pe, pg = G.pred[x]
-        f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
-    return f
-
-
 def test_level_walks_match_per_position_loops():
     """_expand_from_columns and _cocycle_constraints, walked a BFS level at
     a time (core.bfs_levels), against the per-position loops on every
     distinct catalog (table, prime), on Z/1 and on Z/256: the constraint
     rows equal the full-width ones on the off-tree columns, and the
-    expansion of every Z^2 basis row (the first four on Z/256, whose 255
-    one-position levels make each expansion slow) and of random columns,
-    one row at a time and in one batch, whole tables and the rows at the
-    generators alone."""
+    expansion (the loop is `cocycle_tables.expand`) of every Z^2 basis row
+    (the first four on Z/256, whose 255 one-position levels make each
+    expansion slow) and of random columns, one row at a time and in one
+    batch, whole tables and the rows at the generators alone."""
     rng = np.random.default_rng(20260824)
     seen = set()
     cases = catalog_instances() + [("Z/1", pc.builtin_group("Z/1"), 2),
@@ -180,7 +172,7 @@ def test_level_walks_match_per_position_loops():
         cand = gf.nullspace(full, p)[:4 if G.order > H2_ORDER_CAP else None]
         noise = rng.integers(0, p, size=(2, full.shape[1]))
         U = np.concatenate([cand, noise])
-        want = np.stack([loop_expand_from_columns(G, u, p) for u in U])
+        want = np.stack([expand(G, u, p) for u in U])
         for u, f in zip(U, want):
             assert np.array_equal(_expand_from_columns(G, u, p), f), nm
         assert np.array_equal(_expand_from_columns(G, U, p), want), nm
@@ -240,8 +232,10 @@ def test_z2_basis_matches_full_nullspace():
 
 
 def basis_tables(space):
-    """The basis cocycles as tables, space.rep(e_i) for each unit vector."""
-    return [space.rep(e) for e in np.eye(space.dim, dtype=np.int64)]
+    """The basis cocycles as tables: space.rep(e_i) for each unit vector,
+    expanded by the reference loop."""
+    return [expand(space.group, space.rep(e).columns, space.p)
+            for e in np.eye(space.dim, dtype=np.int64)]
 
 
 def basis_digest(space):
@@ -254,7 +248,7 @@ def basis_digest(space):
             + G.order - 1 - len(h1(G, p)))
     h = hashlib.sha256(reps.tobytes())
     for b in basis_tables(space):
-        h.update(b.values.astype(np.int64).tobytes())
+        h.update(b.astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -293,32 +287,42 @@ def test_h2_basis_pinned():
         assert basis_digest(h2_space(G, p)) == H2_BASIS_PINS[nm], nm
 
 
-class WholeTable(Exception):
-    pass
-
-
 def test_cold_h2_space_builds_no_table(monkeypatch):
     """A cold h2_space keeps its basis as generator columns and expands no
-    n x n table: _expand_from_columns is patched to raise on a whole-table
-    request, and only the rows at the generators are expanded, for the
-    check at the generators.  rep still expands a table on request, and
-    the basis digest is the pinned one."""
-    expand = cohomology._expand_from_columns
+    n x n table: with _expand_from_columns patched to log whole-table
+    requests, only the rows at the generators are expanded, for the check
+    at the generators.  Neither H2Space.rep nor H2Space.coords asks for a
+    table, nor do classifying_cocycle, cup, bockstein and transgression;
+    pullback asks for one, alpha's table over its own group, for the
+    gather in pullback_columns.  The basis digest is the pinned one."""
+    expand_rows = cohomology._expand_from_columns
+    whole = []
 
-    def rows_only(G, u, p, g=None):
+    def logged(G, u, p, g=None):
         if g is None:
-            raise WholeTable
-        return expand(G, u, p, g)
+            whole.append(G.key)
+        return expand_rows(G, u, p, g)
 
-    monkeypatch.setattr(cohomology, "_expand_from_columns", rows_only)
+    monkeypatch.setattr(cohomology, "_expand_from_columns", logged)
     for nm, p in [("Q8", 2), ("D4xZ/2", 2), ("Heis:3", 3), ("Mp3:3", 3),
                   ("U:3:2", 2)]:
         G = dataclasses.replace(pc.builtin_group(nm), _cache={})
         space = h2_space(G, p)
         assert space.basis.shape == (space.dim,
                                      G.order * len(G.generators)), nm
-    with pytest.raises(WholeTable):
-        space.rep(np.ones(space.dim, dtype=np.int64))
+        x = np.arange(1, space.dim + 1) % p
+        assert np.array_equal(space.coords(space.rep(x)), x), nm
+        for a in h1(G, p):
+            space.coords(cup(a, a))
+            space.coords(bockstein(a))
+    ext = pc.build_bar_extension(2, 2)
+    alpha = classifying_cocycle(ext)
+    transgression(ext.lam,
+                  Cochain1(ext.E, _kernel_character(ext), 2, is_hom=False))
+    assert whole == []
+    Gbar = ext.Gbar
+    pullback(alpha, pc.GroupHom(Gbar, Gbar, np.arange(Gbar.order)))
+    assert whole == [Gbar.key]
     monkeypatch.undo()
     assert basis_digest(space) == H2_BASIS_PINS["U:3:2"]
 
@@ -432,17 +436,16 @@ def test_coboundaries_are_recognized():
         for _ in range(5):
             f = rng.integers(0, p, size=G.order)
             f[0] = 0
-            table = coboundary_table(G, f, p)
-            Cocycle2(G, table, p)        # validates the cocycle identity
-            assert is_coboundary(G, table, p)
+            u = generator_columns(G, coboundary_table(G, f, p))
+            assert is_coboundary(Cocycle2(G, u, p))  # a checked cocycle
 
 
 def test_basis_elements_are_not_coboundaries():
     for nm, p in [("Z/4", 2), ("E:3:2", 3), ("Q8", 2)]:
         G = pc.builtin_group(nm)
         space = h2_space(G, p)
-        for b in basis_tables(space):
-            assert not is_coboundary(G, b.values, p)
+        for e in np.eye(space.dim, dtype=np.int64):
+            assert not is_coboundary(space.rep(e))
         # coords round-trip on random combinations
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -451,23 +454,59 @@ def test_basis_elements_are_not_coboundaries():
 
 
 def test_cocycle_identity_is_enforced():
-    G = pc.builtin_group("Z/4")
-    bad = np.zeros((4, 4), dtype=np.int64)
-    bad[1, 1] = 1
-    bad[2, 3] = 1     # arbitrary junk: not a cocycle
+    G = pc.builtin_group("E:2:2")
+    bad = np.zeros(G.order * len(G.generators), dtype=np.int64)
+    bad[3] = 1        # f(x, s) = 1 at one (x, s) alone: not a cocycle
+    assert not table_accepts(G, expand(G, bad, 2), 2)
     with pytest.raises(EdgeCheckFailed):
         Cocycle2(G, bad, 2)
+    # a whole table is not a column vector
+    with pytest.raises(EdgeCheckFailed, match=r"shape \(4, 4\)"):
+        Cocycle2(G, np.zeros((G.order, G.order), dtype=np.int64), 2)
 
 
 def test_mixed_groups_are_rejected():
     Z4, Z2 = pc.builtin_group("Z/4"), pc.builtin_group("Z/2")
-    c = Cocycle2(Z2, np.zeros((2, 2), dtype=np.int64), 2)
+    c = Cocycle2(Z2, np.zeros(2, dtype=np.int64), 2)
     with pytest.raises(MixedParents):
         h2_space(Z4, 2).coords(c)
     with pytest.raises(MixedParents):
         pullback(c, pc.GroupHom(Z4, Z4, np.arange(4)))
     with pytest.raises(MixedParents):
         cup(h1(Z4, 2)[0], h1(Z2, 2)[0])
+
+
+def test_cochain_arithmetic_rejects_mixed_parents():
+    """Sums and differences of cochains on different groups raise
+    MixedParents, whether their arrays have one shape (characters of Z/4
+    and E:2:2) or not (characters of Z/4 and Z/8, cocycles on Z/4 and
+    E:2:2)."""
+    Z4, V = pc.builtin_group("Z/4"), pc.builtin_group("E:2:2")
+    a, b = h1(Z4, 2)[0], h1(V, 2)[0]
+    with pytest.raises(MixedParents):
+        cup(a, a) + cup(b, b)
+    with pytest.raises(MixedParents):
+        cup(a, a) - cup(b, b)
+    with pytest.raises(MixedParents):
+        a + b
+    with pytest.raises(MixedParents):
+        a + h1(pc.builtin_group("Z/8"), 2)[0]
+
+
+def test_mixed_primes_are_rejected():
+    """A cochain mod 3 on Z/6 is rejected by the mod-2 H^2 space of Z/6
+    and by cup with a mod-2 character, and two cochains on one group with
+    different primes do not add."""
+    Z6 = pc.builtin_group("Z/6")
+    chi3, chi2 = h1(Z6, 3)[0], h1(Z6, 2)[0]
+    with pytest.raises(MixedParents):
+        h2_space(Z6, 2).coords(bockstein(chi3))
+    with pytest.raises(MixedParents):
+        cup(chi2, chi3)
+    with pytest.raises(MixedParents):
+        chi2 + chi3
+    with pytest.raises(MixedParents):
+        bockstein(chi2) + cup(chi3, chi3)
 
 
 def test_h1_dimension_disagreement_raises(monkeypatch):
@@ -521,7 +560,7 @@ def random_coboundaries(G, p, rng, k):
     """Generator columns of d(c) for k random 1-cochains c with c(1) = 0."""
     c = rng.integers(0, p, size=(k, G.order))
     c[:, 0] = 0
-    return np.stack([_generator_columns(G, coboundary_table(G, f, p))
+    return np.stack([generator_columns(G, coboundary_table(G, f, p))
                      for f in c])
 
 
@@ -552,12 +591,11 @@ def test_gauge_matches_b2_span_on_catalog():
         dc = random_coboundaries(G, p, rng, k)
         a = rng.integers(0, p, size=(k, space.dim))
         a[0] = 0
-        reps = np.stack([_generator_columns(G, space.rep(x).values)
-                         for x in a])
+        reps = np.stack([space.rep(x).columns for x in a])
         U = np.concatenate([dc, (reps + dc) % p])
         want = np.concatenate([np.zeros_like(a), a])
         for u, x in zip(U, want):
-            assert is_coboundary(G, _expand_from_columns(G, u, p), p) == \
+            assert is_coboundary(Cocycle2(G, u, p)) == \
                 ref.is_coboundary(u) == (not x.any()), name
             assert np.array_equal(space.column_coords(u), x), name
         assert np.array_equal(space.column_coords(U), want), name
@@ -586,14 +624,13 @@ def test_gauge_above_h2_cap():
         ext = pc.parse_family(spec).extensions[0]
         G, p = ext.Gbar, ext.p
         assert G.order > H2_ORDER_CAP
-        alpha = _generator_columns(G, classifying_cocycle(ext).values)
+        alpha = classifying_cocycle(ext).columns
         dc = random_coboundaries(G, p, rng, 3)
         rows = [(u, True) for u in dc] + [((alpha + u) % p, False)
                                           for u in dc]
         ref = SpanReference(G, p) if check_ref else None
         for u, want in rows:
-            assert is_coboundary(G, _expand_from_columns(G, u, p), p) \
-                == want, spec
+            assert is_coboundary(Cocycle2(G, u, p)) == want, spec
             if ref is not None:
                 assert ref.is_coboundary(u) == want, spec
 
@@ -607,14 +644,14 @@ def test_classifying_class_nonzero_for_nonsplit_extensions():
     # of an abelian group by a central kernel would be abelian)
     ext = pc.build_bar_extension(2, 2)
     alpha = classifying_cocycle(ext)
-    assert not is_coboundary(ext.Gbar, alpha.values, 2)
+    assert not is_coboundary(alpha)
     # Z/9 over Z/3 is nonsplit
     ext = pc.build_bar_extension(1, 9)
     alpha = classifying_cocycle(ext)
-    assert not is_coboundary(ext.Gbar, alpha.values, 3)
+    assert not is_coboundary(alpha)
     # M_27 over (Z/3)^2 is nonsplit
     ext = pc.build_mp3(3)
-    assert not is_coboundary(ext.Gbar, classifying_cocycle(ext).values, 3)
+    assert not is_coboundary(classifying_cocycle(ext))
 
 
 SHIFT_FAMILIES = ["zassenhaus:2:2", "lower-central:2:2", "zassenhaus:2:3",
@@ -635,11 +672,11 @@ def test_classifying_class_does_not_depend_on_the_section():
             shifted = copy.copy(ext)
             shifted.section = ext.section.copy()
             shifted.section[1:] = E.mult[ext.section[1:], ext.iota.image[1]]
-            diff = (classifying_cocycle(shifted).values
-                    - classifying_cocycle(ext).values) % p
+            diff = classifying_cocycle(shifted) - classifying_cocycle(ext)
             e = (np.arange(G.order) != 0).astype(np.int64)
-            assert np.array_equal(diff, coboundary_table(G, e, p)), spec
-            assert is_coboundary(G, diff, p), spec
+            assert np.array_equal(diff.columns, generator_columns(
+                G, coboundary_table(G, e, p))), spec
+            assert is_coboundary(diff), spec
             n_exts += 1
     assert n_exts == 14
 
@@ -658,10 +695,68 @@ def test_pullback_functoriality():
     alpha = classifying_cocycle(ext)
     Gbar = ext.Gbar
     ident = pc.GroupHom(Gbar, Gbar, np.arange(Gbar.order))
-    assert np.array_equal(pullback(alpha, ident).values, alpha.values)
+    assert np.array_equal(pullback(alpha, ident).columns, alpha.columns)
     V = pc.builtin_group("E:3:2")
     zero = pc.GroupHom(V, Gbar, np.zeros(V.order, dtype=np.int32))
-    assert not pullback(alpha, zero).values.any()
+    assert not pullback(alpha, zero).columns.any()
+
+
+# ---------------------------------------------------------------------
+# the generator-column constructors against the table path
+# ---------------------------------------------------------------------
+
+def test_constructors_match_table_reference():
+    """Every Cocycle2 constructor against its table-path reference
+    (`cocycle_tables`): its columns are the reference table at the
+    generator columns, and their expansion (`_expand_from_columns`) is
+    the reference table (`matches_table`).  On every catalog group: cup
+    and Bockstein of its characters, the H^2 basis representatives, the
+    transgressions of the invariant characters of the lower p-central
+    terms 2 and 3, and pullbacks of every applicable family's classifying
+    cocycles along seeded homs, with the batched pullback_columns over
+    every hom.  On every extension of SHIFT_FAMILIES: the classifying
+    cocycle.  Each distinct (group, prime) pair once."""
+    rng = np.random.default_rng(20260824)
+    seen = set()
+    n_checked = 0
+    for name, G, p in catalog_instances():
+        if (G.key, p) in seen:
+            continue
+        seen.add((G.key, p))
+        chars = h1(G, p)
+        made = [(cup(a, b), cup_table(a, b)) for a in chars for b in chars]
+        made += [(bockstein(a), bockstein_table(a)) for a in chars]
+        space = h2_space(G, p)
+        for e in np.eye(space.dim, dtype=np.int64):
+            c = space.rep(e)
+            made.append((c, checked(G, expand(G, c.columns, p), p)))
+        for N in pc.lower_p_central(G, p, 3).terms[1:3]:
+            _, pi = pc.quotient_group(G, N)
+            made += [(transgression(pi, psi), transgression_table(pi, psi))
+                     for psi in conj_invariant_h1(G, N, p)]
+        gens = np.asarray(G.generators, dtype=np.intp)
+        for fam in applicable_families(p):
+            for ext in fam.extensions:
+                alpha, ref = classifying_cocycle(ext), classifying_table(ext)
+                R = pc.enumerate_homs(G, ext.Gbar).images
+                want = ref[R[:, :, None], R[:, None, gens]]
+                assert np.array_equal(pullback_columns(alpha, R, G),
+                                      want.reshape(len(R), -1)), name
+                for k in rng.choice(len(R), size=min(3, len(R)),
+                                    replace=False):
+                    rho = pc.GroupHom(G, ext.Gbar, R[k])
+                    made.append((pullback(alpha, rho),
+                                 pullback_table(ref, rho, p)))
+        for c, table in made:
+            assert matches_table(c, table), name
+        n_checked += len(made)
+    n_exts = 0
+    for spec in SHIFT_FAMILIES:
+        for ext in pc.parse_family(spec).extensions:
+            assert matches_table(classifying_cocycle(ext),
+                                 classifying_table(ext)), spec
+            n_exts += 1
+    assert len(seen) == 34 and n_exts == 14 and n_checked == 752
 
 
 # ---------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The generator-edge checks against the full checks they stand for.
 
-Tables, homomorphisms, characters and 2-cocycles are each verified on
-generator edges only (see the lemmas in `core._verify_tables`,
-`core._respects_generator_edges` and `cohomology._constraint_violations`),
-and H^2 basis rows at the generators (`cohomology._column_violations`).
-The references below check the definitions directly: O(n^3)
-associativity, O(|G|^2) multiplicativity and the O(n^3) cocycle identity.
-On valid objects and on objects with one corrupted entry, the edge check
-must accept exactly when its reference does.  The hom search, which runs
+Tables, homomorphisms and characters are each verified on generator
+edges only (see the lemmas in `core._verify_tables` and
+`core._respects_generator_edges`), and 2-cocycles, held as generator
+columns, at the generators (`cohomology._column_violations`, lemma at
+`cohomology._cocycle_constraints`).  The references below check the
+definitions directly: O(n^3) associativity, O(|G|^2) multiplicativity
+and the O(n^3) cocycle identity, the last on the table expanded from the
+columns, beside the table check of `cocycle_tables`.  On valid objects
+and on objects with one corrupted entry, the edge check must accept
+exactly when its reference does.  The hom search, which runs
 the batch edge check on blocks of prefixes, is compared with a search step
 that checks every forced product of every prefix.
 """
@@ -22,15 +24,15 @@ import pytest
 import pcohom as pc
 from pcohom import gf, homsearch
 from pcohom.cohomology import (Cochain1, Cocycle2, _column_violations,
-                               _constraint_violations, _expand_from_columns,
-                               _generator_columns, bockstein,
-                               classifying_cocycle, cup, h1, h2_space,
-                               pullback)
+                               bockstein, classifying_cocycle, cup, h1,
+                               h2_space, pullback)
 from pcohom.core import (_respects_generator_edges, _table_product,
                          _verify_tables)
 from pcohom.errors import PcohomError
 from pcohom.homsearch import _partial_bfs, enumerate_homs, lift_hom
 from pcohom.pairings import cached_quotient, liftable_pullback_space
+from cocycle_tables import (constraint_violations, expand,
+                            generator_columns, table_accepts)
 from test_cohomology import full_cocycle_constraints
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -237,7 +239,8 @@ def test_character_check_agrees_with_full_additivity(name, p):
 # ---------------------------------------------------------------------
 
 def _cocycles(G, p):
-    """Valid cocycles on G: the H^2 basis tables, cups and Bocksteins."""
+    """Valid cocycles on G: the H^2 basis representatives, cups and
+    Bocksteins."""
     chars = h1(G, p)
     space = h2_space(G, p)
     return ([space.rep(e) for e in np.eye(space.dim, dtype=np.int64)]
@@ -245,20 +248,46 @@ def _cocycles(G, p):
             + [bockstein(a) for a in chars])
 
 
+def columns_accepted(G, u, p):
+    """The table reference for a Cocycle2 vector u: n * ngens entries, and
+    the table expanded from them accepted by the table check, with u as
+    its generator columns.  The last fails iff u is not normalized, as
+    each generator is its own BFS tree edge from 1.  The table check
+    agrees with the full cocycle identity on every expansion."""
+    if np.shape(u) != (G.order * len(G.generators),):
+        return False
+    f = expand(G, u, p)
+    assert table_accepts(G, f, p) == full_cocycle(G, f, p)
+    return (table_accepts(G, f, p)
+            and np.array_equal(generator_columns(G, f), u))
+
+
 @pytest.mark.parametrize("name,p", [("Z/2", 2), ("Z/4", 2), ("D4", 2),
                                     ("Q8", 2), ("E:3:2", 3), ("Heis:3", 3)])
 def test_cocycle_check_agrees_with_full_identity(name, p):
+    """Cocycle2 accepts a column vector exactly when the table reference
+    accepts its expansion (`columns_accepted`): on the columns of valid
+    cocycles, on copies with one entry changed off the normalization
+    entries u(1, s) and then anywhere, on copies with u(1, s_0) changed,
+    and on copies one entry short or one entry long."""
     G = pc.builtin_group(name)
+    ngens = len(G.generators)
     rng = np.random.default_rng(5)
     for c in _cocycles(G, p):
-        assert full_cocycle(G, c.values, p)
-        # one entry off the normalization rows, then one on them
-        for low in (1, 0):
-            ((g, h), shift), = corruptions(rng, c.values.shape, p, 1, low)
-            bad = c.values.copy()
-            bad[g, h] = (bad[g, h] + shift) % p
-            assert accepts(Cocycle2, G, bad, p) == full_cocycle(G, bad, p), \
-                (name, g, h)
+        u = c.columns
+        assert columns_accepted(G, u, p)
+        bads = []
+        for low in (ngens, 0):
+            ((i,), shift), = corruptions(rng, u.shape, p, 1, low)
+            bad = u.copy()
+            bad[i] = (bad[i] + shift) % p
+            bads.append(bad)
+        unnormalized = u.copy()
+        unnormalized[0] = (u[0] + 1) % p
+        for bad in bads + [unnormalized, u[:-1], np.append(u, 0)]:
+            assert accepts(Cocycle2, G, bad, p) == \
+                columns_accepted(G, bad, p), (name, bad)
+        assert not columns_accepted(G, unnormalized, p)
 
 
 @pytest.mark.parametrize("name,p", [("Z/2", 2), ("Z/4", 2), ("D4", 2),
@@ -266,17 +295,16 @@ def test_cocycle_check_agrees_with_full_identity(name, p):
 def test_column_check_agrees_with_expanded_table_check(name, p):
     """The batched check at the generators (`_column_violations`) flags
     exactly the rows that the normalization or the table check flags,
-    `_constraint_violations` on the expanded table, over the generator
-    columns of valid cocycles, of copies with one entry changed, and of
-    the solutions of the constraint rows with those at one generator g, or
-    at one generator s, left out.  Each generator is its own BFS tree edge
-    from 1, so a normalized row's expanded table has that row as its
-    generator columns."""
+    `cocycle_tables.constraint_violations` on the expanded table, over the
+    generator columns of valid cocycles, of copies with one entry changed,
+    and of the solutions of the constraint rows with those at one
+    generator g, or at one generator s, left out.  Each generator is its
+    own BFS tree edge from 1, so a normalized row's expanded table has that
+    row as its generator columns."""
     G = pc.builtin_group(name)
     n, ngens = G.order, len(G.generators)
     rng = np.random.default_rng(5)
-    valid = np.stack([_generator_columns(G, c.values)
-                      for c in _cocycles(G, p)])
+    valid = np.stack([c.columns for c in _cocycles(G, p)])
     rows = [valid]
     A = full_cocycle_constraints(G, p)
     at = np.arange(ngens * ngens * n).reshape(ngens, ngens, n)   # (s, g, h)
@@ -292,11 +320,11 @@ def test_column_check_agrees_with_expanded_table_check(name, p):
     U = np.concatenate(rows)
     want = []
     for u in U:
-        f = _expand_from_columns(G, u, p)
+        f = expand(G, u, p)
         normalized = not u[:ngens].any()
         if normalized:
-            assert np.array_equal(_generator_columns(G, f), u)
-        want.append(not normalized or len(_constraint_violations(G, f, p)) > 0)
+            assert np.array_equal(generator_columns(G, f), u)
+        want.append(not normalized or len(constraint_violations(G, f, p)) > 0)
     assert _column_violations(G, U, p).tolist() == want, name
     assert not any(want[:len(valid)]) and any(want)
 
@@ -316,13 +344,15 @@ def test_trusted_outputs_pass_the_full_checks():
         lp = liftable_pullback_space(G, N, fam)
         Q = lp.space.group
         for i in range(len(lp.coords)):
-            assert full_cocycle(Q, lp.cocycle(i).values, p)
+            assert full_cocycle(Q, expand(Q, lp.cocycle(i).columns, p), p)
         for ext in fam.extensions:
             alpha = classifying_cocycle(ext)
-            assert full_cocycle(ext.Gbar, alpha.values, p)
+            assert full_cocycle(ext.Gbar, expand(ext.Gbar, alpha.columns, p),
+                                p)
             for rho in enumerate_homs(Q, ext.Gbar).homs:
                 assert full_hom(Q, ext.Gbar, rho.image)
-                assert full_cocycle(Q, pullback(alpha, rho).values, p)
+                assert full_cocycle(
+                    Q, expand(Q, pullback(alpha, rho).columns, p), p)
 
 
 # ---------------------------------------------------------------------

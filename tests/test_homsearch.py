@@ -15,6 +15,8 @@ from pcohom.errors import (BudgetExceeded, MixedParents, NotSurjective,
 from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
                               hom_count, lift_hom, t_bundle, t_subgroup)
 from pcohom.pairings import cached_quotient, liftability_crosscheck
+from cocycle_tables import (classifying_table, generator_columns,
+                            pullback_table)
 from test_acceptance import liftability_triples
 from test_edge_checks import HOM_PAIRS, _u729
 
@@ -299,14 +301,16 @@ def test_liftability_crosscheck_triple_agreement():
 
 def table_path_legs(ext, pi, rho):
     """Legs (c) and (d) of liftability_crosscheck by the table path: the
-    pullback Cocycle2, its inflation as a |G| x |G| table and the coboundary
-    test of that table, and the H^2 coordinates of the pullback."""
+    pullback table (`cocycle_tables`), its inflation as a |G| x |G| table
+    and the coboundary test of that table's generator columns, and the H^2
+    coordinates of the pullback."""
     G, Q, p = pi.domain, pi.codomain, ext.p
-    pulled = cohomology.pullback(cohomology.classifying_cocycle(ext), rho)
-    c = cohomology.is_coboundary(G, pulled.values[np.ix_(pi.image, pi.image)],
-                                 p)
+    pulled = pullback_table(classifying_table(ext), rho, p)
+    inflated = generator_columns(G, pulled[np.ix_(pi.image, pi.image)])
+    c = bool(cohomology.coboundary_mask(G, inflated, p))
     _, trg = cohomology.transgression_span(G, pi, p)
-    sol = trg.solve(cohomology.h2_space(Q, p).coords(pulled))
+    sol = trg.solve(cohomology.h2_space(Q, p).column_coords(
+        generator_columns(Q, pulled)))
     return c, None if sol is None else [int(x) for x in sol]
 
 

@@ -18,6 +18,8 @@ from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
                              kernel_generating_condition,
                              liftability_crosscheck, liftable_pullback_space,
                              pairing_kernels, transfer_check)
+from cocycle_tables import (classifying_table, generator_columns,
+                            matches_table, pullback_table)
 
 
 def trivial(G):
@@ -473,32 +475,34 @@ def test_transgression_span_built_once_per_surjection(monkeypatch):
 # ---------------------------------------------------------------------
 
 def loop_liftable_pullbacks(G, N, fam):
-    """(classes, stats) of liftable_pullback_space by one pullback Cocycle2
-    and one coordinate solve per hom, classes in first-occurrence order."""
+    """(classes, stats) of liftable_pullback_space by the table path: one
+    pullback table (`cocycle_tables`) and one coordinate solve per hom,
+    classes in first-occurrence order, each decided liftable by the
+    coboundary test of its inflated table's generator columns."""
     Q, pi = cached_quotient(G, N)
     p = fam.p
     space = cohomology.h2_space(Q, p)
     seen = {}
     n_homs = 0
     for ext in fam.extensions:
-        alpha = cohomology.classifying_cocycle(ext)
+        alpha = classifying_table(ext)
         for rho in pc.enumerate_homs(Q, ext.Gbar).homs:
             n_homs += 1
-            c = cohomology.pullback(alpha, rho)
-            v = space.coords(c)
+            c = pullback_table(alpha, rho, p)
+            v = space.column_coords(generator_columns(Q, c))
             seen.setdefault(v.tobytes(), (v, c, (ext, rho)))
     classes = []
     for v, c, (ext, rho) in seen.values():
-        inflated = c.values[np.ix_(pi.image, pi.image)]
-        classes.append((v, cohomology.is_coboundary(G, inflated, p),
+        inflated = generator_columns(G, c[np.ix_(pi.image, pi.image)])
+        classes.append((v, bool(cohomology.coboundary_mask(G, inflated, p)),
                         (ext, rho), c))
     return classes, {"homs": n_homs, "distinct_classes": len(seen),
                      "liftable_classes": sum(1 for c in classes if c[1])}
 
 
 def loop_massey_pullback_set(Q, n, phis, fam):
-    """massey_pullback_set by one pullback Cocycle2 and one coordinate
-    solve per matching hom."""
+    """massey_pullback_set by the table path: one pullback table
+    (`cocycle_tables`) and one coordinate solve per matching hom."""
     ext = fam.extensions[0]
     p = ext.p
     E, Gbar = ext.E, ext.Gbar
@@ -506,15 +510,15 @@ def loop_massey_pullback_set(Q, n, phis, fam):
         [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
                      for x in range(Gbar.order)], dtype=np.int64)
          for i in range(n)], axis=1)
-    alpha = cohomology.classifying_cocycle(ext)
+    alpha = classifying_table(ext)
     space = cohomology.h2_space(Q, p)
     out, seen = [], set()
     for rho in pc.enumerate_homs(Q, Gbar).homs:
         sd = superdiag[rho.image]
         if all(np.array_equal(sd[:, i], phis[i].values % p)
                for i in range(n)):
-            c = cohomology.pullback(alpha, rho)
-            coords = space.coords(c)
+            c = pullback_table(alpha, rho, p)
+            coords = space.column_coords(generator_columns(Q, c))
             if coords.tobytes() not in seen:
                 seen.add(coords.tobytes())
                 out.append((c, coords, rho))
@@ -523,8 +527,8 @@ def loop_massey_pullback_set(Q, n, phis, fam):
 
 def check_against_loop(G, N, fam):
     """liftable_pullback_space(G, N, fam) against the per-hom loop: equal
-    coordinates, verdicts, extensions, image rows, lazily built cocycles
-    and stats, class by class."""
+    coordinates, verdicts, extensions, image rows and stats, and lazily
+    built cocycles that match the loop's tables, class by class."""
     lp = liftable_pullback_space(G, N, fam)
     classes, stats = loop_liftable_pullbacks(G, N, fam)
     assert lp.stats == stats
@@ -533,7 +537,7 @@ def check_against_loop(G, N, fam):
         assert np.array_equal(lp.coords[i], v0)
         assert lp.liftable[i] == lift0 and lp.exts[i] is ext0
         assert np.array_equal(lp.images[i], rho0.image)
-        assert np.array_equal(lp.cocycle(i).values, c0.values)
+        assert matches_table(lp.cocycle(i), c0)
     return lp
 
 
@@ -578,7 +582,7 @@ def test_batched_pullback_classes_match_per_hom_loop_on_catalog(
 
 def loop_inflation_matrix(space2, space1, q):
     """inflation_matrix by one pullback Cocycle2 and one coordinate solve
-    per basis class, each basis table expanded by space2.rep."""
+    per basis class, each basis representative space2.rep(e_i)."""
     rows = [space1.coords(cohomology.pullback(space2.rep(e), q))
             for e in np.eye(space2.dim, dtype=np.int64)]
     if not rows:
@@ -724,7 +728,7 @@ def test_batched_massey_set_matches_per_hom_loop():
         assert len(got) == len(want)
         sizes.append(len(got))
         for (c, v, rho), (c0, v0, rho0) in zip(got, want):
-            assert np.array_equal(c.values, c0.values)
+            assert matches_table(c, c0)
             assert np.array_equal(v, v0)
             assert np.array_equal(rho.image, rho0.image)
     assert 0 in sizes and 1 in sizes and max(sizes) == 3
@@ -741,7 +745,8 @@ def test_batch_coords_reject_rows_outside_z2():
     assert np.array_equal(V, [space.coords(cohomology.pullback(alpha, rho))
                               for rho in hs.homs])
     gens = Q.generators
-    cols = alpha.values[hs.images[:, :, None], hs.images[:, None, gens]]
+    table = classifying_table(ext)
+    cols = table[hs.images[:, :, None], hs.images[:, None, gens]]
     cols = cols.reshape(len(hs), -1)
     cols[len(hs) // 2, 0] = 1       # f(1, s_0) != 0: not normalized
     with pytest.raises(ValueError):
