@@ -37,6 +37,7 @@ the tree (`_gauged_z2`), and the canonical basis is rebuilt from it
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,12 @@ class Cocycle2:
                 or _column_violations(G, u[None], p)[0]):
             raise EdgeCheckFailed(f"shape {u.shape}: not the generator "
                                   "columns of a normalized 2-cocycle")
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The whole n x n table, expanded from the columns on first
+        request (`_expand_from_columns`) and kept."""
+        return _expand_from_columns(self.group, self.columns, self.p)
 
     def __add__(self, other):
         _same_parent(self, other, "sum of cocycles")
@@ -545,12 +552,11 @@ def pullback_columns(alpha: Cocycle2, R: np.ndarray,
     the image matrix (over the ids of G) of homs f: G -> alpha.group.  Row
     k is alpha(f(g), f(s)) over g in G and the generators s of G, and all
     rows come from one gather.  f(s) need not be a generator of
-    alpha.group, so the gather reads alpha's table, expanded once from its
-    columns (`_expand_from_columns`).  By the lemma at `pullback_coords`
-    each row is a cocycle when alpha is one and the rows of R are homs."""
+    alpha.group, so the gather reads alpha's table (`Cocycle2.table`,
+    expanded once per alpha).  By the lemma at `pullback_coords` each row
+    is a cocycle when alpha is one and the rows of R are homs."""
     gens = np.asarray(G.generators, dtype=np.intp)
-    table = _expand_from_columns(alpha.group, alpha.columns, alpha.p)
-    cols = table[R[:, :, None], R[:, None, gens]]
+    cols = alpha.table[R[:, :, None], R[:, None, gens]]
     return cols.reshape(len(R), R.shape[1] * len(gens))
 
 

@@ -23,9 +23,10 @@ Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
 word: the one check behind every table (`_verify_tables`), hom and
 character (`_respects_generator_edges`) and cocycle, run by each constructor.
-The hom check is batched: it takes a matrix of image rows and returns the
-rows that pass, so one function serves a single `GroupHom`, a character and
-every block of candidates in the hom search.
+The hom search runs the same check inside its word walk: `word_images`,
+given the edge schedule `closing_edges`, checks each edge off the BFS tree
+at the level where it closes and drops the rows that fail there, while the
+tree edges hold by construction.
 
 `memo` is the one cache, and it is kept per table, not per object.
 `_table_group` registers each verified group weakly under its key (a
@@ -579,10 +580,6 @@ def _table_product(U: FiniteGroup):
     return lambda x, y: flat[x * n + y]
 
 
-# edges checked on every row before the rest are checked on the survivors
-_FIRST_EDGES = 8
-
-
 def _respects_generator_edges(tgt: np.ndarray, F: np.ndarray,
                               mul) -> np.ndarray:
     """Which rows of F are homs: the boolean mask over rows.
@@ -593,35 +590,42 @@ def _respects_generator_edges(tgt: np.ndarray, F: np.ndarray,
     gives an image per position in a target with vectorized product mul and
     identity 0.  A row passes when f[0] = 0 and
     f[tgt[e, s]] = mul(f[e], f[tgt[0, s]]) on every edge (e, s):
-    O(|H| * ngens) per row.
+    O(|H| * ngens) per row, one pass over every edge, BFS tree edges
+    included, as F need not come from `word_images`.
 
     Lemma: then f(a*c) = f(a) f(c) for all a, c in H.  Induct on c along
     H's BFS words; c = 1 holds by f(1) = 0.  For c = d*s:
     f(a*c) = f((a*d)*s) = f(a*d) f(s) = f(a) f(d) f(s) = f(a) f(c), by the
-    edge identity twice and associativity in the target.
-
-    The BFS tree edges (the first edge into each position) hold by
-    construction for rows evaluated along BFS words (`word_images`), so
-    the other edges go first.  The first _FIRST_EDGES edges are checked on
-    every row and the rest only on the rows that pass them; a row is
-    accepted only after every edge has been checked."""
+    edge identity twice and associativity in the target."""
     t = tgt.ravel()
     e, s = np.divmod(np.arange(t.size), tgt.shape[1])
-    first = np.unique(t, return_index=True)[1]
-    tree = np.zeros(t.size, dtype=bool)
-    tree[first[t[first] != 0]] = True
-    edges = np.concatenate([np.flatnonzero(~tree), np.flatnonzero(tree)])
-    gens = tgt[0]
-    ok = F[:, 0] == 0
-    for stage in (edges[:_FIRST_EDGES], edges[_FIRST_EDGES:]):
-        rows = np.flatnonzero(ok)
-        if not rows.size or not stage.size:
-            continue
-        sub = F[rows]
-        good = (sub[:, t[stage]] == mul(sub[:, e[stage]],
-                                        sub[:, gens[s[stage]]])).all(axis=1)
-        ok[rows[~good]] = False
-    return ok
+    return (F[:, 0] == 0) & (F[:, t] == mul(F[:, e], F[:, tgt[0, s]])).all(
+        axis=1)
+
+
+def closing_edges(pred, tgt):
+    """The edge schedule of a BFS for `word_images`: its non-tree edges,
+    each at the level where it closes.
+
+    pred is the BFS's predecessor array and tgt[e, s] the position of e*s
+    (as at `_respects_generator_edges`).  An edge (e, s) is a tree edge
+    when pred[c] = (e, s) for some c > 0.  Each other edge is listed by
+    the positions (t, e, g) = (tgt[e, s], e, tgt[0, s]) of its check
+    img[t] = img[e] img[g], sorted by its closing position
+    max(e, t, g), the last of the three that a level fills.  Returns
+    (t, e, g, bounds): the edges closing in level k of `bfs_levels(pred)`
+    are the slice bounds[k]:bounds[k + 1].  Every closing position is at
+    least 1 (tgt[0, s] > 0), and the levels partition 1..len(pred)-1, so
+    each non-tree edge is in exactly one slice."""
+    tree = np.zeros(tgt.shape, dtype=bool)
+    tree[pred[1:, 0], pred[1:, 1]] = True
+    e, s = np.nonzero(~tree)
+    t, g = tgt[e, s], tgt[0, s]
+    close = np.maximum(np.maximum(e, t), g)
+    order = np.argsort(close, kind="stable")
+    starts = [lo for lo, *_ in bfs_levels(pred)] + [len(pred)]
+    bounds = np.searchsorted(close[order], starts).tolist()
+    return t[order], e[order], g[order], bounds
 
 
 @dataclass
@@ -680,20 +684,45 @@ class GroupHom:
         return t
 
 
-def word_images(pred, U: FiniteGroup, C: np.ndarray) -> np.ndarray:
+def word_images(pred, U: FiniteGroup, C: np.ndarray,
+                edges=None) -> np.ndarray:
     """Evaluate BFS words under rows of generator images.
 
     pred[t] = (position of the predecessor, generator index) for each
     position t > 0 of a BFS, and C is an m x k matrix whose rows give
-    images in U of the generators.  Returns the m x len(pred) matrix of
-    images of the word reaching each position, stored column by column
-    (each position's images are contiguous), filled a BFS level at a time
-    (`bfs_levels`)."""
+    images in U of the generators.  Returns the matrix of images of the
+    word reaching each position, one row per row of C and one column per
+    position, stored column by column (each position's images are
+    contiguous), filled a BFS level at a time (`bfs_levels`).
+
+    With `edges`, the schedule `closing_edges` of this BFS, the walk also
+    keeps only the rows that are homs on the subgroup H the BFS spans:
+    after each level is filled, the edges that close there are checked on
+    the rows left, and the rows that fail one are dropped at once.  Only
+    the image rows of the rows of C that pass are returned, in order.
+
+    Lemma: a row returned is a hom on H (the edge lemma at
+    `_respects_generator_edges`).  Its position 0 is the identity.  A tree
+    edge pred[c] = (d, s) holds by construction: img[c] = img[d] C[s], and
+    C[s] is the image at the position of generator s, since each
+    generator is distinct and not 1, so level 1 reaches it from 0 by s.
+    Every other edge closes at exactly one level, where all three of its
+    positions are filled, and is checked there."""
     C = np.asarray(C, dtype=np.int32)
     mul = _table_product(U)
     img = np.zeros((len(pred), C.shape[0]), dtype=np.int32)
-    for lo, hi, d, s in bfs_levels(pred):
+    for k, (lo, hi, d, s) in enumerate(bfs_levels(pred)):
         img[lo:hi] = mul(img[d], C[:, s].T)
+        if edges is None:
+            continue
+        t, e, g, bounds = edges
+        a, b = bounds[k], bounds[k + 1]
+        ok = (img[t[a:b]] == mul(img[e[a:b]], img[g[a:b]])).all(axis=0)
+        if not ok.all():
+            C = C[ok]
+            kept = np.zeros((len(pred), len(C)), dtype=np.int32)
+            kept[:hi] = img[:hi, ok]
+            img = kept
     return img.T
 
 

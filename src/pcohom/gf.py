@@ -50,15 +50,16 @@ def rref(a, p):
     Returns (R, pivots) where R is int64, contains only the nonzero rows
     and pivots[i] is the pivot column of row i.
 
-    The input is read once: one int64 pass reduces it mod p into a new
-    array (the caller's is never written), which is cast to the working
-    dtype before its all-zero rows are dropped, so no second int64 copy
-    is made.  Each pivot step scans its column once and touches only the
-    entries it changes: the pivot row is the first nonzero one at or
-    below row r, swapped into place (row r was zero there, so the other
-    nonzero rows keep their places); it is scaled from the pivot column
-    on, and only the other rows that are nonzero in the pivot column are
-    updated, from the pivot column on (left of it the pivot row is zero).
+    The input is read once: one pass reduces it mod p straight into a new
+    array of the working dtype (the caller's is never written), taking
+    the remainder in int64 a buffer at a time, so no int64 copy of the
+    input is made; the all-zero rows are then dropped.  Each pivot step
+    scans its column once and touches only the entries it changes: the
+    pivot row is the first nonzero one at or below row r, swapped into
+    place (row r was zero there, so the other nonzero rows keep their
+    places); it is scaled from the pivot column on, and only the other
+    rows that are nonzero in the pivot column are updated, from the pivot
+    column on (left of it the pivot row is zero).
     The rref of a matrix is unique, so R and pivots are those of a full
     elimination.
 
@@ -71,10 +72,12 @@ def rref(a, p):
     [-(p-1)^2, p-1] before their % p; for 3 <= p <= 181,
     (p-1)^2 <= 32,400 < 2^15, so both fit int16.  Larger p stay in
     int64, where (p-1)^2 < 2^63 for every p below 2^31."""
-    a = np.asarray(a, dtype=np.int64) % p
+    a = np.asarray(a)
     if a.ndim != 2:
         raise EdgeCheckFailed("rref expects a 2-d array")
-    a = a.astype(_working_dtype(p), copy=False)[a.any(axis=1)]
+    w = np.empty(a.shape, dtype=_working_dtype(p))
+    np.remainder(a, np.int64(p), out=w, casting="unsafe")
+    a = w[w.any(axis=1)]
     nrows, ncols = a.shape
     pivots = []
     r = 0

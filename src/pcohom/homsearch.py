@@ -4,9 +4,12 @@ through central extensions.
 The search runs over generator images in BFS-word order, level by level:
 a partial assignment of images to the first j generators forces the image
 of every element whose BFS word uses only those generators, and the
-assignment is kept only if those images pass the one generator-edge check
-(`core._respects_generator_edges`), run on whole blocks of candidate
-prefixes at once.
+assignment is kept only if those images respect every generator edge
+e -> e*s of the subgroup they span.  Blocks of candidate prefixes are
+evaluated one BFS level at a time (`core.word_images`); each edge is
+checked at the level where it closes, the first at which all three of
+its images are known (`_closing_edges`), and a prefix that fails it is
+dropped there, before any more of its images are computed.
 
 A hom set is an image matrix: `HomSet.images` has one row per hom and one
 column per element id.  `t_subgroup` and the pullback-class searches read
@@ -41,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FiniteGroup, GroupHom, Subgroup, _bfs, _element_orders,
-                   _respects_generator_edges, _table_product,
-                   intersect_subgroups, memo, word_images)
+                   _table_product, closing_edges, intersect_subgroups, memo,
+                   word_images)
 from .errors import BudgetExceeded, NotSurjective, TNotInsideTbar
 from .unitriangular import CentralExtension, OmegaFamily
 
@@ -88,6 +91,13 @@ def _partial_bfs(G: FiniteGroup, j: int):
     return elems, pred, pos[G.mult_gen[elems, :j]]
 
 
+@memo
+def _closing_edges(G: FiniteGroup, j: int):
+    """The edge schedule (`core.closing_edges`) of `_partial_bfs(G, j)`."""
+    _, pred, tgt = _partial_bfs(G, j)
+    return closing_edges(pred, tgt)
+
+
 def _extend(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Every row of P followed by every entry of c, rows in order."""
     return np.concatenate([np.repeat(P, len(c), axis=0),
@@ -97,18 +107,18 @@ def _extend(P: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     """Keep the prefixes (rows of P, shape m x j) that define a consistent
     partial homomorphism on the subgroup generated by the first j generators.
-    Returns (surviving P, their image matrices over that subgroup)."""
+    Returns (surviving P, their image matrices over that subgroup).
+
+    One word walk per chunk of rows (`core.word_images`) checks each edge
+    off the BFS tree at the level where it closes (`_closing_edges`) and
+    drops a failed prefix there, so no image of it is computed past that
+    level.  Each generator's image sits at its own position, so the
+    surviving prefixes are read off their image rows."""
     _, pred, tgt = _partial_bfs(G, j)
-    mul = _table_product(U)
-    keep_P = []
-    keep_img = []
-    for lo in range(0, P.shape[0], _CHUNK):
-        C = P[lo:lo + _CHUNK]
-        img = word_images(pred, U, C)
-        ok = _respects_generator_edges(tgt, img, mul)
-        keep_P.append(C[ok])
-        keep_img.append(img[ok])
-    return np.concatenate(keep_P), np.concatenate(keep_img)
+    edges = _closing_edges(G, j)
+    img = np.concatenate([word_images(pred, U, P[lo:lo + _CHUNK], edges)
+                          for lo in range(0, P.shape[0], _CHUNK)])
+    return img[:, tgt[0]], img
 
 
 @dataclass
@@ -184,8 +194,8 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
         P, img = _filter_prefixes(G, U, _extend(P, c), j)
 
     # img columns follow the full-BFS element order, which is the id order.
-    # The last level passed the generator-edge check on all of G, so each
-    # row is a hom by the lemma of core._respects_generator_edges.
+    # The last level's walk checked every edge of G, so each row is a hom
+    # by the lemma of core.word_images.
     return img, explored
 
 

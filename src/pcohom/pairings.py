@@ -18,7 +18,8 @@ pairings all read these two.
 Liftability and inflation are gathers over generator columns; no
 |G| x |G| table is built.  The gathers read two kinds of table, each
 expanded from verified generator columns: the classifying cocycle
-alpha's table over Gbar, in `cohomology.pullback_columns`, and the basis
+alpha's table over Gbar, in `cohomology.pullback_columns` (alpha and its
+table are built once per extension, `_extension_alpha`), and the basis
 tables of H^2(G/N2), for the inflation matrix.  Lemma: for a hom
 f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
 f*alpha along pi has generator columns alpha(f(pi g), f(pi s)), s over
@@ -223,7 +224,18 @@ class LiftablePullbacks:
         return GroupHom(self.space.group, self.exts[i].Gbar, self.images[i])
 
     def cocycle(self, i) -> Cocycle2:
-        return pullback(classifying_cocycle(self.exts[i]), self.rho(i))
+        return pullback(_extension_alpha(self.exts[i]), self.rho(i))
+
+
+def _extension_alpha(ext: CentralExtension) -> Cocycle2:
+    """`classifying_cocycle(ext)`, built once per extension and kept on
+    it with the section it was built from, so a copy of ext given another
+    section builds its own.  Its table (`Cocycle2.table`) is kept with it,
+    so every pullback along ext reads one expansion."""
+    key = ext.section.tobytes()
+    if ext._alpha is None or ext._alpha[0] != key:
+        ext._alpha = key, classifying_cocycle(ext)
+    return ext._alpha[1]
 
 
 @memo
@@ -241,7 +253,7 @@ def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
     space = h2_space(Q, p)
     sources = []                # (ext, alpha, image matrix) per extension
     for ext in fam.extensions:
-        sources.append((ext, classifying_cocycle(ext),
+        sources.append((ext, _extension_alpha(ext),
                         enumerate_homs(Q, ext.Gbar, budget=budget).images))
     V = np.concatenate([pullback_coords(alpha, R, space)
                         for _, alpha, R in sources])
@@ -291,7 +303,7 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
     lift = lift_hom(ext, pi, rhobar, budget=budget)
     a = lift is not None
 
-    alpha = classifying_cocycle(ext)
+    alpha = _extension_alpha(ext)
     R = rhobar.image[None, :]
     c = bool(coboundary_mask(
         G, pullback_columns(alpha, R[:, pi.image], G), p)[0])

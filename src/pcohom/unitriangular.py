@@ -70,6 +70,9 @@ class CentralExtension:
     label: str = ""
     gammas: list = field(default_factory=list)     # assumption (I) witnesses
     z_embed: GroupHom | None = None                # assumption (II) witness
+    # (section bytes, classifying cocycle): `pairings._extension_alpha`
+    _alpha: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         z_img = set(int(x) for x in self.iota.image)

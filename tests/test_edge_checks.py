@@ -9,9 +9,9 @@ definitions directly: O(n^3) associativity, O(|G|^2) multiplicativity
 and the O(n^3) cocycle identity, the last on the table expanded from the
 columns, beside the table check of `cocycle_tables`.  On valid objects
 and on objects with one corrupted entry, the edge check must accept
-exactly when its reference does.  The hom search, which runs
-the batch edge check on blocks of prefixes, is compared with a search step
-that checks every forced product of every prefix.
+exactly when its reference does.  The hom search, which checks each
+edge inside its word walk at the level where the edge closes, is compared
+with a search step that checks every forced product of every prefix.
 """
 
 import ast
@@ -365,7 +365,9 @@ def _u729():
 
 
 @pytest.mark.parametrize("gname,uname", HOM_PAIRS + [("E:2:3", "U:3:2"),
-                                                     ("E:3:2", "U729")])
+                                                     ("E:3:2", "U729"),
+                                                     ("Meta:3", "U:2:9"),
+                                                     ("U:3:2", "U:3:2")])
 def test_hom_search_matches_full_check_search(gname, uname, monkeypatch):
     G = pc.builtin_group(gname)
     U = _u729() if uname == "U729" else pc.builtin_group(uname)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcohom import gf
@@ -265,9 +265,19 @@ def shaped_matrix(rng, rows, cols, p):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_PRIMES),
-       st.integers(0, 9), st.integers(0, 9))
-def test_rref_matches_full_update_reference(seed, p, rows, cols):
-    a = shaped_matrix(np.random.default_rng(seed), rows, cols, p)
+       st.integers(0, 9), st.integers(0, 9), st.booleans())
+@example(1, 2, 7, 6, True)
+@example(2, 3, 8, 5, True)
+@example(3, 191, 6, 8, True)
+def test_rref_matches_full_update_reference(seed, p, rows, cols, lifted):
+    """rref against the reference; a lifted input has the same residues
+    with negative entries and entries >= p, which rref reduces as it reads
+    them into its working dtype (the examples cover p = 2, 3 and 191, one
+    per dtype)."""
+    rng = np.random.default_rng(seed)
+    a = shaped_matrix(rng, rows, cols, p)
+    if lifted:
+        a = a + p * rng.integers(-3, 4, size=a.shape)
     r, piv = gf.rref(a, p)
     want_r, want_piv = full_rref(a, p)
     assert piv == want_piv

@@ -113,6 +113,50 @@ def test_weighted_count_is_hom_count(reference_pairs):
         assert hom_count(G, U) == (len(ref), ref.explored_prefixes)
 
 
+def bfs_depths(pred):
+    """Reference: the depth of each position of a BFS, one position at a
+    time along pred."""
+    depth = np.zeros(len(pred), dtype=np.int64)
+    for c in range(1, len(pred)):
+        depth[c] = depth[pred[c, 0]] + 1
+    return depth
+
+
+def test_edge_schedule_closes_each_non_tree_edge_once():
+    """The edge schedule lemma (`core.closing_edges`): on every partial
+    BFS of the catalog groups and of the hom-enum codomains, every
+    non-tree edge (e, s) is scheduled exactly once, at the first level
+    where e, tgt[e, s] and the generator s are all filled, and no tree
+    edge is scheduled.  Level k of `bfs_levels` holds the positions at
+    depth k + 1, so that level is the greatest depth of the three, less
+    one."""
+    groups = {G.key: G for _, G, _ in catalog_instances()}
+    for p in (2, 3):
+        groups.update((U.key, U) for U in hom_enum_codomains(p))
+    checked = 0
+    for G in groups.values():
+        for j in range(1, len(G.generators) + 1):
+            _, pred, tgt = homsearch._partial_bfs(G, j)
+            t, e, g, bounds = homsearch._closing_edges(G, j)
+            depth = bfs_depths(pred)
+            assert len(bounds) == depth.max() + 1
+            assert bounds[0] == 0 and bounds[-1] == len(t)
+            level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+            gens = tgt[0].tolist()
+            got = {}
+            for i in range(len(t)):
+                edge = (int(e[i]), gens.index(g[i]))
+                assert edge not in got and t[i] == tgt[edge], (G.name, j)
+                got[edge] = int(level[i])
+            tree = {(int(d), int(s)) for d, s in pred[1:]}
+            want = {(x, s): int(max(depth[x], depth[tgt[x, s]], 1)) - 1
+                    for x in range(len(pred)) for s in range(j)
+                    if (x, s) not in tree}
+            assert got == want, (G.name, j)
+            checked += 1
+    assert checked >= len(groups) > 30
+
+
 def test_conjugacy_classes_against_definition():
     for U in [pc.builtin_group("D4"), pc.builtin_group("Heis:3"),
               pc.builtin_group("U:3:2")]:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -468,6 +469,37 @@ def test_transgression_span_built_once_per_surjection(monkeypatch):
             assert liftability_crosscheck(ext, pi, rho)["status"] == "PASS"
             n_homs += 1
     assert n_homs > 1 and len(calls) == 1
+
+
+def test_alpha_built_once_per_extension(monkeypatch):
+    """liftability_crosscheck reads each extension's alpha from
+    `pairings._extension_alpha`: over every hom of a Meta:3 quotient, one
+    classifying_cocycle and one whole-table expansion (`Cocycle2.table`)
+    per extension.  A copy of an extension given another section gets an
+    alpha of its own, and the first keeps its alpha."""
+    built = _count_calls(monkeypatch, pairings, "classifying_cocycle")
+    expanded = _count_calls(monkeypatch, cohomology, "_expand_from_columns")
+    G = dataclasses.replace(pc.builtin_group("Meta:3"), _cache={})
+    fam = pc.omega_family("mixed", None, 3)
+    Q, pi = cached_quotient(G, pc.t_bundle(G, fam).Tbar)
+    exts = [dataclasses.replace(ext) for ext in fam.extensions]  # no alpha
+    n_homs = 0
+    for ext in exts:
+        for rho in pc.enumerate_homs(Q, ext.Gbar).homs:
+            assert liftability_crosscheck(ext, pi, rho)["status"] == "PASS"
+            n_homs += 1
+    assert n_homs > len(exts) == len(built)
+    assert sum(len(args) == 3 for args in expanded) == len(exts)
+    ext = exts[0]
+    alpha = pairings._extension_alpha(ext)
+    shifted = copy.copy(ext)
+    shifted.section = ext.section.copy()
+    shifted.section[1:] = ext.E.mult[ext.section[1:], ext.iota.image[1]]
+    other = pairings._extension_alpha(shifted)
+    assert np.array_equal(
+        other.columns, cohomology.classifying_cocycle(shifted).columns)
+    assert not np.array_equal(other.columns, alpha.columns)
+    assert pairings._extension_alpha(ext) is alpha
 
 
 # ---------------------------------------------------------------------
