@@ -71,9 +71,11 @@ def _random_standin_quotients(rng):
 
 def catalog_instances():
     """(name, group, p) triples; at least 25 groups, each of order at most
-    H2_ORDER_CAP, since the sweep needs H^2 of every one.  The list reads
-    no input (fixed names, CATALOG_SEED), so its length is a constant,
-    checked once by `tests/test_catalog.py`, not on every call."""
+    H2_ORDER_CAP.  The sweep needs H^2 of G/Tbar only, but the filter
+    stays: moving it would change the seeded picks and the sweep digest
+    with them.  The list reads no input (fixed names, CATALOG_SEED), so
+    its length is a constant, checked once by `tests/test_catalog.py`,
+    not on every call."""
     rng = np.random.default_rng(CATALOG_SEED)
     named2 = ["Z/2", "Z/4", "Z/8", "Z/16", "E:2:2", "E:2:3", "Z/4xZ/2",
               "Z/8xZ/2", "D4", "Q8", "D4xZ/2", "Q8xZ/2", "U:2:2", "U:3:2",

@@ -15,6 +15,7 @@ subgroup outside Tbar, N1 not inside N2, or a group over a size cap).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -303,12 +304,11 @@ def _open_out(path):
 
 
 def _emit(reports, fh):
-    text = "\n".join(json.dumps(r, default=_json_default) for r in reports)
-    if fh is None:
-        print(text)
-        return
-    with fh:
-        fh.write(text + "\n")
+    """One JSON line per report, to the --out file fh (then closed) or to
+    stdout; no report writes nothing."""
+    with fh or contextlib.nullcontext(sys.stdout) as out:
+        for r in reports:
+            out.write(json.dumps(r, default=_json_default) + "\n")
 
 
 def _json_default(o):

@@ -19,7 +19,10 @@ alpha's table in `pullback_columns` and the H^2 basis tables in
 Coboundary questions are asked in the BFS-tree gauge: every cocycle is
 cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
 coboundaries left in that gauge are the row space of an ngens-row matrix
-D (`_tree_coboundaries`), whose left nullspace also gives H^1.
+D (`_tree_coboundaries`), whose left nullspace also gives H^1.  The
+residue of a cocycle, its gauge reduced against D (`coboundary_residue`),
+is linear and zero exactly on the coboundaries; the liftability test and
+the inflations of `pairings` read it.
 
 Z^2 is solved in the same gauge, over the n(ngens - 1) + 1 columns off
 the tree (`_gauged_z2`), and the canonical basis is rebuilt from it
@@ -164,16 +167,27 @@ def _tree_coboundaries(G: FiniteGroup, p: int):
     return W, D, gf.Span(D.shape[1], p, D)
 
 
+def coboundary_residue(G: FiniteGroup, u, p: int) -> np.ndarray:
+    """The residue of the generator columns u (one vector, or a matrix
+    with one per row): the gauge of u (`_gauge`) reduced against the span
+    of D (`_tree_coboundaries`), every row in one `_gauge` call and one
+    product.  The residue is linear in u, as the gauge and the reduction
+    are.
+
+    Lemma: on Z^2 the residue is zero exactly on the coboundaries, so it is
+    injective on H^2.  The gauge of u is 0 on the BFS tree, so u is a
+    coboundary iff the gauge lies in the row space of D, rank ngens -
+    dim H^1.  A row that is not a cocycle never has residue zero, as every
+    row of D is a coboundary."""
+    return _tree_coboundaries(G, p)[2].reduce(_gauge(G, u, p))
+
+
 def coboundary_mask(G: FiniteGroup, u, p: int):
     """Which of the (already verified) normalized 2-cocycles given by their
     generator columns u are coboundaries: u is one vector, giving one bool,
-    or a matrix with one cocycle per row, giving a bool per row.  Every row
-    is gauged in one `_gauge` call and reduced in one product against the
-    span of D.  The gauge of u is 0 on the BFS tree, so u is a coboundary
-    iff the gauge lies in the row space of D, rank ngens - dim H^1
-    (`_tree_coboundaries`).  A row that is not a cocycle is never in that
-    row space, as every row of D is a coboundary, so it reads False."""
-    return ~_tree_coboundaries(G, p)[2].reduce(_gauge(G, u, p)).any(axis=-1)
+    or a matrix with one cocycle per row, giving a bool per row: True
+    where the residue is zero (`coboundary_residue`)."""
+    return ~coboundary_residue(G, u, p).any(axis=-1)
 
 
 def is_coboundary(c: Cocycle2) -> bool:
@@ -537,6 +551,17 @@ def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
     return Cocycle2(Gbar, cols.ravel(), p)
 
 
+def _extension_alpha(ext: CentralExtension) -> Cocycle2:
+    """`classifying_cocycle(ext)`, built once per extension and kept on
+    it with the section it was built from, so a copy of ext given another
+    section builds its own.  Its table (`Cocycle2.table`) is kept with it,
+    so every pullback along ext reads one expansion."""
+    key = ext.section.tobytes()
+    if ext._alpha is None or ext._alpha[0] != key:
+        ext._alpha = key, classifying_cocycle(ext)
+    return ext._alpha[1]
+
+
 def pullback(alpha: Cocycle2, rho: GroupHom) -> Cocycle2:
     """f*alpha for the hom f = rho into alpha's group, its generator
     columns read by `pullback_columns`."""
@@ -661,7 +686,7 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
         [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
                      for x in range(Gbar.order)], dtype=np.int64)
          for i in range(n)], axis=1)           # (|Gbar|, n)
-    alpha = classifying_cocycle(ext)
+    alpha = _extension_alpha(ext)
     R = enumerate_homs(Q, Gbar, budget=budget).images
     want = np.stack([phi.values % p for phi in phis], axis=1)
     R = R[(superdiag[R] == want).all(axis=(1, 2))]

@@ -657,9 +657,6 @@ class GroupHom:
                         np.nonzero(self.image == 0)[0].astype(np.int32),
                         check=False)
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.codomain, np.unique(self.image), check=False)
-
     def is_surjective(self):
         return len(np.unique(self.image)) == self.codomain.order
 

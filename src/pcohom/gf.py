@@ -17,9 +17,11 @@ solves is one product too.  A subspace is passed around as its basis rows
 
 Each elimination touches only what it changes: ``rref`` drops the zero
 rows and, at each pivot, updates only the rows that are nonzero in the
-pivot column, from that column on.  ``Span`` factors its initial vectors
-in one elimination, and ``Span.add`` extends it by one vector or by a
-matrix of them the same way.
+pivot column, from that column on.  ``Span.add`` is the one way a span is
+factored: its initial vectors and every later vector, or matrix of them,
+go through it.  It finds the vectors that grow the span by one rref, and
+merges them into the kept factors by one more rref of the stacked
+factors, which is unique.
 """
 
 from __future__ import annotations
@@ -170,34 +172,28 @@ class Span:
         that grew the span of the vectors before it.  The rows that grow
         are the pivot columns of rref(w.T), w the rows reduced against the
         span (w[j] is independent of w[:j] iff v[j] is independent of the
-        span and v[:j]).  One rref of [w[grow] | x], x their coefficients
-        over the added vectors, then gives their rref rows and transform,
-        which are back-substituted into the kept rows and merged by pivot.
-        rows and the transform on the vectors that grew are unique, so the
-        state is the one adding the rows one at a time would leave."""
+        span and v[:j]).  One rref of the stacked factors
+        [[rows | trans, 0]; [w[grow] | x]], with x = [-coef[grow] @ trans,
+        I[grow]] the coefficients of w[grow] over the added vectors, then
+        gives the new rows, pivots and transform.  Every stacked row is a
+        pair (t @ added, t) with t zero off the vectors that grew, and the
+        left block has full row rank, so every pivot is a column of the
+        left block, and the row space is that of all such pairs.  An rref
+        is unique, so the state is the one adding the rows one at a time
+        would leave."""
         p = self.p
         v = np.asarray(v, dtype=np.int64) % p
         w = np.atleast_2d(v)
-        m, k = self.trans.shape[1], len(w)
+        (r, ncols), k = self.rows.shape, len(w)
         coef = w[:, self.pivots]
         w = (w - coef @ self.rows) % p
         grow = rref(w.T, p)[1]
-        x = np.zeros((len(grow), m + k), dtype=np.int64)
-        x[:, :m] = (-coef[grow] @ self.trans) % p
-        x[np.arange(len(grow)), m + np.asarray(grow, dtype=np.intp)] = 1
-        r, new = rref(np.concatenate([w[grow], x], axis=1), p)
-        ncols = self.rows.shape[1]
-        col = self.rows[:, new]
-        rows = np.concatenate([(self.rows - col @ r[:, :ncols]) % p,
-                               r[:, :ncols]])
-        trans = np.concatenate([
-            (np.pad(self.trans, ((0, 0), (0, k))) - col @ r[:, ncols:]) % p,
-            r[:, ncols:]])
-        order = np.argsort(self.pivots + new)
-        self.rows, self.trans = rows[order], trans[order]
-        self.pivots = sorted(self.pivots + new)
-        grew = np.zeros(k, dtype=bool)
-        grew[grow] = True
+        R, self.pivots = rref(np.block([
+            [self.rows, self.trans, np.zeros((r, k), dtype=np.int64)],
+            [w[grow], -coef[grow] @ self.trans,
+             np.eye(k, dtype=np.int64)[grow]]]), p)
+        self.rows, self.trans = R[:, :ncols], R[:, ncols:]
+        grew = np.isin(np.arange(k), grow)
         return bool(grew[0]) if v.ndim == 1 else grew
 
     def solve(self, v):

@@ -10,22 +10,35 @@ batched transgression solve and one product (`_transgression_pairing`),
 and the induced coker x ker pairing one rref and one product.
 
 Each pair N1 <= N2 of normal subgroups is built once by the memoized
-``_pair`` (the quotient maps, H^2(G/N2) and the inflation matrix to
-H^2(G/N1)), and each surjection's transgression is factored once by the
-memoized ``cohomology.transgression_span``; the A/B/C subspaces and
-pairings all read these two.
+``_pair`` (the quotient maps, H^2(G/N2) and the inflation matrix), and
+each surjection's transgression is factored once by the memoized
+``cohomology.transgression_span``; the A/B/C subspaces and pairings all
+read these two.  One H^2 is built per pair, that of G/N2.
+
+Every subspace of the tower is a kernel of an inflation, so the tower
+asks of an inflated class only whether it vanishes, and one test answers
+that: the coboundary residue (`cohomology.coboundary_residue`), linear
+and zero exactly on the coboundaries.  The inflation matrix R holds, per
+basis class of H^2(G/N2), the residue of its inflation on Q1 = G/N1, and
+a class v inflates to zero iff v R = 0.  Lemma: R = M rho(B1), where M is
+the coordinate matrix of inf: H^2(G/N2) -> H^2(Q1), B1 the basis of
+H^2(Q1) and rho the residue on Q1, as rho is linear and kills B^2.  rho
+is injective on H^2(Q1), so rho(B1) has full row rank and v R = 0 iff
+v M = 0.  `gf.nullspace` returns the canonical basis of a null subspace,
+whose free columns depend only on that subspace, so A, B, C, the pairing
+matrices and the witnesses are those M gives, and H^2(Q1) is never built.
 
 Liftability and inflation are gathers over generator columns; no
 |G| x |G| table is built.  The gathers read two kinds of table, each
 expanded from verified generator columns: the classifying cocycle
 alpha's table over Gbar, in `cohomology.pullback_columns` (alpha and its
-table are built once per extension, `_extension_alpha`), and the basis
-tables of H^2(G/N2), for the inflation matrix.  Lemma: for a hom
-f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
+table are built once per extension, `cohomology._extension_alpha`), and
+the basis tables of H^2(G/N2), for the inflation matrix.  Lemma: for a
+hom f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
 f*alpha along pi has generator columns alpha(f(pi g), f(pi s)), s over
 G's generators.  It is the pullback of the verified cocycle alpha along
 the verified hom f o pi, hence a verified cocycle (the lemma at
-`cohomology.pullback_coords`).  So its gauge lies in the row space of D
+`cohomology.pullback_coords`).  So its residue is zero
 (`cohomology.coboundary_mask`) iff the inflated table
 alpha(f(pi x), f(pi y)) is a coboundary, and every class is decided
 liftable exactly as the table test decides it.  `inflation_matrix` reads
@@ -49,17 +62,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf
-from .cohomology import (Cocycle2, H2Space, _expand_from_columns,
-                         classifying_cocycle, coboundary_mask, h2_space,
+from .cohomology import (Cocycle2, H2Space, _column_violations,
+                         _expand_from_columns, _extension_alpha,
+                         coboundary_mask, coboundary_residue, h2_space,
                          pullback, pullback_columns, pullback_coords,
                          transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, _elementary_abelian_mod,
                    _least_id_generators, intersect_subgroups, join_subgroups,
                    memo, power_commutator_subgroup, quotient_group)
-from .errors import (KernelMismatch, MixedParents, NonCommutingSquare,
-                     NotElementaryAbelian, OracleDisagreement,
-                     PairingShapeMismatch, SpecError, SubgroupChainBroken,
-                     TransgressionSolveFailed)
+from .errors import (EdgeCheckFailed, KernelMismatch, MixedParents,
+                     NonCommutingSquare, NotElementaryAbelian,
+                     OracleDisagreement, PairingShapeMismatch, SpecError,
+                     SubgroupChainBroken, TransgressionSolveFailed)
 from .homsearch import DEFAULT_BUDGET, enumerate_homs, lift_hom, t_bundle
 from .unitriangular import CentralExtension, OmegaFamily
 
@@ -152,35 +166,41 @@ def induced_epi(pi1: GroupHom, pi2: GroupHom) -> GroupHom:
     return q
 
 
-def inflation_matrix(space2: H2Space, space1: H2Space, q: GroupHom):
-    """Matrix M of inf: H^2(Q2) -> H^2(Q1) along q: Q1 -> Q2, acting on
-    coordinate row vectors as v -> v @ M.  The basis tables b of H^2(Q2)
-    are expanded from their verified generator columns in one batched walk
-    (`cohomology._expand_from_columns`), one gather takes the generator
-    columns b(q(x), q(s)) of every q*b, and one `column_coords` solves them
-    all; each q*b is a verified cocycle (the lemma at
-    `cohomology.pullback_coords`), so none is re-checked, and
-    `column_coords` still rejects a row outside Z^2."""
-    Q1 = space1.group
-    if q.domain.key != Q1.key or q.codomain.key != space2.group.key:
-        raise MixedParents("q does not map the group of space1 to that of "
-                           "space2")
-    B = _expand_from_columns(space2.group, space2.basis, space2.p)
+def inflation_matrix(space2: H2Space, q: GroupHom):
+    """The inflation matrix R along q: Q1 -> Q2 = space2.group: row i is
+    the coboundary residue (`cohomology.coboundary_residue`) on Q1 of the
+    inflation q*b_i of basis class i of H^2(Q2), so a class v inflates to
+    zero iff v @ R = 0 (lemma in the module docstring).  The basis tables
+    b of H^2(Q2) are expanded from their verified generator columns in one
+    batched walk (`cohomology._expand_from_columns`), one gather takes the
+    generator columns b(q(x), q(s)) of every q*b, and one
+    `coboundary_residue` reduces them all.  Each q*b is a verified cocycle
+    (the lemma at `cohomology.pullback_coords`); the rows are checked at
+    the generators all the same (`cohomology._column_violations`), so a
+    row outside Z^2 raises `errors.EdgeCheckFailed`."""
+    Q1, p = q.domain, space2.p
+    if q.codomain.key != space2.group.key:
+        raise MixedParents("q does not map onto the group of space2")
+    B = _expand_from_columns(space2.group, space2.basis, p)
     x, gens = q.image, np.asarray(Q1.generators, dtype=np.intp)
-    cols = B[:, x[:, None], x[None, gens]]
-    return space1.column_coords(cols.reshape(len(B), Q1.order * len(gens)))
+    cols = B[:, x[:, None], x[None, gens]].reshape(len(B),
+                                                    Q1.order * len(gens))
+    if _column_violations(Q1, cols, p).any():
+        raise EdgeCheckFailed("inflated basis row is not a cocycle")
+    return coboundary_residue(Q1, cols, p)
 
 
 class _Pair(NamedTuple):
     pi1: GroupHom            # G -> G/N1
     q: GroupHom              # G/N1 -> G/N2
-    space: H2Space           # H^2(G/N2)
-    inflation: np.ndarray    # inf: H^2(G/N2) -> H^2(G/N1), as v -> v @ M
+    space: H2Space           # H^2(G/N2), the one H^2 of the pair
+    inflation: np.ndarray    # R: v inflates to 0 on G/N1 iff v @ R = 0
 
 
 @memo
 def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
-    """The quotient maps and the inflation matrix of normal N1 <= N2."""
+    """The quotient maps, H^2(G/N2) and the inflation matrix of normal
+    N1 <= N2."""
     if not (N1 <= N2 and N1.is_normal() and N2.is_normal()):
         raise SpecError(f"N1 (order {N1.order}) must be a normal subgroup "
                         f"inside the normal subgroup N2 (order {N2.order})")
@@ -190,7 +210,7 @@ def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
     if pi1.push(N2) != q.kernel():
         raise KernelMismatch("ker q != pi1(N2)")
     space = h2_space(Q2, p)
-    return _Pair(pi1, q, space, inflation_matrix(space, h2_space(Q1, p), q))
+    return _Pair(pi1, q, space, inflation_matrix(space, q))
 
 
 # ---------------------------------------------------------------------
@@ -198,7 +218,8 @@ def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
 # ---------------------------------------------------------------------
 
 def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int):
-    """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1)), as basis rows."""
+    """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1)), as basis rows: the
+    v with v @ R = 0 for the inflation matrix R."""
     return gf.nullspace(_pair(G, N1, N2, p).inflation.T, p)
 
 
@@ -225,17 +246,6 @@ class LiftablePullbacks:
 
     def cocycle(self, i) -> Cocycle2:
         return pullback(_extension_alpha(self.exts[i]), self.rho(i))
-
-
-def _extension_alpha(ext: CentralExtension) -> Cocycle2:
-    """`classifying_cocycle(ext)`, built once per extension and kept on
-    it with the section it was built from, so a copy of ext given another
-    section builds its own.  Its table (`Cocycle2.table`) is kept with it,
-    so every pullback along ext reads one expansion."""
-    key = ext.section.tobytes()
-    if ext._alpha is None or ext._alpha[0] != key:
-        ext._alpha = key, classifying_cocycle(ext)
-    return ext._alpha[1]
 
 
 @memo

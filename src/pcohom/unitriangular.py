@@ -70,7 +70,7 @@ class CentralExtension:
     label: str = ""
     gammas: list = field(default_factory=list)     # assumption (I) witnesses
     z_embed: GroupHom | None = None                # assumption (II) witness
-    # (section bytes, classifying cocycle): `pairings._extension_alpha`
+    # (section bytes, classifying cocycle): `cohomology._extension_alpha`
     _alpha: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 

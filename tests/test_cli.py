@@ -265,7 +265,7 @@ def test_malformed_manifest_exits_3(tmp_path):
     assert main(["--manifest", str(badjob)]) == 3
 
 
-def test_manifest_runs_multiple_jobs(tmp_path):
+def test_manifest_runs_multiple_jobs(tmp_path, capsys):
     man = tmp_path / "man.json"
     man.write_text(json.dumps({"jobs": [
         {"command": "group-info", "group": "D4"},
@@ -275,6 +275,14 @@ def test_manifest_runs_multiple_jobs(tmp_path):
     reps = run(tmp_path, ["--manifest", str(man)])
     assert [r["command"] for r in reps] == ["group-info", "h2", "lyndon"]
     assert reps[1]["dim"] == 3
+    # an empty manifest writes nothing, to --out or to stdout
+    man.write_text(json.dumps({"jobs": []}))
+    out = tmp_path / "empty.jsonl"
+    assert main(["--out", str(out), "--manifest", str(man)]) == 0
+    assert out.read_text() == ""
+    capsys.readouterr()
+    assert main(["--manifest", str(man)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -945,20 +946,58 @@ def test_massey_n2_equals_cup():
 
 
 def test_massey_n3_contains_zero_for_defined_triple():
-    # <x, y, x> on (Z/2)^2: the triple product is defined (x u y = y u x = 0
-    # in the right arrangement fails, so pick x, x, y with x u x = Bock(x)...)
-    # use two independent characters u, v with u u v != 0: then no rho with
-    # that superdiagonal exists and the pullback set is empty
+    # On V = (Z/2)^2, with x, y the basis of H^1, a hom V -> Ubar with
+    # superdiagonal (a, b, c) exists iff a u b = 0 and b u c = 0, that is,
+    # iff <a, b, c> is defined; when it is not, the set is empty.
     V = pc.builtin_group("E:2:2")
     x, y = h1(V, 2)
     fam = pc.omega_family("zassenhaus", 3, 2)
     vals = massey_pullback_set(V, 3, [x, y, x], fam)
-    # x u y != 0 obstructs the defining homomorphism
+    # x u y != 0, so <x, y, x> is not defined
     assert vals == []
-    # while <x, x, x> is defined on Z/4's quotient... on (Z/2)^2 x u x =
-    # Bock(x) != 0 also obstructs
+    # x u x = Bock(x) = x^2 != 0 on (Z/2)^2, so <x, x, x> is not defined
+    # either
     assert massey_pullback_set(V, 3, [x, x, x], fam) == []
-    # the zero character row is always realizable
+    # <0, 0, 0> is defined and contains zero: the trivial hom lifts
     zero = Cochain1(V, np.zeros(V.order, dtype=np.int64), 2)
     vals = massey_pullback_set(V, 3, [zero, zero, zero], fam)
     assert any(not c.any() for _, c, _ in vals)
+
+
+def superdiagonal(E, n):
+    """(|E|, n): the superdiagonal entries of E's unitriangular matrices."""
+    return np.array([[el.entries[i, i + 1] for i in range(n)]
+                     for el in E.elements], dtype=np.int64)
+
+
+MASSEY_ORACLE_CASES = [("E:2:2", 2, 2), ("E:2:2", 3, 2), ("Z/4", 3, 2),
+                       ("D4", 3, 2), ("Q8", 3, 2), ("Z/4xZ/2", 3, 2),
+                       ("E:2:3", 3, 2), ("E:3:2", 2, 3), ("Z/9", 2, 3),
+                       ("Heis:3", 2, 3)]
+
+
+def test_massey_set_has_zero_iff_a_hom_to_E_has_the_superdiagonal():
+    """Dwyer's lift criterion as an oracle with no cohomology.  For
+    zassenhaus(n, p), with bar extension E -> Ubar, the set
+    massey_pullback_set(Q, n, phis, fam) has the zero class iff some hom
+    Q -> E (`enumerate_homs`) has superdiagonal phis: a hom to Ubar lifts
+    to E iff its pullback class vanishes (the central-extension lift
+    criterion), a lift keeps the superdiagonal, and every hom to E lifts
+    its image in Ubar.  Every tuple of basis characters of H^1(Q) is
+    tried; all three outcomes occur: undefined (an empty set), defined
+    without zero, and containing zero."""
+    outcomes = {"undefined": 0, "nonzero": 0, "zero": 0}
+    for nm, n, p in MASSEY_ORACLE_CASES:
+        Q = pc.builtin_group(nm)
+        fam = pc.omega_family("zassenhaus", n, p)
+        E = fam.extensions[0].E
+        sd = superdiagonal(E, n)[pc.enumerate_homs(Q, E).images]
+        for phis in itertools.product(h1(Q, p), repeat=n):
+            want = np.stack([phi.values for phi in phis], axis=1)
+            lifted = bool((sd == want).all(axis=(1, 2)).any())
+            vals = massey_pullback_set(Q, n, list(phis), fam)
+            has_zero = any(not v.any() for _, v, _ in vals)
+            assert has_zero == lifted, (nm, n)
+            outcomes["zero" if has_zero else
+                     "nonzero" if vals else "undefined"] += 1
+    assert outcomes == {"undefined": 58, "nonzero": 6, "zero": 9}

@@ -454,3 +454,49 @@ def test_only_bfs_levels_walks_pred():
     assert pred_walks(ast.parse(
         "def bfs_levels(pred):\n    for x in pred: pred[x]\n")) == []
     assert pred_walks(ast.parse("for x in r:\n    G.pred[x]\n")) == [1]
+
+
+# entry points that nothing in src/ refers to by name, each with its reason
+CALLED_FROM_OUTSIDE = {
+    "_Parser.error": "argparse calls it on a malformed command line",
+    "HomSet.homs": "benchmarks/tracer.py reads it",
+    "LiftablePullbacks.cocycle": "part of the result API, beside rho",
+}
+
+
+def unreferenced_functions(trees):
+    """Qualified names of the module-level functions and class methods
+    defined in trees that no name, attribute or import in trees refers
+    to.  Dunder methods, which Python calls by protocol, are left out."""
+    used, defined = set(), []
+    for tree in trees:
+        defined += [(f.name, f.name) for f in tree.body
+                    if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{f.name}", f.name)
+                            for f in node.body
+                            if isinstance(f, ast.FunctionDef)]
+    return sorted(q for q, name in defined if name not in used
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_src_function_is_referenced_in_src():
+    """No dead code: every function and method defined in src/pcohom is
+    referenced in src/pcohom, apart from the entry points listed, with
+    their reasons, in CALLED_FROM_OUTSIDE."""
+    src = ROOT / "src" / "pcohom"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    assert unreferenced_functions(trees) == sorted(CALLED_FROM_OUTSIDE)
+    probe = ("import m\nfrom m import g\ndef f(): h()\ndef g(): pass\n"
+             "def h(): pass\ndef dead(): pass\n"
+             "class C:\n    def __init__(self): pass\n"
+             "    def gone(self): pass\n    def kept(self): self.kept\n")
+    assert unreferenced_functions([ast.parse(probe)]) == ["C.gone", "dead",
+                                                          "f"]

@@ -382,6 +382,21 @@ def test_transfer_check_all_instances():
         assert rep["status"] == "PASS", nm
 
 
+@pytest.mark.parametrize("nm", ["Z/4xZ/4xZ/4xZ/4", "U:3:2xZ/4"])
+def test_transfer_check_above_the_h2_cap(nm):
+    """The tower builds H^2 of G/Tbar only, so H2_ORDER_CAP binds G/Tbar,
+    not G: groups of order 256 are checked with N trivial and N = Tbar."""
+    G = pc.builtin_group(nm)
+    assert G.order > cohomology.H2_ORDER_CAP
+    for kind in ("zassenhaus", "lower-central"):
+        fam = pc.omega_family(kind, 2, 2)
+        tbar = pc.t_bundle(G, fam).Tbar
+        assert G.order // tbar.order <= cohomology.H2_ORDER_CAP
+        for N in (trivial(G), tbar):
+            assert transfer_check(G, N, fam)["status"] == "PASS", (kind,
+                                                                   N.order)
+
+
 # ---------------------------------------------------------------------
 # pinned outputs of the class solves (witnesses and pairing matrices)
 # ---------------------------------------------------------------------
@@ -446,7 +461,12 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_inflation_matrix_built_once_per_pair(monkeypatch):
+    """One inflation matrix per pair, and one H^2 per pair: every h2_space
+    call of the run, from pairings or from cohomology, is on G/Tbar, and
+    none on G/N1."""
     calls = _count_calls(monkeypatch, pairings, "inflation_matrix")
+    h2_calls = (_count_calls(monkeypatch, pairings, "h2_space"),
+                _count_calls(monkeypatch, cohomology, "h2_space"))
     # a cold cache: a live D4 of an earlier test shares its warm one
     G = dataclasses.replace(pc.builtin_group("D4"), _cache={})
     fam = pc.omega_family("zassenhaus", 2, 2)
@@ -455,6 +475,10 @@ def test_inflation_matrix_built_once_per_pair(monkeypatch):
     a_pairing(G, trivial(G), bundle.Tbar, 2)
     c_pairing(G, trivial(G), bundle.Tbar, fam)
     assert len(calls) == 1
+    Q2 = cached_quotient(G, bundle.Tbar)[0]
+    assert Q2.order < G.order
+    groups = [args[0] for c in h2_calls for args in c]
+    assert groups and all(Q.key == Q2.key for Q in groups)
 
 
 def test_transgression_span_built_once_per_surjection(monkeypatch):
@@ -472,12 +496,14 @@ def test_transgression_span_built_once_per_surjection(monkeypatch):
 
 
 def test_alpha_built_once_per_extension(monkeypatch):
-    """liftability_crosscheck reads each extension's alpha from
-    `pairings._extension_alpha`: over every hom of a Meta:3 quotient, one
-    classifying_cocycle and one whole-table expansion (`Cocycle2.table`)
-    per extension.  A copy of an extension given another section gets an
-    alpha of its own, and the first keeps its alpha."""
-    built = _count_calls(monkeypatch, pairings, "classifying_cocycle")
+    """liftability_crosscheck and massey_pullback_set read each
+    extension's alpha from `cohomology._extension_alpha`: over every hom
+    of a Meta:3 quotient, and over repeated Massey sets of a zassenhaus
+    family, one classifying_cocycle and one whole-table expansion
+    (`Cocycle2.table`) per extension.  A copy of an extension given
+    another section gets an alpha of its own, and the first keeps its
+    alpha."""
+    built = _count_calls(monkeypatch, cohomology, "classifying_cocycle")
     expanded = _count_calls(monkeypatch, cohomology, "_expand_from_columns")
     G = dataclasses.replace(pc.builtin_group("Meta:3"), _cache={})
     fam = pc.omega_family("mixed", None, 3)
@@ -490,16 +516,29 @@ def test_alpha_built_once_per_extension(monkeypatch):
             n_homs += 1
     assert n_homs > len(exts) == len(built)
     assert sum(len(args) == 3 for args in expanded) == len(exts)
+
+    built.clear()
+    expanded.clear()
+    zfam = pc.omega_family("zassenhaus", 3, 2)
+    zfam = dataclasses.replace(zfam, extensions=[
+        dataclasses.replace(ext) for ext in zfam.extensions])   # no alpha
+    V = pc.builtin_group("Z/4xZ/2")
+    x = cohomology.h1(V, 2)[0]
+    sets = [cohomology.massey_pullback_set(V, 3, [x, x, x], zfam)
+            for _ in range(3)]
+    assert sets[0] and len(built) == 1
+    assert sum(len(args) == 3 for args in expanded) == 1
+
     ext = exts[0]
-    alpha = pairings._extension_alpha(ext)
+    alpha = cohomology._extension_alpha(ext)
     shifted = copy.copy(ext)
     shifted.section = ext.section.copy()
     shifted.section[1:] = ext.E.mult[ext.section[1:], ext.iota.image[1]]
-    other = pairings._extension_alpha(shifted)
+    other = cohomology._extension_alpha(shifted)
     assert np.array_equal(
         other.columns, cohomology.classifying_cocycle(shifted).columns)
     assert not np.array_equal(other.columns, alpha.columns)
-    assert pairings._extension_alpha(ext) is alpha
+    assert cohomology._extension_alpha(ext) is alpha
 
 
 # ---------------------------------------------------------------------
@@ -613,8 +652,10 @@ def test_batched_pullback_classes_match_per_hom_loop_on_catalog(
 
 
 def loop_inflation_matrix(space2, space1, q):
-    """inflation_matrix by one pullback Cocycle2 and one coordinate solve
-    per basis class, each basis representative space2.rep(e_i)."""
+    """The coordinate matrix M of inf: H^2(Q2) -> H^2(Q1), by one pullback
+    Cocycle2 and one coordinate solve per basis class, each basis
+    representative space2.rep(e_i); the reference for inflation_matrix,
+    whose rows are M times the residues of the basis of H^2(Q1)."""
     rows = [space1.coords(cohomology.pullback(space2.rep(e), q))
             for e in np.eye(space2.dim, dtype=np.int64)]
     if not rows:
@@ -623,23 +664,41 @@ def loop_inflation_matrix(space2, space1, q):
 
 
 def test_inflation_matrix_matches_per_class_loop(small_sweep_grid):
-    """Every pair N <= Tbar the sweep builds for the groups of order <= 32."""
+    """Every pair N <= Tbar the sweep builds for the groups of order <= 32:
+    the residue rows are the loop's coordinate matrix M times the residues
+    rho(B1) of the basis of H^2(G/N), R = M rho(B1) (lemma in the
+    `pairings` docstring)."""
     dims = set()
     for G, fam, N, tbar in small_sweep_grid:
-        pair = pairings._pair(G, N, tbar, fam.p)
-        space1 = cohomology.h2_space(pair.q.domain, fam.p)
-        M = pairings.inflation_matrix(pair.space, space1, pair.q)
-        want = loop_inflation_matrix(pair.space, space1, pair.q)
-        assert M.dtype == want.dtype and np.array_equal(M, want)
+        p = fam.p
+        pair = pairings._pair(G, N, tbar, p)
+        space1 = cohomology.h2_space(pair.q.domain, p)
+        R = pairings.inflation_matrix(pair.space, pair.q)
+        M = loop_inflation_matrix(pair.space, space1, pair.q)
+        rho = cohomology.coboundary_residue(pair.q.domain, space1.basis, p)
+        assert R.dtype == M.dtype and np.array_equal(R, (M @ rho) % p)
         dims.add(M.shape)
     assert len(dims) > 5 and any(d[0] != d[1] for d in dims)
 
 
 def test_inflation_matrix_rejects_mixed_parents():
+    """A q that does not map onto the group of space2."""
     G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
     pair = pairings._pair(G, trivial(G), bundle.Tbar, 2)
     with pytest.raises(pc.errors.MixedParents):
-        pairings.inflation_matrix(pair.space, pair.space, pair.q)
+        pairings.inflation_matrix(pair.space, pair.pi1)
+
+
+def test_inflation_matrix_rejects_corrupt_basis():
+    """A basis whose columns are no cocycle's, by one corrupted entry,
+    inflates to rows outside Z^2, which raise EdgeCheckFailed."""
+    G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
+    pair = pairings._pair(G, trivial(G), bundle.Tbar, 2)
+    basis = pair.space.basis.copy()
+    basis[0, -1] ^= 1
+    bad = dataclasses.replace(pair.space, basis=basis)
+    with pytest.raises(pc.errors.EdgeCheckFailed, match="not a cocycle"):
+        pairings.inflation_matrix(bad, pair.q)
 
 
 def test_liftable_pullback_space_edge_cases(monkeypatch):

@@ -43,7 +43,7 @@ def test_bar_extension_shapes():
         assert np.array_equal(ext.lam.image[ext.section],
                               np.arange(ext.Gbar.order))
         # kernel copy is central and matches iota
-        assert ext.lam.kernel() == ext.iota.image_subgroup()
+        assert ext.lam.kernel() == ext.iota.push(ext.Z.whole())
 
 
 def trivial_hom(G, U):
