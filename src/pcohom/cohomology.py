@@ -46,8 +46,8 @@ import numpy as np
 
 from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
-                   _respects_generator_edges, bfs_levels, builtin_group, memo,
-                   power_commutator_subgroup, subgroup_as_group, word_images)
+                   _respects_generator_edges, bfs_levels, memo,
+                   power_commutator_subgroup, subgroup_as_group)
 from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
                      NotACharacter, NotInvariant, NotNormal, NotSurjective,
                      OracleDisagreement, SectionDefectOutsideKernel,
@@ -150,9 +150,11 @@ def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
 
 @memo
 def _tree_coboundaries(G: FiniteGroup, p: int):
-    """(W, D, span): W[x, i] counts the letter i in x's BFS word mod p
-    (`core.word_images`), row i of D is the generator columns of
-    d(W[:, i]), and span is the gf.Span over the rows of D.
+    """(W, D, span): W[x, i] counts the letter i in x's BFS word mod p,
+    one batched step per BFS level (`bfs_levels`): the word of x with
+    G.pred[x] = (d, s) is that of d followed by s.  Row i of D is the
+    generator columns of d(W[:, i]), and span is the gf.Span over the
+    rows of D.
 
     Lemma: the coboundaries that are 0 on the BFS tree are the row space
     of D.  If dc is 0 on the tree edges, c(x) = c(d) + c(s) along them, so
@@ -161,7 +163,10 @@ def _tree_coboundaries(G: FiniteGroup, p: int):
     (`core._respects_generator_edges`)."""
     gens = np.asarray(G.generators, dtype=np.intp)
     ngens = len(gens)
-    W = word_images(G.pred, builtin_group(f"Z/{p}"), np.eye(ngens)).T
+    letter = np.eye(ngens, dtype=np.int32)
+    W = np.zeros((G.order, ngens), dtype=np.int32)
+    for lo, hi, d, s in bfs_levels(G.pred):
+        W[lo:hi] = (W[d] + letter[s]) % p
     D = W[:, None, :] + W[gens] - W[G.mult_gen]            # (g, j, i)
     D = (D.transpose(2, 0, 1) % p).reshape(ngens, G.order * ngens)
     return W, D, gf.Span(D.shape[1], p, D)

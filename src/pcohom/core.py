@@ -714,6 +714,8 @@ def word_images(pred, U: FiniteGroup, C: np.ndarray,
             continue
         t, e, g, bounds = edges
         a, b = bounds[k], bounds[k + 1]
+        if a == b:                          # no edge closes at this level
+            continue
         ok = (img[t[a:b]] == mul(img[e[a:b]], img[g[a:b]])).all(axis=0)
         if not ok.all():
             C = C[ok]

@@ -188,10 +188,15 @@ class Span:
         coef = w[:, self.pivots]
         w = (w - coef @ self.rows) % p
         grow = rref(w.T, p)[1]
-        R, self.pivots = rref(np.block([
-            [self.rows, self.trans, np.zeros((r, k), dtype=np.int64)],
-            [w[grow], -coef[grow] @ self.trans,
-             np.eye(k, dtype=np.int64)[grow]]]), p)
+        m = self.trans.shape[1]
+        stacked = np.zeros((r + len(grow), ncols + m + k), dtype=np.int64)
+        stacked[:r, :ncols] = self.rows
+        stacked[:r, ncols:ncols + m] = self.trans
+        stacked[r:, :ncols] = w[grow]
+        stacked[r:, ncols:ncols + m] = -coef[grow] @ self.trans
+        stacked[np.arange(r, r + len(grow)),
+                ncols + m + np.asarray(grow, dtype=np.intp)] = 1
+        R, self.pivots = rref(stacked, p)
         self.rows, self.trans = R[:, :ncols], R[:, ncols:]
         grew = np.isin(np.arange(k), grow)
         return bool(grew[0]) if v.ndim == 1 else grew

@@ -11,9 +11,17 @@ checked at the level where it closes, the first at which all three of
 its images are known (`_closing_edges`), and a prefix that fails it is
 dropped there, before any more of its images are computed.
 
-A hom set is an image matrix: `HomSet.images` has one row per hom and one
-column per element id.  `t_subgroup` and the pullback-class searches read
-the matrix directly; a `GroupHom` is built only when a caller asks for one.
+What the search keeps (`_reduced_homs`, memoized per group) is small:
+the generator images of the reduced homs, one row of ngens ids per hom,
+and the meet of their kernels, one bool per element of G.  The last
+level's image rows give the meet and are then dropped, so no memo here
+holds a |G|-wide row per hom.  `t_subgroup` reads the meet and
+`hom_count` the generator images.  Rows are expanded only in
+`enumerate_homs`, by a plain BFS word walk of the generator images: a
+hom set is then an image matrix, `HomSet.images`, with one row per hom and
+one column per element id, which the pullback-class searches read
+directly and which is not cached; a `GroupHom` is built only when a
+caller asks for one.
 
 The search runs up to U-conjugacy (`_reduced_homs`): the first generator
 s_1 takes only the least id x of each conjugacy class of U.  For u in U
@@ -158,7 +166,10 @@ def _conjugacy_classes(U: FiniteGroup) -> _Classes | None:
 def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
                   budget=DEFAULT_BUDGET) -> tuple:
     """Hom(G, U) up to U-conjugacy: the homs f with f(s_1) the least id of
-    its U-conjugacy class, as (image matrix in candidate order, explored).
+    its U-conjugacy class, as (F, meet, explored).  F holds their
+    generator images, one row (f(s_1), ..., f(s_k)) per hom, in candidate
+    order; meet is the bool mask over G's ids of the intersection of their
+    kernels.
 
     The search is the level-by-level search over generator images with the
     first generator's candidates cut to class representatives.  `explored`
@@ -166,10 +177,16 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
     over the surviving reduced prefixes f, which by the bijection of the
     module docstring (a conjugate of a consistent prefix is one) is the
     number of full prefixes times |cands_j|.  So BudgetExceeded fires at
-    the same level with the same count as a search over every hom."""
+    the same level with the same count as a search over every hom.
+
+    Level 1 runs no walk when a level follows it: <s_1> is cyclic of order
+    o(s_1), so an image c of s_1 extends to a hom on it iff o(c) divides
+    o(s_1), which the candidate filter already imposes.  The last level
+    always walks, as its image rows give meet; they are dropped here."""
     ngens = len(G.generators)
     if ngens == 0:
-        return np.zeros((1, G.order), dtype=np.int32), 0
+        return (np.zeros((1, 0), dtype=np.int32),
+                np.ones(G.order, dtype=bool), 0)
 
     # candidate images per generator: the image order must divide the
     # generator's order (a union of classes, as conjugation keeps orders)
@@ -180,7 +197,6 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
 
     explored = 0
     P = np.zeros((1, 0), dtype=np.int32)
-    img = None
     for j in range(1, ngens + 1):
         c = cands[j - 1]
         weight = (P.shape[0] if j == 1 or classes is None
@@ -191,12 +207,14 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
                                  explored=explored)
         if j == 1 and classes is not None:
             c = c[classes.rep[c] == c]
-        P, img = _filter_prefixes(G, U, _extend(P, c), j)
+        P = _extend(P, c)
+        if j > 1 or ngens == 1:
+            P, img = _filter_prefixes(G, U, P, j)
 
     # img columns follow the full-BFS element order, which is the id order.
     # The last level's walk checked every edge of G, so each row is a hom
-    # by the lemma of core.word_images.
-    return img, explored
+    # by the lemma of core.word_images, and P holds its generator images.
+    return P, (img == 0).all(axis=0), explored
 
 
 def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
@@ -204,17 +222,24 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
     """All homomorphisms G -> U, in candidate order: ascending in the
     generator images (f(s_1), ..., f(s_k)) lexicographically.
 
-    Rebuilt from the reduced set by one gather: each reduced f with
-    f(s_1) = x gives the rows c_u o f for u in the transversal of
-    U / C_U(x), and each row goes to its place in the lexsort of its
-    generator images.  By the bijection lemma of the module docstring
-    these are all of Hom(G, U), each once.  When U is abelian the reduced
-    set is Hom(G, U) itself.  The full matrix is not cached."""
-    R, explored = _reduced_homs(G, U, budget=budget)
+    The reduced generator images are first expanded along G's BFS words
+    (`core.word_images`, with no edge checks: each row is already a hom,
+    and a hom's image of an element is its word evaluated in the
+    generator images, whatever the word).  Then one gather rebuilds the
+    full set: each reduced f with f(s_1) = x gives the rows c_u o f for u
+    in the transversal of U / C_U(x), and each row goes to its place in
+    the lexsort of its generator images.  By the bijection lemma of the
+    module docstring these are all of Hom(G, U), each once.  When U is
+    abelian the reduced set is Hom(G, U) itself.  The full matrix is not
+    cached."""
+    F, _, explored = _reduced_homs(G, U, budget=budget)
+    R = np.empty((len(F), G.order), dtype=np.int32)
+    for lo in range(0, len(F), _CHUNK):     # temporaries stay chunk-sized
+        R[lo:lo + _CHUNK] = word_images(G.pred, U, F[lo:lo + _CHUNK])
     classes = _conjugacy_classes(U)
     if classes is None or not G.generators:
         return HomSet(G, U, R, explored_prefixes=explored)
-    x = R[:, G.generators[0]]
+    x = F[:, 0]
     us, rows = [], []
     for rep in np.unique(x):
         idx = np.flatnonzero(x == rep)
@@ -224,10 +249,10 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
     u, row = np.concatenate(us), np.concatenate(rows)
     mul = _table_product(U)
 
-    def conj(u, F):
-        return mul(mul(u[:, None], F), U.inv[u][:, None])
+    def conj(u, V):
+        return mul(mul(u[:, None], V), U.inv[u][:, None])
 
-    order = np.lexsort(conj(u, R[np.ix_(row, G.generators)]).T[::-1])
+    order = np.lexsort(conj(u, F[row]).T[::-1])
     u, row = u[order], row[order]
     images = np.empty((len(u), G.order), dtype=np.int32)
     for lo in range(0, len(u), _CHUNK):     # temporaries stay chunk-sized
@@ -238,23 +263,23 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
 
 def hom_count(G: FiniteGroup, U: FiniteGroup, *,
               budget=DEFAULT_BUDGET) -> tuple:
-    """(|Hom(G, U)|, explored prefixes), read off the reduced set as
-    sum over reduced f of |cl(f(s_1))| (lemma 4), with no expansion."""
-    R, explored = _reduced_homs(G, U, budget=budget)
+    """(|Hom(G, U)|, explored prefixes), read off the reduced generator
+    images as sum over reduced f of |cl(f(s_1))| (lemma 4), with no
+    expansion."""
+    F, _, explored = _reduced_homs(G, U, budget=budget)
     classes = _conjugacy_classes(U)
     if classes is None or not G.generators:
-        return len(R), explored
-    return int(classes.size[R[:, G.generators[0]]].sum()), explored
+        return len(F), explored
+    return int(classes.size[F[:, 0]].sum()), explored
 
 
 @memo
 def t_subgroup(G: FiniteGroup, U: FiniteGroup, *,
                budget=DEFAULT_BUDGET) -> Subgroup:
     """T^U(G): the intersection of the kernels of all homomorphisms G -> U,
-    read off the reduced hom set, since ker(c_u o f) = ker f."""
-    R, _ = _reduced_homs(G, U, budget=budget)
-    mask = (R == 0).all(axis=0)
-    return Subgroup(G, np.nonzero(mask)[0].astype(np.int32), check=False)
+    read off the reduced search's kernel meet, since ker(c_u o f) = ker f."""
+    _, meet, _ = _reduced_homs(G, U, budget=budget)
+    return Subgroup(G, np.flatnonzero(meet).astype(np.int32), check=False)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback,
                                pullback_columns, transgression)
-from pcohom.core import _element_orders, element_order
+from pcohom.core import _element_orders, element_order, word_images
 from pcohom.elements import Residue, perm_from_cycles
 from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
                            NotInvariant, NotNormal, NotSurjective,
@@ -634,6 +634,20 @@ def test_gauge_above_h2_cap():
             assert is_coboundary(Cocycle2(G, u, p)) == want, spec
             if ref is not None:
                 assert ref.is_coboundary(u) == want, spec
+
+
+def test_tree_coboundary_letter_counts_match_word_images():
+    """W of `_tree_coboundaries`, built by one level walk, is the word
+    walk over Z/p of the unit generator images (`core.word_images`): each
+    letter of every BFS word counted mod p, on every catalog group and on
+    Z/1."""
+    cases = catalog_instances() + [("Z/1", pc.builtin_group("Z/1"), 2)]
+    for name, G, p in cases:
+        W = cohomology._tree_coboundaries(dataclasses.replace(G, _cache={}),
+                                          p)[0]
+        ref = word_images(G.pred, pc.builtin_group(f"Z/{p}"),
+                          np.eye(len(G.generators))).T
+        assert W.dtype == ref.dtype and np.array_equal(W, ref), name
 
 
 # ---------------------------------------------------------------------

@@ -76,9 +76,27 @@ def reference_pairs():
 
 
 def test_reference_pairs_cover_nonabelian_codomains(reference_pairs):
-    shrunk = [(G, U) for G, U, ref in reference_pairs
-              if len(homsearch._reduced_homs(G, U)[0]) < len(ref)]
+    shrunk = []
+    for G, U, ref in reference_pairs:
+        F, _, _ = homsearch._reduced_homs(G, U)
+        if len(F) < len(ref):
+            shrunk.append((G, U))
     assert len(reference_pairs) > 150 and len(shrunk) > 50
+
+
+def test_reduced_hom_memo_keeps_generator_images_and_meet(reference_pairs):
+    """After t_subgroup, each memoized reduced set is its generator images
+    (ngens ids per hom) plus one bool per element of G: no |G|-wide row
+    per hom stays cached."""
+    for G, U, _ in reference_pairs:
+        t_subgroup(G, U)
+        values = [v for k, v in G._cache.items() if k[0] == "_reduced_homs"]
+        assert values, (G.name, U.name)
+        for F, meet, explored in values:
+            assert F.dtype == np.int32 and F.ndim == 2, (G.name, U.name)
+            assert F.shape[1] == len(G.generators), (G.name, U.name)
+            assert meet.dtype == bool and meet.shape == (G.order,)
+            assert isinstance(explored, int)
 
 
 def test_hom_set_matches_full_search(reference_pairs):
@@ -101,12 +119,12 @@ def test_weighted_count_is_hom_count(reference_pairs):
     """Lemma 4: |Hom(G, U)| = sum over class representatives x of
     |cl(x)| * #{reduced f : f(s_1) = x}."""
     for G, U, ref in reference_pairs:
-        R, _ = homsearch._reduced_homs(G, U)
+        F, _, _ = homsearch._reduced_homs(G, U)
         classes = homsearch._conjugacy_classes(U)
         if classes is None or not G.generators:
-            assert np.array_equal(R, ref.images)
+            assert np.array_equal(F, ref.images[:, G.generators])
         else:
-            x = R[:, G.generators[0]]
+            x = F[:, 0]
             assert (classes.rep[x] == x).all()
             reps, per_rep = np.unique(x, return_counts=True)
             assert int((classes.size[reps] * per_rep).sum()) == len(ref)
