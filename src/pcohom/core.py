@@ -1,9 +1,14 @@
 """Finite groups as dense multiplication tables, plus the subgroup calculus.
 
-A group is built by breadth-first closure from concrete generators
-(permutations, matrices mod m, residues, ...).  Element id 0 is always the
-identity and ids follow BFS discovery order, so every derived structure
-(BFS words, cosets, reports) is deterministic.
+A group is built one of two ways.  `generate_group` closes concrete
+generators (permutations, matrices mod m, residues, truncated series, ...)
+by hashing and keeps the elements: `group_from_json`, the stand-ins and
+every builtin but the products are built so.  `group_from_table` relabels
+a table that already exists and names no element: quotients, subgroups
+and `direct_product`, which reads a product's table off its factors'
+tables (every `A x B x ...` and `E:p:k` builtin).  Element id 0 is always
+the identity and ids follow BFS discovery order, so every derived
+structure (BFS words, cosets, reports) is deterministic.
 
 Once a table exists, `_bfs` is the one table BFS: it relabels quotient and
 subgroup tables (`group_from_table`), gives the hom search its partial
@@ -47,11 +52,11 @@ import inspect
 import json
 import weakref
 from dataclasses import dataclass, field
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 
-from .elements import MatMod, Perm, Residue, TupleElem, perm_from_cycles
+from .elements import MatMod, Perm, Residue, perm_from_cycles
 from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
                      KernelMismatch, MixedElementKinds, MixedParents,
                      NonNormalArguments, NotASubgroup, NotNormal, SpecError,
@@ -94,10 +99,6 @@ class FiniteGroup:
     # -- element arithmetic on ids ------------------------------------
     def mul(self, a, b):
         return int(self.mult[a, b])
-
-    def conj(self, g, a):
-        """g^-1 * a * g"""
-        return int(self.mult[self.mult[self.inv[g], a], g])
 
     def commutator(self, a, b):
         """[a,b] = a^-1 b^-1 a b"""
@@ -216,8 +217,9 @@ def _verify_tables(G: FiniteGroup):
             raise EdgeCheckFailed("associativity check failed")
 
 
-def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
-    """Closure of concrete generators under composition, as a FiniteGroup."""
+def generate_group(gens, name="") -> FiniteGroup:
+    """Closure of concrete generators under composition, as a FiniteGroup
+    of at most DEFAULT_CAP elements."""
     gens = list(gens)
     if gens:
         sig = gens[0].signature()
@@ -244,8 +246,9 @@ def generate_group(gens, cap=DEFAULT_CAP, name="") -> FiniteGroup:
             j = index.get(f)
             if j is None:
                 j = len(elems)
-                if j >= cap:
-                    raise ClosureCapExceeded(f"closure exceeds cap {cap}")
+                if j >= DEFAULT_CAP:
+                    raise ClosureCapExceeded(
+                        f"closure exceeds cap {DEFAULT_CAP}")
                 index[f] = j
                 elems.append(f)
                 pred.append((i, gi))
@@ -359,6 +362,38 @@ def group_from_table(table, gen_positions, name="") -> tuple:
     mult = relabel[table[np.ix_(old_of, old_of)]]
     G = _table_group(mult, mult[:, relabel[gen_positions]], pred, None, name)
     return G, relabel
+
+
+def direct_product(factors, name="") -> FiniteGroup:
+    """The direct product of the factor groups, built from their tables.
+
+    Element (a_1, ..., a_k) sits at the mixed-radix index sum a_i * w_i,
+    w_i the product of the later factors' orders, so the table is the sum
+    over i of w_i * mult_i[a_i, b_i]: one broadcast add of each factor's
+    table into a view of the product's table that splits each index into
+    (earlier digits, a_i, later digits).  The generators are each factor's
+    generators, factor by factor, with the identity in the other slots.
+    A product of more than DEFAULT_CAP elements raises before any table
+    is allocated.
+
+    Lemma: this is the group `generate_group` closes from those generators
+    as concrete tuples, with the same mult, generators, key and pred.
+    `group_from_table` numbers ids by `_bfs`, which runs in queue order
+    (module docstring), as the closure does, from the same generator
+    list."""
+    n = prod(F.order for F in factors)
+    if n > DEFAULT_CAP:
+        raise ClosureCapExceeded(f"product of order {n} exceeds cap "
+                                 f"{DEFAULT_CAP}")
+    table = np.zeros((n, n), dtype=np.int32)
+    above, gens = 1, []
+    for F in factors:
+        w = n // (above * F.order)
+        block = table.reshape(above, F.order, w, above, F.order, w)
+        block += (F.mult * w)[None, :, None, None, :, None]
+        gens += [s * w for s in F.generators]
+        above *= F.order
+    return group_from_table(table, gens, name)[0]
 
 
 # ---------------------------------------------------------------------
@@ -574,8 +609,8 @@ def _table_product(U: FiniteGroup):
     the flat table: mul(x, y) = mult.ravel()[x * |U| + y].
 
     The flat index fits in int32: every group has |U| <= DEFAULT_CAP = 8192
-    elements (closure stops there, quotients and subgroups are smaller),
-    and 8192^2 = 2^26 < 2^31."""
+    elements (closure and `direct_product` stop there, quotients and
+    subgroups are smaller), and 8192^2 = 2^26 < 2^31."""
     flat, n = U.mult.ravel(), U.order
     return lambda x, y: flat[x * n + y]
 
@@ -870,16 +905,8 @@ def builtin_group(name: str) -> FiniteGroup:
     from . import unitriangular as ut  # deferred: unitriangular imports core
 
     if "x" in name:
-        factors = [builtin_group(part) for part in name.split("x")]
-        gens = []
-        for i, F in enumerate(factors):
-            if F.elements is None:
-                raise SpecError(f"factor {F.name} has no concrete elements")
-            for g in F.generators:
-                parts = [Fj.elements[g if j == i else 0]
-                         for j, Fj in enumerate(factors)]
-                gens.append(TupleElem(parts))
-        return generate_group(gens, name=name)
+        return direct_product([builtin_group(part)
+                               for part in name.split("x")], name)
 
     if name == "D4":
         return generate_group([perm_from_cycles(4, [(0, 1, 2, 3)]),
@@ -894,9 +921,7 @@ def builtin_group(name: str) -> FiniteGroup:
         return generate_group([Residue(1, n)], name=name)
     if name.startswith("E:"):
         p, k = spec_ints(name, fields, 2)
-        gens = [TupleElem([Residue(1 if j == i else 0, p) for j in range(k)])
-                for i in range(k)]
-        return generate_group(gens, name=name)
+        return direct_product([generate_group([Residue(1, p)])] * k, name)
     if name.startswith("Mp3:"):
         return ut.build_mp3(*spec_ints(name, fields, 1)).E
     if name.startswith("U:"):

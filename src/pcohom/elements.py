@@ -121,36 +121,6 @@ class Residue:
         return f"Residue({self.value} mod {self.modulus})"
 
 
-class TupleElem:
-    """Direct-product element: componentwise composition."""
-
-    __slots__ = ("parts", "_hash")
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self._hash = hash(("tuple", self.parts))
-
-    def __mul__(self, other):
-        if not isinstance(other, TupleElem) or len(other.parts) != len(self.parts):
-            return NotImplemented
-        return TupleElem(tuple(a * b for a, b in zip(self.parts, other.parts)))
-
-    def __eq__(self, other):
-        return isinstance(other, TupleElem) and self.parts == other.parts
-
-    def __hash__(self):
-        return self._hash
-
-    def identity(self):
-        return TupleElem(tuple(x.identity() for x in self.parts))
-
-    def signature(self):
-        return ("tuple", tuple(x.signature() for x in self.parts))
-
-    def __repr__(self):
-        return f"TupleElem({self.parts!r})"
-
-
 class IdVector:
     """Element given by ids in a fixed list of multiplication tables.
 

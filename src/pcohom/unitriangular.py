@@ -9,6 +9,12 @@ witnesses for the two standing assumptions on a family:
   (I)  each quotient group Ubar carries homomorphisms (the "gammas") into
        concrete groups with trivially intersecting kernels;
   (II) the kernel Z/p embeds into Ubar.
+
+Each witness, and each iota, is a homomorphism, so it is built from its
+generator images by `core.hom_from_generator_images`, which evaluates it
+along BFS words and verifies it as `GroupHom` does.  Ubar's generators
+are the images of E's generators in order, as `quotient_group` keeps
+their order.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (FiniteGroup, GroupHom, center, element_index,
-                   generate_group, intersect_subgroups, quotient_group,
-                   spec_ints, spec_prime, subgroup_generated)
+                   generate_group, hom_from_generator_images,
+                   intersect_subgroups, quotient_group, spec_ints,
+                   spec_prime, subgroup_generated)
 from .elements import MatMod, Perm, Residue
 from .errors import FamilyWitnessFailed, NotACentralExtension, SpecError
 
@@ -106,10 +113,6 @@ class CentralExtension:
                                       "Z into Gbar")
 
 
-def _matrix_id(E: FiniteGroup, entries, m: int) -> int:
-    return element_index(E)[MatMod(entries, m)]
-
-
 @functools.cache
 def build_bar_extension(n: int, m: int) -> CentralExtension:
     """Central extension of U_n(Z/m) by the order-p subgroup of the corner.
@@ -121,17 +124,15 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     if n == 1 and e == 1:
         raise SpecError("the n=1 prime-modulus extension has a trivial quotient")
     E = build_unitriangular(n, m)
-    size = n + 1
-    corner_gen = np.eye(size, dtype=np.int64)
+    corner_gen = np.eye(n + 1, dtype=np.int64)
     corner_gen[0, n] = p ** (e - 1)
-    corner_id = _matrix_id(E, corner_gen, m)
-    z_ids = [E.power(corner_id, k) for k in range(p)]
+    corner_id = element_index(E)[MatMod(corner_gen, m)]
     # |Zsub| = p: quotient_group checks ker lam = Zsub, and
     # CentralExtension that ker lam = iota(Z) with iota injective
     Zsub = subgroup_generated(E, [corner_id])
 
     Z = generate_group([Residue(1, p)], name=f"Z/{p}")
-    iota = GroupHom(Z, E, np.asarray(z_ids, dtype=np.int32))
+    iota = hom_from_generator_images(Z, E, [corner_id])
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"Ubar{n}(Z/{m})"
 
@@ -146,59 +147,28 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
                            label=f"bar({n},{m})")
 
-    # assumption (I) witnesses
-    gammas = []
+    # assumption (I) witnesses, by the images of Gbar's generators, which
+    # are lam of E's superdiagonal generators g_1..g_n
+    g = E.generators
     if n == 1:
         # E is cyclic Z/m; Gbar = Z/p^(e-1) embeds by multiplication by p
-        img = np.asarray([_matrix_id(E, _corner_matrix(size, p * int(corners[section[x]]), n), m)
-                          for x in range(Gbar.order)], dtype=np.int32)
-        gammas.append(GroupHom(Gbar, E, img))
+        gammas = [hom_from_generator_images(Gbar, E, [E.power(g[0], p)])]
     else:
-        gammas.append(_row_col_gamma(ext, kill="row"))
-        gammas.append(_row_col_gamma(ext, kill="col"))
+        # replace the first row (resp. the last column) by the identity's
+        gammas = [hom_from_generator_images(Gbar, E, [0, *g[1:]]),
+                  hom_from_generator_images(Gbar, E, [*g[:-1], 0])]
         if e > 1:
+            # reduction mod p^(e-1)
             T = build_unitriangular(n, p ** (e - 1))
-            img = np.asarray(
-                [_matrix_id(T, E.elements[section[x]].entries % (p ** (e - 1)),
-                            p ** (e - 1))
-                 for x in range(Gbar.order)], dtype=np.int32)
-            gammas.append(GroupHom(Gbar, T, img))
+            gammas.append(hom_from_generator_images(Gbar, T, T.generators))
     ext.gammas = gammas
 
-    # assumption (II) witness: Z/p embeds into Gbar
-    if n == 1:
-        w = _matrix_id(E, _corner_matrix(size, p ** (e - 2), n), m) if e >= 2 else 0
-    else:
-        sup = np.eye(size, dtype=np.int64)
-        sup[0, 1] = p ** (e - 1)
-        w = _matrix_id(E, sup, m)
-    emb = [Gbar.power(lam.image[w], k) for k in range(p)]
-    ext.z_embed = GroupHom(Z, Gbar, np.asarray(emb, dtype=np.int32))
+    # assumption (II) witness: Z/p embeds into Gbar, by a power of g_1
+    w = E.power(g[0], p ** (e - 2 if n == 1 else e - 1))
+    ext.z_embed = hom_from_generator_images(Z, Gbar, [lam.image[w]])
 
     ext.verify_family_witnesses()
     return ext
-
-
-def _corner_matrix(size, value, n):
-    a = np.eye(size, dtype=np.int64)
-    a[0, n] = value
-    return a
-
-
-def _row_col_gamma(ext: CentralExtension, kill: str) -> GroupHom:
-    """Gbar -> E sending a class to its representative with the first row
-    (resp. last column) replaced by the identity's."""
-    E, Gbar, m = ext.E, ext.Gbar, ext.E.elements[0].modulus
-    size = E.elements[0].entries.shape[0]
-    img = np.empty(Gbar.order, dtype=np.int32)
-    for x in range(Gbar.order):
-        a = np.array(E.elements[ext.section[x]].entries)
-        if kill == "row":
-            a[0, 1:] = 0
-        else:
-            a[:size - 1, size - 1] = 0
-        img[x] = _matrix_id(E, a, m)
-    return GroupHom(Gbar, E, img)
 
 
 @functools.cache
@@ -224,36 +194,27 @@ def build_mp3(p: int) -> CentralExtension:
 
     Zsub = subgroup_generated(E, [rp])
     Z = generate_group([Residue(1, p)], name=f"Z/{p}")
-    iota = GroupHom(Z, E, np.asarray([E.power(rp, k) for k in range(p)],
-                                     dtype=np.int32))
+    iota = hom_from_generator_images(Z, E, [rp])
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"(Z/{p})^2"
 
-    # coordinates on Gbar: class of r^a s^b -> (a, b); the p^2 pairs fill
-    # the p^2 classes, or a class is left at -1 for CentralExtension to reject
-    coords = np.full((Gbar.order, 2), -1, dtype=np.int32)
+    # section: the class of r^a s^b -> r^a s^b; the p^2 pairs fill the p^2
+    # classes, or a class is left at -1 for CentralExtension to reject
     section = np.full(Gbar.order, -1, dtype=np.int32)
     for a in range(p):
         for b in range(p):
             eid = E.mul(E.power(r_id, a), E.power(s_id, b))
-            x = int(lam.image[eid])
-            section[x] = eid
-            coords[x] = (a, b)
+            section[lam.image[eid]] = eid
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
                            label=f"mp3({p})")
 
     # assumption (I): (Z/p)^2 embeds back into M_{p^3} via
-    # (1,0) -> r^p, (0,1) -> s r^p
-    srp = E.mul(s_id, rp)
-    img = np.asarray([E.mul(E.power(rp, int(coords[x, 0])),
-                            E.power(srp, int(coords[x, 1])))
-                      for x in range(Gbar.order)], dtype=np.int32)
-    # one gamma: verify_family_witnesses checks that it is injective
-    ext.gammas = [GroupHom(Gbar, E, img)]
+    # lam(r) -> r^p, lam(s) -> s r^p; one gamma: verify_family_witnesses
+    # checks that it is injective
+    ext.gammas = [hom_from_generator_images(Gbar, E, [rp, E.mul(s_id, rp)])]
 
     # assumption (II): Z/p -> (Z/p)^2 along the first coordinate
-    emb = [Gbar.power(lam.image[r_id], k) for k in range(p)]
-    ext.z_embed = GroupHom(Z, Gbar, np.asarray(emb, dtype=np.int32))
+    ext.z_embed = hom_from_generator_images(Z, Gbar, [lam.image[r_id]])
     ext.verify_family_witnesses()
     return ext
 

@@ -334,6 +334,18 @@ def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_product_over_the_cap_exits_3_before_any_table(capsys, monkeypatch):
+    """A product whose factors' orders multiply past the closure cap is one
+    ClosureCapExceeded record and exit 3, raised before its table is
+    built."""
+    monkeypatch.setattr(core, "group_from_table", None)
+    assert main(["group-info", "--group", "U:3:2xU:3:2xZ/4"]) == 3
+    (rec,) = [json.loads(line) for line in
+              capsys.readouterr().out.splitlines() if line.strip()]
+    assert rec["command"] == "group-info"
+    assert rec["error"].startswith("ClosureCapExceeded")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -938,7 +938,7 @@ def test_conj_invariant_h1_dimensions():
     for ps in psis:
         # invariance under conjugation by every generator
         for g in G.generators:
-            conj = np.array([ps.values[G.conj(g, int(n))] for n in N.members])
+            conj = ps.values[G.mult[G.mult[G.inv[g], N.members], g]]
             assert np.array_equal(conj % 3, ps.values[N.members] % 3)
 
 

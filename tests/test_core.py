@@ -248,7 +248,7 @@ def test_twin_registry_drops_dead_groups():
 
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
-        pc.generate_group([Residue(1, 10000)], cap=100)
+        pc.generate_group([Residue(1, 10000)])
 
 
 def test_mixed_kinds_rejected():
@@ -441,6 +441,60 @@ def test_direct_products():
     assert G.order == 8 and pc.is_abelian(G) and pc.exponent(G) == 4
     H = pc.builtin_group("D4xZ/2")
     assert H.order == 16 and pc.center(H).order == 4
+
+
+class TupleElem:
+    """Reference: the direct-product element that `builtin_group` closed
+    by hashing before `core.direct_product`; componentwise composition."""
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __mul__(self, other):
+        return TupleElem(a * b for a, b in zip(self.parts, other.parts))
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def identity(self):
+        return TupleElem(x.identity() for x in self.parts)
+
+    def signature(self):
+        return tuple(x.signature() for x in self.parts)
+
+
+def tuple_closure(factors, name):
+    """Reference: the product closed over TupleElem tuples, from each
+    factor's generators with the identity in the other slots."""
+    gens = [TupleElem(Fj.elements[g if j == i else 0]
+                      for j, Fj in enumerate(factors))
+            for i, F in enumerate(factors) for g in F.generators]
+    return pc.generate_group(gens, name=name)
+
+
+def test_direct_product_matches_the_tuple_closure():
+    """Every builtin product and E:p:k of the catalog, and the products of
+    the scale tier: equal mult, generators, key and pred, no elements."""
+    names = [nm for nm, _, _ in catalog_instances()
+             if "x" in nm or nm.startswith("E:")]
+    assert len(names) == 8
+    names += ["E:2:8", "E:3:5", "Heis:3xZ/3xZ/3", "Heis:3xHeis:3",
+              "Z/4xZ/4xZ/4xZ/4", "Z/8xZ/8xZ/8"]
+    for nm in names:
+        if nm.startswith("E:"):
+            p, k = map(int, nm.split(":")[1:])
+            factors = [pc.builtin_group(f"Z/{p}")] * k
+        else:
+            factors = [pc.builtin_group(part) for part in nm.split("x")]
+        want, got = tuple_closure(factors, nm), pc.builtin_group(nm)
+        assert np.array_equal(got.mult, want.mult), nm
+        assert got.generators == want.generators, nm
+        assert got.key == want.key, nm
+        assert np.array_equal(got.pred, want.pred), nm
+        assert got.elements is None and got.name == nm
 
 
 def test_element_index():

@@ -466,24 +466,27 @@ CALLED_FROM_OUTSIDE = {
 
 def unreferenced_functions(trees):
     """Qualified names of the module-level functions and class methods
-    defined in trees that no name, attribute or import in trees refers
-    to.  Dunder methods, which Python calls by protocol, are left out."""
-    used, defined = set(), []
+    defined in trees that nothing in trees refers to.  A function is
+    referred to by a name, an attribute or an import; a method only by an
+    attribute, so a local variable of the same name does not hide it.
+    Dunder methods, which Python calls by protocol, are left out."""
+    names, attrs, defined = set(), set(), []
     for tree in trees:
-        defined += [(f.name, f.name) for f in tree.body
+        defined += [(f.name, f.name, False) for f in tree.body
                     if isinstance(f, ast.FunctionDef)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.asname or node.name)
+                names.add(node.asname or node.name)
             elif isinstance(node, ast.ClassDef):
-                defined += [(f"{node.name}.{f.name}", f.name)
+                defined += [(f"{node.name}.{f.name}", f.name, True)
                             for f in node.body
                             if isinstance(f, ast.FunctionDef)]
-    return sorted(q for q, name in defined if name not in used
+    return sorted(q for q, name, method in defined
+                  if name not in (attrs if method else names | attrs)
                   and not (name.startswith("__") and name.endswith("__")))
 
 
@@ -494,9 +497,10 @@ def test_every_src_function_is_referenced_in_src():
     src = ROOT / "src" / "pcohom"
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     assert unreferenced_functions(trees) == sorted(CALLED_FROM_OUTSIDE)
-    probe = ("import m\nfrom m import g\ndef f(): h()\ndef g(): pass\n"
-             "def h(): pass\ndef dead(): pass\n"
+    probe = ("import m\nfrom m import g\ndef f(): h(); masked = 0\n"
+             "def g(): pass\ndef h(): pass\ndef dead(): pass\n"
              "class C:\n    def __init__(self): pass\n"
-             "    def gone(self): pass\n    def kept(self): self.kept\n")
-    assert unreferenced_functions([ast.parse(probe)]) == ["C.gone", "dead",
-                                                          "f"]
+             "    def gone(self): pass\n    def kept(self): self.kept\n"
+             "    def masked(self): pass\n")
+    assert unreferenced_functions([ast.parse(probe)]) == [
+        "C.gone", "C.masked", "dead", "f"]

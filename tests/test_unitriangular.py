@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import (GroupHom, element_order, exponent, center,
-                         generate_group, quotient_group, subgroup_generated)
-from pcohom.elements import Perm, Residue
+from pcohom.core import (GroupHom, element_index, element_order, exponent,
+                         center, generate_group, quotient_group,
+                         subgroup_generated)
+from pcohom.elements import MatMod, Perm, Residue
 from pcohom.errors import FamilyWitnessFailed, NotACentralExtension
 from pcohom.unitriangular import (CentralExtension, build_bar_extension,
                                   build_mp3, build_unitriangular,
@@ -92,6 +93,78 @@ def test_gamma_witnesses_cut_out_identity():
         kers = [g.kernel() for g in ext.gammas]
         assert pc.intersect_subgroups(kers).order == 1
         assert ext.z_embed.is_injective()
+
+
+def reference_witnesses(ext):
+    """Reference: the images of gammas, iota and z_embed as the builders
+    made them, one element at a time, before they were built from
+    generator images."""
+    E, Gbar, lam, sec, p = ext.E, ext.Gbar, ext.lam, ext.section, ext.p
+
+    def Zpow(G, x):                 # a hom from Z/p, by its image of 1
+        return [G.power(x, k) for k in range(p)]
+
+    if ext.label.startswith("mp3"):
+        r, s = E.generators
+        rp = E.power(r, p)
+        srp = E.mul(s, rp)
+        coords = {}
+        for a in range(p):
+            for b in range(p):
+                coords[int(lam(E.mul(E.power(r, a), E.power(s, b))))] = (a, b)
+        gamma = [E.mul(E.power(rp, coords[x][0]), E.power(srp, coords[x][1]))
+                 for x in range(Gbar.order)]
+        return [gamma], Zpow(E, rp), Zpow(Gbar, lam(r))
+    m = E.elements[0].modulus
+    size = E.elements[0].entries.shape[0]
+    n, q = size - 1, m // p                              # q = p^(e-1)
+
+    def mat_id(G, a, mod):
+        return element_index(G)[MatMod(a, mod)]
+
+    def corner(value):
+        a = np.eye(size, dtype=np.int64)
+        a[0, n] = value
+        return a
+
+    reps = [np.array(E.elements[sec[x]].entries) for x in range(Gbar.order)]
+    if n == 1:
+        gammas = [[mat_id(E, corner(p * int(a[0, n])), m) for a in reps]]
+        w = mat_id(E, corner(q // p), m)
+    else:
+        rows, cols = [], []
+        for a in reps:
+            row, col = a.copy(), a.copy()
+            row[0, 1:] = 0
+            col[:n, n] = 0
+            rows.append(mat_id(E, row, m))
+            cols.append(mat_id(E, col, m))
+        gammas = [rows, cols]
+        if q > 1:
+            T = pc.build_unitriangular(n, q)
+            gammas.append([mat_id(T, a % q, q) for a in reps])
+        sup = np.eye(size, dtype=np.int64)
+        sup[0, 1] = q
+        w = mat_id(E, sup, m)
+    return gammas, Zpow(E, mat_id(E, corner(q), m)), Zpow(Gbar, lam(w))
+
+
+def test_witnesses_from_generator_images_match_the_per_element_ones():
+    """Every extension of the families at n = 2, 3 and p = 2, 3, 5, and of
+    mixed(3) and mixed(5).  At n = 3, p = 5 every family builds U_3(Z/5)
+    or U_2(Z/25), of order 5^6, over the closure cap."""
+    specs = [(label, n, p) for label in ("zassenhaus", "lower-central")
+             for n in (2, 3) for p in (2, 3, 5) if (n, p) != (3, 5)]
+    specs += [("mixed", None, 3), ("mixed", None, 5)]
+    seen = set()
+    for spec in specs:
+        for ext in pc.omega_family(*spec).extensions:
+            gammas, iota, z_embed = reference_witnesses(ext)
+            assert [g.image.tolist() for g in ext.gammas] == gammas, ext.label
+            assert ext.iota.image.tolist() == iota, ext.label
+            assert ext.z_embed.image.tolist() == z_embed, ext.label
+            seen.add(ext.label)
+    assert len(seen) == 14
 
 
 def test_ubar_of_prime_modulus_is_elementary_for_n2():
