@@ -678,19 +678,21 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     """All pullback classes of the U_n(Z/p) bar-extension class along
     homomorphisms rhobar: Q -> Ubar_n with the prescribed superdiagonal
     characters.  Returns a list of (Cocycle2, coords, rhobar) with one
-    entry per distinct class (possibly empty)."""
+    entry per distinct class (possibly empty).
+
+    The superdiagonal of Ubar_n is the letter count W of its BFS words
+    (`_tree_coboundaries`): the superdiagonal is a homomorphism U_n(Z/p)
+    -> (Z/p)^n with g_i -> e_i, and for n >= 2 the corner is not on it, so
+    it factors through Ubar_n, where it sends each BFS word to its letter
+    counts."""
     if not fam.label.startswith("zassenhaus"):
         raise SpecError(f"Massey pullbacks need a zassenhaus family, got "
                         f"{fam.label}")
     if len(phis) != n:
         raise SpecError(f"{fam.label} needs {n} characters, got {len(phis)}")
     ext = fam.extensions[0]
-    p = ext.p
-    E, Gbar = ext.E, ext.Gbar
-    superdiag = np.stack(
-        [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
-                     for x in range(Gbar.order)], dtype=np.int64)
-         for i in range(n)], axis=1)           # (|Gbar|, n)
+    p, Gbar = ext.p, ext.Gbar
+    superdiag = _tree_coboundaries(Gbar, p)[0]          # (|Gbar|, n)
     alpha = _extension_alpha(ext)
     R = enumerate_homs(Q, Gbar, budget=budget).images
     want = np.stack([phi.values % p for phi in phis], axis=1)

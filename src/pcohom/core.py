@@ -100,10 +100,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return int(self.mult[a, b])
 
-    def commutator(self, a, b):
-        """[a,b] = a^-1 b^-1 a b"""
-        return int(self.mult[self.mult[self.inv[a], self.inv[b]], self.mult[a, b]])
-
     def power(self, a, m):
         return int(_powers(self, [a], int(m) % element_order(self, a))[0])
 

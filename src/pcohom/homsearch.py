@@ -1,17 +1,29 @@
 """Homomorphism enumeration, the T^U intersection subgroups, and lifting
 through central extensions.
 
-The search runs over generator images in BFS-word order, level by level:
-a partial assignment of images to the first j generators forces the image
-of every element whose BFS word uses only those generators, and the
-assignment is kept only if those images respect every generator edge
-e -> e*s of the subgroup they span.  Blocks of candidate prefixes are
-evaluated one BFS level at a time (`core.word_images`); each edge is
-checked at the level where it closes, the first at which all three of
-its images are known (`_closing_edges`), and a prefix that fails it is
-dropped there, before any more of its images are computed.
+Every search here is one prefix search over generator images
+(`_search`), in BFS-word order, level by level: level j extends each
+surviving prefix by each candidate image of the j-th generator, adds
+prefixes x candidates to `explored`, and keeps a prefix only if the
+images it forces (those of every element whose BFS word uses the first j
+generators) respect every generator edge e -> e*s of the subgroup they
+span.  Blocks of candidate prefixes are evaluated one BFS level at a time
+(`core.word_images`); each edge is checked at the level where it closes,
+the first at which all three of its images are known (`_closing_edges`),
+and a prefix that fails it is dropped there, before any more of its
+images are computed.  The hom search and the lift search run this one
+loop, under one budget with one error (`errors.BudgetExceeded`, "hom
+search budget exceeded").
 
-What the search keeps (`_reduced_homs`, memoized per group) is small:
+The hom search's candidates are the order candidates: a hom sends s to an
+element whose order divides o(s).  The lift search (`lift_hom`) cuts
+them to the preimages of the required images, so it keeps every lift.
+Every lift prefix is a consistent hom prefix G -> E, and every lift
+candidate is an order candidate, so a lift search never explores more
+prefixes than the search of Hom(G, E), which `t_bundle` runs under the
+same budget.
+
+What the hom search keeps (`_reduced_homs`, memoized per group) is small:
 the generator images of the reduced homs, one row of ngens ids per hom,
 and the meet of their kernels, one bool per element of G.  The last
 level's image rows give the meet and are then dropped, so no memo here
@@ -23,9 +35,10 @@ one column per element id, which the pullback-class searches read
 directly and which is not cached; a `GroupHom` is built only when a
 caller asks for one.
 
-The search runs up to U-conjugacy (`_reduced_homs`): the first generator
-s_1 takes only the least id x of each conjugacy class of U.  For u in U
-let c_u(y) = u y u^-1.  Four lemmas make the reduced set enough:
+The hom search runs up to U-conjugacy (`_reduced_homs`): the first
+generator s_1 takes only the least id x of each conjugacy class of U.
+For u in U let c_u(y) = u y u^-1.  Four lemmas make the reduced set
+enough:
 
 1. ker(c_u o f) = ker f, as c_u is injective.  So T^U(G), the
    intersection of the kernels, is read off the reduced set.
@@ -162,6 +175,50 @@ def _conjugacy_classes(U: FiniteGroup) -> _Classes | None:
     return _Classes(rep, np.bincount(rep, minlength=U.order)[rep], transversal)
 
 
+def _order_candidates(G: FiniteGroup, U: FiniteGroup) -> list:
+    """The candidate images of each generator s of G: the ids of U whose
+    order divides o(s), ascending (a union of classes, as conjugation
+    keeps orders)."""
+    u_orders = _element_orders(U)
+    return [np.nonzero(o % u_orders == 0)[0].astype(np.int32)
+            for o in _element_orders(G)[G.generators]]
+
+
+def _search(G: FiniteGroup, U: FiniteGroup, cands: list, classes, budget):
+    """The level-by-level search over generator images, as (P, img,
+    explored).  Level j extends every surviving prefix by every candidate
+    image cands[j - 1] of the j-th generator (`_extend`, lexicographic)
+    and keeps the consistent ones (`_filter_prefixes`); the search stops
+    once no prefix is left.  P holds the last level's prefixes, img their
+    image rows (one zero row before any walk) and explored the prefixes x
+    candidates of every level run.  When classes is given the first
+    generator's candidates are cut to class representatives, and a prefix
+    f counts |cl(f(s_1))| times.
+
+    Level 1 runs no walk when a level follows it: <s_1> is cyclic of order
+    o(s_1), so an image c of s_1 extends to a hom on it iff o(c) divides
+    o(s_1), which the order candidates impose.  The last level always
+    walks, as the caller reads its image rows."""
+    explored = 0
+    P = np.zeros((1, 0), dtype=np.int32)
+    img = np.zeros((1, G.order), dtype=np.int32)
+    for j, c in enumerate(cands, 1):
+        weight = (len(P) if j == 1 or classes is None
+                  else int(classes.size[P[:, 0]].sum()))
+        explored += weight * len(c)
+        if explored > budget:
+            raise BudgetExceeded(f"hom search budget exceeded ({explored})",
+                                 explored=explored)
+        if j == 1 and classes is not None:
+            c = c[classes.rep[c] == c]
+        P = _extend(P, c)
+        if not len(P):
+            break
+        if j > 1 or len(cands) == 1:
+            P, img = _filter_prefixes(G, U, P, j)
+    return P, img, explored
+
+
 @memo
 def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
                   budget=DEFAULT_BUDGET) -> tuple:
@@ -171,49 +228,18 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
     order; meet is the bool mask over G's ids of the intersection of their
     kernels.
 
-    The search is the level-by-level search over generator images with the
-    first generator's candidates cut to class representatives.  `explored`
-    is the count of the full search: level j adds |cl(f(s_1))| * |cands_j|
-    over the surviving reduced prefixes f, which by the bijection of the
-    module docstring (a conjugate of a consistent prefix is one) is the
-    number of full prefixes times |cands_j|.  So BudgetExceeded fires at
-    the same level with the same count as a search over every hom.
-
-    Level 1 runs no walk when a level follows it: <s_1> is cyclic of order
-    o(s_1), so an image c of s_1 extends to a hom on it iff o(c) divides
-    o(s_1), which the candidate filter already imposes.  The last level
-    always walks, as its image rows give meet; they are dropped here."""
-    ngens = len(G.generators)
-    if ngens == 0:
-        return (np.zeros((1, 0), dtype=np.int32),
-                np.ones(G.order, dtype=bool), 0)
-
-    # candidate images per generator: the image order must divide the
-    # generator's order (a union of classes, as conjugation keeps orders)
-    u_orders = _element_orders(U)
-    cands = [np.nonzero(o % u_orders == 0)[0].astype(np.int32)
-             for o in _element_orders(G)[G.generators]]
-    classes = _conjugacy_classes(U)
-
-    explored = 0
-    P = np.zeros((1, 0), dtype=np.int32)
-    for j in range(1, ngens + 1):
-        c = cands[j - 1]
-        weight = (P.shape[0] if j == 1 or classes is None
-                  else int(classes.size[P[:, 0]].sum()))
-        explored += weight * len(c)
-        if explored > budget:
-            raise BudgetExceeded(f"hom search budget exceeded ({explored})",
-                                 explored=explored)
-        if j == 1 and classes is not None:
-            c = c[classes.rep[c] == c]
-        P = _extend(P, c)
-        if j > 1 or ngens == 1:
-            P, img = _filter_prefixes(G, U, P, j)
-
-    # img columns follow the full-BFS element order, which is the id order.
-    # The last level's walk checked every edge of G, so each row is a hom
-    # by the lemma of core.word_images, and P holds its generator images.
+    The search (`_search`) takes the order candidates with the first
+    generator's cut to class representatives.  `explored` is the count of
+    the full search: level j adds |cl(f(s_1))| * |cands_j| over the
+    surviving reduced prefixes f, which by the bijection of the module
+    docstring (a conjugate of a consistent prefix is one) is the number of
+    full prefixes times |cands_j|.  So BudgetExceeded fires at the same
+    level with the same count as a search over every hom.  The last
+    level's image rows give meet and are dropped here: their columns
+    follow the full-BFS order, which is the id order, and each row is a
+    hom by the lemma of core.word_images."""
+    P, img, explored = _search(G, U, _order_candidates(G, U),
+                               _conjugacy_classes(U), budget)
     return P, (img == 0).all(axis=0), explored
 
 
@@ -308,36 +334,22 @@ def t_bundle(G: FiniteGroup, fam: OmegaFamily, *,
 
 def lift_hom(ext: CentralExtension, pi: GroupHom, rhobar: GroupHom, *,
              budget=DEFAULT_BUDGET):
-    """A homomorphism rho: G -> E with lambda o rho = rhobar o pi, or None.
+    """A homomorphism rho: G -> E with lambda o rho = rhobar o pi, or None:
+    the least one in the lexicographic order of its generator images.
 
-    Searches the |Z| preimage choices per generator of G.  pi must be onto
-    (`errors.NotSurjective`).  A row the search keeps is a hom rho with
-    lam(rho(s)) = rhobar(pi(s)) on every generator s; lam o rho and
-    rhobar o pi are then homs that agree on generators, hence equal, so the
-    result needs no further check."""
+    The hom search's loop (`_search`) with the candidates of a generator s
+    cut to the preimages of rhobar(pi(s)) that are order candidates.  A
+    hom sends s to an element whose order divides o(s), so the cut keeps
+    every lift.  pi must be onto (`errors.NotSurjective`).  A row the
+    search keeps is a hom rho with lam(rho(s)) = rhobar(pi(s)) on every
+    generator s; lam o rho and rhobar o pi are then homs that agree on
+    generators, hence equal, so the result needs no further check."""
     if not pi.is_surjective():
         raise NotSurjective(f"pi: {pi.domain.name} -> {pi.codomain.name} "
                             "is not onto")
     G = pi.domain
-    required = rhobar.image[pi.image]
-    ngens = len(G.generators)
-    if ngens == 0:
-        return GroupHom(G, ext.E, np.zeros(G.order, dtype=np.int32))
-    pre = []
-    for s in G.generators:
-        b = int(required[s])
-        pre.append(np.nonzero(ext.lam.image == b)[0].astype(np.int32))
-    total = 1
-    for c in pre:
-        total *= len(c)
-    if total > budget:
-        raise BudgetExceeded(f"lift search budget exceeded ({total})",
-                             explored=0)
-    # cartesian product, deterministic order
-    C = np.zeros((1, 0), dtype=np.int32)
-    for c in pre:
-        C = _extend(C, c)
-    kept, imgs = _filter_prefixes(G, ext.E, C, ngens)
-    if kept.shape[0] == 0:
-        return None
-    return GroupHom(G, ext.E, imgs[0])
+    required = rhobar.image[pi.image[G.generators]]
+    cands = [c[ext.lam.image[c] == b]
+             for c, b in zip(_order_candidates(G, ext.E), required)]
+    P, img, _ = _search(G, ext.E, cands, None, budget)
+    return GroupHom(G, ext.E, img[0]) if len(P) else None

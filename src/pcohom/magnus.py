@@ -20,6 +20,7 @@ from .core import (FiniteGroup, GroupHom, builtin_group, generate_group,
                    hom_from_generator_images)
 from .elements import IdVector
 from .errors import OracleDisagreement, SpecError, WordTooShort
+from .homsearch import _CHUNK, _extend
 from .pairings import transfer_check
 from .unitriangular import build_unitriangular, omega_family
 
@@ -257,36 +258,30 @@ def _deg2_matrix(words, k: int, p: int):
 
 
 def _distinct_commutator_search(k: int, U: FiniteGroup):
-    """Depth-first search for f: {1..k} -> U whose values pairwise share a
-    common nontrivial commutator.  Prunes a prefix as soon as two assigned
-    values commute or produce a different commutator.  Returns
-    (completions, explored_prefixes)."""
-    explored = 0
-    completions = 0
-    assignment = []
-
-    def rec(depth, target):
-        nonlocal explored, completions
-        if depth == k:
-            completions += 1
-            return
-        for u in range(U.order):
-            explored += 1
-            t = target
-            ok = True
-            for v in assignment:
-                c = U.commutator(v, u)
-                if c == 0 or (t is not None and c != t):
-                    ok = False
-                    break
-                t = c
-            if ok:
-                assignment.append(u)
-                rec(depth + 1, t)
-                assignment.pop()
-
-    rec(0, None)
-    return completions, explored
+    """The assignments f: {1..k} -> U whose values pairwise share a common
+    nontrivial commutator, searched level by level: level d extends every
+    surviving row (f(1), ..., f(d)) by every u in U (`homsearch._extend`)
+    and keeps it iff the new commutators [f(i), u] are all nonzero and all
+    equal to the row's target [f(1), f(2)], the first commutator, fixed at
+    depth 2.  Each level adds rows x |U| to explored, the count of a
+    depth-first search's nodes, and extends and filters blocks of at most
+    _CHUNK rows.  Returns (completions, explored_prefixes)."""
+    comm = U.mult[U.mult[np.ix_(U.inv, U.inv)], U.mult]     # [a, b]
+    everyone = np.arange(U.order, dtype=np.int32)
+    block = max(1, _CHUNK // U.order)
+    P, explored = everyone[:, None], U.order
+    for _ in range(1, k):
+        if not len(P):
+            break
+        explored += len(P) * U.order
+        kept = []
+        for lo in range(0, len(P), block):
+            X = _extend(P[lo:lo + block], everyone)
+            t = comm[X[:, 0], X[:, 1]]
+            new = comm[X[:, :-1], X[:, -1:]]
+            kept.append(X[(t != 0) & (new == t[:, None]).all(axis=1)])
+        P = np.concatenate(kept)
+    return len(P), explored
 
 
 # the random conjugates of step 2 of `counterexample_harness`
@@ -308,8 +303,11 @@ def counterexample_harness(k: int = 9, p: int = 2) -> dict:
        so no product of conjugates of the other tau_ij can produce tau_12
        modulo degree-3 terms.
     3. No assignment {1..k} -> U_2(F_p) gives all pairs a common
-       nontrivial commutator (exhaustive pruned search); the control case
-       k = 2 does admit assignments, so the search is not vacuous.
+       nontrivial commutator (`_distinct_commutator_search`, exhaustive
+       and level by level: a row is dropped at the level where two of its
+       values commute or give a commutator other than its first); the
+       control case k = 2 does admit assignments, so the search is not
+       vacuous.
     4. The induced finite transfer instance: the order-32 Zassenhaus
        stand-in Q of the free group on 2 generators maps onto the
        quaternion group, the kernel sits inside Tbar(Q), and the transfer
@@ -347,7 +345,7 @@ def counterexample_harness(k: int = 9, p: int = 2) -> dict:
             conj_ok += 1
     conjugation_invariant = conj_ok == CONJUGATE_TRIALS
 
-    # (3) exhaustive pruned search for a common-commutator assignment
+    # (3) exhaustive level search for a common-commutator assignment
     U = build_unitriangular(2, p)
     completions, explored = _distinct_commutator_search(k, U)
     control_completions, control_explored = _distinct_commutator_search(2, U)

@@ -1,20 +1,25 @@
 """End-to-end acceptance checks.  Each test covers one criterion and emits a
 single pass/fail line into the terminal summary (see conftest.py)."""
 
+import hashlib
 import itertools
+import json
 import time
 
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.catalog import applicable_families, catalog_instances, transfer_sweep
+from pcohom import pairings
+from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
+                            applicable_families, catalog_instances,
+                            transfer_sweep)
 from pcohom.cohomology import (Cochain1, bockstein, classifying_cocycle, cup,
                                h1, h2_space, massey_pullback_set, pullback)
 from pcohom.homsearch import enumerate_homs, t_bundle, t_subgroup
 from pcohom.magnus import (counterexample_harness, lyndon_words,
                            zassenhaus_membership)
-from pcohom.pairings import (a_pairing, c_pairing, cached_quotient,
+from pcohom.pairings import (a_pairing, a_space, c_pairing, cached_quotient,
                              liftability_crosscheck, pairing_kernels)
 from conftest import ACCEPTANCE_LINES
 
@@ -55,6 +60,58 @@ def test_criterion_1_transfer_sweep(catalog):
            f"{sweep['groups']} groups, {sweep['checks']} transfer checks, "
            f"{sweep['failures']} failures, {n_quot} stand-in quotients, "
            f"families {sorted(fams_seen)}, {elapsed:.1f}s")
+
+
+SWEEP_DIGEST = ("fbd5106b44b95b4e70654cd3cf7edffc5bb5b20dec1147703ae34abe"
+                "909d205c")
+
+
+def test_sweep_reports_are_pinned(catalog):
+    """The sha256 of the sweep's full reports, witnesses included, is
+    pinned: a change that moves a dimension or a witness but no verdict
+    still shows here."""
+    reports = transfer_sweep(instances=catalog)["reports"]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
+
+
+def sweep_pairs(catalog):
+    """The distinct (G, N1, N2, p) with N1 = N and N2 = Tbar(G) that the
+    sweep builds, drawn as `transfer_sweep` draws its subgroup choices;
+    groups with equal tables (one `G.key`) count once."""
+    rng = np.random.default_rng(CATALOG_SEED + 1)
+    pairs = {}
+    for _, G, p in catalog:
+        for fam in applicable_families(p):
+            tbar = t_bundle(G, fam).Tbar
+            for _, N in _subgroup_choices(G, tbar, rng):
+                key = (G.key, N.members.tobytes(), tbar.members.tobytes(), p)
+                pairs.setdefault(key, (G, N, tbar, p))
+    return list(pairs.values())
+
+
+def log_index(Q, A, p):
+    """log_p |A : A^p[Q, A]| for A normal in the p-group Q."""
+    index, e = A.order // pc.power_commutator_subgroup(Q, A, p).order, 0
+    while index > 1:
+        index, e = index // p, e + 1
+    return e
+
+
+def test_five_term_dimension_identity_on_sweep_pairs(catalog):
+    """The five-term sequence 0 -> H^1(Q2) -> H^1(Q1) -> H^1(K)^Q1 ->
+    H^2(Q2) -> H^2(Q1), with q: Q1 = G/N1 -> Q2 = G/N2 and K = ker q, is
+    exact.  So dim A = log_p |K : K^p[Q1, K]| - (log_p |Q1 : Phi(Q1)| -
+    log_p |Q2 : Phi(Q2)|), with Phi(Q) = Q^p[Q, Q]; each order comes from
+    `core.power_commutator_subgroup`, with no cohomology."""
+    pairs = sweep_pairs(catalog)
+    for G, N1, N2, p in pairs:
+        q = pairings._pair(G, N1, N2, p).q
+        Q1, Q2 = q.domain, q.codomain
+        rhs = (log_index(Q1, q.kernel(), p) - log_index(Q1, Q1.whole(), p)
+               + log_index(Q2, Q2.whole(), p))
+        assert len(a_space(G, N1, N2, p)) == rhs, (G.name, N1.order, p)
+    assert len(pairs) == 85
 
 
 def test_criterion_2_pairings_perfect(catalog):

@@ -117,6 +117,20 @@ def test_counterexample_inconclusive_exits_1(tmp_path):
     assert reps[0]["common_commutator_completions"] > 0
 
 
+PINS = Path(__file__).with_name("cli_pins.json")
+
+
+@pytest.mark.parametrize("pin", json.loads(PINS.read_text()),
+                         ids=lambda pin: " ".join(pin["argv"][:3]))
+def test_cli_records_are_pinned(tmp_path, pin):
+    """One record each of pairings, kernel-condition, transfer-check,
+    massey and counterexample (p = 2 and 3), with elapsed_seconds
+    dropped, equals the record pinned in cli_pins.json."""
+    (rep,) = run(tmp_path, pin["argv"], expect_code=pin["exit_code"])
+    rep.pop("elapsed_seconds", None)
+    assert rep == pin["record"]
+
+
 BUDGET_ERROR = "BudgetExceeded: hom search budget exceeded ("
 
 

@@ -984,6 +984,16 @@ def superdiagonal(E, n):
                      for el in E.elements], dtype=np.int64)
 
 
+def test_superdiagonal_is_the_bfs_letter_count():
+    """massey_pullback_set reads the superdiagonal of Ubar_n as the BFS
+    letter count W of `_tree_coboundaries`; it equals the superdiagonal of
+    each section representative in E, read entry by entry."""
+    for n, p in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)]:
+        ext = pc.omega_family("zassenhaus", n, p).extensions[0]
+        W = cohomology._tree_coboundaries(ext.Gbar, p)[0]
+        assert np.array_equal(W, superdiagonal(ext.E, n)[ext.section]), (n, p)
+
+
 MASSEY_ORACLE_CASES = [("E:2:2", 2, 2), ("E:2:2", 3, 2), ("Z/4", 3, 2),
                        ("D4", 3, 2), ("Q8", 3, 2), ("Z/4xZ/2", 3, 2),
                        ("E:2:3", 3, 2), ("E:3:2", 2, 3), ("Z/9", 2, 3),

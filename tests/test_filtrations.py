@@ -10,6 +10,11 @@ from pcohom.filtrations import (FiltrationChain, _check_chain,
                                 zassenhaus)
 
 
+def commutator(G, a, b):
+    """[a, b] = a^-1 b^-1 a b, read off G's table."""
+    return int(G.mult[G.mult[G.inv[a], G.inv[b]], G.mult[a, b]])
+
+
 def brute_lower_p_central(G, p, upto):
     """Independent recomputation straight from the definition, using only
     raw id arithmetic (no vectorized helpers)."""
@@ -20,7 +25,7 @@ def brute_lower_p_central(G, p, upto):
         for a in cur:
             seed.add(G.power(a, p))
             for g in range(G.order):
-                seed.add(G.commutator(g, a))
+                seed.add(commutator(G, g, a))
         # naive closure
         members = {0}
         frontier = {0}
@@ -130,10 +135,10 @@ def test_commutator_rule_both_chains():
         i, j = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a = int(rng.choice(zc.term(i).members))
         b = int(rng.choice(zc.term(j).members))
-        assert G.commutator(a, b) in zc.term(i + j)
+        assert commutator(G, a, b) in zc.term(i + j)
         a = int(rng.choice(lc.term(i).members))
         g = int(rng.integers(G.order))
-        assert G.commutator(g, a) in lc.term(i + 1)
+        assert commutator(G, g, a) in lc.term(i + 1)
 
 
 # ---------------------------------------------------------------------

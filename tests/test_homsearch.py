@@ -18,7 +18,7 @@ from pcohom.pairings import cached_quotient, liftability_crosscheck
 from cocycle_tables import (classifying_table, generator_columns,
                             pullback_table)
 from test_acceptance import liftability_triples
-from test_edge_checks import HOM_PAIRS, _u729
+from test_edge_checks import HOM_PAIRS, _u729, full_filter_prefixes
 
 
 def full_enumerate_homs(G, U, *, budget=DEFAULT_BUDGET):
@@ -343,6 +343,78 @@ def test_lift_hom_finds_lift_iff_exists():
     # but the two surjections Klein -> Klein cannot all lift (Q8 has no
     # quotient isomorphic to D4 = U_2(Z/2))
     assert found < len(enumerate_homs(Q, ext.Gbar))
+
+
+def product_lift_hom(ext, pi, rhobar):
+    """Reference: the lift search before it ran the hom search's loop.  It
+    builds the cartesian product of every generator's preimages under
+    lambda, in lexicographic order, and filters it once, by the last
+    level's walk; the first surviving row is the lift."""
+    G = pi.domain
+    required = rhobar.image[pi.image]
+    C = np.zeros((1, 0), dtype=np.int32)
+    for s in G.generators:
+        pre = np.nonzero(ext.lam.image == required[s])[0].astype(np.int32)
+        C = homsearch._extend(C, pre)
+    kept, imgs = homsearch._filter_prefixes(G, ext.E, C, len(G.generators))
+    return GroupHom(G, ext.E, imgs[0]) if len(kept) else None
+
+
+def lift_level_count(ext, pi, rhobar):
+    """Reference: the lift search's explored count.  Level j counts the
+    tuples of the first j - 1 generators' candidates that are consistent
+    on the subgroup they generate (`full_filter_prefixes`), times the j-th
+    generator's candidates: the preimages of rhobar(pi(s)) whose order
+    divides o(s).  The count stops after a level with no consistent
+    tuple."""
+    G = pi.domain
+    orders = _element_orders(G)
+    e_orders = _element_orders(ext.E)
+    required = rhobar.image[pi.image]
+    cands = [np.flatnonzero((ext.lam.image == required[s])
+                            & (orders[s] % e_orders == 0)).astype(np.int32)
+             for s in G.generators]
+    count, P = 0, np.zeros((1, 0), dtype=np.int32)
+    for j, c in enumerate(cands):
+        if j and len(P):
+            P = full_filter_prefixes(G, ext.E, P, j)[0]
+        count += len(P) * len(c)
+        if not len(P):
+            break
+        P = homsearch._extend(P, c)
+    return count
+
+
+def test_lift_search_matches_cartesian_product():
+    """On every triple of acceptance criterion 3, lift_hom returns the
+    cartesian-product search's lift, the least in lexicographic order, or
+    None with it."""
+    found = set()
+    for ext, pi, rho in liftability_triples():
+        got, want = lift_hom(ext, pi, rho), product_lift_hom(ext, pi, rho)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.image, want.image)
+        found.add(got is None)
+    assert found == {False, True}
+
+
+def test_lift_search_stays_within_the_hom_search_budget():
+    """A lift explores no more prefixes than the search of Hom(G, E)
+    (`hom_count`), and counts them level by level: a budget of its count
+    lets it finish, and one less raises the hom search's BudgetExceeded
+    with that count."""
+    levels = set()
+    for ext, pi, rho in liftability_triples():
+        n = lift_level_count(ext, pi, rho)
+        assert n <= hom_count(pi.domain, ext.E)[1]
+        lift_hom(ext, pi, rho, budget=n)
+        with pytest.raises(BudgetExceeded) as exc:
+            lift_hom(ext, pi, rho, budget=n - 1)
+        assert exc.value.explored == n
+        assert str(exc.value) == f"hom search budget exceeded ({n})"
+        levels.add(len(pi.domain.generators))
+    assert max(levels) >= 3
 
 
 def test_liftability_crosscheck_triple_agreement():

@@ -4,10 +4,12 @@ import pytest
 import pcohom as pc
 from pcohom import magnus
 from pcohom.errors import OracleDisagreement, SpecError, WordTooShort
-from pcohom.magnus import (TruncatedSeries, _inv_word, counterexample_harness,
+from pcohom.magnus import (TruncatedSeries, _distinct_commutator_search,
+                           _inv_word, counterexample_harness,
                            evaluation_epi, free_nilpotent_standin,
                            lyndon_words, magnus_image, tau,
                            zassenhaus_membership)
+from pcohom.unitriangular import build_unitriangular
 
 
 def duval_lyndon(k, n):
@@ -212,6 +214,59 @@ def test_counterexample_harness():
     assert tr["status"] == "PASS"
     assert rep["verdict"] == "transfer equality fails"
     assert rep["elapsed_seconds"] < 300
+
+
+def dfs_commutator_search(k, U):
+    """Reference: the common-commutator search as a recursive depth-first
+    search, one commutator [v, u] = v^-1 u^-1 v u read off U's table at a
+    time.  A node counts as explored when it is tried; a prefix is pruned
+    as soon as two of its values commute or give a commutator other than
+    the first.  Returns (completions, explored)."""
+    explored = completions = 0
+    assignment = []
+
+    def rec(depth, target):
+        nonlocal explored, completions
+        if depth == k:
+            completions += 1
+            return
+        for u in range(U.order):
+            explored += 1
+            t = target
+            ok = True
+            for v in assignment:
+                c = int(U.mult[U.mult[U.inv[v], U.inv[u]], U.mult[v, u]])
+                if c == 0 or (t is not None and c != t):
+                    ok = False
+                    break
+                t = c
+            if ok:
+                assignment.append(u)
+                rec(depth + 1, t)
+                assignment.pop()
+
+    rec(0, None)
+    return completions, explored
+
+
+@pytest.mark.parametrize("p,ks", [(2, [2, 3, 4, 5, 9]), (3, [2, 3, 4, 5, 9]),
+                                  (5, [1, 2, 3])])
+def test_commutator_level_search_matches_dfs(p, ks):
+    """The level search gives the depth-first search's completions and
+    explored count: each level adds the prefixes the DFS tries there."""
+    U = build_unitriangular(2, p)
+    for k in ks:
+        assert _distinct_commutator_search(k, U) == dfs_commutator_search(
+            k, U), (p, k)
+
+
+def test_commutator_search_counts_at_p_5():
+    """Step 3's counts at p = 5, beyond the reach of the depth-first
+    reference: no completion at k = 9, and the control at k = 2.  The CLI
+    pins hold those at p = 2 and 3."""
+    U = build_unitriangular(2, 5)
+    assert _distinct_commutator_search(9, U) == (0, 9015750)
+    assert _distinct_commutator_search(2, U) == (12000, 15750)
 
 
 def test_counterexample_induced_instance_must_fail_both_sides(monkeypatch):

@@ -183,7 +183,8 @@ def test_mp3_presentation():
         assert element_order(E, r) == p * p
         assert element_order(E, s) == p
         assert exponent(E) == p * p
-        assert E.commutator(r, s) == E.power(r, p)
+        rs = E.mult[E.mult[E.inv[r], E.inv[s]], E.mult[r, s]]     # [r, s]
+        assert rs == E.power(r, p)
         # quotient is elementary abelian of rank 2
         assert exponent(ext.Gbar) == p and ext.Gbar.order == p * p
         # gamma witness is an embedding (Z/p)^2 -> M_{p^3}
