@@ -261,7 +261,9 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     generator g the rows f(g,h) + f(gh,s) - f(h,s) - f(g,hs) = 0 over all
     h and all generators s, f(g, .) expanded along BFS predecessors; all
     of them taken in the gauge, that is, over the off-tree columns only
-    (`_off_tree`, `_gauged_z2`), the tree columns being 0.
+    (`_off_tree`, `_gauged_z2`), the tree columns being 0.  The rows are
+    reduced mod p and written straight into the working dtype of `gf.rref`
+    (`gf._working_dtype`), so no int64 matrix of the system's size is made.
 
     Lemma: the rows at generators g imply the rows at every g.  Let each
     generator s act on G x Z/p by (g, a) -> (gs, a + u(g,s)), and let
@@ -279,51 +281,68 @@ def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
     df(g,h,c) = df(g,h,1) = 0 by normalization.  The rows at g = 1 vanish
     identically and are left out.
 
-    Only the off-tree columns are built: every term on a tree column goes
-    to one extra column m, which is dropped, so the rows equal those over
-    all n * ngens columns restricted to the off-tree ones.  The tree
-    column (d, s) of the step to x is always such a term.  T is walked a
-    BFS level at a time (`bfs_levels`); the x of a level are distinct, so
-    each (j, x) gets one increment and the fancy-indexed += never hits
-    one index twice."""
+    Only the off-tree columns are built.  Phi_1(w_x) walks the BFS tree,
+    so all its terms are on tree columns, which are 0 in the gauge: T[j, x]
+    = f(gens[j], x) over the off-tree columns is Phi_{gens[j]}(w_x) there,
+    the sum of the unit vectors of the columns (g d, s) over the steps
+    (d, s) of x's BFS path, g = gens[j], and a tree column among them is
+    dropped, not counted anywhere.  Lemma: T is a 0/1 array.  The d along
+    one BFS path are distinct, so the g d are, and so are the columns
+    (g d, s); each is hit at most once.  T is walked a BFS level at a time
+    (`bfs_levels`) in int8, each x of a level copying its parent's row and
+    setting one more entry, which by the lemma was 0.  A row is then
+    T[j, h] - T[j, hs], plus the unit at (g h, s) and minus the unit at
+    (h, s) where these are off the tree; they are distinct columns as
+    g != 1, so the entries lie in [-2, 2] and int8 holds them exactly.
+    Each block of rows is reduced mod p into the output."""
     n = G.order
     gens = np.asarray(G.generators, dtype=np.intp)
     ngens = len(gens)
     off = _off_tree(G)
     m = int(off.sum())
-    col = np.full(n * ngens, m, dtype=np.intp)      # tree columns -> m
+    col = np.full(n * ngens, -1, dtype=np.intp)     # tree columns -> -1
     col[off] = np.arange(m)
-    k = np.arange(ngens)
     # T[j, x]: f(gens[j], x) as a linear form in the off-tree unknowns
-    T = np.zeros((ngens, n, m + 1), dtype=np.int64)
+    T = np.zeros((ngens, n, m), dtype=np.int8)
     for lo, hi, d, s in bfs_levels(G.pred):
         T[:, lo:hi] = T[:, d]
-        T[k[:, None], np.arange(lo, hi),
-          col[G.mult[gens[:, None], d] * ngens + s]] += 1
-    h = np.arange(n)
-    A = np.empty((ngens * (1 + ngens * n), m), dtype=np.int64)
-    A[:ngens] = np.eye(ngens, n * ngens, dtype=np.int64)[:, off]  # u(1, s)
+        c = col[G.mult[gens[:, None], d] * ngens + s]
+        j, x = np.nonzero(c >= 0)
+        T[j, lo + x, c[j, x]] = 1
+    A = np.empty((ngens * (1 + ngens * n), m), dtype=gf._working_dtype(p))
+    A[:ngens] = np.eye(ngens, n * ngens, dtype=np.int8)[:, off]  # u(1, s)
     for s in range(ngens):
         # f(g,h) + f(gh,s) - f(h,s) - f(g,hs) for every generator g, all h
         r = T - T[:, G.mult_gen[:, s]]
-        r[k[:, None], h, col[G.mult[gens] * ngens + s]] += 1
-        r[:, h, col[h * ngens + s]] -= 1
+        c = col[G.mult[gens] * ngens + s]
+        j, h = np.nonzero(c >= 0)
+        r[j, h, c[j, h]] += 1
+        c = col[np.arange(n) * ngens + s]
+        h = np.flatnonzero(c >= 0)
+        r[:, h, c[h]] -= 1
         lo = ngens * (1 + s * n)
-        A[lo:lo + ngens * n] = (r[..., :m] % p).reshape(ngens * n, m)
+        np.remainder(r.reshape(ngens * n, m), np.int64(p),
+                     out=A[lo:lo + ngens * n], casting="unsafe")
     return A
 
 
 def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
     """Generator columns of d(delta_x), one row per x = 1, ..., n - 1:
-    d(delta_x)(g, s) = [g = x] + [s = x] - [gs = x].  The rows span B^2,
-    as every c with c(1) = 0 is a combination of the delta_x."""
+    d(delta_x)(g, s) = [g = x] + [s = x] - [gs = x], reduced mod p and
+    written straight into the working dtype of `gf.rref`
+    (`gf._working_dtype`).  The rows span B^2, as every c with c(1) = 0 is
+    a combination of the delta_x.  Column (g, s) is nonzero only at the
+    rows x = g, s and gs, and each of the three is written with its whole
+    value there, so rows that coincide (g = s, or g = 1 and gs = s) get the
+    same value from either write and nothing is summed in place."""
     n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
+    g = np.repeat(np.arange(n), len(gens))
+    s, gs = np.tile(gens, n), G.mult_gen.ravel()
     cols = np.arange(n * len(gens))
-    B = np.zeros((n, n * len(gens)), dtype=np.int64)
-    B[np.repeat(np.arange(n), len(gens)), cols] += 1
-    B[np.tile(gens, n), cols] += 1
-    B[G.mult_gen.ravel(), cols] -= 1
-    return B[1:] % p
+    B = np.zeros((n, n * len(gens)), dtype=gf._working_dtype(p))
+    for x in (g, s, gs):
+        B[x, cols] = ((g == x).astype(np.int64) + (s == x) - (gs == x)) % p
+    return B[1:]
 
 
 def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
@@ -337,10 +356,12 @@ def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
     minus a coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the
     gauged coboundaries are the row space of D, of rank ngens - dim H^1
     (`_tree_coboundaries`); and dim B^2 = n - 1 - dim H^1, as the
-    1-cochains c with c(1) = 0 and dc = 0 are the characters."""
+    1-cochains c with c(1) = 0 and dc = 0 are the characters.  Like the
+    rows of `_delta_coboundaries`, it is held in the working dtype of
+    `gf.rref` (`gf._working_dtype`)."""
     off = _off_tree(G)
     basis = gf.nullspace(_cocycle_constraints(G, p), p)
-    Z = np.zeros((len(basis), len(off)), dtype=np.int64)
+    Z = np.zeros((len(basis), len(off)), dtype=gf._working_dtype(p))
     Z[:, off] = basis
     return Z
 
@@ -351,7 +372,8 @@ def _z2_basis(G: FiniteGroup, p: int) -> np.ndarray:
     the identity on the free columns F, in increasing order of the free
     column; rebuilt from the gauged cocycles (`_gauged_z2`) and the
     coboundaries d(delta_x) (`_delta_coboundaries`), which together span
-    Z^2.
+    Z^2.  The stack of the two is built in the working dtype of `gf.rref`
+    (`gf._working_dtype`), so no int64 matrix the size of B^2 is made.
 
     Lemma (duality): cand = R[::-1, ::-1], R the rref of any spanning set
     of Z^2 with its columns reversed.  Row k of cand is 1 at F[k], 0 at

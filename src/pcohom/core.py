@@ -83,7 +83,8 @@ class FiniteGroup:
     def __post_init__(self):
         if not self.key:
             h = hashlib.sha1()
-            h.update(np.asarray(self.mult, dtype=np.int32).tobytes())
+            # hashed in place: a tobytes() copy would be one more table
+            h.update(np.ascontiguousarray(self.mult, dtype=np.int32))
             h.update(np.asarray(self.generators, dtype=np.int32).tobytes())
             self.key = h.hexdigest()
 
@@ -181,6 +182,11 @@ def memo(fn):
     return cached
 
 
+# the size, in entries, of the temporaries of the chunked passes over a
+# whole table (`_verify_tables`, `group_from_table`)
+_CHUNK_ENTRIES = 1 << 16
+
+
 def _verify_tables(G: FiniteGroup):
     """Check that G's tables define a group: 0 is a two-sided identity, inv
     gives right inverses, mult_gen is mult at the generator columns, each
@@ -192,7 +198,8 @@ def _verify_tables(G: FiniteGroup):
     by the identity.  For c = d*s with (a*b)*d = a*(b*d):
     (a*b)*c = ((a*b)*d)*s = (a*(b*d))*s = a*((b*d)*s) = a*(b*c), by the
     edge identity three times.  Chunks of rows a keep the temporaries near
-    2^20 entries."""
+    _CHUNK_ENTRIES = 2^16 entries, so the check adds no spike to the
+    memory of a build even at order 4096."""
     n = G.order
     mult, inv = G.mult, G.inv
     ar = np.arange(n)
@@ -206,10 +213,12 @@ def _verify_tables(G: FiniteGroup):
     if not (((0 <= d) & (d < ar[1:])).all() and (np.diff(d) >= 0).all()
             and np.array_equal(G.mult_gen[d, i], ar[1:])):
         raise EdgeCheckFailed("broken BFS predecessors")
-    step = max(1, (1 << 20) // (n * max(len(G.generators), 1)))
+    step = max(1, _CHUNK_ENTRIES // (n * max(len(G.generators), 1)))
     for lo in range(0, n, step):
         rows = mult[lo:lo + step]
-        if not np.array_equal(G.mult_gen[rows], rows[:, G.mult_gen]):
+        # np.take: rows[:, mult_gen] would loop over the few rows innermost
+        if not np.array_equal(G.mult_gen[rows],
+                              np.take(rows, G.mult_gen, axis=1)):
             raise EdgeCheckFailed("associativity check failed")
 
 
@@ -346,7 +355,11 @@ def bfs_levels(pred):
 def group_from_table(table, gen_positions, name="") -> tuple:
     """Relabel a raw group table (identity at index 0) into BFS-canonical
     form from the given generator positions.  Returns (group, relabel) where
-    relabel maps old indices to new ids: the inverse of the BFS order."""
+    relabel maps old indices to new ids: the inverse of the BFS order.
+
+    The new table is mult[a, b] = relabel[table[old_of[a], old_of[b]]],
+    filled a chunk of rows at a time, each of about _CHUNK_ENTRIES entries,
+    so only the input, the output and one chunk are alive at once."""
     table = np.asarray(table, dtype=np.int32)
     n = table.shape[0]
     gen_positions = list(dict.fromkeys(int(g) for g in gen_positions if g))
@@ -355,7 +368,11 @@ def group_from_table(table, gen_positions, name="") -> tuple:
         raise SpecError("given positions do not generate the table group")
     relabel = np.empty(n, dtype=np.int32)
     relabel[old_of] = np.arange(n)
-    mult = relabel[table[np.ix_(old_of, old_of)]]
+    mult = np.empty((n, n), dtype=np.int32)
+    step = max(1, _CHUNK_ENTRIES // n)
+    for lo in range(0, n, step):
+        np.take(relabel, table[np.ix_(old_of[lo:lo + step], old_of)],
+                out=mult[lo:lo + step])
     G = _table_group(mult, mult[:, relabel[gen_positions]], pred, None, name)
     return G, relabel
 

@@ -3,10 +3,13 @@ taken by Fermat's little theorem).
 
 Results are dense numpy int64 arrays with entries reduced mod p.
 ``rref`` eliminates in the narrowest dtype that keeps every intermediate
-exact: bool rows updated by XOR for p = 2, int16 for 3 <= p <= 181, where
-every intermediate lies in [-(p-1)^2, (p-1)^2] and 180^2 < 2^15, and
-int64 above (the lemma is at ``rref``); it returns int64 all the same,
-for its callers' products.  ``rref``, ``rank`` and ``nullspace``
+exact (``_working_dtype``): bool rows updated by XOR for p = 2, int16 for
+3 <= p <= 181, where every intermediate lies in [-(p-1)^2, (p-1)^2] and
+180^2 < 2^15, and int64 above (the lemma is at ``rref``); it returns int64
+all the same, for its callers' products.  Its input may be any integer or
+bool array, and ``nullspace`` passes its input on as it is: a caller that
+builds a large system builds it in the working dtype, and no int64 copy
+of it is ever made.  ``rref``, ``rank`` and ``nullspace``
 eliminate a matrix once.  A matrix that is queried many times
 (membership, solutions) is factored once into a ``Span``, the one
 factored-solve object, and each query is then a single product against
@@ -55,7 +58,8 @@ def rref(a, p):
     The input is read once: one pass reduces it mod p straight into a new
     array of the working dtype (the caller's is never written), taking
     the remainder in int64 a buffer at a time, so no int64 copy of the
-    input is made; the all-zero rows are then dropped.  Each pivot step
+    input is made; the all-zero rows are then dropped, and only that
+    compacted copy is kept through the elimination.  Each pivot step
     scans its column once and touches only the entries it changes: the
     pivot row is the first nonzero one at or below row r, swapped into
     place (row r was zero there, so the other nonzero rows keep their
@@ -80,6 +84,7 @@ def rref(a, p):
     w = np.empty(a.shape, dtype=_working_dtype(p))
     np.remainder(a, np.int64(p), out=w, casting="unsafe")
     a = w[w.any(axis=1)]
+    del w
     nrows, ncols = a.shape
     pivots = []
     r = 0
@@ -116,8 +121,9 @@ def rank(a, p) -> int:
 def nullspace(a, p):
     """Basis (rows) of {x : a @ x = 0 mod p}: row k is the identity on
     the free (non-pivot) columns, free[k] = 1, taken in increasing order
-    of the free column."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.int64))
+    of the free column.  An integer or bool ``a`` is read as it is, with
+    no int64 copy: `rref` reduces it into the working dtype."""
+    a = np.atleast_2d(np.asarray(a))
     ncols = a.shape[1]
     r, pivots = rref(a, p)
     free = np.setdiff1d(np.arange(ncols), pivots)

@@ -135,8 +135,8 @@ def test_criterion_2_pairings_perfect(catalog):
 
 def liftability_triples():
     """(ext, pi, rho) over the (group, family) combos below, with pi the
-    quotient map by Tbar, until at least 700 triples have been given."""
-    total = 0
+    quotient map by Tbar: every extension of the family with every hom rho
+    from the quotient to its Gbar, 566 triples in all."""
     combos = [("Q8", "zassenhaus", 2, 2), ("D4", "zassenhaus", 2, 2),
               ("Mp3:3", "mixed", None, 3), ("Z/8", "lower-central", 2, 2),
               ("Heis:3", "mixed", None, 3), ("E:2:2", "zassenhaus", 2, 2),
@@ -151,9 +151,6 @@ def liftability_triples():
         for ext in fam.extensions:
             for rho in enumerate_homs(Q, ext.Gbar).homs:
                 yield ext, pi, rho
-                total += 1
-        if total >= 700:
-            return
 
 
 def test_criterion_3_liftability_triples():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pcohom as pc
 from pcohom import cohomology, gf
 from pcohom.catalog import applicable_families, catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
-                               _cocycle_constraints, _expand_from_columns,
+                               _cocycle_constraints, _delta_coboundaries,
+                               _expand_from_columns,
                                _gauged_z2, _off_tree, _z2_basis, bockstein,
                                classifying_cocycle, conj_invariant_h1, cup,
                                h1, h2_space, is_coboundary,
@@ -230,6 +232,80 @@ def test_z2_basis_matches_full_nullspace():
         if n <= H2_ORDER_CAP:
             assert h2_space(G, p).dim == dim_h2, name
     assert len(seen) == 48
+
+
+def path_column_counts(G):
+    """Reference: C[j, x, (g d, s)] counts the steps (d, s) of x's BFS path
+    at the column (g d, s), g = gens[j], over all n * ngens columns, one
+    position at a time: Phi_g(w_x) of the lemma at _cocycle_constraints,
+    tree columns included."""
+    n = G.order
+    gens = np.asarray(G.generators, dtype=np.intp)
+    ngens = len(gens)
+    C = np.zeros((ngens, n, n * ngens), dtype=np.int32)
+    for x in range(1, n):
+        d, s = G.pred[x]
+        C[:, x] = C[:, d]
+        C[np.arange(ngens), x, G.mult[gens, d] * ngens + s] += 1
+    return C
+
+
+def test_tree_walk_forms_are_0_1():
+    """The lemma at _cocycle_constraints: along one BFS path the columns
+    (g d, s) are distinct, so T is a 0/1 array.  On every distinct catalog
+    table, on Z/256 (255 one-position levels) and on E:2:8."""
+    seen = set()
+    cases = [G for _, G, _ in catalog_instances()] + [
+        pc.builtin_group("Z/256"), pc.builtin_group("E:2:8")]
+    for G in cases:
+        if G.key in seen:
+            continue
+        seen.add(G.key)
+        C = path_column_counts(G)
+        assert C.max(initial=0) <= 1, G.name
+        # every step of the path is counted once
+        depth = np.zeros(G.order, dtype=np.int32)
+        for lo, hi, d, _ in pc.core.bfs_levels(G.pred):
+            depth[lo:hi] = depth[d] + 1
+        assert np.array_equal(C.sum(axis=2),
+                              np.broadcast_to(depth, C.shape[:2])), G.name
+    assert len(seen) == 36
+
+
+def test_z2_system_is_built_in_the_working_dtype():
+    """The constraint rows, the coboundaries d(delta_x) and the gauged
+    cocycles are held in gf's working dtype, with the values of the int64
+    references, at p = 2 (bool), 3 (int16) and 191 (int64)."""
+    for name in ("D4", "Heis:3", "Z/4xZ/2"):
+        G = pc.builtin_group(name)
+        for p in (2, 3, 191):
+            want = gf._working_dtype(p)
+            A = _cocycle_constraints(G, p)
+            assert A.dtype == want, (name, p)
+            ref = full_cocycle_constraints(G, p)[:, _off_tree(G)]
+            assert np.array_equal(A.astype(np.int64), ref), (name, p)
+            B = _delta_coboundaries(G, p)
+            assert B.dtype == want, (name, p)
+            assert np.array_equal(B.astype(np.int64),
+                                  coboundary_matrix(G).T % p), (name, p)
+            assert _gauged_z2(G, p).dtype == want, (name, p)
+            assert np.array_equal(_z2_basis(G, p), full_nullspace(G, p)), \
+                (name, p)
+
+
+def test_z2_basis_memory_stays_below_the_int64_rows():
+    """A cold _z2_basis on an order-128, 3-generator catalog quotient
+    traces less than 2 MiB: the int64 constraint rows alone (1,155 x 257)
+    take 2.26 MiB, and the int64 build traced 5.4 MiB."""
+    name, G, p = next(c for c in catalog_instances()
+                      if c[1].order == 128 and len(c[1].generators) == 3)
+    tracemalloc.start()
+    try:
+        _z2_basis(G, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, (name, peak)
 
 
 def basis_tables(space):

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -632,6 +633,43 @@ def test_bfs_matches_queue_loops_on_catalog_tables():
                 assert np.array_equal(a, b) and a.dtype == b.dtype, (name, j)
         n_cases += 1
     assert n_cases == 82
+
+
+def one_shot_relabel(table, gen_positions):
+    """Reference: the relabelled table as group_from_table made it before
+    it went a chunk of rows at a time, in one np.ix_ gather."""
+    old_of, _, relabel = queue_bfs(table, gen_positions)
+    return relabel[np.asarray(table, dtype=np.int32)[np.ix_(old_of, old_of)]]
+
+
+def test_chunked_relabel_matches_one_shot():
+    """On the catalog tables (one chunk each) and on seeded relabellings
+    of orders 729 (a short last chunk) and 1024 (16 chunks)."""
+    rng = np.random.default_rng(20260824)
+    cases = list(bfs_cases())
+    for name in ("Heis:3xHeis:3", "E:2:10"):
+        cases.append((name, *relabelled(pc.builtin_group(name), rng)))
+    for name, table, gens in cases:
+        H, _ = group_from_table(table, gens)
+        assert np.array_equal(H.mult, one_shot_relabel(table, gens)), name
+        assert H.mult.dtype == np.int32, name
+    assert len(cases) == 84
+
+
+def test_relabel_keeps_one_table_besides_the_input():
+    """group_from_table on an order-1024 table traces less than 1.5 tables:
+    the output, the inverse scan's n x n bool and a chunk.  The one-shot
+    relabel and the key's tobytes() copy traced 13 MiB (3.3 tables)."""
+    table, gens = relabelled(pc.builtin_group("E:2:10"),
+                             np.random.default_rng(7))
+    table = table.astype(np.int32)
+    tracemalloc.start()
+    try:
+        group_from_table(table, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table.nbytes, peak
 
 
 def test_closures_match_frontier_and_fixpoint_loops():

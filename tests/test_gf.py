@@ -92,6 +92,27 @@ def test_nullspace_and_rank_nullity(seed, p, rows, cols):
         assert gf.rank(ns, p) == ns.shape[0]
 
 
+def test_nullspace_reads_narrow_inputs_as_they_are():
+    """nullspace over bool, int8, int16 and int64 inputs gives the int64
+    basis of the int64 input, at p = 2 (bool working dtype), 3 (int16)
+    and 191 (int64): 0/1 matrices in every dtype, and signed entries in
+    the integer ones."""
+    rng = np.random.default_rng(20260824)
+    for p in (2, 3, 191):
+        for rows, cols in [(1, 1), (4, 9), (9, 4), (12, 12)]:
+            a = rng.integers(0, 2, size=(rows, cols))
+            want = gf.nullspace(a.astype(np.int64), p)
+            assert want.dtype == np.int64
+            for dt in (np.bool_, np.int8, np.int16, np.int64):
+                got = gf.nullspace(a.astype(dt), p)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+            a = rng.integers(-100, 100, size=(rows, cols))
+            want = gf.nullspace(a.astype(np.int64), p)
+            assert not ((a @ want.T) % p).any()
+            for dt in (np.int8, np.int16):
+                assert np.array_equal(gf.nullspace(a.astype(dt), p), want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(PRIMES),
        st.integers(1, 7), st.integers(1, 7))
