@@ -34,17 +34,12 @@ def applicable_families(p: int):
     return fams
 
 
-def _random_standin_quotients(rng):
-    """Seeded-random quotients of free-group stand-ins by normal closures
-    of elements of Tbar (for the degree-2 unitriangular family)."""
-    sources = [
-        ("standin:zassenhaus:2:2:2", free_nilpotent_standin(2, 2, "zassenhaus", 2), 2),
-        ("standin:lower-central:2:2:2", free_nilpotent_standin(2, 2, "lower-central", 2), 2),
-        ("standin:zassenhaus:3:2:2", free_nilpotent_standin(3, 2, "zassenhaus", 2), 2),
-        ("standin:zassenhaus:2:3:2", free_nilpotent_standin(2, 3, "zassenhaus", 2), 3),
-    ]
+def _random_standin_quotients(standins, rng):
+    """Seeded-random quotients of the free-group stand-ins, given as
+    (name, group, p) triples, by normal closures of elements of Tbar (for
+    the degree-2 unitriangular family)."""
     out = []
-    for sname, S, p in sources:
+    for sname, S, p in standins:
         fam = omega_family("zassenhaus", 2, p)
         tbar = t_bundle(S, fam).Tbar
         nontrivial = [int(x) for x in tbar.members if x]
@@ -87,13 +82,15 @@ def catalog_instances():
     for names, p in ((named2, 2), (named3, 3), (named5, 5)):
         for nm in names:
             out.append((nm, builtin_group(nm), p))
-    out.append(("standin:zassenhaus:2:2:2",
-                free_nilpotent_standin(2, 2, "zassenhaus", 2), 2))
-    out.append(("standin:lower-central:2:2:2",
-                free_nilpotent_standin(2, 2, "lower-central", 2), 2))
-    out.append(("standin:zassenhaus:2:3:2",
-                free_nilpotent_standin(2, 3, "zassenhaus", 2), 3))
-    out.extend(_random_standin_quotients(rng))
+    # each stand-in is closed once; the one of order 512 serves only as a
+    # source of quotients, as the order filter below drops it
+    standins = []
+    for kind, k, p in (("zassenhaus", 2, 2), ("lower-central", 2, 2),
+                       ("zassenhaus", 3, 2), ("zassenhaus", 2, 3)):
+        S = free_nilpotent_standin(k, p, kind, 2)
+        standins.append((S.name, S, p))
+    out.extend(standins)
+    out.extend(_random_standin_quotients(standins, rng))
     return [(nm, G, p) for nm, G, p in out if G.order <= H2_ORDER_CAP]
 
 

@@ -1,14 +1,15 @@
 """Finite groups as dense multiplication tables, plus the subgroup calculus.
 
-A group is built one of two ways.  `generate_group` closes concrete
-generators (permutations, matrices mod m, residues, truncated series, ...)
-by hashing and keeps the elements: `group_from_json`, the stand-ins and
-every builtin but the products are built so.  `group_from_table` relabels
-a table that already exists and names no element: quotients, subgroups
-and `direct_product`, which reads a product's table off its factors'
-tables (every `A x B x ...` and `E:p:k` builtin).  Element id 0 is always
-the identity and ids follow BFS discovery order, so every derived
-structure (BFS words, cosets, reports) is deterministic.
+A group is its tables, and it is built one of two ways.  `generate_group`
+closes concrete generators (permutations, matrices mod m, residues,
+truncated series, ...) by hashing and keeps only the tables it read off
+them: `group_from_json`, the stand-ins and every builtin but the products
+are built so.  `group_from_table` relabels a table that already exists:
+quotients, subgroups and `direct_product`, which reads a product's table
+off its factors' tables (every `A x B x ...` and `E:p:k` builtin).
+Element id 0 is always the identity and ids follow BFS discovery order, so
+every derived structure (BFS words, cosets, reports) is deterministic.  A
+subgroup is its sorted member ids.
 
 Once a table exists, `_bfs` is the one table BFS: it relabels quotient and
 subgroup tables (`group_from_table`), gives the hom search its partial
@@ -21,8 +22,9 @@ keeping each unseen id of a level's parent-major successor block at its
 first occurrence numbers the ids as the queue does.  `generate_group`
 numbers elements in the same order, by hashing, before any table exists.
 `bfs_levels` is the one walk along BFS predecessors, a level at a time:
-it fills the table of `generate_group`, evaluates BFS words
-(`word_images`) and expands cochains in `cohomology`.
+it fills the table and the inverses of every group (`generate_group`,
+`_table_group`), evaluates BFS words (`word_images`) and expands cochains
+in `cohomology`.
 
 Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
@@ -39,9 +41,8 @@ sha1 of mult and generators) and its pred; a group built with the key
 and pred of the live group registered last shares that group's _cache,
 so a quotient equal to a group already built (G/1, the elementary
 abelian G/Tbar of many groups) recomputes no T-bundle, hom search or
-H^2.  The objects stay distinct, so renaming one renames no other, and
-`element_index`, which reads the concrete elements, stays per object.
-The lemma, and what the sharing means for search budgets, are at `memo`.
+H^2.  The objects stay distinct, so renaming one renames no other.  The
+lemma, and what the sharing means for search budgets, are at `memo`.
 """
 
 from __future__ import annotations
@@ -73,12 +74,9 @@ class FiniteGroup:
     generators: list          # element ids (distinct, non-identity)
     mult_gen: np.ndarray      # order x ngens: g * generators[i]
     pred: np.ndarray          # order x 2: (predecessor id, generator index)
-    elements: list | None = None   # concrete elements, if built from them
     name: str = ""
     key: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index: dict | None = field(default=None, init=False, repr=False,
-                                compare=False)
 
     def __post_init__(self):
         if not self.key:
@@ -154,8 +152,6 @@ def memo(fn):
     it, so the registry is keyed on it too.
     - A value may hold the twin that built it (a quotient map's domain, a
       subgroup's parent); reports read names from the caller's group only.
-    - `element_index` reads G.elements, which the key does not cover, so
-      it is kept on G itself, not in the shared cache.
     - The budget is not keyed, so a value found by one twin within its
       budget is returned to another under a smaller one, as it already
       was to a second call on one group.  A CLI process builds its groups
@@ -224,7 +220,9 @@ def _verify_tables(G: FiniteGroup):
 
 def generate_group(gens, name="") -> FiniteGroup:
     """Closure of concrete generators under composition, as a FiniteGroup
-    of at most DEFAULT_CAP elements."""
+    of at most DEFAULT_CAP elements.  The concrete elements live only
+    inside the closure: the group keeps its tables, and element i is the
+    BFS word of id i (`pred`) evaluated in the generators."""
     gens = list(gens)
     if gens:
         sig = gens[0].signature()
@@ -268,25 +266,31 @@ def generate_group(gens, name="") -> FiniteGroup:
     mult[:, 0] = np.arange(n)
     for lo, hi, d, s in bfs_levels(pred):
         mult[:, lo:hi] = mult_gen[mult[:, d], s]
-    return _table_group(mult, mult_gen, pred,
-                        elems if ident is not None else None, name)
+    return _table_group(mult, mult_gen, pred, name)
 
 
 # the last group built for each (key, pred bytes), while it lives
 _TWINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _table_group(mult, mult_gen, pred, elements, name) -> FiniteGroup:
+def _table_group(mult, mult_gen, pred, name) -> FiniteGroup:
     """The group of BFS-canonical tables, its inverses and generator ids
     read off them; every FiniteGroup is built and verified here.  A group
     with the key and pred of the last one built, while that one lives,
-    shares its memo cache (`memo`)."""
+    shares its memo cache (`memo`).
+
+    The inverses come from one row scan per generator and one walk along
+    pred: for c = d*s, c^-1 = s^-1 d^-1.  `_verify_tables` then checks
+    them on every id, as it would any inverse array."""
     n = len(mult)
-    inv = np.empty(n, dtype=np.int32)
-    rows, cols = np.nonzero(mult == 0)
-    inv[rows] = cols
-    G = FiniteGroup(n, mult, inv, [int(s) for s in mult_gen[0]],
-                    mult_gen, pred, elements=elements, name=name)
+    gens = mult_gen[0]
+    # argmax of a row with no 0 is 0, which `_verify_tables` rejects
+    gen_inv = np.argmax(mult[gens] == 0, axis=1)
+    inv = np.zeros(n, dtype=np.int32)
+    for lo, hi, d, s in bfs_levels(pred):
+        inv[lo:hi] = mult[gen_inv[s], inv[d]]
+    G = FiniteGroup(n, mult, inv, [int(s) for s in gens], mult_gen, pred,
+                    name=name)
     _verify_tables(G)
     twin_key = G.key, np.asarray(pred, dtype=np.int32).tobytes()
     twin = _TWINS.get(twin_key)
@@ -302,28 +306,41 @@ def _bfs(table, cols):
 
     Returns (order, pred): the reached ids in discovery order, and
     pred[t] = (position in order of the parent, index into cols) of
-    order[t], with pred[0] = (-1, -1).  Each level gathers
-    table[level, cols] parent-major and keeps every unseen id at its first
+    order[t], with pred[0] = (-1, -1).  Each level gathers its rows of
+    table[:, cols] parent-major and keeps every unseen id at its first
     occurrence, which is the queue order (lemma in the module docstring);
     so each parent precedes its child and pred[:, 0] is nondecreasing,
-    the property `bfs_levels` walks by."""
+    the property `bfs_levels` walks by.
+
+    Lemma: a level's unseen successors repeat only across columns.  Every
+    column `_bfs` is given is a permutation of ids (a group table's, a
+    `mult_gen`'s, the conjugations of `normal_closure`), so one column
+    maps the distinct ids of a level to distinct ids, and a search along
+    one column needs no first-occurrence pass."""
     cols = np.asarray(cols, dtype=np.intp)
+    k = cols.size
+    succ_of = table[:, cols]        # gathered once: a level reads its rows
     seen = np.zeros(len(table), dtype=bool)
     seen[0] = True
     level = np.zeros(1, dtype=np.int32)
-    order, pred = [level], [np.full((1, 2), -1, dtype=np.int32)]
+    # steps[t] = k * (parent position) + column of each id found, by level
+    order, steps = [level], [np.zeros(0, dtype=np.intp)]
     start = 0                       # position of level[0] in order
-    while level.size and cols.size:
-        succ = table[np.ix_(level, cols)].ravel()
+    while level.size and k:
+        succ = succ_of[level].ravel()
         fresh = np.flatnonzero(~seen[succ])
-        fresh = fresh[np.sort(np.unique(succ[fresh], return_index=True)[1])]
-        parent, col = np.divmod(fresh, cols.size)
-        pred.append(np.stack([start + parent, col], axis=1).astype(np.int32))
+        if k > 1:
+            first = np.unique(succ[fresh], return_index=True)[1]
+            fresh = fresh[np.sort(first)]
+        steps.append(start * k + fresh)
         start += level.size
-        level = succ[fresh].astype(np.int32)
+        level = succ[fresh]
         seen[level] = True
         order.append(level)
-    return np.concatenate(order), np.concatenate(pred)
+    order = np.concatenate(order)
+    pred = np.full((len(order), 2), -1, dtype=np.int32)
+    pred[1:, 0], pred[1:, 1] = np.divmod(np.concatenate(steps), k)
+    return order, pred
 
 
 def bfs_levels(pred):
@@ -373,7 +390,7 @@ def group_from_table(table, gen_positions, name="") -> tuple:
     for lo in range(0, n, step):
         np.take(relabel, table[np.ix_(old_of[lo:lo + step], old_of)],
                 out=mult[lo:lo + step])
-    G = _table_group(mult, mult[:, relabel[gen_positions]], pred, None, name)
+    G = _table_group(mult, mult[:, relabel[gen_positions]], pred, name)
     return G, relabel
 
 
@@ -413,21 +430,27 @@ def direct_product(factors, name="") -> FiniteGroup:
 # Subgroups
 # ---------------------------------------------------------------------
 
+def _member_mask(members, ids):
+    """Which of the ids lie in the nonempty sorted id array members: one
+    searchsorted, so no set of the members is built."""
+    at = np.minimum(np.searchsorted(members, ids), members.size - 1)
+    return members[at] == ids
+
+
 class Subgroup:
-    """Sorted element-id set inside a parent group, verified closed."""
+    """Sorted element-id array inside a parent group, verified closed."""
 
     def __init__(self, parent: FiniteGroup, members, check=True):
         self.parent = parent
         m = np.unique(np.asarray(members, dtype=np.int32))
         self.members = m
-        self._set = frozenset(int(x) for x in m)
         if check:
-            if 0 not in self._set:
+            if 0 not in self:
                 raise NotASubgroup("subgroup must contain the identity")
             if parent.order % len(m) != 0:
                 raise NotASubgroup("Lagrange violation: not a subgroup")
             sub = parent.mult[np.ix_(m, m)]
-            if not set(np.unique(sub)) <= self._set:
+            if not _member_mask(m, sub).all():
                 raise NotASubgroup("set not closed under multiplication")
 
     @property
@@ -435,14 +458,15 @@ class Subgroup:
         return len(self.members)
 
     def __contains__(self, g):
-        return int(g) in self._set
+        at = np.searchsorted(self.members, int(g))
+        return at < self.order and self.members[at] == int(g)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and self.parent.key == other.parent.key
                 and np.array_equal(self.members, other.members))
 
     def __le__(self, other):
-        return self._set <= other._set
+        return bool(_member_mask(other.members, self.members).all())
 
     def __hash__(self):
         return hash((self.parent.key, self.members.tobytes()))
@@ -463,7 +487,7 @@ def _is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     inverse is a power), so g^-1 H g = H by induction on the word."""
     gens = np.asarray(G.generators, dtype=np.intp)
     conj = G.mult[G.mult[G.inv[gens, None], H.members], gens[:, None]]
-    return set(np.unique(conj)) <= H._set
+    return bool(_member_mask(H.members, conj).all())
 
 
 def subgroup_generated(G: FiniteGroup, seed) -> Subgroup:
@@ -625,6 +649,8 @@ def _table_product(U: FiniteGroup):
     elements (closure and `direct_product` stop there, quotients and
     subgroups are smaller), and 8192^2 = 2^26 < 2^31."""
     flat, n = U.mult.ravel(), U.order
+    # not flat.take: take first copies the int32 index into a whole intp
+    # array, which the buffered fancy index never holds
     return lambda x, y: flat[x * n + y]
 
 
@@ -853,16 +879,6 @@ def signature(G: FiniteGroup):
     multiset, center order and derived-subgroup order."""
     orders = tuple(sorted(int(x) for x in _element_orders(G)))
     return (G.order, exponent(G), orders, center(G).order, derived_subgroup(G).order)
-
-
-def element_index(G: FiniteGroup) -> dict:
-    """Lookup table from concrete element to its id, kept on G itself: a
-    twin shares G's memo cache but not its elements (`memo`)."""
-    if G.elements is None:
-        raise SpecError("group has no concrete elements")
-    if G._index is None:
-        G._index = {e: i for i, e in enumerate(G.elements)}
-    return G._index
 
 
 # ---------------------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, center, element_index,
+from .core import (FiniteGroup, GroupHom, bfs_levels, center,
                    generate_group, hom_from_generator_images,
                    intersect_subgroups, quotient_group, spec_ints,
                    spec_prime, subgroup_generated)
@@ -82,13 +82,13 @@ class CentralExtension:
                                  compare=False)
 
     def __post_init__(self):
-        z_img = set(int(x) for x in self.iota.image)
-        ker = set(int(x) for x in np.nonzero(self.lam.image == 0)[0])
+        z_img = np.unique(self.iota.image)
+        ker = np.flatnonzero(self.lam.image == 0)
         if not (self.iota.is_injective() and self.lam.is_surjective()
-                and ker == z_img):
+                and np.array_equal(ker, z_img)):
             raise NotACentralExtension(f"{self.label}: Z -> E -> Gbar is not "
                                        "exact")
-        if not z_img <= set(center(self.E).members.tolist()):
+        if not np.isin(z_img, center(self.E).members).all():
             raise NotACentralExtension(f"{self.label}: iota(Z) is not central")
         s = self.section
         if not (s.shape == (self.Gbar.order,) and s[0] == 0
@@ -119,14 +119,33 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
 
     For m = p this is 0 -> R+ -> U_n(Z/p) -> Ubar_n(Z/p) -> 1 with the full
     corner as kernel; for m = p^e (e > 1) the kernel is p^(e-1) times the
-    corner, which is the building block of the lower-central family."""
+    corner, which is the building block of the lower-central family.
+
+    E's generators are g_1..g_n, g_i = 1 + E_{i-1,i}, in this order, and
+    both the kernel and the section are read off E's tables.
+
+    Lemma (corner): with [a, b] = a^-1 b^-1 a b, the right-nested
+    commutator [g_1, [g_2, ..., [g_{n-1}, g_n]]] is 1 + E_{0n}, so its
+    p^(e-1)-th power 1 + p^(e-1) E_{0n} generates the kernel; for n = 1
+    the commutator is g_1 itself.  For i < j < k, E_ij E_jk = E_ik is the
+    only nonzero product of two of E_ij, E_jk, E_ik, so
+    [1 + E_ij, 1 + E_jk] = 1 + E_ik, and from the inside out the nest is
+    1 + E_{n-2,n}, 1 + E_{n-3,n}, ..., 1 + E_{0n}.
+
+    Lemma (first row): right multiplication by g_{s+1} = 1 + E_{s,s+1}
+    adds column s to column s+1.  So the first row of d * g_{s+1} is the
+    first row of d with entry s added to entry s+1, and one walk along
+    E's BFS words (`core.bfs_levels`) from the identity's first row
+    (1, 0, ..., 0) gives every element's corner entry, the last one."""
     p, e = _factor_prime_power(m)
     if n == 1 and e == 1:
         raise SpecError("the n=1 prime-modulus extension has a trivial quotient")
     E = build_unitriangular(n, m)
-    corner_gen = np.eye(n + 1, dtype=np.int64)
-    corner_gen[0, n] = p ** (e - 1)
-    corner_id = element_index(E)[MatMod(corner_gen, m)]
+    g = E.generators
+    nest = g[-1]
+    for a in reversed(g[:-1]):
+        nest = E.mul(E.mul(E.inv[a], E.inv[nest]), E.mul(a, nest))
+    corner_id = E.power(nest, p ** (e - 1))
     # |Zsub| = p: quotient_group checks ker lam = Zsub, and
     # CentralExtension that ker lam = iota(Z) with iota injective
     Zsub = subgroup_generated(E, [corner_id])
@@ -139,9 +158,12 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     # section: the coset representative whose corner entry is < p^(e-1);
     # a coset shifts the corner by the p multiples of p^(e-1), so exactly
     # one member qualifies (and CentralExtension rejects a -1 left over)
-    corners = np.asarray([el.entries[0, n] for el in E.elements], dtype=np.int64)
+    unit = np.eye(n + 1, dtype=np.int64)
+    row0 = np.repeat(unit[:1], E.order, axis=0)     # first rows, filled below
+    for lo, hi, d, s in bfs_levels(E.pred):
+        row0[lo:hi] = (row0[d] + row0[d, s, None] * unit[s + 1]) % m
     section = np.full(Gbar.order, -1, dtype=np.int32)
-    small = np.nonzero(corners < p ** (e - 1))[0]
+    small = np.nonzero(row0[:, n] < p ** (e - 1))[0]
     section[lam.image[small]] = small
 
     ext = CentralExtension(Z, E, Gbar, iota, lam, section, p,
@@ -149,7 +171,6 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
 
     # assumption (I) witnesses, by the images of Gbar's generators, which
     # are lam of E's superdiagonal generators g_1..g_n
-    g = E.generators
     if n == 1:
         # E is cyclic Z/m; Gbar = Z/p^(e-1) embeds by multiplication by p
         gammas = [hom_from_generator_images(Gbar, E, [E.power(g[0], p)])]

@@ -21,6 +21,7 @@ from pcohom.magnus import (counterexample_harness, lyndon_words,
                            zassenhaus_membership)
 from pcohom.pairings import (a_pairing, a_space, c_pairing, cached_quotient,
                              liftability_crosscheck, pairing_kernels)
+from concrete_elements import unitriangular_matrices
 from conftest import ACCEPTANCE_LINES
 
 
@@ -249,8 +250,7 @@ def test_criterion_5_cohomology_identities():
     s = h2_space(V, 3)
     fam = pc.omega_family("mixed", None, 3)
     cyc, mp3 = fam.extensions
-    chi_cyc = np.array([cyc.E.elements[int(cyc.section[i])].entries[0, 1]
-                        for i in range(cyc.Gbar.order)], dtype=np.int64)
+    chi_cyc = unitriangular_matrices(cyc.E)[cyc.section, 0, 1]
     alpha_cyc = classifying_cocycle(cyc)
     n_a = 0
     for rho in enumerate_homs(V, cyc.Gbar).homs:

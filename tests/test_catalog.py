@@ -1,6 +1,7 @@
 import numpy as np
 
 import pcohom as pc
+from pcohom import catalog
 from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
                             applicable_families, catalog_instances,
                             transfer_sweep)
@@ -26,6 +27,22 @@ def test_catalog_shape_and_determinism():
     assert sum(1 for nm in names if "/nc(" in nm) >= 8
     # the random quotients are reproducible from the fixed seed
     assert [nm for nm, _, _ in catalog_instances()] == names
+
+
+def test_each_standin_is_closed_once(monkeypatch):
+    """catalog_instances closes each of its four stand-ins once and lists
+    those objects; the one of order 512 only feeds the quotients."""
+    made = []
+    close = catalog.free_nilpotent_standin
+    monkeypatch.setattr(catalog, "free_nilpotent_standin",
+                        lambda *args: made.append(close(*args)) or made[-1])
+    by_name = {nm: G for nm, G, _ in catalog_instances()}
+    assert [S.name for S in made] == [
+        "standin:zassenhaus:2:2:2", "standin:lower-central:2:2:2",
+        "standin:zassenhaus:3:2:2", "standin:zassenhaus:2:3:2"]
+    assert made[2].order == 512 and made[2].name not in by_name
+    for S in made[:2] + made[3:]:
+        assert by_name[S.name] is S
 
 
 def test_subgroup_choices():

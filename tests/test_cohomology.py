@@ -24,6 +24,7 @@ from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
                            NotInvariant, NotNormal, NotSurjective,
                            OracleDisagreement, SectionDefectOutsideKernel,
                            SolveRoundTripFailed)
+from concrete_elements import unitriangular_matrices
 from cocycle_tables import (bockstein_table, checked, classifying_table,
                             constraint_violations, cup_table, expand,
                             generator_columns, matches_table, pullback_table,
@@ -1056,8 +1057,8 @@ def test_massey_n3_contains_zero_for_defined_triple():
 
 def superdiagonal(E, n):
     """(|E|, n): the superdiagonal entries of E's unitriangular matrices."""
-    return np.array([[el.entries[i, i + 1] for i in range(n)]
-                     for el in E.elements], dtype=np.int64)
+    mats = unitriangular_matrices(E)
+    return np.stack([mats[:, i, i + 1] for i in range(n)], axis=1)
 
 
 def test_superdiagonal_is_the_bfs_letter_count():

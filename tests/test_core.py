@@ -11,13 +11,13 @@ import pcohom as pc
 from pcohom import core, homsearch
 from pcohom.catalog import catalog_instances
 from pcohom.core import (_bfs, _is_normal, _powers, bfs_levels,
-                         derived_subgroup, element_index, element_order,
-                         group_from_json, group_from_table, memo,
-                         subgroup_as_group, word_images)
+                         derived_subgroup, element_order, group_from_json,
+                         group_from_table, memo, subgroup_as_group,
+                         word_images)
 from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
 from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
                            KernelMismatch, MixedElementKinds,
-                           NonNormalArguments, NotNormal)
+                           NonNormalArguments, NotASubgroup, NotNormal)
 from pcohom.homsearch import _partial_bfs, t_bundle
 from pcohom.pairings import cached_quotient
 
@@ -217,24 +217,13 @@ def test_quotient_by_trivial_shares_the_cache(twins, monkeypatch):
     assert t_bundle(cold, fam).T == bundle.T and len(calls) == 2 * n
 
 
-def test_element_index_stays_per_object(twins):
-    G = pc.builtin_group("Q8")
-    idx = element_index(G)
-    T, relabel = group_from_table(G.mult, G.generators)
-    assert np.array_equal(relabel, np.arange(G.order))
-    assert T._cache is G._cache and T.elements is None
-    with pytest.raises(ValueError):
-        element_index(T)
-    assert element_index(G) is idx
-
-
 def test_another_pred_keeps_its_own_cache(twins):
     G = pc.builtin_group("E:2:2")            # ids 1, a, b, ab
     assert G.pred.tolist() == [[-1, -1], [0, 0], [0, 1], [1, 1]]
-    twin = core._table_group(G.mult, G.mult_gen, G.pred.copy(), None, "t")
+    twin = core._table_group(G.mult, G.mult_gen, G.pred.copy(), "t")
     assert twin._cache is G._cache
     pred = np.array([[-1, -1], [0, 0], [0, 1], [2, 0]], dtype=np.int32)
-    alt = core._table_group(G.mult, G.mult_gen, pred, None, "alt")
+    alt = core._table_group(G.mult, G.mult_gen, pred, "alt")
     assert alt == G and alt._cache is not G._cache
 
 
@@ -469,8 +458,10 @@ class TupleElem:
 
 def tuple_closure(factors, name):
     """Reference: the product closed over TupleElem tuples, from each
-    factor's generators with the identity in the other slots."""
-    gens = [TupleElem(Fj.elements[g if j == i else 0]
+    factor's generators with the identity in the other slots.  A factor's
+    element g is its left-regular permutation Perm(mult[g]): ids are BFS
+    positions, so any faithful image closes to the factor's own ids."""
+    gens = [TupleElem(Perm(Fj.mult[g if j == i else 0])
                       for j, Fj in enumerate(factors))
             for i, F in enumerate(factors) for g in F.generators]
     return pc.generate_group(gens, name=name)
@@ -478,7 +469,7 @@ def tuple_closure(factors, name):
 
 def test_direct_product_matches_the_tuple_closure():
     """Every builtin product and E:p:k of the catalog, and the products of
-    the scale tier: equal mult, generators, key and pred, no elements."""
+    the scale tier: equal mult, generators, key and pred."""
     names = [nm for nm, _, _ in catalog_instances()
              if "x" in nm or nm.startswith("E:")]
     assert len(names) == 8
@@ -495,14 +486,7 @@ def test_direct_product_matches_the_tuple_closure():
         assert got.generators == want.generators, nm
         assert got.key == want.key, nm
         assert np.array_equal(got.pred, want.pred), nm
-        assert got.elements is None and got.name == nm
-
-
-def test_element_index():
-    G = pc.builtin_group("Q8")
-    idx = element_index(G)
-    for i, e in enumerate(G.elements):
-        assert idx[e] == i
+        assert got.name == nm
 
 
 # ---------------------------------------------------------------------
@@ -658,7 +642,7 @@ def test_chunked_relabel_matches_one_shot():
 
 def test_relabel_keeps_one_table_besides_the_input():
     """group_from_table on an order-1024 table traces less than 1.5 tables:
-    the output, the inverse scan's n x n bool and a chunk.  The one-shot
+    the output, a chunk and the table check's temporaries.  The one-shot
     relabel and the key's tobytes() copy traced 13 MiB (3.3 tables)."""
     table, gens = relabelled(pc.builtin_group("E:2:10"),
                              np.random.default_rng(7))
@@ -699,6 +683,136 @@ def test_closures_match_frontier_and_fixpoint_loops():
                                                 greedy_generators(table))
                 assert K.key == ref.key and np.array_equal(K.pred, ref.pred)
                 assert np.array_equal(embed[relabel], m), name
+
+
+def ix_level_bfs(table, cols):
+    """Reference: the level loop of core._bfs before it gathered the
+    columns once and built pred after the loop, with an np.ix_ gather,
+    a first-occurrence pass and a pred block per level."""
+    cols = np.asarray(cols, dtype=np.intp)
+    seen = np.zeros(len(table), dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.int32)
+    order, pred = [level], [np.full((1, 2), -1, dtype=np.int32)]
+    start = 0
+    while level.size and cols.size:
+        succ = table[np.ix_(level, cols)].ravel()
+        fresh = np.flatnonzero(~seen[succ])
+        fresh = fresh[np.sort(np.unique(succ[fresh], return_index=True)[1])]
+        parent, col = np.divmod(fresh, cols.size)
+        pred.append(np.stack([start + parent, col], axis=1).astype(np.int32))
+        start += level.size
+        level = succ[fresh].astype(np.int32)
+        seen[level] = True
+        order.append(level)
+    return np.concatenate(order), np.concatenate(pred)
+
+
+def test_bfs_matches_the_ix_level_loop():
+    """The tables _bfs is given: each catalog table (and its seeded
+    relabelling) from all its generators, from each one alone and from
+    none; the mult_gen prefixes of the hom search; and the seed and
+    conjugation columns of normal_closure.  Equal arrays and dtypes."""
+    rng = np.random.default_rng(31)
+    n_cases = 0
+    for name, table, gens in bfs_cases():
+        table = np.asarray(table, dtype=np.int32)
+        gens = list(dict.fromkeys(g for g in gens if g != 0))
+        G, _ = group_from_table(table, gens)
+        cases = [(table, gens), (table, [])] + [(table, [g]) for g in gens]
+        cases += [(G.mult_gen, range(j)) for j in range(len(gens) + 1)]
+        g = np.asarray(G.generators, dtype=np.intp)
+        conj = G.mult[G.mult[G.inv[g]], g[:, None]].T
+        for seed in ([0], rng.integers(G.order, size=2)):
+            closure = np.concatenate([G.mult[:, np.unique(seed)], conj], 1)
+            cases.append((closure, range(closure.shape[1])))
+        for t, cols in cases:
+            for got, want in zip(_bfs(t, cols), ix_level_bfs(t, cols)):
+                assert np.array_equal(got, want), (name, list(cols))
+                assert got.dtype == want.dtype, (name, list(cols))
+            n_cases += 1
+    assert n_cases == 730
+
+
+def test_inverses_along_preds_match_the_table_scan():
+    """inv read along the BFS preds equals inv read off the zeros of mult,
+    on every catalog table and its seeded relabelling."""
+    for name, table, gens in bfs_cases():
+        G, _ = group_from_table(table, gens)
+        rows, cols = np.nonzero(G.mult == 0)
+        assert np.array_equal(rows, np.arange(G.order)), name
+        assert np.array_equal(G.inv, cols) and G.inv.dtype == np.int32, name
+
+
+def test_table_group_scans_no_square_array():
+    """_table_group on order-1024 tables traces less than n^2 bytes, the
+    size of the n x n bool the inverse scan of mult == 0 allocated (1.07
+    MB traced then, against n^2 = 1.05 MB)."""
+    for nm in ("E:2:10", "U:4:2"):
+        G = pc.builtin_group(nm)
+        assert G.order == 1024
+        tracemalloc.start()
+        try:
+            core._table_group(G.mult, G.mult_gen, G.pred, nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < G.order ** 2, (nm, peak)
+
+
+def frozenset_subgroup(G, members):
+    """Reference: Subgroup's checks and queries on a frozenset of ids, as
+    Subgroup kept them.  Returns (error or None, set)."""
+    s = frozenset(int(x) for x in np.unique(np.asarray(members)))
+    m = np.array(sorted(s), dtype=np.int32)
+    if 0 not in s:
+        return "subgroup must contain the identity", s
+    if G.order % len(s):
+        return "Lagrange violation: not a subgroup", s
+    if not set(int(x) for x in np.unique(G.mult[np.ix_(m, m)])) <= s:
+        return "set not closed under multiplication", s
+    return None, s
+
+
+def subgroup_cases(G, p, rng):
+    """G's whole and trivial subgroups, its lower p-central and Zassenhaus
+    terms, the cyclic subgroups of its first ids and a few random id sets
+    (most of them not subgroups)."""
+    subs = [G.whole().members, G.trivial_subgroup().members]
+    for chain in (pc.lower_p_central(G, p, 4), pc.zassenhaus(G, p, 4)):
+        subs += [t.members for t in chain.terms]
+    subs += [pc.subgroup_generated(G, [x]).members
+             for x in range(min(G.order, 8))]
+    for size in (1, 2, 4, 8):
+        x = rng.integers(G.order, size=min(size, G.order))
+        subs += [x, np.append(x, 0), np.append(x, G.order - 1)]
+    return subs
+
+
+def test_subgroup_queries_match_a_frozenset_reference():
+    """The closure check, `in` and `<=` against frozensets of ids on every
+    catalog group.  is_normal is checked against a set reference by
+    test_generator_routines_match_all_pairs_loops."""
+    rng = np.random.default_rng(20260824)
+    n_subgroups = n_rejected = 0
+    for name, G, p in catalog_instances():
+        made = []
+        for members in subgroup_cases(G, p, rng):
+            error, s = frozenset_subgroup(G, members)
+            if error is not None:
+                with pytest.raises(NotASubgroup, match=error):
+                    pc.Subgroup(G, members)
+                n_rejected += 1
+                H = pc.Subgroup(G, members, check=False)
+            else:
+                H = pc.Subgroup(G, members)
+                n_subgroups += 1
+            for x in [-1, *range(G.order + 1), np.int64(G.order - 1)]:
+                assert (x in H) == (int(x) in s), (name, x)
+            made.append((H, s))
+        for (A, a), (B, b) in itertools.product(made, repeat=2):
+            assert (A <= B) == (a <= b), name
+    assert (n_subgroups, n_rejected) == (678, 452)
 
 
 # ---------------------------------------------------------------------

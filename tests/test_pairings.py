@@ -19,6 +19,7 @@ from pcohom.pairings import (PairingMatrix, a_pairing, a_space, b_space,
                              kernel_generating_condition,
                              liftability_crosscheck, liftable_pullback_space,
                              pairing_kernels, transfer_check)
+from concrete_elements import unitriangular_matrices
 from cocycle_tables import (classifying_table, generator_columns,
                             matches_table, pullback_table)
 
@@ -577,10 +578,8 @@ def loop_massey_pullback_set(Q, n, phis, fam):
     ext = fam.extensions[0]
     p = ext.p
     E, Gbar = ext.E, ext.Gbar
-    superdiag = np.stack(
-        [np.asarray([E.elements[ext.section[x]].entries[i, i + 1]
-                     for x in range(Gbar.order)], dtype=np.int64)
-         for i in range(n)], axis=1)
+    mats = unitriangular_matrices(E)[ext.section]
+    superdiag = np.stack([mats[:, i, i + 1] for i in range(n)], axis=1)
     alpha = classifying_table(ext)
     space = cohomology.h2_space(Q, p)
     out, seen = [], set()

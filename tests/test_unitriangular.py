@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import (GroupHom, element_index, element_order, exponent,
-                         center, generate_group, quotient_group,
-                         subgroup_generated)
-from pcohom.elements import MatMod, Perm, Residue
+from pcohom.core import (GroupHom, element_order, exponent, center,
+                         generate_group, quotient_group, subgroup_generated)
+from pcohom.elements import Perm, Residue
 from pcohom.errors import FamilyWitnessFailed, NotACentralExtension
-from pcohom.unitriangular import (CentralExtension, build_bar_extension,
-                                  build_mp3, build_unitriangular,
-                                  omega_family, parse_family)
+from pcohom.unitriangular import (CentralExtension, _factor_prime_power,
+                                  build_bar_extension, build_mp3,
+                                  build_unitriangular, omega_family,
+                                  parse_family)
+
+from concrete_elements import unitriangular_matrices
 
 
 def test_unitriangular_orders_and_structure():
@@ -95,6 +97,17 @@ def test_gamma_witnesses_cut_out_identity():
         assert ext.z_embed.is_injective()
 
 
+def bar_spec(ext):
+    """(n, m) of a bar extension, E = U_n(Z/m): n generators, the first,
+    1 + E_01, of order m."""
+    return len(ext.E.generators), element_order(ext.E, ext.E.generators[0])
+
+
+def matrix_ids(mats):
+    """The id of each matrix of an (|G|, k, k) int64 array, by its bytes."""
+    return {a.tobytes(): i for i, a in enumerate(mats)}
+
+
 def reference_witnesses(ext):
     """Reference: the images of gammas, iota and z_embed as the builders
     made them, one element at a time, before they were built from
@@ -115,19 +128,22 @@ def reference_witnesses(ext):
         gamma = [E.mul(E.power(rp, coords[x][0]), E.power(srp, coords[x][1]))
                  for x in range(Gbar.order)]
         return [gamma], Zpow(E, rp), Zpow(Gbar, lam(r))
-    m = E.elements[0].modulus
-    size = E.elements[0].entries.shape[0]
-    n, q = size - 1, m // p                              # q = p^(e-1)
+    n, m = bar_spec(ext)
+    size, q = n + 1, m // p                              # q = p^(e-1)
+    mats = unitriangular_matrices(E)
+    ids = {E.key: matrix_ids(mats)}
 
     def mat_id(G, a, mod):
-        return element_index(G)[MatMod(a, mod)]
+        if G.key not in ids:
+            ids[G.key] = matrix_ids(unitriangular_matrices(G))
+        return ids[G.key][np.ascontiguousarray(a % mod).tobytes()]
 
     def corner(value):
         a = np.eye(size, dtype=np.int64)
         a[0, n] = value
         return a
 
-    reps = [np.array(E.elements[sec[x]].entries) for x in range(Gbar.order)]
+    reps = [mats[sec[x]] for x in range(Gbar.order)]
     if n == 1:
         gammas = [[mat_id(E, corner(p * int(a[0, n])), m) for a in reps]]
         w = mat_id(E, corner(q // p), m)
@@ -219,13 +235,36 @@ def test_parse_family():
         parse_family("bogus:1:2")
 
 
+# every (n, m) the families build at n = 2, 3 and p = 2, 3, 5
+BAR_SPECS = [(1, 4), (1, 8), (1, 9), (1, 25), (1, 27), (2, 2), (2, 3),
+             (2, 4), (2, 5), (2, 9), (3, 2), (3, 3)]
+
+
+def test_bar_specs_are_those_the_families_build():
+    specs = {bar_spec(ext) for label in ("zassenhaus", "lower-central")
+             for n in (2, 3) for p in (2, 3, 5) if (n, p) != (3, 5)
+             for ext in pc.omega_family(label, n, p).extensions}
+    specs |= {bar_spec(pc.omega_family("mixed", None, p).extensions[0])
+              for p in (3, 5)}
+    assert specs == set(BAR_SPECS)
+
+
 def test_section_corner_convention():
-    # for the bar extensions over Z/p^e, every section representative has
-    # corner entry < p^(e-1)
-    from pcohom.unitriangular import _factor_prime_power
-    for n, m in [(2, 4), (1, 9), (2, 2)]:
+    """The kernel generator is the id of 1 + p^(e-1) E_{0n}, and the
+    section picks, in each coset of the kernel, the one matrix whose
+    corner entry is below p^(e-1): both read off the matrices of E, built
+    by MatMod products along E's BFS words."""
+    for n, m in BAR_SPECS:
         ext = build_bar_extension(n, m)
         p, e = _factor_prime_power(m)
-        corners = [ext.E.elements[int(ext.section[x])].entries[0, n]
-                   for x in range(ext.Gbar.order)]
-        assert max(corners) < max(p ** (e - 1), 1)
+        q = p ** (e - 1)
+        mats = unitriangular_matrices(ext.E)
+        corner = np.eye(n + 1, dtype=np.int64)
+        corner[0, n] = q
+        assert ext.iota.image[1] == matrix_ids(mats)[corner.tobytes()], \
+            (n, m)
+        small = np.flatnonzero(mats[:, 0, n] < q)
+        want = np.full(ext.Gbar.order, -1)
+        want[ext.lam.image[small]] = small
+        assert np.array_equal(ext.section, want), (n, m)
+        assert sorted(ext.section) == sorted(small), (n, m)
