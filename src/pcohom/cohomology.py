@@ -21,8 +21,8 @@ cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
 coboundaries left in that gauge are the row space of an ngens-row matrix
 D (`_tree_coboundaries`), whose left nullspace also gives H^1.  The
 residue of a cocycle, its gauge reduced against D (`coboundary_residue`),
-is linear and zero exactly on the coboundaries; the liftability test and
-the inflations of `pairings` read it.
+is linear and zero exactly on the coboundaries; the inflations of
+`pairings`, and through them its liftability test, read it.
 
 Z^2 is solved in the same gauge, over the n(ngens - 1) + 1 columns off
 the tree (`_gauged_z2`), and the canonical basis is rebuilt from it
@@ -536,20 +536,26 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
         out.append(Cochain1(G, vals_G, p, is_hom=False))
     # dimension identity: dim H^1(N)^G = dim Hom(N / N^p[G,N], Z/p)
     D = power_commutator_subgroup(G, N, p)
-    idx = N.order // D.order
-    expect = 0
-    while idx > 1:
-        idx //= p
-        expect += 1
-    if len(out) != expect:
-        raise OracleDisagreement(f"dim H^1(N)^G = {len(out)} != log_p "
-                                 f"|N : N^p[G,N]| = {expect}")
+    if p ** len(out) * D.order != N.order:
+        raise OracleDisagreement(
+            f"dim H^1(N)^G = {len(out)} != log_p |N : N^p[G,N]| = "
+            f"log_p {N.order // D.order}")
     return out
 
 
 # ---------------------------------------------------------------------
 # Constructions of 2-cocycles
 # ---------------------------------------------------------------------
+
+def _section_defects(E: FiniteGroup, Q: FiniteGroup, s) -> np.ndarray:
+    """The ids of the defects s(x) s(y) s(xy)^-1 in E of a section s: Q ->
+    E (the id of s(x) at index x), at the generator columns: an (|Q|,
+    ngens) array over x in Q and y a generator of Q.  A cocycle built on a
+    section reads its columns off these ids (`classifying_cocycle`,
+    `transgression`)."""
+    prod = E.mult[s[:, None], s[Q.generators]]
+    return E.mult[prod, E.inv[s[Q.mult_gen]]]
+
 
 def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
     """f(x,y) = iota^-1( s(x) s(y) s(xy)^-1 ) for the chosen section s, at
@@ -569,9 +575,7 @@ def classifying_cocycle(ext: CentralExtension) -> Cocycle2:
     E, Gbar, p = ext.E, ext.Gbar, ext.p
     z_of = np.full(E.order, -1, dtype=np.int64)
     z_of[ext.iota.image] = np.arange(ext.Z.order)
-    sec = ext.section
-    prod = E.mult[sec[:, None], sec[Gbar.generators]]
-    cols = z_of[E.mult[prod, E.inv[sec[Gbar.mult_gen]]]]
+    cols = z_of[_section_defects(E, Gbar, ext.section)]
     if (cols < 0).any():
         raise SectionDefectOutsideKernel(
             "section defect must land in the kernel copy")
@@ -626,6 +630,21 @@ def pullback_coords(alpha: Cocycle2, R: np.ndarray,
     return space.column_coords(pullback_columns(alpha, R, space.group))
 
 
+def pullback_classes(space: H2Space, exts, homs):
+    """The distinct classes f*alpha in space, alpha the classifying cocycle
+    of exts[k] (`_extension_alpha`) and f over the rows of homs[k], the
+    image matrix of homs space.group -> exts[k].Gbar.  Returns (coords,
+    which, images): per class, in first-occurrence order over the
+    concatenated hom sets, its coordinates, the index k of its extension
+    and the image row of the first hom that pulls it back.  One
+    `pullback_coords` per extension and one `np.unique` over them all."""
+    V = np.concatenate([pullback_coords(_extension_alpha(ext), R, space)
+                        for ext, R in zip(exts, homs)])
+    first = np.sort(np.unique(V, axis=0, return_index=True)[1])
+    which = np.repeat(np.arange(len(homs)), [len(R) for R in homs])
+    return V[first], which[first], np.concatenate(homs)[first]
+
+
 def cup(phi: Cochain1, psi: Cochain1) -> Cocycle2:
     """(phi cup psi)(x, y) = phi(x) psi(y), y a generator, for two
     characters on one group with one prime (`errors.MixedParents`,
@@ -677,10 +696,7 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     conj = G.mult[G.mult[G.inv[gens, None], members], gens[:, None]]
     if not np.array_equal(vals[conj], np.broadcast_to(vals[members], conj.shape)):
         raise NotInvariant("character is not conjugation-invariant")
-    t = pi.section()
-    prod = G.mult[t[:, None], t[Q.generators]]
-    arg = G.mult[prod, G.inv[t[Q.mult_gen]]]
-    return Cocycle2(Q, vals[arg].ravel(), p)
+    return Cocycle2(Q, vals[_section_defects(G, Q, pi.section())].ravel(), p)
 
 
 @memo
@@ -700,7 +716,8 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     """All pullback classes of the U_n(Z/p) bar-extension class along
     homomorphisms rhobar: Q -> Ubar_n with the prescribed superdiagonal
     characters.  Returns a list of (Cocycle2, coords, rhobar) with one
-    entry per distinct class (possibly empty).
+    entry per distinct class (possibly empty), in first-occurrence order
+    over the matching homs (`pullback_classes`).
 
     The superdiagonal of Ubar_n is the letter count W of its BFS words
     (`_tree_coboundaries`): the superdiagonal is a homomorphism U_n(Z/p)
@@ -715,13 +732,13 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     ext = fam.extensions[0]
     p, Gbar = ext.p, ext.Gbar
     superdiag = _tree_coboundaries(Gbar, p)[0]          # (|Gbar|, n)
-    alpha = _extension_alpha(ext)
     R = enumerate_homs(Q, Gbar, budget=budget).images
     want = np.stack([phi.values % p for phi in phis], axis=1)
     R = R[(superdiag[R] == want).all(axis=(1, 2))]
-    V = pullback_coords(alpha, R, h2_space(Q, p))
+    coords, _, images = pullback_classes(h2_space(Q, p), [ext], [R])
+    alpha = _extension_alpha(ext)
     out = []
-    for i in np.sort(np.unique(V, axis=0, return_index=True)[1]):
-        rho = GroupHom(Q, Gbar, R[i])
-        out.append((pullback(alpha, rho), V[i], rho))
+    for v, row in zip(coords, images):
+        rho = GroupHom(Q, Gbar, row)
+        out.append((pullback(alpha, rho), v, rho))
     return out

@@ -515,6 +515,13 @@ def normal_closure(G: FiniteGroup, seed) -> Subgroup:
     return Subgroup(G, _bfs(table, range(table.shape[1]))[0], check=False)
 
 
+def commutators(G: FiniteGroup, x, y) -> np.ndarray:
+    """The |x| x |y| ids of [x_i, y_j] = x_i^-1 y_j^-1 x_i y_j, for the id
+    lists x and y: the one commutator convention of the package."""
+    x, y = np.asarray(x, dtype=np.intp), np.asarray(y, dtype=np.intp)
+    return G.mult[G.mult[np.ix_(G.inv[x], G.inv[y])], G.mult[np.ix_(x, y)]]
+
+
 def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] for normal A and B: the normal closure of the commutators
     [x, b] with x in X, the greedy generators of A (`_least_id_generators`),
@@ -526,9 +533,7 @@ def commutator_subgroup(G: FiniteGroup, A: Subgroup, B: Subgroup) -> Subgroup:
     if not (A.is_normal() and B.is_normal()):
         raise NonNormalArguments("commutator needs normal arguments")
     x = _least_id_generators(G, A, G.trivial_subgroup())
-    b = B.members
-    comms = G.mult[G.mult[np.ix_(G.inv[x], G.inv[b])], G.mult[np.ix_(x, b)]]
-    return normal_closure(G, comms.ravel())
+    return normal_closure(G, commutators(G, x, B.members).ravel())
 
 
 def power_commutator_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
@@ -542,10 +547,7 @@ def power_commutator_subgroup(G: FiniteGroup, A: Subgroup, m: int) -> Subgroup:
     if not A.is_normal():
         raise NonNormalArguments("power-commutator needs a normal argument")
     a = A.members
-    s = np.asarray(G.generators, dtype=np.intp)
-    x = G.mult[np.ix_(G.inv[s], G.inv[a])]
-    y = G.mult[np.ix_(s, a)]
-    comms = np.unique(G.mult[x, y])
+    comms = np.unique(commutators(G, G.generators, a))
     return subgroup_generated(G, np.concatenate([_powers(G, a, m), comms]))
 
 
@@ -618,8 +620,8 @@ def _elementary_abelian_mod(G: FiniteGroup, x, b: Subgroup, p: int) -> bool:
     x = np.asarray(x, dtype=np.intp)
     inb = np.zeros(G.order, dtype=bool)
     inb[b.members] = True
-    comms = G.mult[G.mult[np.ix_(G.inv[x], G.inv[x])], G.mult[np.ix_(x, x)]]
-    return bool(inb[_powers(G, x, p)].all() and inb[comms].all())
+    return bool(inb[_powers(G, x, p)].all()
+                and inb[commutators(G, x, x)].all())
 
 
 def subgroup_as_group(G: FiniteGroup, H: Subgroup):

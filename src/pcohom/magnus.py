@@ -16,8 +16,8 @@ import time
 import numpy as np
 
 from . import gf
-from .core import (FiniteGroup, GroupHom, builtin_group, generate_group,
-                   hom_from_generator_images)
+from .core import (FiniteGroup, GroupHom, builtin_group, commutators,
+                   generate_group, hom_from_generator_images)
 from .elements import IdVector
 from .errors import OracleDisagreement, SpecError, WordTooShort
 from .homsearch import _CHUNK, _extend
@@ -266,8 +266,8 @@ def _distinct_commutator_search(k: int, U: FiniteGroup):
     depth 2.  Each level adds rows x |U| to explored, the count of a
     depth-first search's nodes, and extends and filters blocks of at most
     _CHUNK rows.  Returns (completions, explored_prefixes)."""
-    comm = U.mult[U.mult[np.ix_(U.inv, U.inv)], U.mult]     # [a, b]
     everyone = np.arange(U.order, dtype=np.int32)
+    comm = commutators(U, everyone, everyone)
     block = max(1, _CHUNK // U.order)
     P, explored = everyone[:, None], U.order
     for _ in range(1, k):

@@ -28,21 +28,16 @@ v M = 0.  `gf.nullspace` returns the canonical basis of a null subspace,
 whose free columns depend only on that subspace, so A, B, C, the pairing
 matrices and the witnesses are those M gives, and H^2(Q1) is never built.
 
-Liftability and inflation are gathers over generator columns; no
-|G| x |G| table is built.  The gathers read two kinds of table, each
-expanded from verified generator columns: the classifying cocycle
-alpha's table over Gbar, in `cohomology.pullback_columns` (alpha and its
-table are built once per extension, `cohomology._extension_alpha`), and
-the basis tables of H^2(G/N2), for the inflation matrix.  Lemma: for a
-hom f: G/N -> Gbar and the quotient map pi: G -> G/N, the inflation of
-f*alpha along pi has generator columns alpha(f(pi g), f(pi s)), s over
-G's generators.  It is the pullback of the verified cocycle alpha along
-the verified hom f o pi, hence a verified cocycle (the lemma at
-`cohomology.pullback_coords`).  So its residue is zero
-(`cohomology.coboundary_mask`) iff the inflated table
-alpha(f(pi x), f(pi y)) is a coboundary, and every class is decided
-liftable exactly as the table test decides it.  `inflation_matrix` reads
-the inflated basis of H^2(G/N2) the same way.
+Liftability is the kernel of an inflation too.  Lemma: for pi: G ->
+G/N and a hom f: G/N -> Gbar, f lifts through the central extension E ->
+Gbar along pi iff (f o pi)*alpha = inf(f*alpha) vanishes in H^2(G), alpha
+the classifying cocycle of E, as a central extension pulled back to G
+splits iff its class is 0.  So a pullback class v is liftable iff inf(v)
+= 0 in H^2(G) iff v R = 0, for R the inflation matrix of the pair (1, N)
+(G/1 is G relabelled), and `liftable_pullback_space` decides every class
+by one product.  `inflation_matrix` gathers the inflated basis of
+H^2(G/N2) from the basis tables, expanded from their verified generator
+columns; no |G| x |G| table is built.
 
 The transfer check computes its two sides by disjoint code paths (pure
 group/hom enumeration vs. cohomological linear algebra) that share only the
@@ -51,7 +46,9 @@ the lift search cross-checks the inflation test, and B <= C <= A is
 checked on every kernel generating condition; a disagreement raises
 `errors.OracleDisagreement`.  `liftability_crosscheck` decides one hom's
 liftability by the lift search, the inflation and the transgression,
-and reports their agreement.
+and reports their agreement; its inflation leg gathers alpha along f o pi
+(`cohomology.pullback_columns`) and tests the columns on G, independent
+of the pair's inflation matrix.
 """
 
 from __future__ import annotations
@@ -65,8 +62,8 @@ from . import gf
 from .cohomology import (Cocycle2, H2Space, _column_violations,
                          _expand_from_columns, _extension_alpha,
                          coboundary_mask, coboundary_residue, h2_space,
-                         pullback, pullback_columns, pullback_coords,
-                         transgression_span)
+                         pullback, pullback_classes, pullback_columns,
+                         pullback_coords, transgression_span)
 from .core import (FiniteGroup, GroupHom, Subgroup, _elementary_abelian_mod,
                    _least_id_generators, intersect_subgroups, join_subgroups,
                    memo, power_commutator_subgroup, quotient_group)
@@ -251,38 +248,29 @@ class LiftablePullbacks:
 @memo
 def liftable_pullback_space(G: FiniteGroup, N: Subgroup, fam: OmegaFamily, *,
                             budget=DEFAULT_BUDGET) -> LiftablePullbacks:
-    """The distinct pullback classes, from one `pullback_coords` and one
-    `np.unique` over every hom set, each decided liftable along pi: G ->
-    G/N by its inflation (lemma in the module docstring): the rows R of the
-    classes' homs, composed with pi, give the inflations' generator columns
-    by one gather per extension, and one `coboundary_mask` decides them
-    all.  The liftable rows are added to the span in one batch; each row
-    that grows it is cross-checked by the lift search."""
-    Q, pi = cached_quotient(G, N)
+    """The distinct pullback classes along every hom G/N -> Ubar_w
+    (`cohomology.pullback_classes`), each decided liftable along pi: G ->
+    G/N by the inflation matrix R of the pair (1, N).
+
+    Lemma (proof in the module docstring): a hom f: G/N -> Gbar lifts
+    through E -> Gbar along pi iff its class v = [f*alpha] has inf(v) = 0
+    in H^2(G), iff v R = 0; so liftability depends on the class only.  The
+    liftable rows are added to the span in one batch; each row that grows
+    it is cross-checked by the lift search."""
+    Q, pi = cached_quotient(G, N)       # first: a non-normal N is NotNormal
     p = fam.p
-    space = h2_space(Q, p)
-    sources = []                # (ext, alpha, image matrix) per extension
-    for ext in fam.extensions:
-        sources.append((ext, _extension_alpha(ext),
-                        enumerate_homs(Q, ext.Gbar, budget=budget).images))
-    V = np.concatenate([pullback_coords(alpha, R, space)
-                        for _, alpha, R in sources])
-    first = np.sort(np.unique(V, axis=0, return_index=True)[1])
-    start = np.cumsum([0] + [len(R) for *_, R in sources])
-    src = np.searchsorted(start, first, side="right") - 1
-    exts, images, cols = [], [], []
-    for k, (ext, alpha, R) in enumerate(sources):
-        rows = R[first[src == k] - start[k]]
-        exts += [ext] * len(rows)
-        images.append(rows)
-        cols.append(pullback_columns(alpha, rows[:, pi.image], G))
-    liftable = coboundary_mask(G, np.concatenate(cols), p)
-    coords = V[first]
-    span = gf.Span(space.dim, p)
+    pair = _pair(G, G.trivial_subgroup(), N, p)
+    homs = [enumerate_homs(Q, ext.Gbar, budget=budget).images
+            for ext in fam.extensions]
+    coords, which, images = pullback_classes(pair.space, fam.extensions,
+                                             homs)
+    liftable = ~((coords @ pair.inflation) % p).any(axis=1)
+    span = gf.Span(pair.space.dim, p)
     grew = np.flatnonzero(liftable)[span.add(coords[liftable])]
     lp = LiftablePullbacks(
-        space, coords, liftable, exts, np.concatenate(images), span,
-        {"homs": len(V), "distinct_classes": len(first),
+        pair.space, coords, liftable, [fam.extensions[k] for k in which],
+        images, span,
+        {"homs": sum(len(R) for R in homs), "distinct_classes": len(coords),
          "liftable_classes": int(liftable.sum())})
     for i in grew:
         if lift_hom(lp.exts[i], pi, lp.rho(i), budget=budget) is None:
@@ -302,7 +290,9 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
 
     (c) reads the generator columns of the inflation by one gather along
     rhobar o pi (`cohomology.pullback_columns`), with no |G| x |G| table,
-    and (d) the coordinates of the pullback by `cohomology.pullback_coords`.
+    and tests them on G (`cohomology.coboundary_mask`), not through the
+    inflation matrix that `liftable_pullback_space` reads; (d) reads the
+    coordinates of the pullback by `cohomology.pullback_coords`.
     Returns each verdict, the coefficients of psi for (d), and status
     "PASS" when the three agree, "FAIL" otherwise; it raises nothing on a
     disagreement."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, bfs_levels, center,
+from .core import (FiniteGroup, GroupHom, bfs_levels, center, commutators,
                    generate_group, hom_from_generator_images,
                    intersect_subgroups, quotient_group, spec_ints,
                    spec_prime, subgroup_generated)
@@ -144,7 +144,7 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     g = E.generators
     nest = g[-1]
     for a in reversed(g[:-1]):
-        nest = E.mul(E.mul(E.inv[a], E.inv[nest]), E.mul(a, nest))
+        nest = int(commutators(E, [a], [nest])[0, 0])
     corner_id = E.power(nest, p ** (e - 1))
     # |Zsub| = p: quotient_group checks ker lam = Zsub, and
     # CentralExtension that ker lam = iota(Z) with iota injective

@@ -10,6 +10,7 @@ import pytest
 import pcohom as pc
 from pcohom import core, homsearch
 from pcohom.catalog import catalog_instances
+from pcohom.cli import CONVENTIONS
 from pcohom.core import (_bfs, _is_normal, _powers, bfs_levels,
                          derived_subgroup, element_order, group_from_json,
                          group_from_table, memo, subgroup_as_group,
@@ -323,6 +324,22 @@ def test_commutator_subgroup_requires_normal():
     for A, B in ((H, H), (H, G.whole()), (G.whole(), H)):
         with pytest.raises(NonNormalArguments):
             pc.commutator_subgroup(G, A, B)
+
+
+def test_commutators_follow_the_cli_convention():
+    """core.commutators against one product per pair in the convention
+    that `cli.CONVENTIONS` states, [a, b] = a^-1 b^-1 a b, on a
+    non-abelian group and on ragged id lists."""
+    assert CONVENTIONS["commutator"] == "[a, b] = a^-1 b^-1 a b"
+    G = pc.builtin_group("D4")
+    x, y = [0, 1, 3], list(range(G.order))
+    got = core.commutators(G, x, y)
+    assert got.shape == (3, G.order)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            want = G.mul(G.mul(G.inv[a], G.inv[b]), G.mul(a, b))
+            assert got[i, j] == want
+    assert (got != 0).any() and core.commutators(G, [], y).shape == (0, 8)
 
 
 def test_power_commutator_is_frattini_like():

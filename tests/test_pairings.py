@@ -613,7 +613,9 @@ def check_against_loop(G, N, fam):
 
 @pytest.mark.parametrize("nm,kind,n,p", [("Q8", "zassenhaus", 2, 2),
                                          ("Heis:3", "mixed", None, 3),
-                                         ("Meta:3", "mixed", None, 3)])
+                                         ("Meta:3", "mixed", None, 3),
+                                         ("Q8", "zassenhaus", 3, 2),
+                                         ("D4", "lower-central", 3, 2)])
 def test_batched_pullback_classes_match_per_hom_loop(nm, kind, n, p):
     G, fam, bundle = _setup(nm, kind, n, p)
     for N in (bundle.Tbar, trivial(G)):
@@ -703,7 +705,9 @@ def test_inflation_matrix_rejects_corrupt_basis():
 def test_liftable_pullback_space_edge_cases(monkeypatch):
     """A trivial G (ngens = 0); the zero class, first and liftable, which
     never grows the span, so the lift search runs once per span row; and
-    a space with no liftable class, whose batch Span.add is empty."""
+    a planted inflation matrix of full row rank on a cold group, under
+    which only the zero class is liftable, so the batch Span.add grows
+    nothing and the lift search never runs."""
     fam = pc.omega_family("zassenhaus", 2, 2)
     Z1 = pc.builtin_group("Z/1")
     lp = check_against_loop(Z1, trivial(Z1), fam)
@@ -720,11 +724,12 @@ def test_liftable_pullback_space_edge_cases(monkeypatch):
     assert 0 < len(calls) == lp.span.dim < lp.stats["liftable_classes"]
 
     calls.clear()
-    monkeypatch.setattr(pairings, "coboundary_mask",
-                        lambda G, u, p: np.zeros(len(u), dtype=bool))
+    monkeypatch.setattr(pairings, "inflation_matrix",
+                        lambda space2, q: np.eye(space2.dim, dtype=np.int64))
     G = dataclasses.replace(G, _cache={})
     lp = liftable_pullback_space(G, trivial(G), fam)
-    assert lp.stats["liftable_classes"] == 0 < lp.stats["distinct_classes"]
+    assert lp.stats["liftable_classes"] == 1 < lp.stats["distinct_classes"]
+    assert lp.liftable.tolist() == [True] + [False] * (len(lp.coords) - 1)
     assert lp.span.dim == 0 and not calls
 
     span = pc.gf.Span(3, 2, np.eye(2, 3, dtype=np.int64))
