@@ -46,7 +46,7 @@ import numpy as np
 
 from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
-                   _respects_generator_edges, bfs_levels, memo,
+                   _respects_generator_edges, bfs_levels, conjugates, memo,
                    power_commutator_subgroup, subgroup_as_group)
 from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
                      NotACharacter, NotInvariant, NotNormal, NotSurjective,
@@ -524,7 +524,7 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
     inv_embed[embed] = np.arange(K.order)
     rows = []
     for g in G.generators:
-        conj = G.mult[G.mult[G.inv[g], embed], g]  # g^-1 n g over K-ids
+        conj = conjugates(G, g, embed)             # g^-1 n g over K-ids
         rows.append(V[:, inv_embed[conj]] - V)
     A = np.concatenate(rows, axis=1)               # (d, ngens*|N|)
     X = gf.nullspace(A.T, p)                       # coefficient vectors
@@ -636,7 +636,8 @@ def pullback_classes(space: H2Space, exts, homs):
     image matrix of homs space.group -> exts[k].Gbar.  Returns (coords,
     which, images): per class, in first-occurrence order over the
     concatenated hom sets, its coordinates, the index k of its extension
-    and the image row of the first hom that pulls it back.  One
+    and the image row of the first hom that pulls it back, in the dtype of
+    homs (`core.ID_DTYPE` for `enumerate_homs` sets).  One
     `pullback_coords` per extension and one `np.unique` over them all."""
     V = np.concatenate([pullback_coords(_extension_alpha(ext), R, space)
                         for ext, R in zip(exts, homs)])
@@ -693,7 +694,7 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     members = np.flatnonzero(pi.image == 0)
     vals = psi.values
     gens = np.asarray(G.generators, dtype=np.intp)
-    conj = G.mult[G.mult[G.inv[gens, None], members], gens[:, None]]
+    conj = conjugates(G, gens[:, None], members)
     if not np.array_equal(vals[conj], np.broadcast_to(vals[members], conj.shape)):
         raise NotInvariant("character is not conjugation-invariant")
     return Cocycle2(Q, vals[_section_defects(G, Q, pi.section())].ravel(), p)

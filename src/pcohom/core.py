@@ -64,6 +64,13 @@ from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
                      UnkeyedArgument)
 
 DEFAULT_CAP = 8192
+# The dtype of stored element-id matrices (the full hom sets of
+# `homsearch.enumerate_homs` and the rows built from them).  Lemma: every
+# id is below DEFAULT_CAP = 8192 <= 2^15 (closure and `direct_product`
+# stop there, quotients and subgroups are smaller), so int16 holds it.
+# Table products x * |U| + y need 32 bits: `_table_product` takes them
+# in int32.
+ID_DTYPE = np.int16
 
 
 @dataclass
@@ -486,7 +493,7 @@ def _is_normal(G: FiniteGroup, H: Subgroup) -> bool:
     s^-1 H s = H, and every g is a positive word in the generators (an
     inverse is a power), so g^-1 H g = H by induction on the word."""
     gens = np.asarray(G.generators, dtype=np.intp)
-    conj = G.mult[G.mult[G.inv[gens, None], H.members], gens[:, None]]
+    conj = conjugates(G, gens[:, None], H.members)
     return bool(_member_mask(H.members, conj).all())
 
 
@@ -509,10 +516,16 @@ def normal_closure(G: FiniteGroup, seed) -> Subgroup:
     is in X: X holds 1 and is closed under right multiplication by every
     conjugate of the seed, so it contains the subgroup they generate, N."""
     gens = np.asarray(G.generators, dtype=np.intp)
-    conj = G.mult[G.mult[G.inv[gens]], gens[:, None]].T
+    conj = conjugates(G, gens, np.arange(G.order)[:, None])
     seed = np.unique(np.asarray(seed, dtype=np.int32))
     table = np.concatenate([G.mult[:, seed], conj], axis=1)
     return Subgroup(G, _bfs(table, range(table.shape[1]))[0], check=False)
+
+
+def conjugates(G: FiniteGroup, g, x) -> np.ndarray:
+    """The ids of g^-1 x g, for ids or id arrays g and x broadcast
+    together: the one conjugation formula of the package."""
+    return G.mult[G.mult[G.inv[g], x], g]
 
 
 def commutators(G: FiniteGroup, x, y) -> np.ndarray:
@@ -649,11 +662,14 @@ def _table_product(U: FiniteGroup):
 
     The flat index fits in int32: every group has |U| <= DEFAULT_CAP = 8192
     elements (closure and `direct_product` stop there, quotients and
-    subgroups are smaller), and 8192^2 = 2^26 < 2^31."""
+    subgroups are smaller), and 8192^2 = 2^26 < 2^31.  So x * |U| is taken
+    in int32 whatever x is: under NumPy 2 promotion an id array narrower
+    than that (`ID_DTYPE` rows) times |U| would keep its dtype and wrap,
+    and an int32 x * |U| + y is int32 for every y narrower than int64."""
     flat, n = U.mult.ravel(), U.order
     # not flat.take: take first copies the int32 index into a whole intp
     # array, which the buffered fancy index never holds
-    return lambda x, y: flat[x * n + y]
+    return lambda x, y: flat[np.multiply(x, n, dtype=np.int32) + y]
 
 
 def _respects_generator_edges(tgt: np.ndarray, F: np.ndarray,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _CHUNK_ENTRIES
 from .errors import EdgeCheckFailed
 
 
@@ -49,23 +50,35 @@ def _working_dtype(p: int):
     return np.int16 if p <= _INT16_MAX_P else np.int64
 
 
+def _reduced(a, p) -> np.ndarray:
+    """a mod p in the working dtype, the remainder taken in int64 a buffer
+    at a time, so no int64 copy of a is made."""
+    w = np.empty(a.shape, dtype=_working_dtype(p))
+    np.remainder(a, np.int64(p), out=w, casting="unsafe")
+    return w
+
+
 def rref(a, p):
     """Reduced row echelon form of ``a`` mod p.
 
     Returns (R, pivots) where R is int64, contains only the nonzero rows
     and pivots[i] is the pivot column of row i.
 
-    The input is read once: one pass reduces it mod p straight into a new
-    array of the working dtype (the caller's is never written), taking
-    the remainder in int64 a buffer at a time, so no int64 copy of the
-    input is made; the all-zero rows are then dropped, and only that
-    compacted copy is kept through the elimination.  Each pivot step
-    scans its column once and touches only the entries it changes: the
-    pivot row is the first nonzero one at or below row r, swapped into
-    place (row r was zero there, so the other nonzero rows keep their
-    places); it is scaled from the pivot column on, and only the other
-    rows that are nonzero in the pivot column are updated, from the pivot
-    column on (left of it the pivot row is zero).
+    The input is reduced mod p into the working dtype (`_reduced`; the
+    caller's array is never written), and only its rows that are nonzero
+    mod p are kept through the elimination.  An input of more than one
+    chunk of about `core._CHUNK_ENTRIES` = 2^16 entries is read twice, a
+    chunk at a time: one pass finds the rows that are nonzero mod p, and a
+    second reduces only those rows into the compacted array.  So besides
+    the input and the compacted copy, no array above a chunk's size is
+    made: no int64 copy of the input and no uncompacted working copy.
+
+    Each pivot step scans its column once and touches only the entries it
+    changes: the pivot row is the first nonzero one at or below row r,
+    swapped into place (row r was zero there, so the other nonzero rows
+    keep their places); it is scaled from the pivot column on, and only
+    the other rows that are nonzero in the pivot column are updated, from
+    the pivot column on (left of it the pivot row is zero).
     The rref of a matrix is unique, so R and pivots are those of a full
     elimination.
 
@@ -81,10 +94,18 @@ def rref(a, p):
     a = np.asarray(a)
     if a.ndim != 2:
         raise EdgeCheckFailed("rref expects a 2-d array")
-    w = np.empty(a.shape, dtype=_working_dtype(p))
-    np.remainder(a, np.int64(p), out=w, casting="unsafe")
-    a = w[w.any(axis=1)]
-    del w
+    step = max(1, _CHUNK_ENTRIES // max(a.shape[1], 1))
+    if a.shape[0] <= step:
+        a = _reduced(a, p)
+        a = a[a.any(axis=1)]
+    else:
+        live = np.concatenate([_reduced(a[lo:lo + step], p).any(axis=1)
+                               for lo in range(0, a.shape[0], step)])
+        live = live.nonzero()[0]
+        w = np.empty((len(live), a.shape[1]), dtype=_working_dtype(p))
+        for lo in range(0, len(live), step):
+            w[lo:lo + step] = _reduced(a[live[lo:lo + step]], p)
+        a = w
     nrows, ncols = a.shape
     pivots = []
     r = 0

@@ -31,9 +31,11 @@ holds a |G|-wide row per hom.  `t_subgroup` reads the meet and
 `hom_count` the generator images.  Rows are expanded only in
 `enumerate_homs`, by a plain BFS word walk of the generator images: a
 hom set is then an image matrix, `HomSet.images`, with one row per hom and
-one column per element id, which the pullback-class searches read
-directly and which is not cached; a `GroupHom` is built only when a
-caller asks for one.
+one column per element id, in 16-bit ids (`core.ID_DTYPE`), which the
+pullback-class searches read directly and which is not cached; a
+`GroupHom` is built only when a caller asks for one.  The search itself
+(`word_images`, the generator images F) stays in int32, the width of the
+table products x * |U| + y.
 
 The hom search runs up to U-conjugacy (`_reduced_homs`): the first
 generator s_1 takes only the least id x of each conjugacy class of U.
@@ -64,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, Subgroup, _bfs, _element_orders,
-                   _table_product, closing_edges, intersect_subgroups, memo,
-                   word_images)
+from .core import (_CHUNK_ENTRIES, ID_DTYPE, FiniteGroup, GroupHom, Subgroup,
+                   _bfs, _element_orders, _table_product, closing_edges,
+                   conjugates, intersect_subgroups, memo, word_images)
 from .errors import BudgetExceeded, NotSurjective, TNotInsideTbar
 from .unitriangular import CentralExtension, OmegaFamily
 
@@ -75,9 +77,10 @@ _CHUNK = 8192
 
 
 class HomSet(Sequence):
-    """Hom(domain, codomain) as the m x |domain| int32 matrix `images`,
-    one hom per row, in search order.  Indexing builds (and validates) the
-    GroupHom of one row; len and the matrix itself build none."""
+    """Hom(domain, codomain) as the m x |domain| matrix `images` of
+    element ids in `core.ID_DTYPE` (16 bits), one hom per row, in search
+    order.  Indexing builds (and validates) the GroupHom of one row, whose
+    image is int32; len and the matrix itself build none."""
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
                  images: np.ndarray, explored_prefixes: int = 0):
@@ -147,7 +150,6 @@ class _Classes:
     """The conjugacy classes of a non-abelian U, by element id."""
     rep: np.ndarray          # least id of each element's class
     size: np.ndarray         # |cl(x)| for each element x
-    transversal: dict        # rep x -> one u per coset of C_U(x)
 
 
 @memo
@@ -155,24 +157,41 @@ def _conjugacy_classes(U: FiniteGroup) -> _Classes | None:
     """U's conjugacy classes, or None when U is abelian (every class is a
     singleton; U is abelian iff its generators commute pairwise).
 
-    One column u x u^-1 over all u per class, from its least id x: O(|U|)
-    each, with no |U| x |U| conjugation table.  The transversal of x lists
-    the least u with u x u^-1 = y for each y in cl(x), by y ascending."""
-    gens = U.generators
+    Each id's least class member, by min-label propagation: rep starts as
+    the identity map, and each pass lowers rep[y] to the least rep of y
+    and of its conjugates y^s = s^-1 y s (`core.conjugates`) by every
+    generator s and its inverse, then jumps rep[y] to rep[rep[y]], until
+    a pass changes nothing.  O(|U| * ngens) per pass, with no |U| x |U|
+    conjugation table; rep only decreases, so the loop ends.
+
+    Lemma: the fixpoint is the least member of each class.  rep[y] always
+    lies in cl(y) and rep[z] <= z, so the jump keeps both.  At the
+    fixpoint rep[y] <= rep[y^s] for every generator s and its inverse,
+    so rep is constant along conjugation by each generator, hence by every
+    u, a positive word in the generators: constant on cl(y).  The least
+    member x of a class keeps rep[x] = x, as no member is below it."""
+    gens = np.asarray(U.generators, dtype=np.intp)
     A = U.mult[np.ix_(gens, gens)]
     if np.array_equal(A, A.T):
         return None
-    mul = _table_product(U)
     everyone = np.arange(U.order, dtype=np.int32)
-    rep = np.full(U.order, -1, dtype=np.int32)
-    transversal = {}
-    for x in range(U.order):
-        if rep[x] < 0:
-            members, first = np.unique(mul(mul(everyone, x), U.inv),
-                                       return_index=True)
-            rep[members] = x
-            transversal[x] = first.astype(np.int32)
-    return _Classes(rep, np.bincount(rep, minlength=U.order)[rep], transversal)
+    moves = conjugates(U, np.concatenate([gens, U.inv[gens]])[:, None],
+                       everyone)
+    rep = everyone
+    while True:
+        low = np.minimum(rep, rep[moves].min(axis=0))
+        low = low[low]
+        if np.array_equal(low, rep):
+            break
+        rep = low
+    return _Classes(rep, np.bincount(rep, minlength=U.order)[rep])
+
+
+def _transversal(U: FiniteGroup, x: int) -> np.ndarray:
+    """One u per coset of C_U(x): the least u with u x u^-1 = y for each
+    y in cl(x), by y ascending.  One column u x u^-1 over all u, O(|U|)."""
+    return np.unique(conjugates(U, U.inv, x),
+                     return_index=True)[1].astype(np.int32)
 
 
 def _order_candidates(G: FiniteGroup, U: FiniteGroup) -> list:
@@ -246,22 +265,28 @@ def _reduced_homs(G: FiniteGroup, U: FiniteGroup, *,
 def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
                    budget=DEFAULT_BUDGET) -> HomSet:
     """All homomorphisms G -> U, in candidate order: ascending in the
-    generator images (f(s_1), ..., f(s_k)) lexicographically.
+    generator images (f(s_1), ..., f(s_k)) lexicographically, as an image
+    matrix in `core.ID_DTYPE`.
 
     The reduced generator images are first expanded along G's BFS words
     (`core.word_images`, with no edge checks: each row is already a hom,
     and a hom's image of an element is its word evaluated in the
     generator images, whatever the word).  Then one gather rebuilds the
     full set: each reduced f with f(s_1) = x gives the rows c_u o f for u
-    in the transversal of U / C_U(x), and each row goes to its place in
-    the lexsort of its generator images.  By the bijection lemma of the
-    module docstring these are all of Hom(G, U), each once.  When U is
-    abelian the reduced set is Hom(G, U) itself.  The full matrix is not
-    cached."""
+    in the transversal of U / C_U(x) (`_transversal`, built only for the
+    x that occur), and each row goes to its place in the lexsort of its
+    generator images.  By the bijection lemma of the module docstring
+    these are all of Hom(G, U), each once.  When U is abelian the reduced
+    set is Hom(G, U) itself.  Both the expansion and the full matrix are
+    stored in ID_DTYPE and filled in chunks of about
+    `core._CHUNK_ENTRIES` = 2^16 ids, so the int32 temporaries of the
+    word walk and the conjugation stay far smaller than the output.  The
+    full matrix is not cached."""
     F, _, explored = _reduced_homs(G, U, budget=budget)
-    R = np.empty((len(F), G.order), dtype=np.int32)
-    for lo in range(0, len(F), _CHUNK):     # temporaries stay chunk-sized
-        R[lo:lo + _CHUNK] = word_images(G.pred, U, F[lo:lo + _CHUNK])
+    step = max(1, _CHUNK_ENTRIES // G.order)
+    R = np.empty((len(F), G.order), dtype=ID_DTYPE)
+    for lo in range(0, len(F), step):
+        R[lo:lo + step] = word_images(G.pred, U, F[lo:lo + step])
     classes = _conjugacy_classes(U)
     if classes is None or not G.generators:
         return HomSet(G, U, R, explored_prefixes=explored)
@@ -269,20 +294,20 @@ def enumerate_homs(G: FiniteGroup, U: FiniteGroup, *,
     us, rows = [], []
     for rep in np.unique(x):
         idx = np.flatnonzero(x == rep)
-        t = classes.transversal[int(rep)]
+        t = _transversal(U, int(rep))
         us.append(np.repeat(t, len(idx)))
         rows.append(np.tile(idx, len(t)))
     u, row = np.concatenate(us), np.concatenate(rows)
     mul = _table_product(U)
 
-    def conj(u, V):
+    def conj(u, V):                         # c_u o f = u f u^-1, row-wise
         return mul(mul(u[:, None], V), U.inv[u][:, None])
 
     order = np.lexsort(conj(u, F[row]).T[::-1])
     u, row = u[order], row[order]
-    images = np.empty((len(u), G.order), dtype=np.int32)
-    for lo in range(0, len(u), _CHUNK):     # temporaries stay chunk-sized
-        s = slice(lo, lo + _CHUNK)
+    images = np.empty((len(u), G.order), dtype=ID_DTYPE)
+    for lo in range(0, len(u), step):
+        s = slice(lo, lo + step)
         images[s] = conj(u[s], R[row[s]])
     return HomSet(G, U, images, explored_prefixes=explored)
 

@@ -228,13 +228,15 @@ class LiftablePullbacks:
     Class i, in first-occurrence order over the extensions' hom sets, is
     stacked: coords[i] are its H^2(G/N) coordinates, liftable[i] its
     verdict, exts[i] its extension and images[i] the image row of the first
-    hom G/N -> exts[i].Gbar that pulls it back.  `rho(i)` and `cocycle(i)`
-    build that hom and the pullback cocycle on request."""
+    hom G/N -> exts[i].Gbar that pulls it back, in the 16-bit ids of the
+    hom sets it is read from (`core.ID_DTYPE`).  `rho(i)` and `cocycle(i)`
+    build that hom (int32, as every GroupHom) and the pullback cocycle on
+    request."""
     space: H2Space
     coords: np.ndarray          # (classes, dim H^2(G/N))
     liftable: np.ndarray        # bool, one per class
     exts: list                  # CentralExtension, one per class
-    images: np.ndarray          # (classes, |G/N|) int32
+    images: np.ndarray          # (classes, |G/N|) core.ID_DTYPE
     span: gf.Span               # the liftable classes
     stats: dict
 

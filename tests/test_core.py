@@ -342,6 +342,21 @@ def test_commutators_follow_the_cli_convention():
     assert (got != 0).any() and core.commutators(G, [], y).shape == (0, 8)
 
 
+def test_conjugates_are_g_inverse_x_g():
+    """core.conjugates against one product per pair, g^-1 x g, with
+    scalars and broadcast id arrays on either side."""
+    G = pc.builtin_group("D4")
+    g, x = np.arange(G.order)[:, None], np.arange(G.order)
+    got = core.conjugates(G, g, x)
+    assert got.shape == (G.order, G.order)
+    for a in range(G.order):
+        for b in range(G.order):
+            assert got[a, b] == G.mul(G.mul(G.inv[a], b), a)
+    assert (got != x).any()
+    assert np.array_equal(core.conjugates(G, 3, x), got[3])
+    assert np.array_equal(core.conjugates(G, g[:, 0], 5), got[:, 5])
+
+
 def test_power_commutator_is_frattini_like():
     # G^2[G,G] for D4 and Q8 has index 4
     for nm in ["D4", "Q8"]:

@@ -26,7 +26,7 @@ from pcohom import gf, homsearch
 from pcohom.cohomology import (Cochain1, Cocycle2, _column_violations,
                                bockstein, classifying_cocycle, cup, h1,
                                h2_space, pullback)
-from pcohom.core import (_respects_generator_edges, _table_product,
+from pcohom.core import (ID_DTYPE, _respects_generator_edges, _table_product,
                          _verify_tables)
 from pcohom.errors import PcohomError
 from pcohom.homsearch import _partial_bfs, enumerate_homs, lift_hom
@@ -374,10 +374,34 @@ def test_hom_search_matches_full_check_search(gname, uname, monkeypatch):
     new = enumerate_homs(dataclasses.replace(G, _cache={}), U)
     monkeypatch.setattr(homsearch, "_filter_prefixes", full_filter_prefixes)
     ref = enumerate_homs(dataclasses.replace(G, _cache={}), U)
-    assert new.images.dtype == ref.images.dtype == np.int32
+    assert new.images.dtype == ref.images.dtype == ID_DTYPE
     assert np.array_equal(new.images, ref.images)
     assert new.explored_prefixes == ref.explored_prefixes
     assert len(new) > 0
+
+
+def test_table_product_widens_16_bit_ids():
+    """Under NumPy 2 promotion an int16 row times |U| = 729 stays int16 and
+    wraps (728 * 729 + 5 reads 6429); `_table_product` takes x * |U| in
+    int32, so the ID_DTYPE rows of a hom set into an order-729 codomain
+    multiply as their int32 copies do, as arrays and as scalars on either
+    side."""
+    U = _u729()
+    rows = enumerate_homs(pc.builtin_group("E:3:2"), U).images
+    wide = rows.astype(np.int32)
+    assert rows.dtype == ID_DTYPE and U.order == 729
+    assert int(rows.max()) * U.order > np.iinfo(ID_DTYPE).max
+    assert (np.array([728], dtype=ID_DTYPE) * U.order + 5)[0] == 6429
+    mul = _table_product(U)
+    got = mul(rows, rows[::-1])
+    assert got.dtype == np.int32
+    assert np.array_equal(got, mul(wide, wide[::-1]))
+    assert np.array_equal(got, U.mult[wide, wide[::-1]])
+    x = rows[-1, -1]
+    assert isinstance(x, np.int16) and int(x) * U.order > 2 ** 15
+    assert np.array_equal(mul(x, rows[0]), U.mult[int(x), wide[0]])
+    assert np.array_equal(mul(int(x), rows[0]), U.mult[int(x), wide[0]])
+    assert np.array_equal(mul(rows[0], x), U.mult[wide[0], int(x)])
 
 
 def test_lift_search_matches_full_check_search(monkeypatch):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcohom import gf
+from pcohom import core, gf
 from pcohom.catalog import catalog_instances
 from pcohom.cohomology import (_cocycle_constraints, _gauge,
                                _tree_coboundaries, _z2_basis, h2_space)
@@ -338,6 +340,52 @@ def test_rref_leaves_its_input_unchanged(p):
     assert np.array_equal(a, before)
     assert not np.shares_memory(r, a)
     assert np.array_equal(r, full_rref(before, p)[0])
+
+
+def zero_mod_p_rows(p, chunks=3):
+    """An int64 input of `chunks` chunks of `core._CHUNK_ENTRIES` entries
+    and a few rows more, whose rows are 0 mod p but not 0 (random
+    multiples of p, and 0), except five rows in the first and last
+    chunks; the chunks between are 0 mod p throughout."""
+    rng = np.random.default_rng(p)
+    cols = 4
+    step = core._CHUNK_ENTRIES // cols
+    a = p * rng.integers(-3, 4, size=(chunks * step + 7, cols))
+    live = [0, 5, step - 1, chunks * step + 3, chunks * step + 6]
+    a[live] += rng.integers(1, p, size=(len(live), cols))
+    return a, live
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 191])
+def test_rref_drops_rows_that_are_zero_mod_p(p):
+    """Rows that are 0 mod p are dropped, in every chunk, before the
+    elimination: R equals the full-update reference on the whole input
+    and on its live rows alone, and the input is unchanged.  One prime per
+    working dtype and one more (bool, int16 twice, int64)."""
+    a, live = zero_mod_p_rows(p)
+    assert (a % p).any(axis=1).nonzero()[0].tolist() == live
+    assert (a != 0).any(axis=1).sum() > len(live)
+    before = a.copy()
+    r, piv = gf.rref(a, p)
+    want_r, want_piv = full_rref(a[live], p)
+    assert piv == want_piv and r.dtype == np.int64
+    assert np.array_equal(r, want_r)
+    assert np.array_equal(a, before)
+
+
+def test_rref_keeps_no_working_copy_of_zero_rows():
+    """rref holds no working-dtype copy of the rows that are 0 mod p: on an
+    input of 16 chunks whose rows are 0 mod 3 but five, it allocates less
+    than one int16 copy of the input would take (2 MiB; a chunk's int64
+    remainders take 0.5 MiB)."""
+    a, _ = zero_mod_p_rows(3, chunks=16)
+    tracemalloc.start()
+    try:
+        gf.rref(a, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.size * np.dtype(np.int16).itemsize, peak
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,7 +9,8 @@ import pytest
 import pcohom as pc
 from pcohom import cohomology, homsearch
 from pcohom.catalog import catalog_instances
-from pcohom.core import GroupHom, _element_orders, hom_from_generator_images
+from pcohom.core import (ID_DTYPE, GroupHom, _element_orders,
+                         hom_from_generator_images)
 from pcohom.errors import (BudgetExceeded, MixedParents, NotSurjective,
                            TNotInsideTbar)
 from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
@@ -101,10 +102,11 @@ def test_reduced_hom_memo_keeps_generator_images_and_meet(reference_pairs):
 
 def test_hom_set_matches_full_search(reference_pairs):
     """Expanding the reduced set gives the full search's matrix: the same
-    rows in the same order, the same dtype and the same explored count."""
+    rows in the same order, in the 16-bit id dtype (the full search's
+    image rows are int32), and the same explored count."""
     for G, U, ref in reference_pairs:
         hs = enumerate_homs(G, U)
-        assert hs.images.dtype == ref.images.dtype == np.int32
+        assert hs.images.dtype == ID_DTYPE and ref.images.dtype == np.int32
         assert np.array_equal(hs.images, ref.images), (G.name, U.name)
         assert hs.explored_prefixes == ref.explored_prefixes, (G.name, U.name)
 
@@ -175,17 +177,38 @@ def test_edge_schedule_closes_each_non_tree_edge_once():
     assert checked >= len(groups) > 30
 
 
+def class_groups():
+    """Non-abelian groups for the class tests: builtins and the non-abelian
+    hom-enum codomains (orders up to 729)."""
+    groups = ([pc.builtin_group(name) for name in
+               ("D4", "Heis:3", "U:3:2", "Q8xZ/2", "Heis:3xZ/3")]
+              + hom_enum_codomains(2) + hom_enum_codomains(3))
+    return [U for U in groups if not (U.mult == U.mult.T).all()]
+
+
 def test_conjugacy_classes_against_definition():
-    for U in [pc.builtin_group("D4"), pc.builtin_group("Heis:3"),
-              pc.builtin_group("U:3:2")]:
+    for U in class_groups():
         classes = homsearch._conjugacy_classes(U)
         for x in range(U.order):
             cl = np.unique(U.mult[U.mult[:, x], U.inv])
-            assert classes.rep[x] == cl[0] and classes.size[x] == len(cl)
-            if x == cl[0]:
-                t = classes.transversal[x]
-                assert np.array_equal(U.mult[U.mult[t, x], U.inv[t]], cl)
+            assert classes.rep[x] == cl[0] and classes.size[x] == len(cl), \
+                U.name
     assert homsearch._conjugacy_classes(pc.builtin_group("E:2:3")) is None
+
+
+def test_rebuild_transversal_against_definition():
+    """The transversal that `enumerate_homs` builds for a class
+    representative x conjugates x onto each member of cl(x) once, by
+    member ascending, with the least u that does so."""
+    for U in class_groups():
+        for x in np.unique(homsearch._conjugacy_classes(U).rep):
+            by_u = U.mult[U.mult[:, x], U.inv]
+            cl = np.unique(by_u)
+            t = homsearch._transversal(U, int(x))
+            assert t.dtype == np.int32
+            assert np.array_equal(U.mult[U.mult[t, x], U.inv[t]], cl)
+            assert [int(np.flatnonzero(by_u == y)[0]) for y in cl] == \
+                t.tolist()
 
 
 @pytest.mark.parametrize("gname,uname", [("Meta:3", "Heis:3"),

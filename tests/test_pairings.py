@@ -8,6 +8,7 @@ import pcohom as pc
 from pcohom import cohomology, pairings
 from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
                             applicable_families, catalog_instances)
+from pcohom.core import DEFAULT_CAP, ID_DTYPE
 from pcohom.elements import perm_from_cycles
 from pcohom.errors import (KernelMismatch, NonCommutingSquare,
                            NotElementaryAbelian, OracleDisagreement,
@@ -827,6 +828,33 @@ def test_batched_massey_set_matches_per_hom_loop():
             assert np.array_equal(v, v0)
             assert np.array_equal(rho.image, rho0.image)
     assert 0 in sizes and 1 in sizes and max(sizes) == 3
+
+
+def test_hom_rows_come_out_in_the_id_dtype(monkeypatch):
+    """The lemma at core.ID_DTYPE: every id is below DEFAULT_CAP, and the
+    16-bit id dtype holds DEFAULT_CAP - 1.  `LiftablePullbacks.images` and
+    the hom rows `massey_pullback_set` reads its classes from come out in
+    it; the homs built from them are int32, as every GroupHom."""
+    assert np.iinfo(ID_DTYPE).max >= DEFAULT_CAP - 1
+    assert np.array([DEFAULT_CAP - 1]).astype(ID_DTYPE)[0] == DEFAULT_CAP - 1
+    G, fam, bundle = _setup("Q8", "zassenhaus", 3, 2)
+    lp = liftable_pullback_space(G, bundle.Tbar, fam)
+    assert len(lp.images) and lp.images.dtype == ID_DTYPE
+    assert lp.rho(0).image.dtype == np.int32
+    seen = []
+    real = cohomology.pullback_classes
+
+    def spy(space, exts, homs):
+        out = real(space, exts, homs)
+        seen.append([R.dtype for R in homs] + [out[2].dtype])
+        return out
+    monkeypatch.setattr(cohomology, "pullback_classes", spy)
+    V = pc.builtin_group("Z/4xZ/2")
+    x = cohomology.h1(V, 2)[0]
+    vals = cohomology.massey_pullback_set(
+        V, 3, [x, x, x], pc.omega_family("zassenhaus", 3, 2))
+    assert seen == [[ID_DTYPE, ID_DTYPE]] and vals
+    assert all(rho.image.dtype == np.int32 for _, _, rho in vals)
 
 
 def test_batch_coords_reject_rows_outside_z2():
