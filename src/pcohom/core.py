@@ -1,12 +1,15 @@
 """Finite groups as dense multiplication tables, plus the subgroup calculus.
 
 A group is its tables, and it is built one of two ways.  `generate_group`
-closes concrete generators (permutations, matrices mod m, residues,
-truncated series, ...) by hashing and keeps only the tables it read off
-them: `group_from_json`, the stand-ins and every builtin but the products
-are built so.  `group_from_table` relabels a table that already exists:
-quotients, subgroups and `direct_product`, which reads a product's table
-off its factors' tables (every `A x B x ...` and `E:p:k` builtin).
+closes concrete generators, each a row of ints (a permutation's images,
+a matrix's entries mod m, a residue, a row of ids, a series'
+coefficients), one BFS level at a time: a batched product of a level's
+rows by each generator, numbered through a dict on row bytes.  It keeps
+only the tables it reads off them: `group_from_json`, the stand-ins and
+every builtin but the products are built so.  `group_from_table`
+relabels a table that already exists: quotients, subgroups and
+`direct_product`, which reads a product's table off its factors' tables
+(every `A x B x ...` and `E:p:k` builtin).
 Element id 0 is always the identity and ids follow BFS discovery order, so
 every derived structure (BFS words, cosets, reports) is deterministic.  A
 subgroup is its sorted member ids.
@@ -20,11 +23,11 @@ all of level L before any id of level L+1, and within L it finds new ids
 in (parent position, column) order, the first occurrence winning; so
 keeping each unseen id of a level's parent-major successor block at its
 first occurrence numbers the ids as the queue does.  `generate_group`
-numbers elements in the same order, by hashing, before any table exists.
-`bfs_levels` is the one walk along BFS predecessors, a level at a time:
-it fills the table and the inverses of every group (`generate_group`,
-`_table_group`), evaluates BFS words (`word_images`) and expands cochains
-in `cohomology`.
+numbers elements in the same order, a level at a time, before any table
+exists.  `bfs_levels` is the one walk along BFS predecessors, a level at
+a time: it fills the table and the inverses of every group
+(`generate_group`, `_table_group`), evaluates BFS words (`word_images`)
+and expands cochains in `cohomology`.
 
 Each c > 0 is d*s for its BFS predecessor d < c and a generator s, so a
 law shown on every edge e -> e*s holds on all of G by induction on the BFS
@@ -57,11 +60,9 @@ from math import lcm, prod
 
 import numpy as np
 
-from .elements import MatMod, Perm, Residue, perm_from_cycles
 from .errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
-                     KernelMismatch, MixedElementKinds, MixedParents,
-                     NonNormalArguments, NotASubgroup, NotNormal, SpecError,
-                     UnkeyedArgument)
+                     KernelMismatch, MixedParents, NonNormalArguments,
+                     NotASubgroup, NotNormal, SpecError, UnkeyedArgument)
 
 DEFAULT_CAP = 8192
 # The dtype of stored element-id matrices (the full hom sets of
@@ -225,55 +226,103 @@ def _verify_tables(G: FiniteGroup):
             raise EdgeCheckFailed("associativity check failed")
 
 
-def generate_group(gens, name="") -> FiniteGroup:
+def generate_group(ident, gens, step, name="") -> FiniteGroup:
     """Closure of concrete generators under composition, as a FiniteGroup
-    of at most DEFAULT_CAP elements.  The concrete elements live only
-    inside the closure: the group keeps its tables, and element i is the
-    BFS word of id i (`pred`) evaluated in the generators."""
-    gens = list(gens)
-    if gens:
-        sig = gens[0].signature()
-        for g in gens[1:]:
-            if g.signature() != sig:
-                raise MixedElementKinds(f"{g.signature()} vs {sig}")
-        ident = gens[0].identity()
-        gens = [g for i, g in enumerate(gens)
-                if g != ident and g not in gens[:i]]
-    else:
-        ident = None
-
-    ngens = len(gens)
-    elems = [ident]
-    index = {ident: 0}
-    mult_gen_rows = []
-    pred = [(-1, -1)]
-    i = 0
-    while i < len(elems):
-        e = elems[i]
-        row = np.empty(ngens, dtype=np.int32)
-        for gi, g in enumerate(gens):
-            f = e * g
-            j = index.get(f)
-            if j is None:
-                j = len(elems)
-                if j >= DEFAULT_CAP:
-                    raise ClosureCapExceeded(
-                        f"closure exceeds cap {DEFAULT_CAP}")
-                index[f] = j
-                elems.append(f)
-                pred.append((i, gi))
-            row[gi] = j
-        mult_gen_rows.append(row)
-        i += 1
-
-    n = len(elems)
-    mult_gen = np.stack(mult_gen_rows)
-    pred = np.asarray(pred, dtype=np.int32)
+    of at most DEFAULT_CAP elements.  An element is a row of ints: ident
+    is the identity's row, gens a (k, w) array of generator rows, and
+    step(X, j) returns the rows X * gens[j] of a batch X of rows.  A
+    generator equal to the identity or to an earlier one is dropped, and
+    step is called with indices into gens.  The rows live only inside the
+    closure (`_close`): the group keeps its tables, filled from mult_gen
+    along pred a BFS level at a time, and element i is the BFS word of id
+    i evaluated in the generators."""
+    mult_gen, pred = _close(ident, gens, step)
+    n = len(pred)
     mult = np.empty((n, n), dtype=np.int32)
     mult[:, 0] = np.arange(n)
     for lo, hi, d, s in bfs_levels(pred):
         mult[:, lo:hi] = mult_gen[mult[:, d], s]
     return _table_group(mult, mult_gen, pred, name)
+
+
+def _close(ident, gens, step):
+    """The closure of `generate_group`, as (mult_gen, pred).
+
+    It runs one BFS level at a time.  A level's products are formed
+    parent-major, (parent, generator), in chunks of about _CHUNK_ENTRIES
+    entries, and a dict on row bytes numbers each unseen row at its first
+    occurrence: the queue order (lemma in the module docstring), so ids,
+    mult_gen and pred are those of a queue BFS over the same generators.
+    ClosureCapExceeded is raised once the closure has more than
+    DEFAULT_CAP elements, checked after each chunk."""
+    ident = np.asarray(ident)
+    w = ident.size
+    gens = np.asarray(gens, dtype=ident.dtype).reshape(-1, w)
+    keys = [ident.tobytes()] + [g.tobytes() for g in gens]
+    cols = [j for j in range(len(gens)) if keys[j + 1] not in keys[:j + 1]]
+    k, row = len(cols), np.dtype((np.void, ident.itemsize * w))
+    block = max(1, _CHUNK_ENTRIES // max(1, k * w))
+    index = {keys[0]: 0}
+    # steps[t] = k * (parent id) + column of each id found, by chunk
+    level, mult_gen, steps = ident[None], [], []
+    while len(level):
+        start, found = len(index) - len(level), []     # id of level[0]
+        for lo in range(0, len(level), block):
+            X = level[lo:lo + block]
+            Y = np.empty((len(X), k, w), dtype=ident.dtype)
+            for c, j in enumerate(cols):
+                Y[:, c] = step(X, j)
+            Y = Y.reshape(len(X) * k, w)
+            n0 = len(index)
+            ids = np.array([index.setdefault(r, len(index))
+                            for r in Y.view(row).ravel().tolist()],
+                           dtype=np.int32)
+            if len(index) > DEFAULT_CAP:
+                raise ClosureCapExceeded(f"closure exceeds cap {DEFAULT_CAP}")
+            fresh = np.flatnonzero(ids >= n0)
+            if len(fresh) > len(index) - n0:    # a new row found twice
+                fresh = fresh[np.unique(ids[fresh], return_index=True)[1]]
+            mult_gen.append(ids.reshape(len(X), k))
+            steps.append((start + lo) * k + fresh)
+            found.append(Y[fresh])
+        level = np.concatenate(found)
+
+    pred = np.full((len(index), 2), -1, dtype=np.int32)
+    pred[1:, 0], pred[1:, 1] = np.divmod(np.concatenate(steps), max(k, 1))
+    return np.concatenate(mult_gen), pred
+
+
+def _residue_group(values, m, name="") -> FiniteGroup:
+    """The closure of residues mod m under addition.  The sum of two
+    residues is taken in int64, so m above 2^62 is refused (SpecError)."""
+    if m > 2 ** 62:
+        raise SpecError(f"modulus {m} is too large for int64 sums")
+    r = np.asarray(values, dtype=np.int64).reshape(-1, 1) % m
+    return generate_group([0], r, lambda X, j: (X + r[j]) % m, name)
+
+
+def _perm_group(perms, name="") -> FiniteGroup:
+    """The closure of permutations of 0..d-1, the rows of perms, under
+    (a*b)(i) = a(b(i))."""
+    P = np.asarray(perms, dtype=np.int64)
+    return generate_group(np.arange(P.shape[-1]), P, lambda X, j: X[:, P[j]],
+                          name)
+
+
+def _matrix_group(mats, m, name="") -> FiniteGroup:
+    """The closure of square n x n matrices mod m, as rows of their
+    entries.  A product's entry, a sum of n products of entries below m,
+    is taken in int64, so an m with n (m - 1)^2 >= 2^63 is refused
+    (SpecError)."""
+    M = np.asarray(mats, dtype=np.int64)
+    n = M.shape[-1]
+    if n * (m - 1) ** 2 >= 2 ** 63:
+        raise SpecError(f"modulus {m} is too large for int64 products")
+    M %= m
+    return generate_group(
+        np.eye(n, dtype=np.int64).ravel(), M.reshape(len(M), n * n),
+        lambda X, j: (X.reshape(-1, n, n) @ M[j] % m).reshape(len(X), -1),
+        name)
 
 
 # the last group built for each (key, pred bytes), while it lives
@@ -903,24 +952,52 @@ def signature(G: FiniteGroup):
 # Builtins and JSON input
 # ---------------------------------------------------------------------
 
+def _json_ints(doc, field):
+    """doc[field] as an int64 array, or SpecError."""
+    try:
+        return np.asarray(doc[field], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise SpecError(f"{field!r} is missing or not an array of integers "
+                        "of one shape") from None
+
+
 def group_from_json(doc) -> FiniteGroup:
+    """The closure of the generators of a JSON document, or of its text:
+    {"kind": "permutation", "degree": d, "generators": [[images], ...]},
+    {"kind": "matrix", "modulus": m, "generators": [[[row], ...], ...]}
+    or {"kind": "residue", "modulus": m, "generators": [r, ...]}, with an
+    optional "name".  A malformed document raises SpecError."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
-    kind = doc["kind"]
-    if kind == "permutation":
-        d = int(doc["degree"])
-        gens = [Perm(g) for g in doc["generators"]]
-        if any(len(g.map) != d for g in gens):
-            raise SpecError("degree mismatch")
-    elif kind == "matrix":
-        m = int(doc["modulus"])
-        gens = [MatMod(g, m) for g in doc["generators"]]
-    elif kind == "residue":
-        m = int(doc["modulus"])
-        gens = [Residue(g, m) for g in doc["generators"]]
-    else:
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as e:
+            raise SpecError(f"not a JSON document: {e}") from None
+    if not isinstance(doc, dict):
+        raise SpecError("a group document must be a JSON object")
+    kind, name = doc.get("kind"), doc.get("name", "")
+    if kind not in ("permutation", "matrix", "residue"):
         raise SpecError(f"unknown element kind {kind!r}")
-    return generate_group(gens, name=doc.get("name", ""))
+    field = "degree" if kind == "permutation" else "modulus"
+    size = _json_ints(doc, field)
+    if size.ndim or size < 1:
+        raise SpecError(f"{field} must be a positive integer")
+    n = int(size)
+    gens = _json_ints(doc, "generators")
+    if kind == "residue":
+        if gens.ndim != 1:
+            raise SpecError("a residue is one integer")
+        return _residue_group(gens, n, name)
+    if kind == "matrix":
+        M = gens.reshape(0, 1, 1) if gens.size == 0 else gens
+        if M.ndim != 3 or M.shape[1] != M.shape[2]:
+            raise SpecError("matrix must be square")
+        return _matrix_group(M, n, name)
+    P = gens.reshape(-1, n) if gens.size == 0 else gens
+    if P.ndim != 2 or P.shape[1] != n:
+        raise SpecError("degree mismatch")
+    if not (np.sort(P, axis=1) == np.arange(n)).all():
+        raise SpecError("not a permutation of 0..d-1")
+    return _perm_group(P, name)
 
 
 def spec_ints(spec: str, fields, count: int) -> list:
@@ -956,19 +1033,16 @@ def builtin_group(name: str) -> FiniteGroup:
                                for part in name.split("x")], name)
 
     if name == "D4":
-        return generate_group([perm_from_cycles(4, [(0, 1, 2, 3)]),
-                               perm_from_cycles(4, [(1, 3)])], name="D4")
+        return _perm_group([[1, 2, 3, 0], [0, 3, 2, 1]], name)
     if name == "Q8":
-        i = MatMod([[0, -1], [1, 0]], 3)
-        j = MatMod([[1, 1], [1, -1]], 3)
-        return generate_group([i, j], name="Q8")
+        return _matrix_group([[[0, -1], [1, 0]], [[1, 1], [1, -1]]], 3, name)
     fields = name.split(":")[1:]
     if name.startswith("Z/"):
         (n,) = spec_ints(name, [name[2:]], 1)
-        return generate_group([Residue(1, n)], name=name)
+        return _residue_group([1], n, name)
     if name.startswith("E:"):
         p, k = spec_ints(name, fields, 2)
-        return direct_product([generate_group([Residue(1, p)])] * k, name)
+        return direct_product([builtin_group(f"Z/{p}")] * k, name)
     if name.startswith("Mp3:"):
         return ut.build_mp3(*spec_ints(name, fields, 1)).E
     if name.startswith("U:"):
@@ -976,12 +1050,11 @@ def builtin_group(name: str) -> FiniteGroup:
     if name.startswith("Heis:"):
         return ut.build_unitriangular(2, *spec_ints(name, fields, 1))
     if name.startswith("Meta:"):
-        # order p^4 semidirect product <t> x| <s>, both Z/p^2, s t s^-1 = t^(1+p)
+        # order p^4 semidirect product <t> x| <s>, both Z/p^2, s t s^-1 =
+        # t^(1+p), as permutations of the points c + q d of (Z/q)^2
         (p,) = spec_ints(name, fields, 1)
         q = p * p
-        pts = [(c, d) for d in range(q) for c in range(q)]
-        pos = {pt: i for i, pt in enumerate(pts)}
-        t = Perm([pos[((c + 1) % q, d)] for (c, d) in pts])
-        s = Perm([pos[((c * (1 + p)) % q, (d + 1) % q)] for (c, d) in pts])
-        return generate_group([t, s], name=name)
+        c, d = np.arange(q * q) % q, np.arange(q * q) // q
+        return _perm_group([(c + 1) % q + q * d,
+                            c * (1 + p) % q + q * ((d + 1) % q)], name)
     raise SpecError(f"unknown builtin group {name!r}")

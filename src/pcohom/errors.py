@@ -20,10 +20,6 @@ class ClosureCapExceeded(PcohomError):
     exit_code = 3
 
 
-class MixedElementKinds(PcohomError):
-    pass
-
-
 class NonNormalArguments(PcohomError):
     pass
 

@@ -16,10 +16,11 @@ import time
 import numpy as np
 
 from . import gf
-from .core import (FiniteGroup, GroupHom, builtin_group, commutators,
-                   generate_group, hom_from_generator_images)
-from .elements import IdVector
-from .errors import OracleDisagreement, SpecError, WordTooShort
+from .core import (DEFAULT_CAP, FiniteGroup, GroupHom, builtin_group,
+                   commutators, generate_group, hom_from_generator_images,
+                   spec_prime)
+from .errors import (ClosureCapExceeded, OracleDisagreement, SpecError,
+                     WordTooShort)
 from .homsearch import _CHUNK, _extend
 from .pairings import transfer_check
 from .unitriangular import build_unitriangular, omega_family
@@ -37,11 +38,12 @@ class TruncatedSeries:
     series with constant term 1, which products preserve; a constant term
     other than 1 is rejected as malformed input (`SpecError`).
 
-    Supports the element protocol of ``generate_group`` so the closure of
-    {1 + x_i} can be tabulated directly.
+    The series criterion of `zassenhaus_membership` computes with these,
+    apart from the tables; the stand-in closes coefficient rows instead
+    (`free_nilpotent_standin`).
     """
 
-    __slots__ = ("coeffs", "p", "deg", "k", "_hash")
+    __slots__ = ("coeffs", "p", "deg", "k")
 
     def __init__(self, coeffs, p, deg, k):
         self.p, self.deg, self.k = int(p), int(deg), int(k)
@@ -50,8 +52,6 @@ class TruncatedSeries:
         if clean.get((), 0) != 1:
             raise SpecError("series must have constant term 1")
         self.coeffs = clean
-        self._hash = hash(("series", p, deg, k,
-                           tuple(sorted(clean.items()))))
 
     def __mul__(self, other):
         if (not isinstance(other, TruncatedSeries) or other.p != self.p
@@ -64,20 +64,6 @@ class TruncatedSeries:
                     w = w1 + w2
                     out[w] = (out.get(w, 0) + c1 * c2) % self.p
         return TruncatedSeries(out, self.p, self.deg, self.k)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries) and self.p == other.p
-                and self.deg == other.deg and self.k == other.k
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return self._hash
-
-    def identity(self):
-        return TruncatedSeries({(): 1}, self.p, self.deg, self.k)
-
-    def signature(self):
-        return ("series", self.p, self.deg, self.k)
 
     def component_vector(self, degree: int) -> np.ndarray:
         """Coefficients of the degree-d monomials as a vector of length
@@ -204,31 +190,82 @@ def zassenhaus_membership(word, k: int, p: int, n: int) -> dict:
 # Finite nilpotent stand-ins for free groups
 # ---------------------------------------------------------------------
 
+def standin_log_order(k: int, p: int, kind: str, n: int) -> int:
+    """log_p of the order of the free group on k generators modulo the
+    (n+1)-st term of the chosen filtration, in closed form.  With M(k, j)
+    Witt's count of the Lyndon words of length j on k letters (from
+    k^j = sum over d | j of d M(k, d)), the i-th factor of the lower
+    p-central series has rank sum_{j <= i} M(k, j), and that of the
+    Zassenhaus series sum_{j p^h = i} M(k, j) (Jennings).  So M(k, j)
+    counts n - j + 1 times for "lower-central", and once for each h >= 0
+    with j p^h <= n for "zassenhaus"."""
+    M = {}
+    for j in range(1, n + 1):
+        M[j] = (k ** j - sum(d * M[d] for d in M if j % d == 0)) // j
+    if kind == "lower-central":
+        return sum(M[j] * (n - j + 1) for j in M)
+    return sum(M[j] for j in M for h in range(n) if j * p ** h <= n)
+
+
 def free_nilpotent_standin(k: int, p: int, kind: str, n: int) -> FiniteGroup:
     """The quotient of the free group on k generators by the (n+1)-st term
     of the chosen filtration, built from faithful concrete images.
 
     kind "zassenhaus": closure of {1 + x_i} in the algebra truncated beyond
-    degree n (the truncation kernel is exactly the (n+1)-st Zassenhaus term).
+    degree n (the truncation kernel is exactly the (n+1)-st Zassenhaus
+    term).  A series is its row of coefficients over the monomials of
+    degree <= n, and right multiplication by 1 + x_i adds the coefficient
+    of each w of degree < n to that of w x_i.
 
     kind "lower-central": image of the diagonal map into the product of the
     groups of the lower-central witness family over *all* generator-image
     tuples (the kernel of that map is the (n+1)-st lower p-central term).
-    """
+    An element is its row of ids, one slot per extension group E and
+    tuple, and a product looks each slot up in its E's table.
+
+    The order is known in closed form (`standin_log_order`): above
+    DEFAULT_CAP it raises ClosureCapExceeded before anything is built, and
+    a closure of another order raises OracleDisagreement."""
     name = f"standin:{kind}:{k}:{p}:{n}"
+    if kind not in ("zassenhaus", "lower-central"):
+        raise SpecError(f"unknown stand-in kind {kind!r}")
+    e = standin_log_order(k, spec_prime(p), kind, n)
+    if p ** e > DEFAULT_CAP:
+        raise ClosureCapExceeded(f"{name} has order {p}^{e}, above the "
+                                 f"cap {DEFAULT_CAP}")
     if kind == "zassenhaus":
-        gens = [_generator_series(i + 1, 1, p, n, k) for i in range(k)]
-        return generate_group(gens, name=name)
-    if kind == "lower-central":
-        fam = omega_family("lower-central", n, p)
-        tables = [(ext.E.mult, ext.E.order ** k) for ext in fam.extensions]
-        segments = [_tuple_grid(ext.E.order, k) for ext in fam.extensions]
-        gens = []
-        for i in range(k):
-            ids = np.concatenate([seg[i] for seg in segments])
-            gens.append(IdVector(tables, ids))
-        return generate_group(gens, name=name)
-    raise SpecError(f"unknown stand-in kind {kind!r}")
+        words = [w for d in range(n + 1)
+                 for w in itertools.product(range(k), repeat=d)]
+        pos = {w: t for t, w in enumerate(words)}
+        src = [pos[w] for w in words if len(w) < n]
+        dst = [[pos[w + (i,)] for w in words if len(w) < n]
+               for i in range(k)]
+
+        def step(X, i):
+            Y = X.copy()
+            Y[:, dst[i]] += X[:, src]
+            return Y % p
+
+        ident = np.eye(1, len(words), dtype=np.int64)[0]     # the series 1
+        gens = [step(ident[None], i)[0] for i in range(k)]
+        S = generate_group(ident, gens, step, name=name)
+    else:
+        Es = [ext.E for ext in omega_family("lower-central", n, p).extensions]
+        slots = [E.order ** k for E in Es]
+        gens = np.concatenate([np.stack(_tuple_grid(E.order, k))
+                               for E in Es], axis=1)
+        # slot t reads mult.ravel()[x * |E| + y] of its E, in one flat gather
+        flat = np.concatenate([E.mult.ravel() for E in Es])
+        base = np.repeat(np.cumsum([0] + [E.order ** 2 for E in Es[:-1]]),
+                         slots)
+        size = np.repeat([E.order for E in Es], slots)
+        S = generate_group(np.zeros_like(gens[0]), gens,
+                           lambda X, j: flat[base + X * size + gens[j]],
+                           name=name)
+    if S.order != p ** e:
+        raise OracleDisagreement(f"{name} closed to order {S.order}, not "
+                                 f"{p}^{e}")
+    return S
 
 
 def evaluation_epi(S: FiniteGroup, H: FiniteGroup) -> GroupHom:

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (FiniteGroup, GroupHom, bfs_levels, center, commutators,
-                   generate_group, hom_from_generator_images,
-                   intersect_subgroups, quotient_group, spec_ints,
-                   spec_prime, subgroup_generated)
-from .elements import MatMod, Perm, Residue
+from .core import (FiniteGroup, GroupHom, _matrix_group, _perm_group,
+                   bfs_levels, builtin_group, center, commutators,
+                   hom_from_generator_images, intersect_subgroups,
+                   quotient_group, spec_ints, spec_prime, subgroup_generated)
 from .errors import FamilyWitnessFailed, NotACentralExtension, SpecError
 
 
@@ -54,12 +53,9 @@ def build_unitriangular(n: int, m: int) -> FiniteGroup:
     They generate all m^(n(n+1)/2) of them: for i < j < k the commutator
     of 1 + E_ij and 1 + E_jk is 1 +- E_ik, so every elementary matrix
     1 + E_ik lies in the closure, and these generate U_n(Z/m)."""
-    gens = []
-    for i in range(n):
-        e = np.eye(n + 1, dtype=np.int64)
-        e[i, i + 1] = 1
-        gens.append(MatMod(e, m))
-    return generate_group(gens, name=f"U{n}(Z/{m})")
+    gens = np.repeat(np.eye(n + 1, dtype=np.int64)[None], n, axis=0)
+    gens[np.arange(n), np.arange(n), np.arange(1, n + 1)] = 1
+    return _matrix_group(gens, m, name=f"U{n}(Z/{m})")
 
 
 @dataclass
@@ -150,7 +146,7 @@ def build_bar_extension(n: int, m: int) -> CentralExtension:
     # CentralExtension that ker lam = iota(Z) with iota injective
     Zsub = subgroup_generated(E, [corner_id])
 
-    Z = generate_group([Residue(1, p)], name=f"Z/{p}")
+    Z = builtin_group(f"Z/{p}")
     iota = hom_from_generator_images(Z, E, [corner_id])
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"Ubar{n}(Z/{m})"
@@ -207,14 +203,13 @@ def build_mp3(p: int) -> CentralExtension:
         raise SpecError("p must be an odd prime")
     q = p * p
     # affine permutations of Z/p^2: r = translation by 1, s = scaling by 1-p
-    r = Perm([(x + 1) % q for x in range(q)])
-    s = Perm([((1 - p) * x) % q for x in range(q)])
-    E = generate_group([r, s], name=f"M{p}^3")
+    x = np.arange(q)
+    E = _perm_group([(x + 1) % q, (1 - p) * x % q], name=f"M{p}^3")
     r_id, s_id = E.generators
     rp = E.power(r_id, p)
 
     Zsub = subgroup_generated(E, [rp])
-    Z = generate_group([Residue(1, p)], name=f"Z/{p}")
+    Z = builtin_group(f"Z/{p}")
     iota = hom_from_generator_images(Z, E, [rp])
     Gbar, lam = quotient_group(E, Zsub)
     Gbar.name = f"(Z/{p})^2"

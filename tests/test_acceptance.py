@@ -14,9 +14,14 @@ from pcohom import pairings
 from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
                             applicable_families, catalog_instances,
                             transfer_sweep)
-from pcohom.cohomology import (Cochain1, bockstein, classifying_cocycle, cup,
-                               h1, h2_space, massey_pullback_set, pullback)
-from pcohom.homsearch import enumerate_homs, t_bundle, t_subgroup
+from pcohom.cohomology import (Cochain1, _extension_alpha, bockstein,
+                               classifying_cocycle, coboundary_mask, cup, h1,
+                               h2_space, massey_pullback_set, pullback,
+                               pullback_columns)
+from pcohom.core import word_images
+from pcohom.homsearch import (_conjugacy_classes, _reduced_homs,
+                              enumerate_homs, hom_count, t_bundle,
+                              t_subgroup)
 from pcohom.magnus import (counterexample_harness, lyndon_words,
                            zassenhaus_membership)
 from pcohom.pairings import (a_pairing, a_space, c_pairing, cached_quotient,
@@ -113,6 +118,36 @@ def test_five_term_dimension_identity_on_sweep_pairs(catalog):
                + log_index(Q2, Q2.whole(), p))
         assert len(a_space(G, N1, N2, p)) == rhs, (G.name, N1.order, p)
     assert len(pairs) == 85
+
+
+def test_lift_count_identity_on_catalog_pairs(catalog):
+    """|Hom(G, E)| = p^{dim H^1(G)} * sum over the liftable reduced
+    f: G -> Gbar of |cl(f(s_1))|, for every catalog group G and every
+    extension E -> Gbar of its families.  The lifts of a liftable f form
+    a torsor under Hom(G, Z/p), through the central Z/p; f lifts iff
+    f*alpha is a coboundary, alpha the classifying cocycle; and a reduced
+    f stands for |cl(f(s_1))| homs (lemma 4 of `homsearch`), which lift
+    or not together (lemma 3).  The left side comes from the search into
+    E, the right from the search into Gbar, `h1` and `coboundary_mask`
+    on the pullback columns."""
+    seen = set()
+    for _, G, p in catalog:
+        dim_h1 = len(h1(G, p))
+        for ext in (e for fam in applicable_families(p)
+                    for e in fam.extensions):
+            if (G.key, ext.label) in seen:
+                continue
+            seen.add((G.key, ext.label))
+            F = _reduced_homs(G, ext.Gbar)[0]
+            cols = pullback_columns(_extension_alpha(ext),
+                                    word_images(G.pred, ext.Gbar, F), G)
+            classes = _conjugacy_classes(ext.Gbar)
+            weight = (np.ones(len(F), dtype=np.int64) if classes is None
+                      else classes.size[F[:, 0]])
+            liftable = int(weight[coboundary_mask(G, cols, p)].sum())
+            assert hom_count(G, ext.E)[0] == p ** dim_h1 * liftable, (
+                G.name, ext.label)
+    assert len(seen) == 80
 
 
 def test_criterion_2_pairings_perfect(catalog):

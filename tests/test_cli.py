@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shlex
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -338,6 +339,8 @@ def test_manifest_runs_multiple_jobs(tmp_path, capsys):
     ["lyndon", "--k", "-1"],
     ["filtration", "--group", "Q8", "--kind", "zassenhaus", "--p", "2",
      "--upto", "-3"],
+    ["group-info", "--group", "Z/99999999999999999999"],
+    ["group-info", "--group", "U:2:99999999999999999999"],
 ])
 def test_malformed_input_exits_3_with_one_error_record(capsys, argv):
     assert main(argv) == 3
@@ -358,6 +361,26 @@ def test_product_over_the_cap_exits_3_before_any_table(capsys, monkeypatch):
               capsys.readouterr().out.splitlines() if line.strip()]
     assert rec["command"] == "group-info"
     assert rec["error"].startswith("ClosureCapExceeded")
+
+
+def test_standin_over_the_cap_exits_3_before_any_closure(capsys):
+    """standin:lower-central:3:2:3 has order 2^23 by the closed form
+    (`magnus.standin_log_order`): one ClosureCapExceeded record and exit
+    3, with a traced peak under 1 MiB.  Its closure would hold id vectors
+    of 8^3 + 64^3 + 64^3 = 524,800 slots; under a 3 GB address-space
+    limit it once ran out of memory after 13.5 s."""
+    tracemalloc.start()
+    try:
+        code = main(["group-info", "--group", "standin:lower-central:3:2:3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (rec,) = [json.loads(line) for line in
+              capsys.readouterr().out.splitlines() if line.strip()]
+    assert code == 3 and peak < 2 ** 20, peak
+    assert rec["command"] == "group-info"
+    assert rec["error"].startswith("ClosureCapExceeded: standin:lower-"
+                                   "central:3:2:3 has order 2^23")
 
 
 def test_help_exits_0(capsys):

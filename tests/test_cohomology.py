@@ -18,13 +18,13 @@ from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback,
                                pullback_columns, transgression)
-from pcohom.core import _element_orders, element_order, word_images
-from pcohom.elements import Residue, perm_from_cycles
+from pcohom.core import (_element_orders, element_order, group_from_json,
+                         word_images)
 from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
                            NotInvariant, NotNormal, NotSurjective,
                            OracleDisagreement, SectionDefectOutsideKernel,
                            SolveRoundTripFailed)
-from concrete_elements import unitriangular_matrices
+from concrete_elements import perm_from_cycles, unitriangular_matrices
 from cocycle_tables import (bockstein_table, checked, classifying_table,
                             constraint_violations, cup_table, expand,
                             generator_columns, matches_table, pullback_table,
@@ -96,12 +96,14 @@ def all_g_constraints(G, p):
 
 
 def perm_group(d, *gens):
-    return pc.generate_group([perm_from_cycles(d, c) for c in gens])
+    return group_from_json({"kind": "permutation", "degree": d, "generators":
+                            [perm_from_cycles(d, c).map for c in gens]})
 
 
 S3 = perm_group(3, [(0, 1, 2)], [(0, 1)])
 A4 = perm_group(4, [(0, 1, 2)], [(0, 1), (2, 3)])
-Z8_ON_1_2_4 = pc.generate_group([Residue(1, 8), Residue(2, 8), Residue(4, 8)])
+Z8_ON_1_2_4 = group_from_json({"kind": "residue", "modulus": 8,
+                               "generators": [1, 2, 4]})
 EXTRA_GROUPS = [("S3", S3, 2), ("S3", S3, 3), ("A4", A4, 2), ("A4", A4, 3),
                 ("Z/8 on 1, 2, 4", Z8_ON_1_2_4, 2)]
 

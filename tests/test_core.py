@@ -3,24 +3,28 @@ import gc
 import itertools
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom import core, homsearch
+from pcohom import core, homsearch, magnus
 from pcohom.catalog import catalog_instances
 from pcohom.cli import CONVENTIONS
-from pcohom.core import (_bfs, _is_normal, _powers, bfs_levels,
-                         derived_subgroup, element_order, group_from_json,
-                         group_from_table, memo, subgroup_as_group,
-                         word_images)
-from pcohom.elements import MatMod, Perm, Residue, perm_from_cycles
+from pcohom.core import (DEFAULT_CAP, _bfs, _is_normal, _perm_group,
+                         _powers, _residue_group, bfs_levels,
+                         derived_subgroup,
+                         element_order, group_from_json, group_from_table,
+                         memo, subgroup_as_group, word_images)
 from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
-                           KernelMismatch, MixedElementKinds,
-                           NonNormalArguments, NotASubgroup, NotNormal)
+                           KernelMismatch, NonNormalArguments, NotASubgroup,
+                           NotNormal, SpecError)
 from pcohom.homsearch import _partial_bfs, t_bundle
+from pcohom.magnus import free_nilpotent_standin
 from pcohom.pairings import cached_quotient
+from concrete_elements import (MatMod, Perm, Residue, closure, object_close,
+                               product_generators, reference_generators)
 
 
 # ---------------------------------------------------------------------
@@ -28,7 +32,10 @@ from pcohom.pairings import cached_quotient
 # ---------------------------------------------------------------------
 
 def test_trivial_group():
-    G = pc.generate_group([])
+    G = pc.generate_group([0], [], None)
+    assert G.order == 1 and G.generators == []
+    # generators equal to the identity are dropped
+    G = pc.generate_group([0, 1], [[0, 1], [0, 1]], None)
     assert G.order == 1 and G.generators == []
 
 
@@ -42,9 +49,7 @@ def test_cyclic_groups():
 
 
 def test_s3_from_permutations():
-    a = perm_from_cycles(3, [(0, 1, 2)])
-    b = perm_from_cycles(3, [(0, 1)])
-    G = pc.generate_group([a, b])
+    G = _perm_group([[1, 2, 0], [1, 0, 2]])
     assert G.order == 6
     assert not pc.is_abelian(G)
     assert sorted(element_order(G, g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
@@ -151,7 +156,7 @@ def test_level_walks_match_per_position_loops():
     for G in walk_groups():
         ref = loop_mult_fill(G.mult_gen, G.pred)
         assert np.array_equal(ref, G.mult), G
-        R = pc.generate_group([Perm(G.mult[g]) for g in G.generators])
+        R = _perm_group(G.mult[G.generators])
         assert np.array_equal(R.mult, ref) and np.array_equal(R.pred, G.pred)
         C = rng.integers(0, G.order, size=(3, len(G.generators)))
         for pred in walk_preds(G):
@@ -239,12 +244,17 @@ def test_twin_registry_drops_dead_groups():
 
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
-        pc.generate_group([Residue(1, 10000)])
+        _residue_group([1], 10000)
 
 
 def test_mixed_kinds_rejected():
-    with pytest.raises(MixedElementKinds):
-        pc.generate_group([Residue(1, 4), Perm([1, 0])])
+    """Every generator of a JSON document is read as the document's one
+    kind, so a generator of another kind or size is malformed input."""
+    for doc in ({"kind": "residue", "modulus": 4, "generators": [1, [1, 0]]},
+                {"kind": "permutation", "degree": 2,
+                 "generators": [[1, 0], [[0, 1], [1, 0]]]}):
+        with pytest.raises(SpecError):
+            group_from_json(doc)
 
 
 def test_known_group_signatures():
@@ -458,6 +468,47 @@ def test_group_from_json():
     assert G3.order == 3
 
 
+@pytest.mark.parametrize("doc, match", [
+    ({"kind": "residue", "modulus": 0, "generators": [1]}, "modulus"),
+    ({"kind": "matrix", "modulus": 0, "generators": [[[1]]]}, "modulus"),
+    ({"kind": "residue", "modulus": [3], "generators": [1]}, "modulus"),
+    ({"kind": "permutation", "degree": 0, "generators": []}, "degree"),
+    ({"modulus": 3, "generators": [1]}, "kind"),
+    ({"kind": "quaternion", "generators": []}, "kind"),
+    ('{"kind": "residue", "modulus": 3', "JSON"),
+    ("[1, 2]", "object"),
+    ({"kind": "matrix", "modulus": 3,
+      "generators": [[[1, 1], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]},
+     "one shape"),
+    ({"kind": "residue", "modulus": 3}, "generators"),
+    ({"kind": "residue", "modulus": 3, "generators": ["one"]}, "integers"),
+    ({"kind": "residue", "modulus": 3, "generators": [2 ** 70]},
+     "integers"),
+    ({"kind": "residue", "modulus": 3, "generators": [[1]]}, "one integer"),
+    ({"kind": "permutation", "degree": 2, "generators": [[0, 0]]},
+     "not a permutation"),
+    ({"kind": "permutation", "degree": 3, "generators": [[1, 0]]},
+     "degree mismatch"),
+    ({"kind": "matrix", "modulus": 3, "generators": [[[1, 1, 0], [0, 1, 1]]]},
+     "matrix must be square"),
+    # -1 mod 3^39 has order 2, and 2^62 generates Z/(2^62 + 1), but int64
+    # products and sums would wrap
+    ({"kind": "matrix", "modulus": 3 ** 39, "generators": [[[3 ** 39 - 1]]]},
+     "too large"),
+    ({"kind": "residue", "modulus": 2 ** 62 + 1, "generators": [2 ** 62]},
+     "too large"),
+])
+def test_malformed_json_raises_spec_error(doc, match):
+    """Every malformed group document is one SpecError, exit code 3: a
+    modulus of 0 (once ZeroDivisionError), a missing kind (KeyError), a
+    text that is not JSON (JSONDecodeError), matrices of two sizes (once
+    an error of exit code 1) and a modulus too large for exact int64
+    arithmetic (once a wrong group) among them."""
+    with pytest.raises(SpecError, match=match) as exc:
+        group_from_json(doc)
+    assert exc.value.exit_code == 3
+
+
 def test_direct_products():
     G = pc.builtin_group("Z/4xZ/2")
     assert G.order == 8 and pc.is_abelian(G) and pc.exponent(G) == 4
@@ -465,38 +516,14 @@ def test_direct_products():
     assert H.order == 16 and pc.center(H).order == 4
 
 
-class TupleElem:
-    """Reference: the direct-product element that `builtin_group` closed
-    by hashing before `core.direct_product`; componentwise composition."""
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def __mul__(self, other):
-        return TupleElem(a * b for a, b in zip(self.parts, other.parts))
-
-    def __eq__(self, other):
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def identity(self):
-        return TupleElem(x.identity() for x in self.parts)
-
-    def signature(self):
-        return tuple(x.signature() for x in self.parts)
-
-
 def tuple_closure(factors, name):
-    """Reference: the product closed over TupleElem tuples, from each
-    factor's generators with the identity in the other slots.  A factor's
+    """Reference: the product closed by the object closure over tuples,
+    from each factor's generators with the identity in the other slots,
+    as `builtin_group` closed it before `core.direct_product`.  A factor's
     element g is its left-regular permutation Perm(mult[g]): ids are BFS
     positions, so any faithful image closes to the factor's own ids."""
-    gens = [TupleElem(Perm(Fj.mult[g if j == i else 0])
-                      for j, Fj in enumerate(factors))
-            for i, F in enumerate(factors) for g in F.generators]
-    return pc.generate_group(gens, name=name)
+    return closure(product_generators(
+        [[Perm(F.mult[g]) for g in F.generators] for F in factors]), name)
 
 
 def test_direct_product_matches_the_tuple_closure():
@@ -519,6 +546,86 @@ def test_direct_product_matches_the_tuple_closure():
         assert got.key == want.key, nm
         assert np.array_equal(got.pred, want.pred), nm
         assert got.name == nm
+
+
+def same_group(got, want):
+    return (np.array_equal(got.mult, want.mult)
+            and got.generators == want.generators and got.key == want.key
+            and np.array_equal(got.pred, want.pred))
+
+
+# one document of each kind, each closed from the generators beside it
+JSON_CASES = [
+    ({"kind": "permutation", "degree": 4,
+      "generators": [[1, 2, 3, 0], [0, 3, 2, 1], [1, 2, 3, 0]]},
+     [Perm([1, 2, 3, 0]), Perm([0, 3, 2, 1]), Perm([1, 2, 3, 0])]),
+    ({"kind": "matrix", "modulus": 4,
+      "generators": [[[1, 1], [0, 1]], [[1, 0], [2, 1]], [[5, 4], [0, -3]]]},
+     [MatMod([[1, 1], [0, 1]], 4), MatMod([[1, 0], [2, 1]], 4),
+      MatMod([[5, 4], [0, -3]], 4)]),
+    ({"kind": "residue", "modulus": 27, "generators": [0, 9, 3, 30]},
+     [Residue(0, 27), Residue(9, 27), Residue(3, 27), Residue(30, 27)]),
+]
+
+
+def test_closure_matches_the_object_closure(monkeypatch):
+    """The level-batched closure against the object closure it replaced
+    (`concrete_elements.closure`): equal mult, generators, key and pred on
+    every catalog builtin (Mp3:3, Mp3:5, Meta:3, D4 and Q8 among them) and
+    stand-in, the E and Z of every family extension for n <= 3 at
+    p = 2, 3, the stand-ins lower-central:2:2:3 and zassenhaus:2:2:4 and
+    one JSON document of each kind, with repeated and identity generators.
+    The stand-in of order 8,192, exactly the cap, is compared by its
+    closure's mult_gen and pred, from which `generate_group` fills mult
+    and the key as it does for every other group: its two tables would be
+    0.5 GB."""
+    cases = {nm: G for nm, G, _ in catalog_instances() if "/nc(" not in nm}
+    # the catalog's order filter drops its fourth stand-in, of order 512
+    for kind, k, p, n in (("zassenhaus", 3, 2, 2), ("lower-central", 2, 2, 3)):
+        S = free_nilpotent_standin(k, p, kind, n)
+        cases[S.name] = S
+    assert len(cases) == 33
+    fams = [pc.omega_family(kind, n, p)
+            for kind in ("zassenhaus", "lower-central")
+            for n in (2, 3) for p in (2, 3)]
+    fams.append(pc.omega_family("mixed", 1, 3))
+    for ext in (ext for fam in fams for ext in fam.extensions):
+        # bar(n,m) extends U:n:m, mp3(p) extends Mp3:p
+        kind, args = ext.label.rstrip(")").split("(")
+        spec = ("U:{}:{}".format(*args.split(",")) if kind == "bar"
+                else f"Mp3:{args}")
+        cases[f"{ext.label}.E"] = (spec, ext.E)
+        cases[f"{ext.label}.Z"] = (f"Z/{ext.p}", ext.Z)
+    assert len(cases) == 55
+    for label, case in cases.items():
+        spec, G = case if isinstance(case, tuple) else (label, case)
+        assert same_group(G, closure(reference_generators(spec))), label
+    for doc, gens in JSON_CASES:
+        assert same_group(group_from_json(doc), closure(gens)), doc["kind"]
+
+    def close_only(ident, gens, step, name=""):
+        mult_gen, pred = core._close(ident, gens, step)
+        return SimpleNamespace(order=len(pred), mult_gen=mult_gen, pred=pred)
+
+    monkeypatch.setattr(magnus, "generate_group", close_only)
+    S = free_nilpotent_standin(2, 2, "zassenhaus", 4)
+    mult_gen, pred = object_close(
+        reference_generators("standin:zassenhaus:2:2:4"))
+    assert S.order == DEFAULT_CAP
+    assert np.array_equal(S.mult_gen, mult_gen)
+    assert np.array_equal(S.pred, pred)
+
+
+def test_over_cap_raises_on_both_closures():
+    """Z/8193 and U_2(Z/32), of order 32,768, raise on both closures."""
+    with pytest.raises(ClosureCapExceeded):
+        closure([Residue(1, DEFAULT_CAP + 1)])
+    with pytest.raises(ClosureCapExceeded):
+        _residue_group([1], DEFAULT_CAP + 1)
+    with pytest.raises(ClosureCapExceeded):
+        closure(reference_generators("U:2:32"))
+    with pytest.raises(ClosureCapExceeded):
+        pc.build_unitriangular(2, 32)
 
 
 # ---------------------------------------------------------------------

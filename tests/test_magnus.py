@@ -3,7 +3,8 @@ import pytest
 
 import pcohom as pc
 from pcohom import magnus
-from pcohom.errors import OracleDisagreement, SpecError, WordTooShort
+from pcohom.errors import (ClosureCapExceeded, OracleDisagreement,
+                           SpecError, WordTooShort)
 from pcohom.magnus import (TruncatedSeries, _distinct_commutator_search,
                            _inv_word, counterexample_harness,
                            evaluation_epi, free_nilpotent_standin,
@@ -39,7 +40,7 @@ def test_series_basics():
     # a word followed by its inverse is the identity series
     for w in [[1], [1, 2], [2, -1, 1, 2], [-2, 1, 1]]:
         full = w + _inv_word(w)
-        assert magnus_image(full, 2, 3, 4) == s.identity()
+        assert magnus_image(full, 2, 3, 4).coeffs == {(): 1}
     # product expands freely: (1+x1)(1+x2) = 1 + x1 + x2 + x1 x2
     s12 = magnus_image([1, 2], 2, 5, 3)
     assert s12.coeffs == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
@@ -277,3 +278,51 @@ def test_counterexample_induced_instance_must_fail_both_sides(monkeypatch):
         "status": "PASS"})
     with pytest.raises(OracleDisagreement, match="induced instance"):
         counterexample_harness(k=2)
+
+
+# (k, p, kind, n) and the order of every stand-in of order at most 2187
+STANDIN_ORDERS = {
+    (1, 2, "zassenhaus", 4): 8, (2, 2, "zassenhaus", 2): 32,
+    (2, 2, "zassenhaus", 3): 128, (3, 2, "zassenhaus", 2): 512,
+    (2, 3, "zassenhaus", 2): 27, (2, 3, "zassenhaus", 3): 2187,
+    (3, 3, "zassenhaus", 2): 729, (2, 5, "zassenhaus", 2): 125,
+    (1, 3, "lower-central", 3): 27, (2, 2, "lower-central", 2): 32,
+    (2, 2, "lower-central", 3): 1024, (3, 2, "lower-central", 2): 512,
+    (2, 3, "lower-central", 2): 243,
+}
+
+
+def test_standin_orders_match_the_closed_form():
+    """The closed form `standin_log_order` against the order of the closed
+    stand-in (each build also checks it), and its Witt counts M(k, j),
+    read off the lower-central form, against `lyndon_words`."""
+    for (k, p, kind, n), order in STANDIN_ORDERS.items():
+        S = free_nilpotent_standin(k, p, kind, n)
+        assert S.order == order == p ** magnus.standin_log_order(k, p, kind,
+                                                                 n)
+    for k in (2, 3):
+        for j in range(1, 6):
+            # lower-central counts M(k, i) n - i + 1 times, so the second
+            # difference in n is M(k, n)
+            e = [magnus.standin_log_order(k, 2, "lower-central", n)
+                 for n in (j - 2, j - 1, j)]
+            assert e[2] - 2 * e[1] + e[0] == len(lyndon_words(k, j))
+
+
+def test_standin_order_is_checked_before_and_after_the_closure(monkeypatch):
+    """A stand-in over the cap raises ClosureCapExceeded before anything
+    is closed; a closure of another order than the closed form raises
+    OracleDisagreement."""
+    with monkeypatch.context() as m:
+        m.setattr(magnus, "generate_group", None)
+        m.setattr(magnus, "omega_family", None)
+        for spec in ((3, 2, "lower-central", 3), (2, 2, "zassenhaus", 5),
+                     (2, 3, "lower-central", 3)):
+            with pytest.raises(ClosureCapExceeded):
+                free_nilpotent_standin(*spec)
+        with pytest.raises(SpecError):
+            free_nilpotent_standin(2, 4, "zassenhaus", 2)
+    monkeypatch.setattr(magnus, "standin_log_order", lambda *a: 4)
+    for kind in ("zassenhaus", "lower-central"):
+        with pytest.raises(OracleDisagreement):
+            free_nilpotent_standin(2, 2, kind, 2)

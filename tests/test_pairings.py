@@ -9,7 +9,6 @@ from pcohom import cohomology, pairings
 from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
                             applicable_families, catalog_instances)
 from pcohom.core import DEFAULT_CAP, ID_DTYPE
-from pcohom.elements import perm_from_cycles
 from pcohom.errors import (KernelMismatch, NonCommutingSquare,
                            NotElementaryAbelian, OracleDisagreement,
                            PairingShapeMismatch, SubgroupChainBroken)
@@ -329,8 +328,8 @@ def test_coset_basis_raises_typed_errors():
     # a non-normal D in S3 = <(0 1), (1 2)>: the one pick (0 1) beyond
     # D = <(1 2)> passes the generator test, but <D, (0 1)> is all of S3,
     # of order 6, not 2 * 2
-    S3 = pc.generate_group([perm_from_cycles(3, [(0, 1)]),
-                            perm_from_cycles(3, [(1, 2)])])
+    S3 = pc.group_from_json({"kind": "permutation", "degree": 3,
+                             "generators": [[1, 0, 2], [0, 2, 1]]})
     D = pc.subgroup_generated(S3, [S3.generators[1]])
     assert not D.is_normal()
     with pytest.raises(NotElementaryAbelian, match="not a basis"):

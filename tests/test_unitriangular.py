@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom.core import (GroupHom, element_order, exponent, center,
-                         generate_group, quotient_group, subgroup_generated)
-from pcohom.elements import Perm, Residue
+from pcohom.core import (GroupHom, builtin_group, center, element_order,
+                         exponent, group_from_json, quotient_group,
+                         subgroup_generated)
 from pcohom.errors import FamilyWitnessFailed, NotACentralExtension
 from pcohom.unitriangular import (CentralExtension, _factor_prime_power,
                                   build_bar_extension, build_mp3,
@@ -63,10 +63,11 @@ def test_central_extension_checks_its_maps():
         with pytest.raises(NotACentralExtension, match="section"):
             dataclasses.replace(ext, section=section)
     # S3 over A3 = Z/3 is exact, but A3 is not central
-    E = generate_group([Perm([1, 2, 0]), Perm([1, 0, 2])], name="S3")
+    E = group_from_json({"kind": "permutation", "degree": 3, "name": "S3",
+                         "generators": [[1, 2, 0], [1, 0, 2]]})
     c = E.generators[0]
     Gbar, lam = quotient_group(E, subgroup_generated(E, [c]))
-    Z = generate_group([Residue(1, 3)], name="Z/3")
+    Z = builtin_group("Z/3")
     iota = GroupHom(Z, E, np.array([E.power(c, k) for k in range(3)]))
     with pytest.raises(NotACentralExtension, match="not central"):
         CentralExtension(Z, E, Gbar, iota, lam, lam.section(), 3)
