@@ -39,13 +39,14 @@ at the level where it closes and drops the rows that fail there, while the
 tree edges hold by construction.
 
 `memo` is the one cache, and it is kept per table, not per object.
-`_table_group` registers each verified group weakly under its key (a
-sha1 of mult and generators) and its pred; a group built with the key
-and pred of the live group registered last shares that group's _cache,
-so a quotient equal to a group already built (G/1, the elementary
-abelian G/Tbar of many groups) recomputes no T-bundle, hom search or
-H^2.  The objects stay distinct, so renaming one renames no other.  The
-lemma, and what the sharing means for search budgets, are at `memo`.
+`_table_group` looks each verified group's key (a sha1 of mult and
+generators) and pred up in a weak registry of caches and gives the group
+the live cache found there, or registers a fresh one.  A cache stays
+registered while any group holds it, so every group built with the key
+and pred of a live twin shares that twin's cache: a quotient equal to a
+group already built (G/1, the elementary abelian G/Tbar of many groups)
+recomputes no T-bundle, hom search or H^2.  The objects stay distinct,
+so renaming one renames no other.  The lemma is at `memo`.
 """
 
 from __future__ import annotations
@@ -142,42 +143,41 @@ def memo(fn):
 
     The key is fn's name plus the positional arguments: groups by .key,
     subgroups by member bytes, homs by codomain key and image bytes (their
-    domain is G), families by .label and ints as they are.
-    Keyword-only arguments (the search budget) bound the work done, never
-    the value returned, so they are passed on but not keyed; every other
-    argument must be passed positionally.
+    domain is G), families by .label and ints as they are.  Keyword-only
+    arguments (the search budget) follow in signature order, with their
+    defaults bound, so a call that omits the budget and one that passes
+    its default share an entry, and a value found under one budget is
+    never returned under another.  Every other argument must be passed
+    positionally.
 
-    Twins share one cache: `_table_group` hands a new group the _cache of
-    the live group registered last under the same key (mult and
-    generators) and the same pred, so G/1, or one elementary abelian
-    G/Tbar reached from many groups, is worked on once.
+    Twins share one cache: `_table_group` hands each new group the live
+    cache registered under the same key (mult and generators) and the same
+    pred, so G/1, or one elementary abelian G/Tbar reached from many
+    groups, is worked on once.
 
     Lemma: sharing returns what a cold cache would.  Every memoized value
     is a function of (mult, generators, pred) and of its keyed arguments
     only, compared as the program compares them: groups by key, subgroups
     by parent key and members (`Subgroup.__eq__`, `MixedParents`).  pred
     is not in the key, and `_tree_coboundaries` caches W and D built along
-    it, so the registry is keyed on it too.
-    - A value may hold the twin that built it (a quotient map's domain, a
-      subgroup's parent); reports read names from the caller's group only.
-    - The budget is not keyed, so a value found by one twin within its
-      budget is returned to another under a smaller one, as it already
-      was to a second call on one group.  A CLI process builds its groups
-      afresh and passes one budget, so no exit code changes; in-process, a
-      twin of a live searched group gets the value under any budget.
+    it, so the registry is keyed on it too.  A value may hold the twin
+    that built it (a quotient map's domain, a subgroup's parent); reports
+    read names from the caller's group only.
     `dataclasses.replace(G, _cache={})` bypasses `_table_group` and stays
-    cold.  The registry holds the last group built for each key and pred,
-    weakly: it keeps no group alive, and an entry goes with its group."""
+    cold.  The registry holds its caches weakly: it keeps no group or cache
+    alive, and an entry goes when the last group holding its cache dies."""
     name = fn.__name__
-    unkeyed = {q.name for q in inspect.signature(fn).parameters.values()
-               if q.kind is q.KEYWORD_ONLY}
+    params = inspect.signature(fn).parameters.values()
+    defaults = {q.name: q.default for q in params if q.kind is q.KEYWORD_ONLY}
 
     @functools.wraps(fn)
     def cached(G, *args, **kwargs):
-        if not kwargs.keys() <= unkeyed:
+        if not kwargs.keys() <= defaults.keys():
             raise UnkeyedArgument(
-                f"{name}: pass {sorted(kwargs.keys() - unkeyed)} positionally")
-        key = (name, *map(_memo_key, args))
+                f"{name}: pass {sorted(kwargs.keys() - defaults.keys())} "
+                "positionally")
+        key = (name, *map(_memo_key, args),
+               *(_memo_key(kwargs.get(k, d)) for k, d in defaults.items()))
         value = G._cache.get(key, _MISS)
         if value is _MISS:
             value = G._cache[key] = fn(G, *args, **kwargs)
@@ -325,15 +325,21 @@ def _matrix_group(mats, m, name="") -> FiniteGroup:
         name)
 
 
-# the last group built for each (key, pred bytes), while it lives
+class _Cache(dict):
+    """A memo cache; unlike a plain dict it can be held weakly."""
+    __slots__ = ("__weakref__",)
+
+
+# the live memo cache of each (key, pred bytes): an entry goes when the
+# last group holding its cache dies
 _TWINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _table_group(mult, mult_gen, pred, name) -> FiniteGroup:
     """The group of BFS-canonical tables, its inverses and generator ids
     read off them; every FiniteGroup is built and verified here.  A group
-    with the key and pred of the last one built, while that one lives,
-    shares its memo cache (`memo`).
+    with the key and pred of a live group shares that group's memo cache
+    (`memo`).
 
     The inverses come from one row scan per generator and one walk along
     pred: for c = d*s, c^-1 = s^-1 d^-1.  `_verify_tables` then checks
@@ -349,10 +355,10 @@ def _table_group(mult, mult_gen, pred, name) -> FiniteGroup:
                     name=name)
     _verify_tables(G)
     twin_key = G.key, np.asarray(pred, dtype=np.int32).tobytes()
-    twin = _TWINS.get(twin_key)
-    if twin is not None:
-        G._cache = twin._cache
-    _TWINS[twin_key] = G
+    cache = _TWINS.get(twin_key)
+    if cache is None:
+        cache = _TWINS[twin_key] = _Cache()
+    G._cache = cache
     return G
 
 

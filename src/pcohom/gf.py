@@ -6,11 +6,12 @@ Results are dense numpy int64 arrays with entries reduced mod p.
 exact (``_working_dtype``): bool rows updated by XOR for p = 2, int16 for
 3 <= p <= 181, where every intermediate lies in [-(p-1)^2, (p-1)^2] and
 180^2 < 2^15, and int64 above (the lemma is at ``rref``); it returns int64
-all the same, for its callers' products.  Its input may be any integer or
-bool array, and ``nullspace`` passes its input on as it is: a caller that
-builds a large system builds it in the working dtype, and no int64 copy
-of it is ever made.  ``rref``, ``rank`` and ``nullspace``
-eliminate a matrix once.  A matrix that is queried many times
+all the same, for its callers' products, except to ``rank`` and
+``nullspace``, which read its working-dtype rows and widen only what they
+return.  Its input may be any integer or bool array, and ``nullspace``
+passes its input on as it is: a caller that builds a large system builds
+it in the working dtype, and no int64 copy of it is ever made.  ``rref``,
+``rank`` and ``nullspace`` eliminate a matrix once.  A matrix that is queried many times
 (membership, solutions) is factored once into a ``Span``, the one
 factored-solve object, and each query is then a single product against
 its kept rref rows and transform.  Every query takes one
@@ -58,11 +59,13 @@ def _reduced(a, p) -> np.ndarray:
     return w
 
 
-def rref(a, p):
+def rref(a, p, *, int64=True):
     """Reduced row echelon form of ``a`` mod p.
 
     Returns (R, pivots) where R is int64, contains only the nonzero rows
-    and pivots[i] is the pivot column of row i.
+    and pivots[i] is the pivot column of row i.  With int64=False, R is
+    left in the working dtype, a view of the compacted working copy, so
+    no int64 copy of the pivot rows is made (`rank`, `nullspace`).
 
     The input is reduced mod p into the working dtype (`_reduced`; the
     caller's array is never written), and only its rows that are nonzero
@@ -131,26 +134,26 @@ def rref(a, p):
                 a[hit, c:] = (a[hit, c:] - a[hit, c, None] * row) % p
         pivots.append(c)
         r += 1
-    return a[:r].astype(np.int64), pivots
+    return (a[:r].astype(np.int64) if int64 else a[:r]), pivots
 
 
 def rank(a, p) -> int:
-    r, _ = rref(a, p)
-    return r.shape[0]
+    return len(rref(a, p, int64=False)[1])
 
 
 def nullspace(a, p):
     """Basis (rows) of {x : a @ x = 0 mod p}: row k is the identity on
     the free (non-pivot) columns, free[k] = 1, taken in increasing order
     of the free column.  An integer or bool ``a`` is read as it is, with
-    no int64 copy: `rref` reduces it into the working dtype."""
+    no int64 copy: `rref` reduces it into the working dtype, and only the
+    free columns of its pivot rows are widened to int64."""
     a = np.atleast_2d(np.asarray(a))
     ncols = a.shape[1]
-    r, pivots = rref(a, p)
+    r, pivots = rref(a, p, int64=False)
     free = np.setdiff1d(np.arange(ncols), pivots)
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[:, free]).T % p
+    basis[:, pivots] = (-r[:, free].astype(np.int64)).T % p
     return basis
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import shlex
 import tracemalloc
@@ -11,7 +10,7 @@ import pytest
 from pcohom import cli, core, homsearch
 from pcohom.cli import build_parser, main
 from pcohom.core import builtin_group
-from pcohom.homsearch import t_bundle
+from pcohom.homsearch import hom_count, t_bundle
 from pcohom.pairings import transfer_check
 from pcohom.unitriangular import parse_family
 
@@ -135,17 +134,7 @@ def test_cli_records_are_pinned(tmp_path, pin):
 BUDGET_ERROR = "BudgetExceeded: hom search budget exceeded ("
 
 
-@pytest.fixture
-def cold_groups(monkeypatch):
-    """Every group the CLI resolves gets a cold cache: a live twin from an
-    earlier test would share its warm one, and the budget is not keyed
-    (core.memo), so a cached search would not exceed it."""
-    resolve = cli.resolve_group
-    monkeypatch.setattr(cli, "resolve_group", lambda spec: dataclasses.replace(
-        resolve(spec), _cache={}))
-
-
-def test_budget_exceeded_exits_2(tmp_path, cold_groups):
+def test_budget_exceeded_exits_2(tmp_path):
     """An exceeded budget is one JSON error record and exit 2."""
     (err,) = run(tmp_path, ["--budget-prefixes", "10", "hom-count",
                             "--group", "E:2:3", "--codomain", "U:3:2"],
@@ -155,7 +144,21 @@ def test_budget_exceeded_exits_2(tmp_path, cold_groups):
     assert err["error"].startswith(BUDGET_ERROR)
 
 
-def test_budget_record_follows_the_reports_made(tmp_path, cold_groups):
+def test_a_warm_twin_does_not_lift_the_budget(tmp_path, monkeypatch):
+    """The memo keys the budget (`core.memo`): once a live twin of E:2:3
+    has counted its homs into U:3:2 under the default budget, a run under
+    a budget of 10 still exits 2, as it does cold."""
+    monkeypatch.setattr(core, "_TWINS", weakref.WeakValueDictionary())
+    argv = ["--budget-prefixes", "10", "hom-count", "--group", "E:2:3",
+            "--codomain", "U:3:2"]
+    (cold,) = run(tmp_path, argv, expect_code=2)
+    G = builtin_group("E:2:3")
+    hom_count(G, builtin_group("U:3:2"))
+    (warm,) = run(tmp_path, argv, expect_code=2)
+    assert warm == cold and cold["error"].startswith(BUDGET_ERROR)
+
+
+def test_budget_record_follows_the_reports_made(tmp_path):
     man = tmp_path / "man.json"
     man.write_text(json.dumps({"jobs": [
         {"command": "group-info", "group": "D4"},

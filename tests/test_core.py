@@ -1,8 +1,12 @@
 import dataclasses
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -168,7 +172,7 @@ def test_memo_keys():
     calls = []
 
     @memo
-    def probe(G, U, H, fam, p, *, budget=None):
+    def probe(G, U, H, fam, p, *, budget=7):
         calls.append(budget)
         return object()
 
@@ -176,18 +180,23 @@ def test_memo_keys():
     H = pc.center(G)
     fam = pc.omega_family("zassenhaus", 2, 2)
     first = probe(G, U, H, fam, 2, budget=10)
-    # equal keys: a rebuilt group, an equal subgroup, a numpy int, and
-    # another budget all hit the same entry
+    # equal keys: a rebuilt group, an equal subgroup and a numpy int all
+    # hit the same entry
     same = probe(G, pc.builtin_group("Z/4"), pc.Subgroup(G, H.members),
-                 pc.omega_family("zassenhaus", 2, 2), np.int64(2), budget=99)
+                 pc.omega_family("zassenhaus", 2, 2), np.int64(2), budget=10)
     assert same is first and calls == [10]
-    assert ("probe", U.key, H.members.tobytes(), fam.label, 2) in G._cache
+    assert ("probe", U.key, H.members.tobytes(), fam.label, 2, 10) in G._cache
+    # the budget is keyed, with its default bound: another budget is a new
+    # entry, and omitting the budget is passing its default
+    assert probe(G, U, H, fam, 2, budget=99) is not first
+    dflt = probe(G, U, H, fam, 2)
+    assert probe(G, U, H, fam, 2, budget=7) is dflt and calls == [10, 99, 7]
     # a different p, codomain, subgroup or family is a new entry
     lc = pc.omega_family("lower-central", 2, 2)
     others = [probe(G, U, H, fam, 3), probe(G, G, H, fam, 2),
               probe(G, U, G.whole(), fam, 2), probe(G, U, H, lc, 2)]
-    assert len({id(o) for o in others + [first]}) == 5
-    assert len(calls) == 5
+    assert len({id(o) for o in others + [first, dflt]}) == 6
+    assert len(calls) == 7
     # only keyword-only arguments may be passed by name
     with pytest.raises(TypeError):
         probe(G, U, H, fam, p=2)
@@ -233,13 +242,73 @@ def test_another_pred_keeps_its_own_cache(twins):
     assert alt == G and alt._cache is not G._cache
 
 
-def test_twin_registry_drops_dead_groups():
+def test_twin_registry_drops_dead_groups(twins):
+    """An entry is a cache: a twin that dies hides no live twin, and the
+    entry goes when the last group holding its cache dies."""
     G = pc.builtin_group("D4")
-    Q = cached_quotient(G, G.trivial_subgroup())[0]
-    (entry,) = [k for k, H in core._TWINS.items() if H is Q]
-    del G, Q
+    (entry,) = twins.keys()
+    throwaway = pc.builtin_group("D4")
+    assert throwaway._cache is G._cache
+    del throwaway
     gc.collect()
-    assert entry not in core._TWINS
+    H = pc.builtin_group("D4")
+    assert H is not G and H._cache is G._cache and twins[entry] is G._cache
+    del G
+    gc.collect()
+    assert twins[entry] is H._cache
+    del H
+    gc.collect()
+    assert entry not in twins
+
+
+def test_a_twin_finds_the_live_catalog_group(twins):
+    instances = catalog_instances()
+    (D4,) = [G for nm, G, _ in instances if nm == "D4"]
+    assert pc.builtin_group("D4")._cache is D4._cache
+
+
+@pytest.mark.parametrize("collect", [False, True])
+def test_quotients_find_live_twins_whatever_the_collector_does(twins,
+                                                                collect):
+    """G/Phi(G) of every catalog group is a twin of a live catalog group
+    whenever one has its tables, with the collector off or run before
+    every quotient."""
+    instances = catalog_instances()
+    live = {(G.key, G.pred.tobytes()): G._cache for _, G, _ in instances}
+    found = 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _, G, p in instances:
+            if collect:
+                gc.collect()
+            Q, _ = pc.quotient_group(
+                G, core.power_commutator_subgroup(G, G.whole(), p))
+            cache = live.get((Q.key, Q.pred.tobytes()))
+            if cache is not None:
+                assert Q._cache is cache
+                found += 1
+    finally:
+        if enabled:
+            gc.enable()
+    assert found >= 30
+
+
+def test_the_benchmark_tracer_test_sees_a_cold_group_after_acceptance():
+    """The tracer test asserts a cold H^2 build of E:2:2.  After the
+    acceptance tests, a registry shared across modules would hand it the
+    warm cache of a live twin; `conftest.fresh_twin_registry` keeps it
+    cold."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "tests/test_acceptance.py",
+         "benchmarks/test_bench.py::"
+         "test_tracer_wraps_every_binding_and_restores_them"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:]
 
 
 def test_closure_cap():

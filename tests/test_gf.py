@@ -388,6 +388,25 @@ def test_rref_keeps_no_working_copy_of_zero_rows():
     assert peak < a.size * np.dtype(np.int16).itemsize, peak
 
 
+def test_nullspace_makes_no_int64_copy_of_the_pivot_rows():
+    """nullspace widens only the free columns of the pivot rows: on a
+    700 x 720 bool system of rank 700 at p = 2 it allocates less than half
+    of what an int64 copy of the pivot rows (3.8 MiB) would take, and its
+    basis is that of the int64 input."""
+    rng = np.random.default_rng(20260824)
+    a = rng.integers(0, 2, size=(700, 720)).astype(np.bool_)
+    want = gf.nullspace(a.astype(np.int64), 2)
+    assert want.shape == (20, 720)
+    tracemalloc.start()
+    try:
+        got = gf.nullspace(a, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 700 * 720 * np.dtype(np.int64).itemsize // 2, peak
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(KERNEL_PRIMES),
        st.integers(0, 8), st.integers(0, 6), st.integers(0, 4))
