@@ -117,7 +117,8 @@ class FiniteGroup:
                         check=False)
 
     def trivial_subgroup(self):
-        return Subgroup(self, np.zeros(1, dtype=np.int32))
+        # {identity} is a subgroup of every group: nothing to check
+        return Subgroup(self, np.zeros(1, dtype=np.int32), check=False)
 
 
 _MISS = object()

@@ -11,13 +11,16 @@ all the same, for its callers' products, except to ``rank`` and
 return.  Its input may be any integer or bool array, and ``nullspace``
 passes its input on as it is: a caller that builds a large system builds
 it in the working dtype, and no int64 copy of it is ever made.  ``rref``,
-``rank`` and ``nullspace`` eliminate a matrix once.  A matrix that is queried many times
-(membership, solutions) is factored once into a ``Span``, the one
-factored-solve object, and each query is then a single product against
-its kept rref rows and transform.  Every query takes one
-vector or a matrix of row vectors, so a subspace inclusion or a batch of
-solves is one product too.  A subspace is passed around as its basis rows
-(a plain array); ``Span.rows`` is the rref basis of a span.
+``rank`` and ``nullspace`` eliminate a matrix once.  A matrix whose span
+answers solves is factored once into a ``Span``, the one factored-solve
+object, and each query is then a single product against its kept rref
+rows and transform.  Every query takes one vector or a matrix of row
+vectors, so a batch of solves is one product too.  A subspace is passed
+around as its basis rows (a plain array); ``Span.rows`` is the rref basis
+of a span, which is ``rref(vectors)[0]``, as an rref is unique.  An
+inclusion between two bases asks for no solve, and one ``rank`` answers
+it: for Y with independent rows, rowspace(X) <= rowspace(Y) iff
+rank([Y; X]) = len(Y).
 
 Each elimination touches only what it changes: ``rref`` drops the zero
 rows and, at each pivot, updates only the rows that are nonzero in the
@@ -150,7 +153,9 @@ def nullspace(a, p):
     a = np.atleast_2d(np.asarray(a))
     ncols = a.shape[1]
     r, pivots = rref(a, p, int64=False)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = (-r[:, free].astype(np.int64)).T % p

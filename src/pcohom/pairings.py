@@ -3,11 +3,12 @@ kernel generating condition and the transfer cross-check.
 
 Everything here lives in H^2-coordinate spaces: a class is a coordinate
 vector over the basis of an H2Space, and a subspace is a plain array of
-basis rows over F_p (`a_space`, `b_space`, `c_space`).  An inclusion X <=
-Y is one `gf.Span(Y).contains(X)` on the whole matrix X, and subspace
-equality is inclusion plus equal dimension.  Each pairing matrix is one
-batched transgression solve and one product (`_transgression_pairing`),
-and the induced coker x ker pairing one rref and one product.
+basis rows over F_p (`a_space`, `b_space`, `c_space`), each with
+independent rows.  An inclusion X <= Y is one `gf.rank` of the stacked
+bases (`_inside`; no solve, so no `gf.Span`), and subspace equality is
+inclusion plus equal dimension.  Each pairing matrix is one batched
+transgression solve and one product (`_transgression_pairing`), and the
+induced coker x ker pairing one rref and one product.
 
 Each pair N1 <= N2 of normal subgroups is built once by the memoized
 ``_pair`` (the quotient maps, H^2(G/N2) and the inflation matrix), and
@@ -42,13 +43,14 @@ columns; no |G| x |G| table is built.
 The transfer check computes its two sides by disjoint code paths (pure
 group/hom enumeration vs. cohomological linear algebra) that share only the
 group core, so agreement is a genuine cross-oracle.  Inside the tower,
-the lift search cross-checks the inflation test, and B <= C <= A is
-checked on every kernel generating condition; a disagreement raises
-`errors.OracleDisagreement`.  `liftability_crosscheck` decides one hom's
-liftability by the lift search, the inflation and the transgression,
-and reports their agreement; its inflation leg gathers alpha along f o pi
-(`cohomology.pullback_columns`) and tests the columns on G, independent
-of the pair's inflation matrix.
+the lift search cross-checks the inflation test, B <= C <= A is
+checked on every kernel generating condition, and `a_pairing` checks
+that the transgression's image has the dimension of A; a disagreement
+raises `errors.OracleDisagreement`.  `liftability_crosscheck` decides
+one hom's liftability by the lift search, the inflation and the
+transgression, and reports their agreement; its inflation leg gathers
+alpha along f o pi (`cohomology.pullback_columns`) and tests the columns
+on G, independent of the pair's inflation matrix.
 """
 
 from __future__ import annotations
@@ -329,11 +331,14 @@ def liftability_crosscheck(ext: CentralExtension, pi: GroupHom,
 def b_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
             budget=DEFAULT_BUDGET):
     """B_G(N1,N2): span of the pi2-liftable pullback classes that are
-    individually killed by inflation to H^2(G/N1), as rref rows."""
+    individually killed by inflation to H^2(G/N1), as rref rows: one
+    `gf.rref` of the killed classes.  The rref of a matrix is unique and
+    has independent rows, so these are the rows of the killed classes'
+    `gf.Span`, of shape (0, dim H^2(G/N2)) when none is killed."""
     M = _pair(G, N1, N2, fam.p).inflation
     lp = liftable_pullback_space(G, N2, fam, budget=budget)
     killed = lp.liftable & ~((lp.coords @ M) % fam.p).any(axis=1)
-    return gf.Span(lp.space.dim, fam.p, lp.coords[killed]).rows
+    return gf.rref(lp.coords[killed], fam.p)[0]
 
 
 def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
@@ -346,25 +351,39 @@ def c_space(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,
     return (X @ S) % fam.p
 
 
+def _inside(X, Y, p) -> bool:
+    """rowspace(X) <= rowspace(Y), for basis rows Y.
+
+    Lemma: if the rows of Y are independent, rowspace(X) <= rowspace(Y)
+    iff rank([Y; X]) = len(Y).  The rank is at least rank(Y) = len(Y),
+    and it is more iff some row of X lies outside rowspace(Y)."""
+    return gf.rank(np.concatenate([Y, X]), p) == len(Y)
+
+
 def kernel_generating_condition(G, N1: Subgroup, N2: Subgroup,
                                 fam: OmegaFamily, *, budget=DEFAULT_BUDGET):
     """B_G(N1,N2) = C_G(N1,N2)?  Returns (bool, witness, data); the witness
-    is the first basis row of C outside B."""
+    is the first basis row of C outside B.
+
+    B <= C and C <= A are each one rank (`_inside`), which needs the rows
+    of C and A independent.  They are: A is a nullspace basis, and C =
+    X S with X a nullspace basis and S the rref rows of the liftable span,
+    so S has full row rank and X S independent rows.  Given B <= C, B = C
+    iff dim B = dim C, and only then is B's span factored, to find the
+    witness."""
+    p = fam.p
     B = b_space(G, N1, N2, fam, budget=budget)
     C = c_space(G, N1, N2, fam, budget=budget)
-    A = a_space(G, N1, N2, fam.p)
-
-    def span(X):
-        return gf.Span(A.shape[1], fam.p, X)
-
-    if not span(C).contains(B):
+    A = a_space(G, N1, N2, p)
+    if not _inside(B, C, p):
         raise OracleDisagreement("B <= C fails")
-    if not span(A).contains(C):
+    if not _inside(C, A, p):
         raise OracleDisagreement("C <= A fails")
     holds = len(B) == len(C)
     witness = None
     if not holds:
-        witness = [int(x) for x in C[span(B).reduce(C).any(axis=1)][0]]
+        outside = gf.Span(A.shape[1], p, B).reduce(C).any(axis=1)
+        witness = [int(x) for x in C[outside][0]]
     data = {"dim_A": len(A), "dim_B": len(B), "dim_C": len(C)}
     return holds, witness, data
 
@@ -409,11 +428,21 @@ def _transgression_pairing(G, N1, N2, sigmas, basis, p) -> PairingMatrix:
 
 
 def a_pairing(G, N1: Subgroup, N2: Subgroup, p: int) -> PairingMatrix:
-    """<sigma, beta>^A = psi(sigma N1) where beta = trg(psi)."""
+    """<sigma, beta>^A = psi(sigma N1) where beta = trg(psi).
+
+    The solve in `_transgression_pairing` shows A <= trg(H^1(K)^{Q1}),
+    K = ker(q: Q1 -> Q2); the dimension check makes it an equality.
+    Lemma: by exactness of H^1(K)^{Q1} -> H^2(Q2) -> H^2(Q1) at H^2(Q2),
+    the transgression's image is ker(inf) = A.  B and C are proper
+    subspaces of it in general, so only A is checked."""
     A = a_space(G, N1, N2, p)
     D = join_subgroups(G, [N1, power_commutator_subgroup(G, N2, p)])
-    return _transgression_pairing(G, N1, N2, _coset_basis(G, N2, D, p),
-                                  A, p)
+    P = _transgression_pairing(G, N1, N2, _coset_basis(G, N2, D, p), A, p)
+    q = _pair(G, N1, N2, p).q
+    if transgression_span(q.domain, q, p)[1].dim != len(A):
+        raise OracleDisagreement(
+            "dim trg(H^1(K)^Q1) != dim A: five-term exactness violated")
+    return P
 
 
 def c_pairing(G, N1: Subgroup, N2: Subgroup, fam: OmegaFamily, *,

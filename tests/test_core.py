@@ -1074,6 +1074,7 @@ def test_commutator_subgroup_matches_all_pairs():
 def test_whole_group_is_a_checked_subgroup():
     for name, G, _ in catalog_instances():
         assert G.whole() == pc.Subgroup(G, np.arange(G.order)), name
+        assert G.trivial_subgroup() == pc.Subgroup(G, [0]), name
 
 
 def test_generator_routines_match_all_pairs_loops():

@@ -738,17 +738,20 @@ def test_liftable_pullback_space_edge_cases(monkeypatch):
 
 
 def test_span_contains_matrix_matches_per_row_loop():
-    """Span.contains on a matrix of rows, as kernel_generating_condition
-    uses it, against one contains per row, over the A/B/C bases."""
+    """Span.contains on a matrix of rows against one contains per row, and
+    the one-rank inclusion test of kernel_generating_condition against
+    both, over the A/B/C bases and the zero space."""
     for nm, kind, n, p in INSTANCES:
         G, fam, bundle = _setup(nm, kind, n, p)
         N1, N2 = trivial(G), bundle.Tbar
         spaces = [a_space(G, N1, N2, p), b_space(G, N1, N2, fam),
                   c_space(G, N1, N2, fam)]
+        spaces.append(spaces[0][:0])
         for X in spaces:
             for Y in spaces:
                 span = span_of(X, p)
                 assert span.contains(Y) == all(span.contains(v) for v in Y), nm
+                assert pairings._inside(Y, X, p) == span.contains(Y), nm
     G, fam, bundle = _setup("Q8", "zassenhaus", 2, 2)
     A = a_space(G, trivial(G), bundle.Tbar, 2)
     B = b_space(G, trivial(G), bundle.Tbar, fam)
@@ -771,6 +774,58 @@ def test_oracle_disagreements_raise(monkeypatch):
                             lambda *a, space=space, **k: space(*a, **k)[:0])
         with pytest.raises(OracleDisagreement, match=match):
             kernel_generating_condition(G, trivial(G), bundle.Tbar, fam)
+        monkeypatch.undo()
+
+
+def test_b_space_is_the_rows_of_the_killed_span():
+    for nm, kind, n, p in INSTANCES:
+        G, fam, bundle = _setup(nm, kind, n, p)
+        N2 = bundle.Tbar
+        for N1 in (trivial(G), N2):
+            M = pairings._pair(G, N1, N2, p).inflation
+            lp = liftable_pullback_space(G, N2, fam)
+            killed = lp.liftable & ~((lp.coords @ M) % p).any(axis=1)
+            expect = pc.gf.Span(lp.space.dim, p, lp.coords[killed]).rows
+            got = b_space(G, N1, N2, fam)
+            assert got.dtype == expect.dtype, nm
+            assert got.shape == expect.shape, nm
+            assert np.array_equal(got, expect), nm
+
+
+def test_equal_dimension_faults_raise(monkeypatch):
+    """On D4, dim B = dim C = dim A = 1: a unit vector outside the true
+    space, of the same dimension, breaks the tower; a dimension count
+    alone would not see it."""
+    G, fam, bundle = _setup("D4", "zassenhaus", 2, 2)
+    N1, N2 = trivial(G), bundle.Tbar
+    B, C = b_space(G, N1, N2, fam), c_space(G, N1, N2, fam)
+    for name, true, match in (("c_space", B, "B <= C"),
+                              ("a_space", C, "C <= A")):
+        unit = next(e for e in np.eye(3, dtype=np.int64)[:, None]
+                    if not span_of(true, 2).contains(e))
+        assert len(unit) == len(true) == 1
+        monkeypatch.setattr(pairings, name, lambda *a, unit=unit, **k: unit)
+        with pytest.raises(OracleDisagreement, match=match):
+            kernel_generating_condition(G, N1, N2, fam)
+        monkeypatch.undo()
+    assert kernel_generating_condition(G, N1, N2, fam)[0]
+
+
+def test_a_pairing_checks_the_transgression_dimension(monkeypatch):
+    """With a_space short of its last row, the transgression solve still
+    succeeds, as the rows left are inside the image; only the dimension
+    check of a_pairing raises."""
+    for nm, kind, n, p in [("U:2:4", "zassenhaus", 2, 2),
+                           ("Meta:3", "lower-central", 2, 3)]:
+        G, fam, bundle = _setup(nm, kind, n, p)
+        N1, N2 = trivial(G), bundle.Tbar
+        assert pairing_kernels(a_pairing(G, N1, N2, p))["perfect"], nm
+        A = a_space(G, N1, N2, p)[:-1]
+        assert len(A) >= 1, nm
+        pairings._transgression_pairing(G, N1, N2, [0], A, p)
+        monkeypatch.setattr(pairings, "a_space", lambda *a, A=A, **k: A)
+        with pytest.raises(OracleDisagreement, match="dim A"):
+            a_pairing(G, N1, N2, p)
         monkeypatch.undo()
 
 

@@ -1,8 +1,11 @@
 """The repository's command-line tools, run as scripts."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +58,82 @@ def test_code_lines_total_is_the_sum_over_src():
     counts = [int(line.split()[0]) for line in files]
     assert len(files) > 10 and all(n > 0 for n in counts)
     assert total == f"{sum(counts)} total"
+
+
+STUB_RUN = '''import json
+import sys
+from pathlib import Path
+
+cfg = json.loads((Path(__file__).parent / "stub.json").read_text())
+log = Path(cfg["log"])
+done = [json.loads(line)[0] for line in log.read_text().splitlines()] \\
+    if log.exists() else []
+with log.open("a") as f:
+    f.write(json.dumps([cfg["name"], sys.argv[1:]]) + "\\n")
+print("a progress line")
+print(json.dumps({"digest": cfg["digest"], "problems": []}))
+print(json.dumps({"correct": cfg["correct"], "attempted": 1, "failed": 0,
+                  "metrics": {name: {"value": values[done.count(cfg["name"])],
+                                     "unit": "s"}
+                              for name, values in cfg["metrics"].items()}}))
+'''
+
+
+def stub_tree(root, name, log, wall, digest="d1", correct=True):
+    """A tree whose benchmarks/run.py logs its call and prints a fixed
+    context line and a result line with the next of the wall values."""
+    (root / name / "benchmarks").mkdir(parents=True)
+    (root / name / "benchmarks" / "run.py").write_text(STUB_RUN)
+    (root / name / "benchmarks" / "stub.json").write_text(json.dumps({
+        "name": name, "log": str(log), "digest": digest, "correct": correct,
+        "metrics": {"wall_s": wall, "cpu_s": [1.0] * len(wall)}}))
+    return root / name
+
+
+def run_ab(parent, change, pairs=4):
+    return subprocess.run([sys.executable, str(ROOT / "tools/ab.py"),
+                           "--parent", str(parent), "--change", str(change),
+                           "--workload", "catalog-sweep", "--seed", "7",
+                           "--pairs", str(pairs), "--seconds", "0.5"],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
+    log = tmp_path / "log"
+    parent = stub_tree(tmp_path, "parent", log, [0.5, 0.4, 0.6, 0.45])
+    change = stub_tree(tmp_path, "change", log, [0.4, 0.45, 0.3, 0.35])
+    proc = run_ab(parent, change)
+    assert proc.returncode == 0, proc.stderr
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [name for name, _ in calls] == ["parent", "change", "change",
+                                           "parent"] * 2
+    assert all(argv == ["--workload", "catalog-sweep", "--seed", "7",
+                        "--seconds", "0.5", "--trace", "0"]
+               for _, argv in calls)
+    out = json.loads(proc.stdout)
+    assert (out["workload"], out["seed"], out["pairs"], out["digest"]) == \
+        ("catalog-sweep", 7, 4, "d1")
+    wall = out["metrics"]["wall_s"]
+    assert set(wall) == {"parent", "change", "parent_median",
+                         "change_median", "pairs_change_better",
+                         "parent_iqr"}
+    assert wall["parent"] == [0.5, 0.4, 0.6, 0.45]
+    assert wall["change"] == [0.4, 0.45, 0.3, 0.35]
+    assert wall["parent_median"] == pytest.approx(0.475)
+    assert wall["change_median"] == pytest.approx(0.375)
+    assert wall["pairs_change_better"] == 3
+    # inclusive quartiles of 0.4, 0.45, 0.5, 0.6: 0.4375 and 0.525
+    assert wall["parent_iqr"] == pytest.approx(0.0875)
+    assert out["metrics"]["cpu_s"]["pairs_change_better"] == 0
+
+
+def test_ab_refuses_unequal_digests_and_incorrect_runs(tmp_path):
+    for name, kw in (("digest", {"digest": "d2"}),
+                     ("incorrect", {"correct": False})):
+        log = tmp_path / name / "log"
+        parent = stub_tree(tmp_path / name, "parent", log, [0.5] * 2)
+        change = stub_tree(tmp_path / name, "change", log, [0.4] * 2, **kw)
+        proc = run_ab(parent, change, pairs=2)
+        assert proc.returncode == 1 and proc.stdout == "", name
+        assert "error" in proc.stderr, name
+    assert run_ab(parent, parent, pairs=1).returncode == 2

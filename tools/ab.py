@@ -1,0 +1,98 @@
+"""Run the benchmark of two trees in alternating pairs and compare them.
+
+    python3 tools/ab.py --parent DIR --change DIR --workload W --seed N \\
+        --pairs K --seconds S
+
+Each pair runs `python3 benchmarks/run.py --workload W --seed N
+--seconds S --trace 0` once from each tree, with that tree as the working
+directory: odd pairs run the parent first, even pairs the change first,
+so that a drift in the machine's speed falls on both sides alike.
+
+Every run must exit 0 with a result line that says correct, and every
+run of both trees must report the same digest; otherwise nothing is
+written and the exit code is 1.  On success one JSON object goes to
+stdout: the workload, seed, seconds and pairs, the digest, and per
+end-to-end metric the values of each side in pair order (`parent`,
+`change`), their medians (`parent_median`, `change_median`), the number
+of pairs in which the change read lower (`pairs_change_better`; every
+`--trace 0` metric is better lower) and the interquartile range of the
+parent's values (`parent_iqr`, inclusive quartiles).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(tree: Path, args) -> tuple[dict, dict]:
+    """(context, result) of one `benchmarks/run.py` run in tree."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"error: {tree}: run exited {proc.returncode}: "
+                         f"{proc.stderr.strip()[-500:]}")
+    context, result = (json.loads(line) for line in lines[-2:])
+    if not result.get("correct"):
+        raise SystemExit(f"error: {tree}: run not correct: "
+                         f"{context.get('problems')}")
+    return context, result
+
+
+def summary(parent: list, change: list) -> dict:
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return {
+        "parent": parent, "change": change,
+        "parent_median": statistics.median(parent),
+        "change_median": statistics.median(change),
+        "pairs_change_better": sum(c < b for b, c in zip(parent, change)),
+        "parent_iqr": q3 - q1,
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2, for the quartiles")
+
+    values = {"parent": [], "change": []}
+    digests = set()
+    for k in range(1, args.pairs + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        for side in order:
+            context, result = run_once(getattr(args, side), args)
+            digests.add(context["digest"])
+            values[side].append({name: m["value"] for name, m
+                                 in result["metrics"].items()})
+    if len(digests) != 1:
+        print(f"error: the runs gave {len(digests)} digests: "
+              f"{sorted(digests)}", file=sys.stderr)
+        return 1
+    names = values["parent"][0].keys()
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed,
+        "seconds": args.seconds, "pairs": args.pairs,
+        "digest": digests.pop(),
+        "metrics": {name: summary([v[name] for v in values["parent"]],
+                                  [v[name] for v in values["change"]])
+                    for name in names},
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
