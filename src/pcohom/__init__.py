@@ -31,7 +31,7 @@ from .pairings import (PairingMatrix, a_pairing, a_space, b_space,  # noqa: F401
                        kernel_generating_condition, liftability_crosscheck,
                        liftable_pullback_space, pairing_kernels,
                        transfer_check)
-from .magnus import (TruncatedSeries, counterexample_harness,  # noqa: F401
-                     free_nilpotent_standin, lyndon_words, magnus_image,
-                     tau, zassenhaus_membership)
+from .magnus import (counterexample_harness,  # noqa: F401
+                     free_nilpotent_standin, lyndon_words, magnus_image, tau,
+                     zassenhaus_membership)
 from .catalog import catalog_instances, transfer_sweep  # noqa: F401

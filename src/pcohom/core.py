@@ -529,6 +529,8 @@ class Subgroup:
                 and np.array_equal(self.members, other.members))
 
     def __le__(self, other):
+        if self.parent.key != other.parent.key:
+            raise MixedParents("subgroups from different parents")
         return bool(_member_mask(other.members, self.members).all())
 
     def __hash__(self):
@@ -888,6 +890,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup):
     N's normality is checked here, so a members set that is not a
     subgroup fails the edge check of proj or raises
     `errors.KernelMismatch`."""
+    if N.parent.key != G.key:
+        raise MixedParents("quotient by a subgroup of another group")
     if not N.is_normal():
         raise NotNormal("quotient by a non-normal subgroup")
     cos = G.mult[:, N.members]

@@ -4,8 +4,11 @@ degree-2 independence harness that drives the transfer counterexample.
 
 Free words are lists of nonzero signed integers: ``3`` is the third
 generator, ``-3`` its inverse.  Series live in the free associative algebra
-over F_p truncated beyond a fixed total degree; monomials are tuples of
-1-based letters.
+over F_p truncated beyond a fixed total degree, each as one int64 row of
+coefficients over the monomials, by degree and then lexicographically.
+One step, right multiplication by 1 + x_i (`_series_step`), builds both
+the Magnus image of a word (`magnus_image`) and the Zassenhaus stand-in
+(`free_nilpotent_standin`).
 """
 
 from __future__ import annotations
@@ -27,81 +30,56 @@ from .unitriangular import build_unitriangular, omega_family
 
 
 # ---------------------------------------------------------------------
-# Truncated power series over F_p
+# Truncated power series over F_p, as coefficient rows
 # ---------------------------------------------------------------------
 
-class TruncatedSeries:
-    """Unit of F_p<<x_1..x_k>> / (degree > deg), constant term 1.
+def _series_step(k: int, p: int, deg: int):
+    """(one, step) for F_p<<x_1..x_k>> / (degree > deg): the row of the
+    series 1, and the step that builds every other row from it.
 
-    A series is a unit iff its constant term is nonzero, and the Magnus
-    map sends every free word into the subgroup 1 + (x_1..x_k) of the
-    series with constant term 1, which products preserve; a constant term
-    other than 1 is rejected as malformed input (`SpecError`).
+    A series is its int64 row of coefficients over the size monomials of
+    degree <= deg, by degree and then lexicographically, so the degree-d
+    part of a row is row[1 + k + ... + k^(d-1):][:k^d].  step(X, i) is
+    X * (1 + x_{i+1}) for a row, or each row of a matrix, X: it adds the
+    coefficient of every w of degree < deg to that of w x_{i+1}.
 
-    The series criterion of `zassenhaus_membership` computes with these,
-    apart from the tables; the stand-in closes coefficient rows instead
-    (`free_nilpotent_standin`).
-    """
+    Index lemma: the m = size - k^deg monomials of degree < deg are the
+    first m positions.  If w has degree d and lexicographic index t,
+    w x_{i+1} sits at k t + i past 1 + k (1 + k + ... + k^(d-1)), the
+    start of degree d + 1; that is at 1 + k j + i for w at position j.
+    As size = 1 + k m, those targets are the slice [1 + i::k], m long."""
+    size = sum(k ** d for d in range(deg + 1))
+    m = size - k ** deg
 
-    __slots__ = ("coeffs", "p", "deg", "k")
+    def step(X, i):
+        Y = X.copy()
+        Y[..., 1 + i::k] += X[..., :m]
+        return Y % p
 
-    def __init__(self, coeffs, p, deg, k):
-        self.p, self.deg, self.k = int(p), int(deg), int(k)
-        clean = {w: c % p for w, c in coeffs.items()
-                 if len(w) <= deg and c % p}
-        if clean.get((), 0) != 1:
-            raise SpecError("series must have constant term 1")
-        self.coeffs = clean
-
-    def __mul__(self, other):
-        if (not isinstance(other, TruncatedSeries) or other.p != self.p
-                or other.deg != self.deg or other.k != self.k):
-            return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                if len(w1) + len(w2) <= self.deg:
-                    w = w1 + w2
-                    out[w] = (out.get(w, 0) + c1 * c2) % self.p
-        return TruncatedSeries(out, self.p, self.deg, self.k)
-
-    def component_vector(self, degree: int) -> np.ndarray:
-        """Coefficients of the degree-d monomials as a vector of length
-        k^d, monomials in lexicographic order."""
-        v = np.zeros(self.k ** degree, dtype=np.int64)
-        for w, c in self.coeffs.items():
-            if len(w) == degree:
-                idx = 0
-                for a in w:
-                    idx = idx * self.k + (a - 1)
-                v[idx] = c
-        return v
-
-    def __repr__(self):
-        terms = sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
-        return "Series(" + " + ".join(
-            f"{c}*x{''.join(map(str, w))}" if w else str(c)
-            for w, c in terms) + ")"
+    return np.eye(1, size, dtype=np.int64)[0], step
 
 
-def _generator_series(i: int, sign: int, p: int, deg: int, k: int):
-    """1 + x_i, or its inverse 1 - x_i + x_i^2 - ... (truncated)."""
-    if sign > 0:
-        return TruncatedSeries({(): 1, (i,): 1}, p, deg, k)
-    coeffs = {}
-    for d in range(deg + 1):
-        coeffs[(i,) * d] = (-1) ** d
-    return TruncatedSeries(coeffs, p, deg, k)
+def magnus_image(word, k: int, p: int, deg: int) -> np.ndarray:
+    """Coefficient row (`_series_step`'s basis) of the image of a free word
+    under x_i -> 1 + x_i in the algebra truncated beyond degree deg.
 
-
-def magnus_image(word, k: int, p: int, deg: int) -> TruncatedSeries:
-    """Image of a free word under x_i -> 1 + x_i in the truncated algebra."""
-    out = TruncatedSeries({(): 1}, p, deg, k)
+    Lemma: a letter -i multiplies by (1 + x_i)^-1 = sum over j <= deg of
+    (-x_i)^j, as the truncation kills x_i^(deg+1); and X x_i is
+    step(X, i - 1) - X.  No step writes position 0, so every row built
+    from 1 has constant term 1."""
+    X, step = _series_step(k, p, deg)
     for a in word:
         if a == 0 or abs(a) > k:
             raise SpecError(f"letter {a} outside 1..{k}")
-        out = out * _generator_series(abs(a), 1 if a > 0 else -1, p, deg, k)
-    return out
+        if a > 0:
+            X = step(X, a - 1)
+            continue
+        term = total = X
+        for _ in range(deg):
+            term = term - step(term, -a - 1)          # term * (-x_i)
+            total = total + term
+        X = total % p
+    return X
 
 
 # ---------------------------------------------------------------------
@@ -173,8 +151,7 @@ def zassenhaus_membership(word, k: int, p: int, n: int) -> dict:
     """
     if n < 2:
         raise SpecError(f"n = {n}: every word lies in the first term")
-    s = magnus_image(word, k, p, n - 1)
-    series_member = all(len(w) == 0 for w in s.coeffs)
+    series_member = not magnus_image(word, k, p, n - 1)[1:].any()
     U = build_unitriangular(n - 1, p)
     vals = _evaluate_word_all_tuples(word, k, U)
     table_member = not np.any(vals)
@@ -213,9 +190,8 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int) -> FiniteGroup:
 
     kind "zassenhaus": closure of {1 + x_i} in the algebra truncated beyond
     degree n (the truncation kernel is exactly the (n+1)-st Zassenhaus
-    term).  A series is its row of coefficients over the monomials of
-    degree <= n, and right multiplication by 1 + x_i adds the coefficient
-    of each w of degree < n to that of w x_i.
+    term).  A series is its coefficient row, and a generator multiplies
+    it on the right by one `_series_step`, as in `magnus_image`.
 
     kind "lower-central": image of the diagonal map into the product of the
     groups of the lower-central witness family over *all* generator-image
@@ -234,21 +210,9 @@ def free_nilpotent_standin(k: int, p: int, kind: str, n: int) -> FiniteGroup:
         raise ClosureCapExceeded(f"{name} has order {p}^{e}, above the "
                                  f"cap {DEFAULT_CAP}")
     if kind == "zassenhaus":
-        words = [w for d in range(n + 1)
-                 for w in itertools.product(range(k), repeat=d)]
-        pos = {w: t for t, w in enumerate(words)}
-        src = [pos[w] for w in words if len(w) < n]
-        dst = [[pos[w + (i,)] for w in words if len(w) < n]
-               for i in range(k)]
-
-        def step(X, i):
-            Y = X.copy()
-            Y[:, dst[i]] += X[:, src]
-            return Y % p
-
-        ident = np.eye(1, len(words), dtype=np.int64)[0]     # the series 1
-        gens = [step(ident[None], i)[0] for i in range(k)]
-        S = generate_group(ident, gens, step, name=name)
+        one, step = _series_step(k, p, n)
+        S = generate_group(one, [step(one, i) for i in range(k)], step,
+                           name=name)
     else:
         Es = [ext.E for ext in omega_family("lower-central", n, p).extensions]
         slots = [E.order ** k for E in Es]
@@ -289,9 +253,10 @@ def _pair_commutator_words(k: int):
             for i in range(1, k + 1) for j in range(i + 1, k + 1)}
 
 
-def _deg2_matrix(words, k: int, p: int):
-    return np.stack([magnus_image(w, k, p, 2).component_vector(2)
-                     for w in words])
+def _deg2_component(word, k: int, p: int) -> np.ndarray:
+    """The degree-2 coefficients of the word's Magnus image, x_a x_b at
+    (a-1) k + (b-1): the last k^2 entries of its row at degree 2."""
+    return magnus_image(word, k, p, 2)[-k * k:]
 
 
 def _distinct_commutator_search(k: int, U: FiniteGroup):
@@ -355,12 +320,11 @@ def counterexample_harness(k: int = 9, p: int = 2) -> dict:
     t0 = time.time()
     rng = np.random.default_rng(CONJUGATE_SEED)
     pairs = _pair_commutator_words(k)
-    pair_list = sorted(pairs)
-    words = [pairs[ij] for ij in pair_list]
-    n_pairs = len(pair_list)
+    words = [pairs[ij] for ij in sorted(pairs)]
+    n_pairs = len(words)
 
     # (1) rank of the degree-2 components
-    M = _deg2_matrix(words, k, p)
+    M = np.stack([_deg2_component(w, k, p) for w in words])
     rank = gf.rank(M, p)
     rank_full = rank == n_pairs
 
@@ -372,13 +336,11 @@ def counterexample_harness(k: int = 9, p: int = 2) -> dict:
     # degree-2 components survive conjugation (the defect is degree >= 3)
     conj_ok = 0
     for _ in range(CONJUGATE_TRIALS):
-        ij = pair_list[int(rng.integers(n_pairs))]
+        t = int(rng.integers(n_pairs))
         g = [int(a) * int(s) for a, s in
              zip(rng.integers(1, k + 1, size=4), rng.choice([-1, 1], size=4))]
-        w = g + pairs[ij] + _inv_word(g)
-        v = magnus_image(w, k, p, 2).component_vector(2)
-        base = magnus_image(pairs[ij], k, p, 2).component_vector(2)
-        if np.array_equal(v, base):
+        w = g + words[t] + _inv_word(g)
+        if np.array_equal(_deg2_component(w, k, p), M[t]):
             conj_ok += 1
     conjugation_invariant = conj_ok == CONJUGATE_TRIALS
 

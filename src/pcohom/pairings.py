@@ -216,10 +216,14 @@ def _pair(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int) -> _Pair:
 # The A/B/C subspaces
 # ---------------------------------------------------------------------
 
+@memo
 def a_space(G: FiniteGroup, N1: Subgroup, N2: Subgroup, p: int):
     """A_G(N1,N2) = Ker(inf: H^2(G/N2) -> H^2(G/N1)), as basis rows: the
-    v with v @ R = 0 for the inflation matrix R."""
-    return gf.nullspace(_pair(G, N1, N2, p).inflation.T, p)
+    v with v @ R = 0 for the inflation matrix R.  Read-only, since the
+    memo hands one array to every caller."""
+    A = gf.nullspace(_pair(G, N1, N2, p).inflation.T, p)
+    A.flags.writeable = False
+    return A
 
 
 @dataclass

@@ -12,6 +12,9 @@ Python element objects (`Perm`, `MatMod`, `Residue`, `IdVector`,
 `Series`, `TupleElem`), each hashed one product at a time.
 `reference_generators` gives the objects each builtin, family extension
 and stand-in was closed from, so a test can rebuild a group both ways.
+`Series`, a dict from monomials to coefficients, is also the reference
+for `magnus.magnus_image`, whose coefficient rows `tests/test_magnus.py`
+compares with products of its generators.
 """
 
 import numpy as np

@@ -123,18 +123,22 @@ def test_five_term_dimension_identity_on_sweep_pairs(catalog):
 def test_lift_count_identity_on_catalog_pairs(catalog):
     """|Hom(G, E)| = p^{dim H^1(G)} * sum over the liftable reduced
     f: G -> Gbar of |cl(f(s_1))|, for every catalog group G and every
-    extension E -> Gbar of its families.  The lifts of a liftable f form
-    a torsor under Hom(G, Z/p), through the central Z/p; f lifts iff
-    f*alpha is a coboundary, alpha the classifying cocycle; and a reduced
-    f stands for |cl(f(s_1))| homs (lemma 4 of `homsearch`), which lift
-    or not together (lemma 3).  The left side comes from the search into
-    E, the right from the search into Gbar, `h1` and `coboundary_mask`
-    on the pullback columns."""
+    extension E -> Gbar of its families, and, on the groups of order
+    <= 64 at p = 2 and 3, of `zassenhaus(3,p)` and `lower-central(3,p)`.
+    The lifts of a liftable f form a torsor under Hom(G, Z/p), through
+    the central Z/p; f lifts iff f*alpha is a coboundary, alpha the
+    classifying cocycle; and a reduced f stands for |cl(f(s_1))| homs
+    (lemma 4 of `homsearch`), which lift or not together (lemma 3).  The
+    left side comes from the search into E, the right from the search
+    into Gbar, `h1` and `coboundary_mask` on the pullback columns."""
     seen = set()
     for _, G, p in catalog:
         dim_h1 = len(h1(G, p))
-        for ext in (e for fam in applicable_families(p)
-                    for e in fam.extensions):
+        fams = list(applicable_families(p))
+        if G.order <= 64 and p in (2, 3):
+            fams += [pc.omega_family(kind, 3, p)
+                     for kind in ("zassenhaus", "lower-central")]
+        for ext in (e for fam in fams for e in fam.extensions):
             if (G.key, ext.label) in seen:
                 continue
             seen.add((G.key, ext.label))
@@ -147,7 +151,8 @@ def test_lift_count_identity_on_catalog_pairs(catalog):
             liftable = int(weight[coboundary_mask(G, cols, p)].sum())
             assert hom_count(G, ext.E)[0] == p ** dim_h1 * liftable, (
                 G.name, ext.label)
-    assert len(seen) == 80
+    # 80 pairs under the sweep's families and 78 more at n = 3
+    assert len(seen) == 158
 
 
 def test_criterion_2_pairings_perfect(catalog):

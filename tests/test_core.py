@@ -22,8 +22,8 @@ from pcohom.core import (DEFAULT_CAP, _bfs, _is_normal, _perm_group,
                          element_order, group_from_json, group_from_table,
                          memo, subgroup_as_group, word_images)
 from pcohom.errors import (ClosureCapExceeded, EdgeCheckFailed, EmptyList,
-                           KernelMismatch, NonNormalArguments, NotASubgroup,
-                           NotNormal, SpecError)
+                           KernelMismatch, MixedParents, NonNormalArguments,
+                           NotASubgroup, NotNormal, SpecError)
 from pcohom.homsearch import _partial_bfs, t_bundle
 from pcohom.magnus import free_nilpotent_standin
 from pcohom.pairings import cached_quotient
@@ -452,6 +452,26 @@ def test_intersect_and_join():
     assert pc.join_subgroups(G, [a, b]).order == 8
     with pytest.raises(EmptyList):
         pc.intersect_subgroups([])
+
+
+def test_subgroups_of_another_group_are_refused(twins):
+    """Inclusion, intersection and quotients need one parent key: a
+    subgroup of Z/8 is not compared with, or factored out of, D4.  Twins
+    share a key, so a subgroup of a twin still compares."""
+    D4, Z8 = pc.builtin_group("D4"), pc.builtin_group("Z/8")
+    with pytest.raises(MixedParents):
+        D4.whole() <= Z8.whole()
+    with pytest.raises(MixedParents):
+        pc.intersect_subgroups([D4.whole(), Z8.whole()])
+    with pytest.raises(MixedParents):
+        pc.quotient_group(D4, Z8.trivial_subgroup())
+    with pytest.raises(MixedParents):
+        pc.transfer_check(D4, Z8.trivial_subgroup(),
+                          pc.omega_family("zassenhaus", 2, 2))
+    Q, _ = cached_quotient(D4, D4.trivial_subgroup())
+    assert Q is not D4 and Q.key == D4.key
+    assert Q.trivial_subgroup() <= D4.whole()
+    assert pc.quotient_group(Q, D4.whole())[0].order == 1
 
 
 def test_subgroup_as_group_roundtrip():

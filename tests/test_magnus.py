@@ -5,12 +5,12 @@ import pcohom as pc
 from pcohom import magnus
 from pcohom.errors import (ClosureCapExceeded, OracleDisagreement,
                            SpecError, WordTooShort)
-from pcohom.magnus import (TruncatedSeries, _distinct_commutator_search,
-                           _inv_word, counterexample_harness,
-                           evaluation_epi, free_nilpotent_standin,
-                           lyndon_words, magnus_image, tau,
-                           zassenhaus_membership)
+from pcohom.magnus import (_distinct_commutator_search, _inv_word,
+                           counterexample_harness, evaluation_epi,
+                           free_nilpotent_standin, lyndon_words,
+                           magnus_image, tau, zassenhaus_membership)
 from pcohom.unitriangular import build_unitriangular
+from concrete_elements import Series
 
 
 def duval_lyndon(k, n):
@@ -34,37 +34,78 @@ def duval_lyndon(k, n):
 # series arithmetic
 # ---------------------------------------------------------------------
 
+def unit_row(k, deg):
+    return np.eye(1, sum(k ** d for d in range(deg + 1)), dtype=np.int64)[0]
+
+
+def series_row(s, k):
+    """The coefficient row of a reference `Series`: the monomial w of
+    degree d at 1 + k + ... + k^(d-1) plus its lexicographic index."""
+    row = np.zeros(sum(k ** d for d in range(s.deg + 1)), dtype=np.int64)
+    for w, c in s.coeffs.items():
+        t = 0
+        for a in w:
+            t = t * k + a - 1
+        row[sum(k ** d for d in range(len(w))) + t] = c
+    return row
+
+
 def test_series_basics():
-    s = magnus_image([1], 2, 3, 4)
-    assert s.coeffs == {(): 1, (1,): 1}
+    # 1 + x1 over k = 2 up to degree 4: positions 0 and 1
+    assert np.flatnonzero(magnus_image([1], 2, 3, 4)).tolist() == [0, 1]
     # a word followed by its inverse is the identity series
     for w in [[1], [1, 2], [2, -1, 1, 2], [-2, 1, 1]]:
         full = w + _inv_word(w)
-        assert magnus_image(full, 2, 3, 4).coeffs == {(): 1}
-    # product expands freely: (1+x1)(1+x2) = 1 + x1 + x2 + x1 x2
+        assert np.array_equal(magnus_image(full, 2, 3, 4), unit_row(2, 4))
+    # product expands freely: (1+x1)(1+x2) = 1 + x1 + x2 + x1 x2, with x1 x2
+    # at 1 + k + 1 = 4
     s12 = magnus_image([1, 2], 2, 5, 3)
-    assert s12.coeffs == {(): 1, (1,): 1, (2,): 1, (1, 2): 1}
-    # truncation really truncates
-    s = magnus_image([1, 1, 1], 2, 5, 2)
-    assert all(len(w) <= 2 for w in s.coeffs)
+    assert np.flatnonzero(s12).tolist() == [0, 1, 2, 4] and s12.sum() == 4
+    # truncation really truncates: 1 + 2 + 4 monomials up to degree 2
+    assert magnus_image([1, 1, 1], 2, 5, 2).shape == (7,)
+    assert magnus_image([], 3, 2, 0).tolist() == [1]
 
 
 def test_series_component_vector_order():
-    # lexicographic layout: index of x_a x_b is (a-1)*k + (b-1)
+    # the top degree is the row's tail, lexicographic: x_a x_b at
+    # (a-1)*k + (b-1)
     k = 3
-    s = magnus_image([1, 2], k, 5, 2)
-    v = s.component_vector(2)
+    v = magnus_image([1, 2], k, 5, 2)[-k * k:]
     assert v.shape == (9,)
     assert v[0 * k + 1] == 1 and v.sum() == 1
 
 
 def test_series_rejects_bad_letters():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         magnus_image([3], 2, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecError):
         magnus_image([0], 2, 2, 2)
     with pytest.raises(SpecError):
-        TruncatedSeries({(): 2}, 3, 2, 2)
+        magnus_image([-3], 2, 2, 2)
+
+
+def test_magnus_image_matches_the_reference_series():
+    """On seeded words, the row equals the product of the reference
+    `Series` generators: 1 + x_i for a letter i, and sum over j <= deg of
+    (-x_i)^j for -i.  On mixed-sign words w, w w^-1 is the unit row."""
+    rng = np.random.default_rng(20261020)
+    for trial in range(300):
+        k, deg = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        p = int(rng.choice([2, 3, 5, 7]))
+        signs = [1] * 8 if trial < 150 else rng.choice([-1, 1], size=8)
+        w = [int(a) * int(s) for a, s in
+             zip(rng.integers(1, k + 1, size=int(rng.integers(0, 9))),
+                 signs)]
+        ref = Series({(): 1}, p, deg, k)
+        for a in w:
+            i = abs(a)
+            ref = ref * (Series({(): 1, (i,): 1}, p, deg, k) if a > 0 else
+                         Series({(i,) * j: (-1) ** j for j in range(deg + 1)},
+                                p, deg, k))
+        assert np.array_equal(magnus_image(w, k, p, deg),
+                              series_row(ref, k)), (w, k, p, deg)
+        assert np.array_equal(magnus_image(w + _inv_word(w), k, p, deg),
+                              unit_row(k, deg)), (w, k, p, deg)
 
 
 # ---------------------------------------------------------------------
@@ -101,7 +142,7 @@ def test_tau_leading_magnus_component():
     k, p = 4, 5
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            v = magnus_image(tau((i - 1, j - 1)), k, p, 2).component_vector(2)
+            v = magnus_image(tau((i - 1, j - 1)), k, p, 2)[-k * k:]
             expect = np.zeros(k * k, dtype=np.int64)
             expect[(i - 1) * k + (j - 1)] = 1
             expect[(j - 1) * k + (i - 1)] = p - 1

@@ -1,13 +1,16 @@
 import copy
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import pcohom as pc
-from pcohom import cohomology, pairings
+from pcohom import cohomology, core, gf, pairings
 from pcohom.catalog import (CATALOG_SEED, _subgroup_choices,
-                            applicable_families, catalog_instances)
+                            applicable_families, catalog_instances,
+                            transfer_sweep)
 from pcohom.core import DEFAULT_CAP, ID_DTYPE
 from pcohom.errors import (KernelMismatch, NonCommutingSquare,
                            NotElementaryAbelian, OracleDisagreement,
@@ -930,3 +933,36 @@ def test_batch_coords_reject_rows_outside_z2():
         space.column_coords(cols)
     with pytest.raises(ValueError):
         space.column_coords(cols[len(hs) // 2])
+
+
+def test_a_space_eliminates_once_per_distinct_pair(monkeypatch):
+    """A sweep pass over a cold catalog asks for A 221 times, once per
+    check, over 85 distinct (G, N1, N2, p): the memo eliminates once for
+    each and a second pass not at all.  The memoized basis is read-only.
+    The catalog is rebuilt from its tables in an empty twin registry, as
+    the `unitriangular` builders hand out warm groups."""
+    monkeypatch.setattr(core, "_TWINS", weakref.WeakValueDictionary())
+    calls, eliminations = [], []
+    real_a_space, real_nullspace = pairings.a_space, gf.nullspace
+
+    def nullspace_spy(a, p):
+        if sys._getframe(1).f_code.co_name == "a_space":
+            eliminations.append(a.shape)
+        return real_nullspace(a, p)
+
+    def a_space_spy(*args):
+        calls.append(args)
+        return real_a_space(*args)
+
+    monkeypatch.setattr(gf, "nullspace", nullspace_spy)
+    monkeypatch.setattr(pairings, "a_space", a_space_spy)
+    catalog = [(nm, core._table_group(G.mult, G.mult_gen, G.pred, G.name), p)
+               for nm, G, p in catalog_instances()]
+    transfer_sweep(instances=catalog)
+    assert (len(calls), len(eliminations)) == (221, 85)
+    transfer_sweep(instances=catalog)
+    assert (len(calls), len(eliminations)) == (442, 85)
+    A = real_a_space(*calls[0])
+    assert not A.flags.writeable
+    with pytest.raises(ValueError):
+        A[...] = 0

@@ -79,14 +79,22 @@ print(json.dumps({"correct": cfg["correct"], "attempted": 1, "failed": 0,
 '''
 
 
-def stub_tree(root, name, log, wall, digest="d1", correct=True):
-    """A tree whose benchmarks/run.py logs its call and prints a fixed
-    context line and a result line with the next of the wall values."""
+BOUNDS = {"end_to_end": [{"name": "wall_s", "bound": 0.25},
+                         {"name": "cpu_s", "bound": 0.25}]}
+
+
+def stub_tree(root, name, log, wall, digest="d1", correct=True,
+              metrics=None):
+    """A tree with BOUNDS as its BENCHMARK.json, whose benchmarks/run.py
+    logs its call and prints a fixed context line and a result line with
+    the next of each metric's values (wall_s, and cpu_s at 1.0, unless
+    metrics gives them)."""
     (root / name / "benchmarks").mkdir(parents=True)
+    (root / name / "BENCHMARK.json").write_text(json.dumps(BOUNDS))
     (root / name / "benchmarks" / "run.py").write_text(STUB_RUN)
     (root / name / "benchmarks" / "stub.json").write_text(json.dumps({
         "name": name, "log": str(log), "digest": digest, "correct": correct,
-        "metrics": {"wall_s": wall, "cpu_s": [1.0] * len(wall)}}))
+        "metrics": metrics or {"wall_s": wall, "cpu_s": [1.0] * len(wall)}}))
     return root / name
 
 
@@ -116,7 +124,8 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     wall = out["metrics"]["wall_s"]
     assert set(wall) == {"parent", "change", "parent_median",
                          "change_median", "pairs_change_better",
-                         "parent_iqr"}
+                         "parent_iqr", "bound", "within_bound",
+                         "claim_rule_met"}
     assert wall["parent"] == [0.5, 0.4, 0.6, 0.45]
     assert wall["change"] == [0.4, 0.45, 0.3, 0.35]
     assert wall["parent_median"] == pytest.approx(0.475)
@@ -124,7 +133,39 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     assert wall["pairs_change_better"] == 3
     # inclusive quartiles of 0.4, 0.45, 0.5, 0.6: 0.4375 and 0.525
     assert wall["parent_iqr"] == pytest.approx(0.0875)
+    # 0.375 <= 0.475 * 1.25, but 3 of 4 pairs are fewer than 9 in 10
+    assert (wall["bound"], wall["within_bound"], wall["claim_rule_met"]) == \
+        (0.25, True, False)
     assert out["metrics"]["cpu_s"]["pairs_change_better"] == 0
+
+
+def test_ab_gives_the_bound_and_claim_verdicts(tmp_path):
+    """within_bound is change_median <= parent_median * (1 + bound), with
+    the bound from the parent's BENCHMARK.json; claim_rule_met needs the
+    change lower in 9 of 10 pairs and by more than the parent's IQR."""
+    log = tmp_path / "log"
+    parent = stub_tree(tmp_path, "parent", log, None, metrics={
+        "wall_s": [1.0, 1.1, 1.2, 1.0], "cpu_s": [1.0] * 4,
+        "peak_rss_mb": [50.0] * 4, "other": [1.0, 2.0, 1.0, 2.0]})
+    change = stub_tree(tmp_path, "change", log, None, metrics={
+        "wall_s": [0.5, 0.6, 0.5, 0.6], "cpu_s": [1.26, 1.2, 1.3, 1.3],
+        "peak_rss_mb": [50.0] * 4, "other": [0.5, 1.9, 0.5, 1.9]})
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        *BOUNDS["end_to_end"], {"name": "peak_rss_mb", "bound": 0.1}]}))
+    proc = run_ab(parent, change)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = {name: (m["bound"], m["within_bound"], m["claim_rule_met"])
+                for name, m in json.loads(proc.stdout)["metrics"].items()}
+    assert verdicts == {
+        # 4 of 4 pairs, and 1.05 - 0.55 > the IQR 0.125
+        "wall_s": (0.25, True, True),
+        # the median 1.28 > 1.0 * 1.25
+        "cpu_s": (0.25, False, False),
+        # equal: within the bound, no pair better
+        "peak_rss_mb": (0.1, True, False),
+        # no bound; 4 of 4 pairs, but 1.5 - 1.2 is not above the IQR 1.0
+        "other": (None, None, False),
+    }
 
 
 def test_ab_refuses_unequal_digests_and_incorrect_runs(tmp_path):

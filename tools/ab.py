@@ -17,6 +17,13 @@ end-to-end metric the values of each side in pair order (`parent`,
 of pairs in which the change read lower (`pairs_change_better`; every
 `--trace 0` metric is better lower) and the interquartile range of the
 parent's values (`parent_iqr`, inclusive quartiles).
+
+Two verdicts follow per metric.  `bound` is the metric's relative bound
+in the `end_to_end` list of the parent tree's BENCHMARK.json (null when
+it has none), and `within_bound` says change_median <= parent_median *
+(1 + bound) (null without a bound).  `claim_rule_met` says that a gain
+could be claimed: the change read lower in at least 9 of every 10 pairs,
+and its median is below the parent's by more than parent_iqr.
 """
 
 from __future__ import annotations
@@ -46,14 +53,29 @@ def run_once(tree: Path, args) -> tuple[dict, dict]:
     return context, result
 
 
-def summary(parent: list, change: list) -> dict:
+def end_to_end_bounds(tree: Path) -> dict:
+    """name -> bound of each `end_to_end` metric of tree's BENCHMARK.json."""
+    path = tree / "BENCHMARK.json"
+    spec = json.loads(path.read_text()) if path.exists() else {}
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+
+
+def summary(parent: list, change: list, bound) -> dict:
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    parent_median = statistics.median(parent)
+    change_median = statistics.median(change)
+    better = sum(c < b for b, c in zip(parent, change))
     return {
         "parent": parent, "change": change,
-        "parent_median": statistics.median(parent),
-        "change_median": statistics.median(change),
-        "pairs_change_better": sum(c < b for b, c in zip(parent, change)),
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "pairs_change_better": better,
         "parent_iqr": q3 - q1,
+        "bound": bound,
+        "within_bound": (None if bound is None
+                         else change_median <= parent_median * (1 + bound)),
+        "claim_rule_met": (better >= 0.9 * len(parent)
+                           and parent_median - change_median > q3 - q1),
     }
 
 
@@ -83,12 +105,14 @@ def main(argv=None) -> int:
               f"{sorted(digests)}", file=sys.stderr)
         return 1
     names = values["parent"][0].keys()
+    bounds = end_to_end_bounds(args.parent)
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "pairs": args.pairs,
         "digest": digests.pop(),
         "metrics": {name: summary([v[name] for v in values["parent"]],
-                                  [v[name] for v in values["change"]])
+                                  [v[name] for v in values["change"]],
+                                  bounds.get(name))
                     for name in names},
     }, indent=1))
     return 0
