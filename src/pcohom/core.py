@@ -34,9 +34,14 @@ law shown on every edge e -> e*s holds on all of G by induction on the BFS
 word: the one check behind every table (`_verify_tables`), hom and
 character (`_respects_generator_edges`) and cocycle, run by each constructor.
 The hom search runs the same check inside its word walk: `word_images`,
-given the edge schedule `closing_edges`, checks each edge off the BFS tree
-at the level where it closes and drops the rows that fail there, while the
-tree edges hold by construction.
+given an edge schedule, checks each scheduled edge at the level where it
+closes and drops the rows that fail there, while the tree edges hold by
+construction.  `closing_edges` schedules every edge off the BFS tree;
+`relator_edges` keeps the few of them that the others follow from, by
+the deduction step of coset enumeration (each kept edge is a relator,
+and its loop at every position, with all edges but one known, makes the
+last one known), and the search checks only those.  Its lemmas show the
+rows left after each level are the same either way.
 
 `memo` is the one cache, and it is kept per table, not per object.
 `_table_group` looks each verified group's key (a sha1 of mult and
@@ -778,9 +783,180 @@ def closing_edges(pred, tgt):
     return t[order], e[order], g[order], bounds
 
 
-@dataclass
+def _grown(buf, need, axis=0):
+    """buf, or a copy zero-padded along axis to at least twice its length
+    there, when need exceeds that length."""
+    have = buf.shape[axis]
+    if need <= have:
+        return buf
+    shape = list(buf.shape)
+    shape[axis] = max(need, 2 * have)
+    out = np.zeros(shape, buf.dtype)
+    out[(slice(None),) * axis + (slice(have),)] = buf
+    return out
+
+
+# A loop's tally in `relator_edges`: 2^32 per unknown occurrence plus the
+# sum of their edge ids, so a tally in [2^32, 2^33) names its one unknown.
+# Lemma: the id sum stays below 2^32.  On a BFS of depth D with k
+# generators S, take g_i at depth i on one shortest path; the sets g_i S
+# for i = 0, 3, 6, ... are disjoint (their depths lie in i - 1..i + 1),
+# so (D / 3) k <= n.  A loop has at most 2D + 1 occurrences, each id is
+# below k n, and (2D + 1) k n <= 7 n^2 < 2^29 for n <= DEFAULT_CAP = 2^13.
+_TALLY = 1 << 32
+
+
+def relator_edges(pred, tgt, schedule):
+    """A deduction-closed basis of the edge schedule `closing_edges(pred,
+    tgt)`: the sub-schedule, in the same (t, e, g, bounds) form, of the
+    edges `word_images` must check.
+
+    A non-tree edge (x, s) to y = tgt[x, s] gives the relator
+    r = w(x) s w(y)^-1 of the group H the BFS spans, w(c) the BFS word of
+    position c.  The edges are taken in closing order, and one is kept
+    only if the edges kept so far do not deduce it:
+    - Loops.  r = 1 in H, so from every position v the signed word r
+      traces a closed loop of edges, the left translate by v of r's loop
+      at 0.  A kept edge adds these loops, traced along tgt from every v
+      at once; the tree paths w(x), w(y) are read off the levels of one
+      `bfs_levels` walk.  When r = u^q with the word u shorter, the loops
+      from v and from v.u are one cycle, so only one loop per orbit of
+      v -> v.u is traced: n p occurrences in all, for a u of p letters,
+      however long r is (a^1024 in Z/1024 x Z/2).
+    - Deduction.  An edge is known when it is a tree edge, kept or
+      deduced.  When every occurrence on a loop but one is known, that one
+      is deduced.  Each loop keeps a tally of its unknown occurrences
+      (`_TALLY`), and each edge the loops it lies on, so a round of
+      deductions only touches the loops of the edges it makes known.
+
+    Lemma (a), soundness: a row C of generator images whose word walk
+    passes the kept edges passes every edge.  Let img be its images and
+    d(p, s) = img[p] C[s] img[tgt[p, s]]^-1 the defect of an edge; tree
+    edges have d = 1.  Along a path p_0, ..., p_m with steps s_1..s_m,
+    img[p_0] C[s_1]...C[s_m] = d_1 ... d_m img[p_m], by telescoping (a
+    step back along s contributes d^-1).  On a kept edge's loop at 0
+    every edge but the kept one is a tree edge, so C(r) = 1; then around
+    every loop the defect product is 1, and when all defects but one are
+    1 that one is 1.  By induction on the deductions, every deduced edge
+    passes.
+
+    Lemma (b), same level: the rows a walk with the basis keeps after each
+    BFS level are those the walk with every edge keeps.  An edge dropped
+    is deduced from edges kept before it, which close no later.  A row
+    that passes the kept edges closing by level k passes, by lemma (a) on
+    its full image row (whose first k levels are what the walk has
+    filled), every edge they deduce: all edges closing by level k.  So F,
+    meet, `explored` and every output of the hom search stay the same."""
+    t, e, g, bounds = schedule
+    if len(t) < 2:                  # the first edge is never deduced
+        return schedule
+    n, k = tgt.shape
+    ar = np.arange(n)
+    depth = np.zeros(n, dtype=np.intp)
+    levels = []                     # (lo, parents, letters) per level
+    for lo, hi, d, s in bfs_levels(pred):
+        depth[lo:hi] = len(levels) + 1
+        levels.append((lo, d.tolist(), s.tolist()))
+    depth = depth.tolist()
+
+    def path(c):
+        """The letters of the tree path from 0 to c: the BFS word w(c)."""
+        letters = []
+        while c:
+            lo, d, s = levels[depth[c] - 1]
+            letters.append(s[c - lo])
+            c = d[c - lo]
+        return letters[::-1]
+
+    step = np.ascontiguousarray(tgt.T, dtype=np.intp)   # step[s][p] = p.s
+    back = np.empty_like(step)                          # back[s][p.s] = p
+    back[np.arange(k)[:, None], step] = ar
+
+    def walk(word, X):
+        """Trace the signed word from the positions X: the position of each
+        letter's edge (p, s), and the positions reached."""
+        edges = []
+        for s, forward in word:
+            if forward:
+                edges.append(X)
+                X = step[s][X]
+            else:
+                X = back[s][X]
+                edges.append(X)
+        return edges, X
+
+    gen_of = np.empty(n, dtype=np.intp)
+    gen_of[tgt[0]] = np.arange(k)
+    ids = gen_of[g] * n + e          # edge (p, s) has id s * n + p
+    known = np.zeros(k * n, dtype=bool)
+    known[pred[1:, 1] * n + pred[1:, 0]] = True
+    tally = np.zeros(4 * n + 1, dtype=np.int64)
+    on = np.zeros((k * n, 4 * k), dtype=np.intp)         # edge, slot
+    loops = 1
+    slots = 0
+    kept = []
+    i = -1
+    while True:
+        left = np.flatnonzero(~known[ids[i + 1:]])
+        if not left.size:
+            break
+        i += 1 + int(left[0])
+        kept.append(i)
+        K = int(ids[i])
+        s0, x = divmod(K, n)
+        word = ([(s, True) for s in path(x)] + [(s0, True)]
+                + [(s, False) for s in path(int(tgt[x, s0]))[::-1]])
+        L = len(word)
+        p = next(d for d in range(1, L + 1)
+                 if L % d == 0 and word[d:] + word[:d] == word)
+        start = ar
+        if p < L:                   # the least position of each orbit
+            u, low = walk(word[:p], ar)[1], ar
+            for _ in range((L // p).bit_length()):
+                low, u = np.minimum(low, low[u]), u[u]
+            start = np.flatnonzero(low == ar)
+        m = len(start)
+        E = np.stack(walk(word, start)[0])   # E[c, v]: loop v's c-th edge
+        E += (np.array([s for s, _ in word]) * n)[:, None]
+        seen = [0] * k
+        slot = []
+        for s, _ in word[:p]:       # a slot per occurrence of a letter in u
+            slot.append(seen[s])
+            seen[s] += 1
+        known[K] = True
+        tally = _grown(tally, loops + m)
+        on = _grown(on, slots + max(seen), axis=1)
+        tally[loops:loops + m] = ((E + _TALLY) * ~known[E]).sum(axis=0)
+        hit = on[K, :slots]
+        np.subtract.at(tally, hit, _TALLY + K)
+        # the copies of u in r meet disjoint edges, so they share slots
+        on[E, slots + np.array(slot * (L // p))[:, None]] = (
+            loops + np.arange(m))
+        hit = np.concatenate([hit, loops + np.arange(m)])
+        loops += m
+        slots += max(seen)
+        while True:
+            tally[0] = 0            # loop 0 sinks the unused slots of `on`
+            tallies = tally[hit]
+            one = tallies[tallies >> 32 == 1] - _TALLY
+            if not one.size:
+                break
+            fresh = np.zeros(k * n, dtype=bool)
+            fresh[one] = True
+            new = np.flatnonzero(fresh)
+            known[new] = True
+            hit = on[new, :slots].ravel()
+            np.subtract.at(tally, hit, np.repeat(new + _TALLY, slots))
+    kept = np.array(kept, dtype=np.intp)
+    return (t[kept], e[kept], g[kept],
+            np.searchsorted(kept, bounds).tolist())
+
+
+@dataclass(eq=False)
 class GroupHom:
-    """A homomorphism by its image array; every construction validates."""
+    """A homomorphism by its image array; every construction validates.
+    Two homs are equal when their domain keys, codomain keys and images
+    are, and hash alike then, as subgroups do (`Subgroup.__eq__`)."""
     domain: FiniteGroup
     codomain: FiniteGroup
     image: np.ndarray
@@ -788,6 +964,16 @@ class GroupHom:
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.int32)
         self.validate()
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupHom)
+                and self.domain.key == other.domain.key
+                and self.codomain.key == other.codomain.key
+                and np.array_equal(self.image, other.image))
+
+    def __hash__(self):
+        return hash((self.domain.key, self.codomain.key,
+                     self.image.tobytes()))
 
     def validate(self):
         f = self.image
@@ -842,19 +1028,23 @@ def word_images(pred, U: FiniteGroup, C: np.ndarray,
     position, stored column by column (each position's images are
     contiguous), filled a BFS level at a time (`bfs_levels`).
 
-    With `edges`, the schedule `closing_edges` of this BFS, the walk also
-    keeps only the rows that are homs on the subgroup H the BFS spans:
-    after each level is filled, the edges that close there are checked on
-    the rows left, and the rows that fail one are dropped at once.  Only
-    the image rows of the rows of C that pass are returned, in order.
+    With `edges`, the schedule `closing_edges` of this BFS or its
+    deduction-closed basis `relator_edges`, the walk also keeps only the
+    rows that are homs on the subgroup H the BFS spans: after each level
+    is filled, the scheduled edges that close there are checked on the
+    rows left, and the rows that fail one are dropped at once.  Only the
+    image rows of the rows of C that pass are returned, in order.
 
     Lemma: a row returned is a hom on H (the edge lemma at
     `_respects_generator_edges`).  Its position 0 is the identity.  A tree
     edge pred[c] = (d, s) holds by construction: img[c] = img[d] C[s], and
     C[s] is the image at the position of generator s, since each
     generator is distinct and not 1, so level 1 reaches it from 0 by s.
-    Every other edge closes at exactly one level, where all three of its
-    positions are filled, and is checked there."""
+    Every scheduled edge closes at exactly one level, where all three of
+    its positions are filled, and is checked there.  Under `closing_edges`
+    that is every other edge; under its basis, the edges left out pass
+    whenever the kept ones do (lemma (a) at `relator_edges`), and the rows
+    left after each level are the same (lemma (b) there)."""
     C = np.asarray(C, dtype=np.int32)
     mul = _table_product(U)
     img = np.zeros((len(pred), C.shape[0]), dtype=np.int32)

@@ -8,10 +8,14 @@ prefixes x candidates to `explored`, and keeps a prefix only if the
 images it forces (those of every element whose BFS word uses the first j
 generators) respect every generator edge e -> e*s of the subgroup they
 span.  Blocks of candidate prefixes are evaluated one BFS level at a time
-(`core.word_images`); each edge is checked at the level where it closes,
-the first at which all three of its images are known (`_closing_edges`),
-and a prefix that fails it is dropped there, before any more of its
-images are computed.  The hom search and the lift search run this one
+(`core.word_images`).  The walk checks a deduction-closed basis of the
+edges off the BFS tree (`_relator_edges`, a few of the `_closing_edges`:
+Meta:3 keeps 3 of its 82), each at the level where it closes, the first
+at which all three of its images are known, and a prefix that fails one
+is dropped there, before any more of its images are computed.  The
+edges left out follow from the kept ones, and the prefixes left after
+each level are those a check of every edge leaves (the lemmas at
+`core.relator_edges`).  The hom search and the lift search run this one
 loop, under one budget with one error (`errors.BudgetExceeded`, "hom
 search budget exceeded").
 
@@ -61,6 +65,7 @@ yet: the pullback and lifting searches take the full set.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,7 +73,8 @@ import numpy as np
 
 from .core import (_CHUNK_ENTRIES, ID_DTYPE, FiniteGroup, GroupHom, Subgroup,
                    _bfs, _element_orders, _table_product, closing_edges,
-                   conjugates, intersect_subgroups, memo, word_images)
+                   conjugates, intersect_subgroups, memo, relator_edges,
+                   word_images)
 from .errors import BudgetExceeded, NotSurjective, TNotInsideTbar
 from .unitriangular import CentralExtension, OmegaFamily
 
@@ -79,8 +85,9 @@ _CHUNK = 8192
 class HomSet(Sequence):
     """Hom(domain, codomain) as the m x |domain| matrix `images` of
     element ids in `core.ID_DTYPE` (16 bits), one hom per row, in search
-    order.  Indexing builds (and validates) the GroupHom of one row, whose
-    image is int32; len and the matrix itself build none."""
+    order.  Indexing by an int builds (and validates) the GroupHom of one
+    row, whose image is int32; any other index, a slice among them, raises
+    TypeError.  len and the matrix itself build none."""
 
     def __init__(self, domain: FiniteGroup, codomain: FiniteGroup,
                  images: np.ndarray, explored_prefixes: int = 0):
@@ -93,7 +100,8 @@ class HomSet(Sequence):
         return self.images.shape[0]
 
     def __getitem__(self, i):
-        return GroupHom(self.domain, self.codomain, self.images[i])
+        return GroupHom(self.domain, self.codomain,
+                        self.images[operator.index(i)])
 
     @property
     def homs(self) -> "HomSet":
@@ -122,6 +130,15 @@ def _closing_edges(G: FiniteGroup, j: int):
     return closing_edges(pred, tgt)
 
 
+@memo
+def _relator_edges(G: FiniteGroup, j: int):
+    """The deduction-closed basis (`core.relator_edges`) of
+    `_closing_edges(G, j)`: the edges the search checks.  It is a function
+    of G's tables alone, so twins share it."""
+    _, pred, tgt = _partial_bfs(G, j)
+    return relator_edges(pred, tgt, _closing_edges(G, j))
+
+
 def _extend(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Every row of P followed by every entry of c, rows in order."""
     return np.concatenate([np.repeat(P, len(c), axis=0),
@@ -134,12 +151,13 @@ def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     Returns (surviving P, their image matrices over that subgroup).
 
     One word walk per chunk of rows (`core.word_images`) checks each edge
-    off the BFS tree at the level where it closes (`_closing_edges`) and
-    drops a failed prefix there, so no image of it is computed past that
-    level.  Each generator's image sits at its own position, so the
-    surviving prefixes are read off their image rows."""
+    of the basis `_relator_edges` at the level where it closes and drops a
+    failed prefix there, so no image of it is computed past that level;
+    the prefixes left after each level are those a check of every edge
+    off the BFS tree leaves.  Each generator's image sits at its own
+    position, so the surviving prefixes are read off their image rows."""
     _, pred, tgt = _partial_bfs(G, j)
-    edges = _closing_edges(G, j)
+    edges = _relator_edges(G, j)
     img = np.concatenate([word_images(pred, U, P[lo:lo + _CHUNK], edges)
                           for lo in range(0, P.shape[0], _CHUNK)])
     return img[:, tgt[0]], img

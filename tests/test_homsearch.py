@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 import pcohom as pc
 from pcohom import cohomology, homsearch
-from pcohom.catalog import catalog_instances
+from pcohom.catalog import applicable_families, catalog_instances
 from pcohom.core import (ID_DTYPE, GroupHom, _element_orders,
-                         hom_from_generator_images)
+                         _respects_generator_edges, _table_product,
+                         bfs_levels, hom_from_generator_images,
+                         relator_edges, word_images)
 from pcohom.errors import (BudgetExceeded, MixedParents, NotSurjective,
                            TNotInsideTbar)
 from pcohom.homsearch import (DEFAULT_BUDGET, HomSet, enumerate_homs,
@@ -175,6 +178,222 @@ def test_edge_schedule_closes_each_non_tree_edge_once():
             assert got == want, (G.name, j)
             checked += 1
     assert checked >= len(groups) > 30
+
+
+def schedule_groups():
+    """The groups of the edge schedule test: the catalog groups and the
+    hom-enum codomains, one per table."""
+    groups = {G.key: G for _, G, _ in catalog_instances()}
+    for p in (2, 3):
+        groups.update((U.key, U) for U in hom_enum_codomains(p))
+    return list(groups.values())
+
+
+def tree_word(pred, c):
+    """Reference: the BFS word of position c, one letter at a time along
+    pred."""
+    word = []
+    while c:
+        c, s = (int(x) for x in pred[c])
+        word.append(s)
+    return word[::-1]
+
+
+def traced_loops(pred, step, x, s):
+    """Reference: the loops of the relator of the edge (x, s), with step
+    the nested list of tgt.  From each position v, the (position, letter)
+    occurrences of the paths v.w(x) s and v.w(x*s), traced one letter at
+    a time; both end at one position, so they close a loop."""
+    words = tree_word(pred, x) + [s], tree_word(pred, step[x][s])
+    loops = []
+    for v in range(len(pred)):
+        loop = []
+        for word in words:
+            p = v
+            for letter in word:
+                loop.append((p, letter))
+                p = step[p][letter]
+        loops.append(loop)
+    return loops
+
+
+def close_by_loops(known, loops):
+    """Reference: apply the deduction rule until nothing changes.  A loop
+    with exactly one occurrence of an unknown edge makes that edge
+    known."""
+    changed = True
+    while changed:
+        changed = False
+        for loop in loops:
+            unknown = [o for o in loop if o not in known]
+            if len(unknown) == 1:
+                known.add(unknown[0])
+                changed = True
+
+
+def test_relator_basis_against_a_traced_reference():
+    """The basis (`core.relator_edges`) on every partial BFS of the edge
+    schedule test's groups, against a plain reference.  It is a
+    sub-schedule: kept edges in closing order, each in its level's slice.
+    Taking the non-tree edges in closing order, the loops of the kept edges
+    before an edge, traced letter by letter from every position and closed
+    by the one-unknown rule, deduce it exactly when the basis drops it.  So
+    the tree and the basis close every edge."""
+    checked = kept = edges = 0
+    for G in schedule_groups():
+        for j in range(1, len(G.generators) + 1):
+            _, pred, tgt = homsearch._partial_bfs(G, j)
+            t, e, g, bounds = homsearch._closing_edges(G, j)
+            bt, be, bg, bb = homsearch._relator_edges(G, j)
+            gens = tgt[0].tolist()
+            order = [(int(x), gens.index(y)) for x, y in zip(e, g.tolist())]
+            basis = [(int(x), gens.index(y)) for x, y in zip(be, bg.tolist())]
+            at = [order.index(edge) for edge in basis]
+            assert at == sorted(at) and np.array_equal(bt, t[at])
+            level = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+            assert np.array_equal(
+                np.repeat(np.arange(len(bb) - 1), np.diff(bb)), level[at])
+            step = tgt.tolist()
+            known = {(int(d), int(s)) for d, s in pred[1:]}
+            loops = []
+            for edge in order:
+                if edge in basis:
+                    assert edge not in known, (G.name, j, edge)
+                    known.add(edge)
+                    loops += traced_loops(pred, step, *edge)
+                    close_by_loops(known, loops)
+                else:
+                    assert edge in known, (G.name, j, edge)
+            assert len(known) == len(pred) * j
+            checked += 1
+            kept += len(basis)
+            edges += len(order)
+    assert checked >= 75 and edges > 20 * kept
+
+
+def level_survivors(pred, U, C, edges):
+    """Reference: the rows of C that pass every edge of a schedule closing
+    by each BFS level, one index array per level, read off image rows
+    evaluated in full (no row is dropped from the walk)."""
+    t, e, g, bounds = edges
+    img = np.zeros((len(pred), len(C)), dtype=np.int64)
+    alive = np.ones(len(C), dtype=bool)
+    out = []
+    for k, (lo, hi, d, s) in enumerate(bfs_levels(pred)):
+        img[lo:hi] = U.mult[img[d], C[:, s].T]
+        a, b = bounds[k], bounds[k + 1]
+        alive &= (img[t[a:b]] == U.mult[img[e[a:b]], img[g[a:b]]]).all(
+            axis=0)
+        out.append(np.flatnonzero(alive))
+    return out
+
+
+def test_relator_basis_keeps_the_same_rows_at_every_level(monkeypatch):
+    """Lemma (b) of `core.relator_edges`: on every block of prefixes that
+    the search walks, for every catalog group against the E and Gbar of
+    its families and for every hom-enum pair, the rows left after each BFS
+    level are the same under the basis and under the full schedule."""
+    calls = []
+    walk = homsearch._filter_prefixes
+
+    def spy(G, U, P, j):
+        calls.append((G, U, P, j))
+        return walk(G, U, P, j)
+
+    monkeypatch.setattr(homsearch, "_filter_prefixes", spy)
+    pairs = {}
+    for _, G, p in catalog_instances():
+        cods = [U for fam in applicable_families(p)
+                for ext in fam.extensions for U in (ext.E, ext.Gbar)]
+        if G.order <= 81 and p in (2, 3):
+            cods += hom_enum_codomains(p)
+        for U in cods:
+            pairs.setdefault((G.key, U.key), (G, U))
+    for G, U in pairs.values():
+        t_subgroup(cold(G), U)
+    dropped = 0
+    for G, U, P, j in calls:
+        _, pred, _ = homsearch._partial_bfs(G, j)
+        full = level_survivors(pred, U, P, homsearch._closing_edges(G, j))
+        basis = level_survivors(pred, U, P, homsearch._relator_edges(G, j))
+        for k, (a, b) in enumerate(zip(full, basis)):
+            assert np.array_equal(a, b), (G.name, U.name, j, k)
+        dropped += len(P) - len(full[-1])
+    assert len(pairs) > 250 and len(calls) > len(pairs) and dropped > 0
+
+
+def test_a_basis_short_of_its_last_edge_passes_a_non_hom():
+    """Planted fault: with its last kept edge left out, the basis lets the
+    walk of the last level keep a row that is no hom, which
+    `core._respects_generator_edges` flags, on at least one pair; the whole
+    basis keeps only homs."""
+    caught = []
+    for a, b in HOM_PAIRS + [("U:3:2", "U:3:2"), ("Meta:3", "Meta:3")]:
+        G, U = pc.builtin_group(a), pc.builtin_group(b)
+        j = len(G.generators)
+        _, pred, tgt = homsearch._partial_bfs(G, j)
+        t, e, g, bounds = basis = homsearch._relator_edges(G, j)
+        m = len(t) - 1
+        short = t[:m], e[:m], g[:m], [min(x, m) for x in bounds]
+        C = np.array(list(itertools.product(
+            *homsearch._order_candidates(G, U))), dtype=np.int32)
+        mul = _table_product(U)
+        assert _respects_generator_edges(
+            tgt, word_images(pred, U, C, basis), mul).all()
+        if not _respects_generator_edges(
+                tgt, word_images(pred, U, C, short), mul).all():
+            caught.append((a, b))
+    assert caught
+
+
+def test_relator_basis_ratchet():
+    """Meta:3 at two generators keeps at most 3 of its 82 non-tree edges.
+    On the BFS of Z/1024 x Z/2, 1,024 levels deep, the relator a^1024 is
+    traced once per coset of <a>, so the basis peaks near 1.3 MiB, not at
+    the 16 MiB of one 1,024-edge loop per element."""
+    G = pc.builtin_group("Meta:3")
+    assert len(homsearch._closing_edges(G, 2)[0]) == 82
+    assert len(homsearch._relator_edges(G, 2)[0]) <= 3
+    G = pc.builtin_group("Z/1024xZ/2")
+    _, pred, tgt = homsearch._partial_bfs(G, 2)
+    schedule = homsearch._closing_edges(G, 2)
+    assert len(schedule[3]) == 1025
+    tracemalloc.start()
+    try:
+        basis = relator_edges(pred, tgt, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis[0]) == 3 and peak < 2 ** 21
+
+
+def test_homs_compare_by_keys_and_image():
+    """GroupHom equality and hash: domain key, codomain key and image.  The
+    dataclass default compared image arrays and raised ValueError on
+    h == h, h in homset and HomSet.index."""
+    Z4, Z2, E4 = (pc.builtin_group(n) for n in ("Z/4", "Z/2", "E:2:2"))
+    hs = enumerate_homs(Z4, Z4)
+    h = hs[1]
+    assert h == h and h == hs[1] and h != hs[2] and h != h.image
+    assert h in hs and hs.index(h) == 1
+    assert hash(h) == hash(hs[1])
+    assert len({hs[i] for i in range(len(hs))} | {hs[1]}) == len(hs) == 4
+    # the same image into another codomain is another hom
+    into_z2, into_e4 = GroupHom(Z2, Z2, [0, 1]), GroupHom(Z2, E4, [0, 1])
+    assert into_z2 != into_e4 and into_z2 == GroupHom(Z2, Z2, [0, 1])
+
+
+def test_hom_set_takes_int_indices_only():
+    """HomSet[i] takes an int (numpy ints too); a slice raises TypeError,
+    not an edge-check error about the image."""
+    hs = enumerate_homs(pc.builtin_group("Z/4"), pc.builtin_group("Z/4"))
+    assert hs[np.int64(2)] == hs[2] and hs[-1] == hs[len(hs) - 1]
+    assert list(hs) == [hs[i] for i in range(len(hs))]
+    for bad in (slice(1, 3), 1.0, [1, 2]):
+        with pytest.raises(TypeError):
+            hs[bad]
+    with pytest.raises(IndexError):
+        hs[len(hs)]
 
 
 def class_groups():
