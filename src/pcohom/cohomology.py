@@ -7,14 +7,15 @@ fact used throughout: a normalized 2-cocycle is determined by its
     f(g, h*s) = f(g, h) + f(g*h, s) - f(h, s),
 
 so Z^2 is the nullspace of a linear system in |G| * ngens unknowns over
-F_p.  The system needs the cocycle identities only at g a generator
-(lemma at `_cocycle_constraints`).  Every 2-cocycle is held as its
-generator columns (`Cocycle2.columns`, the H^2 basis rows) and checked on
-them: the identities at g a generator are complete (`_column_violations`).
-A table f(x, y) is expanded from the columns (`_expand_from_columns`) only
-where a gather needs f at a second argument y that is not a generator:
-alpha's table in `pullback_columns` and the H^2 basis tables in
-`pairings.inflation_matrix`.
+F_p.  The system needs the cocycle identities only at g a generator, and
+they read as relators: on the Schreier relators r of G's BFS, the shift
+u picks up along r is the same from every start (lemma at
+`_column_violations`).  Every 2-cocycle is held as its generator columns
+(`Cocycle2.columns`, the H^2 basis rows) and checked on them, at the
+generators (`_column_violations`).  A table f(x, y) is expanded from the
+columns (`_expand_from_columns`) only where a gather needs f at a second
+argument y that is not a generator: alpha's table in `pullback_columns`
+and the H^2 basis tables in `pairings.inflation_matrix`.
 
 Coboundary questions are asked in the BFS-tree gauge: every cocycle is
 cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
@@ -24,9 +25,13 @@ residue of a cocycle, its gauge reduced against D (`coboundary_residue`),
 is linear and zero exactly on the coboundaries; the inflations of
 `pairings`, and through them its liftability test, read it.
 
-Z^2 is solved in the same gauge, over the n(ngens - 1) + 1 columns off
-the tree (`_gauged_z2`), and the canonical basis is rebuilt from it
-(`_z2_basis`).  Two lemmas carry this:
+Z^2 is solved in the same gauge on the presentation the hom search
+already reads: the deduction-closed relator basis of G's BFS
+(`core.relator_edges`, memoized as `homsearch._relator_edges`).  Its
+record is replayed over F_p^kept, one unknown per kept relator
+(`_relator_forms`), solved by one nullspace over |kept| columns and
+expanded to the gauged cocycles (`_gauged_z2`); the canonical basis is
+rebuilt from them (`_z2_basis`).  Two lemmas carry this:
 
 - Gauged dimension: the gauged cocycles, 0 on every tree column, have
   dimension dim H^2 + ngens - dim H^1.  Z^2 is the gauged cocycles plus
@@ -46,13 +51,14 @@ import numpy as np
 
 from . import gf
 from .core import (FiniteGroup, GroupHom, Subgroup,
-                   _respects_generator_edges, bfs_levels, conjugates, memo,
-                   power_commutator_subgroup, subgroup_as_group)
+                   _respects_generator_edges, _walk, bfs_levels,
+                   conjugates, memo, power_commutator_subgroup,
+                   subgroup_as_group)
 from .errors import (EdgeCheckFailed, GroupTooLarge, MixedParents,
                      NotACharacter, NotInvariant, NotNormal, NotSurjective,
                      OracleDisagreement, SectionDefectOutsideKernel,
                      SolveRoundTripFailed, SpecError)
-from .homsearch import DEFAULT_BUDGET, enumerate_homs
+from .homsearch import DEFAULT_BUDGET, _relator_edges, enumerate_homs
 from .unitriangular import CentralExtension
 
 H2_ORDER_CAP = 128
@@ -228,102 +234,36 @@ def _column_violations(G: FiniteGroup, u, p: int) -> np.ndarray:
     cocycle per row, are not the columns of a normalized 2-cocycle: a bool
     per row, True where u(1, s) != 0 for some generator s, or where some
     identity f(g,h) + u(gh,s) - u(h,s) - f(g,hs) = 0 fails for a generator
-    g, any h and a generator s.  Only the rows f(g, .) at the generators
-    are expanded (`_expand_from_columns`), so the check costs
-    O(rows * n * ngens^2), not the O(n^2 * ngens) per row of the
-    identities at every g.
+    g, any h and a generator s, f(g, .) expanded along BFS predecessors.
+    Only the rows f(g, .) at the generators are expanded
+    (`_expand_from_columns`), so the check costs O(rows * n * ngens^2),
+    not the O(n^2 * ngens) per row of the identities at every g.
 
-    Lemma: a row that passes is a cocycle's columns.  These identities are
-    the rows of `_cocycle_constraints` at the generators, read before the
-    gauge drops the tree columns; by the lemma there they imply the
-    identities at every g, so the BFS expansion f of u is a cocycle, and
-    the identity at h = 1 reads f(g, s) = u(g, s)."""
+    Lemma: a row that passes is a cocycle's columns.  Let each generator s
+    act on G x Z/p by (g, a) -> (gs, a + u(g,s)), and let Phi_g(w) be the
+    shift that the word w picks up starting at g.  The BFS expansion is
+    f(g,x) = Phi_g(w_x) - Phi_1(w_x), so the identity at (g,h,s) reads
+    Delta_g(r_{h,s}) = 0, where Delta_g(r) = Phi_g(r) - Phi_1(r) and
+    r_{h,s} = w_h s w_{hs}^-1.  The r_{h,s} are the Schreier generators of
+    N = ker(F -> G) and each Delta_g is additive on N, so the identities at
+    g hold iff Delta_g = 0 on N.  Since Phi_1(s r s^-1) = Phi_s(r) for r in
+    N, Delta_s = 0 on N for every generator s gives Phi_x(r) = Phi_1(r)
+    for all x, by induction along the positive BFS word of x.  Hence
+    df(g,h,s) = 0 for all g, h and every generator s, and f is a cocycle:
+    from dd = 0, df(g,h,ks) = df(g,h,k) + df(h,k,s) - df(gh,k,s) +
+    df(g,hk,s), so df(g,h,ks) = df(g,h,k), and by induction along the BFS
+    word of c, df(g,h,c) = df(g,h,1) = 0 by normalization.  The identity at
+    h = 1 reads f(g, s) = u(g, s).  Conversely the identities hold on a
+    cocycle's columns, whose expansion is the cocycle.  So normalized u is
+    a cocycle's columns iff Phi_x(r) = Phi_1(r) for every x and every r in
+    N, the form `_gauged_z2` solves; the identities at g = 1 vanish
+    identically."""
     n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
     U = u.reshape(len(u), n, len(gens))
     F = _expand_from_columns(G, u, p, gens)            # f(g_j, h): (k, j, h)
     lhs = F[..., None] + U[:, G.mult[gens]]            # (k, j, h, s)
     rhs = U[:, None] + F[:, :, G.mult_gen]
     return ((lhs - rhs) % p).any(axis=(1, 2, 3)) | U[:, 0].any(axis=1)
-
-
-def _off_tree(G: FiniteGroup) -> np.ndarray:
-    """Mask of the generator columns (g, s) that are not BFS tree edges
-    G.pred[x] = (g, s), n(ngens - 1) + 1 of the n * ngens."""
-    ngens = len(G.generators)
-    off = np.ones(G.order * ngens, dtype=bool)
-    off[G.pred[1:, 0].astype(np.intp) * ngens + G.pred[1:, 1]] = False
-    return off
-
-
-def _cocycle_constraints(G: FiniteGroup, p: int) -> np.ndarray:
-    """Rows over the generator-column unknowns u(g, s) = f(g, s) whose
-    nullspace is Z^2: the normalization rows u(1, s) = 0, then for each
-    generator g the rows f(g,h) + f(gh,s) - f(h,s) - f(g,hs) = 0 over all
-    h and all generators s, f(g, .) expanded along BFS predecessors; all
-    of them taken in the gauge, that is, over the off-tree columns only
-    (`_off_tree`, `_gauged_z2`), the tree columns being 0.  The rows are
-    reduced mod p and written straight into the working dtype of `gf.rref`
-    (`gf._working_dtype`), so no int64 matrix of the system's size is made.
-
-    Lemma: the rows at generators g imply the rows at every g.  Let each
-    generator s act on G x Z/p by (g, a) -> (gs, a + u(g,s)), and let
-    Phi_g(w) be the shift that the word w picks up starting at g.  The BFS
-    expansion is f(g,x) = Phi_g(w_x) - Phi_1(w_x), so the row at (g,h,s)
-    reads Delta_g(r_{h,s}) = 0, where Delta_g(r) = Phi_g(r) - Phi_1(r) and
-    r_{h,s} = w_h s w_{hs}^-1.  The r_{h,s} are the Schreier generators of
-    N = ker(F -> G) and each Delta_g is additive on N, so the rows at g hold
-    iff Delta_g = 0 on N.  Since Phi_1(s r s^-1) = Phi_s(r) for r in N,
-    Delta_s = 0 on N for every generator s gives Phi_x(r) = Phi_1(r) for
-    all x, by induction along the positive BFS word of x.  Hence df(g,h,s)
-    = 0 for all g, h and every generator s, and f is a cocycle: from
-    dd = 0, df(g,h,ks) = df(g,h,k) + df(h,k,s) - df(gh,k,s) + df(g,hk,s),
-    so df(g,h,ks) = df(g,h,k), and by induction along the BFS word of c,
-    df(g,h,c) = df(g,h,1) = 0 by normalization.  The rows at g = 1 vanish
-    identically and are left out.
-
-    Only the off-tree columns are built.  Phi_1(w_x) walks the BFS tree,
-    so all its terms are on tree columns, which are 0 in the gauge: T[j, x]
-    = f(gens[j], x) over the off-tree columns is Phi_{gens[j]}(w_x) there,
-    the sum of the unit vectors of the columns (g d, s) over the steps
-    (d, s) of x's BFS path, g = gens[j], and a tree column among them is
-    dropped, not counted anywhere.  Lemma: T is a 0/1 array.  The d along
-    one BFS path are distinct, so the g d are, and so are the columns
-    (g d, s); each is hit at most once.  T is walked a BFS level at a time
-    (`bfs_levels`) in int8, each x of a level copying its parent's row and
-    setting one more entry, which by the lemma was 0.  A row is then
-    T[j, h] - T[j, hs], plus the unit at (g h, s) and minus the unit at
-    (h, s) where these are off the tree; they are distinct columns as
-    g != 1, so the entries lie in [-2, 2] and int8 holds them exactly.
-    Each block of rows is reduced mod p into the output."""
-    n = G.order
-    gens = np.asarray(G.generators, dtype=np.intp)
-    ngens = len(gens)
-    off = _off_tree(G)
-    m = int(off.sum())
-    col = np.full(n * ngens, -1, dtype=np.intp)     # tree columns -> -1
-    col[off] = np.arange(m)
-    # T[j, x]: f(gens[j], x) as a linear form in the off-tree unknowns
-    T = np.zeros((ngens, n, m), dtype=np.int8)
-    for lo, hi, d, s in bfs_levels(G.pred):
-        T[:, lo:hi] = T[:, d]
-        c = col[G.mult[gens[:, None], d] * ngens + s]
-        j, x = np.nonzero(c >= 0)
-        T[j, lo + x, c[j, x]] = 1
-    A = np.empty((ngens * (1 + ngens * n), m), dtype=gf._working_dtype(p))
-    A[:ngens] = np.eye(ngens, n * ngens, dtype=np.int8)[:, off]  # u(1, s)
-    for s in range(ngens):
-        # f(g,h) + f(gh,s) - f(h,s) - f(g,hs) for every generator g, all h
-        r = T - T[:, G.mult_gen[:, s]]
-        c = col[G.mult[gens] * ngens + s]
-        j, h = np.nonzero(c >= 0)
-        r[j, h, c[j, h]] += 1
-        c = col[np.arange(n) * ngens + s]
-        h = np.flatnonzero(c >= 0)
-        r[:, h, c[h]] -= 1
-        lo = ngens * (1 + s * n)
-        np.remainder(r.reshape(ngens * n, m), np.int64(p),
-                     out=A[lo:lo + ngens * n], casting="unsafe")
-    return A
 
 
 def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
@@ -345,35 +285,115 @@ def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
     return B[1:]
 
 
+def _kept_loops(G: FiniteGroup):
+    """(kept, loops, rounds): the record of the relator basis of G's own
+    BFS (`core.relator_edges`, memoized as `homsearch._relator_edges(G,
+    ngens)`) with its loops traced.  loops[i] = (E, sign) for the i-th
+    kept edge: E[c, v] is the id s n + x of the c-th edge (x, s) on its
+    loop from starts[i][v] (`core._walk`), and sign[c] is 1 for a step
+    along the letter's generator and -1 for a step back."""
+    kept, words, starts, rounds = _relator_edges(G, len(G.generators))[1]
+    step, back = G.mult_gen.T, G.mult[:, G.inv[G.generators]].T
+    loops = [(_walk(step, back, w, v)[0], np.where(np.asarray(w) < 0, -1, 1))
+             for w, v in zip(words, starts)]
+    return kept, loops, rounds
+
+
+def _relator_forms(G: FiniteGroup, p: int):
+    """(forms, rows) over F_p^kept, replayed from the traced record of the
+    relator basis (`_kept_loops`): forms[x ngens + s] is the form of the
+    edge (x, s), the generator column of its id s n + x, whose value on the
+    gauged cocycle with value a[i] at the i-th kept edge is
+    forms[x ngens + s] @ a, and rows are the conditions on a.
+
+    Tree edges have the form 0 and kept edge i the unit e_i.  A deduced
+    edge E, alone unknown on the loop of kept edge i that deduced it, with
+    sign eps there, gets eps (e_i - the signed sum of the forms on that
+    loop, E's still 0), a round of deductions at a time: every other edge
+    on a round's loops was known before it, and an edge two loops of a
+    round deduce is taken from one of them.  rows are the signed form
+    sums of every traced loop of every kept edge i, minus e_i, those that
+    are not 0 (the rows of the deducing loops vanish), one product per
+    kept edge."""
+    n, k = G.order, len(G.generators)
+    kept, loops, rounds = _kept_loops(G)
+    forms = np.zeros((n * k, len(kept)), dtype=np.int64)
+    forms[kept] = unit = np.eye(len(kept), dtype=np.int64)
+    base = np.cumsum([1] + [E.shape[1] for E, _ in loops])
+    for new, lam in rounds:
+        new, first = np.unique(new, return_index=True)
+        lam = lam[first]
+        owner = np.searchsorted(base, lam, side="right") - 1
+        for i in np.unique(owner):
+            E, sign = loops[i]
+            at = owner == i
+            O = E[:, lam[at] - base[i]]           # the round's loops of i
+            eps = sign[(O == new[at]).argmax(axis=0)]
+            total = np.tensordot(sign, forms[O], axes=1)
+            forms[new[at]] = eps[:, None] * (unit[i] - total) % p
+    rows = np.concatenate([unit[:0]] + [
+        (np.tensordot(sign, forms[E], axes=1) - unit[i]) % p
+        for i, (E, sign) in enumerate(loops)])
+    column = np.arange(n * k).reshape(k, n).T.ravel()   # x k + s: s n + x
+    return forms[column], rows[rows.any(axis=1)]
+
+
 def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
     """Basis (rows, over all n * ngens generator columns) of the gauged
     cocycles: Z^2 restricted to the vectors that are 0 on every tree
-    column (d, s), G.pred[x] = (d, s).  It is the nullspace of
-    `_cocycle_constraints`, built over the other n(ngens - 1) + 1 columns
-    only (`_off_tree`), lifted with zeros on the tree columns.
+    column (d, s), G.pred[x] = (d, s).  It is a @ forms.T for a over the
+    nullspace of the rows of `_relator_forms`, one `gf.nullspace` over the
+    |kept| columns.
 
-    Lemma: its dimension is dim H^2 + ngens - dim H^1.  Every cocycle
-    minus a coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the
-    gauged coboundaries are the row space of D, of rank ngens - dim H^1
+    Lemma (the presentation route to H^2; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 7.6): these are the gauged
+    cocycles.
+    - `_partial_bfs(G, ngens)` is G's own BFS: G's ids follow its BFS
+      order over all its generators, so elems = 0..n-1, pred = G.pred and
+      tgt = G.mult_gen, and the record's edge (x, s) is the column (x, s).
+    - For normalized u and a word w let Phi_x(w) be the signed sum of u
+      along w's path from x.  By the lemma at `_column_violations`, u is
+      a cocycle iff Phi_x(r) = Phi_1(r) for every x and every r in N, the
+      kernel of the free group onto G.  On N each Phi_x is additive and
+      Phi_x(w r w^-1) = Phi_{xw}(r), so the r that pass for every x form
+      a normal subgroup.
+    - The kept relators r_K normally generate N.  The Schreier relators
+      r_E of the edges E off the tree generate N, and each E is kept or
+      deduced.  A closed path from 1 is, in the free group, the product
+      of the r_E^(+-1) of its edges, so the loop of r_K from v that
+      deduces E writes w_v r_K w_v^-1 as r_E^(+-1) times relators of
+      edges known before E; in deduction order each r_E is in the normal
+      closure.
+    - A gauged u is normalized (each generator s is the tree edge
+      (1, s)), and Phi_1(r_K) = u(K), as r_K runs from 1 along tree
+      edges but K.  So it is a cocycle iff Phi_v(r_K) = u(K) for every
+      start v and kept K.  The loops of one orbit of a power relator are
+      one cycle with one sum, so the traced loops suffice.  A cocycle
+      meets each deducing loop's condition, so by induction its deduced
+      edges hold their forms at a = u(kept), and it meets every row;
+      conversely forms @ a meets every loop's condition when a is in the
+      nullspace of the rows.
+
+    Its dimension is dim H^2 + ngens - dim H^1.  Every cocycle minus a
+    coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the gauged
+    coboundaries are the row space of D, of rank ngens - dim H^1
     (`_tree_coboundaries`); and dim B^2 = n - 1 - dim H^1, as the
     1-cochains c with c(1) = 0 and dc = 0 are the characters.  Like the
     rows of `_delta_coboundaries`, it is held in the working dtype of
     `gf.rref` (`gf._working_dtype`)."""
-    off = _off_tree(G)
-    basis = gf.nullspace(_cocycle_constraints(G, p), p)
-    Z = np.zeros((len(basis), len(off)), dtype=gf._working_dtype(p))
-    Z[:, off] = basis
-    return Z
+    forms, rows = _relator_forms(G, p)
+    return gf._reduced(gf.nullspace(rows, p) @ forms.T, p)
 
 
 def _z2_basis(G: FiniteGroup, p: int) -> np.ndarray:
-    """cand: the basis of Z^2 that `gf.nullspace` gives for the rows of
-    `_cocycle_constraints` over all n * ngens columns (before the gauge),
-    the identity on the free columns F, in increasing order of the free
-    column; rebuilt from the gauged cocycles (`_gauged_z2`) and the
-    coboundaries d(delta_x) (`_delta_coboundaries`), which together span
-    Z^2.  The stack of the two is built in the working dtype of `gf.rref`
-    (`gf._working_dtype`), so no int64 matrix the size of B^2 is made.
+    """cand: the basis of Z^2 that `gf.nullspace` gives for the cocycle
+    identities at the generators (`_column_violations`) as rows over all
+    n * ngens columns (before the gauge), the identity on the free
+    columns F, in increasing order of the free column; rebuilt from the
+    gauged cocycles (`_gauged_z2`) and the coboundaries d(delta_x)
+    (`_delta_coboundaries`), which together span Z^2.  The stack of the
+    two is built in the working dtype of `gf.rref` (`gf._working_dtype`),
+    so no int64 matrix the size of B^2 is made.
 
     Lemma (duality): cand = R[::-1, ::-1], R the rref of any spanning set
     of Z^2 with its columns reversed.  Row k of cand is 1 at F[k], 0 at
@@ -436,11 +456,11 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     n x n table is built here or by `H2Space.rep`.
 
     cand is not solved for over all n * ngens columns.  The gauged
-    cocycles, 0 on the BFS tree, are the nullspace over the n(ngens - 1)
-    + 1 columns off the tree, of dimension dim H^2 + ngens - dim H^1
-    (lemma at `_gauged_z2`); with the coboundaries d(delta_x) they span
-    Z^2, and one rref with the columns reversed gives cand exactly (the
-    duality lemma at `_z2_basis`).
+    cocycles, 0 on the BFS tree, come from one nullspace over the kept
+    relators of G's BFS, of dimension dim H^2 + ngens - dim H^1 (lemmas at
+    `_gauged_z2`); with the coboundaries d(delta_x) they span Z^2, and one
+    rref with the columns reversed gives cand exactly (the duality lemma
+    at `_z2_basis`).
 
     The span is taken in the BFS-tree gauge: one Span is factored over the
     rows of D (`_tree_coboundaries`, spanning the coboundaries that are 0
@@ -522,18 +542,13 @@ def conj_invariant_h1(G: FiniteGroup, N: Subgroup, p: int) -> list:
     V = np.stack([c.values for c in kchars])       # (d, |N|)
     inv_embed = np.full(G.order, -1, dtype=np.int32)
     inv_embed[embed] = np.arange(K.order)
-    rows = []
-    for g in G.generators:
-        conj = conjugates(G, g, embed)             # g^-1 n g over K-ids
-        rows.append(V[:, inv_embed[conj]] - V)
-    A = np.concatenate(rows, axis=1)               # (d, ngens*|N|)
+    # g^-1 n g over K-ids, for each generator g: (ngens, |N|)
+    conj = inv_embed[conjugates(G, np.asarray(G.generators)[:, None], embed)]
+    A = (V[:, conj] - V[:, None]).reshape(len(V), -1)  # (d, ngens*|N|)
     X = gf.nullspace(A.T, p)                       # coefficient vectors
-    out = []
-    for x in X:
-        vals_K = (x @ V) % p
-        vals_G = np.zeros(G.order, dtype=np.int64)
-        vals_G[embed] = vals_K
-        out.append(Cochain1(G, vals_G, p, is_hom=False))
+    vals = np.zeros((len(X), G.order), dtype=np.int64)
+    vals[:, embed] = X @ V % p
+    out = [Cochain1(G, v, p, is_hom=False) for v in vals]
     # dimension identity: dim H^1(N)^G = dim Hom(N / N^p[G,N], Z/p)
     D = power_commutator_subgroup(G, N, p)
     if p ** len(out) * D.order != N.order:
@@ -724,7 +739,10 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     (`_tree_coboundaries`): the superdiagonal is a homomorphism U_n(Z/p)
     -> (Z/p)^n with g_i -> e_i, and for n >= 2 the corner is not on it, so
     it factors through Ubar_n, where it sends each BFS word to its letter
-    counts."""
+    counts.
+
+    The phis must be characters (`errors.NotACharacter`) of Q mod the
+    family's prime (`errors.MixedParents`), as for `cup`."""
     if not fam.label.startswith("zassenhaus"):
         raise SpecError(f"Massey pullbacks need a zassenhaus family, got "
                         f"{fam.label}")
@@ -732,11 +750,16 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
         raise SpecError(f"{fam.label} needs {n} characters, got {len(phis)}")
     ext = fam.extensions[0]
     p, Gbar = ext.p, ext.Gbar
+    space = h2_space(Q, p)
+    for phi in phis:
+        _same_parent(phi, space, "Massey pullbacks")
+        if not phi.is_hom:
+            raise NotACharacter("Massey pullbacks need characters")
     superdiag = _tree_coboundaries(Gbar, p)[0]          # (|Gbar|, n)
     R = enumerate_homs(Q, Gbar, budget=budget).images
     want = np.stack([phi.values % p for phi in phis], axis=1)
     R = R[(superdiag[R] == want).all(axis=(1, 2))]
-    coords, _, images = pullback_classes(h2_space(Q, p), [ext], [R])
+    coords, _, images = pullback_classes(space, [ext], [R])
     alpha = _extension_alpha(ext)
     out = []
     for v, row in zip(coords, images):

@@ -796,6 +796,24 @@ def _grown(buf, need, axis=0):
     return out
 
 
+def _walk(step, back, word, X):
+    """Trace the signed word from the positions X, a letter s for a step
+    along generator s and ~s for a step back: (E, Y), E[c, v] the id
+    s n + p of the edge (p, s) of the c-th letter from X[v], and Y the
+    positions reached."""
+    edges, ids = [], []
+    for c in word:
+        if c >= 0:
+            edges.append(X)
+            X = step[c][X]
+        else:
+            c = ~c
+            X = back[c][X]
+            edges.append(X)
+        ids.append(c * step.shape[1])
+    return np.array(edges) + np.array(ids)[:, None], X
+
+
 # A loop's tally in `relator_edges`: 2^32 per unknown occurrence plus the
 # sum of their edge ids, so a tally in [2^32, 2^33) names its one unknown.
 # Lemma: the id sum stays below 2^32.  On a BFS of depth D with k
@@ -808,8 +826,10 @@ _TALLY = 1 << 32
 
 def relator_edges(pred, tgt, schedule):
     """A deduction-closed basis of the edge schedule `closing_edges(pred,
-    tgt)`: the sub-schedule, in the same (t, e, g, bounds) form, of the
-    edges `word_images` must check.
+    tgt)`, and the record of its deductions: (basis, record), basis the
+    sub-schedule, in the same (t, e, g, bounds) form, of the edges
+    `word_images` must check.  The record is the second reader's: on the
+    BFS of G itself, `cohomology._relator_forms` replays it to solve Z^2.
 
     A non-tree edge (x, s) to y = tgt[x, s] gives the relator
     r = w(x) s w(y)^-1 of the group H the BFS spans, w(c) the BFS word of
@@ -818,9 +838,9 @@ def relator_edges(pred, tgt, schedule):
     - Loops.  r = 1 in H, so from every position v the signed word r
       traces a closed loop of edges, the left translate by v of r's loop
       at 0.  A kept edge adds these loops, traced along tgt from every v
-      at once; the tree paths w(x), w(y) are read off the levels of one
-      `bfs_levels` walk.  When r = u^q with the word u shorter, the loops
-      from v and from v.u are one cycle, so only one loop per orbit of
+      at once (`_walk`); the tree paths w(x), w(y) are read off the levels
+      of one `bfs_levels` walk.  When r = u^q with the word u shorter, the
+      loops from v and from v.u are one cycle, so only one loop per orbit of
       v -> v.u is traced: n p occurrences in all, for a u of p letters,
       however long r is (a^1024 in Z/1024 x Z/2).
     - Deduction.  An edge is known when it is a tree edge, kept or
@@ -828,6 +848,14 @@ def relator_edges(pred, tgt, schedule):
       is deduced.  Each loop keeps a tally of its unknown occurrences
       (`_TALLY`), and each edge the loops it lies on, so a round of
       deductions only touches the loops of the edges it makes known.
+    - Record.  record = (kept, words, starts, rounds), ints only, not the
+      traced loops, and independent of any prime.  kept[i] is the id of
+      the i-th kept edge, words[i] its relator as a list of signed letters
+      (as at `_walk`) and starts[i] the positions its loops are traced
+      from.  Each entry of rounds is one deduction round, in order:
+      (edges, loops), the ids of the edges it deduced (one deduced by two
+      loops is listed twice) and, for each, the loop that deduced it,
+      numbered from 1 over the loops of the kept edges in order.
 
     Lemma (a), soundness: a row C of generator images whose word walk
     passes the kept edges passes every edge.  Let img be its images and
@@ -848,9 +876,13 @@ def relator_edges(pred, tgt, schedule):
     filled), every edge they deduce: all edges closing by level k.  So F,
     meet, `explored` and every output of the hom search stay the same."""
     t, e, g, bounds = schedule
-    if len(t) < 2:                  # the first edge is never deduced
-        return schedule
     n, k = tgt.shape
+    if len(t) < 2:                  # the first edge is never deduced
+        # one non-tree edge of n k - (n - 1) means k = 1: the BFS is the
+        # cycle 0 -> 1 -> ... -> n - 1 -> 0, the relator s^n and 0 its
+        # one orbit start
+        return schedule, ([n - 1] * len(t), [[0] * n] * len(t),
+                          [np.zeros(1, dtype=np.intp)] * len(t), [])
     ar = np.arange(n)
     depth = np.zeros(n, dtype=np.intp)
     levels = []                     # (lo, parents, letters) per level
@@ -871,20 +903,6 @@ def relator_edges(pred, tgt, schedule):
     step = np.ascontiguousarray(tgt.T, dtype=np.intp)   # step[s][p] = p.s
     back = np.empty_like(step)                          # back[s][p.s] = p
     back[np.arange(k)[:, None], step] = ar
-
-    def walk(word, X):
-        """Trace the signed word from the positions X: the position of each
-        letter's edge (p, s), and the positions reached."""
-        edges = []
-        for s, forward in word:
-            if forward:
-                edges.append(X)
-                X = step[s][X]
-            else:
-                X = back[s][X]
-                edges.append(X)
-        return edges, X
-
     gen_of = np.empty(n, dtype=np.intp)
     gen_of[tgt[0]] = np.arange(k)
     ids = gen_of[g] * n + e          # edge (p, s) has id s * n + p
@@ -892,9 +910,9 @@ def relator_edges(pred, tgt, schedule):
     known[pred[1:, 1] * n + pred[1:, 0]] = True
     tally = np.zeros(4 * n + 1, dtype=np.int64)
     on = np.zeros((k * n, 4 * k), dtype=np.intp)         # edge, slot
-    loops = 1
-    slots = 0
+    loops, slots = 1, 0
     kept = []
+    record = kept_ids, words, starts, rounds = [], [], [], []
     i = -1
     while True:
         left = np.flatnonzero(~known[ids[i + 1:]])
@@ -904,23 +922,25 @@ def relator_edges(pred, tgt, schedule):
         kept.append(i)
         K = int(ids[i])
         s0, x = divmod(K, n)
-        word = ([(s, True) for s in path(x)] + [(s0, True)]
-                + [(s, False) for s in path(int(tgt[x, s0]))[::-1]])
+        word = path(x) + [s0] + [~s for s in path(int(tgt[x, s0]))[::-1]]
         L = len(word)
         p = next(d for d in range(1, L + 1)
                  if L % d == 0 and word[d:] + word[:d] == word)
         start = ar
         if p < L:                   # the least position of each orbit
-            u, low = walk(word[:p], ar)[1], ar
+            u, low = _walk(step, back, word[:p], ar)[1], ar
             for _ in range((L // p).bit_length()):
                 low, u = np.minimum(low, low[u]), u[u]
             start = np.flatnonzero(low == ar)
         m = len(start)
-        E = np.stack(walk(word, start)[0])   # E[c, v]: loop v's c-th edge
-        E += (np.array([s for s, _ in word]) * n)[:, None]
+        E = _walk(step, back, word, start)[0]   # E[c, v]: loop v's c-th edge
+        kept_ids.append(K)
+        words.append(word)
+        starts.append(start)
         seen = [0] * k
         slot = []
-        for s, _ in word[:p]:       # a slot per occurrence of a letter in u
+        for c in word[:p]:          # a slot per occurrence of a letter in u
+            s = c if c >= 0 else ~c
             slot.append(seen[s])
             seen[s] += 1
         known[K] = True
@@ -938,18 +958,20 @@ def relator_edges(pred, tgt, schedule):
         while True:
             tally[0] = 0            # loop 0 sinks the unused slots of `on`
             tallies = tally[hit]
-            one = tallies[tallies >> 32 == 1] - _TALLY
-            if not one.size:
+            one = tallies >> 32 == 1
+            deduced = tallies[one] - _TALLY
+            if not deduced.size:
                 break
+            rounds.append((deduced, hit[one]))
             fresh = np.zeros(k * n, dtype=bool)
-            fresh[one] = True
+            fresh[deduced] = True
             new = np.flatnonzero(fresh)
             known[new] = True
             hit = on[new, :slots].ravel()
             np.subtract.at(tally, hit, np.repeat(new + _TALLY, slots))
     kept = np.array(kept, dtype=np.intp)
-    return (t[kept], e[kept], g[kept],
-            np.searchsorted(kept, bounds).tolist())
+    return ((t[kept], e[kept], g[kept],
+             np.searchsorted(kept, bounds).tolist()), record)
 
 
 @dataclass(eq=False)

@@ -132,9 +132,11 @@ def _closing_edges(G: FiniteGroup, j: int):
 
 @memo
 def _relator_edges(G: FiniteGroup, j: int):
-    """The deduction-closed basis (`core.relator_edges`) of
-    `_closing_edges(G, j)`: the edges the search checks.  It is a function
-    of G's tables alone, so twins share it."""
+    """(basis, record) of `core.relator_edges` on `_closing_edges(G, j)`:
+    the deduction-closed basis is the edges the search checks, and at
+    j = ngens the record of its deductions gives Z^2
+    (`cohomology._gauged_z2`).  It is a function of G's tables alone, so
+    twins share it."""
     _, pred, tgt = _partial_bfs(G, j)
     return relator_edges(pred, tgt, _closing_edges(G, j))
 
@@ -157,7 +159,7 @@ def _filter_prefixes(G: FiniteGroup, U: FiniteGroup, P: np.ndarray, j: int):
     off the BFS tree leaves.  Each generator's image sits at its own
     position, so the surviving prefixes are read off their image rows."""
     _, pred, tgt = _partial_bfs(G, j)
-    edges = _relator_edges(G, j)
+    edges = _relator_edges(G, j)[0]
     img = np.concatenate([word_images(pred, U, P[lo:lo + _CHUNK], edges)
                           for lo in range(0, P.shape[0], _CHUNK)])
     return img[:, tgt[0]], img

@@ -11,9 +11,9 @@ import pcohom as pc
 from pcohom import cohomology, gf
 from pcohom.catalog import applicable_families, catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
-                               _cocycle_constraints, _delta_coboundaries,
-                               _expand_from_columns,
-                               _gauged_z2, _off_tree, _z2_basis, bockstein,
+                               _delta_coboundaries, _expand_from_columns,
+                               _gauged_z2, _relator_forms, _z2_basis,
+                               bockstein,
                                classifying_cocycle, conj_invariant_h1, cup,
                                h1, h2_space, is_coboundary,
                                massey_pullback_set, pullback,
@@ -69,7 +69,7 @@ def test_h2_of_trivial_group():
 
 
 # ---------------------------------------------------------------------
-# Z^2 from the generator rows (lemma at _cocycle_constraints)
+# Z^2 from the generator rows (lemma at _column_violations)
 # ---------------------------------------------------------------------
 
 def all_g_constraints(G, p):
@@ -109,9 +109,13 @@ EXTRA_GROUPS = [("S3", S3, 2), ("S3", S3, 3), ("A4", A4, 2), ("A4", A4, 3),
 
 
 def full_cocycle_constraints(G, p):
-    """Reference: the rows of cohomology._cocycle_constraints over all
-    n * ngens generator columns, before the gauge drops the tree columns,
-    with T walked one position at a time."""
+    """Reference: the rows whose nullspace is Z^2, over all n * ngens
+    generator columns: the normalization rows u(1, s) = 0, then for each
+    generator s, each generator g and all h the row f(g,h) + u(gh,s) -
+    u(h,s) - f(g,hs) = 0, with T[j, x] = f(gens[j], x) as a linear form in
+    the columns, walked one position at a time (completeness is the lemma
+    at cohomology._column_violations).  The relator route
+    (`cohomology._gauged_z2`) is checked against it."""
     n = G.order
     gens = np.asarray(G.generators, dtype=np.int64)
     ngens = len(gens)
@@ -131,6 +135,27 @@ def full_cocycle_constraints(G, p):
         r[:, h, h * ngens + s] -= 1
         rows.append(r.reshape(ngens * n, ngu) % p)
     return np.concatenate(rows)
+
+
+def off_tree(G):
+    """Reference: the mask of the generator columns (g, s) that are not BFS
+    tree edges G.pred[x] = (g, s), n(ngens - 1) + 1 of the n * ngens."""
+    ngens = len(G.generators)
+    off = np.ones(G.order * ngens, dtype=bool)
+    off[G.pred[1:, 0].astype(np.intp) * ngens + G.pred[1:, 1]] = False
+    return off
+
+
+def gauged_nullspace(G, p):
+    """Reference: the gauged cocycles as the nullspace of the reference rows
+    over the off-tree columns, with zeros on the tree columns."""
+    off = off_tree(G)
+    Z = np.zeros((0, len(off)), dtype=np.int64)
+    if off.any():
+        basis = gf.nullspace(full_cocycle_constraints(G, p)[:, off], p)
+        Z = np.zeros((len(basis), len(off)), dtype=np.int64)
+        Z[:, off] = basis
+    return Z
 
 
 def full_nullspace(G, p):
@@ -156,14 +181,13 @@ def test_generator_rows_span_all_g_rows():
 
 
 def test_level_walks_match_per_position_loops():
-    """_expand_from_columns and _cocycle_constraints, walked a BFS level at
-    a time (core.bfs_levels), against the per-position loops on every
-    distinct catalog (table, prime), on Z/1 and on Z/256: the constraint
-    rows equal the full-width ones on the off-tree columns, and the
-    expansion (the loop is `cocycle_tables.expand`) of every Z^2 basis row
-    (the first four on Z/256, whose 255 one-position levels make each
-    expansion slow) and of random columns, one row at a time and in one
-    batch, whole tables and the rows at the generators alone."""
+    """_expand_from_columns, walked a BFS level at a time
+    (core.bfs_levels), against the per-position loop
+    (`cocycle_tables.expand`) on every distinct catalog (table, prime), on
+    Z/1 and on Z/256: the expansion of every Z^2 basis row (the first four
+    on Z/256, whose 255 one-position levels make each expansion slow) and
+    of random columns, one row at a time and in one batch, whole tables
+    and the rows at the generators alone."""
     rng = np.random.default_rng(20260824)
     seen = set()
     cases = catalog_instances() + [("Z/1", pc.builtin_group("Z/1"), 2),
@@ -173,8 +197,6 @@ def test_level_walks_match_per_position_loops():
             continue
         seen.add((G.key, p))
         full = full_cocycle_constraints(G, p)
-        assert np.array_equal(_cocycle_constraints(G, p),
-                              full[:, _off_tree(G)]), nm
         cand = gf.nullspace(full, p)[:4 if G.order > H2_ORDER_CAP else None]
         noise = rng.integers(0, p, size=(2, full.shape[1]))
         U = np.concatenate([cand, noise])
@@ -237,61 +259,77 @@ def test_z2_basis_matches_full_nullspace():
     assert len(seen) == 48
 
 
-def path_column_counts(G):
-    """Reference: C[j, x, (g d, s)] counts the steps (d, s) of x's BFS path
-    at the column (g d, s), g = gens[j], over all n * ngens columns, one
-    position at a time: Phi_g(w_x) of the lemma at _cocycle_constraints,
-    tree columns included."""
-    n = G.order
-    gens = np.asarray(G.generators, dtype=np.intp)
-    ngens = len(gens)
-    C = np.zeros((ngens, n, n * ngens), dtype=np.int32)
-    for x in range(1, n):
-        d, s = G.pred[x]
-        C[:, x] = C[:, d]
-        C[np.arange(ngens), x, G.mult[gens, d] * ngens + s] += 1
-    return C
-
-
-def test_tree_walk_forms_are_0_1():
-    """The lemma at _cocycle_constraints: along one BFS path the columns
-    (g d, s) are distinct, so T is a 0/1 array.  On every distinct catalog
-    table, on Z/256 (255 one-position levels) and on E:2:8."""
+def test_gauged_z2_matches_the_reference_on_catalog():
+    """The relator route (`_gauged_z2`) spans the gauged nullspace of the
+    reference rows (`full_cocycle_constraints` over the off-tree columns)
+    on every distinct catalog (table, prime), on EXTRA_GROUPS, on Z/1 (no
+    generators) and on Z/2 and Z/256 (one non-tree edge, the early return
+    of `core.relator_edges`).  The search's BFS over all generators is G's
+    own (lemma at `_gauged_z2`).  The residual rows are not all 0 on
+    exactly U:2:4, Mp3:5 and one order-128 stand-in quotient among the
+    catalog groups, one rank each (kept / nullity 5/4, 3/2 and 9/8)."""
+    residual = {}
     seen = set()
-    cases = [G for _, G, _ in catalog_instances()] + [
-        pc.builtin_group("Z/256"), pc.builtin_group("E:2:8")]
-    for G in cases:
-        if G.key in seen:
+    cases = catalog_instances() + EXTRA_GROUPS + [
+        (nm, pc.builtin_group(nm), 2) for nm in ("Z/1", "Z/2", "Z/256")]
+    for name, G, p in cases:
+        if (G.key, p) in seen:
             continue
-        seen.add(G.key)
-        C = path_column_counts(G)
-        assert C.max(initial=0) <= 1, G.name
-        # every step of the path is counted once
-        depth = np.zeros(G.order, dtype=np.int32)
-        for lo, hi, d, _ in pc.core.bfs_levels(G.pred):
-            depth[lo:hi] = depth[d] + 1
-        assert np.array_equal(C.sum(axis=2),
-                              np.broadcast_to(depth, C.shape[:2])), G.name
-    assert len(seen) == 36
+        seen.add((G.key, p))
+        elems, pred, tgt = pc.homsearch._partial_bfs(G, len(G.generators))
+        assert np.array_equal(elems, np.arange(G.order)), name
+        assert np.array_equal(pred, G.pred), name
+        assert np.array_equal(tgt, G.mult_gen), name
+        Z = _gauged_z2(G, p)
+        assert Z.shape[1] == G.order * len(G.generators), name
+        assert np.array_equal(gf.rref(Z, p)[0],
+                              gf.rref(gauged_nullspace(G, p), p)[0]), name
+        forms, rows = _relator_forms(G, p)
+        if len(rows) and (name, G, p) not in EXTRA_GROUPS:
+            residual[name] = (forms.shape[1], len(Z), gf.rank(rows, p))
+    assert len(seen) == 41
+    assert residual == {"U:2:4": (5, 4, 1), "Mp3:5": (3, 2, 1),
+                        "standin:zassenhaus:3:2:2/nc(464,510)": (9, 8, 1)}
+
+
+def test_gauged_dimension_above_the_cap():
+    """Closed forms above H2_ORDER_CAP, independent of the linear algebra:
+    dim _gauged_z2 = dim H^2 + ngens - dim H^1, with dim H^2 = k(k+1)/2
+    on a product of k nontrivial cyclic p-groups (E:2:9, E:3:6 and
+    Z/1024 x Z/2) and, by Kunneth, h2(A) + h1(A) h1(B) + h2(B) on
+    Heis:3 x Heis:3, read off H^2 and H^1 of Heis:3.  The dense gauged
+    solve took 6.6 s on E:2:9 and 15.5 s on E:3:6 (2 vCPUs)."""
+    Heis = pc.builtin_group("Heis:3")
+    h2, h1_heis = h2_space(Heis, 3).dim, len(h1(Heis, 3))
+    cases = [("E:2:9", 2, 45), ("E:3:6", 3, 21), ("Z/1024xZ/2", 2, 3),
+             ("Heis:3xHeis:3", 3, 2 * h2 + h1_heis ** 2)]
+    assert cases[-1][2] == 12
+    for name, p, dim_h2 in cases:
+        G = pc.builtin_group(name)
+        assert G.order > H2_ORDER_CAP, name
+        Z = _gauged_z2(G, p)
+        assert len(Z) == dim_h2 + len(G.generators) - len(h1(G, p)), name
+        assert not Z[:, G.pred[1:, 0] * len(G.generators)
+                     + G.pred[1:, 1]].any(), name
 
 
 def test_z2_system_is_built_in_the_working_dtype():
-    """The constraint rows, the coboundaries d(delta_x) and the gauged
-    cocycles are held in gf's working dtype, with the values of the int64
-    references, at p = 2 (bool), 3 (int16) and 191 (int64)."""
+    """The coboundaries d(delta_x) and the gauged cocycles are held in gf's
+    working dtype, with the values of the int64 references, at p = 2
+    (bool), 3 (int16) and 191 (int64)."""
     for name in ("D4", "Heis:3", "Z/4xZ/2"):
         G = pc.builtin_group(name)
         for p in (2, 3, 191):
             want = gf._working_dtype(p)
-            A = _cocycle_constraints(G, p)
-            assert A.dtype == want, (name, p)
-            ref = full_cocycle_constraints(G, p)[:, _off_tree(G)]
-            assert np.array_equal(A.astype(np.int64), ref), (name, p)
             B = _delta_coboundaries(G, p)
             assert B.dtype == want, (name, p)
             assert np.array_equal(B.astype(np.int64),
                                   coboundary_matrix(G).T % p), (name, p)
-            assert _gauged_z2(G, p).dtype == want, (name, p)
+            Z = _gauged_z2(G, p)
+            assert Z.dtype == want, (name, p)
+            assert np.array_equal(gf.rref(Z, p)[0],
+                                  gf.rref(gauged_nullspace(G, p), p)[0]), \
+                (name, p)
             assert np.array_equal(_z2_basis(G, p), full_nullspace(G, p)), \
                 (name, p)
 
@@ -1055,6 +1093,24 @@ def test_massey_n3_contains_zero_for_defined_triple():
     zero = Cochain1(V, np.zeros(V.order, dtype=np.int64), 2)
     vals = massey_pullback_set(V, 3, [zero, zero, zero], fam)
     assert any(not c.any() for _, c, _ in vals)
+
+
+def test_massey_set_refuses_foreign_or_non_characters():
+    """massey_pullback_set checks its characters as cup does: characters of
+    another group, or mod another prime than the family's, raise
+    MixedParents, and a cochain that is not a character raises
+    NotACharacter.  Unchecked, the characters of D4 on Q8 gave one class,
+    mod-2 characters with a p = 3 family none, and the non-character none."""
+    Q8, D4, V = (pc.builtin_group(nm) for nm in ("Q8", "D4", "E:2:2"))
+    fam = pc.parse_family("zassenhaus:2:2")
+    with pytest.raises(MixedParents):
+        massey_pullback_set(Q8, 2, h1(D4, 2), fam)
+    with pytest.raises(MixedParents):
+        massey_pullback_set(V, 2, h1(V, 2), pc.parse_family("zassenhaus:2:3"))
+    bad = Cochain1(V, [0, 1, 0, 0], 2, is_hom=False)
+    with pytest.raises(NotACharacter):
+        massey_pullback_set(V, 2, [bad, bad], fam)
+    assert len(massey_pullback_set(Q8, 2, h1(Q8, 2), fam)) >= 1
 
 
 def superdiagonal(E, n):

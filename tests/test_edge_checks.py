@@ -3,8 +3,8 @@
 Tables, homomorphisms and characters are each verified on generator
 edges only (see the lemmas in `core._verify_tables` and
 `core._respects_generator_edges`), and 2-cocycles, held as generator
-columns, at the generators (`cohomology._column_violations`, lemma at
-`cohomology._cocycle_constraints`).  The references below check the
+columns, at the generators (`cohomology._column_violations`, with its
+lemma).  The references below check the
 definitions directly: O(n^3) associativity, O(|G|^2) multiplicativity
 and the O(n^3) cocycle identity, the last on the table expanded from the
 columns, beside the table check of `cocycle_tables`.  On valid objects

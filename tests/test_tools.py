@@ -124,8 +124,8 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     wall = out["metrics"]["wall_s"]
     assert set(wall) == {"parent", "change", "parent_median",
                          "change_median", "pairs_change_better",
-                         "parent_iqr", "bound", "within_bound",
-                         "claim_rule_met"}
+                         "parent_iqr", "change_q1", "change_q3", "bound",
+                         "within_bound", "resolved", "claim_rule_met"}
     assert wall["parent"] == [0.5, 0.4, 0.6, 0.45]
     assert wall["change"] == [0.4, 0.45, 0.3, 0.35]
     assert wall["parent_median"] == pytest.approx(0.475)
@@ -133,9 +133,14 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     assert wall["pairs_change_better"] == 3
     # inclusive quartiles of 0.4, 0.45, 0.5, 0.6: 0.4375 and 0.525
     assert wall["parent_iqr"] == pytest.approx(0.0875)
+    # inclusive quartiles of 0.3, 0.35, 0.4, 0.45: 0.3375 and 0.4125
+    assert (wall["change_q1"], wall["change_q3"]) == \
+        (pytest.approx(0.3375), pytest.approx(0.4125))
     # 0.375 <= 0.475 * 1.25, but 3 of 4 pairs are fewer than 9 in 10
     assert (wall["bound"], wall["within_bound"], wall["claim_rule_met"]) == \
         (0.25, True, False)
+    # the IQR 0.0875 is below 0.25 * 0.475
+    assert wall["resolved"] is True
     assert out["metrics"]["cpu_s"]["pairs_change_better"] == 0
 
 
@@ -166,6 +171,34 @@ def test_ab_gives_the_bound_and_claim_verdicts(tmp_path):
         # no bound; 4 of 4 pairs, but 1.5 - 1.2 is not above the IQR 1.0
         "other": (None, None, False),
     }
+
+
+def test_ab_reports_a_spread_wider_than_the_bound_as_unresolved(tmp_path):
+    """resolved is false when the parent's IQR exceeds bound * its median,
+    unless every change run reads lower than every parent run; null
+    without a bound."""
+    log = tmp_path / "log"
+    # parent IQR 0.5 (quartiles 1.0 and 1.5) > 0.25 * the median 1.25
+    wide = [1.0, 1.0, 1.5, 1.5]
+    parent = stub_tree(tmp_path, "parent", log, None, metrics={
+        "wall_s": wide, "cpu_s": wide, "peak_rss_mb": [50.0, 50.2] * 2,
+        "other": wide})
+    change = stub_tree(tmp_path, "change", log, None, metrics={
+        # overlaps the parent's runs
+        "wall_s": [0.9, 1.2, 1.3, 1.0],
+        # every run below every parent run
+        "cpu_s": [0.9, 0.8, 0.95, 0.9],
+        # the parent's IQR 0.2 is within 0.1 * 50.1: resolved, and worse
+        "peak_rss_mb": [60.0] * 4,
+        "other": [0.5] * 4})
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        *BOUNDS["end_to_end"], {"name": "peak_rss_mb", "bound": 0.1}]}))
+    proc = run_ab(parent, change)
+    assert proc.returncode == 0, proc.stderr
+    resolved = {name: m["resolved"]
+                for name, m in json.loads(proc.stdout)["metrics"].items()}
+    assert resolved == {"wall_s": False, "cpu_s": True, "peak_rss_mb": True,
+                        "other": None}
 
 
 def test_ab_refuses_unequal_digests_and_incorrect_runs(tmp_path):

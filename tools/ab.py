@@ -18,12 +18,18 @@ of pairs in which the change read lower (`pairs_change_better`; every
 `--trace 0` metric is better lower) and the interquartile range of the
 parent's values (`parent_iqr`, inclusive quartiles).
 
-Two verdicts follow per metric.  `bound` is the metric's relative bound
-in the `end_to_end` list of the parent tree's BENCHMARK.json (null when
-it has none), and `within_bound` says change_median <= parent_median *
-(1 + bound) (null without a bound).  `claim_rule_met` says that a gain
-could be claimed: the change read lower in at least 9 of every 10 pairs,
-and its median is below the parent's by more than parent_iqr.
+The change's quartiles follow (`change_q1`, `change_q3`, inclusive
+quartiles), then three verdicts per metric.  `bound` is the metric's
+relative bound in the `end_to_end` list of the parent tree's
+BENCHMARK.json (null when it has none), and `within_bound` says
+change_median <= parent_median * (1 + bound) (null without a bound).
+`resolved` is false when the parent's own runs spread wider than the
+bound, parent_iqr > bound * parent_median, so that within_bound cannot
+tell the trees apart, unless every run of the change read lower than
+every run of the parent (null without a bound).  `claim_rule_met` says
+that a gain could be claimed: the change read lower in at least 9 of
+every 10 pairs, and its median is below the parent's by more than
+parent_iqr.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ def end_to_end_bounds(tree: Path) -> dict:
 
 def summary(parent: list, change: list, bound) -> dict:
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c1, _, c3 = statistics.quantiles(change, n=4, method="inclusive")
     parent_median = statistics.median(parent)
     change_median = statistics.median(change)
     better = sum(c < b for b, c in zip(parent, change))
@@ -71,9 +78,13 @@ def summary(parent: list, change: list, bound) -> dict:
         "change_median": change_median,
         "pairs_change_better": better,
         "parent_iqr": q3 - q1,
+        "change_q1": c1, "change_q3": c3,
         "bound": bound,
         "within_bound": (None if bound is None
                          else change_median <= parent_median * (1 + bound)),
+        "resolved": (None if bound is None
+                     else q3 - q1 <= bound * parent_median
+                     or max(change) < min(parent)),
         "claim_rule_met": (better >= 0.9 * len(parent)
                            and parent_median - change_median > q3 - q1),
     }
