@@ -17,29 +17,34 @@ columns (`_expand_from_columns`) only where a gather needs f at a second
 argument y that is not a generator: alpha's table in `pullback_columns`
 and the H^2 basis tables in `pairings.inflation_matrix`.
 
-Coboundary questions are asked in the BFS-tree gauge: every cocycle is
-cohomologous to one that is 0 on the BFS tree edges (`_gauge`), and the
-coboundaries left in that gauge are the row space of an ngens-row matrix
-D (`_tree_coboundaries`), whose left nullspace also gives H^1.  The
-residue of a cocycle, its gauge reduced against D (`coboundary_residue`),
-is linear and zero exactly on the coboundaries; the inflations of
-`pairings`, and through them its liftability test, read it.
-
-Z^2 is solved in the same gauge on the presentation the hom search
-already reads: the deduction-closed relator basis of G's BFS
-(`core.relator_edges`, memoized as `homsearch._relator_edges`).  Its
-record is replayed over F_p^kept, one unknown per kept relator
-(`_relator_forms`), solved by one nullspace over |kept| columns and
-expanded to the gauged cocycles (`_gauged_z2`); the canonical basis is
-rebuilt from them (`_z2_basis`).  Two lemmas carry this:
+Z^2 is solved on the presentation the hom search already reads: the
+deduction-closed relator basis of G's BFS (`core.relator_edges`,
+memoized as `homsearch._relator_edges`), its loops traced once in
+generator columns (`_kept_loops`).  Its record is replayed over
+F_p^kept, one unknown per kept relator (`_relator_forms`), solved by one
+nullspace over |kept| columns and expanded to the gauged cocycles, those
+0 on the BFS tree (`_gauged_z2`); the canonical basis is rebuilt from
+them (`_z2_basis`).  Two lemmas carry this:
 
 - Gauged dimension: the gauged cocycles, 0 on every tree column, have
   dimension dim H^2 + ngens - dim H^1.  Z^2 is the gauged cocycles plus
-  B^2, and the two meet in the row space of D.
+  B^2, and the two meet in the gauged coboundaries d(W a).
 - Duality: the canonical basis of Z^2, the constraint nullspace basis
   that is the identity on the free columns F, is R[::-1, ::-1] for R
   the rref of any spanning set of Z^2 with its columns reversed.  F is
   the pivot set of that reversed rref, and an rref is unique.
+
+Every other H^2 and H^1 question is asked in the same F_p^kept, on the
+loop sums L(u): u's signed sums along the kept relators' loops from 0
+(`_kept_sums`).  L is injective on the gauged cocycles and sends B^2
+onto the row space of X.T, X the exponent sums of the kept relators
+(`_tree_coboundaries`).  So the H^2 coordinates of u are one solve of
+L(u) over |kept| columns (`H2Space.column_coords`), and the same gather
+over every traced loop checks that u is a cocycle's columns.  The
+residue of a cocycle, L(u) reduced against X.T (`coboundary_residue`),
+is linear and zero exactly on the coboundaries; the inflations of
+`pairings`, and through them its liftability test, read it.  The
+characters are the W a with X a = 0 (`h1`).
 """
 
 from __future__ import annotations
@@ -131,66 +136,115 @@ class Cocycle2:
 
 
 # ---------------------------------------------------------------------
-# Coboundary linear algebra on generator columns, in the BFS-tree gauge
+# Loop sums along the kept relators of G's BFS
 # ---------------------------------------------------------------------
 
-def _gauge(G: FiniteGroup, u, p: int) -> np.ndarray:
-    """u - dc for generator columns u (one vector, or a matrix with one
-    per row), where c(1) = 0 and c(x) = c(d) - u(d, s) along the BFS edge
-    G.pred[x] = (d, s), computed a BFS level at a time (`bfs_levels`).
+@memo
+def _kept_loops(G: FiniteGroup):
+    """(kept, loops, rounds): the record of the relator basis of G's own
+    BFS (`core.relator_edges`, memoized as `homsearch._relator_edges(G,
+    ngens)`) with its loops traced, every edge (x, s) named by its id
+    x ngens + s, its generator column.  loops[i] = (E, sign) for the i-th
+    kept edge kept[i]: E[c, v] is the column of the c-th edge on its loop
+    from starts[i][v] (`core._walk`; starts[i][0] = 0, the least position
+    of its orbit), and sign[c] is 1 for a step along the letter's
+    generator and -1 for a step back."""
+    kept, words, starts, rounds = _relator_edges(G, len(G.generators))[1]
+    step, back = G.mult_gen.T, G.mult[:, G.inv[G.generators]].T
+    loops = [(_walk(step, back, w, v)[0], np.where(np.asarray(w) < 0, -1, 1))
+             for w, v in zip(words, starts)]
+    return np.asarray(kept, dtype=np.intp), loops, rounds
 
-    Lemma: for normalized u, u - dc is 0 on every tree edge (d, s).  Each
-    generator s has c(s) = -u(1, s) = 0, so dc(d, s) = c(d) + c(s) - c(ds)
-    = u(d, s).  dc is in B^2 for any u, so the gauge keeps the class of u
-    and whether u is in Z^2."""
-    n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
-    u = np.asarray(u, dtype=np.int64)
-    lead = u.shape[:-1]
-    U = u.reshape(lead + (n, len(gens)))
-    c = np.zeros(lead + (n,), dtype=np.int64)
-    for lo, hi, d, s in bfs_levels(G.pred):
-        c[..., lo:hi] = (c[..., d] - U[..., d, s]) % p
-    dc = c[..., :, None] + c[..., None, gens] - c[..., G.mult_gen]
-    return ((U - dc) % p).reshape(u.shape)
+
+def _loop_sums(V, E, sign):
+    """sum_c sign[c] V[E[c]]: the signed sums of the rows of V along the
+    loops, the columns of E, added a letter at a time into int64, so no
+    array over the letters and the loops at once, and no int64 copy of an
+    integer or bool V, is made."""
+    total = np.zeros(E.shape[1:] + V.shape[1:], dtype=np.int64)
+    for e, eps in zip(E, sign.tolist()):
+        (np.add if eps > 0 else np.subtract)(total, V[e], total)
+    return total
+
+
+def _kept_sums(G: FiniteGroup, u, p: int):
+    """(L, bad) for generator columns u (one vector, or a matrix with one
+    per row), from one gather per letter of the traced loops
+    (`_kept_loops`, `_loop_sums`).  L[..., i] is u's signed sum mod p
+    along the loop from 0 of the i-th kept relator, and bad is True where
+    u is not a normalized cocycle's columns: u(1, s) != 0 for a generator
+    s, or another traced loop of some kept relator has another sum.
+
+    Lemma (the loop sums).  Let gauge(u) = u - dc, the BFS-tree gauge,
+    where c(1) = 0 and c(x) = c(d) - u(d, s) along G.pred[x] = (d, s).
+    - For normalized u, L(u) = gauge(u) at the kept edges.  Each generator
+      s is the tree edge (1, s), so c(s) = -u(1, s) = 0; then dc(d, s) =
+      u(d, s) on every tree edge, and the gauge is 0 there.  Around a
+      closed loop dc(x, s) = c(x) + c(s) - c(xs) sums to the signed sum of
+      c at its letters, 0, so the gauge keeps every loop sum; and on kept
+      K's loop from 0, w(x) s w(xs)^-1, every edge but K is a tree edge.
+      dc is in B^2, so the gauge keeps the class of u and whether u is in
+      Z^2.
+    - L is injective on the gauged cocycles, those 0 on the tree: the
+      forms of `_relator_forms` expand one from its values at the kept
+      edges (lemma at `_gauged_z2`).
+    - bad is complete: a normalized u is a cocycle's columns iff each kept
+      relator's traced loops all have the sum of its loop from 0 (lemma
+      at `_gauged_z2`)."""
+    loops = _kept_loops(G)[1]
+    V = np.ascontiguousarray(np.moveaxis(np.asarray(u), -1, 0))
+    L = np.zeros(V.shape[1:] + (len(loops),), dtype=np.int64)
+    bad = (V[:len(G.generators)] % p).any(axis=0)
+    for i, (E, sign) in enumerate(loops):
+        S = _loop_sums(V, E, sign) % p
+        L[..., i] = S[0]
+        bad |= (S != S[0]).any(axis=0)
+    return L, bad
 
 
 @memo
 def _tree_coboundaries(G: FiniteGroup, p: int):
-    """(W, D, span): W[x, i] counts the letter i in x's BFS word mod p,
+    """(W, X, span): W[x, i] counts the letter i in x's BFS word mod p,
     one batched step per BFS level (`bfs_levels`): the word of x with
-    G.pred[x] = (d, s) is that of d followed by s.  Row i of D is the
-    generator columns of d(W[:, i]), and span is the gf.Span over the
-    rows of D.
+    G.pred[x] = (d, s) is that of d followed by s.  X[K, i] is the signed
+    count mod p of the letter i in kept relator K: the loop sum
+    (`_kept_sums`) of the row that is 1 at the columns (x, s_i) for every
+    x and 0 elsewhere.  span is the gf.Span over the rows of X.T.
 
-    Lemma: the coboundaries that are 0 on the BFS tree are the row space
-    of D.  If dc is 0 on the tree edges, c(x) = c(d) + c(s) along them, so
-    c = W a with a = c(generators) and dc = a D; and W a is a character
-    iff a D = 0, as d(W a) then vanishes on every generator edge
-    (`core._respects_generator_edges`)."""
-    gens = np.asarray(G.generators, dtype=np.intp)
-    ngens = len(gens)
-    letter = np.eye(ngens, dtype=np.int32)
-    W = np.zeros((G.order, ngens), dtype=np.int32)
+    Lemma: the loop sums of B^2 are the row space of X.T, and W a is a
+    character iff X a = 0.  Each generator s_i is the tree edge (1, s_i),
+    so (W a)(s_i) = a_i, and around a loop d(W a) sums to the signed sum
+    of W a at its letters (lemma at `_kept_sums`): its loop sums are X a.
+    A coboundary has the loop sums of its gauge, a coboundary dc that is
+    0 on the tree edges; there c(x) = c(d) + c(s) along them, so c = W a
+    with a = c(generators).  d(W a) is gauged, so it is 0 iff X a = 0 (L
+    is injective there), and W a(1) = 0."""
+    k = len(G.generators)
+    letter = np.eye(k, dtype=np.int32)
+    W = np.zeros((G.order, k), dtype=np.int32)
     for lo, hi, d, s in bfs_levels(G.pred):
         W[lo:hi] = (W[d] + letter[s]) % p
-    D = W[:, None, :] + W[gens] - W[G.mult_gen]            # (g, j, i)
-    D = (D.transpose(2, 0, 1) % p).reshape(ngens, G.order * ngens)
-    return W, D, gf.Span(D.shape[1], p, D)
+    X = _kept_sums(G, np.tile(letter, G.order), p)[0].T
+    return W, X, gf.Span(len(X), p, X.T)
 
 
 def coboundary_residue(G: FiniteGroup, u, p: int) -> np.ndarray:
-    """The residue of the generator columns u (one vector, or a matrix
-    with one per row): the gauge of u (`_gauge`) reduced against the span
-    of D (`_tree_coboundaries`), every row in one `_gauge` call and one
-    product.  The residue is linear in u, as the gauge and the reduction
-    are.
+    """The residue of the cocycles with generator columns u (one vector,
+    or a matrix with one per row), |kept| entries each: their loop sums
+    (`_kept_sums`) reduced against the span of X.T (`_tree_coboundaries`),
+    every row in one gather per letter and one product.  The residue is
+    linear in u.  Its domain is Z^2, and every caller passes verified
+    cocycles: `pairings.inflation_matrix` checks its rows first
+    (`_column_violations`), `is_coboundary` takes a `Cocycle2`, and
+    `pairings.liftability_crosscheck` passes pullbacks of a verified
+    cocycle along verified homs.
 
     Lemma: on Z^2 the residue is zero exactly on the coboundaries, so it is
-    injective on H^2.  The gauge of u is 0 on the BFS tree, so u is a
-    coboundary iff the gauge lies in the row space of D, rank ngens -
-    dim H^1.  A row that is not a cocycle never has residue zero, as every
-    row of D is a coboundary."""
-    return _tree_coboundaries(G, p)[2].reduce(_gauge(G, u, p))
+    injective on H^2.  u is a coboundary iff its gauge, a gauged cocycle
+    with the loop sums of u, is one, iff (L is injective on the gauged
+    cocycles) the loop sums of u lie in those of B^2, the row space of
+    X.T (lemmas at `_kept_sums` and `_tree_coboundaries`)."""
+    return _tree_coboundaries(G, p)[2].reduce(_kept_sums(G, u, p)[0])
 
 
 def coboundary_mask(G: FiniteGroup, u, p: int):
@@ -285,26 +339,12 @@ def _delta_coboundaries(G: FiniteGroup, p: int) -> np.ndarray:
     return B[1:]
 
 
-def _kept_loops(G: FiniteGroup):
-    """(kept, loops, rounds): the record of the relator basis of G's own
-    BFS (`core.relator_edges`, memoized as `homsearch._relator_edges(G,
-    ngens)`) with its loops traced.  loops[i] = (E, sign) for the i-th
-    kept edge: E[c, v] is the id s n + x of the c-th edge (x, s) on its
-    loop from starts[i][v] (`core._walk`), and sign[c] is 1 for a step
-    along the letter's generator and -1 for a step back."""
-    kept, words, starts, rounds = _relator_edges(G, len(G.generators))[1]
-    step, back = G.mult_gen.T, G.mult[:, G.inv[G.generators]].T
-    loops = [(_walk(step, back, w, v)[0], np.where(np.asarray(w) < 0, -1, 1))
-             for w, v in zip(words, starts)]
-    return kept, loops, rounds
-
-
 def _relator_forms(G: FiniteGroup, p: int):
     """(forms, rows) over F_p^kept, replayed from the traced record of the
     relator basis (`_kept_loops`): forms[x ngens + s] is the form of the
-    edge (x, s), the generator column of its id s n + x, whose value on the
-    gauged cocycle with value a[i] at the i-th kept edge is
-    forms[x ngens + s] @ a, and rows are the conditions on a.
+    edge (x, s), whose value on the gauged cocycle with value a[i] at the
+    i-th kept edge is forms[x ngens + s] @ a, and rows are the conditions
+    on a.
 
     Tree edges have the form 0 and kept edge i the unit e_i.  A deduced
     edge E, alone unknown on the loop of kept edge i that deduced it, with
@@ -313,11 +353,10 @@ def _relator_forms(G: FiniteGroup, p: int):
     on a round's loops was known before it, and an edge two loops of a
     round deduce is taken from one of them.  rows are the signed form
     sums of every traced loop of every kept edge i, minus e_i, those that
-    are not 0 (the rows of the deducing loops vanish), one product per
-    kept edge."""
-    n, k = G.order, len(G.generators)
+    are not 0 (the rows of the deducing loops vanish).  Every form sum is
+    taken a letter at a time (`_loop_sums`)."""
     kept, loops, rounds = _kept_loops(G)
-    forms = np.zeros((n * k, len(kept)), dtype=np.int64)
+    forms = np.zeros((G.mult_gen.size, len(kept)), dtype=np.int64)
     forms[kept] = unit = np.eye(len(kept), dtype=np.int64)
     base = np.cumsum([1] + [E.shape[1] for E, _ in loops])
     for new, lam in rounds:
@@ -329,13 +368,13 @@ def _relator_forms(G: FiniteGroup, p: int):
             at = owner == i
             O = E[:, lam[at] - base[i]]           # the round's loops of i
             eps = sign[(O == new[at]).argmax(axis=0)]
-            total = np.tensordot(sign, forms[O], axes=1)
+            total = _loop_sums(forms, O, sign)
             forms[new[at]] = eps[:, None] * (unit[i] - total) % p
-    rows = np.concatenate([unit[:0]] + [
-        (np.tensordot(sign, forms[E], axes=1) - unit[i]) % p
-        for i, (E, sign) in enumerate(loops)])
-    column = np.arange(n * k).reshape(k, n).T.ravel()   # x k + s: s n + x
-    return forms[column], rows[rows.any(axis=1)]
+    rows = [unit[:0]]
+    for i, (E, sign) in enumerate(loops):
+        R = (_loop_sums(forms, E, sign) - unit[i]) % p
+        rows.append(R[R.any(axis=1)])
+    return forms, np.concatenate(rows)
 
 
 def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
@@ -364,21 +403,23 @@ def _gauged_z2(G: FiniteGroup, p: int) -> np.ndarray:
       deduces E writes w_v r_K w_v^-1 as r_E^(+-1) times relators of
       edges known before E; in deduction order each r_E is in the normal
       closure.
+    - So a normalized u is a cocycle iff Phi_v(r_K) = Phi_1(r_K) for
+      every start v and kept K.  The loops of one orbit of a power
+      relator are one cycle with one sum, so the traced loops suffice
+      (the check of `_kept_sums`).
     - A gauged u is normalized (each generator s is the tree edge
       (1, s)), and Phi_1(r_K) = u(K), as r_K runs from 1 along tree
-      edges but K.  So it is a cocycle iff Phi_v(r_K) = u(K) for every
-      start v and kept K.  The loops of one orbit of a power relator are
-      one cycle with one sum, so the traced loops suffice.  A cocycle
-      meets each deducing loop's condition, so by induction its deduced
-      edges hold their forms at a = u(kept), and it meets every row;
-      conversely forms @ a meets every loop's condition when a is in the
-      nullspace of the rows.
+      edges but K.  A gauged cocycle meets each deducing loop's
+      condition, so by induction its deduced edges hold their forms at
+      a = u(kept), and it meets every row; conversely forms @ a meets
+      every loop's condition when a is in the nullspace of the rows.
 
     Its dimension is dim H^2 + ngens - dim H^1.  Every cocycle minus a
-    coboundary is gauged (`_gauge`), so Z^2 = gauged + B^2; the gauged
-    coboundaries are the row space of D, of rank ngens - dim H^1
-    (`_tree_coboundaries`); and dim B^2 = n - 1 - dim H^1, as the
-    1-cochains c with c(1) = 0 and dc = 0 are the characters.  Like the
+    coboundary is gauged (the gauge, lemma at `_kept_sums`), so Z^2 =
+    gauged + B^2; the gauged coboundaries are the d(W a), of dimension
+    ngens - dim H^1 (`_tree_coboundaries`); and dim B^2 = n - 1 - dim
+    H^1, as the 1-cochains c with c(1) = 0 and dc = 0 are the
+    characters.  Like the
     rows of `_delta_coboundaries`, it is held in the working dtype of
     `gf.rref` (`gf._working_dtype`)."""
     forms, rows = _relator_forms(G, p)
@@ -420,7 +461,7 @@ class H2Space:
     p: int
     dim: int
     basis: np.ndarray      # (dim, n * ngens) generator columns
-    _span: gf.Span         # gauged Z^2: the rows of D, then gauged cand
+    _span: gf.Span         # F_p^kept: the rows of X.T, then L(cand)
     _reps: np.ndarray      # positions of the basis representatives in _span
 
     def coords(self, c: Cocycle2):
@@ -429,9 +470,12 @@ class H2Space:
 
     def column_coords(self, u):
         """Coordinates of the class of each cocycle given by its generator
-        columns: u is one such vector, or a matrix with one per row.  The
-        gauge of u (`_gauge`) has the class of u and is in Z^2 iff u is."""
-        x = self._span.solve(_gauge(self.group, u, self.p))
+        columns: u is one such vector, or a matrix with one per row.  One
+        gather over the traced loops gives the loop sums of u, which
+        `_span` solves, and rejects a row that is not a normalized
+        cocycle's columns (`_kept_sums`, `errors.EdgeCheckFailed`)."""
+        L, bad = _kept_sums(self.group, u, self.p)
+        x = None if bad.any() else self._span.solve(L)
         if x is None:
             raise EdgeCheckFailed("columns are not a cocycle in the "
                                   "normalized space")
@@ -451,9 +495,11 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     over all generator columns that is the identity on the free columns
     (`gf.nullspace`); the basis is the cand rows that grow the B^2 span,
     taken in order, kept as generator columns.  They are verified in one
-    batch at the generators (`_column_violations`, `errors.EdgeCheckFailed`)
-    and solved back to the identity (`errors.SolveRoundTripFailed`); no
-    n x n table is built here or by `H2Space.rep`.
+    batch at the generators (`_column_violations`, `errors.EdgeCheckFailed`),
+    every cand row by the loop check that comes with its loop sums
+    (`_kept_sums`), and the basis is solved back to the identity
+    (`errors.SolveRoundTripFailed`); no n x n table is built here or by
+    `H2Space.rep`.
 
     cand is not solved for over all n * ngens columns.  The gauged
     cocycles, 0 on the BFS tree, come from one nullspace over the kept
@@ -462,27 +508,32 @@ def h2_space(G: FiniteGroup, p: int) -> H2Space:
     rref with the columns reversed gives cand exactly (the duality lemma
     at `_z2_basis`).
 
-    The span is taken in the BFS-tree gauge: one Span is factored over the
-    rows of D (`_tree_coboundaries`, spanning the coboundaries that are 0
-    on the tree) followed by the gauged cand rows.  gauge(u) - u is in
-    B^2 and gauge(B^2) is the row space of D (lemmas at `_gauge` and
-    `_tree_coboundaries`), so a gauged cand row grows this span iff the
-    cand row grows B^2 plus the earlier cand rows.  grew[k] is read off
-    the transform as trans[:, ngens + k] != 0.  Lemma: trans restricted
-    to the columns of the vectors that grew is invertible (it maps a
-    basis, those vectors, onto another, the rref rows), so such a column
-    is nonzero, and the other columns are zero by construction."""
+    The span is taken in F_p^kept, the loop sums along the kept relators
+    (`_kept_sums`): one Span over |kept| columns is factored over the
+    rows of X.T (`_tree_coboundaries`, the loop sums of B^2) followed by
+    the loop sums L(cand) of the cand rows.  In the BFS-tree gauge this
+    is the span over all n * ngens columns of the gauged coboundaries and
+    the gauged cand rows, mapped by L, which is injective on the gauged
+    cocycles and keeps each vector's loop sums (lemma at `_kept_sums`).
+    So a cand row grows this span iff it grows B^2 plus the earlier cand
+    rows, and `Span.solve`, the unique solution that is 0 off the
+    vectors that grew, gives every class the same coordinates.  grew[k]
+    is read off the transform as trans[:, ngens + k] != 0.  Lemma: trans
+    restricted to the columns of the vectors that grew is invertible (it
+    maps a basis, those vectors, onto another, the rref rows), so such a
+    column is nonzero, and the other columns are zero by construction."""
     if G.order > H2_ORDER_CAP:
         raise GroupTooLarge(f"|G| = {G.order} exceeds the H^2 cap {H2_ORDER_CAP}")
     cand = _z2_basis(G, p)
-    D = _tree_coboundaries(G, p)[1]
-    span = gf.Span(cand.shape[1], p, np.concatenate([D, _gauge(G, cand, p)]))
-    grew = span.trans[:, len(D):].any(axis=0)
+    X = _tree_coboundaries(G, p)[1]
+    L, bad = _kept_sums(G, gf._reduced(cand, p), p)    # no int64 copy
+    span = gf.Span(len(X), p, np.concatenate([X.T, L]))
+    grew = span.trans[:, X.shape[1]:].any(axis=0)
     basis = cand[grew]
-    if _column_violations(G, basis, p).any():
+    if bad.any() or _column_violations(G, basis, p).any():
         raise EdgeCheckFailed("H^2 basis row is not a cocycle")
     space = H2Space(G, p, len(basis), basis, span,
-                    len(D) + np.flatnonzero(grew))
+                    X.shape[1] + np.flatnonzero(grew))
     # solver round-trip on the basis
     if not np.array_equal(space.column_coords(basis),
                           np.eye(len(basis), dtype=np.int64)):
@@ -499,10 +550,11 @@ def h1(G: FiniteGroup, p: int) -> list:
     """Basis of Hom(G, Z/p): the rref of the character space.
 
     A character v is fixed by its generator values a: v = W a, and W a
-    is a character iff a D = 0 (lemma at `_tree_coboundaries`, W[x, i]
-    the count of the letter i in x's BFS word); so one nullspace over a,
-    of D.T with |G| * ngens rows and ngens unknowns, spans the
-    characters, and the rref of their values is the canonical basis.
+    is a character iff X a = 0 (lemma at `_tree_coboundaries`, W[x, i]
+    the count of the letter i in x's BFS word and X[K, i] its signed
+    count in kept relator K); so one nullspace over a, of X with |kept|
+    rows and ngens unknowns, spans the characters, and the rref of their
+    values is the canonical basis.
 
     Lemma: this is the basis dual to the greedy basis of the elementary
     abelianization Q = G/G^p[G,G] in id order (each pick the least id of
@@ -513,8 +565,8 @@ def h1(G: FiniteGroup, p: int) -> list:
     j, 1 there and 0 at the other picks' least ids: it is the rref, which
     is unique.  The dimension is checked against |G : G^p[G,G]| from the
     subgroup calculus (`errors.OracleDisagreement`)."""
-    W, D, _ = _tree_coboundaries(G, p)
-    basis = gf.rref(gf.nullspace(D.T, p) @ W.T, p)[0]
+    W, X, _ = _tree_coboundaries(G, p)
+    basis = gf.rref(gf.nullspace(X, p) @ W.T, p)[0]
     F = power_commutator_subgroup(G, G.whole(), p)
     if p ** len(basis) * F.order != G.order:
         raise OracleDisagreement(
@@ -681,9 +733,7 @@ def bockstein(phi: Cochain1) -> Cocycle2:
     because phi is a character."""
     if not phi.is_hom:
         raise NotACharacter("the Bockstein needs a character")
-    p = phi.p
-    G = phi.group
-    v = phi.values
+    G, p, v = phi.group, phi.p, phi.values
     carry = v[:, None] + v[G.generators] - v[G.mult_gen]
     return Cocycle2(G, (carry // p).ravel(), p)
 
@@ -702,8 +752,7 @@ def transgression(pi: GroupHom, psi: Cochain1) -> Cocycle2:
     In a finite group every element is a positive word in the generators.
     The defect t(x) t(y) t(xy)^-1 lies in N, as pi is a verified hom and
     pi(t(x)) = x, so psi reads it."""
-    G, Q = pi.domain, pi.codomain
-    p = psi.p
+    G, Q, p = pi.domain, pi.codomain, psi.p
     if not pi.is_surjective():
         raise NotSurjective(f"pi: {G.name} -> {Q.name} is not onto")
     members = np.flatnonzero(pi.image == 0)
@@ -761,8 +810,5 @@ def massey_pullback_set(Q: FiniteGroup, n: int, phis: list, fam, *,
     R = R[(superdiag[R] == want).all(axis=(1, 2))]
     coords, _, images = pullback_classes(space, [ext], [R])
     alpha = _extension_alpha(ext)
-    out = []
-    for v, row in zip(coords, images):
-        rho = GroupHom(Q, Gbar, row)
-        out.append((pullback(alpha, rho), v, rho))
-    return out
+    rhos = [GroupHom(Q, Gbar, row) for row in images]
+    return [(pullback(alpha, rho), v, rho) for v, rho in zip(coords, rhos)]

@@ -165,8 +165,9 @@ def memo(fn):
     is a function of (mult, generators, pred) and of its keyed arguments
     only, compared as the program compares them: groups by key, subgroups
     by parent key and members (`Subgroup.__eq__`, `MixedParents`).  pred
-    is not in the key, and `_tree_coboundaries` caches W and D built along
-    it, so the registry is keyed on it too.  A value may hold the twin
+    is not in the key, and `cohomology._tree_coboundaries` caches W, built
+    along it, and `cohomology._kept_loops` the loops of G's own BFS, so
+    the registry is keyed on it too.  A value may hold the twin
     that built it (a quotient map's domain, a subgroup's parent); reports
     read names from the caller's group only.
     `dataclasses.replace(G, _cache={})` bypasses `_table_group` and stays
@@ -799,19 +800,17 @@ def _grown(buf, need, axis=0):
 def _walk(step, back, word, X):
     """Trace the signed word from the positions X, a letter s for a step
     along generator s and ~s for a step back: (E, Y), E[c, v] the id
-    s n + p of the edge (p, s) of the c-th letter from X[v], and Y the
-    positions reached."""
-    edges, ids = [], []
+    p k + s of the edge (p, s) of the c-th letter from X[v], its generator
+    column for k = len(step) generators, and Y the positions reached."""
+    edges = []
     for c in word:
         if c >= 0:
-            edges.append(X)
+            edges.append(X * len(step) + c)
             X = step[c][X]
         else:
-            c = ~c
-            X = back[c][X]
-            edges.append(X)
-        ids.append(c * step.shape[1])
-    return np.array(edges) + np.array(ids)[:, None], X
+            X = back[~c][X]
+            edges.append(X * len(step) + ~c)
+    return np.array(edges), X
 
 
 # A loop's tally in `relator_edges`: 2^32 per unknown occurrence plus the
@@ -849,13 +848,14 @@ def relator_edges(pred, tgt, schedule):
       (`_TALLY`), and each edge the loops it lies on, so a round of
       deductions only touches the loops of the edges it makes known.
     - Record.  record = (kept, words, starts, rounds), ints only, not the
-      traced loops, and independent of any prime.  kept[i] is the id of
-      the i-th kept edge, words[i] its relator as a list of signed letters
-      (as at `_walk`) and starts[i] the positions its loops are traced
-      from.  Each entry of rounds is one deduction round, in order:
-      (edges, loops), the ids of the edges it deduced (one deduced by two
-      loops is listed twice) and, for each, the loop that deduced it,
-      numbered from 1 over the loops of the kept edges in order.
+      traced loops, and independent of any prime.  kept[i] is the id
+      p k + s of the i-th kept edge (p, s), words[i] its relator as a list
+      of signed letters (both as at `_walk`) and starts[i] the positions
+      its loops are traced from.  Each entry of rounds is one deduction
+      round, in order: (edges, loops), the ids of the edges it deduced
+      (one deduced by two loops is listed twice) and, for each, the loop
+      that deduced it, numbered from 1 over the loops of the kept edges in
+      order.
 
     Lemma (a), soundness: a row C of generator images whose word walk
     passes the kept edges passes every edge.  Let img be its images and
@@ -905,9 +905,9 @@ def relator_edges(pred, tgt, schedule):
     back[np.arange(k)[:, None], step] = ar
     gen_of = np.empty(n, dtype=np.intp)
     gen_of[tgt[0]] = np.arange(k)
-    ids = gen_of[g] * n + e          # edge (p, s) has id s * n + p
+    ids = e * k + gen_of[g]          # edge (p, s) has id p * k + s
     known = np.zeros(k * n, dtype=bool)
-    known[pred[1:, 1] * n + pred[1:, 0]] = True
+    known[pred[1:, 0] * k + pred[1:, 1]] = True
     tally = np.zeros(4 * n + 1, dtype=np.int64)
     on = np.zeros((k * n, 4 * k), dtype=np.intp)         # edge, slot
     loops, slots = 1, 0
@@ -921,7 +921,7 @@ def relator_edges(pred, tgt, schedule):
         i += 1 + int(left[0])
         kept.append(i)
         K = int(ids[i])
-        s0, x = divmod(K, n)
+        x, s0 = divmod(K, k)
         word = path(x) + [s0] + [~s for s in path(int(tgt[x, s0]))[::-1]]
         L = len(word)
         p = next(d for d in range(1, L + 1)

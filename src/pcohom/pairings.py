@@ -19,9 +19,11 @@ read these two.  One H^2 is built per pair, that of G/N2.
 Every subspace of the tower is a kernel of an inflation, so the tower
 asks of an inflated class only whether it vanishes, and one test answers
 that: the coboundary residue (`cohomology.coboundary_residue`), linear
-and zero exactly on the coboundaries.  The inflation matrix R holds, per
-basis class of H^2(G/N2), the residue of its inflation on Q1 = G/N1, and
-a class v inflates to zero iff v R = 0.  Lemma: R = M rho(B1), where M is
+and zero exactly on the coboundaries, with one entry per kept relator of
+Q1's BFS (its loop sums reduced against those of B^2).  The inflation
+matrix R holds, per basis class of H^2(G/N2), the residue of its
+inflation on Q1 = G/N1, a row of |kept| entries, and a class v inflates
+to zero iff v R = 0.  Lemma: R = M rho(B1), where M is
 the coordinate matrix of inf: H^2(G/N2) -> H^2(Q1), B1 the basis of
 H^2(Q1) and rho the residue on Q1, as rho is linear and kills B^2.  rho
 is injective on H^2(Q1), so rho(B1) has full row rank and v R = 0 iff
@@ -167,16 +169,17 @@ def induced_epi(pi1: GroupHom, pi2: GroupHom) -> GroupHom:
 
 def inflation_matrix(space2: H2Space, q: GroupHom):
     """The inflation matrix R along q: Q1 -> Q2 = space2.group: row i is
-    the coboundary residue (`cohomology.coboundary_residue`) on Q1 of the
-    inflation q*b_i of basis class i of H^2(Q2), so a class v inflates to
-    zero iff v @ R = 0 (lemma in the module docstring).  The basis tables
-    b of H^2(Q2) are expanded from their verified generator columns in one
-    batched walk (`cohomology._expand_from_columns`), one gather takes the
-    generator columns b(q(x), q(s)) of every q*b, and one
-    `coboundary_residue` reduces them all.  Each q*b is a verified cocycle
-    (the lemma at `cohomology.pullback_coords`); the rows are checked at
-    the generators all the same (`cohomology._column_violations`), so a
-    row outside Z^2 raises `errors.EdgeCheckFailed`."""
+    the coboundary residue (`cohomology.coboundary_residue`, one entry per
+    kept relator of Q1's BFS) of the inflation q*b_i of basis class i of
+    H^2(Q2), so a class v inflates to zero iff v @ R = 0 (lemma in the
+    module docstring).  The basis tables b of H^2(Q2) are expanded from
+    their verified generator columns in one batched walk
+    (`cohomology._expand_from_columns`), one gather takes the generator
+    columns b(q(x), q(s)) of every q*b, and one `coboundary_residue`
+    reduces them all.  Each q*b is a verified cocycle (the lemma at
+    `cohomology.pullback_coords`); the rows are checked at the generators
+    all the same (`cohomology._column_violations`), so a row outside Z^2,
+    the residue's domain, raises `errors.EdgeCheckFailed`."""
     Q1, p = q.domain, space2.p
     if q.codomain.key != space2.group.key:
         raise MixedParents("q does not map onto the group of space2")

@@ -7,12 +7,14 @@ package once did, and checks it with the table check
 `generator_columns` reads a table at the generator columns, `expand`
 rebuilds the table from generator columns one BFS position at a time,
 with no `core.bfs_levels`, and `matches_table` compares a Cocycle2 with a
-reference table.
+reference table.  `gauge` is the BFS-tree gauge of generator columns,
+the reference for the loop sums of `cohomology._kept_sums`.
 """
 
 import numpy as np
 
 from pcohom.cohomology import _expand_from_columns
+from pcohom.core import bfs_levels
 
 
 def generator_columns(G, table):
@@ -33,6 +35,24 @@ def expand(G, u, p):
         pe, pg = G.pred[x]
         f[:, x] = (f[:, pe] + U[G.mult[:, pe], pg] - U[pe, pg]) % p
     return f
+
+
+def gauge(G, u, p):
+    """u - dc for generator columns u (one vector, or a matrix with one
+    per row), where c(1) = 0 and c(x) = c(d) - u(d, s) along the BFS edge
+    G.pred[x] = (d, s), computed a BFS level at a time (`bfs_levels`).
+    For normalized u it is 0 on every tree edge, keeps the class of u and
+    whether u is in Z^2, and at the kept edges it is the loop sums of
+    `cohomology._kept_sums` (the lemma there)."""
+    n, gens = G.order, np.asarray(G.generators, dtype=np.intp)
+    u = np.asarray(u, dtype=np.int64)
+    lead = u.shape[:-1]
+    U = u.reshape(lead + (n, len(gens)))
+    c = np.zeros(lead + (n,), dtype=np.int64)
+    for lo, hi, d, s in bfs_levels(G.pred):
+        c[..., lo:hi] = (c[..., d] - U[..., d, s]) % p
+    dc = c[..., :, None] + c[..., None, gens] - c[..., G.mult_gen]
+    return ((U - dc) % p).reshape(u.shape)
 
 
 def matches_table(c, table):

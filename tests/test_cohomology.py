@@ -11,7 +11,8 @@ import pcohom as pc
 from pcohom import cohomology, gf
 from pcohom.catalog import applicable_families, catalog_instances
 from pcohom.cohomology import (H2_ORDER_CAP, Cochain1, Cocycle2, H2Space,
-                               _delta_coboundaries, _expand_from_columns,
+                               _column_violations, _delta_coboundaries,
+                               _expand_from_columns,
                                _gauged_z2, _relator_forms, _z2_basis,
                                bockstein,
                                classifying_cocycle, conj_invariant_h1, cup,
@@ -26,7 +27,7 @@ from pcohom.errors import (EdgeCheckFailed, MixedParents, NotACharacter,
                            SolveRoundTripFailed)
 from concrete_elements import perm_from_cycles, unitriangular_matrices
 from cocycle_tables import (bockstein_table, checked, classifying_table,
-                            constraint_violations, cup_table, expand,
+                            constraint_violations, cup_table, expand, gauge,
                             generator_columns, matches_table, pullback_table,
                             table_accepts, transgression_table)
 from test_gf import coboundary_matrix
@@ -349,6 +350,23 @@ def test_z2_basis_memory_stays_below_the_int64_rows():
     assert peak < 2 * 2 ** 20, (name, peak)
 
 
+def test_relator_forms_memory_stays_below_the_gathered_loops():
+    """A cold _relator_forms on E:2:9 (45 kept relators, 78,336 traced
+    occurrences), its record built first, traces less than 8 MiB: every
+    form sum is taken a letter at a time (`_loop_sums`), and the residual
+    rows are kept per kept edge only where nonzero.  Gathering forms[E] in
+    int64 per kept edge traced 17.6 MiB."""
+    G = dataclasses.replace(pc.builtin_group("E:2:9"), _cache={})
+    pc.homsearch._relator_edges(G, len(G.generators))
+    tracemalloc.start()
+    try:
+        _relator_forms(G, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
 def basis_tables(space):
     """The basis cocycles as tables: space.rep(e_i) for each unit vector,
     expanded by the reference loop."""
@@ -360,7 +378,7 @@ def basis_digest(space):
     """sha256 of the representatives' positions and every basis table.
     The positions are counted as in a span whose first rows are a basis
     of B^2 (dim |G| - 1 - dim H^1), the numbering the pins were recorded
-    in, not from the ngens rows of D that H2Space._span starts with."""
+    in, not from the ngens rows of X.T that H2Space._span starts with."""
     G, p = space.group, space.p
     reps = (np.asarray(space._reps, dtype=np.int64) - len(G.generators)
             + G.order - 1 - len(h1(G, p)))
@@ -751,6 +769,70 @@ def test_gauge_above_h2_cap():
             assert is_coboundary(Cocycle2(G, u, p)) == want, spec
             if ref is not None:
                 assert ref.is_coboundary(u) == want, spec
+
+
+def test_loop_sums_are_the_gauge_at_the_kept_edges():
+    """The lemma at `_kept_sums`: on normalized rows the loop sums are the
+    reference gauge (`cocycle_tables.gauge`) at the kept edges, one row at
+    a time and in a batch, on random normalized rows (mostly not
+    cocycles), random coboundaries and gauged cocycles plus a coboundary,
+    which pass the loop check.  On every distinct catalog (table, prime)
+    and on E:2:9, E:3:6 and Heis:3xHeis:3, above H2_ORDER_CAP."""
+    rng = np.random.default_rng(20260824)
+    seen = set()
+    cases = catalog_instances() + [
+        (nm, pc.builtin_group(nm), p)
+        for nm, p in (("E:2:9", 2), ("E:3:6", 3), ("Heis:3xHeis:3", 3))]
+    for name, G, p in cases:
+        if (G.key, p) in seen:
+            continue
+        seen.add((G.key, p))
+        ngens = len(G.generators)
+        noise = rng.integers(0, p, size=(3, G.order * ngens))
+        noise[:, :ngens] = 0
+        dc = random_coboundaries(G, p, rng, 2)
+        cocycles = (_gauged_z2(G, p)[:2].astype(np.int64) + dc[0]) % p
+        U = np.concatenate([noise, dc, cocycles])
+        L, bad = cohomology._kept_sums(G, U, p)
+        assert np.array_equal(
+            L, gauge(G, U, p)[:, cohomology._kept_loops(G)[0]]), name
+        for u, row in zip(U, L):
+            assert np.array_equal(cohomology._kept_sums(G, u, p)[0], row)
+        assert not bad[3:].any(), name
+    assert len(seen) == 37
+
+
+def test_loop_check_agrees_with_column_violations():
+    """The check of `_kept_sums` flags exactly the rows that
+    `_column_violations` flags, row by row: random rows, random normalized
+    rows, cocycles (H^2 basis combinations plus coboundaries) and those
+    cocycles with one entry moved, on every distinct catalog (table,
+    prime), on EXTRA_GROUPS and on Z/1 (no generators); 228 of the 400
+    seeded rows are flagged."""
+    rng = np.random.default_rng(20260825)
+    seen = set()
+    n_flagged = 0
+    cases = catalog_instances() + EXTRA_GROUPS + [
+        ("Z/1", pc.builtin_group("Z/1"), 2)]
+    for name, G, p in cases:
+        if (G.key, p) in seen:
+            continue
+        seen.add((G.key, p))
+        space, ngens = h2_space(G, p), len(G.generators)
+        width = G.order * ngens
+        noise = rng.integers(0, p, size=(4, width))
+        noise[2:, :ngens] = 0
+        a = rng.integers(0, p, size=(3, space.dim))
+        cocycles = (a @ space.basis + random_coboundaries(G, p, rng, 3)) % p
+        moved = cocycles.copy()
+        if width:
+            moved[np.arange(3), rng.integers(width, size=3)] += 1
+        U = np.concatenate([noise, cocycles, moved % p])
+        bad = cohomology._kept_sums(G, U, p)[1]
+        assert np.array_equal(bad, _column_violations(G, U, p)), name
+        assert not bad[4:7].any(), name
+        n_flagged += int(bad.sum())
+    assert len(seen) == 40 and n_flagged == 228
 
 
 def test_tree_coboundary_letter_counts_match_word_images():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcohom import core, gf
 from pcohom.catalog import catalog_instances
-from pcohom.cohomology import (_gauge, _tree_coboundaries, _z2_basis,
+from pcohom.cohomology import (_kept_loops, _tree_coboundaries, _z2_basis,
                                h2_space)
 
 PRIMES = [2, 3, 5, 7]
@@ -462,8 +462,12 @@ def coboundary_matrix(G):
 def test_references_agree_on_cohomology_systems():
     """The rref of the Z^2 constraints (the reference rows of
     `test_cohomology.full_cocycle_constraints` over the off-tree columns),
-    the B^2 span, the span of the tree-gauged coboundaries D and the span
-    H^2 reads grew off, for every catalog group of order at most 32."""
+    the B^2 span, and in kept coordinates the span of X.T and the span H^2
+    reads grew off, for every catalog group of order at most 32: X.T is
+    the tree-gauged coboundaries d(W[:, i]) at the kept edges, and _span
+    is the reference span over the rows of X.T and the gauged cand rows
+    (`cocycle_tables.gauge`) at the kept edges."""
+    from cocycle_tables import gauge
     from test_cohomology import full_cocycle_constraints, off_tree
     n_groups = 0
     for name, G, p in catalog_instances():
@@ -476,13 +480,18 @@ def test_references_agree_on_cohomology_systems():
         ncols = G.order * len(G.generators)
         bmat = coboundary_matrix(G).T
         assert_same_span(gf.Span(ncols, p, bmat), LoopSpan(ncols, p, bmat))
-        _, D, dspan = _tree_coboundaries(G, p)
-        assert_same_span(dspan, LoopSpan(ncols, p, D))
+        W, X, xspan = _tree_coboundaries(G, p)
+        kept = _kept_loops(G)[0]
+        D = W[1:].T.astype(np.int64) @ bmat % p        # the d(W[:, i])
+        assert np.array_equal(gauge(G, D, p), D), name
+        assert np.array_equal(X.T, D[:, kept]), name
+        assert_same_span(xspan, LoopSpan(len(kept), p, X.T))
         space = h2_space(G, p)
         cand = _z2_basis(G, p)
-        want = LoopSpan(ncols, p, np.concatenate([D, _gauge(G, cand, p)]))
+        want = LoopSpan(len(kept), p,
+                        np.concatenate([X.T, gauge(G, cand, p)[:, kept]]))
         assert_same_span(space._span, want)
         assert list(space._reps) == list(
-            np.flatnonzero(want.grew[len(D):]) + len(D)), name
+            np.flatnonzero(want.grew[len(X.T):]) + len(X.T)), name
         n_groups += 1
     assert n_groups == 33

@@ -13,19 +13,29 @@ The faults of the relator route to Z^2 (`cohomology._relator_forms`):
   vector too many, which is no cocycle;
 - a flipped sign in one kept loop: the sign of the kept edge's own letter
   in the last kept relator, the one occurrence that is never a tree edge,
-  so the fault always reaches a form.  Mod 2 a sign is no fault (-1 = 1),
-  so it moves only the pins at odd p.
+  so the fault always reaches a form.  Mod 2 a sign is no fault (-1 = 1);
+  at odd p the loop check (`cohomology._kept_sums`) rejects the Z^2
+  basis rows.
+
+The faults of the kept coordinates (`cohomology._kept_sums`,
+`cohomology._tree_coboundaries`):
+- one exponent sum X[K, i] off by one: `h2_space` does not see it, and
+  `h1`'s dimension check raises `OracleDisagreement`;
+- a loop check that accepts every row: the rejection rows of
+  `test_cohomology.test_gauge_matches_b2_span_on_catalog` are solved.
 """
 
 import dataclasses
 import weakref
 
 import numpy as np
+import pytest
 
 import pcohom as pc
 from pcohom import cohomology, core, gf
 from pcohom.catalog import catalog_instances
-from pcohom.errors import PcohomError
+from pcohom.errors import OracleDisagreement, PcohomError
+import test_cohomology
 from test_cohomology import H2_BASIS_PINS, basis_digest, perm_group
 
 
@@ -81,9 +91,10 @@ def test_dropped_residual_row_is_caught(monkeypatch):
 
 
 def test_flipped_sign_in_a_kept_loop_is_caught(monkeypatch):
-    """The sign of the last kept relator's own letter flipped: every pin
-    at odd p moves, as the gauged solve loses solutions; at p = 2 the
-    fault is no fault and every pin holds."""
+    """The sign of the last kept relator's own letter flipped: at odd p
+    (Heis:3, Mp3:3 and Meta:3) the loop check rejects a Z^2 basis row and
+    `h2_space` raises EdgeCheckFailed; at p = 2 the fault is no fault and
+    every pin holds."""
     loops_of = cohomology._kept_loops
 
     def flipped(G):
@@ -98,6 +109,43 @@ def test_flipped_sign_in_a_kept_loop_is_caught(monkeypatch):
     got = {(nm, p): outcome(nm, G, p, monkeypatch)
            for nm, G, p in pinned_groups()}
     monkeypatch.undo()
-    assert any(p > 2 for _, p in got)
+    assert {nm for nm, p in got if p > 2} == {"Heis:3", "Mp3:3", "Meta:3"}
     for (nm, p), result in got.items():
-        assert result == ("moved" if p > 2 else "pinned"), nm
+        assert result == ("raised" if p > 2 else "pinned"), nm
+
+
+def test_exponent_sum_off_by_one_is_caught_by_h1(monkeypatch):
+    """The last kept relator's exponent sum of the last generator off by
+    one: `h2_space` builds on every pinned group, so dim H^2 may move
+    without an error, and `h1`'s dimension check against the subgroup
+    calculus raises OracleDisagreement on each."""
+    tree_of = cohomology._tree_coboundaries
+
+    def off_by_one(G, p):
+        W, X, _ = tree_of(G, p)
+        X = X.copy()
+        X[-1, -1] = (X[-1, -1] + 1) % p
+        return W, X, gf.Span(len(X), p, X.T)
+
+    monkeypatch.setattr(cohomology, "_tree_coboundaries", off_by_one)
+    for nm, G, p in pinned_groups():
+        monkeypatch.setattr(core, "_TWINS", weakref.WeakValueDictionary())
+        G = dataclasses.replace(G, _cache={})
+        cohomology.h2_space(G, p)
+        with pytest.raises(OracleDisagreement):
+            cohomology.h1(G, p)
+
+
+def test_loop_check_accepting_every_row_is_caught(monkeypatch):
+    """A loop check that passes every row lets `column_coords` solve the
+    loop sums of rows that are not cocycles: the first rejection row of
+    `test_gauge_matches_b2_span_on_catalog` no longer raises."""
+    sums_of = cohomology._kept_sums
+
+    def accepting(G, u, p):
+        L, bad = sums_of(G, u, p)
+        return L, np.zeros_like(bad)
+
+    monkeypatch.setattr(cohomology, "_kept_sums", accepting)
+    with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+        test_cohomology.test_gauge_matches_b2_span_on_catalog()

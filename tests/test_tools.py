@@ -64,7 +64,7 @@ STUB_RUN = '''import json
 import sys
 from pathlib import Path
 
-cfg = json.loads((Path(__file__).parent / "stub.json").read_text())
+cfg = json.loads((Path(__file__).parents[1] / "stub.json").read_text())
 log = Path(cfg["log"])
 done = [json.loads(line)[0] for line in log.read_text().splitlines()] \\
     if log.exists() else []
@@ -88,11 +88,12 @@ def stub_tree(root, name, log, wall, digest="d1", correct=True,
     """A tree with BOUNDS as its BENCHMARK.json, whose benchmarks/run.py
     logs its call and prints a fixed context line and a result line with
     the next of each metric's values (wall_s, and cpu_s at 1.0, unless
-    metrics gives them)."""
+    metrics gives them).  The values sit in stub.json beside benchmarks/,
+    so two stub trees hold the same harness."""
     (root / name / "benchmarks").mkdir(parents=True)
     (root / name / "BENCHMARK.json").write_text(json.dumps(BOUNDS))
     (root / name / "benchmarks" / "run.py").write_text(STUB_RUN)
-    (root / name / "benchmarks" / "stub.json").write_text(json.dumps({
+    (root / name / "stub.json").write_text(json.dumps({
         "name": name, "log": str(log), "digest": digest, "correct": correct,
         "metrics": metrics or {"wall_s": wall, "cpu_s": [1.0] * len(wall)}}))
     return root / name
@@ -110,6 +111,8 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     log = tmp_path / "log"
     parent = stub_tree(tmp_path, "parent", log, [0.5, 0.4, 0.6, 0.45])
     change = stub_tree(tmp_path, "change", log, [0.4, 0.45, 0.3, 0.35])
+    (change / "benchmarks" / "__pycache__").mkdir()
+    (change / "benchmarks" / "__pycache__" / "run.pyc").write_bytes(b"x")
     proc = run_ab(parent, change)
     assert proc.returncode == 0, proc.stderr
     calls = [json.loads(line) for line in log.read_text().splitlines()]
@@ -121,6 +124,8 @@ def test_ab_alternates_the_trees_and_writes_the_schema(tmp_path):
     out = json.loads(proc.stdout)
     assert (out["workload"], out["seed"], out["pairs"], out["digest"]) == \
         ("catalog-sweep", 7, 4, "d1")
+    # the trees differ only in stub.json and a __pycache__ file
+    assert out["same_harness"] is True
     wall = out["metrics"]["wall_s"]
     assert set(wall) == {"parent", "change", "parent_median",
                          "change_median", "pairs_change_better",
@@ -159,8 +164,11 @@ def test_ab_gives_the_bound_and_claim_verdicts(tmp_path):
         *BOUNDS["end_to_end"], {"name": "peak_rss_mb", "bound": 0.1}]}))
     proc = run_ab(parent, change)
     assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    # the parent's BENCHMARK.json has one bound more
+    assert out["same_harness"] is False
     verdicts = {name: (m["bound"], m["within_bound"], m["claim_rule_met"])
-                for name, m in json.loads(proc.stdout)["metrics"].items()}
+                for name, m in out["metrics"].items()}
     assert verdicts == {
         # 4 of 4 pairs, and 1.05 - 0.55 > the IQR 0.125
         "wall_s": (0.25, True, True),
@@ -199,6 +207,18 @@ def test_ab_reports_a_spread_wider_than_the_bound_as_unresolved(tmp_path):
                 for name, m in json.loads(proc.stdout)["metrics"].items()}
     assert resolved == {"wall_s": False, "cpu_s": True, "peak_rss_mb": True,
                         "other": None}
+
+
+def test_ab_same_harness_compares_every_benchmarks_file(tmp_path):
+    """A file under benchmarks/ that only one tree holds makes the
+    harnesses differ."""
+    log = tmp_path / "log"
+    parent = stub_tree(tmp_path, "parent", log, [0.5] * 2)
+    change = stub_tree(tmp_path, "change", log, [0.4] * 2)
+    (change / "benchmarks" / "extra.json").write_text("{}")
+    proc = run_ab(parent, change, pairs=2)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["same_harness"] is False
 
 
 def test_ab_refuses_unequal_digests_and_incorrect_runs(tmp_path):

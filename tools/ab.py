@@ -11,7 +11,11 @@ so that a drift in the machine's speed falls on both sides alike.
 Every run must exit 0 with a result line that says correct, and every
 run of both trees must report the same digest; otherwise nothing is
 written and the exit code is 1.  On success one JSON object goes to
-stdout: the workload, seed, seconds and pairs, the digest, and per
+stdout: the workload, seed, seconds and pairs, the digest,
+`same_harness` (true when the two trees hold byte-identical
+BENCHMARK.json files and `benchmarks/` directories, `__pycache__` aside,
+so that the pairs compared the code alone; read before the first run),
+and per
 end-to-end metric the values of each side in pair order (`parent`,
 `change`), their medians (`parent_median`, `change_median`), the number
 of pairs in which the change read lower (`pairs_change_better`; every
@@ -59,6 +63,14 @@ def run_once(tree: Path, args) -> tuple[dict, dict]:
     return context, result
 
 
+def harness_files(tree: Path) -> dict:
+    """Relative path -> bytes of BENCHMARK.json and of every file under
+    benchmarks/ outside __pycache__ in tree."""
+    paths = [tree / "BENCHMARK.json", *(tree / "benchmarks").rglob("*")]
+    return {str(f.relative_to(tree)): f.read_bytes() for f in paths
+            if f.is_file() and "__pycache__" not in f.parts}
+
+
 def end_to_end_bounds(tree: Path) -> dict:
     """name -> bound of each `end_to_end` metric of tree's BENCHMARK.json."""
     path = tree / "BENCHMARK.json"
@@ -102,6 +114,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for the quartiles")
 
+    same_harness = harness_files(args.parent) == harness_files(args.change)
     values = {"parent": [], "change": []}
     digests = set()
     for k in range(1, args.pairs + 1):
@@ -120,7 +133,7 @@ def main(argv=None) -> int:
     print(json.dumps({
         "workload": args.workload, "seed": args.seed,
         "seconds": args.seconds, "pairs": args.pairs,
-        "digest": digests.pop(),
+        "digest": digests.pop(), "same_harness": same_harness,
         "metrics": {name: summary([v[name] for v in values["parent"]],
                                   [v[name] for v in values["change"]],
                                   bounds.get(name))
